@@ -63,6 +63,7 @@ from .linop import (
     assemble_l,
     fourier_diff_matrix,
     inv_one_pairing,
+    operator_for,
     restricted_spectrum,
     spectrum,
 )

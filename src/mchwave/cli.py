@@ -18,14 +18,13 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, evolve as evolve_mod, indices, linop, wave as wave_mod
 from .errors import DomainError, MchError, NumericalError
-from .field import PeriodicGrid, PeriodicField, fractional_shift, sample_wave
+from .field import PeriodicGrid, fractional_shift, sample_wave
 from .wave import profile
 
 EXIT_OK = 0
@@ -145,53 +144,24 @@ def cmd_wave(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_cell(task):
-    k, L, h, n_quad = task
-    if not wave_mod.validity(k, L, n=n_quad).all_ok:
-        return indices.IndexSample(k, L, math.nan, False,
-                                   math.nan, math.nan, math.nan, math.nan)
-    try:
-        return indices.stability_index(k, L, h=h, n_quad=n_quad)
-    except MchError:
-        return indices.IndexSample(k, L, math.nan, False,
-                                   math.nan, math.nan, math.nan, math.nan)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    ks = np.linspace(args.k_min, args.k_max, args.nk) if args.nk > 1 else [args.k_min]
-    Ls = np.linspace(args.L_min, args.L_max, args.nL) if args.nL > 1 else [args.L_min]
-    tasks = [(float(k), float(L), args.h, args.n_quad) for k in ks for L in Ls]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            samples = list(pool.map(_scan_cell, tasks, chunksize=8))
-    else:
-        samples = [_scan_cell(t) for t in tasks]
-    vals = np.array([s.I for s in samples if s.valid])
-    summary = {
-        "min_I": float(np.min(vals)) if vals.size else math.nan,
-        "max_I": float(np.max(vals)) if vals.size else math.nan,
-        "count_positive": int(np.sum(vals > 0)) if vals.size else 0,
-        "count_invalid": sum(1 for s in samples if not s.valid),
-        "count_cells": len(samples),
-    }
+    samples, summary = indices.index_scan(
+        args.k_min, args.k_max, args.L_min, args.L_max, args.nk, args.nL,
+        h=args.h, n_quad=args.n_quad, workers=args.workers)
     out_csv = Path(args.out_dir) / "scan.csv"
     write_csv(out_csv,
               ["k", "L", "I", "valid", "dA_dk", "dc_dk", "dV_dk", "dF_dk"],
               [[s.k, s.L, s.I, int(s.valid), s.dA_dk, s.dc_dk, s.dV_dk, s.dF_dk]
                for s in samples], args)
-    out_json = Path(args.out_dir) / "scan_summary.json"
-    write_json(out_json, summary, args)
-    print(f"scan {args.nk}x{args.nL}: max I = {summary['max_I']!r} "
-          f"({summary['count_invalid']} invalid cells) -> {out_csv}")
+    write_json(Path(args.out_dir) / "scan_summary.json", dataclasses.asdict(summary), args)
+    print(f"scan {args.nk}x{args.nL}: max I = {summary.max_I!r} "
+          f"({summary.count_invalid} invalid cells) -> {out_csv}")
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p = indices.constant_or_wave(args.k, args.L)
-    grid = PeriodicGrid(p.L, args.n)
-    phi, _, phi2 = profile(p, grid.nodes)
-    fld, fld2 = PeriodicField(grid, phi), PeriodicField(grid, phi2)
-    op = linop.assemble_l(fld, fld2, p.c)
+    op = linop.operator_for(p, args.n)
     full = linop.spectrum(op, tol=args.tol)
     restr = linop.restricted_spectrum(op, tol=args.tol)
     payload = {
@@ -206,7 +176,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except MchError as exc:
         payload["pairing_error"] = str(exc)
     if args.evolution:
-        dxl = linop.assemble_dxl(fld, fld2, p.c)
+        dxl = linop.operator_for(p, args.n, kind="evolution_dxL")
         payload["evolution_spectrum"] = _spectral_payload(
             linop.restricted_spectrum(dxl, tol=args.tol))
     out = Path(args.out_dir) / "spectrum.json"
@@ -329,11 +299,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return wave_mod.ode_residual(p, 512) < 1e-8
 
     def constant_counts() -> bool:
-        p = wave_mod.constant_wave(2.0 * math.pi)
-        grid = PeriodicGrid(p.L, 128)
-        phi, _, phi2 = profile(p, grid.nodes)
-        op = linop.assemble_l(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
-        rep = linop.spectrum(op)
+        rep = linop.spectrum(linop.operator_for(wave_mod.constant_wave(2.0 * math.pi), 128))
         return rep.n_neg == 1 and rep.z_dim == 2
 
     def wave_spectral_counts() -> bool:

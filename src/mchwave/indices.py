@@ -18,15 +18,18 @@ sampled (k, L) grids; no claim is made beyond the sampled windows.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from . import wave as wave_mod
-from .errors import DomainError, NumericalError
+from .errors import DomainError, MchError, NumericalError
 from .field import PeriodicGrid, PeriodicField, functionals
-from .linop import assemble_l, inv_one_pairing, restricted_spectrum, spectrum
+from .linop import (inv_one_pairing, kernel_gap_tol, operator_for, restricted_spectrum,
+                    spectrum)
 from .wave import WaveParams, default_fd_step, fd_dk, profile, validity, wave_params
 
 Classification = Literal["stable", "unstable", "indeterminate"]
@@ -55,6 +58,7 @@ class ScanSummary:
     max_I: float
     count_positive: int
     count_invalid: int
+    count_cells: int
 
 
 @dataclass(frozen=True)
@@ -136,12 +140,18 @@ def classify(n_y0: int, pairing: float, big_d: float) -> Classification:
     return "indeterminate"
 
 
+def _invalid_sample(k: float, L: float) -> IndexSample:
+    return IndexSample(k, L, math.nan, False, math.nan, math.nan, math.nan, math.nan)
+
+
 def stability_index(k: float, L: float, h: float | None = None,
                     n_quad: int = 256) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
-    One finite-difference pass produces (a, b, c, A, F) together, so all
-    four components share the same stencil and consistency gate.
+    An invalid wave (see :func:`mchwave.wave.validity`) gets no index: the
+    sample has I = NaN and valid = False.  One finite-difference pass
+    produces (a, b, c, A, F) together, so all four components share the
+    same stencil and consistency gate.
 
     Raises:
         DomainError: if the FD stencil leaves the valid (k, L) domain.
@@ -151,6 +161,8 @@ def stability_index(k: float, L: float, h: float | None = None,
         h = default_fd_step(k)
     if h <= 0.0 or k - h <= 0.0 or k + h >= 1.0:
         raise DomainError(f"FD stencil leaves (0, 1) for k={k}, h={h}")
+    if not validity(k, L, n=n_quad).all_ok:
+        return _invalid_sample(k, L)
     grid = PeriodicGrid(L, n_quad)
 
     def f(kk: float) -> np.ndarray:
@@ -163,50 +175,49 @@ def stability_index(k: float, L: float, h: float | None = None,
     da_dk, dc_dk, dA_dk, dF_dk = (float(v) for v in d)
     dV_dk = L * da_dk
     idx = dA_dk * dV_dk - dc_dk * dF_dk
-    ok = validity(k, L, n=n_quad).all_ok
-    return IndexSample(k=k, L=L, I=idx, valid=ok, dA_dk=dA_dk, dc_dk=dc_dk,
+    return IndexSample(k=k, L=L, I=idx, valid=True, dA_dk=dA_dk, dc_dk=dc_dk,
                        dV_dk=dV_dk, dF_dk=dF_dk)
 
 
+def _scan_cell(k: float, L: float, h: float | None, n_quad: int) -> IndexSample:
+    try:
+        return stability_index(k, L, h=h, n_quad=n_quad)
+    except MchError:
+        return _invalid_sample(k, L)
+
+
 def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
-               nk: int, nL: int, h: float | None = None,
-               n_quad: int = 256) -> tuple[list[IndexSample], ScanSummary]:
+               nk: int, nL: int, h: float | None = None, n_quad: int = 256,
+               workers: int = 1) -> tuple[list[IndexSample], ScanSummary]:
     """Evaluate the index on an nk x nL grid, flagging invalid cells.
 
-    Cells failing validity (or whose FD stencil leaves the domain) are
-    kept in the table with I = NaN and valid = False.  Ordering is by
-    (k, L), deterministic regardless of evaluation order.
+    Cells failing validity (or whose index evaluation raises) are kept in
+    the table with I = NaN and valid = False.  Ordering is by (k, L),
+    deterministic regardless of evaluation order; ``workers`` > 1 spreads
+    the cells over that many processes.
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")
-    ks = np.linspace(k_min, k_max, nk) if nk > 1 else np.array([k_min])
-    Ls = np.linspace(L_min, L_max, nL) if nL > 1 else np.array([L_min])
-    samples: list[IndexSample] = []
-    for k in ks:
-        for L in Ls:
-            if not validity(float(k), float(L), n=n_quad).all_ok:
-                samples.append(IndexSample(float(k), float(L), math.nan, False,
-                                           math.nan, math.nan, math.nan, math.nan))
-                continue
-            try:
-                samples.append(stability_index(float(k), float(L), h=h, n_quad=n_quad))
-            except (DomainError, NumericalError):
-                samples.append(IndexSample(float(k), float(L), math.nan, False,
-                                           math.nan, math.nan, math.nan, math.nan))
+    if nk < 1 or nL < 1 or workers < 1:
+        raise DomainError(f"nk, nL and workers must be >= 1, got {nk}, {nL}, {workers}")
+    ks, Ls = np.linspace(k_min, k_max, nk), np.linspace(L_min, L_max, nL)
+    cell_ks = [float(k) for k in ks for _ in Ls]
+    cell_Ls = [float(L) for _ in ks for L in Ls]
+    cell = partial(_scan_cell, h=h, n_quad=n_quad)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            samples = list(pool.map(cell, cell_ks, cell_Ls, chunksize=8))
+    else:
+        samples = list(map(cell, cell_ks, cell_Ls))
     vals = np.array([s.I for s in samples if s.valid])
     summary = ScanSummary(
         min_I=float(np.min(vals)) if vals.size else math.nan,
         max_I=float(np.max(vals)) if vals.size else math.nan,
         count_positive=int(np.sum(vals > 0.0)) if vals.size else 0,
         count_invalid=sum(1 for s in samples if not s.valid),
+        count_cells=len(samples),
     )
     return samples, summary
-
-
-def _operator_for(p: WaveParams, n: int):
-    grid = PeriodicGrid(p.L, n)
-    phi, _, phi2 = profile(p, grid.nodes)
-    return assemble_l(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
 
 
 def morse_check(k: float, L: float, n: int = 256, tol: float | None = None,
@@ -228,12 +239,9 @@ def morse_check(k: float, L: float, n: int = 256, tol: float | None = None,
         RankError: propagated when the kernel is not simple and the
             override is not set.
     """
-    p = constant_or_wave(k, L)
-    op = _operator_for(p, n)
+    op = operator_for(constant_or_wave(k, L), n)
     if tol is None:
-        from .linop import kernel_gap_tol
-        vals = np.linalg.eigvalsh(op.matrix)
-        tol = kernel_gap_tol(vals, kernel_dim=2 if allow_multi_kernel else 1)
+        tol = kernel_gap_tol(op.eigh[0], kernel_dim=2 if allow_multi_kernel else 1)
     full = spectrum(op, tol=tol)
     pair = inv_one_pairing(op, tol=tol, allow_multi_kernel=allow_multi_kernel)
     restr = restricted_spectrum(op, tol=tol)
@@ -373,8 +381,7 @@ def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256,
         report = None
     if report is None:
         return no_branch
-    p = wave_params(k, report.L_star)
-    op = _operator_for(p, n)
+    op = operator_for(wave_params(k, report.L_star), n)
     full = spectrum(op, tol=tol)
     restr = restricted_spectrum(op, tol=tol)
     pair = inv_one_pairing(op, tol=tol)

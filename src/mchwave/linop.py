@@ -19,20 +19,30 @@ adding the rank-one completion  -kappa_N^2 mean(phi - c) P_N  on the
 sawtooth direction; that is what is done here, so the unresolved mode
 sits high in the spectrum where it belongs.  For constant coefficients
 the assembly then reproduces the Fourier diagonalization exactly.
+
+:func:`operator_for` is the one wave-to-operator factory.  A self-adjoint
+:class:`OperatorMatrix` caches one symmetric eigendecomposition, which
+:func:`spectrum`, :func:`inv_one_pairing` and the Morse-check gap tolerance
+share; :func:`restricted_spectrum` keeps its own eigensolve (the independent
+route of the Morse identity) and applies its Householder reflection implicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
 from .errors import AssemblyError, DomainError, NumericalError, RankError
 from .field import PeriodicField, PeriodicGrid
+from .wave import WaveParams, profile
 
 ASYMMETRY_GATE = 1e-8
+# Eigenvector columns a self-adjoint SpectralReport keeps (lowest modes).
+KEPT_MODES = 8
 
 OperatorKind = Literal["selfadjoint_L", "evolution_dxL"]
 
@@ -45,6 +55,17 @@ class OperatorMatrix:
     grid: PeriodicGrid
     kind: OperatorKind
     asymmetry: float = 0.0
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns, computed once and
+        shared read-only; DomainError for the evolution kind, NumericalError
+        if the solver fails."""
+        if self.kind != "selfadjoint_L":
+            raise DomainError("eigh requires a selfadjoint_L operator")
+        vals, vecs = _eig(np.linalg.eigh, self.matrix)
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -149,6 +170,22 @@ def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Opera
     )
 
 
+def operator_for(p: WaveParams, n: int,
+                 kind: OperatorKind = "selfadjoint_L") -> OperatorMatrix:
+    """The operator L (or dx L) around the wave ``p`` sampled on n nodes."""
+    grid = PeriodicGrid(p.L, n)
+    phi, _, phi2 = profile(p, grid.nodes)
+    assemble = assemble_l if kind == "selfadjoint_L" else assemble_dxl
+    return assemble(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
+
+
+def _eig(solver, a: np.ndarray):
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+
+
 def _default_tol(eigenvalues: np.ndarray) -> float:
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0
     return 1e-6 * max(radius, 1e-300)
@@ -174,18 +211,19 @@ def kernel_gap_tol(eigenvalues: np.ndarray, kernel_dim: int = 1) -> float:
 
 
 def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
-                 kind: OperatorKind, vecs: np.ndarray | None,
-                 n_modes: int = 8) -> SpectralReport:
+                 kind: OperatorKind, vecs: np.ndarray | None) -> SpectralReport:
     if tol is None:
         tol = _default_tol(vals)
     elif tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
+    if kind == "evolution_dxL":
+        vals = vals[np.lexsort((vals.imag, vals.real))]
     re = vals.real if np.iscomplexobj(vals) else vals
     n_neg = int(np.sum(re < -tol))
     z_dim = int(np.sum(np.abs(vals) <= tol))
     by_mod = np.sort(np.abs(vals))
     gap = float(by_mod[1] - by_mod[0]) if vals.size > 1 else math.inf
-    kept = vecs[:, :n_modes].copy() if vecs is not None else None
+    kept = vecs[:, :KEPT_MODES].copy() if vecs is not None else None
     return SpectralReport(
         eigenvalues=vals, n_neg=n_neg, z_dim=z_dim, tol=float(tol),
         near_zero_gap=gap, grid=grid, kind=kind, eigenvectors=kept,
@@ -195,32 +233,14 @@ def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
 def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
     """Full dense eigendecomposition with negative/zero counts.
 
-    Self-adjoint matrices get a symmetric solver and real ascending
-    eigenvalues; evolution matrices a general solver and complex
-    eigenvalues sorted by real part.
+    Self-adjoint matrices read their cached symmetric decomposition and
+    get real ascending eigenvalues; evolution matrices a general solver
+    and complex eigenvalues sorted by real part.
     """
-    try:
-        if m.kind == "selfadjoint_L":
-            vals, vecs = np.linalg.eigh(m.matrix)
-            return _make_report(vals, tol, m.grid, m.kind, vecs)
-        vals = np.linalg.eigvals(m.matrix)
-        order = np.lexsort((vals.imag, vals.real))
-        return _make_report(vals[order], tol, m.grid, m.kind, None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-
-
-def zero_mean_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (n x (n-1)) of the zero-mean subspace.
-
-    Columns 2..n of the Householder reflection sending 1/sqrt(n) to e_1;
-    exactly orthogonal to the constant vector.
-    """
-    w = np.full(n, 1.0 / math.sqrt(n))
-    v = -w.copy()
-    v[0] += 1.0
-    q = np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v)
-    return q[:, 1:]
+    if m.kind == "selfadjoint_L":
+        vals, vecs = m.eigh
+        return _make_report(vals, tol, m.grid, m.kind, vecs)
+    return _make_report(_eig(np.linalg.eigvals, m.matrix), tol, m.grid, m.kind, None)
 
 
 def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
@@ -229,19 +249,28 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     For the self-adjoint kind this is the Morse data of the quadratic
     form on Y0; for the evolution kind, Y0 is invariant under dx L (a
     derivative has zero mean), so the compression is the true restriction.
+
+    The basis of Y0 is columns 2..n of the reflection Q = I - beta v v^T
+    sending 1/sqrt(n) to e_1, never formed: Q M Q = M - v g^T - h v^T with
+    h = beta M v - s v, g = beta M^T v - s v, s = beta^2 v^T M v / 2; the
+    compression is its trailing block, and kept eigenvectors map back as Q [0; y].
     """
-    basis = zero_mean_basis(m.grid.n)
-    reduced = basis.T @ m.matrix @ basis
-    try:
-        if m.kind == "selfadjoint_L":
-            reduced = 0.5 * (reduced + reduced.T)
-            vals, vecs = np.linalg.eigh(reduced)
-            return _make_report(vals, tol, m.grid, m.kind, basis @ vecs)
-        vals = np.linalg.eigvals(reduced)
-        order = np.lexsort((vals.imag, vals.real))
-        return _make_report(vals[order], tol, m.grid, m.kind, None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    n = m.grid.n
+    v = np.full(n, -1.0 / math.sqrt(n))
+    v[0] += 1.0
+    beta = 2.0 / float(np.dot(v, v))
+    mv = m.matrix @ v
+    s = 0.5 * beta * beta * float(np.dot(v, mv))
+    h = beta * mv - s * v
+    g = beta * (v @ m.matrix) - s * v
+    reduced = m.matrix[1:, 1:] - np.outer(v[1:], g[1:])
+    reduced -= np.outer(h[1:], v[1:])
+    if m.kind == "selfadjoint_L":
+        vals, vecs = _eig(np.linalg.eigh, reduced)
+        top = vecs[:, :KEPT_MODES]
+        kept = np.vstack([np.zeros((1, top.shape[1])), top]) - beta * np.outer(v, v[1:] @ top)
+        return _make_report(vals, tol, m.grid, m.kind, kept)
+    return _make_report(_eig(np.linalg.eigvals, reduced), tol, m.grid, m.kind, None)
 
 
 def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
@@ -255,14 +284,13 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     direction phi' has zero mean.
 
     Raises:
+        DomainError: for an operator of the evolution kind.
         RankError: if the numerical kernel is not one-dimensional and
             ``allow_multi_kernel`` is not set (the counting formulas
             assume a simple kernel; the constant-wave case needs the
             override because its kernel is double).
     """
-    if m.kind != "selfadjoint_L":
-        raise DomainError("inv_one_pairing requires a selfadjoint_L operator")
-    vals, vecs = np.linalg.eigh(m.matrix)
+    vals, vecs = m.eigh
     if tol is None:
         tol = _default_tol(vals)
     kernel = np.abs(vals) <= tol

@@ -10,26 +10,20 @@ def wave05():
     return mw.wave_params(0.5, 6.0 * np.pi)
 
 
-def assemble_for(p: mw.WaveParams, n: int) -> mw.OperatorMatrix:
-    grid = mw.PeriodicGrid(p.L, n)
-    phi, _, phi2 = mw.profile(p, grid.nodes)
-    return mw.assemble_l(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), p.c)
-
-
 @pytest.fixture(scope="session")
 def op05_256(wave05):
-    return assemble_for(wave05, 256)
+    return mw.operator_for(wave05, 256)
 
 
 @pytest.fixture(scope="session")
 def op05_512(wave05):
-    return assemble_for(wave05, 512)
+    return mw.operator_for(wave05, 512)
 
 
 @pytest.fixture(scope="session")
 def op_constant_128():
     p = mw.constant_wave(2.0 * np.pi)
-    return assemble_for(p, 128)
+    return mw.operator_for(p, 128)
 
 
 def random_smooth(grid: mw.PeriodicGrid, rng: np.random.Generator,

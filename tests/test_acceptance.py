@@ -183,10 +183,7 @@ def test_criterion_9_spectral_temporal_crosscheck(wave05):
     # the exact wave is spectrally stable: max Re sits below the 0.01
     # threshold, so the growth-match clause is exercised on a generic
     # unstable coefficient set instead
-    grid_w = mw.PeriodicGrid(wave05.L, 256)
-    phi_w, _, phi2_w = mw.profile(wave05, grid_w.nodes)
-    dxl_w = mw.assemble_dxl(mw.PeriodicField(grid_w, phi_w),
-                            mw.PeriodicField(grid_w, phi2_w), wave05.c)
+    dxl_w = mw.operator_for(wave05, 256, "evolution_dxL")
     assert float(np.max(mw.restricted_spectrum(dxl_w).eigenvalues.real)) < 0.01
 
     grid = mw.PeriodicGrid(2 * math.pi, 64)
@@ -204,10 +201,8 @@ def test_criterion_9_spectral_temporal_crosscheck(wave05):
     assert abs(rep.rate_tail - target) / target < 0.10
 
     p0 = mw.constant_wave(2 * math.pi)
-    grid_c = mw.PeriodicGrid(p0.L, 64)
-    phi_c, _, phi2_c = mw.profile(p0, grid_c.nodes)
-    op_c = mw.assemble_dxl(mw.PeriodicField(grid_c, phi_c),
-                           mw.PeriodicField(grid_c, phi2_c), p0.c)
+    op_c = mw.operator_for(p0, 64, "evolution_dxL")
+    grid_c = op_c.grid
     radius_c = float(np.max(np.abs(mw.spectrum(op_c).eigenvalues)))
     v0 = mw.PeriodicField(grid_c, np.cos(2 * grid_c.nodes) + 0.5 * np.sin(3 * grid_c.nodes))
     rep_c = mw.linearized_run(v0, op_c, mw.EvolutionConfig(dt=2.0 / radius_c, t_end=2.0,

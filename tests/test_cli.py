@@ -99,6 +99,13 @@ class TestScanCommand:
         b = [l for l in b if not l.startswith("# out_dir") and not l.startswith("# workers")]
         assert a == b
 
+    def test_bad_sizes_and_ranges_exit_domain(self, tmp_path):
+        base = ["scan", "--L-min", "4pi", "--L-max", "6pi", "--out-dir", str(tmp_path)]
+        assert dispatch(base + ["--k-min", "0.1", "--k-max", "0.3",
+                                "--nk", "0", "--nL", "2"]) == EXIT_DOMAIN
+        assert dispatch(base + ["--k-min", "0.3", "--k-max", "0.1"]) == EXIT_DOMAIN
+        assert not (tmp_path / "scan.csv").exists()
+
 
 class TestSpectrumCommand:
     def test_wave_spectrum(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 import mchwave as mw
 from mchwave import DomainError
+from mchwave.cli import EXIT_OK, dispatch
 from mchwave.indices import classify, zero_mean_period
 
 
@@ -51,6 +52,12 @@ class TestStabilityIndex:
         with pytest.raises(DomainError):
             mw.stability_index(0.82, 2.4 * math.pi, h=2e-2)
 
+    def test_invalid_wave_gets_no_index(self):
+        # (0.8, 8 pi) exists but violates phi - c < 0
+        s = mw.stability_index(0.8, 8 * math.pi)
+        assert not s.valid
+        assert math.isnan(s.I)
+
 
 class TestIndexScan:
     def test_small_grids_all_negative(self):
@@ -70,7 +77,7 @@ class TestIndexScan:
     def test_invalid_cells_flagged(self):
         # the k = 0.8 row of the second window violates phi - c < 0
         samples, summary = mw.index_scan(0.8, 0.8, 7 * math.pi, 9 * math.pi, 1, 3)
-        assert summary.count_invalid == 3
+        assert summary.count_invalid == summary.count_cells == 3
         assert all(not s.valid and math.isnan(s.I) for s in samples)
 
     def test_deterministic(self):
@@ -81,6 +88,10 @@ class TestIndexScan:
     def test_range_validation(self):
         with pytest.raises(DomainError):
             mw.index_scan(0.5, 0.2, 3.0, 4.0, 2, 2)
+        for nk, nL, workers in [(0, 2, 1), (2, 0, 1), (0, -3, 1), (2, 2, 0)]:
+            with pytest.raises(DomainError):
+                mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL,
+                              workers=workers)
 
 
 class TestMorseCheck:
@@ -189,3 +200,28 @@ class TestKrein:
         # the difference count is what decides, not n(L|Y0) alone
         assert classify(2, pairing=2.0, big_d=-3.0) == "unstable"
         assert classify(3, pairing=2.0, big_d=3.0) == "indeterminate"
+
+
+def test_one_decomposition_per_operator(monkeypatch, tmp_path):
+    # each entry point decomposes the n x n operator once (eigenvalues,
+    # counts, gap tolerance and pairing share it) and the (n-1) x (n-1)
+    # zero-mean compression once
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            sizes.append(a.shape[0])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    mw.morse_check(0.5, 6 * math.pi)
+    assert sorted(sizes) == [255, 256]
+    sizes.clear()
+    mw.krein_index(0.985, (12.5, 200.0), n=128)
+    assert sorted(sizes) == [127, 128]
+    sizes.clear()
+    assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert sorted(sizes) == [127, 128]

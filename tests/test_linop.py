@@ -8,8 +8,6 @@ import pytest
 import mchwave as mw
 from mchwave import DomainError, RankError
 
-from conftest import assemble_for
-
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
     """Exact spectrum of -2 d^2 - 2 on L = 2 pi with n even grid points.
@@ -33,7 +31,7 @@ class TestAssembly:
     def test_action_on_constants(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        op = assemble_for(wave05, 256)
+        op = mw.operator_for(wave05, 256)
         q = wave05.c - 3.0 * phi**2 + phi2
         assert np.max(np.abs(op.matrix @ np.ones(256) - q)) < 1e-10
 
@@ -122,11 +120,33 @@ class TestRestrictedSpectrum:
         assert rep.n_neg == 1
         assert rep.z_dim == 1
 
-    def test_zero_mean_basis_orthonormal(self):
-        from mchwave.linop import zero_mean_basis
-        b = zero_mean_basis(64)
-        assert np.max(np.abs(b.T @ b - np.eye(63))) < 1e-12
-        assert np.max(np.abs(b.T @ np.ones(64))) < 1e-12
+    @pytest.mark.parametrize("kind", ["selfadjoint_L", "evolution_dxL"])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_matches_dense_householder_compression(self, wave05, kind, n):
+        # oracle: the dense basis Q[:, 1:] of the reflection sending
+        # 1/sqrt(n) to e_1, and the explicit compression Q^T M Q
+        op = mw.operator_for(wave05, n, kind)
+        v = np.full(n, -1.0 / math.sqrt(n))
+        v[0] += 1.0
+        basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+        assert np.max(np.abs(basis.T @ basis - np.eye(n - 1))) < 1e-12
+        assert np.max(np.abs(basis.T @ np.ones(n))) < 1e-12
+        dense = basis.T @ op.matrix @ basis
+        rep = mw.restricted_spectrum(op)
+        radius = float(np.max(np.abs(rep.eigenvalues)))
+        if kind == "selfadjoint_L":
+            expected = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+            assert np.max(np.abs(rep.eigenvalues - expected)) < 1e-10 * radius
+            vecs = rep.eigenvectors
+            assert np.max(np.abs(vecs.T @ np.ones(n))) < 1e-12
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
+            rayleigh = np.einsum("ij,ij->j", vecs, op.matrix @ vecs)
+            assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
+        else:
+            expected = np.linalg.eigvals(dense)
+            dist = np.abs(rep.eigenvalues[:, None] - expected[None, :])
+            assert max(np.max(np.min(dist, axis=0)), np.max(np.min(dist, axis=1))) \
+                < 1e-10 * radius
 
 
 class TestEvolutionOperator:
@@ -151,10 +171,7 @@ class TestEvolutionOperator:
         assert np.max(np.abs(dxl.matrix @ np.ones(256) - expected)) < 1e-8
 
     def test_constant_case_purely_imaginary(self):
-        p = mw.constant_wave(2 * math.pi)
-        grid = mw.PeriodicGrid(p.L, 128)
-        phi, _, phi2 = mw.profile(p, grid.nodes)
-        dxl = mw.assemble_dxl(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), p.c)
+        dxl = mw.operator_for(mw.constant_wave(2 * math.pi), 128, "evolution_dxL")
         rep = mw.spectrum(dxl)
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-8
         # eigenvalues i m (2 m^2 - 2) for the represented modes
@@ -167,22 +184,14 @@ class TestEvolutionOperator:
         for _ in range(3):
             k = rng.uniform(0.2, 0.7)
             big_l = rng.uniform(5 * math.pi, 9 * math.pi)
-            p = mw.wave_params(k, big_l)
-            grid = mw.PeriodicGrid(p.L, 128)
-            phi, _, phi2 = mw.profile(p, grid.nodes)
-            dxl = mw.assemble_dxl(mw.PeriodicField(grid, phi),
-                                  mw.PeriodicField(grid, phi2), p.c)
+            dxl = mw.operator_for(mw.wave_params(k, big_l), 128, "evolution_dxL")
             ev = mw.spectrum(dxl).eigenvalues
             # spectrum symmetric under lambda -> -conj(lambda)
             worst = max(min(abs(l + np.conj(m)) for m in ev) for l in ev[::8])
             assert worst < 1e-6
 
     def test_wave_is_spectrally_stable(self, wave05):
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        dxl = mw.assemble_dxl(mw.PeriodicField(grid, phi),
-                              mw.PeriodicField(grid, phi2), wave05.c)
-        rep = mw.restricted_spectrum(dxl)
+        rep = mw.restricted_spectrum(mw.operator_for(wave05, 256, "evolution_dxL"))
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-6
 
 
@@ -203,9 +212,6 @@ class TestInvOnePairing:
         assert p256.residual < 1e-8
 
     def test_requires_selfadjoint_kind(self, wave05):
-        grid = mw.PeriodicGrid(wave05.L, 128)
-        phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        dxl = mw.assemble_dxl(mw.PeriodicField(grid, phi),
-                              mw.PeriodicField(grid, phi2), wave05.c)
+        dxl = mw.operator_for(wave05, 128, "evolution_dxL")
         with pytest.raises(DomainError):
             mw.inv_one_pairing(dxl)
