@@ -176,7 +176,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except MchError as exc:
         payload["pairing_error"] = str(exc)
     if args.evolution:
-        dxl = linop.operator_for(p, args.n, kind="evolution_dxL")
+        dxl = linop.evolution_operator(op)
         payload["evolution_spectrum"] = _spectral_payload(
             linop.restricted_spectrum(dxl, tol=args.tol))
     out = Path(args.out_dir) / "spectrum.json"
@@ -374,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L-max", type=parse_length, required=True)
     sp.add_argument("--nk", type=int, default=20)
     sp.add_argument("--nL", type=int, default=20)
-    sp.add_argument("--h", type=float, default=None, help="FD step (default: adaptive)")
+    sp.add_argument("--h", type=float, default=None,
+                    help="FD step; given, it selects the finite-difference ladder "
+                         "(default: exact complex-step derivatives)")
     sp.add_argument("--n-quad", type=int, default=256)
     sp.add_argument("--workers", type=int, default=1)
     add_common(sp)

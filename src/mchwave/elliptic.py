@@ -17,6 +17,7 @@ need moduli bounded away from 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -39,9 +40,14 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def _agm_k_e(k: float) -> tuple[float, float]:
-    """AGM evaluation of (K(k), E(k)) for 0 <= k < 1."""
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+def _agm_k_e(k: float | complex) -> tuple[float, float] | tuple[complex, complex]:
+    """AGM evaluation of (K(k), E(k)) for 0 <= k < 1.
+
+    A complex k (the complex-step k-derivatives of :mod:`mchwave.wave`) runs
+    the same iteration with the principal complex square root.
+    """
+    sqrt = cmath.sqrt if isinstance(k, complex) else math.sqrt
+    a, b = 1.0, sqrt((1.0 - k) * (1.0 + k))
     c = k
     # E(k) = K(k) * (1 - sum_{n>=0} 2**(n-1) c_n**2) with c_0 = k.
     s = 0.5 * c * c
@@ -49,7 +55,7 @@ def _agm_k_e(k: float) -> tuple[float, float]:
     for _ in range(_AGM_MAX_ITER):
         if abs(c) <= _AGM_TOL:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
         s += pow2 * c * c
     big_k = math.pi / (2.0 * a)
@@ -92,14 +98,18 @@ def complete_e(k: float) -> float:
     return _agm_k_e(k)[1]
 
 
-def complete_k_e(k: float) -> tuple[float, float]:
-    """Both K(k) and E(k) from a single AGM run (k is the modulus)."""
-    k = _check_modulus(k)
-    if k > MODULUS_CUTOFF:
+def complete_k_e(k: float | complex) -> tuple[float, float] | tuple[complex, complex]:
+    """Both K(k) and E(k) from a single AGM run (k is the modulus).
+
+    A complex k, as used for complex-step derivatives, is range-checked on
+    its real part and gives complex (K, E).
+    """
+    k_real = _check_modulus(k.real if isinstance(k, complex) else k)
+    if k_real > MODULUS_CUTOFF:
         raise DomainError(
-            f"complete_k_e requires k <= {MODULUS_CUTOFF!r}, got {k}"
+            f"complete_k_e requires k <= {MODULUS_CUTOFF!r}, got {k_real}"
         )
-    return _agm_k_e(k)
+    return _agm_k_e(k if isinstance(k, complex) else k_real)
 
 
 def jacobi(u, k: float):

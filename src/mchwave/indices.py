@@ -6,10 +6,12 @@ The index
 
     I = dA/dk * dV/dk - dc/dk * dF/dk        (at fixed period L)
 
-uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L) and a
-finite-difference dF/dk of the momentum of the sampled profile.  All
-k-derivatives share the machinery of :func:`mchwave.wave.fd_dk`, so the
-components are mutually consistent and carry one step-halving gate.
+uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  By
+default every component is exact: one complex-step evaluation of the
+closed forms for (a, c, A, F), F the momentum (:func:`mchwave.wave.exact_dk`).
+An explicit FD step selects the oracle instead, one pass of
+:func:`mchwave.wave.fd_dk` over (a, c, A) and the momentum of the sampled
+profile, carrying one step-halving gate.
 
 The sign condition I < 0 is checked as a reproducible assertion over
 sampled (k, L) grids; no claim is made beyond the sampled windows.
@@ -30,7 +32,8 @@ from .errors import DomainError, MchError, NumericalError
 from .field import PeriodicGrid, PeriodicField, functionals
 from .linop import (inv_one_pairing, kernel_gap_tol, operator_for, restricted_spectrum,
                     spectrum)
-from .wave import WaveParams, default_fd_step, fd_dk, profile, validity, wave_params
+from .wave import (WaveParams, check_fd_stencil, default_fd_step, exact_dk, fd_dk, profile,
+                   validity, wave_params)
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -148,31 +151,37 @@ def stability_index(k: float, L: float, h: float | None = None,
                     n_quad: int = 256) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
-    An invalid wave (see :func:`mchwave.wave.validity`) gets no index: the
-    sample has I = NaN and valid = False.  One finite-difference pass
-    produces (a, b, c, A, F) together, so all four components share the
-    same stencil and consistency gate.
+    An invalid wave (see :func:`mchwave.wave.validity`, sampled on
+    ``n_quad`` nodes) gets no index: the sample has I = NaN and
+    valid = False.  With ``h`` None the derivatives are exact
+    (:func:`mchwave.wave.exact_dk`).  An explicit ``h`` selects the FD
+    oracle: one pass produces (a, c, A, F), F from the profile sampled on
+    ``n_quad`` nodes, so all four components share the same stencil and
+    consistency gate.
 
     Raises:
-        DomainError: if the FD stencil leaves the valid (k, L) domain.
+        DomainError: if k is outside (0, 1) or the FD stencil leaves it.
         AccuracyError: if the step-halving gate fails.
     """
     if h is None:
-        h = default_fd_step(k)
-    if h <= 0.0 or k - h <= 0.0 or k + h >= 1.0:
-        raise DomainError(f"FD stencil leaves (0, 1) for k={k}, h={h}")
+        if not 0.0 < k < 1.0:
+            raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
+    else:
+        check_fd_stencil(k, h)
     if not validity(k, L, n=n_quad).all_ok:
         return _invalid_sample(k, L)
-    grid = PeriodicGrid(L, n_quad)
+    if h is None:
+        da_dk, _, dc_dk, dA_dk, dF_dk = exact_dk(k, L)
+    else:
+        grid = PeriodicGrid(L, n_quad)
 
-    def f(kk: float) -> np.ndarray:
-        p = wave_params(kk, L)
-        phi = PeriodicField(grid, np.asarray(profile(p, grid.nodes)[0]))
-        _, f_mom, _ = functionals(phi)
-        return np.array([p.a, p.c, p.A, f_mom])
+        def f(kk: float) -> np.ndarray:
+            p = wave_params(kk, L)
+            phi = PeriodicField(grid, np.asarray(profile(p, grid.nodes)[0]))
+            _, f_mom, _ = functionals(phi)
+            return np.array([p.a, p.c, p.A, f_mom])
 
-    d = fd_dk(f, k, h)
-    da_dk, dc_dk, dA_dk, dF_dk = (float(v) for v in d)
+        da_dk, dc_dk, dA_dk, dF_dk = (float(v) for v in fd_dk(f, k, h))
     dV_dk = L * da_dk
     idx = dA_dk * dV_dk - dc_dk * dF_dk
     return IndexSample(k=k, L=L, I=idx, valid=True, dA_dk=dA_dk, dc_dk=dc_dk,

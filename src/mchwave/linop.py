@@ -162,7 +162,11 @@ def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Operato
 
 def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
     """Assemble the evolution operator dx L as a product of discrete matrices."""
-    lop = assemble_l(phi, phi2, c, grid)
+    return evolution_operator(assemble_l(phi, phi2, c, grid))
+
+
+def evolution_operator(lop: OperatorMatrix) -> OperatorMatrix:
+    """The evolution operator dx L formed from an assembled self-adjoint L."""
     d1 = fourier_diff_matrix(lop.grid, 1)
     return OperatorMatrix(
         matrix=d1 @ lop.matrix, grid=lop.grid, kind="evolution_dxL",

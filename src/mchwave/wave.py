@@ -18,12 +18,17 @@ evaluated from the wave equation itself at x = 0, where the profile sits
 at its minimum and phi' vanishes; a published long closed form for A is
 kept only as a cross-check because it is easy to mistype.
 
-All k-derivatives go through one central-difference machinery with a
-Richardson extrapolation level and a step-halving consistency gate.
+The momentum F = (1/2) int phi^2 + phi'^2 is elementary in (k, K, E, L)
+too, so the k-derivatives of (a, b, c, A, F) at fixed L are exact: one
+complex-step evaluation of these closed forms at k + 1e-30 i (Squire and
+Trapp, SIAM Rev. 1998), no profile sampling and no differencing.  Central
+differences with a Richardson level and a step-halving consistency gate
+(:func:`fd_dk`) remain as the oracle, selected by an explicit step h.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -38,6 +43,10 @@ logger = logging.getLogger(__name__)
 
 # Agreement target between the two independent computations of A.
 A_CROSSCHECK_TOL = 1e-8
+# Imaginary step of the complex-step derivatives.  No difference is taken,
+# so any step this small gives f'(k) to rounding: the O(h^2) error is far
+# below one ulp.
+COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,10 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class ParamDerivatives:
-    """k-derivatives of (a, b, c, A) at fixed period, with the FD step used."""
+    """k-derivatives of (a, b, c, A) at fixed period, with the FD step used.
+
+    ``step`` is 0.0 for the exact (complex-step) derivatives.
+    """
 
     da_dk: float
     db_dk: float
@@ -96,15 +108,19 @@ def discriminant(k: float, L: float) -> float:
     return 9.0 * L**4 - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
 
 
-def _params_from_k_l(k: float, L: float) -> tuple[float, float, float, float, float]:
-    """(a, b, c, K, E) by direct evaluation of the closed forms."""
+def _params_from_k_l(k, L: float) -> tuple:
+    """(a, b, c, K, E) by direct evaluation of the closed forms.
+
+    k may be complex (complex-step derivatives); Delta > 0 is then tested
+    on the real part.
+    """
     big_k, big_e = complete_k_e(k)
     delta = 9.0 * L**4 - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
-    if delta <= 0.0:
+    if delta.real <= 0.0:
         raise DomainError(
             f"period too small for this modulus: Delta(k={k}, L={L}) = {delta} <= 0"
         )
-    root = math.sqrt(delta)
+    root = cmath.sqrt(delta) if isinstance(delta, complex) else math.sqrt(delta)
     b = -32.0 * big_k**2 / (L * L)
     c = (1.5 * L * L - 0.5 * root) / (L * L)
     a = -(
@@ -116,17 +132,41 @@ def _params_from_k_l(k: float, L: float) -> tuple[float, float, float, float, fl
     return a, b, c, big_k, big_e
 
 
-def _a_from_ode(a: float, b: float, c: float, k: float, big_k: float,
-                big_e: float, L: float) -> float:
+def _a_from_ode(a, b, c, k, big_k, big_e, L: float):
     """Integration constant from the wave ODE evaluated at x = 0.
 
     At the origin sn = 0, cn = dn = 1, so phi' = 0 there and
-    A = (phi(0) - c) phi''(0) - phi(0)^3 + c phi(0).
+    A = (phi(0) - c) phi''(0) - phi(0)^3 + c phi(0).  Real or complex k.
     """
     omega = 2.0 * big_k / L
     phi0 = a + b * (1.0 - big_e / big_k)
     phi2_0 = -2.0 * k * k * b * omega * omega
     return (phi0 - c) * phi2_0 - phi0**3 + c * phi0
+
+
+def _momentum(a, b, k, big_k, big_e, L: float):
+    """Momentum F = (1/2) int phi^2 + phi'^2 over one period, in closed form.
+
+    With y = dn^2(theta) and Y_j the period mean of y^j, Y_1 = E/K and
+    (dy/dtheta)^2 = 4 y (1 - y)(y - k'^2).  Averaging y'' = 0 and
+    y y'' = -(y')^2 over a period gives Y_2 = (2 s Y_1 - k'^2) / 3 and
+    <(y')^2> = (4/5)(s Y_2 - 2 k'^2 Y_1), with s = 2 - k^2 and
+    k'^2 = 1 - k^2; phi' = b omega y' with omega = 2K/L.  Real or complex k.
+    """
+    kp2 = 1.0 - k * k
+    s = 1.0 + kp2
+    y1 = big_e / big_k
+    y2 = (2.0 * s * y1 - kp2) / 3.0
+    omega = 2.0 * big_k / L
+    slope2 = 0.8 * (s * y2 - 2.0 * kp2 * y1)
+    return 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
+
+
+def _closed_forms(k, L: float) -> tuple:
+    """(a, b, c, A, F) from the closed forms in (k, K, E, L); k real or complex."""
+    a, b, c, big_k, big_e = _params_from_k_l(k, L)
+    return (a, b, c, _a_from_ode(a, b, c, k, big_k, big_e, L),
+            _momentum(a, b, k, big_k, big_e, L))
 
 
 def integration_constant_closed_form(k: float, L: float) -> float:
@@ -144,6 +184,13 @@ def integration_constant_closed_form(k: float, L: float) -> float:
     return (term1 + term2 + term3 - 27.0 * L**6) / (27.0 * L**6)
 
 
+def _check_k_l(k: float, L: float) -> None:
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"wave_params requires 0 < k < 1, got k={k}")
+    if not (L > 0.0) or not math.isfinite(L):
+        raise DomainError(f"wave_params requires L > 0, got L={L}")
+
+
 def wave_params(k: float, L: float) -> WaveParams:
     """Construct the wave at modulus k and period L.
 
@@ -151,10 +198,7 @@ def wave_params(k: float, L: float) -> WaveParams:
     x = 0; any disagreement beyond 1e-8 with the long closed form is
     logged (a warning, not a failure).
     """
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"wave_params requires 0 < k < 1, got k={k}")
-    if not (L > 0.0) or not math.isfinite(L):
-        raise DomainError(f"wave_params requires L > 0, got L={L}")
+    _check_k_l(k, L)
     a, b, c, big_k, big_e = _params_from_k_l(k, L)
     a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
     a_closed = integration_constant_closed_form(k, L)
@@ -288,6 +332,26 @@ def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float,
     return r_fine
 
 
+def exact_dk(k: float, L: float) -> tuple[float, ...]:
+    """Exact d(a, b, c, A, F)/dk at fixed L, F the momentum.
+
+    One complex-step evaluation of the closed forms:
+    f'(k) = Im f(k + i h) / h with h = 1e-30, exact to rounding since
+    nothing is differenced.
+
+    Raises:
+        DomainError: outside 0 < k < 1, L > 0, or where Delta(k, L) <= 0.
+    """
+    _check_k_l(k, L)
+    return tuple(v.imag / COMPLEX_STEP for v in _closed_forms(complex(k, COMPLEX_STEP), L))
+
+
+def check_fd_stencil(k: float, h: float) -> None:
+    """Raise DomainError unless the FD stencil [k - h, k + h] lies in (0, 1)."""
+    if h <= 0.0 or k - h <= 0.0 or k + h >= 1.0:
+        raise DomainError(f"FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}")
+
+
 def default_fd_step(k: float) -> float:
     """Step keeping the stencil inside (0, 1) and the roundoff benign."""
     return min(1e-3, 0.25 * k, 0.25 * (1.0 - k))
@@ -296,17 +360,19 @@ def default_fd_step(k: float) -> float:
 def params_dk(k: float, L: float, h: float | None = None) -> ParamDerivatives:
     """k-derivatives of (a, b, c, A) at fixed L.
 
-    Central differences with one Richardson extrapolation level; the
-    reported values must move by less than 1% under h -> h/2.
+    With ``h`` None they are exact (:func:`exact_dk`) and ``step`` is 0.0.
+    An explicit ``h`` selects the oracle: central differences with one
+    Richardson extrapolation level, whose values must move by less than
+    1% under h -> h/2.
 
     Raises:
-        DomainError: if the stencil leaves the valid (k, L) domain.
-        AccuracyError: if the consistency gate fails.
+        DomainError: outside the valid (k, L) domain, or if the FD stencil
+            leaves it.
+        AccuracyError: if the FD consistency gate fails.
     """
     if h is None:
-        h = default_fd_step(k)
-    if h <= 0.0 or k - h <= 0.0 or k + h >= 1.0:
-        raise DomainError(f"FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}")
+        return ParamDerivatives(*exact_dk(k, L)[:4], step=0.0)
+    check_fd_stencil(k, h)
 
     def f(kk: float) -> np.ndarray:
         p = wave_params(kk, L)

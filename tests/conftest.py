@@ -1,7 +1,34 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mchwave as mw
+
+# Property tests draw the same examples on every run, and a slow machine
+# does not fail them on a per-example deadline.
+settings.register_profile("mchwave", derandomize=True, deadline=None)
+settings.load_profile("mchwave")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` wraps ``fn`` in every mchwave module that binds it
+    and returns the list its calls are logged to."""
+    def install(fn) -> list:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "mchwave" or name.startswith("mchwave.")) \
+                    and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+        return calls
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from mchwave import linop
 from mchwave.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          dispatch, parse_length)
 
@@ -138,6 +139,14 @@ class TestSpectrumCommand:
         ev = payload["evolution_spectrum"]
         assert len(ev["eigenvalues_re"]) == 63
         assert max(abs(v) for v in ev["eigenvalues_re"]) < 1e-8  # purely imaginary
+
+    def test_evolution_reuses_assembled_operator(self, count_calls, tmp_path):
+        # dx L is formed from the L already assembled for the spectrum
+        assembled = count_calls(linop.assemble_l)
+        diff_matrices = count_calls(linop.fourier_diff_matrix)
+        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", "--evolution",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(assembled) == 1 and len(diff_matrices) == 2
 
 
 class TestKreinCommand:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
-from mchwave import DomainError
+from mchwave import AccuracyError, DomainError
 from mchwave.cli import EXIT_OK, dispatch
 from mchwave.indices import classify, zero_mean_period
 
@@ -52,6 +53,32 @@ class TestStabilityIndex:
         with pytest.raises(DomainError):
             mw.stability_index(0.82, 2.4 * math.pi, h=2e-2)
 
+    @given(k=st.floats(0.02, 0.9), big_l=st.floats(3 * math.pi, 10 * math.pi))
+    def test_exact_matches_fd_ladder(self, k, big_l):
+        # the FD side carries the error (h^4 truncation plus rounding / h).
+        # a is a difference of O(L^2) terms, so its FD values carry about
+        # eps L^2 / h ~ 1e-10 of rounding noise, which near k = 0.02 exceeds
+        # 1e-4 of da/dk; hence the absolute floor on that component only
+        assume(mw.validity(k, big_l).all_ok)
+        exact = mw.stability_index(k, big_l)
+        fd = mw.stability_index(k, big_l, h=1e-3)
+        assert exact.dV_dk / big_l == pytest.approx(fd.dV_dk / big_l, rel=1e-4, abs=1e-9)
+        for name in ("dA_dk", "dc_dk", "dF_dk"):
+            assert getattr(exact, name) == pytest.approx(getattr(fd, name), rel=1e-4)
+
+    def test_exact_path_cost(self, count_calls):
+        # one profile sampling (inside validity), no finite differences
+        jacobi_calls = count_calls(mw.elliptic.jacobi)
+        fd_calls = count_calls(mw.wave.fd_dk)
+        s = mw.stability_index(0.3, 5 * math.pi)
+        assert s.valid and s.I < 0.0
+        assert len(jacobi_calls) == 1 and len(fd_calls) == 0
+
+    def test_exact_path_domain_error(self):
+        for k in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                mw.stability_index(k, 6 * math.pi)
+
     def test_invalid_wave_gets_no_index(self):
         # (0.8, 8 pi) exists but violates phi - c < 0
         s = mw.stability_index(0.8, 8 * math.pi)
@@ -79,6 +106,20 @@ class TestIndexScan:
         samples, summary = mw.index_scan(0.8, 0.8, 7 * math.pi, 9 * math.pi, 1, 3)
         assert summary.count_invalid == summary.count_cells == 3
         assert all(not s.valid and math.isnan(s.I) for s in samples)
+
+    def test_fd_gate_cell_gets_exact_index(self):
+        # at k = 0.01 the FD ladder's step-halving gate fails, so this cell
+        # of the 10 x 10 scan was NaN; the exact derivatives give I there
+        window = (0.01, 0.2, 3 * math.pi, 6 * math.pi)
+        k, big_l = 0.01, 11.519173063162574
+        with pytest.raises(AccuracyError):
+            mw.stability_index(k, big_l, h=1e-3)
+        samples, summary = mw.index_scan(*window, 10, 10)
+        cell = next(s for s in samples if s.k == k and s.L == big_l)
+        assert cell.valid and math.isfinite(cell.I) and cell.I < 0.0
+        invalid = sum(1 for s in samples if not mw.validity(s.k, s.L).all_ok)
+        assert summary.count_invalid == invalid
+        assert summary.count_positive == 0
 
     def test_deterministic(self):
         s1, _ = mw.index_scan(0.1, 0.3, 4 * math.pi, 6 * math.pi, 3, 3)

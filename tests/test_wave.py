@@ -8,7 +8,7 @@ import pytest
 
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
-from mchwave.wave import fd_dk, integration_constant_closed_form
+from mchwave.wave import _closed_forms, fd_dk, integration_constant_closed_form
 
 
 class TestWaveParams:
@@ -168,6 +168,21 @@ class TestValidity:
         assert not rep.all_ok
 
 
+class TestMomentumClosedForm:
+    @pytest.mark.parametrize("k", [0.05, 0.3, 0.7])
+    def test_matches_sampled_functional(self, k):
+        # the spectral quadrature of the sampled profile is exact to
+        # rounding for this smooth periodic integrand
+        for big_l in (4.0 * math.pi, 7.0 * math.pi):
+            p = mw.wave_params(k, big_l)
+            sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 256)))[1]
+            assert _closed_forms(k, big_l)[4] == pytest.approx(sampled, rel=1e-13)
+
+    def test_real_k_reproduces_wave_params(self):
+        p = mw.wave_params(0.4, 6.0 * math.pi)
+        assert _closed_forms(p.k, p.L)[:4] == (p.a, p.b, p.c, p.A)
+
+
 class TestParamDerivatives:
     def test_db_dk_analytic(self):
         # b = -32 K^2 / L^2 so db/dk = -64 K K' / L^2 with the classical K'
@@ -177,6 +192,17 @@ class TestParamDerivatives:
         dk_dk = (big_e - (1 - k * k) * big_k) / (k * (1 - k * k))
         expected = -64.0 * big_k * dk_dk / big_l**2
         assert d.db_dk == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [0.05, 0.3, 0.7, 0.9])
+    def test_exact_db_dk_matches_dlmf(self, k):
+        # dK/dk = (E - k'^2 K) / (k k'^2), DLMF 19.4.1; the exact path
+        # takes no step
+        big_l = 8.0 * math.pi
+        d = mw.params_dk(k, big_l)
+        big_k, big_e = mw.complete_k_e(k)
+        dk_dk = (big_e - (1 - k * k) * big_k) / (k * (1 - k * k))
+        assert d.db_dk == pytest.approx(-64.0 * big_k * dk_dk / big_l**2, rel=1e-9)
+        assert d.step == 0.0
 
     def test_dc_dk_vanishes_at_small_k(self):
         vals = [abs(mw.params_dk(k, 2.0 * math.pi).dc_dk) for k in (0.2, 0.1, 0.05)]
@@ -203,6 +229,12 @@ class TestParamDerivatives:
             # Delta(0.82, 2.4 pi) > 0 but Delta(0.84, 2.4 pi) < 0:
             # the k + h point crosses the discriminant boundary
             mw.params_dk(0.82, 2.4 * math.pi, h=2e-2)
+
+    def test_exact_path_domain_errors(self):
+        for k, big_l in [(0.0, 6.0 * math.pi), (1.0, 6.0 * math.pi), (0.5, 0.0),
+                         (0.5, math.nan), (0.9, math.pi)]:  # the last has Delta < 0
+            with pytest.raises(DomainError):
+                mw.params_dk(k, big_l)
 
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
