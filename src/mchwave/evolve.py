@@ -12,6 +12,12 @@ dt ~ L / n.
 
 Nonlinear products are formed in physical space on a refined grid
 (factor >= 2, enough to fully dealias cubic terms) and truncated back.
+One right side costs four FFT calls: a forward transform of u, one
+batched inverse transform that lifts u, u_x and u_xx to the fine grid
+together (their symbols, the zero padding and the amplitude scale are
+tabulated once per grid), a forward transform of the product
+u (u_xx - u^2) + u_x^2 / 2, and an inverse transform of its truncated
+spectrum times the smoothing symbol.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -119,29 +125,36 @@ def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 class _RhsOperator:
-    """Precomputed spectral machinery for the smoothed right side."""
+    """Precomputed spectral machinery for the smoothed right side.
+
+    ``lift`` stacks the symbols 1, i kappa and -kappa^2 as they act on the
+    coarse rfft spectrum, with the zero padding's Nyquist halving and the
+    m / n amplitude scale folded in, so one batched inverse transform of
+    ``lift * spec`` gives u, u_x and u_xx on the fine grid.
+    """
 
     def __init__(self, grid: PeriodicGrid, dealias_pad: int = 2):
         self.grid = grid
         self.n = grid.n
         self.m = dealias_pad * grid.n
         kap = grid.wavenumbers()
-        self.sym_d1 = 1j * kap
-        self.sym_d1[-1] = 0.0
-        self.sym_d2 = -(kap * kap)
-        self.sym_smooth = self.sym_d1 / (1.0 + kap * kap)
-
-    def _to_fine(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(_pad_spectrum(spec, self.n, self.m), self.m) * (self.m / self.n)
+        sym_d1 = 1j * kap
+        sym_d1[-1] = 0.0
+        self.sym_smooth = sym_d1 / (1.0 + kap * kap)
+        half = self.n // 2 + 1
+        syms = (np.ones(half), sym_d1, -(kap * kap))
+        self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
+                                                  for s in syms])
+        self.sym_out = self.sym_smooth * (self.n / self.m)
+        self._fine_spec = np.zeros((3, self.m // 2 + 1), dtype=complex)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(values)
-        u_f = self._to_fine(spec)
-        ux_f = self._to_fine(self.sym_d1 * spec)
-        uxx_f = self._to_fine(self.sym_d2 * spec)
-        w_f = u_f * uxx_f + 0.5 * ux_f * ux_f - u_f**3
-        w_spec = _truncate_spectrum(np.fft.rfft(w_f), self.m, self.n) * (self.n / self.m)
-        out = np.fft.irfft(self.sym_smooth * w_spec, self.n)
+        np.multiply(self.lift, np.fft.rfft(values), out=self._fine_spec[:, : self.n // 2 + 1])
+        u_f, ux_f, uxx_f = np.fft.irfft(self._fine_spec, self.m)
+        w_f = u_f * (uxx_f - u_f * u_f) + 0.5 * ux_f * ux_f
+        # sym_out vanishes at the Nyquist mode, so the truncation's fold there is inert
+        w_spec = _truncate_spectrum(np.fft.rfft(w_f), self.m, self.n)
+        out = np.fft.irfft(self.sym_out * w_spec, self.n)
         if not np.all(np.isfinite(out)):
             raise BlowUpError("non-finite value in right-side evaluation")
         return out
@@ -295,8 +308,10 @@ def orbital_experiment(p: WaveParams, delta: float, seed: int,
     Samples rho(u(t), phi) along the run; terminates with
     ``instability_detected`` if rho exceeds rho_factor * delta.
     """
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    if not (math.isfinite(rho_factor) and rho_factor > 0.0):
+        raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     grid = PeriodicGrid(p.L, n)
     u0 = sample_wave(p, grid)
     if delta > 0.0:

@@ -31,6 +31,18 @@ def count_calls(monkeypatch):
     return install
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Wrap numpy.fft.{fft,ifft,rfft,irfft}; returns the list of names called."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def wave05():
     """The workhorse wave at (k, L) = (0.5, 6 pi)."""

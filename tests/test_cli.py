@@ -186,6 +186,15 @@ class TestEvolveAndOrbit:
         summary = json.loads((tmp_path / "orbit_summary.json").read_text())
         assert summary["sup_rho"] < 20 * 1e-3
 
+    @pytest.mark.parametrize("bad", [["--delta", "nan"], ["--delta", "inf"],
+                                     ["--rho-factor", "-1"], ["--rho-factor", "0"],
+                                     ["--rho-factor", "nan"]])
+    def test_orbit_bad_delta_or_rho_factor_exits_domain(self, tmp_path, bad):
+        args = ["orbit", "--k", "0.5", "--L", "6pi", "--t-end", "1",
+                "--out-dir", str(tmp_path)] + bad
+        assert dispatch(args) == EXIT_DOMAIN
+        assert not (tmp_path / "orbit.csv").exists()
+
 
 class TestCheckCommand:
     def test_all_pass(self, tmp_path, capsys):

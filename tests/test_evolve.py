@@ -65,6 +65,40 @@ class TestRhs:
         r3 = mw.rhs(u, dealias_pad=3)
         assert np.max(np.abs(r2.values - r3.values)) < 1e-14
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("pad", [2, 3])
+    def test_fused_matches_six_transform_reference(self, n, pad):
+        # the right side as three separate zero-padded lifts, u**3, and an
+        # explicit truncation: six transforms per evaluation
+        from mchwave.evolve import _pad_spectrum, _truncate_spectrum
+        g = mw.PeriodicGrid(6 * math.pi, n)
+        rng = np.random.default_rng(n + pad)
+        # every mode up to Nyquist is excited, so the padding's Nyquist split counts
+        u = mw.sample(lambda x: -0.6 + 0 * x, g) + 0.3 * random_smooth(g, rng, modes=n // 2)
+        m = pad * n
+        kap = g.wavenumbers()
+        sym_d1 = 1j * kap
+        sym_d1[-1] = 0.0
+
+        def to_fine(spec):
+            return np.fft.irfft(_pad_spectrum(spec, n, m), m) * (m / n)
+
+        spec = np.fft.rfft(u.values)
+        u_f, ux_f, uxx_f = to_fine(spec), to_fine(sym_d1 * spec), to_fine(-(kap * kap) * spec)
+        w_f = u_f * uxx_f + 0.5 * ux_f * ux_f - u_f**3
+        w_spec = _truncate_spectrum(np.fft.rfft(w_f), m, n) * (n / m)
+        ref = np.fft.irfft(sym_d1 / (1.0 + kap * kap) * w_spec, n)
+        out = _RhsOperator(g, pad)(u.values)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_four_transforms_per_evaluation(self, fft_calls):
+        g = mw.PeriodicGrid(6 * math.pi, 256)
+        op = _RhsOperator(g)
+        u = random_smooth(g, np.random.default_rng(7))
+        fft_calls.clear()
+        op(u.values)
+        assert len(fft_calls) == 4
+
     def test_resampling_round_trip(self):
         from mchwave.evolve import _pad_spectrum, _truncate_spectrum
         g = mw.PeriodicGrid(2 * math.pi, 32)
@@ -239,3 +273,16 @@ class TestOrbitalExperiment:
         with pytest.raises(DomainError):
             mw.orbital_experiment(wave05, -1.0, seed=0,
                                   cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_nonfinite_delta_rejected(self, wave05, delta):
+        with pytest.raises(DomainError):
+            mw.orbital_experiment(wave05, delta, seed=0,
+                                  cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("rho_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_rho_factor_validation(self, wave05, rho_factor):
+        with pytest.raises(DomainError):
+            mw.orbital_experiment(wave05, 1e-3, seed=0,
+                                  cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0),
+                                  rho_factor=rho_factor)

@@ -1,13 +1,18 @@
 """Grids, spectral calculus, functionals, and the orbital semi-distance."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import mchwave as mw
 from mchwave import DomainError
+from mchwave.evolve import seeded_perturbation
+from mchwave.field import _orbit_distance, inner_h1
 
 from conftest import random_smooth
 
@@ -259,6 +264,55 @@ class TestSemidistance:
         for s in (0.7, 5.3):
             rho_s, _ = mw.semidistance(mw.fractional_shift(u, s), wave05)
             assert abs(rho_s - rho0) < 1e-9
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi)])
+    @settings(max_examples=20)
+    @given(frac=st.floats(0.0, 1.0, exclude_max=True), eps=st.floats(0.0, 1e-2),
+           seed=st.integers(0, 2**16))
+    def test_matches_independent_minimization(self, k, big_l, frac, eps, seed):
+        # oracle: a dense scan of the exact objective over 8n shifts, then
+        # bounded scalar minimizations around the best one; the second,
+        # re-centred on the first, gets below minimize_scalar's
+        # sqrt(eps) * |x| stopping floor
+        p = mw.wave_params(k, big_l)
+        g = mw.PeriodicGrid(p.L, 128)
+        phi = mw.sample_wave(p, g)
+        u = mw.fractional_shift(phi, frac * p.L) + eps * seeded_perturbation(g, seed)
+
+        def objective(y):
+            diff = u - mw.fractional_shift(phi, y)
+            return inner_h1(diff, diff)
+
+        step = p.L / (8 * g.n)
+        y_ref = step * np.argmin([objective(j * step) for j in range(8 * g.n)])
+        for half_width in (step, 1e-6 * step):
+            res = minimize_scalar(lambda t, y=y_ref: objective(y + t),
+                                  bounds=(-half_width, half_width), method="bounded",
+                                  options={"xatol": 1e-14 * p.L})
+            y_ref += res.x
+        rho_ref = math.sqrt(max(res.fun, 0.0))
+        rho, shift = _orbit_distance(u, phi)
+        assert abs(rho - rho_ref) <= 1e-9 * rho_ref + 1e-12
+        gap = (shift - y_ref) % p.L
+        assert min(gap, p.L - gap) <= 1e-8 * p.L
+
+    def test_fft_calls_per_monitor_point(self, wave05, fft_calls):
+        g = mw.PeriodicGrid(wave05.L, 256)
+        phi = mw.sample_wave(wave05, g)
+        u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
+        fft_calls.clear()
+        _orbit_distance(u, phi)
+        assert len(fft_calls) <= 20
+
+    def test_newton_diagnostics_logged(self, wave05, caplog):
+        g = mw.PeriodicGrid(wave05.L, 256)
+        phi = mw.sample_wave(wave05, g)
+        u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
+        with caplog.at_level(logging.DEBUG, logger="mchwave.field"):
+            _orbit_distance(u, phi)
+        [record] = caplog.records
+        assert "Newton iterations" in record.getMessage()
+        assert "bisection" in record.getMessage()
 
     def test_grid_period_mismatch(self, wave05):
         g = mw.PeriodicGrid(5.0, 64)
