@@ -115,7 +115,7 @@ def _spectral_payload(rep: linop.SpectralReport) -> dict:
 
 def cmd_wave(args: argparse.Namespace) -> int:
     p = wave_mod.wave_params(args.k, args.L)
-    rep = wave_mod.validity(args.k, args.L, n=args.n)
+    rep = wave_mod.validity(args.k, args.L)
     if not rep.all_ok:
         print(f"invalid wave at (k={args.k}, L={args.L}): "
               f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}")
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, default=None,
                     help="FD step; given, it selects the finite-difference ladder "
                          "(default: exact complex-step derivatives)")
-    sp.add_argument("--n-quad", type=int, default=256)
+    sp.add_argument("--n-quad", type=int, default=256,
+                    help="profile nodes for the FD ladder's momentum; unused without --h")
     sp.add_argument("--workers", type=int, default=1)
     add_common(sp)
     sp.set_defaults(func=cmd_scan)

@@ -183,9 +183,18 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     lands exactly on t_end.  When a ``reference`` wave is supplied the
     orbital semi-distance rho(u(t), phi) is recorded too, and if
     ``delta`` is given the run halts with ``instability_detected`` once
-    rho exceeds rho_factor * delta.  Blow-up (non-finite values or
-    ||u||_inf beyond the configured threshold) is recorded, not raised.
+    rho exceeds rho_factor * delta, at t = 0 included; delta = 0 or None
+    turns detection off.  Blow-up (non-finite values or ||u||_inf beyond
+    the configured threshold) is recorded, not raised.
+
+    Raises:
+        DomainError: if delta is not finite and >= 0, or rho_factor is not
+            finite and > 0.
     """
+    if delta is not None and not (math.isfinite(delta) and delta >= 0.0):
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    if not (math.isfinite(rho_factor) and rho_factor > 0.0):
+        raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
     op = _RhsOperator(u0.grid, cfg.dealias_pad)
@@ -198,7 +207,6 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     fields: list[PeriodicField] = []
     rho_list: list[float] = []
     drifts: list[np.ndarray] = []
-    terminated = TERMINATED_COMPLETED
 
     def record(t: float, values: np.ndarray) -> str | None:
         fld = PeriodicField(u0.grid, values.copy())
@@ -209,14 +217,16 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         if phi_ref is not None:
             r = _orbit_distance(fld, phi_ref)[0]
             rho_list.append(r)
-            if delta is not None and delta > 0.0 and r > rho_factor * delta:
+            if delta and r > rho_factor * delta:
                 return TERMINATED_INSTABILITY
         return None
 
     values = u0.values.copy()
-    record(0.0, values)
+    terminated = record(0.0, values) or TERMINATED_COMPLETED
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
+            if terminated != TERMINATED_COMPLETED:
+                break
             try:
                 values = _rk4_step(op, values, dt)
             except BlowUpError:
@@ -226,10 +236,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 terminated = TERMINATED_BLOWUP
                 break
             if step % cfg.monitor_every == 0 or step == n_steps:
-                verdict = record(step * dt, values)
-                if verdict is not None:
-                    terminated = verdict
-                    break
+                terminated = record(step * dt, values) or TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
     report = StabilityRunReport(
@@ -306,16 +313,12 @@ def orbital_experiment(p: WaveParams, delta: float, seed: int,
     """Evolve phi + delta * w for a seeded unit-H^1 perturbation w.
 
     Samples rho(u(t), phi) along the run; terminates with
-    ``instability_detected`` if rho exceeds rho_factor * delta.
+    ``instability_detected`` if rho exceeds rho_factor * delta.  delta and
+    rho_factor are validated by :func:`run`.
     """
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise DomainError(f"delta must be finite and >= 0, got {delta}")
-    if not (math.isfinite(rho_factor) and rho_factor > 0.0):
-        raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     grid = PeriodicGrid(p.L, n)
     u0 = sample_wave(p, grid)
     if delta > 0.0:
         u0 = u0 + delta * seeded_perturbation(grid, seed)
-    _, report = run(u0, cfg, reference=p, delta=delta if delta > 0 else None,
-                    rho_factor=rho_factor)
+    _, report = run(u0, cfg, reference=p, delta=delta, rho_factor=rho_factor)
     return report

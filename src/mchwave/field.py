@@ -209,24 +209,27 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField,
 
     The squared distance is ||u||^2 + ||phi||^2 - 2 C(y), where the H^1
     cross-correlation C(y) = Re sum_j c_j exp(-i kappa_j y) is a
-    trigonometric polynomial with c_j = w_j u_hat_j conj(phi_hat_j) L / n^2.
-    Coarse stage: C at all n grid shifts in one FFT of the c_j.  Fine
-    stage: a safeguarded Newton iteration on C'(y) = 0, with C' and C''
-    summed from the same series (O(n) per step, no FFT), kept inside the
-    bracket of the best grid shift +- L/n and bisecting it whenever C'' >= 0
-    or a step leaves it, until |dy| < shift_tol_rel * L.  The distance is
-    then the exact objective at the optimum, not the cancelling sum.
+    trigonometric polynomial with c_j = w_j u_hat_j conj(phi_hat_j) L / n^2,
+    and ||u||^2 = sum_j w_j |u_hat_j|^2 L / n^2 (likewise phi) comes from
+    the same spectra.  Coarse stage: C at all n grid shifts in one FFT of
+    the c_j.  Fine stage: a safeguarded Newton iteration on C'(y) = 0,
+    with C' and C'' summed from the same series (O(n) per step, no FFT),
+    kept inside the bracket of the best grid shift +- L/n and bisecting it
+    whenever C'' >= 0 or a step leaves it, until |dy| < shift_tol_rel * L.
+    The distance is then the exact objective at the optimum, not the
+    cancelling sum.
     """
     u._check_same_grid(phi)
     n, big_l = u.grid.n, u.grid.L
     kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / big_l
     weight = 1.0 + kap * kap
     weight[n // 2] = 1.0  # derivatives zero the Nyquist mode; match inner_h1
-    coef = weight * np.fft.fft(u.values) * np.conj(np.fft.fft(phi.values)) * (big_l / n**2)
+    u_hat, phi_hat = np.fft.fft(u.values), np.fft.fft(phi.values)
+    coef = weight * u_hat * np.conj(phi_hat) * (big_l / n**2)
     # <u, phi(.+y_j)>_H1 for every grid shift y_j = j L / n in one pass.
     cross = np.fft.fft(coef).real
-    norm_u2 = inner_h1(u, u)
-    norm_p2 = inner_h1(phi, phi)
+    norm_u2 = float(np.dot(weight, np.abs(u_hat) ** 2)) * (big_l / n**2)
+    norm_p2 = float(np.dot(weight, np.abs(phi_hat) ** 2)) * (big_l / n**2)
 
     def slope_curvature(y: float) -> tuple[float, float]:
         terms = coef * np.exp(-1j * kap * y)

@@ -151,13 +151,12 @@ def stability_index(k: float, L: float, h: float | None = None,
                     n_quad: int = 256) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
-    An invalid wave (see :func:`mchwave.wave.validity`, sampled on
-    ``n_quad`` nodes) gets no index: the sample has I = NaN and
-    valid = False.  With ``h`` None the derivatives are exact
-    (:func:`mchwave.wave.exact_dk`).  An explicit ``h`` selects the FD
-    oracle: one pass produces (a, c, A, F), F from the profile sampled on
-    ``n_quad`` nodes, so all four components share the same stencil and
-    consistency gate.
+    An invalid wave (see :func:`mchwave.wave.validity`) gets no index:
+    the sample has I = NaN and valid = False.  With ``h`` None the
+    derivatives are exact (:func:`mchwave.wave.exact_dk`) and ``n_quad``
+    is unused.  An explicit ``h`` selects the FD oracle: one pass produces
+    (a, c, A, F), F from the profile sampled on ``n_quad`` nodes, so all
+    four components share the same stencil and consistency gate.
 
     Raises:
         DomainError: if k is outside (0, 1) or the FD stencil leaves it.
@@ -168,7 +167,7 @@ def stability_index(k: float, L: float, h: float | None = None,
             raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
     else:
         check_fd_stencil(k, h)
-    if not validity(k, L, n=n_quad).all_ok:
+    if not validity(k, L).all_ok:
         return _invalid_sample(k, L)
     if h is None:
         da_dk, _, dc_dk, dA_dk, dF_dk = exact_dk(k, L)
@@ -203,7 +202,8 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     Cells failing validity (or whose index evaluation raises) are kept in
     the table with I = NaN and valid = False.  Ordering is by (k, L),
     deterministic regardless of evaluation order; ``workers`` > 1 spreads
-    the cells over that many processes.
+    the cells over that many processes.  ``n_quad`` is the FD oracle's
+    sampling (see :func:`stability_index`); without ``h`` it is unused.
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")

@@ -78,7 +78,8 @@ class ValidityReport:
     """Signed margins of the three conditions a wave must satisfy.
 
     ``ineq_i_value`` is c^2 - 3c + 32 pi^4 / L^4 (must be < 0) and
-    ``ineq_ii_margin`` is max(phi - c) over the period (must be < 0).
+    ``ineq_ii_margin`` is the exact max(phi - c), attained at x = L/2
+    (must be < 0).
     When the discriminant fails the other two margins are NaN.
     """
 
@@ -169,9 +170,8 @@ def _closed_forms(k, L: float) -> tuple:
             _momentum(a, b, k, big_k, big_e, L))
 
 
-def integration_constant_closed_form(k: float, L: float) -> float:
-    """The published long closed form for A; cross-check only."""
-    big_k, _ = complete_k_e(k)
+def _a_closed_form(k: float, L: float, big_k: float) -> float:
+    """The published long closed form for A, given K(k); cross-check only."""
     k2 = k * k
     delta = 2048.0 * (-1.0 + k2 - k2 * k2) * big_k**4 + 9.0 * L**4
     if delta <= 0.0:
@@ -184,11 +184,30 @@ def integration_constant_closed_form(k: float, L: float) -> float:
     return (term1 + term2 + term3 - 27.0 * L**6) / (27.0 * L**6)
 
 
+def integration_constant_closed_form(k: float, L: float) -> float:
+    """The published long closed form for A; cross-check only."""
+    return _a_closed_form(k, L, complete_k_e(k)[0])
+
+
 def _check_k_l(k: float, L: float) -> None:
     if not (0.0 < k < 1.0):
         raise DomainError(f"wave_params requires 0 < k < 1, got k={k}")
     if not (L > 0.0) or not math.isfinite(L):
         raise DomainError(f"wave_params requires L > 0, got L={L}")
+
+
+def _wave_k_e(k: float, L: float) -> tuple[WaveParams, float, float]:
+    """The wave at (k, L) with the K(k) and E(k) of the AGM run that built it."""
+    _check_k_l(k, L)
+    a, b, c, big_k, big_e = _params_from_k_l(k, L)
+    a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
+    a_closed = _a_closed_form(k, L, big_k)
+    if abs(a_ode - a_closed) > A_CROSSCHECK_TOL * max(1.0, abs(a_ode)):
+        logger.warning(
+            "integration-constant cross-check disagrees at (k=%g, L=%g): "
+            "ode=%.17g closed_form=%.17g", k, L, a_ode, a_closed,
+        )
+    return WaveParams(k=k, L=L, a=a, b=b, c=c, A=a_ode), big_k, big_e
 
 
 def wave_params(k: float, L: float) -> WaveParams:
@@ -198,16 +217,7 @@ def wave_params(k: float, L: float) -> WaveParams:
     x = 0; any disagreement beyond 1e-8 with the long closed form is
     logged (a warning, not a failure).
     """
-    _check_k_l(k, L)
-    a, b, c, big_k, big_e = _params_from_k_l(k, L)
-    a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
-    a_closed = integration_constant_closed_form(k, L)
-    if abs(a_ode - a_closed) > A_CROSSCHECK_TOL * max(1.0, abs(a_ode)):
-        logger.warning(
-            "integration-constant cross-check disagrees at (k=%g, L=%g): "
-            "ode=%.17g closed_form=%.17g", k, L, a_ode, a_closed,
-        )
-    return WaveParams(k=k, L=L, a=a, b=b, c=c, A=a_ode)
+    return _wave_k_e(k, L)[0]
 
 
 def constant_wave(L: float) -> WaveParams:
@@ -272,26 +282,26 @@ def ode_residual(p: WaveParams, n: int = 512) -> float:
     return float(np.max(np.abs(res)))
 
 
-def validity(k: float, L: float, n: int = 256) -> ValidityReport:
+def validity(k: float, L: float) -> ValidityReport:
     """Diagnose whether (k, L) admits a valid wave; never raises.
 
     Reports the discriminant sign, the value of c^2 - 3c + 32 pi^4 / L^4,
-    and max(phi - c) over n samples.  All three must be strictly negative
-    margins for ``all_ok``.
+    and max(phi - c), which b < 0 places at x = L/2, where dn^2 = k'^2:
+    a + b (k'^2 - E/K) - c, or a - c for the constant wave at k = 0.  All
+    three must be strictly negative margins for ``all_ok``.
     """
     try:
         if 0.0 < k < 1.0:
-            p = wave_params(k, L)
+            p, big_k, big_e = _wave_k_e(k, L)
+            ineq_ii = p.a + p.b * ((1.0 - k * k) - big_e / big_k) - p.c
         elif k == 0.0:
             p = constant_wave(L)
+            ineq_ii = p.a - p.c
         else:
             return ValidityReport(False, math.nan, math.nan, False)
     except DomainError:
         return ValidityReport(False, math.nan, math.nan, False)
     ineq_i = p.c * p.c - 3.0 * p.c + 32.0 * math.pi**4 / L**4
-    x = np.arange(max(int(n), 16)) * (L / max(int(n), 16))
-    phi = profile(p, x)[0]
-    ineq_ii = float(np.max(phi - p.c))
     all_ok = bool(ineq_i < 0.0 and ineq_ii < 0.0)
     return ValidityReport(True, ineq_i, ineq_ii, all_ok)
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import mchwave as mw
 from mchwave import linop
 from mchwave.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          dispatch, parse_length)
@@ -99,6 +100,16 @@ class TestScanCommand:
         a = [l for l in a if not l.startswith("# out_dir") and not l.startswith("# workers")]
         b = [l for l in b if not l.startswith("# out_dir") and not l.startswith("# workers")]
         assert a == b
+
+    def test_scan_samples_no_profile(self, count_calls, tmp_path):
+        # validity margins are closed forms and derivatives exact, so no
+        # cell evaluates a Jacobi function or samples a profile
+        jacobi_calls = count_calls(mw.elliptic.jacobi)
+        profile_calls = count_calls(mw.wave.profile)
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.8", "--L-min", "4pi",
+                         "--L-max", "8pi", "--nk", "4", "--nL", "4",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(jacobi_calls) == 0 and len(profile_calls) == 0
 
     def test_bad_sizes_and_ranges_exit_domain(self, tmp_path):
         base = ["scan", "--L-min", "4pi", "--L-max", "6pi", "--out-dir", str(tmp_path)]

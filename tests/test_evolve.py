@@ -182,6 +182,29 @@ class TestRun:
         assert rep.terminated == TERMINATED_BLOWUP
         assert traj.times[-1] < 5.0
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": 1e-3, "rho_factor": -1.0}, {"delta": 1e-3, "rho_factor": 0.0},
+        {"delta": 1e-3, "rho_factor": math.nan}, {"delta": 1e-3, "rho_factor": math.inf},
+        {"delta": math.nan}, {"delta": math.inf}, {"delta": -1e-3},
+    ])
+    def test_detection_inputs_validated(self, kwargs):
+        # rho_factor = -1 used to report instability_detected at t = 0.5
+        # and delta = nan to switch detection off silently
+        p = mw.wave_params(0.5, 6 * math.pi)
+        u0 = mw.sample_wave(p, mw.PeriodicGrid(p.L, 64))
+        with pytest.raises(DomainError):
+            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=p, **kwargs)
+
+    def test_threshold_exceeded_at_start_ends_run(self, wave05):
+        # rho(0) is about delta, far above 0.1 delta: the t = 0 sample decides
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        u0 = mw.sample_wave(wave05, grid) + 1e-3 * seeded_perturbation(grid, 3)
+        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=wave05,
+                           delta=1e-3, rho_factor=0.1)
+        assert rep.terminated == TERMINATED_INSTABILITY
+        assert list(rep.times) == [0.0] and traj.times == [0.0]
+        assert rep.rho[0] > 0.1 * 1e-3
+
 
 class TestLinearizedRun:
     def test_constant_case_norm_conserved(self):

@@ -67,12 +67,15 @@ class TestStabilityIndex:
             assert getattr(exact, name) == pytest.approx(getattr(fd, name), rel=1e-4)
 
     def test_exact_path_cost(self, count_calls):
-        # one profile sampling (inside validity), no finite differences
+        # no profile sampling, no finite differences, and one real plus
+        # one complex-step K/E evaluation
         jacobi_calls = count_calls(mw.elliptic.jacobi)
         fd_calls = count_calls(mw.wave.fd_dk)
+        k_e_calls = count_calls(mw.elliptic.complete_k_e)
         s = mw.stability_index(0.3, 5 * math.pi)
         assert s.valid and s.I < 0.0
-        assert len(jacobi_calls) == 1 and len(fd_calls) == 0
+        assert len(jacobi_calls) == 0 and len(fd_calls) == 0
+        assert len(k_e_calls) <= 2
 
     def test_exact_path_domain_error(self):
         for k in (0.0, 1.0, -0.1, math.nan):

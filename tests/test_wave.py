@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
@@ -159,6 +160,26 @@ class TestValidity:
             expected = (rep.discriminant_ok and rep.ineq_i_value < 0.0
                         and rep.ineq_ii_margin < 0.0)
             assert rep.all_ok == expected
+
+    @staticmethod
+    def check_margin_against_sampling(rep, p):
+        # oracle: the profile on 4096 nodes plus the point L/2, where the
+        # closed-form margin places the maximum
+        x = np.append(np.arange(4096) * (p.L / 4096), 0.5 * p.L)
+        sampled = float(np.max(mw.profile(p, x)[0] - p.c))
+        assert rep.ineq_ii_margin == pytest.approx(sampled, rel=1e-12, abs=1e-14)
+        assert rep.all_ok == (rep.ineq_i_value < 0.0 and sampled < 0.0)
+
+    @given(k=st.floats(0.01, 0.99), big_l=st.floats(2 * math.pi, 14 * math.pi))
+    def test_margin_matches_dense_sampling(self, k, big_l):
+        # valid and invalid draws; those without a wave have no profile
+        rep = mw.validity(k, big_l)
+        assume(rep.discriminant_ok)
+        self.check_margin_against_sampling(rep, mw.wave_params(k, big_l))
+
+    @pytest.mark.parametrize("big_l", [2.2 * math.pi, 3 * math.pi, 6 * math.pi, 14 * math.pi])
+    def test_constant_wave_margin(self, big_l):
+        self.check_margin_against_sampling(mw.validity(0.0, big_l), mw.constant_wave(big_l))
 
     def test_above_k1_fails_second_inequality(self):
         # at k = 0.8 with L in the second scan range, phi - c > 0 somewhere
