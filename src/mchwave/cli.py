@@ -303,9 +303,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return rep.n_neg == 1 and rep.z_dim == 2
 
     def wave_spectral_counts() -> bool:
-        rep = indices.morse_check(0.5, 6.0 * math.pi)
-        return (rep.n_L == 1 and rep.z_L == 1
-                and rep.n_identity_holds and rep.z_identity_holds)
+        # (0.1, 5 pi) carries a genuine eigenvalue 1.2e-5 beside the kernel
+        reps = [indices.morse_check(0.5, 6.0 * math.pi),
+                indices.morse_check(0.1, 5.0 * math.pi, n=128)]
+        return all(rep.n_L == 1 and rep.z_L == 1
+                   and rep.n_identity_holds and rep.z_identity_holds for rep in reps)
 
     def snoidal_dnoidal_agreement() -> bool:
         p = wave_mod.wave_params(0.5, 6.0 * math.pi)
@@ -387,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--L", type=parse_length, required=True)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="zero-eigenvalue tolerance, finite and > 0 (default: "
+                         "1e3*eps*max|lambda| for L, 1e-6*max|lambda| for dx L)")
     sp.add_argument("--allow-multi-kernel", action="store_true")
     sp.add_argument("--evolution", action="store_true",
                     help="also dump the complex spectrum of the evolution operator on Y0")

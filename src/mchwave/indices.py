@@ -30,8 +30,7 @@ import numpy as np
 from . import wave as wave_mod
 from .errors import DomainError, MchError, NumericalError
 from .field import PeriodicGrid, PeriodicField, functionals
-from .linop import (inv_one_pairing, kernel_gap_tol, operator_for, restricted_spectrum,
-                    spectrum)
+from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
 from .wave import (WaveParams, check_fd_stencil, default_fd_step, exact_dk, fd_dk, profile,
                    validity, wave_params)
 
@@ -229,31 +228,25 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     return samples, summary
 
 
-def morse_check(k: float, L: float, n: int = 256, tol: float | None = None,
+def morse_check(k: float, L: float, n: int = 256,
                 allow_multi_kernel: bool = False) -> MorseReport:
     """Check the zero-mean Morse identities by two independent routes.
 
     Left sides come from the spectrum of the operator compressed to Y0;
     right sides from the unrestricted counts plus the sign of the
-    pairing <L^{-1} 1, 1>.  The identities assume a simple kernel; a
+    pairing <L^{-1} 1, 1>.  All counts use the default zero tolerance of
+    :mod:`mchwave.linop`.  The identities assume a simple kernel; a
     double kernel (the constant-wave degeneracy) needs
     ``allow_multi_kernel`` for the deflated pairing solve.
-
-    When no tolerance is supplied, one is placed inside the spectral gap
-    around the presumed kernel: small-amplitude waves carry a genuine
-    tiny eigenvalue beside zero that a radius-proportional default would
-    misclassify.
 
     Raises:
         RankError: propagated when the kernel is not simple and the
             override is not set.
     """
     op = operator_for(constant_or_wave(k, L), n)
-    if tol is None:
-        tol = kernel_gap_tol(op.eigh[0], kernel_dim=2 if allow_multi_kernel else 1)
-    full = spectrum(op, tol=tol)
-    pair = inv_one_pairing(op, tol=tol, allow_multi_kernel=allow_multi_kernel)
-    restr = restricted_spectrum(op, tol=tol)
+    full = spectrum(op)
+    pair = inv_one_pairing(op, allow_multi_kernel=allow_multi_kernel)
+    restr = restricted_spectrum(op)
     n_pair, z_pair = _sign_count(pair.value)
     return MorseReport(
         n_L=full.n_neg, z_L=full.z_dim, pairing=pair.value,
@@ -369,11 +362,12 @@ def d_second(k: float, L_bracket: tuple[float, float], h: float | None = None,
 
 
 def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256,
-                h: float | None = None, tol: float | None = None) -> KreinReport:
+                h: float | None = None) -> KreinReport:
     """Hamiltonian Krein index on the zero-mean branch.
 
     K_Ham = n(L|Y0) - n(D) with D = -d''(c); the wave is classified
-    unstable when K_Ham = 1 and stable when K_Ham = 0.  Classification is
+    unstable when K_Ham = 1 and stable when K_Ham = 0.  The counts and
+    the pairing come from :func:`morse_check` at (k, L*).  Classification is
     ``indeterminate`` when the branch is absent, the parametrization is
     singular, the pairing or D is too close to zero, or the counts fall
     outside the formula's reach.  Genuine bracket errors propagate.
@@ -390,14 +384,11 @@ def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256,
         report = None
     if report is None:
         return no_branch
-    op = operator_for(wave_params(k, report.L_star), n)
-    full = spectrum(op, tol=tol)
-    restr = restricted_spectrum(op, tol=tol)
-    pair = inv_one_pairing(op, tol=tol)
+    morse = morse_check(k, report.L_star, n)
     big_d = -report.d_second
     n_d, _ = _sign_count(big_d)
-    k_ham = restr.n_neg - n_d
-    cls = classify(restr.n_neg, pair.value, big_d)
-    return KreinReport(n_L=full.n_neg, n_L_Y0=restr.n_neg, z_L=full.z_dim,
-                       z_L_Y0=restr.z_dim, pairing=pair.value, D=big_d,
+    k_ham = morse.n_Y0_direct - n_d
+    cls = classify(morse.n_Y0_direct, morse.pairing, big_d)
+    return KreinReport(n_L=morse.n_L, n_L_Y0=morse.n_Y0_direct, z_L=morse.z_L,
+                       z_L_Y0=morse.z_Y0_direct, pairing=morse.pairing, D=big_d,
                        K_Ham=k_ham, classification=cls, L_star=report.L_star)

@@ -22,9 +22,19 @@ the assembly then reproduces the Fourier diagonalization exactly.
 
 :func:`operator_for` is the one wave-to-operator factory.  A self-adjoint
 :class:`OperatorMatrix` caches one symmetric eigendecomposition, which
-:func:`spectrum`, :func:`inv_one_pairing` and the Morse-check gap tolerance
-share; :func:`restricted_spectrum` keeps its own eigensolve (the independent
-route of the Morse identity) and applies its Householder reflection implicitly.
+:func:`spectrum` and :func:`inv_one_pairing` share; :func:`restricted_spectrum`
+keeps its own eigensolve (the independent route of the Morse identity) and
+applies its Householder reflection implicitly.
+
+Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
+zero.  An explicit ``tol`` must be finite and positive; the default scales
+with radius = max |lambda| of the eigenvalues counted.  Self-adjoint L:
+1e3 eps radius.  Its kernel is computed at least 377x below that (waves up
+to n = 2048, the constant wave up to n = 1024), and the smallest genuine
+eigenvalue seen, 4.27e-6 on Y0 at (k, L) = (0.1, 5 pi) and n = 2048, sits
+880x above; 1e-6 radius, which grows like n^2, would swallow it.  Evolution
+dx L: 1e-6 radius, since its zero eigenvalue is defective: on Y0 at
+(0.5, 6 pi) its neighbours sit at 2.2e-10 to 1.5e-8 for 64 <= n <= 512.
 """
 
 from __future__ import annotations
@@ -75,7 +85,8 @@ class SpectralReport:
     ``eigenvalues`` are real ascending for the self-adjoint kind and
     complex (sorted by real part) for the evolution kind.  ``n_neg``
     counts eigenvalues (real parts) below -tol, ``z_dim`` those with
-    modulus <= tol.  ``near_zero_gap`` is the separation between the two
+    modulus <= tol; ``tol`` is the caller's or the policy default (module
+    docstring).  ``near_zero_gap`` is the separation between the two
     smallest-modulus eigenvalues: near the constant-wave degeneracy the
     kernel nearly doubles, and the gap makes that visible instead of a
     silent classification.  ``eigenvectors`` holds columns for the
@@ -190,36 +201,21 @@ def _eig(solver, a: np.ndarray):
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
-def _default_tol(eigenvalues: np.ndarray) -> float:
+def _zero_tol(eigenvalues: np.ndarray, kind: OperatorKind, tol: float | None) -> float:
+    """The zero-eigenvalue tolerance (see the module docstring): ``tol``
+    checked, or the default of ``kind`` scaled by max |eigenvalue|."""
+    if tol is not None:
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise DomainError(f"tolerance must be finite and positive, got {tol}")
+        return float(tol)
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0
-    return 1e-6 * max(radius, 1e-300)
-
-
-def kernel_gap_tol(eigenvalues: np.ndarray, kernel_dim: int = 1) -> float:
-    """Zero-eigenvalue tolerance placed inside the spectral gap.
-
-    Assuming the kernel has the given dimension, returns the geometric
-    midpoint between the largest presumed-kernel eigenvalue and its first
-    nonzero neighbour (clipped to [1e-12, 1e-6] of the spectral radius).
-    Near-degenerate waves carry a tiny genuine eigenvalue next to the
-    kernel; a radius-proportional tolerance would silently swallow it.
-    """
-    mods = np.sort(np.abs(np.asarray(eigenvalues)))
-    radius = float(mods[-1])
-    lo, hi = 1e-12 * radius, 1e-6 * radius
-    if len(mods) <= kernel_dim:
-        return hi
-    inner = max(float(mods[kernel_dim - 1]), 1e-300)
-    outer = max(float(mods[kernel_dim]), inner)
-    return float(np.clip(math.sqrt(inner * outer), lo, hi))
+    factor = 1e3 * np.finfo(float).eps if kind == "selfadjoint_L" else 1e-6
+    return factor * max(radius, 1e-300)
 
 
 def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
                  kind: OperatorKind, vecs: np.ndarray | None) -> SpectralReport:
-    if tol is None:
-        tol = _default_tol(vals)
-    elif tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = _zero_tol(vals, kind, tol)
     if kind == "evolution_dxL":
         vals = vals[np.lexsort((vals.imag, vals.real))]
     re = vals.real if np.iscomplexobj(vals) else vals
@@ -295,8 +291,7 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
             override because its kernel is double).
     """
     vals, vecs = m.eigh
-    if tol is None:
-        tol = _default_tol(vals)
+    tol = _zero_tol(vals, m.kind, tol)
     kernel = np.abs(vals) <= tol
     k_dim = int(np.sum(kernel))
     if k_dim != 1 and not allow_multi_kernel:

@@ -79,7 +79,8 @@ class ValidityReport:
 
     ``ineq_i_value`` is c^2 - 3c + 32 pi^4 / L^4 (must be < 0) and
     ``ineq_ii_margin`` is the exact max(phi - c), attained at x = L/2
-    (must be < 0).
+    (must be < 0).  For the constant wave (k = 0) ``ineq_i_value`` is
+    exactly 0.0, the boundary, so ``all_ok`` is False.
     When the discriminant fails the other two margins are NaN.
     """
 
@@ -288,7 +289,9 @@ def validity(k: float, L: float) -> ValidityReport:
     Reports the discriminant sign, the value of c^2 - 3c + 32 pi^4 / L^4,
     and max(phi - c), which b < 0 places at x = L/2, where dn^2 = k'^2:
     a + b (k'^2 - E/K) - c, or a - c for the constant wave at k = 0.  All
-    three must be strictly negative margins for ``all_ok``.
+    three must be strictly negative margins for ``all_ok``.  The constant
+    wave's first value is identically 0, reported as exactly 0.0, so its
+    ``all_ok`` is False at every L.
     """
     try:
         if 0.0 < k < 1.0:
@@ -301,7 +304,7 @@ def validity(k: float, L: float) -> ValidityReport:
             return ValidityReport(False, math.nan, math.nan, False)
     except DomainError:
         return ValidityReport(False, math.nan, math.nan, False)
-    ineq_i = p.c * p.c - 3.0 * p.c + 32.0 * math.pi**4 / L**4
+    ineq_i = p.c * p.c - 3.0 * p.c + 32.0 * math.pi**4 / L**4 if k > 0.0 else 0.0
     all_ok = bool(ineq_i < 0.0 and ineq_ii < 0.0)
     return ValidityReport(True, ineq_i, ineq_ii, all_ok)
 

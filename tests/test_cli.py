@@ -133,6 +133,13 @@ class TestSpectrumCommand:
         assert payload["restricted_spectrum"]["n_neg"] == 1
         assert payload["pairing"]["value"] > 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_bad_tol_exits_domain(self, tmp_path, bad):
+        code = dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64",
+                         "--tol", bad, "--out-dir", str(tmp_path)])
+        assert code == EXIT_DOMAIN
+        assert not (tmp_path / "spectrum.json").exists()
+
     def test_constant_case_with_override(self, tmp_path):
         code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "128",
                          "--allow-multi-kernel", "--out-dir", str(tmp_path)])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mchwave as mw
 from mchwave import DomainError, RankError
@@ -98,8 +99,11 @@ class TestSpectrum:
         assert rep.near_zero_gap == pytest.approx(3.117e-3, rel=1e-2)
 
     def test_tol_validation(self, op05_256):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mw.spectrum(op05_256, tol=bad)
         with pytest.raises(DomainError):
-            mw.spectrum(op05_256, tol=-1.0)
+            mw.inv_one_pairing(op05_256, tol=math.nan)
 
     def test_constant_derivative_mean_zero(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
@@ -215,3 +219,23 @@ class TestInvOnePairing:
         dxl = mw.operator_for(wave05, 128, "evolution_dxL")
         with pytest.raises(DomainError):
             mw.inv_one_pairing(dxl)
+
+
+@settings(max_examples=6)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
+@example(k=0.5, big_l=6 * math.pi)
+@example(k=0.3, big_l=4 * math.pi)
+@example(k=0.1, big_l=5 * math.pi)
+def test_default_counts_invariant_under_refinement(k, big_l):
+    # the default zero tolerance keeps the small genuine eigenvalue beside
+    # the kernel (1.2e-5 at (0.1, 5 pi)) out of the kernel at every n
+    assume(mw.validity(k, big_l).all_ok)
+    p = mw.wave_params(k, big_l)
+    counts = set()
+    for n in (128, 256, 512, 1024):
+        op = mw.operator_for(p, n)
+        full, restr = mw.spectrum(op), mw.restricted_spectrum(op)
+        pairing = mw.inv_one_pairing(op).value
+        counts.add((full.n_neg, full.z_dim, restr.n_neg, restr.z_dim, pairing > 0.0))
+    assert len(counts) == 1
+    assert counts.pop()[1] == 1

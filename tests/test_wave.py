@@ -177,9 +177,15 @@ class TestValidity:
         assume(rep.discriminant_ok)
         self.check_margin_against_sampling(rep, mw.wave_params(k, big_l))
 
-    @pytest.mark.parametrize("big_l", [2.2 * math.pi, 3 * math.pi, 6 * math.pi, 14 * math.pi])
+    @pytest.mark.parametrize("big_l", [2.2 * math.pi, 2.5 * math.pi, 3 * math.pi,
+                                       4 * math.pi, 6 * math.pi, 7.3 * math.pi,
+                                       10 * math.pi, 14 * math.pi])
     def test_constant_wave_margin(self, big_l):
-        self.check_margin_against_sampling(mw.validity(0.0, big_l), mw.constant_wave(big_l))
+        rep = mw.validity(0.0, big_l)
+        self.check_margin_against_sampling(rep, mw.constant_wave(big_l))
+        # c^2 - 3c + 32 pi^4 / L^4 vanishes identically: the boundary, never valid
+        assert rep.ineq_i_value == 0.0
+        assert not rep.all_ok
 
     def test_above_k1_fails_second_inequality(self):
         # at k = 0.8 with L in the second scan range, phi - c > 0 somewhere
