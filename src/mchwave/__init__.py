@@ -15,6 +15,7 @@ from .errors import (
     MchError,
     NumericalError,
     RankError,
+    SingularError,
 )
 from .evolve import (
     EvolutionConfig,

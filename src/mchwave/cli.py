@@ -147,7 +147,7 @@ def cmd_wave(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     samples, summary = indices.index_scan(
         args.k_min, args.k_max, args.L_min, args.L_max, args.nk, args.nL,
-        h=args.h, n_quad=args.n_quad, workers=args.workers)
+        h=args.h, workers=args.workers)
     out_csv = Path(args.out_dir) / "scan.csv"
     write_csv(out_csv,
               ["k", "L", "I", "valid", "dA_dk", "dc_dk", "dV_dk", "dF_dk"],
@@ -377,10 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nk", type=int, default=20)
     sp.add_argument("--nL", type=int, default=20)
     sp.add_argument("--h", type=float, default=None,
-                    help="FD step; given, it selects the finite-difference ladder "
-                         "(default: exact complex-step derivatives)")
-    sp.add_argument("--n-quad", type=int, default=256,
-                    help="profile nodes for the FD ladder's momentum; unused without --h")
+                    help="FD step; given, it selects the finite-difference ladder over "
+                         "the closed forms (default: exact complex-step derivatives)")
     sp.add_argument("--workers", type=int, default=1)
     add_common(sp)
     sp.set_defaults(func=cmd_scan)

@@ -21,6 +21,10 @@ class AssemblyError(NumericalError):
     """Operator assembly violated a structural gate (e.g. symmetry defect)."""
 
 
+class SingularError(NumericalError):
+    """A parametrization is singular at the requested point (e.g. dc/dk = 0)."""
+
+
 class RankError(NumericalError):
     """A linear solve met an unexpected kernel dimension."""
 

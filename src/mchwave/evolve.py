@@ -35,8 +35,8 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .field import (PeriodicField, PeriodicGrid, _orbit_distance, functionals,
                     h1_norm, sample_wave)
-from .linop import OperatorMatrix, assemble_dxl
-from .wave import WaveParams, profile
+from .linop import OperatorMatrix, operator_for
+from .wave import WaveParams
 
 TERMINATED_COMPLETED = "completed"
 TERMINATED_BLOWUP = "blowup"
@@ -252,20 +252,17 @@ def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
                    cfg: EvolutionConfig) -> LinearGrowthReport:
     """Integrate v_t = (dx L) v with the assembled evolution matrix.
 
-    ``p`` is either a :class:`WaveParams` (the matrix is assembled from
-    its profile) or a prebuilt evolution :class:`OperatorMatrix`.  v0 is
-    projected onto zero mean first.  Norms are L^2(0, L).
+    ``p`` is a :class:`WaveParams` (then ``operator_for(p, n, "evolution_dxL")``
+    on the grid of v0) or a prebuilt evolution :class:`OperatorMatrix`.  v0
+    is projected onto zero mean first.  Norms are L^2(0, L).
     """
     grid = v0.grid
-    if isinstance(p, OperatorMatrix):
-        if p.kind != "evolution_dxL":
-            raise DomainError("linearized_run needs an evolution_dxL operator")
-        if p.grid != grid:
-            raise DomainError("operator grid does not match the initial field")
-        mat = p.matrix
-    else:
-        phi, _, phi2 = profile(p, grid.nodes)
-        mat = assemble_dxl(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c).matrix
+    if not isinstance(p, OperatorMatrix):
+        p = operator_for(p, grid.n, "evolution_dxL")
+    if p.kind != "evolution_dxL":
+        raise DomainError("linearized_run needs an evolution_dxL operator")
+    if p.grid != grid:
+        raise DomainError("operator grid does not match the initial field")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
     w = math.sqrt(grid.spacing)
@@ -273,7 +270,7 @@ def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
     values = v0.values - np.mean(v0.values)
     times = [0.0]
     norms = [w * float(np.linalg.norm(values))]
-    f = mat.__matmul__
+    f = p.matrix.__matmul__
     for step in range(1, n_steps + 1):
         values = _rk4_step(f, values, dt)
         if not np.all(np.isfinite(values)):

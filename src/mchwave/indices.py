@@ -6,12 +6,11 @@ The index
 
     I = dA/dk * dV/dk - dc/dk * dF/dk        (at fixed period L)
 
-uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  By
-default every component is exact: one complex-step evaluation of the
-closed forms for (a, c, A, F), F the momentum (:func:`mchwave.wave.exact_dk`).
-An explicit FD step selects the oracle instead, one pass of
-:func:`mchwave.wave.fd_dk` over (a, c, A) and the momentum of the sampled
-profile, carrying one step-halving gate.
+uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  Every
+k-derivative, at fixed L and along the zero-mean branch a(k, L*(k)) = 0
+alike, is :func:`mchwave.wave._dk` over closed forms in (k, K, E, L): a
+complex step by default, the finite-difference ladder at an explicit
+step h.  Only the operator behind the spectral counts samples a profile.
 
 The sign condition I < 0 is checked as a reproducible assertion over
 sampled (k, L) grids; no claim is made beyond the sampled windows.
@@ -28,11 +27,10 @@ from typing import Literal
 import numpy as np
 
 from . import wave as wave_mod
-from .errors import DomainError, MchError, NumericalError
-from .field import PeriodicGrid, PeriodicField, functionals
+from .errors import DomainError, MchError, NumericalError, SingularError
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
-from .wave import (WaveParams, check_fd_stencil, default_fd_step, exact_dk, fd_dk, profile,
-                   validity, wave_params)
+from .wave import (COMPLEX_STEP, WaveParams, check_fd_stencil, default_fd_step, validity,
+                   wave_params)
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -93,9 +91,9 @@ class DSecondReport:
     c: float
     dc_dk: float
     d_prime: float          # F(phi), the chain-rule value of d'(c)
-    d_prime_fd: float       # direct FD of d(c), cross-check
-    d_second: float         # dF/dk / dc/dk
-    d_second_fd: float      # double FD of d(c), cross-check
+    d_prime_fd: float       # direct (dd/dk) / (dc/dk) along the branch, cross-check
+    d_second: float         # (dF/dk) / (dc/dk)
+    d_second_fd: float      # central difference of d_prime_fd over c, cross-check
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,8 @@ class KreinReport:
     """Counts, pairing, D and the Hamiltonian Krein index classification.
 
     All numeric fields are NaN (and counts -1) when the zero-mean branch
-    does not exist in the bracket, in which case the classification is
-    ``indeterminate``.
+    does not exist in the bracket or its parametrization by k is
+    singular, in which case the classification is ``indeterminate``.
     """
 
     n_L: int
@@ -146,63 +144,49 @@ def _invalid_sample(k: float, L: float) -> IndexSample:
     return IndexSample(k, L, math.nan, False, math.nan, math.nan, math.nan, math.nan)
 
 
-def stability_index(k: float, L: float, h: float | None = None,
-                    n_quad: int = 256) -> IndexSample:
+def stability_index(k: float, L: float, h: float | None = None) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
     An invalid wave (see :func:`mchwave.wave.validity`) gets no index:
-    the sample has I = NaN and valid = False.  With ``h`` None the
-    derivatives are exact (:func:`mchwave.wave.exact_dk`) and ``n_quad``
-    is unused.  An explicit ``h`` selects the FD oracle: one pass produces
-    (a, c, A, F), F from the profile sampled on ``n_quad`` nodes, so all
-    four components share the same stencil and consistency gate.
+    the sample has I = NaN and valid = False.  The derivatives of the
+    closed forms for (a, c, A, F) come from :func:`mchwave.wave._dk`:
+    exact (complex step) with ``h`` None, the FD oracle at an explicit
+    ``h``, all four components sharing one stencil and consistency gate.
 
     Raises:
         DomainError: if k is outside (0, 1) or the FD stencil leaves it.
         AccuracyError: if the step-halving gate fails.
     """
-    if h is None:
-        if not 0.0 < k < 1.0:
-            raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
-    else:
+    if h is not None:
         check_fd_stencil(k, h)
+    elif not 0.0 < k < 1.0:
+        raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
     if not validity(k, L).all_ok:
         return _invalid_sample(k, L)
-    if h is None:
-        da_dk, _, dc_dk, dA_dk, dF_dk = exact_dk(k, L)
-    else:
-        grid = PeriodicGrid(L, n_quad)
-
-        def f(kk: float) -> np.ndarray:
-            p = wave_params(kk, L)
-            phi = PeriodicField(grid, np.asarray(profile(p, grid.nodes)[0]))
-            _, f_mom, _ = functionals(phi)
-            return np.array([p.a, p.c, p.A, f_mom])
-
-        da_dk, dc_dk, dA_dk, dF_dk = (float(v) for v in fd_dk(f, k, h))
+    da_dk, _, dc_dk, dA_dk, dF_dk = wave_mod._dk(partial(wave_mod._closed_forms, L=L), k, h)
     dV_dk = L * da_dk
     idx = dA_dk * dV_dk - dc_dk * dF_dk
     return IndexSample(k=k, L=L, I=idx, valid=True, dA_dk=dA_dk, dc_dk=dc_dk,
                        dV_dk=dV_dk, dF_dk=dF_dk)
 
 
-def _scan_cell(k: float, L: float, h: float | None, n_quad: int) -> IndexSample:
+def _scan_cell(k: float, L: float, h: float | None) -> IndexSample:
     try:
-        return stability_index(k, L, h=h, n_quad=n_quad)
+        return stability_index(k, L, h=h)
     except MchError:
         return _invalid_sample(k, L)
 
 
 def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
-               nk: int, nL: int, h: float | None = None, n_quad: int = 256,
+               nk: int, nL: int, h: float | None = None,
                workers: int = 1) -> tuple[list[IndexSample], ScanSummary]:
     """Evaluate the index on an nk x nL grid, flagging invalid cells.
 
     Cells failing validity (or whose index evaluation raises) are kept in
     the table with I = NaN and valid = False.  Ordering is by (k, L),
     deterministic regardless of evaluation order; ``workers`` > 1 spreads
-    the cells over that many processes.  ``n_quad`` is the FD oracle's
-    sampling (see :func:`stability_index`); without ``h`` it is unused.
+    the cells over that many processes.  ``h`` selects the FD oracle
+    (see :func:`stability_index`).
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")
@@ -211,7 +195,7 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     ks, Ls = np.linspace(k_min, k_max, nk), np.linspace(L_min, L_max, nL)
     cell_ks = [float(k) for k in ks for _ in Ls]
     cell_Ls = [float(L) for _ in ks for L in Ls]
-    cell = partial(_scan_cell, h=h, n_quad=n_quad)
+    cell = partial(_scan_cell, h=h)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(cell, cell_ks, cell_Ls, chunksize=8))
@@ -263,20 +247,27 @@ def constant_or_wave(k: float, L: float) -> WaveParams:
     return wave_params(k, L)
 
 
-def zero_mean_period(k: float, L_bracket: tuple[float, float],
-                     a_tol: float = 1e-10) -> float | None:
-    """Period L* with a(k, L*) = 0, by bisection; None when no sign change.
+def _mean_and_slope(k: float, L: float) -> tuple[float, float]:
+    """a(k, L) and da/dL from one closed-form evaluation at L + 1e-30 i."""
+    a = wave_mod._params_from_k_l(k, complex(L, COMPLEX_STEP))[0]
+    return a.real, a.imag / COMPLEX_STEP
 
-    Branch absence is an expected finding (the mean level a is negative
-    throughout the small-k region), so a missing root is reported, not
-    raised.
+
+def zero_mean_period(k: float, L_bracket: tuple[float, float]) -> float | None:
+    """Period L* with a(k, L*) = 0; None when a keeps its sign on the bracket.
+
+    Branch absence is an expected finding (a < 0 throughout the small-k
+    region), so a missing root is reported, not raised.  Newton's method
+    on a(k, L) (:func:`_mean_and_slope`) starts at the bracket midpoint,
+    bisects when a step leaves the sign-change interval, and stops after
+    a step below 1e-12 L, which quadratic convergence leaves at rounding.
 
     Raises:
-        DomainError: if either bracket endpoint leaves the wave-existence
-            domain (discriminant <= 0).
+        DomainError: if not 0 < lo < hi < inf, or an endpoint has no wave.
+        NumericalError: no convergence in 100 steps.
     """
     lo, hi = float(L_bracket[0]), float(L_bracket[1])
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise DomainError(f"bad bracket {L_bracket}")
     try:
         a_lo = wave_params(k, lo).a
@@ -289,101 +280,100 @@ def zero_mean_period(k: float, L_bracket: tuple[float, float],
         return hi
     if a_lo * a_hi > 0.0:
         return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        a_mid = wave_params(k, mid).a
-        if abs(a_mid) < a_tol:
-            return mid
-        if a_lo * a_mid < 0.0:
-            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        a, slope = _mean_and_slope(k, x)
+        if a == 0.0:
+            return x
+        if (a < 0.0) == (a_lo < 0.0):
+            lo = x
         else:
-            lo, a_lo = mid, a_mid
-    raise NumericalError(f"zero-mean bisection failed to reach |a| < {a_tol}")
+            hi = x
+        x_new = x - a / slope if slope != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-12 * x:
+            return x_new
+        x = x_new
+    raise NumericalError(f"zero-mean Newton iteration did not converge at k={k}")
 
 
-def _branch_state(k: float, L_bracket: tuple[float, float],
-                  n_quad: int) -> tuple[float, float, float, float] | None:
-    """(L*, c, F, d) on the zero-mean branch at modulus k, or None."""
-    l_star = zero_mean_period(k, L_bracket)
-    if l_star is None:
-        return None
-    p = wave_params(k, l_star)
-    grid = PeriodicGrid(p.L, n_quad)
-    phi = PeriodicField(grid, np.asarray(profile(p, grid.nodes)[0]))
-    e, f, _ = functionals(phi)
-    return l_star, p.c, f, e + p.c * f
+def _branch_state(k, l_star: float) -> tuple:
+    """(L*, c, F, d = E + c F) on the zero-mean branch at modulus k, from
+    the real root l_star = L*(Re k); at complex k = k0 + i h, one complex
+    Newton step from L*(k0) gives L* - a / a_L, whose imaginary part is
+    -h a_k / a_L = h dL*/dk: the branch continued to complex k.
+    """
+    if isinstance(k, complex):
+        l_star -= wave_mod._params_from_k_l(k, l_star)[0] / _mean_and_slope(k.real, l_star)[1]
+    a, b, c, big_k, big_e = wave_mod._params_from_k_l(k, l_star)
+    f = wave_mod._momentum(a, b, k, big_k, big_e, l_star)
+    return l_star, c, f, wave_mod._energy(a, b, k, big_k, big_e, l_star) + c * f
 
 
-def d_second(k: float, L_bracket: tuple[float, float], h: float | None = None,
-             n_quad: int = 256) -> DSecondReport | None:
+def d_second(k: float, L_bracket: tuple[float, float],
+             h: float | None = None) -> DSecondReport | None:
     """d'(c) and d''(c) along the zero-mean branch, or None without a branch.
 
     d'(c) = F(phi) by the chain rule through the critical-point identity;
-    d''(c) = (dF/dk) / (dc/dk).  Both are cross-checked by direct central
-    differences of d(c) = E + c F along the branch.
+    d''(c) = (dF/dk) / (dc/dk), the k-derivatives being :func:`mchwave.wave._dk`
+    over :func:`_branch_state` (complex step, or the FD ladder at ``h``).
+    Cross-checks: the direct d'(c) = (dd/dk) / (dc/dk), and its central
+    difference over dc/dk at k +- (h or ``default_fd_step(k)``).  Stencil
+    points k' follow the branch from (k, L*): their root is sought between
+    L* and L* + 2 (k' - k) dL*/dk, so ``L_bracket`` need only hold L*.
 
     Raises:
-        DomainError: no branch in the widened FD bracket, or stencil issues.
-        NumericalError: |dc/dk| below 1e-10 (singular parametrization).
+        DomainError: bad bracket, the FD stencil leaves (0, 1), or the
+            branch leaves twice its tangent move inside the stencil.
+        SingularError: |dc/dk| below 1e-10 (singular parametrization).
     """
-    state = _branch_state(k, L_bracket, n_quad)
-    if state is None:
+    l_star = zero_mean_period(k, L_bracket)
+    if l_star is None:
         return None
-    l_star, c0, f0, _ = state
-    if h is None:
-        h = default_fd_step(k)
+    exact = wave_mod._dk(partial(_branch_state, l_star=l_star), k)  # dL*/dk, dc/dk, ...
 
-    def branch(kk: float) -> np.ndarray:
-        # Re-center the bracket on the current root so the stencil stays bracketed.
-        width = 0.25 * (L_bracket[1] - L_bracket[0])
-        st = _branch_state(kk, (max(l_star - width, 0.5 * l_star), l_star + width), n_quad)
-        if st is None:
-            raise DomainError(f"zero-mean branch lost at k={kk}")
-        return np.array([st[1], st[2], st[3]])  # c, F, d
+    def branch(kk) -> tuple:
+        ends = sorted((l_star, l_star + 2.0 * (kk.real - k) * exact[0]))
+        root = zero_mean_period(kk.real, ends)
+        if root is None:
+            raise DomainError(f"zero-mean branch lost at k={kk.real}")
+        return _branch_state(kk, root)
 
-    d = fd_dk(branch, k, h)
-    dc_dk, df_dk, dd_dk = (float(v) for v in d)
+    _, dc_dk, df_dk, dd_dk = exact if h is None else wave_mod._dk(branch, k, h)
     if abs(dc_dk) < 1e-10:
-        raise NumericalError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
-    d_prime_fd = dd_dk / dc_dk
-    d2 = df_dk / dc_dk
+        raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
+    _, c0, f0, _ = _branch_state(k, l_star)
+    step = default_fd_step(k) if h is None else h
 
-    # Independent double-FD of d(c): d'(c) at k +- h via nested stencils.
-    def d_prime_at(kk: float) -> float:
-        vals = fd_dk(branch, kk, 0.5 * h)
-        return float(vals[2] / vals[0])
+    def d_prime_direct(kk: float) -> float:
+        _, dc, _, dd = wave_mod._dk(branch, kk)
+        return dd / dc
 
-    dp_hi = d_prime_at(k + h)
-    dp_lo = d_prime_at(k - h)
-    d2_fd = (dp_hi - dp_lo) / (2.0 * h) / dc_dk
+    d2_fd = (d_prime_direct(k + step) - d_prime_direct(k - step)) / (2.0 * step) / dc_dk
     return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk,
-                         d_prime=f0, d_prime_fd=d_prime_fd,
-                         d_second=d2, d_second_fd=d2_fd)
+                         d_prime=f0, d_prime_fd=dd_dk / dc_dk,
+                         d_second=df_dk / dc_dk, d_second_fd=d2_fd)
 
 
-def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256,
-                h: float | None = None) -> KreinReport:
+def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256) -> KreinReport:
     """Hamiltonian Krein index on the zero-mean branch.
 
     K_Ham = n(L|Y0) - n(D) with D = -d''(c); the wave is classified
     unstable when K_Ham = 1 and stable when K_Ham = 0.  The counts and
-    the pairing come from :func:`morse_check` at (k, L*).  Classification is
-    ``indeterminate`` when the branch is absent, the parametrization is
-    singular, the pairing or D is too close to zero, or the counts fall
-    outside the formula's reach.  Genuine bracket errors propagate.
+    the pairing come from :func:`morse_check` at (k, L*) on n nodes, the
+    only use of n.  Classification is ``indeterminate`` when the branch is
+    absent, dc/dk is zero, the pairing or D is too close to zero, or the
+    counts fall outside the formula's reach.  Other errors propagate.
     """
-    no_branch = KreinReport(n_L=-1, n_L_Y0=-1, z_L=-1, z_L_Y0=-1,
-                            pairing=math.nan, D=math.nan, K_Ham=-1,
-                            classification="indeterminate")
-    if zero_mean_period(k, L_bracket) is None:
-        return no_branch
     try:
-        report = d_second(k, L_bracket, h=h, n_quad=n)
-    except (DomainError, NumericalError):
-        # branch lost inside the FD stencil, or dc/dk at zero
+        report = d_second(k, L_bracket)
+    except SingularError:  # dc/dk at zero
         report = None
     if report is None:
-        return no_branch
+        return KreinReport(n_L=-1, n_L_Y0=-1, z_L=-1, z_L_Y0=-1,
+                           pairing=math.nan, D=math.nan, K_Ham=-1,
+                           classification="indeterminate")
     morse = morse_check(k, report.L_star, n)
     big_d = -report.d_second
     n_d, _ = _sign_count(big_d)

@@ -18,12 +18,13 @@ evaluated from the wave equation itself at x = 0, where the profile sits
 at its minimum and phi' vanishes; a published long closed form for A is
 kept only as a cross-check because it is easy to mistype.
 
-The momentum F = (1/2) int phi^2 + phi'^2 is elementary in (k, K, E, L)
-too, so the k-derivatives of (a, b, c, A, F) at fixed L are exact: one
-complex-step evaluation of these closed forms at k + 1e-30 i (Squire and
-Trapp, SIAM Rev. 1998), no profile sampling and no differencing.  Central
-differences with a Richardson level and a step-halving consistency gate
-(:func:`fd_dk`) remain as the oracle, selected by an explicit step h.
+The momentum F = (1/2) int phi^2 + phi'^2 and the energy
+E = -int phi^4/4 + phi phi'^2/2 are closed forms in (k, K, E, L) too, via a
+recurrence for the period means of powers of dn^2.  Every k-derivative goes
+through :func:`_dk`: one complex-step evaluation at k + 1e-30 i (Squire and
+Trapp, SIAM Rev. 1998), exact to rounding with no profile sampling, or at an
+explicit step h the oracle :func:`fd_dk` (central differences, one Richardson
+level, a step-halving gate) over the same real closed forms.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -146,22 +148,52 @@ def _a_from_ode(a, b, c, k, big_k, big_e, L: float):
     return (phi0 - c) * phi2_0 - phi0**3 + c * phi0
 
 
-def _momentum(a, b, k, big_k, big_e, L: float):
-    """Momentum F = (1/2) int phi^2 + phi'^2 over one period, in closed form.
+def _moments(k, big_k, big_e) -> list:
+    """Period means Y_0..Y_4 of y = dn^2(theta); real or complex k.
 
-    With y = dn^2(theta) and Y_j the period mean of y^j, Y_1 = E/K and
-    (dy/dtheta)^2 = 4 y (1 - y)(y - k'^2).  Averaging y'' = 0 and
-    y y'' = -(y')^2 over a period gives Y_2 = (2 s Y_1 - k'^2) / 3 and
-    <(y')^2> = (4/5)(s Y_2 - 2 k'^2 Y_1), with s = 2 - k^2 and
-    k'^2 = 1 - k^2; phi' = b omega y' with omega = 2K/L.  Real or complex k.
+    Y_0 = 1, Y_1 = E/K; with s = 2 - k^2 and (dy/dtheta)^2 =
+    4 (-y^3 + s y^2 - k'^2 y), the period mean of d/dtheta (y^(m+1) y') = 0
+    gives Y_{m+2} = [2 s (m+1) Y_{m+1} - k'^2 (2m+1) Y_m] / (2m+3).
     """
     kp2 = 1.0 - k * k
     s = 1.0 + kp2
-    y1 = big_e / big_k
-    y2 = (2.0 * s * y1 - kp2) / 3.0
+    ys = [1.0, big_e / big_k]
+    for m in range(3):
+        ys.append((2.0 * s * (m + 1) * ys[m + 1] - kp2 * (2 * m + 1) * ys[m]) / (2 * m + 3))
+    return ys
+
+
+def _momentum(a, b, k, big_k, big_e, L: float):
+    """Momentum F = (1/2) int phi^2 + phi'^2 over one period, in closed form.
+
+    phi - a = b (y - Y_1) and phi' = b omega y' with omega = 2K/L.  Y_1 and
+    Y_2 come from :func:`_moments`, whose recurrence at m = 1 also turns
+    <(y')^2> into (4/5)(s Y_2 - 2 k'^2 Y_1).  Real or complex k and L.
+    """
+    kp2 = 1.0 - k * k
+    s = 1.0 + kp2
+    y1, y2 = _moments(k, big_k, big_e)[1:3]
     omega = 2.0 * big_k / L
     slope2 = 0.8 * (s * y2 - 2.0 * kp2 * y1)
     return 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
+
+
+def _energy(a, b, k, big_k, big_e, L: float):
+    """Energy E = -int phi^4/4 + phi phi'^2/2 over one period, in closed form.
+
+    With phi = a0 + b y, a0 = a - b Y_1, and (y')^2 = 4 P(y), both
+    integrands are quartics in y, averaged with :func:`_moments`.  Real or
+    complex k and L.
+    """
+    kp2 = 1.0 - k * k
+    s = 1.0 + kp2
+    ys = _moments(k, big_k, big_e)
+    a0 = a - b * ys[1]
+    quartic = sum(math.comb(4, j) * a0 ** (4 - j) * b**j * ys[j] for j in range(5))
+    # <y^m P(y)> for m = 0, 1
+    p0, p1 = (-ys[m + 3] + s * ys[m + 2] - kp2 * ys[m + 1] for m in (0, 1))
+    omega = 2.0 * big_k / L
+    return -L * (0.25 * quartic + 2.0 * b * b * omega * omega * (a0 * p0 + b * p1))
 
 
 def _closed_forms(k, L: float) -> tuple:
@@ -191,10 +223,9 @@ def integration_constant_closed_form(k: float, L: float) -> float:
 
 
 def _check_k_l(k: float, L: float) -> None:
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"wave_params requires 0 < k < 1, got k={k}")
-    if not (L > 0.0) or not math.isfinite(L):
-        raise DomainError(f"wave_params requires L > 0, got L={L}")
+    """The domain of the closed forms; k = 0 is the constant wave."""
+    if not (0.0 <= k < 1.0 and 0.0 < L < math.inf):
+        raise DomainError(f"a wave requires 0 <= k < 1 and finite L > 0, got k={k}, L={L}")
 
 
 def _wave_k_e(k: float, L: float) -> tuple[WaveParams, float, float]:
@@ -218,25 +249,19 @@ def wave_params(k: float, L: float) -> WaveParams:
     x = 0; any disagreement beyond 1e-8 with the long closed form is
     logged (a warning, not a failure).
     """
+    if k == 0.0:
+        raise DomainError("wave_params requires 0 < k < 1; k = 0 is constant_wave")
     return _wave_k_e(k, L)[0]
 
 
 def constant_wave(L: float) -> WaveParams:
     """The k -> 0 degenerate wave: a constant profile phi = a.
 
+    The closed forms of :func:`wave_params` at k = 0, where K = E = pi/2.
     Exposed for testing; k = 0 itself lies outside the open modulus
-    interval of :func:`wave_params`.  Exists for L > (128/9)^(1/4) pi.
+    interval of :func:`wave_params`.  Exists for finite L > (128/9)^(1/4) pi.
     """
-    if not (L > 0.0):
-        raise DomainError(f"constant_wave requires L > 0, got L={L}")
-    delta = 9.0 * L**4 - 128.0 * math.pi**4
-    if delta <= 0.0:
-        raise DomainError(f"period too small for the constant wave: Delta = {delta} <= 0")
-    root = math.sqrt(delta)
-    b = -8.0 * math.pi**2 / (L * L)
-    c = (1.5 * L * L - 0.5 * root) / (L * L)
-    a = -(8.0 * math.pi**2 + 1.5 * L * L - 0.5 * root) / (3.0 * L * L)
-    return WaveParams(k=0.0, L=L, a=a, b=b, c=c, A=-a**3 + c * a)
+    return _wave_k_e(0.0, L)[0]
 
 
 def profile(p: WaveParams, x):
@@ -288,22 +313,16 @@ def validity(k: float, L: float) -> ValidityReport:
 
     Reports the discriminant sign, the value of c^2 - 3c + 32 pi^4 / L^4,
     and max(phi - c), which b < 0 places at x = L/2, where dn^2 = k'^2:
-    a + b (k'^2 - E/K) - c, or a - c for the constant wave at k = 0.  All
-    three must be strictly negative margins for ``all_ok``.  The constant
-    wave's first value is identically 0, reported as exactly 0.0, so its
-    ``all_ok`` is False at every L.
+    a + b (k'^2 - E/K) - c.  k = 0 is the constant wave, where E/K = 1.
+    All three must be strictly negative margins for ``all_ok``.  The
+    constant wave's first value is identically 0, reported as exactly
+    0.0, so its ``all_ok`` is False at every L.
     """
     try:
-        if 0.0 < k < 1.0:
-            p, big_k, big_e = _wave_k_e(k, L)
-            ineq_ii = p.a + p.b * ((1.0 - k * k) - big_e / big_k) - p.c
-        elif k == 0.0:
-            p = constant_wave(L)
-            ineq_ii = p.a - p.c
-        else:
-            return ValidityReport(False, math.nan, math.nan, False)
+        p, big_k, big_e = _wave_k_e(k, L)
     except DomainError:
         return ValidityReport(False, math.nan, math.nan, False)
+    ineq_ii = p.a + p.b * ((1.0 - k * k) - big_e / big_k) - p.c
     ineq_i = p.c * p.c - 3.0 * p.c + 32.0 * math.pi**4 / L**4 if k > 0.0 else 0.0
     all_ok = bool(ineq_i < 0.0 and ineq_ii < 0.0)
     return ValidityReport(True, ineq_i, ineq_ii, all_ok)
@@ -345,18 +364,21 @@ def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float,
     return r_fine
 
 
-def exact_dk(k: float, L: float) -> tuple[float, ...]:
-    """Exact d(a, b, c, A, F)/dk at fixed L, F the momentum.
+def _dk(f: Callable, k: float, h: float | None = None) -> tuple[float, ...]:
+    """d f / dk of a closed form f of the modulus: the one derivative path.
 
-    One complex-step evaluation of the closed forms:
-    f'(k) = Im f(k + i h) / h with h = 1e-30, exact to rounding since
-    nothing is differenced.
+    With ``h`` None, Im f(k + i 1e-30) / 1e-30 (complex step; f analytic
+    in k), exact to rounding since nothing is differenced.  An explicit
+    ``h`` selects the oracle, :func:`fd_dk` over the same f at real moduli.
 
     Raises:
-        DomainError: outside 0 < k < 1, L > 0, or where Delta(k, L) <= 0.
+        DomainError: if the FD stencil leaves (0, 1), or from f.
+        AccuracyError: if the FD consistency gate fails.
     """
-    _check_k_l(k, L)
-    return tuple(v.imag / COMPLEX_STEP for v in _closed_forms(complex(k, COMPLEX_STEP), L))
+    if h is None:
+        return tuple(v.imag / COMPLEX_STEP for v in f(complex(k, COMPLEX_STEP)))
+    check_fd_stencil(k, h)
+    return tuple(float(v) for v in fd_dk(f, k, h))
 
 
 def check_fd_stencil(k: float, h: float) -> None:
@@ -371,9 +393,9 @@ def default_fd_step(k: float) -> float:
 
 
 def params_dk(k: float, L: float, h: float | None = None) -> ParamDerivatives:
-    """k-derivatives of (a, b, c, A) at fixed L.
+    """k-derivatives of (a, b, c, A) at fixed L: :func:`_dk` over the closed forms.
 
-    With ``h`` None they are exact (:func:`exact_dk`) and ``step`` is 0.0.
+    With ``h`` None they are exact (complex step) and ``step`` is 0.0.
     An explicit ``h`` selects the oracle: central differences with one
     Richardson extrapolation level, whose values must move by less than
     1% under h -> h/2.
@@ -383,16 +405,8 @@ def params_dk(k: float, L: float, h: float | None = None) -> ParamDerivatives:
             leaves it.
         AccuracyError: if the FD consistency gate fails.
     """
-    if h is None:
-        return ParamDerivatives(*exact_dk(k, L)[:4], step=0.0)
-    check_fd_stencil(k, h)
-
-    def f(kk: float) -> np.ndarray:
-        p = wave_params(kk, L)
-        return np.array([p.a, p.b, p.c, p.A])
-
-    d = fd_dk(f, k, h)
-    return ParamDerivatives(
-        da_dk=float(d[0]), db_dk=float(d[1]), dc_dk=float(d[2]),
-        dA_dk=float(d[3]), step=h,
-    )
+    if k == 0.0:
+        raise DomainError("params_dk requires 0 < k < 1")
+    _check_k_l(k, L)
+    d = _dk(partial(_closed_forms, L=L), k, h)
+    return ParamDerivatives(*d[:4], step=0.0 if h is None else h)

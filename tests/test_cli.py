@@ -175,6 +175,21 @@ class TestKreinCommand:
         payload = json.loads((tmp_path / "krein.json").read_text())
         assert payload["krein"]["classification"] == "indeterminate"
 
+    def test_bad_grid_size_exits_domain(self, tmp_path):
+        # the branch exists, so n reaches the operator grid, which refuses 15
+        code = dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "200",
+                         "--n", "15", "--out-dir", str(tmp_path)])
+        assert code == EXIT_DOMAIN
+        assert not (tmp_path / "krein.json").exists()
+
+    def test_bracket_just_above_root(self, tmp_path):
+        # L* = 34.9136 at k = 0.985; the bracket need not hold the stencil's roots
+        code = dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "34.92",
+                         "--n", "64", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "krein.json").read_text())
+        assert payload["krein"]["D"] == pytest.approx(-9.598615975413358, rel=1e-10)
+
 
 class TestEvolveAndOrbit:
     def test_evolve_artifacts(self, tmp_path):

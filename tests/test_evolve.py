@@ -247,6 +247,18 @@ class TestLinearizedRun:
         # L phi' = 0, so the evolution leaves phi' untouched
         assert abs(rep.norms[-1] - rep.norms[0]) < 1e-8 * rep.norms[0]
 
+    def test_wave_and_operator_forms_agree(self, wave05):
+        # given WaveParams, the run builds the operator_for matrix itself
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        op = mw.operator_for(wave05, 64, "evolution_dxL")
+        radius = float(np.max(np.abs(mw.spectrum(op).eigenvalues)))
+        cfg = mw.EvolutionConfig(dt=2.0 / radius, t_end=0.5, monitor_every=50)
+        v0 = seeded_perturbation(grid, seed=4)
+        from_op = mw.linearized_run(v0, op, cfg)
+        from_wave = mw.linearized_run(v0, wave05, cfg)
+        assert np.array_equal(from_wave.norms, from_op.norms)
+        assert np.array_equal(from_wave.times, from_op.times)
+
     def test_kind_checked(self, wave05, op05_256):
         grid = mw.PeriodicGrid(wave05.L, 256)
         v0 = mw.sample(lambda x: np.sin(2 * np.pi * x / grid.L), grid)

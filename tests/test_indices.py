@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from mpmath import mp
 
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
@@ -65,6 +66,21 @@ class TestStabilityIndex:
         assert exact.dV_dk / big_l == pytest.approx(fd.dV_dk / big_l, rel=1e-4, abs=1e-9)
         for name in ("dA_dk", "dc_dk", "dF_dk"):
             assert getattr(exact, name) == pytest.approx(getattr(fd, name), rel=1e-4)
+
+    @given(k=st.floats(0.02, 0.9), big_l=st.floats(3 * math.pi, 10 * math.pi))
+    def test_dF_dk_matches_sampled_momentum_ladder(self, k, big_l):
+        # independent oracle for the momentum formula: the FD ladder over F
+        # of the profile sampled on 256 nodes (spectral quadrature)
+        assume(mw.validity(k, big_l).all_ok)
+        grid = mw.PeriodicGrid(big_l, 256)
+
+        def sampled_f(kk: float) -> np.ndarray:
+            phi = mw.sample_wave(mw.wave_params(kk, big_l), grid)
+            return np.array([mw.functionals(phi)[1]])
+
+        from mchwave.wave import fd_dk
+        fd = float(fd_dk(sampled_f, k, 1e-3)[0])
+        assert mw.stability_index(k, big_l).dF_dk == pytest.approx(fd, rel=1e-4)
 
     def test_exact_path_cost(self, count_calls):
         # no profile sampling, no finite differences, and one real plus
@@ -217,7 +233,106 @@ class TestDSecond:
         assert rep.d_prime_fd - rep.d_prime == pytest.approx(predicted, rel=0.01)
 
 
+class TestBranchOracle:
+    """50-digit mpmath oracle for the zero-mean branch at k = 0.985."""
+
+    @staticmethod
+    def coeffs(k, big_l):
+        # mpmath's ellipk/ellipe take the parameter m = k^2
+        m = k * k
+        big_k, big_e = mp.ellipk(m), mp.ellipe(m)
+        root = mp.sqrt(9 * big_l**4 - 2048 * big_k**4 * (1 - m + m * m))
+        half_root = root / 2
+        a = -(-32 * (2 - m) * big_k**2 + 96 * big_e * big_k + 3 * big_l**2 / 2
+              - half_root) / (3 * big_l**2)
+        b = -32 * big_k**2 / big_l**2
+        c = (3 * big_l**2 / 2 - half_root) / big_l**2
+        return a, b, c, big_k, big_e
+
+    def l_star(self, k):
+        return mp.findroot(lambda big_l: self.coeffs(k, big_l)[0], mp.mpf(34.9))
+
+    def speed(self, k):
+        return self.coeffs(k, self.l_star(k))[2]
+
+    def momentum(self, k):
+        # (1/2) int phi^2 + phi'^2 by quadrature over the amplitude t,
+        # sn = sin t, cn = cos t, dn = sqrt(1 - m sin^2 t), du = dt / dn
+        big_l = self.l_star(k)
+        a, b, _, big_k, big_e = self.coeffs(k, big_l)
+        m, omega = k * k, 2 * big_k / big_l
+
+        def integrand(t):
+            sn, cn = mp.sin(t), mp.cos(t)
+            dn = mp.sqrt(1 - m * sn**2)
+            phi = a + b * (dn**2 - big_e / big_k)
+            dphi = -2 * m * b * omega * sn * cn * dn
+            return (phi**2 + dphi**2) / dn
+
+        return big_l / (2 * big_k) * mp.quad(integrand, [0, mp.pi / 2])
+
+    def test_newton_root_and_complex_step_d_second(self):
+        rep = mw.d_second(0.985, (12.5, 200.0))
+        with mp.workdps(50):
+            k = mp.mpf(0.985)
+            l_star = self.l_star(k)
+            d2 = mp.diff(self.momentum, k) / mp.diff(self.speed, k)
+            assert rep.L_star == pytest.approx(float(l_star), rel=1e-12)
+            assert rep.d_second == pytest.approx(float(d2), rel=1e-9)
+
+
 class TestKrein:
+    def test_bad_grid_size_raises(self):
+        # n reaches only the operator grid of morse_check, which refuses 15
+        with pytest.raises(DomainError):
+            mw.krein_index(0.985, (12.5, 200.0), n=15)
+
+    def test_default_path_samples_nothing(self, count_calls):
+        # the branch, its k-derivatives and both cross-checks are closed
+        # forms; the one profile sampling is the operator of morse_check
+        jacobi_calls = count_calls(mw.elliptic.jacobi)
+        profile_calls = count_calls(mw.wave.profile)
+        fd_calls = count_calls(mw.wave.fd_dk)
+        solves = count_calls(mw.indices.zero_mean_period)
+        assert mw.d_second(0.985, (12.5, 200.0)) is not None
+        assert (len(jacobi_calls), len(profile_calls), len(fd_calls)) == (0, 0, 0)
+        # the root at k and the two at k +- step of the cross-check
+        assert len(solves) == 3
+        solves.clear()
+        rep = mw.krein_index(0.985, (12.5, 200.0), n=128)
+        assert rep.z_L == 1
+        assert len(fd_calls) == 0 and len(solves) == 3
+        assert len(profile_calls) == 1 and len(jacobi_calls) == 1
+
+    @pytest.mark.parametrize("bracket", [(12.5, 34.92), (34.9, 34.92)])
+    def test_bracket_only_has_to_hold_the_root(self, bracket):
+        # L* = 34.9136 at k = 0.985 moves by about 4 over the stencil step
+        # 1e-3; the stencil points follow the branch, not the bracket
+        wide = mw.d_second(0.985, (12.5, 200.0))
+        tight = mw.d_second(0.985, bracket)
+        assert tight.L_star == pytest.approx(wide.L_star, rel=1e-12)
+        assert tight.d_second == pytest.approx(wide.d_second, rel=1e-10)
+        assert tight.d_second_fd == pytest.approx(wide.d_second_fd, rel=1e-8)
+        assert mw.d_second(0.985, bracket, h=2.5e-4).d_second == pytest.approx(
+            wide.d_second, rel=1e-6)
+        rep = mw.krein_index(0.985, bracket, n=128)
+        assert rep.D == pytest.approx(-wide.d_second, rel=1e-10)
+        assert rep.K_Ham == mw.krein_index(0.985, (12.5, 200.0), n=128).K_Ham
+
+    def test_only_a_singular_branch_reads_indeterminate(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise mw.SingularError("dc/dk = 0")
+
+        monkeypatch.setattr(mw.indices, "d_second", singular)
+        assert mw.krein_index(0.985, (12.5, 200.0)).classification == "indeterminate"
+
+        def no_convergence(*args, **kwargs):
+            raise mw.NumericalError("zero-mean Newton iteration did not converge")
+
+        monkeypatch.setattr(mw.indices, "d_second", no_convergence)
+        with pytest.raises(mw.NumericalError):
+            mw.krein_index(0.985, (12.5, 200.0))
+
     def test_branch_absent_indeterminate(self):
         rep = mw.krein_index(0.5, (4 * math.pi, 12 * math.pi))
         assert rep.classification == "indeterminate"

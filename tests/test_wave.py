@@ -1,7 +1,9 @@
 """Wave construction: parameter maps, profiles, residuals, derivatives."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
-from mchwave.wave import _closed_forms, fd_dk, integration_constant_closed_form
+from mchwave.wave import (_closed_forms, _energy, _params_from_k_l, fd_dk,
+                          integration_constant_closed_form)
 
 
 class TestWaveParams:
@@ -20,6 +23,26 @@ class TestWaveParams:
         assert p.b == pytest.approx(-2.0, abs=1e-12)
         assert p.c == pytest.approx(1.0, abs=1e-12)
         assert p.A == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("big_l", [2.2 * math.pi, 3 * math.pi, 6 * math.pi,
+                                       14 * math.pi])
+    def test_constant_wave_is_k0_closed_form(self, big_l):
+        # the general closed forms at K = E = pi/2 reproduce the k = 0
+        # formulas bit for bit
+        L = big_l
+        root = math.sqrt(9.0 * L**4 - 128.0 * math.pi**4)
+        c = (1.5 * L * L - 0.5 * root) / (L * L)
+        a = -(8.0 * math.pi**2 + 1.5 * L * L - 0.5 * root) / (3.0 * L * L)
+        p = mw.constant_wave(L)
+        assert (p.a, p.b, p.c, p.A) == (a, -8.0 * math.pi**2 / (L * L), c, -a**3 + c * a)
+
+    @pytest.mark.parametrize("big_l", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_constant_wave_bad_period(self, big_l):
+        with pytest.raises(DomainError):
+            mw.constant_wave(big_l)
+        rep = mw.validity(0.0, big_l)
+        assert not rep.discriminant_ok and not rep.all_ok
+        assert math.isnan(rep.ineq_i_value) and math.isnan(rep.ineq_ii_margin)
 
     def test_amplitude_formula(self, wave05):
         big_k = mw.complete_k(0.5)
@@ -210,6 +233,16 @@ class TestMomentumClosedForm:
         assert _closed_forms(p.k, p.L)[:4] == (p.a, p.b, p.c, p.A)
 
 
+class TestEnergyClosedForm:
+    @pytest.mark.parametrize("k,big_l", [(0.3, 4 * math.pi), (0.5, 6 * math.pi),
+                                         (0.9, 20.0), (0.985, 34.9)])
+    def test_matches_sampled_functional(self, k, big_l):
+        p = mw.wave_params(k, big_l)
+        sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 1024)))[0]
+        a, b, _, big_k, big_e = _params_from_k_l(k, big_l)
+        assert _energy(a, b, k, big_k, big_e, big_l) == pytest.approx(sampled, rel=1e-12)
+
+
 class TestParamDerivatives:
     def test_db_dk_analytic(self):
         # b = -32 K^2 / L^2 so db/dk = -64 K K' / L^2 with the classical K'
@@ -262,6 +295,19 @@ class TestParamDerivatives:
                          (0.5, math.nan), (0.9, math.pi)]:  # the last has Delta < 0
             with pytest.raises(DomainError):
                 mw.params_dk(k, big_l)
+
+    def test_fd_dk_has_one_caller(self):
+        # every k-derivative goes through wave._dk; the FD ladder is its oracle
+        callers = []
+        for path in Path(mw.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Name) and node.id == "fd_dk" \
+                                or isinstance(node, ast.Attribute) and node.attr == "fd_dk":
+                            callers.append((path.name, fn.name))
+        assert callers == [("wave.py", "_dk")]
 
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
