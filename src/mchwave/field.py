@@ -23,6 +23,12 @@ from .wave import WaveParams, profile
 logger = logging.getLogger(__name__)
 
 
+def check_grid_size(n: int) -> None:
+    """DomainError unless n is an even grid size of at least 16."""
+    if n < 16 or n % 2 != 0:
+        raise DomainError(f"grid size must be even and >= 16, got {n}")
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid of n nodes x_j = j L / n on [0, L); n even, >= 16."""
@@ -33,8 +39,7 @@ class PeriodicGrid:
     def __post_init__(self) -> None:
         if not (self.L > 0.0) or not math.isfinite(self.L):
             raise DomainError(f"grid period must be positive, got {self.L}")
-        if self.n < 16 or self.n % 2 != 0:
-            raise DomainError(f"grid size must be even and >= 16, got {self.n}")
+        check_grid_size(self.n)
 
     @property
     def spacing(self) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import wave as wave_mod
 from .errors import DomainError, MchError, NumericalError, SingularError
+from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
 from .wave import (COMPLEX_STEP, WaveParams, check_fd_stencil, default_fd_step, validity,
                    wave_params)
@@ -364,8 +365,10 @@ def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256) -> Krein
     the pairing come from :func:`morse_check` at (k, L*) on n nodes, the
     only use of n.  Classification is ``indeterminate`` when the branch is
     absent, dc/dk is zero, the pairing or D is too close to zero, or the
-    counts fall outside the formula's reach.  Other errors propagate.
+    counts fall outside the formula's reach.  Other errors propagate; a
+    bad n is refused before the branch is sought.
     """
+    check_grid_size(n)
     try:
         report = d_second(k, L_bracket)
     except SingularError:  # dc/dk at zero

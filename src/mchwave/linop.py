@@ -20,11 +20,21 @@ sawtooth direction; that is what is done here, so the unresolved mode
 sits high in the spectrum where it belongs.  For constant coefficients
 the assembly then reproduces the Fourier diagonalization exactly.
 
-:func:`operator_for` is the one wave-to-operator factory.  A self-adjoint
-:class:`OperatorMatrix` caches one symmetric eigendecomposition, which
-:func:`spectrum` and :func:`inv_one_pairing` share; :func:`restricted_spectrum`
-keeps its own eigensolve (the independent route of the Morse identity) and
-applies its Householder reflection implicitly.
+Parity blocks.  The wave is even on the grid x_j = j L / n, so L commutes
+with the reflection R: j -> -j mod n.  A self-adjoint
+:class:`OperatorMatrix` caches one :class:`ParityBlocks`: the even block in
+the basis e_0, (e_j + e_{n-j})/sqrt 2 (1 <= j < n/2), e_{n/2} and the odd
+block in the basis (e_j - e_{n-j})/sqrt 2, each formed by index arithmetic
+and solved once, so two eigensolves of order about n/2 replace one of order
+n.  :func:`spectrum` and :func:`inv_one_pairing` share them; the constant 1
+is even, so the pairing is solved in the even block alone.  Y0 splits as
+(even block on 1-perp) + (odd block): :func:`restricted_spectrum` keeps its
+own eigensolve of the compressed even block (the independent route of the
+Morse identity) and reuses the odd eigenvalues, which cancel from both
+sides of that identity.  A matrix that is not reflection invariant to
+within the assembly gate raises :class:`AssemblyError` instead of being
+split.  The evolution operator dx L swaps the two parities and keeps the
+dense route.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero.  An explicit ``tol`` must be finite and positive; the default scales
@@ -58,8 +68,30 @@ OperatorKind = Literal["selfadjoint_L", "evolution_dxL"]
 
 
 @dataclass(frozen=True)
+class ParityBlocks:
+    """Eigendecompositions of the even and odd blocks of a self-adjoint matrix.
+
+    ``even`` is the even block itself ((n/2 + 1) x (n/2 + 1)), which
+    :func:`restricted_spectrum` compresses; the eigenvalues are ascending
+    and the eigenvector columns are in block coordinates (module docstring).
+    """
+
+    even: np.ndarray = dc_field(repr=False)
+    even_vals: np.ndarray = dc_field(repr=False)
+    even_vecs: np.ndarray = dc_field(repr=False)
+    odd_vals: np.ndarray = dc_field(repr=False)
+    odd_vecs: np.ndarray = dc_field(repr=False)
+
+
+@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense n x n real discretization of L or of dx L."""
+    """Dense n x n real discretization of L or of dx L.
+
+    ``asymmetry`` is max |A - A^T| before symmetrization, gated at assembly;
+    ``reflection_defect`` is max |A - R A R| for the grid reflection R,
+    rounding for an even wave, gated before a self-adjoint L is split into
+    its parity blocks (module docstring).  Both gates are ``ASYMMETRY_GATE``.
+    """
 
     matrix: np.ndarray = dc_field(repr=False)
     grid: PeriodicGrid
@@ -67,15 +99,34 @@ class OperatorMatrix:
     asymmetry: float = 0.0
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvector columns, computed once and
-        shared read-only; DomainError for the evolution kind, NumericalError
-        if the solver fails."""
+    def reflection_defect(self) -> float:
+        """max |A - R A R|, measured once; rows 0..n/2 already meet every
+        entry or its reflected partner."""
+        n = self.grid.n
+        mirrored = _mirror(self.matrix)[:, -np.arange(n) % n]
+        return float(np.max(np.abs(self.matrix[: n // 2 + 1] - mirrored)))
+
+    @cached_property
+    def parity(self) -> ParityBlocks:
+        """The even and odd blocks and their eigendecompositions, computed
+        once and shared read-only; DomainError for the evolution kind,
+        AssemblyError if the reflection defect exceeds the gate,
+        NumericalError if the solver fails."""
         if self.kind != "selfadjoint_L":
-            raise DomainError("eigh requires a selfadjoint_L operator")
-        vals, vecs = _eig(np.linalg.eigh, self.matrix)
-        vals.flags.writeable = vecs.flags.writeable = False
-        return vals, vecs
+            raise DomainError("parity blocks require a selfadjoint_L operator")
+        if self.reflection_defect > ASYMMETRY_GATE:
+            raise AssemblyError(
+                f"reflection defect {self.reflection_defect:.3e} exceeds gate "
+                f"{ASYMMETRY_GATE:.0e}: the coefficients are not even"
+            )
+        even, odd = _parity_blocks(self.matrix)
+        even_vals, even_vecs = _eig(np.linalg.eigh, even)
+        odd_vals, odd_vecs = _eig(np.linalg.eigh, odd)
+        blocks = ParityBlocks(even=even, even_vals=even_vals, even_vecs=even_vecs,
+                              odd_vals=odd_vals, odd_vecs=odd_vecs)
+        for arr in vars(blocks).values():
+            arr.flags.writeable = False
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -117,15 +168,20 @@ def fourier_diff_matrix(grid: PeriodicGrid, order: int) -> np.ndarray:
     """Dense real Fourier differentiation matrix of the given order.
 
     Odd orders zero the Nyquist mode; even orders keep its real symbol.
+    The matrix is the circulant D[i, j] = col[(i - j) mod n] whose first
+    column is the inverse FFT of the symbol; row i is a window of the
+    doubled first row.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     n = grid.n
-    kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.L
-    symbol = (1j * kap) ** order
+    symbol = (1j * grid.wavenumbers()) ** order
     if order % 2 == 1:
-        symbol[n // 2] = 0.0
-    return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+        symbol[-1] = 0.0
+    col = np.fft.irfft(symbol, n)
+    first_row = col[-np.arange(n) % n]
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(first_row, 2), n)
+    return windows[n:0:-1].copy()
 
 
 def _as_values(u, n: int) -> np.ndarray:
@@ -201,6 +257,80 @@ def _eig(solver, a: np.ndarray):
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
+def _even_weights(n: int) -> np.ndarray:
+    """The constant 1 in even coordinates: (1, sqrt 2, ..., sqrt 2, 1)."""
+    w = np.full(n // 2 + 1, math.sqrt(2.0))
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _mirror(x: np.ndarray) -> np.ndarray:
+    """Rows (-j) mod n, j = 0..n/2, of an n-row array, gathered by slicing."""
+    return np.concatenate((x[:1], x[: x.shape[0] // 2 - 1 : -1]))
+
+
+def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks E^T A E and O^T A O (module docstring).
+
+    Row and column j of a block fold j onto its mirror n - j, so each
+    entry is a signed sum of four entries of A; no product is formed.
+    """
+    half = a.shape[0] // 2
+    mirrored = _mirror(a)
+    plus, minus = a[: half + 1] + mirrored, (a[: half + 1] - mirrored)[1:half]
+    w = _even_weights(a.shape[0])
+    even = (plus.T[: half + 1] + _mirror(plus.T)) * np.outer(0.25 * w, w)
+    odd = 0.5 * (minus.T[1:half] - _mirror(minus.T)[1:half])
+    return even, odd
+
+
+def _from_even(y: np.ndarray) -> np.ndarray:
+    """Grid columns E y of even-coordinate columns y ((n/2 + 1) x k)."""
+    half = y / _even_weights(2 * (y.shape[0] - 1))[:, None]
+    return np.vstack((half, half[-2:0:-1]))
+
+
+def _from_odd(z: np.ndarray) -> np.ndarray:
+    """Grid columns O z of odd-coordinate columns z ((n/2 - 1) x k)."""
+    half = z / math.sqrt(2.0)
+    zero = np.zeros((1, z.shape[1]))
+    return np.vstack((zero, half, zero, -half[::-1]))
+
+
+def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
+                  odd_vals: np.ndarray, odd_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of two blocks' eigenvalues, and grid columns for its
+    ``KEPT_MODES`` lowest modes, which are among the lowest of each block."""
+    heads = np.concatenate((even_vals[:KEPT_MODES], odd_vals[:KEPT_MODES]))
+    cols = np.hstack((_from_even(even_vecs[:, :KEPT_MODES]),
+                      _from_odd(odd_vecs[:, :KEPT_MODES])))
+    kept = cols[:, np.argsort(heads, kind="stable")[:KEPT_MODES]]
+    return np.sort(np.concatenate((even_vals, odd_vals))), kept
+
+
+def _compress(a: np.ndarray, u: np.ndarray):
+    """Compression of ``a`` to the complement of the unit vector ``u``.
+
+    The basis is columns 2.. of the reflection Q = I - beta v v^T sending
+    u to e_1, never formed: Q A Q = A - v g^T - h v^T with h = beta A v - s v,
+    g = beta A^T v - s v, s = beta^2 v^T A v / 2; the compression is its
+    trailing block.  Returns it and the map of columns y to Q [0; y].
+    """
+    v = -u
+    v[0] += 1.0
+    beta = 2.0 / float(np.dot(v, v))
+    av = a @ v
+    s = 0.5 * beta * beta * float(np.dot(v, av))
+    h = beta * av - s * v
+    g = beta * (v @ a) - s * v
+    reduced = a[1:, 1:] - np.outer(v[1:], g[1:])
+    reduced -= np.outer(h[1:], v[1:])
+
+    def lift(y: np.ndarray) -> np.ndarray:
+        return np.vstack([np.zeros((1, y.shape[1])), y]) - beta * np.outer(v, v[1:] @ y)
+    return reduced, lift
+
+
 def _zero_tol(eigenvalues: np.ndarray, kind: OperatorKind, tol: float | None) -> float:
     """The zero-eigenvalue tolerance (see the module docstring): ``tol``
     checked, or the default of ``kind`` scaled by max |eigenvalue|."""
@@ -231,15 +361,17 @@ def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
 
 
 def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
-    """Full dense eigendecomposition with negative/zero counts.
+    """Full spectrum with negative/zero counts.
 
-    Self-adjoint matrices read their cached symmetric decomposition and
-    get real ascending eigenvalues; evolution matrices a general solver
-    and complex eigenvalues sorted by real part.
+    Self-adjoint matrices read their cached parity blocks and get the
+    real ascending union of both; evolution matrices a general dense
+    solver and complex eigenvalues sorted by real part.
     """
     if m.kind == "selfadjoint_L":
-        vals, vecs = m.eigh
-        return _make_report(vals, tol, m.grid, m.kind, vecs)
+        blocks = m.parity
+        vals, kept = _merge_lowest(blocks.even_vals, blocks.even_vecs,
+                                   blocks.odd_vals, blocks.odd_vecs)
+        return _make_report(vals, tol, m.grid, m.kind, kept)
     return _make_report(_eig(np.linalg.eigvals, m.matrix), tol, m.grid, m.kind, None)
 
 
@@ -247,29 +379,22 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     """Spectrum of the operator compressed to the zero-mean subspace Y0.
 
     For the self-adjoint kind this is the Morse data of the quadratic
-    form on Y0; for the evolution kind, Y0 is invariant under dx L (a
-    derivative has zero mean), so the compression is the true restriction.
-
-    The basis of Y0 is columns 2..n of the reflection Q = I - beta v v^T
-    sending 1/sqrt(n) to e_1, never formed: Q M Q = M - v g^T - h v^T with
-    h = beta M v - s v, g = beta M^T v - s v, s = beta^2 v^T M v / 2; the
-    compression is its trailing block, and kept eigenvectors map back as Q [0; y].
+    form on Y0: the even block compressed to the complement of 1 (in even
+    coordinates w / sqrt(n), w from :func:`_even_weights`), solved afresh,
+    joined with the odd block's eigenvalues, since odd vectors have zero
+    mean.  For the evolution kind, Y0 is invariant under dx L (a
+    derivative has zero mean), so the dense compression along 1 / sqrt(n)
+    is the true restriction.  Kept eigenvectors map back to the grid.
     """
     n = m.grid.n
-    v = np.full(n, -1.0 / math.sqrt(n))
-    v[0] += 1.0
-    beta = 2.0 / float(np.dot(v, v))
-    mv = m.matrix @ v
-    s = 0.5 * beta * beta * float(np.dot(v, mv))
-    h = beta * mv - s * v
-    g = beta * (v @ m.matrix) - s * v
-    reduced = m.matrix[1:, 1:] - np.outer(v[1:], g[1:])
-    reduced -= np.outer(h[1:], v[1:])
     if m.kind == "selfadjoint_L":
+        blocks = m.parity
+        reduced, lift = _compress(blocks.even, _even_weights(n) / math.sqrt(n))
         vals, vecs = _eig(np.linalg.eigh, reduced)
-        top = vecs[:, :KEPT_MODES]
-        kept = np.vstack([np.zeros((1, top.shape[1])), top]) - beta * np.outer(v, v[1:] @ top)
+        vals, kept = _merge_lowest(vals, lift(vecs[:, :KEPT_MODES]),
+                                   blocks.odd_vals, blocks.odd_vecs)
         return _make_report(vals, tol, m.grid, m.kind, kept)
+    reduced, _ = _compress(m.matrix, np.full(n, 1.0 / math.sqrt(n)))
     return _make_report(_eig(np.linalg.eigvals, reduced), tol, m.grid, m.kind, None)
 
 
@@ -280,8 +405,10 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     Solves L w = 1 on the orthogonal complement of the numerical kernel
     (deflated with the computed kernel eigenvectors, so the solve is
     consistent with the discrete operator) and returns <w, 1>.  The
-    constant is orthogonal to the kernel automatically, since the kernel
-    direction phi' has zero mean.
+    constant is even, so the solve runs in the even block alone; the
+    kernel direction phi' is odd, and the even block has a kernel only at
+    the constant-wave degeneracy.  The kernel is counted in both blocks,
+    and the residual is measured with the full matrix on the grid.
 
     Raises:
         DomainError: for an operator of the evolution kind.
@@ -290,23 +417,25 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
             assume a simple kernel; the constant-wave case needs the
             override because its kernel is double).
     """
-    vals, vecs = m.eigh
-    tol = _zero_tol(vals, m.kind, tol)
+    blocks = m.parity
+    vals, vecs = blocks.even_vals, blocks.even_vecs
+    tol = _zero_tol(np.concatenate((vals, blocks.odd_vals)), m.kind, tol)
     kernel = np.abs(vals) <= tol
-    k_dim = int(np.sum(kernel))
+    k_dim = int(np.sum(kernel)) + int(np.sum(np.abs(blocks.odd_vals) <= tol))
     if k_dim != 1 and not allow_multi_kernel:
         raise RankError(
             f"kernel dimension {k_dim} (tol={tol:.3e}); expected 1 "
             "(pass allow_multi_kernel=True to deflate a larger kernel)"
         )
     n = m.grid.n
-    ones = np.ones(n)
+    ones = _even_weights(n)
     coeff = vecs.T @ ones
     inv = np.zeros_like(vals)
     inv[~kernel] = 1.0 / vals[~kernel]
     w = vecs @ (inv * coeff)
     pairing = (m.grid.L / n) * float(np.dot(w, ones))
     ones_deflated = ones - vecs[:, kernel] @ coeff[kernel]
-    residual = float(np.max(np.abs(m.matrix @ w - ones_deflated)))
+    on_grid = _from_even(np.column_stack((w, ones_deflated)))
+    residual = float(np.max(np.abs(m.matrix @ on_grid[:, 0] - on_grid[:, 1])))
     return PairingReport(value=pairing, kernel_dim=k_dim, residual=residual,
                          tol=float(tol))

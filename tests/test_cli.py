@@ -133,6 +133,15 @@ class TestSpectrumCommand:
         assert payload["restricted_spectrum"]["n_neg"] == 1
         assert payload["pairing"]["value"] > 0
 
+    def test_operator_defects_recorded(self, tmp_path):
+        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        op = linop.operator_for(mw.wave_params(0.5, 6 * math.pi), 128)
+        assert payload["operator"] == {"asymmetry": op.asymmetry,
+                                       "reflection_defect": op.reflection_defect}
+        assert 0.0 <= payload["operator"]["reflection_defect"] < linop.ASYMMETRY_GATE
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_bad_tol_exits_domain(self, tmp_path, bad):
         code = dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64",
@@ -179,6 +188,15 @@ class TestKreinCommand:
         # the branch exists, so n reaches the operator grid, which refuses 15
         code = dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "200",
                          "--n", "15", "--out-dir", str(tmp_path)])
+        assert code == EXIT_DOMAIN
+        assert not (tmp_path / "krein.json").exists()
+
+    @pytest.mark.parametrize("n", ["15", "-3"])
+    @pytest.mark.parametrize("k", ["0.5", "0.985"])
+    def test_bad_grid_size_refused_with_or_without_branch(self, tmp_path, k, n):
+        # n is checked before the branch is sought; there is none at k = 0.5
+        code = dispatch(["krein", "--k", k, "--L-min", "12.5", "--L-max", "200",
+                         "--n", n, "--out-dir", str(tmp_path)])
         assert code == EXIT_DOMAIN
         assert not (tmp_path / "krein.json").exists()
 

@@ -362,9 +362,10 @@ class TestKrein:
 
 
 def test_one_decomposition_per_operator(monkeypatch, tmp_path):
-    # each entry point decomposes the n x n operator once (eigenvalues,
-    # counts, gap tolerance and pairing share it) and the (n-1) x (n-1)
-    # zero-mean compression once
+    # each entry point decomposes the n x n operator once, as its even
+    # (n/2 + 1) and odd (n/2 - 1) parity blocks (eigenvalues, counts, gap
+    # tolerance and pairing share them), and the n/2 x n/2 zero-mean
+    # compression of the even block once
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -376,11 +377,11 @@ def test_one_decomposition_per_operator(monkeypatch, tmp_path):
         monkeypatch.setattr(np.linalg, name, counted)
 
     mw.morse_check(0.5, 6 * math.pi)
-    assert sorted(sizes) == [255, 256]
+    assert sorted(sizes) == [127, 128, 129]
     sizes.clear()
     mw.krein_index(0.985, (12.5, 200.0), n=128)
-    assert sorted(sizes) == [127, 128]
+    assert sorted(sizes) == [63, 64, 65]
     sizes.clear()
     assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                      "--out-dir", str(tmp_path)]) == EXIT_OK
-    assert sorted(sizes) == [127, 128]
+    assert sorted(sizes) == [63, 64, 65]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mchwave as mw
-from mchwave import DomainError, RankError
+from mchwave import AssemblyError, DomainError, RankError, linop
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -52,6 +52,19 @@ class TestAssembly:
         assert np.max(np.abs(d1 @ np.sin(3 * x) - 3 * np.cos(3 * x))) < 1e-11
         # antisymmetry makes the divergence form structurally symmetric
         assert np.max(np.abs(d1 + d1.T)) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_diff_matrix_matches_fft_of_identity(self, order):
+        # oracle: the symbol applied to the FFT of every unit vector
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            grid = mw.PeriodicGrid(6 * math.pi, n)
+            kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.L
+            symbol = (1j * kap) ** order
+            if order % 2 == 1:
+                symbol[n // 2] = 0.0
+            dense = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+            d = mw.fourier_diff_matrix(grid, order)
+            assert np.max(np.abs(d - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestSpectrum:
@@ -151,6 +164,91 @@ class TestRestrictedSpectrum:
             dist = np.abs(rep.eigenvalues[:, None] - expected[None, :])
             assert max(np.max(np.min(dist, axis=0)), np.max(np.min(dist, axis=1))) \
                 < 1e-10 * radius
+
+
+def dense_pairing(op, allow_multi_kernel=False):
+    """The deflated solve of <L^{-1} 1, 1> on one full eigendecomposition."""
+    vals, vecs = np.linalg.eigh(op.matrix)
+    tol = linop._zero_tol(vals, op.kind, None)
+    kernel = np.abs(vals) <= tol
+    if int(np.sum(kernel)) != 1 and not allow_multi_kernel:
+        raise RankError("kernel not simple")
+    ones = np.ones(op.grid.n)
+    coeff = vecs.T @ ones
+    inv = np.zeros_like(vals)
+    inv[~kernel] = 1.0 / vals[~kernel]
+    w = vecs @ (inv * coeff)
+    return (op.grid.L / op.grid.n) * float(np.dot(w, ones)), int(np.sum(kernel))
+
+
+def dense_counts(vals, kind="selfadjoint_L"):
+    tol = linop._zero_tol(vals, kind, None)
+    return int(np.sum(vals < -tol)), int(np.sum(np.abs(vals) <= tol))
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi), (0.0, 2 * math.pi)])
+    def test_matches_dense_decomposition(self, k, big_l, n):
+        # oracle: one full dense eigensolve and the deflated solve on it
+        op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
+        dense = np.linalg.eigvalsh(op.matrix)
+        radius = float(np.max(np.abs(dense)))
+        rep = mw.spectrum(op)
+        assert np.max(np.abs(rep.eigenvalues - dense)) <= 1e-13 * radius
+        assert (rep.n_neg, rep.z_dim) == dense_counts(dense)
+        multi = k == 0.0
+        expected, kernel_dim = dense_pairing(op, allow_multi_kernel=multi)
+        pair = mw.inv_one_pairing(op, allow_multi_kernel=multi)
+        assert pair.kernel_dim == kernel_dim
+        assert np.sign(pair.value) == np.sign(expected)
+        assert abs(pair.value - expected) <= 1e-8 * abs(expected)
+
+    def test_kept_vectors_are_eigenvectors(self, op05_256):
+        rep = mw.spectrum(op05_256)
+        vecs = rep.eigenvectors
+        assert vecs.shape == (256, linop.KEPT_MODES)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
+        radius = float(np.max(np.abs(rep.eigenvalues)))
+        resid = op05_256.matrix @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
+        assert np.max(np.abs(resid)) < 1e-10 * radius
+
+    def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
+        for op in (op05_256, op_constant_128):
+            assert op.reflection_defect <= 1e-14 * np.max(np.abs(op.matrix))
+
+    def test_reflection_gate(self):
+        # the non-even coefficients of the growth-rate check (sin 2x in phi'')
+        grid = mw.PeriodicGrid(2 * math.pi, 64)
+        x = grid.nodes
+        phi = mw.PeriodicField(grid, -1.0 + 0.3 * np.cos(x))
+        ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
+                               - 2.929 * np.cos(3 * x))
+        lop = mw.assemble_l(phi, ph2, 0.2)
+        assert lop.asymmetry <= linop.ASYMMETRY_GATE < lop.reflection_defect
+        for solve in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing):
+            with pytest.raises(AssemblyError):
+                solve(lop)
+        dxl = mw.assemble_dxl(phi, ph2, 0.2)
+        assert float(np.max(mw.restricted_spectrum(dxl).eigenvalues.real)) > 0.5
+
+
+@settings(max_examples=8)
+@given(k=st.floats(0.05, 0.9), big_l=st.floats(3.2 * math.pi, 12 * math.pi))
+def test_parity_counts_match_dense(k, big_l):
+    assume(mw.validity(k, big_l).all_ok)
+    n = 128
+    op = mw.operator_for(mw.wave_params(k, big_l), n)
+    full = mw.spectrum(op)
+    assert (full.n_neg, full.z_dim) == dense_counts(np.linalg.eigvalsh(op.matrix))
+    # the restricted route against the dense Householder basis of Y0
+    v = np.full(n, -1.0 / math.sqrt(n))
+    v[0] += 1.0
+    basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+    restr = mw.restricted_spectrum(op)
+    assert (restr.n_neg, restr.z_dim) == dense_counts(
+        np.linalg.eigvalsh(basis.T @ op.matrix @ basis))
 
 
 class TestEvolutionOperator:
