@@ -166,6 +166,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     restr = linop.restricted_spectrum(op, tol=args.tol)
     payload = {
         "wave": dataclasses.asdict(p),
+        "validity": dataclasses.asdict(wave_mod.validity(args.k, args.L)),
         "operator": {"asymmetry": op.asymmetry, "reflection_defect": op.reflection_defect},
         "spectrum": _spectral_payload(full),
         "restricted_spectrum": _spectral_payload(restr),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,7 +57,8 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class PeriodicField:
-    """Real samples of an L-periodic function on a :class:`PeriodicGrid`."""
+    """Real samples of an L-periodic function on a :class:`PeriodicGrid`; a
+    field is never mutated, so ``spectrum`` (its rfft) is computed once and held."""
 
     grid: PeriodicGrid
     values: np.ndarray = dc_field(repr=False)
@@ -70,6 +72,12 @@ class PeriodicField:
         if not np.all(np.isfinite(vals)):
             raise DomainError("field values must be finite")
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        spec = np.fft.rfft(self.values)
+        spec.flags.writeable = False
+        return spec
 
     def _check_same_grid(self, other: "PeriodicField") -> None:
         if self.grid != other.grid:
@@ -201,7 +209,7 @@ def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
     real, so shifted fields stay real for any fractional s.
     """
     kap = u.grid.wavenumbers()
-    spec = np.fft.rfft(u.values)
+    spec = u.spectrum
     shifted = spec * np.exp(1j * kap * s)
     # the Nyquist coefficient represents a pure cosine; rotate it as such
     shifted[-1] = spec[-1] * math.cos(kap[-1] * s)
@@ -222,14 +230,16 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField,
     kept inside the bracket of the best grid shift +- L/n and bisecting it
     whenever C'' >= 0 or a step leaves it, until |dy| < shift_tol_rel * L.
     The distance is then the exact objective at the optimum, not the
-    cancelling sum.
+    cancelling sum.  phi_hat and the shifted phi come from ``phi.spectrum``,
+    so a reference held across calls is transformed once.
     """
     u._check_same_grid(phi)
     n, big_l = u.grid.n, u.grid.L
     kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / big_l
     weight = 1.0 + kap * kap
     weight[n // 2] = 1.0  # derivatives zero the Nyquist mode; match inner_h1
-    u_hat, phi_hat = np.fft.fft(u.values), np.fft.fft(phi.values)
+    u_hat = np.fft.fft(u.values)
+    phi_hat = np.concatenate((phi.spectrum, np.conj(phi.spectrum[-2:0:-1])))
     coef = weight * u_hat * np.conj(phi_hat) * (big_l / n**2)
     # <u, phi(.+y_j)>_H1 for every grid shift y_j = j L / n in one pass.
     cross = np.fft.fft(coef).real

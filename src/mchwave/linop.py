@@ -1,40 +1,38 @@
-"""Dense discretizations of the linearized operator and its spectra.
+"""Discretizations of the linearized operator and its spectra.
 
 The self-adjoint operator
 
     L = (phi - c) d^2/dx^2 + phi' d/dx + (c - 3 phi^2 + phi'')
 
-is assembled in the equivalent divergence form d/dx((phi - c) d/dx .)
-plus the multiplication part, using Fourier differentiation matrices.
-The divergence form makes symmetry structural: the first-derivative
-matrix is antisymmetric, so any measured asymmetry is pure rounding and
-is gated before symmetrization.
+is the Fourier collocation of its divergence form d/dx(p d/dx .) + q,
+with p = phi - c and q = c - 3 phi^2 + phi'' sampled on x_j = j L / n.
+The real Fourier first derivative annihilates the sawtooth (Nyquist)
+mode, which would park a spurious O(1) eigenvalue in the counting
+window, so L carries the rank-one completion -kappa_N^2 mean(p) on that
+mode (what the full complex symbol gives): the unresolved mode sits high
+in the spectrum, and constant coefficients give exactly the Fourier
+diagonalization.  The dense n x n matrix is formed only when
+``OperatorMatrix.matrix`` is read (by dx L and the tests).
 
-One even-grid subtlety: the real Fourier first-derivative matrix
-annihilates the sawtooth (Nyquist) mode, which would park a spurious
-O(1) eigenvalue of the multiplication part right in the counting window.
-Carrying the product through the complex spectral derivative (full
-symbol, Nyquist included) and taking the real part is equivalent to
-adding the rank-one completion  -kappa_N^2 mean(phi - c) P_N  on the
-sawtooth direction; that is what is done here, so the unresolved mode
-sits high in the spectrum where it belongs.  For constant coefficients
-the assembly then reproduces the Fourier diagonalization exactly.
+Parity blocks (Hill's method).  The wave is even, so L splits into an
+even block on the orthonormal cosine modes sqrt(2/n) s_k cos(kappa_k x),
+k = 0 .. n/2 (s_0 = s_{n/2} = 1/sqrt 2, else 1), and an odd block on the
+sine modes sqrt(2/n) sin(kappa_k x), k = 1 .. n/2 - 1.  With p^ = rfft(p)/n,
+q^ = rfft(q)/n, (k+m)* = min(k + m, n - k - m) and kappa~ = kappa with its
+Nyquist entry 0, this orthogonal change of basis (not an approximation) gives
 
-Parity blocks.  The wave is even on the grid x_j = j L / n, so L commutes
-with the reflection R: j -> -j mod n.  A self-adjoint
-:class:`OperatorMatrix` caches one :class:`ParityBlocks`: the even block in
-the basis e_0, (e_j + e_{n-j})/sqrt 2 (1 <= j < n/2), e_{n/2} and the odd
-block in the basis (e_j - e_{n-j})/sqrt 2, each formed by index arithmetic
-and solved once, so two eigensolves of order about n/2 replace one of order
-n.  :func:`spectrum` and :func:`inv_one_pairing` share them; the constant 1
-is even, so the pairing is solved in the even block alone.  Y0 splits as
-(even block on 1-perp) + (odd block): :func:`restricted_spectrum` keeps its
-own eigensolve of the compressed even block (the independent route of the
-Morse identity) and reuses the odd eigenvalues, which cancel from both
-sides of that identity.  A matrix that is not reflection invariant to
-within the assembly gate raises :class:`AssemblyError` instead of being
-split.  The evolution operator dx L swaps the two parities and keeps the
-dense route.
+    E_km = s_k s_m [q^_|k-m| + q^_(k+m)* - kappa~_k kappa~_m (p^_|k-m| - p^_(k+m)*)]
+           - kappa_N^2 p^_0 at (n/2, n/2),
+    O_km = q^_|k-m| - q^_(k+m)* - kappa_k kappa_m (p^_|k-m| + p^_(k+m)*),
+
+O(n^2) index arithmetic on Re p^, Re q^, with no n x n product, and exactly
+symmetric.  Im p^ and Im q^ couple the blocks; ``reflection_defect`` is the
+largest coupling entry, and above the assembly gate the split raises
+:class:`AssemblyError`.  Each block is solved once (:class:`ParityBlocks`).
+As 1 = sqrt(n) (cosine mode 0), Y0 is E[1:, 1:] plus the odd block, and
+:func:`restricted_spectrum` solves E[1:, 1:] afresh (the independent route
+of the Morse identity); :func:`inv_one_pairing` reads the mode-0 entries of
+the even eigenvectors.  dx L swaps the parities and keeps the dense route.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero.  An explicit ``tol`` must be finite and positive; the default scales
@@ -69,12 +67,9 @@ OperatorKind = Literal["selfadjoint_L", "evolution_dxL"]
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """Eigendecompositions of the even and odd blocks of a self-adjoint matrix.
-
-    ``even`` is the even block itself ((n/2 + 1) x (n/2 + 1)), which
-    :func:`restricted_spectrum` compresses; the eigenvalues are ascending
-    and the eigenvector columns are in block coordinates (module docstring).
-    """
+    """Eigendecompositions of the even and odd blocks of L: ascending values,
+    vectors in cosine (modes 0 .. n/2) and sine (1 .. n/2 - 1) coordinates,
+    and E itself, whose E[1:, 1:] :func:`restricted_spectrum` solves."""
 
     even: np.ndarray = dc_field(repr=False)
     even_vals: np.ndarray = dc_field(repr=False)
@@ -85,41 +80,89 @@ class ParityBlocks:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense n x n real discretization of L or of dx L.
+    """L or dx L on an n-node grid, held as the node values p, q of L's
+    coefficients (module docstring); ``matrix`` is formed on first read.
+    ``asymmetry`` is max |B - B^T| over the parity blocks as built (0.0);
+    ``reflection_defect``, the largest even-odd coupling entry, is rounding
+    for an even wave and gated before the split."""
 
-    ``asymmetry`` is max |A - A^T| before symmetrization, gated at assembly;
-    ``reflection_defect`` is max |A - R A R| for the grid reflection R,
-    rounding for an even wave, gated before a self-adjoint L is split into
-    its parity blocks (module docstring).  Both gates are ``ASYMMETRY_GATE``.
-    """
-
-    matrix: np.ndarray = dc_field(repr=False)
     grid: PeriodicGrid
     kind: OperatorKind
-    asymmetry: float = 0.0
+    coefficients: np.ndarray = dc_field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense L (divergence form, Nyquist completion) or D1 L; AssemblyError
+        if L's asymmetry before symmetrization (inconsistent phi, phi'') exceeds 1e-8."""
+        p_vals, q_vals = self.coefficients
+        n = self.grid.n
+        d1 = fourier_diff_matrix(self.grid, 1)
+        mat = d1 @ (p_vals[:, None] * d1)
+        kap_nyq = math.pi * n / self.grid.L
+        saw = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        mat += (-(kap_nyq**2) * float(np.mean(p_vals)) / n) * np.outer(saw, saw)
+        mat[np.arange(n), np.arange(n)] += q_vals
+        asym = float(np.max(np.abs(mat - mat.T)))
+        if asym > ASYMMETRY_GATE:
+            raise AssemblyError(f"divergence-form asymmetry {asym:.3e} exceeds gate "
+                                f"{ASYMMETRY_GATE:.0e}")
+        mat = 0.5 * (mat + mat.T)
+        if self.kind == "evolution_dxL":
+            return fourier_diff_matrix(self.grid, 1) @ mat
+        return mat
+
+    @cached_property
+    def _windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views c[(k - m) mod n] and c[(k + m) mod n], 0 <= k, m <= n/2, for
+        c = p^, q^ (rows) extended from one rfft as Hermitian sequences, so the
+        real parts are exactly even and the imaginary parts exactly odd."""
+        half = self.grid.n // 2
+        spec = np.fft.rfft(self.coefficients, axis=1) / self.grid.n
+        full = np.concatenate((spec, np.conj(spec[:, -2:0:-1])), axis=1)
+        ext = np.concatenate((full[:, half:], full, full[:, :1]), axis=1)
+        win = np.lib.stride_tricks.sliding_window_view(ext, half + 1, axis=1)
+        return win[:, : half + 1, ::-1], win[:, half:]
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks E and O (module docstring)."""
+        half = self.grid.n // 2
+        kap = self.grid.wavenumbers()
+        kap_even = np.append(kap[:half], 0.0)
+        (p_dif, q_dif), (p_sum, q_sum) = (v.real for v in self._windows)
+        even = q_dif + q_sum - np.outer(kap_even, kap_even) * (p_dif - p_sum)
+        even *= np.outer(_cosine_weights(half), _cosine_weights(half))
+        even[half, half] -= kap[half] ** 2 * p_dif[0, 0]
+        p_dif, p_sum, q_dif, q_sum = (a[1:half, 1:half] for a in (p_dif, p_sum, q_dif, q_sum))
+        odd = q_dif - q_sum - np.outer(kap[1:half], kap[1:half]) * (p_dif + p_sum)
+        return even, odd
+
+    @cached_property
+    def asymmetry(self) -> float:
+        return max(float(np.max(np.abs(b - b.T))) for b in self._blocks)
 
     @cached_property
     def reflection_defect(self) -> float:
-        """max |A - R A R|, measured once; rows 0..n/2 already meet every
-        entry or its reflected partner."""
-        n = self.grid.n
-        mirrored = _mirror(self.matrix)[:, -np.arange(n) % n]
-        return float(np.max(np.abs(self.matrix[: n // 2 + 1] - mirrored)))
+        """max |C_km| = |<sine k, L cosine m>| = |s_m [b^q_(k+m) + b^q_(k-m) +
+        kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))]|, b = Im p^, Im q^ extended odd."""
+        half = self.grid.n // 2
+        kap, inner = self.grid.wavenumbers(), slice(1, half)
+        (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
+        coupling = q_sum[inner] + q_dif[inner] + np.outer(
+            kap[inner], np.append(kap[:half], 0.0)) * (p_sum[inner] - p_dif[inner])
+        return float(np.max(np.abs(coupling * _cosine_weights(half))))
 
     @cached_property
     def parity(self) -> ParityBlocks:
-        """The even and odd blocks and their eigendecompositions, computed
-        once and shared read-only; DomainError for the evolution kind,
-        AssemblyError if the reflection defect exceeds the gate,
-        NumericalError if the solver fails."""
+        """The blocks' eigendecompositions, computed once and shared read-only;
+        DomainError for dx L, AssemblyError if the reflection defect exceeds
+        the gate, NumericalError if the solver fails."""
         if self.kind != "selfadjoint_L":
             raise DomainError("parity blocks require a selfadjoint_L operator")
         if self.reflection_defect > ASYMMETRY_GATE:
-            raise AssemblyError(
-                f"reflection defect {self.reflection_defect:.3e} exceeds gate "
-                f"{ASYMMETRY_GATE:.0e}: the coefficients are not even"
-            )
-        even, odd = _parity_blocks(self.matrix)
+            raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
+                                f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
+        even, odd = self._blocks
         even_vals, even_vecs = _eig(np.linalg.eigh, even)
         odd_vals, odd_vecs = _eig(np.linalg.eigh, odd)
         blocks = ParityBlocks(even=even, even_vals=even_vals, even_vecs=even_vecs,
@@ -192,15 +235,12 @@ def _as_values(u, n: int) -> np.ndarray:
 
 
 def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
-    """Assemble the self-adjoint linearized operator around a profile.
+    """The self-adjoint linearized operator around a profile.
 
     ``phi`` and ``phi2`` are the profile and its second derivative
     (fields or plain arrays; pass ``grid`` with arrays).  Accepts any
     smooth profile; for a traveling wave phi - c < 0 holds pointwise.
-
-    Raises:
-        AssemblyError: if the pre-symmetrization asymmetry exceeds 1e-8,
-            which signals inconsistent phi / phi'' inputs.
+    Only p and q are formed here; blocks and matrix wait for first use.
     """
     if grid is None:
         if not isinstance(phi, PeriodicField):
@@ -208,37 +248,18 @@ def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Operato
         grid = phi.grid
     p_vals = _as_values(phi, grid.n) - float(c)
     q_vals = float(c) - 3.0 * _as_values(phi, grid.n) ** 2 + _as_values(phi2, grid.n)
-
-    n = grid.n
-    d1 = fourier_diff_matrix(grid, 1)
-    mat = d1 @ (p_vals[:, None] * d1)
-    # Rank-one Nyquist completion (see module docstring).
-    kap_nyq = math.pi * n / grid.L
-    saw = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    mat += (-(kap_nyq**2) * float(np.mean(p_vals)) / n) * np.outer(saw, saw)
-    mat[np.arange(n), np.arange(n)] += q_vals
-
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > ASYMMETRY_GATE:
-        raise AssemblyError(
-            f"divergence-form asymmetry {asym:.3e} exceeds gate {ASYMMETRY_GATE:.0e}"
-        )
-    mat = 0.5 * (mat + mat.T)
-    return OperatorMatrix(matrix=mat, grid=grid, kind="selfadjoint_L", asymmetry=asym)
+    return OperatorMatrix(grid=grid, kind="selfadjoint_L",
+                          coefficients=np.stack((p_vals, q_vals)))
 
 
 def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
-    """Assemble the evolution operator dx L as a product of discrete matrices."""
+    """The evolution operator dx L around a profile (see :func:`assemble_l`)."""
     return evolution_operator(assemble_l(phi, phi2, c, grid))
 
 
 def evolution_operator(lop: OperatorMatrix) -> OperatorMatrix:
-    """The evolution operator dx L formed from an assembled self-adjoint L."""
-    d1 = fourier_diff_matrix(lop.grid, 1)
-    return OperatorMatrix(
-        matrix=d1 @ lop.matrix, grid=lop.grid, kind="evolution_dxL",
-        asymmetry=lop.asymmetry,
-    )
+    """The evolution operator dx L of L; its dense matrix is the product D1 L."""
+    return OperatorMatrix(grid=lop.grid, kind="evolution_dxL", coefficients=lop.coefficients)
 
 
 def operator_for(p: WaveParams, n: int,
@@ -257,44 +278,29 @@ def _eig(solver, a: np.ndarray):
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
-def _even_weights(n: int) -> np.ndarray:
-    """The constant 1 in even coordinates: (1, sqrt 2, ..., sqrt 2, 1)."""
-    w = np.full(n // 2 + 1, math.sqrt(2.0))
-    w[0] = w[-1] = 1.0
-    return w
+def _cosine_weights(half: int) -> np.ndarray:
+    """s_k, k = 0 .. half: 1/sqrt 2 at 0 and half, 1 between."""
+    return np.concatenate(([math.sqrt(0.5)], np.ones(half - 1), [math.sqrt(0.5)]))
 
 
-def _mirror(x: np.ndarray) -> np.ndarray:
-    """Rows (-j) mod n, j = 0..n/2, of an n-row array, gathered by slicing."""
-    return np.concatenate((x[:1], x[: x.shape[0] // 2 - 1 : -1]))
+def _to_grid(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Grid columns of cosine coordinates ``even`` (rows 0 .. n/2), then of
+    sine coordinates ``odd`` (rows 1 .. n/2 - 1), by one inverse real FFT."""
+    half = even.shape[0] - 1
+    spec = np.hstack((even / _cosine_weights(half)[:, None],
+                      -1j * np.pad(odd, ((1, 1), (0, 0)))))
+    return math.sqrt(half) * np.fft.irfft(spec, 2 * half, axis=0)
 
 
-def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks E^T A E and O^T A O (module docstring).
-
-    Row and column j of a block fold j onto its mirror n - j, so each
-    entry is a signed sum of four entries of A; no product is formed.
-    """
-    half = a.shape[0] // 2
-    mirrored = _mirror(a)
-    plus, minus = a[: half + 1] + mirrored, (a[: half + 1] - mirrored)[1:half]
-    w = _even_weights(a.shape[0])
-    even = (plus.T[: half + 1] + _mirror(plus.T)) * np.outer(0.25 * w, w)
-    odd = 0.5 * (minus.T[1:half] - _mirror(minus.T)[1:half])
-    return even, odd
-
-
-def _from_even(y: np.ndarray) -> np.ndarray:
-    """Grid columns E y of even-coordinate columns y ((n/2 + 1) x k)."""
-    half = y / _even_weights(2 * (y.shape[0] - 1))[:, None]
-    return np.vstack((half, half[-2:0:-1]))
-
-
-def _from_odd(z: np.ndarray) -> np.ndarray:
-    """Grid columns O z of odd-coordinate columns z ((n/2 - 1) x k)."""
-    half = z / math.sqrt(2.0)
-    zero = np.zeros((1, z.shape[1]))
-    return np.vstack((zero, half, zero, -half[::-1]))
+def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
+    """L u on the grid by FFT: d/dx(p du/dx) + q u, and the Nyquist completion."""
+    p_vals, q_vals = m.coefficients
+    n, kap = m.grid.n, m.grid.wavenumbers()
+    symbol = 1j * np.append(kap[:-1], 0.0)
+    u_hat = np.fft.rfft(u)
+    flux_hat = symbol * np.fft.rfft(p_vals * np.fft.irfft(symbol * u_hat, n))
+    flux_hat[-1] = -(kap[-1] ** 2) * float(np.mean(p_vals)) * u_hat[-1]
+    return np.fft.irfft(flux_hat, n) + q_vals * u
 
 
 def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
@@ -302,20 +308,17 @@ def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
     """The sorted union of two blocks' eigenvalues, and grid columns for its
     ``KEPT_MODES`` lowest modes, which are among the lowest of each block."""
     heads = np.concatenate((even_vals[:KEPT_MODES], odd_vals[:KEPT_MODES]))
-    cols = np.hstack((_from_even(even_vecs[:, :KEPT_MODES]),
-                      _from_odd(odd_vecs[:, :KEPT_MODES])))
-    kept = cols[:, np.argsort(heads, kind="stable")[:KEPT_MODES]]
-    return np.sort(np.concatenate((even_vals, odd_vals))), kept
+    lowest = np.argsort(heads, kind="stable")[:KEPT_MODES]
+    cols = _to_grid(even_vecs[:, :KEPT_MODES], odd_vecs[:, :KEPT_MODES])
+    return np.sort(np.concatenate((even_vals, odd_vals))), cols[:, lowest]
 
 
-def _compress(a: np.ndarray, u: np.ndarray):
+def _compress(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Compression of ``a`` to the complement of the unit vector ``u``.
 
     The basis is columns 2.. of the reflection Q = I - beta v v^T sending
     u to e_1, never formed: Q A Q = A - v g^T - h v^T with h = beta A v - s v,
-    g = beta A^T v - s v, s = beta^2 v^T A v / 2; the compression is its
-    trailing block.  Returns it and the map of columns y to Q [0; y].
-    """
+    g = beta A^T v - s v, s = beta^2 v^T A v / 2; its trailing block."""
     v = -u
     v[0] += 1.0
     beta = 2.0 / float(np.dot(v, v))
@@ -323,12 +326,7 @@ def _compress(a: np.ndarray, u: np.ndarray):
     s = 0.5 * beta * beta * float(np.dot(v, av))
     h = beta * av - s * v
     g = beta * (v @ a) - s * v
-    reduced = a[1:, 1:] - np.outer(v[1:], g[1:])
-    reduced -= np.outer(h[1:], v[1:])
-
-    def lift(y: np.ndarray) -> np.ndarray:
-        return np.vstack([np.zeros((1, y.shape[1])), y]) - beta * np.outer(v, v[1:] @ y)
-    return reduced, lift
+    return a[1:, 1:] - np.outer(v[1:], g[1:]) - np.outer(h[1:], v[1:])
 
 
 def _zero_tol(eigenvalues: np.ndarray, kind: OperatorKind, tol: float | None) -> float:
@@ -363,8 +361,8 @@ def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
 def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
     """Full spectrum with negative/zero counts.
 
-    Self-adjoint matrices read their cached parity blocks and get the
-    real ascending union of both; evolution matrices a general dense
+    The self-adjoint kind reads its cached parity blocks and gets the
+    real ascending union of both; the evolution kind a general dense
     solver and complex eigenvalues sorted by real part.
     """
     if m.kind == "selfadjoint_L":
@@ -379,22 +377,20 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     """Spectrum of the operator compressed to the zero-mean subspace Y0.
 
     For the self-adjoint kind this is the Morse data of the quadratic
-    form on Y0: the even block compressed to the complement of 1 (in even
-    coordinates w / sqrt(n), w from :func:`_even_weights`), solved afresh,
-    joined with the odd block's eigenvalues, since odd vectors have zero
-    mean.  For the evolution kind, Y0 is invariant under dx L (a
-    derivative has zero mean), so the dense compression along 1 / sqrt(n)
-    is the true restriction.  Kept eigenvectors map back to the grid.
+    form on Y0, spanned by the cosine modes but mode 0 (the constant) and
+    by all the sine modes: the even block without its mean mode is solved
+    afresh and joined with the odd block's eigenvalues.  For the evolution
+    kind, Y0 is invariant under dx L (a derivative has zero mean), so the
+    dense compression along 1 / sqrt(n) is the true restriction.
     """
     n = m.grid.n
     if m.kind == "selfadjoint_L":
         blocks = m.parity
-        reduced, lift = _compress(blocks.even, _even_weights(n) / math.sqrt(n))
-        vals, vecs = _eig(np.linalg.eigh, reduced)
-        vals, kept = _merge_lowest(vals, lift(vecs[:, :KEPT_MODES]),
-                                   blocks.odd_vals, blocks.odd_vecs)
+        vals, vecs = _eig(np.linalg.eigh, blocks.even[1:, 1:])
+        vecs = np.pad(vecs[:, :KEPT_MODES], ((1, 0), (0, 0)))
+        vals, kept = _merge_lowest(vals, vecs, blocks.odd_vals, blocks.odd_vecs)
         return _make_report(vals, tol, m.grid, m.kind, kept)
-    reduced, _ = _compress(m.matrix, np.full(n, 1.0 / math.sqrt(n)))
+    reduced = _compress(m.matrix, np.full(n, 1.0 / math.sqrt(n)))
     return _make_report(_eig(np.linalg.eigvals, reduced), tol, m.grid, m.kind, None)
 
 
@@ -404,11 +400,12 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
 
     Solves L w = 1 on the orthogonal complement of the numerical kernel
     (deflated with the computed kernel eigenvectors, so the solve is
-    consistent with the discrete operator) and returns <w, 1>.  The
-    constant is even, so the solve runs in the even block alone; the
-    kernel direction phi' is odd, and the even block has a kernel only at
-    the constant-wave degeneracy.  The kernel is counted in both blocks,
-    and the residual is measured with the full matrix on the grid.
+    consistent with the discrete operator) and returns <w, 1>.  As 1 =
+    sqrt(n) (cosine mode 0), that is L sum v_i0^2 / lambda_i over the even
+    eigenpairs outside the kernel; phi' is odd, and the even block has a
+    kernel only at the constant-wave degeneracy.  The kernel is counted in
+    both blocks; the residual max |L w - 1| (1 less its kernel part)
+    applies L to the grid form of w by FFT, with no block or dense matrix.
 
     Raises:
         DomainError: for an operator of the evolution kind.
@@ -423,19 +420,15 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     kernel = np.abs(vals) <= tol
     k_dim = int(np.sum(kernel)) + int(np.sum(np.abs(blocks.odd_vals) <= tol))
     if k_dim != 1 and not allow_multi_kernel:
-        raise RankError(
-            f"kernel dimension {k_dim} (tol={tol:.3e}); expected 1 "
-            "(pass allow_multi_kernel=True to deflate a larger kernel)"
-        )
-    n = m.grid.n
-    ones = _even_weights(n)
-    coeff = vecs.T @ ones
+        raise RankError(f"kernel dimension {k_dim} (tol={tol:.3e}); expected 1 "
+                        "(pass allow_multi_kernel=True to deflate a larger kernel)")
+    n, head = m.grid.n, vecs[0]
     inv = np.zeros_like(vals)
     inv[~kernel] = 1.0 / vals[~kernel]
-    w = vecs @ (inv * coeff)
-    pairing = (m.grid.L / n) * float(np.dot(w, ones))
-    ones_deflated = ones - vecs[:, kernel] @ coeff[kernel]
-    on_grid = _from_even(np.column_stack((w, ones_deflated)))
-    residual = float(np.max(np.abs(m.matrix @ on_grid[:, 0] - on_grid[:, 1])))
+    pairing = m.grid.L * float(np.dot(inv, head * head))
+    ones = np.eye(1, n // 2 + 1)[0] - vecs[:, kernel] @ head[kernel]
+    cols = math.sqrt(n) * np.column_stack((vecs @ (inv * head), ones))
+    w, rhs = _to_grid(cols, np.zeros((n // 2 - 1, 0))).T
+    residual = float(np.max(np.abs(_apply_l(m, w) - rhs)))
     return PairingReport(value=pairing, kernel_dim=k_dim, residual=residual,
                          tol=float(tol))

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -174,6 +175,41 @@ class TestSpectrumCommand:
         assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", "--evolution",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
         assert len(assembled) == 1 and len(diff_matrices) == 2
+
+    def test_spectral_paths_build_no_dense_matrix(self, count_calls, monkeypatch, tmp_path):
+        # counts and pairing come from the parity blocks alone: no derivative
+        # matrix, and the dense n x n matrix of L is never formed
+        diff_matrices = count_calls(linop.fourier_diff_matrix)
+        built = []
+
+        def keep(*args, _assemble=linop.assemble_l, **kwargs):
+            built.append(_assemble(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(linop, "assemble_l", keep)
+        mw.morse_check(0.5, 6 * math.pi)
+        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(built) == 2 and len(diff_matrices) == 0
+        assert all("matrix" not in vars(op) for op in built)
+        built[0].matrix
+        assert "matrix" in vars(built[0]) and len(diff_matrices) == 1
+
+    @pytest.mark.parametrize("k, big_l, extra, valid", [
+        ("0.8", "8pi", [], False), ("0.5", "6pi", [], True),
+        ("0", "2pi", ["--allow-multi-kernel"], False)])
+    def test_validity_recorded(self, tmp_path, k, big_l, extra, valid):
+        # an invalid wave still gets its counts and exit 0, flagged in the artifact
+        code = dispatch(["spectrum", "--k", k, "--L", big_l, "--n", "64", *extra,
+                         "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        expected = mw.validity(float(k), parse_length(big_l))
+        assert payload["validity"] == dataclasses.asdict(expected)
+        assert payload["validity"]["all_ok"] is valid
+        assert {"wave", "operator", "spectrum", "restricted_spectrum", "pairing"} <= set(payload)
+        if k == "0.8":
+            assert payload["spectrum"]["n_neg"] == 15  # grows with n: phi - c changes sign
 
 
 class TestKreinCommand:

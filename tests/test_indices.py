@@ -363,9 +363,9 @@ class TestKrein:
 
 def test_one_decomposition_per_operator(monkeypatch, tmp_path):
     # each entry point decomposes the n x n operator once, as its even
-    # (n/2 + 1) and odd (n/2 - 1) parity blocks (eigenvalues, counts, gap
-    # tolerance and pairing share them), and the n/2 x n/2 zero-mean
-    # compression of the even block once
+    # (n/2 + 1) and odd (n/2 - 1) parity blocks (eigenvalues, counts, zero
+    # tolerance and pairing share them), and the n/2 x n/2 even block
+    # without its mean mode once
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)

@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import mchwave as mw
 from mchwave import AssemblyError, DomainError, RankError, linop
 
+from conftest import random_smooth
+
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
     """Exact spectrum of -2 d^2 - 2 on L = 2 pi with n even grid points.
@@ -249,6 +251,155 @@ def test_parity_counts_match_dense(k, big_l):
     restr = mw.restricted_spectrum(op)
     assert (restr.n_neg, restr.z_dim) == dense_counts(
         np.linalg.eigvalsh(basis.T @ op.matrix @ basis))
+
+
+def grid_even_weights(n):
+    """The constant 1 in grid-parity even coordinates: (1, sqrt 2, ..., sqrt 2, 1)."""
+    w = np.full(n // 2 + 1, math.sqrt(2.0))
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def grid_mirror(x):
+    """Rows (-j) mod n, j = 0..n/2, of an n-row array."""
+    return np.concatenate((x[:1], x[: x.shape[0] // 2 - 1 : -1]))
+
+
+def grid_parity_blocks(a):
+    """The blocks of the dense matrix in the grid bases e_0, (e_j + e_{n-j})/sqrt 2,
+    e_{n/2} (even) and (e_j - e_{n-j})/sqrt 2 (odd), folded from four entries each."""
+    half = a.shape[0] // 2
+    mirrored = grid_mirror(a)
+    plus, minus = a[: half + 1] + mirrored, (a[: half + 1] - mirrored)[1:half]
+    w = grid_even_weights(a.shape[0])
+    even = (plus.T[: half + 1] + grid_mirror(plus.T)) * np.outer(0.25 * w, w)
+    odd = 0.5 * (minus.T[1:half] - grid_mirror(minus.T)[1:half])
+    return even, odd
+
+
+def grid_parity_oracle(op, allow_multi_kernel=False):
+    """Even, odd and restricted eigenvalues and the pairing from the dense matrix
+    folded in the grid-parity bases; Y0 by the Householder compression of the even
+    block along the normalized constant, the pairing by the deflated even solve."""
+    even, odd = grid_parity_blocks(op.matrix)
+    n = op.grid.n
+    ones = grid_even_weights(n)
+    even_vals, even_vecs = np.linalg.eigh(even)
+    odd_vals = np.linalg.eigvalsh(odd)
+    restr_vals = np.linalg.eigvalsh(linop._compress(even, ones / math.sqrt(n)))
+    full = np.sort(np.concatenate((even_vals, odd_vals)))
+    tol = linop._zero_tol(full, op.kind, None)
+    kernel = np.abs(even_vals) <= tol
+    if int(np.sum(np.abs(full) <= tol)) != 1 and not allow_multi_kernel:
+        raise RankError("kernel not simple")
+    coeff = even_vecs.T @ ones
+    inv = np.zeros_like(even_vals)
+    inv[~kernel] = 1.0 / even_vals[~kernel]
+    pairing = (op.grid.L / n) * float(np.dot(even_vecs @ (inv * coeff), ones))
+    return even_vals, odd_vals, np.sort(np.concatenate((restr_vals, odd_vals))), pairing
+
+
+def cosine_basis(n):
+    """Orthonormal cosine modes sqrt(2/n) s_k cos(2 pi j k / n), k = 0..n/2, as columns."""
+    s = np.ones(n // 2 + 1)
+    s[0] = s[-1] = math.sqrt(0.5)
+    return math.sqrt(2.0 / n) * s * np.cos(2 * math.pi * np.outer(np.arange(n),
+                                                                 np.arange(n // 2 + 1)) / n)
+
+
+def sine_basis(n):
+    """Orthonormal sine modes sqrt(2/n) sin(2 pi j k / n), k = 1..n/2 - 1, as columns."""
+    return math.sqrt(2.0 / n) * np.sin(2 * math.pi * np.outer(np.arange(n),
+                                                             np.arange(1, n // 2)) / n)
+
+
+def assert_matches_grid_parity(op, multi=False):
+    even, odd, restricted, pairing = grid_parity_oracle(op, allow_multi_kernel=multi)
+    blocks = op.parity
+    full, restr = mw.spectrum(op), mw.restricted_spectrum(op)
+    radius = float(np.max(np.abs(full.eigenvalues)))
+    assert np.max(np.abs(blocks.even_vals - even)) <= 1e-13 * radius
+    assert np.max(np.abs(blocks.odd_vals - odd)) <= 1e-13 * radius
+    assert np.max(np.abs(restr.eigenvalues - restricted)) <= 1e-13 * radius
+    assert (full.n_neg, full.z_dim) == dense_counts(np.sort(np.concatenate((even, odd))))
+    assert (restr.n_neg, restr.z_dim) == dense_counts(restricted)
+    pair = mw.inv_one_pairing(op, allow_multi_kernel=multi)
+    assert np.sign(pair.value) == np.sign(pairing)
+    assert abs(pair.value - pairing) <= 1e-8 * abs(pairing)
+
+
+class TestHillBlocks:
+    @pytest.mark.parametrize("n", [18, 130, 256, 512, 1024])
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi), (0.0, 2 * math.pi)])
+    def test_matches_grid_parity_blocks(self, k, big_l, n):
+        # oracle: the dense collocation matrix folded into grid-parity blocks
+        op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
+        assert_matches_grid_parity(op, multi=k == 0.0)
+
+    def test_blocks_are_the_cosine_and_sine_compressions(self, op05_256):
+        # E = C^T A C and O = S^T A S for the dense matrix A and the explicit
+        # orthonormal cosine and sine bases; the coupling S^T A C is rounding
+        cos_b, sin_b = cosine_basis(256), sine_basis(256)
+        a = op05_256.matrix
+        scale = np.max(np.abs(a))
+        even, odd = op05_256._blocks
+        assert np.max(np.abs(cos_b.T @ a @ cos_b - even)) <= 1e-13 * scale
+        assert np.max(np.abs(sin_b.T @ a @ sin_b - odd)) <= 1e-13 * scale
+        assert np.max(np.abs(sin_b.T @ a @ cos_b)) <= 1e-13 * scale
+        assert op05_256.asymmetry == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reflection_defect_is_the_coupling(self, seed):
+        # random non-even coefficients: the defect is the largest entry of
+        # S^T A C for the explicit sine and cosine bases
+        n = 64
+        grid = mw.PeriodicGrid(2 * math.pi, n)
+        phi = -1.0 + 0.1 * random_smooth(grid, np.random.default_rng(seed)).values
+        phi2 = random_smooth(grid, np.random.default_rng(seed + 10)).values
+        lop = mw.assemble_l(phi, phi2, 0.2, grid)
+        coupling = float(np.max(np.abs(sine_basis(n).T @ lop.matrix @ cosine_basis(n))))
+        assert lop.reflection_defect == pytest.approx(coupling, rel=1e-12)
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi)])
+    def test_residual_matches_dense(self, k, big_l):
+        # oracle: w = L^{-1} 1 mapped to the grid by the explicit cosine basis and
+        # the dense residual max |A w - 1|; both residuals are rounding, so they
+        # agree to 1e-12 of the scale max |A| max |w| of the terms they cancel
+        n = 256
+        op = mw.operator_for(mw.wave_params(k, big_l), n)
+        pair = mw.inv_one_pairing(op)
+        blocks = op.parity
+        head = blocks.even_vecs[0]
+        w = math.sqrt(n) * cosine_basis(n) @ (blocks.even_vecs @ (head / blocks.even_vals))
+        assert pair.value == pytest.approx(big_l * float(np.dot(head, head / blocks.even_vals)),
+                                           rel=1e-14)
+        a = op.matrix
+        scale = float(np.max(np.abs(a)) * np.max(np.abs(w)))
+        assert abs(pair.residual - float(np.max(np.abs(a @ w - 1.0)))) <= 1e-12 * scale
+        # the FFT application is the dense matrix on any vector, sawtooth included
+        for u in (w, np.random.default_rng(9).standard_normal(n)):
+            scale = float(np.max(np.abs(a)) * np.max(np.abs(u)))
+            assert np.max(np.abs(linop._apply_l(op, u) - a @ u)) <= 1e-12 * scale
+
+    def test_nyquist_mode_and_aliased_index(self):
+        # constant coefficients p = q = -2 (L = -2 d^2 - 2): both blocks are
+        # diagonal, and mode n/2, which the first derivative annihilates, gets
+        # the completion -kappa_N^2 p (the k + m = n/2 + n/2 entry folds to 0)
+        grid = mw.PeriodicGrid(2 * math.pi, 16)
+        lop = mw.assemble_l(np.full(16, -1.0), np.zeros(16), 1.0, grid)
+        even, odd = lop._blocks
+        kap = grid.wavenumbers()
+        assert np.max(np.abs(even - np.diag(2.0 * kap**2 - 2.0))) <= 1e-13
+        assert np.max(np.abs(odd - np.diag(2.0 * kap[1:-1] ** 2 - 2.0))) <= 1e-13
+
+
+@settings(max_examples=8)
+@given(k=st.floats(0.05, 0.9), big_l=st.floats(3.2 * math.pi, 12 * math.pi))
+def test_hill_blocks_match_grid_parity(k, big_l):
+    assume(mw.validity(k, big_l).all_ok)
+    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), 128))
 
 
 class TestEvolutionOperator:
