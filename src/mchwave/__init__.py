@@ -62,7 +62,6 @@ from .linop import (
     SpectralReport,
     assemble_dxl,
     assemble_l,
-    fourier_diff_matrix,
     inv_one_pairing,
     operator_for,
     restricted_spectrum,

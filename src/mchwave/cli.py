@@ -167,7 +167,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     payload = {
         "wave": dataclasses.asdict(p),
         "validity": dataclasses.asdict(wave_mod.validity(args.k, args.L)),
-        "operator": {"asymmetry": op.asymmetry, "reflection_defect": op.reflection_defect},
+        "operator": {"reflection_defect": op.reflection_defect},
         "spectrum": _spectral_payload(full),
         "restricted_spectrum": _spectral_payload(restr),
     }

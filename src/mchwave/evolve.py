@@ -35,7 +35,7 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .field import (PeriodicField, PeriodicGrid, _orbit_distance, functionals,
                     h1_norm, sample_wave)
-from .linop import OperatorMatrix, operator_for
+from .linop import OperatorMatrix, _from_grid, operator_for
 from .wave import WaveParams
 
 TERMINATED_COMPLETED = "completed"
@@ -250,11 +250,13 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
 def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
                    cfg: EvolutionConfig) -> LinearGrowthReport:
-    """Integrate v_t = (dx L) v with the assembled evolution matrix.
+    """Integrate v_t = (dx L) v in the orthonormal cosine/sine coordinates of
+    the operator's Fourier matrix (:mod:`mchwave.linop`).
 
     ``p`` is a :class:`WaveParams` (then ``operator_for(p, n, "evolution_dxL")``
     on the grid of v0) or a prebuilt evolution :class:`OperatorMatrix`.  v0
-    is projected onto zero mean first.  Norms are L^2(0, L).
+    is mapped to coordinates by one real FFT and its cosine mode 0 (the
+    mean) is zeroed.  Norms are L^2(0, L): sqrt(L/n) times the coordinate norm.
     """
     grid = v0.grid
     if not isinstance(p, OperatorMatrix):
@@ -267,10 +269,11 @@ def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
     dt = cfg.t_end / n_steps
     w = math.sqrt(grid.spacing)
 
-    values = v0.values - np.mean(v0.values)
+    values = _from_grid(v0.values[:, None])[:, 0]
+    values[0] = 0.0
     times = [0.0]
     norms = [w * float(np.linalg.norm(values))]
-    f = p.matrix.__matmul__
+    f = p.fourier.__matmul__
     for step in range(1, n_steps + 1):
         values = _rk4_step(f, values, dt)
         if not np.all(np.isfinite(values)):

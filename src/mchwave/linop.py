@@ -1,4 +1,4 @@
-"""Discretizations of the linearized operator and its spectra.
+"""The linearized operator and its spectra, in one orthonormal Fourier basis.
 
 The self-adjoint operator
 
@@ -6,33 +6,30 @@ The self-adjoint operator
 
 is the Fourier collocation of its divergence form d/dx(p d/dx .) + q,
 with p = phi - c and q = c - 3 phi^2 + phi'' sampled on x_j = j L / n.
-The real Fourier first derivative annihilates the sawtooth (Nyquist)
-mode, which would park a spurious O(1) eigenvalue in the counting
-window, so L carries the rank-one completion -kappa_N^2 mean(p) on that
-mode (what the full complex symbol gives): the unresolved mode sits high
-in the spectrum, and constant coefficients give exactly the Fourier
-diagonalization.  The dense n x n matrix is formed only when
-``OperatorMatrix.matrix`` is read (by dx L and the tests).
+The sawtooth (Nyquist) mode, which the real first derivative annihilates,
+gets the full complex symbol -kappa_N^2 mean(p), so it sits high in the
+spectrum instead of in the counting window.
 
-Parity blocks (Hill's method).  The wave is even, so L splits into an
-even block on the orthonormal cosine modes sqrt(2/n) s_k cos(kappa_k x),
-k = 0 .. n/2 (s_0 = s_{n/2} = 1/sqrt 2, else 1), and an odd block on the
-sine modes sqrt(2/n) sin(kappa_k x), k = 1 .. n/2 - 1.  With p^ = rfft(p)/n,
+The basis (Hill's method) is the cosine modes sqrt(2/n) s_k cos(kappa_k x),
+k = 0 .. n/2 (s_0 = s_{n/2} = 1/sqrt 2, else 1), then the sine modes
+sqrt(2/n) sin(kappa_k x), k = 1 .. n/2 - 1.  With p^ = rfft(p)/n,
 q^ = rfft(q)/n, (k+m)* = min(k + m, n - k - m) and kappa~ = kappa with its
-Nyquist entry 0, this orthogonal change of basis (not an approximation) gives
+Nyquist entry 0, this orthogonal change of basis (not an approximation)
+gives L = [[E, -C^T], [-C, O]] with
 
     E_km = s_k s_m [q^_|k-m| + q^_(k+m)* - kappa~_k kappa~_m (p^_|k-m| - p^_(k+m)*)]
            - kappa_N^2 p^_0 at (n/2, n/2),
     O_km = q^_|k-m| - q^_(k+m)* - kappa_k kappa_m (p^_|k-m| + p^_(k+m)*),
 
-O(n^2) index arithmetic on Re p^, Re q^, with no n x n product, and exactly
-symmetric.  Im p^ and Im q^ couple the blocks; ``reflection_defect`` is the
-largest coupling entry, and above the assembly gate the split raises
-:class:`AssemblyError`.  Each block is solved once (:class:`ParityBlocks`).
-As 1 = sqrt(n) (cosine mode 0), Y0 is E[1:, 1:] plus the odd block, and
-:func:`restricted_spectrum` solves E[1:, 1:] afresh (the independent route
-of the Morse identity); :func:`inv_one_pairing` reads the mode-0 entries of
-the even eigenvectors.  dx L swaps the parities and keeps the dense route.
+by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
+Im q^.  For an even wave C is rounding; above the assembly gate the split
+raises :class:`AssemblyError`.  Each block is solved once
+(:class:`ParityBlocks`).  As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine
+mode 0: :func:`restricted_spectrum` solves E[1:, 1:] afresh and
+:func:`inv_one_pairing` reads mode 0 of the even eigenvectors.  dx sends
+cosine mode k to -kappa_k sine mode k and sine k to kappa_k cosine k, so
+dx L (``OperatorMatrix.fourier``, C included) is the rows of L moved to
+the other parity and scaled; its cosine rows 0 and n/2 vanish.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero.  An explicit ``tol`` must be finite and positive; the default scales
@@ -81,35 +78,13 @@ class ParityBlocks:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """L or dx L on an n-node grid, held as the node values p, q of L's
-    coefficients (module docstring); ``matrix`` is formed on first read.
-    ``asymmetry`` is max |B - B^T| over the parity blocks as built (0.0);
-    ``reflection_defect``, the largest even-odd coupling entry, is rounding
-    for an even wave and gated before the split."""
+    coefficients; the blocks of L, the coupling C and, for dx L only, the
+    n x n matrix ``fourier`` are built from their spectra on first read
+    (module docstring)."""
 
     grid: PeriodicGrid
     kind: OperatorKind
     coefficients: np.ndarray = dc_field(repr=False)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense L (divergence form, Nyquist completion) or D1 L; AssemblyError
-        if L's asymmetry before symmetrization (inconsistent phi, phi'') exceeds 1e-8."""
-        p_vals, q_vals = self.coefficients
-        n = self.grid.n
-        d1 = fourier_diff_matrix(self.grid, 1)
-        mat = d1 @ (p_vals[:, None] * d1)
-        kap_nyq = math.pi * n / self.grid.L
-        saw = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        mat += (-(kap_nyq**2) * float(np.mean(p_vals)) / n) * np.outer(saw, saw)
-        mat[np.arange(n), np.arange(n)] += q_vals
-        asym = float(np.max(np.abs(mat - mat.T)))
-        if asym > ASYMMETRY_GATE:
-            raise AssemblyError(f"divergence-form asymmetry {asym:.3e} exceeds gate "
-                                f"{ASYMMETRY_GATE:.0e}")
-        mat = 0.5 * (mat + mat.T)
-        if self.kind == "evolution_dxL":
-            return fourier_diff_matrix(self.grid, 1) @ mat
-        return mat
 
     @cached_property
     def _windows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,20 +112,36 @@ class OperatorMatrix:
         odd = q_dif - q_sum - np.outer(kap[1:half], kap[1:half]) * (p_dif + p_sum)
         return even, odd
 
-    @cached_property
-    def asymmetry(self) -> float:
-        return max(float(np.max(np.abs(b - b.T))) for b in self._blocks)
-
-    @cached_property
-    def reflection_defect(self) -> float:
-        """max |C_km| = |<sine k, L cosine m>| = |s_m [b^q_(k+m) + b^q_(k-m) +
-        kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))]|, b = Im p^, Im q^ extended odd."""
+    def _coupling(self) -> np.ndarray:
+        """C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) + kappa_k
+        kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended odd; not
+        cached, so an L that never forms dx L keeps no (n/2)^2 array of rounding."""
         half = self.grid.n // 2
         kap, inner = self.grid.wavenumbers(), slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
         coupling = q_sum[inner] + q_dif[inner] + np.outer(
             kap[inner], np.append(kap[:half], 0.0)) * (p_sum[inner] - p_dif[inner])
-        return float(np.max(np.abs(coupling * _cosine_weights(half))))
+        return coupling * _cosine_weights(half)
+
+    @cached_property
+    def reflection_defect(self) -> float:
+        """max |C|: rounding for an even wave, and gated before the split."""
+        return float(np.max(np.abs(self._coupling())))
+
+    @cached_property
+    def fourier(self) -> np.ndarray:
+        """dx L in the cosine/sine basis (module docstring); DomainError for L."""
+        if self.kind != "evolution_dxL":
+            raise DomainError("the n x n Fourier matrix is formed only for dx L")
+        n, half = self.grid.n, self.grid.n // 2
+        (even, odd), coupling = self._blocks, self._coupling()
+        kap = self.grid.wavenumbers()[1:half, None]
+        dxl = np.zeros((n, n))
+        dxl[1:half, : half + 1] = -kap * coupling
+        dxl[1:half, half + 1:] = kap * odd
+        dxl[half + 1:, : half + 1] = -kap * even[1:half]
+        dxl[half + 1:, half + 1:] = kap * coupling.T[1:half]
+        return dxl
 
     @cached_property
     def parity(self) -> ParityBlocks:
@@ -207,30 +198,12 @@ class PairingReport:
     tol: float
 
 
-def fourier_diff_matrix(grid: PeriodicGrid, order: int) -> np.ndarray:
-    """Dense real Fourier differentiation matrix of the given order.
-
-    Odd orders zero the Nyquist mode; even orders keep its real symbol.
-    The matrix is the circulant D[i, j] = col[(i - j) mod n] whose first
-    column is the inverse FFT of the symbol; row i is a window of the
-    doubled first row.
-    """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    n = grid.n
-    symbol = (1j * grid.wavenumbers()) ** order
-    if order % 2 == 1:
-        symbol[-1] = 0.0
-    col = np.fft.irfft(symbol, n)
-    first_row = col[-np.arange(n) % n]
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(first_row, 2), n)
-    return windows[n:0:-1].copy()
-
-
 def _as_values(u, n: int) -> np.ndarray:
     vals = u.values if isinstance(u, PeriodicField) else np.asarray(u, dtype=float)
     if vals.shape != (n,):
         raise DomainError(f"coefficient array has shape {vals.shape}, expected ({n},)")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("coefficient values must be finite")
     return vals
 
 
@@ -240,16 +213,16 @@ def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Operato
     ``phi`` and ``phi2`` are the profile and its second derivative
     (fields or plain arrays; pass ``grid`` with arrays).  Accepts any
     smooth profile; for a traveling wave phi - c < 0 holds pointwise.
-    Only p and q are formed here; blocks and matrix wait for first use.
+    Only p and q are formed here; the blocks wait for first use.
     """
     if grid is None:
         if not isinstance(phi, PeriodicField):
             raise DomainError("assemble_l needs a grid when given plain arrays")
         grid = phi.grid
-    p_vals = _as_values(phi, grid.n) - float(c)
-    q_vals = float(c) - 3.0 * _as_values(phi, grid.n) ** 2 + _as_values(phi2, grid.n)
+    phi_vals = _as_values(phi, grid.n)
+    q_vals = float(c) - 3.0 * phi_vals**2 + _as_values(phi2, grid.n)
     return OperatorMatrix(grid=grid, kind="selfadjoint_L",
-                          coefficients=np.stack((p_vals, q_vals)))
+                          coefficients=np.stack((phi_vals - float(c), q_vals)))
 
 
 def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
@@ -258,8 +231,10 @@ def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Opera
 
 
 def evolution_operator(lop: OperatorMatrix) -> OperatorMatrix:
-    """The evolution operator dx L of L; its dense matrix is the product D1 L."""
-    return OperatorMatrix(grid=lop.grid, kind="evolution_dxL", coefficients=lop.coefficients)
+    """The evolution operator dx L of L, sharing L's coefficient spectra."""
+    dxl = OperatorMatrix(grid=lop.grid, kind="evolution_dxL", coefficients=lop.coefficients)
+    vars(dxl)["_windows"] = lop._windows  # the same p, q: one rfft serves both
+    return dxl
 
 
 def operator_for(p: WaveParams, n: int,
@@ -283,13 +258,21 @@ def _cosine_weights(half: int) -> np.ndarray:
     return np.concatenate(([math.sqrt(0.5)], np.ones(half - 1), [math.sqrt(0.5)]))
 
 
-def _to_grid(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Grid columns of cosine coordinates ``even`` (rows 0 .. n/2), then of
-    sine coordinates ``odd`` (rows 1 .. n/2 - 1), by one inverse real FFT."""
-    half = even.shape[0] - 1
-    spec = np.hstack((even / _cosine_weights(half)[:, None],
-                      -1j * np.pad(odd, ((1, 1), (0, 0)))))
+def _to_grid(coords: np.ndarray) -> np.ndarray:
+    """Grid columns of cosine (rows 0 .. n/2), then sine coordinates (rows
+    n/2 + 1 ..) ``coords``, by one inverse real FFT."""
+    half = coords.shape[0] // 2
+    spec = coords[: half + 1] / _cosine_weights(half)[:, None] + 0j
+    spec[1:half] -= 1j * coords[half + 1:]
     return math.sqrt(half) * np.fft.irfft(spec, 2 * half, axis=0)
+
+
+def _from_grid(u: np.ndarray) -> np.ndarray:
+    """The coordinates of grid columns ``u`` by one real FFT: the inverse of
+    :func:`_to_grid`."""
+    half = u.shape[0] // 2
+    spec = np.fft.rfft(u, axis=0) / math.sqrt(half)
+    return np.concatenate((spec.real * _cosine_weights(half)[:, None], -spec.imag[1:half]))
 
 
 def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
@@ -309,24 +292,10 @@ def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
     ``KEPT_MODES`` lowest modes, which are among the lowest of each block."""
     heads = np.concatenate((even_vals[:KEPT_MODES], odd_vals[:KEPT_MODES]))
     lowest = np.argsort(heads, kind="stable")[:KEPT_MODES]
-    cols = _to_grid(even_vecs[:, :KEPT_MODES], odd_vecs[:, :KEPT_MODES])
-    return np.sort(np.concatenate((even_vals, odd_vals))), cols[:, lowest]
-
-
-def _compress(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Compression of ``a`` to the complement of the unit vector ``u``.
-
-    The basis is columns 2.. of the reflection Q = I - beta v v^T sending
-    u to e_1, never formed: Q A Q = A - v g^T - h v^T with h = beta A v - s v,
-    g = beta A^T v - s v, s = beta^2 v^T A v / 2; its trailing block."""
-    v = -u
-    v[0] += 1.0
-    beta = 2.0 / float(np.dot(v, v))
-    av = a @ v
-    s = 0.5 * beta * beta * float(np.dot(v, av))
-    h = beta * av - s * v
-    g = beta * (v @ a) - s * v
-    return a[1:, 1:] - np.outer(v[1:], g[1:]) - np.outer(h[1:], v[1:])
+    even, odd = even_vecs[:, :KEPT_MODES], odd_vecs[:, :KEPT_MODES]
+    coords = np.block([[even, np.zeros((len(even), odd.shape[1]))],
+                       [np.zeros((len(odd), even.shape[1])), odd]])
+    return np.sort(np.concatenate((even_vals, odd_vals))), _to_grid(coords[:, lowest])
 
 
 def _zero_tol(eigenvalues: np.ndarray, kind: OperatorKind, tol: float | None) -> float:
@@ -362,15 +331,15 @@ def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
     """Full spectrum with negative/zero counts.
 
     The self-adjoint kind reads its cached parity blocks and gets the
-    real ascending union of both; the evolution kind a general dense
-    solver and complex eigenvalues sorted by real part.
+    real ascending union of both; the evolution kind solves its n x n
+    Fourier matrix and gets complex eigenvalues sorted by real part.
     """
     if m.kind == "selfadjoint_L":
         blocks = m.parity
         vals, kept = _merge_lowest(blocks.even_vals, blocks.even_vecs,
                                    blocks.odd_vals, blocks.odd_vecs)
         return _make_report(vals, tol, m.grid, m.kind, kept)
-    return _make_report(_eig(np.linalg.eigvals, m.matrix), tol, m.grid, m.kind, None)
+    return _make_report(_eig(np.linalg.eigvals, m.fourier), tol, m.grid, m.kind, None)
 
 
 def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
@@ -381,17 +350,15 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     by all the sine modes: the even block without its mean mode is solved
     afresh and joined with the odd block's eigenvalues.  For the evolution
     kind, Y0 is invariant under dx L (a derivative has zero mean), so the
-    dense compression along 1 / sqrt(n) is the true restriction.
+    Fourier matrix without cosine mode 0 is the true restriction.
     """
-    n = m.grid.n
     if m.kind == "selfadjoint_L":
         blocks = m.parity
         vals, vecs = _eig(np.linalg.eigh, blocks.even[1:, 1:])
         vecs = np.pad(vecs[:, :KEPT_MODES], ((1, 0), (0, 0)))
         vals, kept = _merge_lowest(vals, vecs, blocks.odd_vals, blocks.odd_vecs)
         return _make_report(vals, tol, m.grid, m.kind, kept)
-    reduced = _compress(m.matrix, np.full(n, 1.0 / math.sqrt(n)))
-    return _make_report(_eig(np.linalg.eigvals, reduced), tol, m.grid, m.kind, None)
+    return _make_report(_eig(np.linalg.eigvals, m.fourier[1:, 1:]), tol, m.grid, m.kind, None)
 
 
 def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
@@ -428,7 +395,7 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     pairing = m.grid.L * float(np.dot(inv, head * head))
     ones = np.eye(1, n // 2 + 1)[0] - vecs[:, kernel] @ head[kernel]
     cols = math.sqrt(n) * np.column_stack((vecs @ (inv * head), ones))
-    w, rhs = _to_grid(cols, np.zeros((n // 2 - 1, 0))).T
+    w, rhs = _to_grid(np.pad(cols, ((0, n // 2 - 1), (0, 0)))).T
     residual = float(np.max(np.abs(_apply_l(m, w) - rhs)))
     return PairingReport(value=pairing, kernel_dim=k_dim, residual=residual,
                          tol=float(tol))

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -74,3 +75,28 @@ def random_smooth(grid: mw.PeriodicGrid, rng: np.random.Generator,
         arg = 2.0 * np.pi * m * x / grid.L
         vals += rng.normal() * np.cos(arg) + rng.normal() * np.sin(arg)
     return mw.PeriodicField(grid, vals)
+
+
+def diff_matrix(grid: mw.PeriodicGrid) -> np.ndarray:
+    """Dense real Fourier first-derivative matrix D1: the symbol i kappa, with
+    the Nyquist entry zeroed, applied to the FFT of every unit vector."""
+    n = grid.n
+    kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.L
+    symbol = 1j * kap
+    symbol[n // 2] = 0.0
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+
+
+def dense_matrix(op) -> np.ndarray:
+    """The grid collocation matrix of L for the coefficients of ``op`` (either
+    kind): D1 diag(p) D1 + diag(q), the sawtooth mode completed at
+    -kappa_N^2 mean(p), symmetrized."""
+    p_vals, q_vals = op.coefficients
+    n = op.grid.n
+    d1 = diff_matrix(op.grid)
+    mat = d1 @ (p_vals[:, None] * d1)
+    kap_nyq = math.pi * n / op.grid.L
+    saw = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    mat += (-(kap_nyq**2) * float(np.mean(p_vals)) / n) * np.outer(saw, saw)
+    mat[np.arange(n), np.arange(n)] += q_vals
+    return 0.5 * (mat + mat.T)

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import dataclasses
+import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 import mchwave as mw
@@ -139,8 +141,7 @@ class TestSpectrumCommand:
                          "--out-dir", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         op = linop.operator_for(mw.wave_params(0.5, 6 * math.pi), 128)
-        assert payload["operator"] == {"asymmetry": op.asymmetry,
-                                       "reflection_defect": op.reflection_defect}
+        assert payload["operator"] == {"reflection_defect": op.reflection_defect}
         assert 0.0 <= payload["operator"]["reflection_defect"] < linop.ASYMMETRY_GATE
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -168,32 +169,42 @@ class TestSpectrumCommand:
         assert len(ev["eigenvalues_re"]) == 63
         assert max(abs(v) for v in ev["eigenvalues_re"]) < 1e-8  # purely imaginary
 
-    def test_evolution_reuses_assembled_operator(self, count_calls, tmp_path):
-        # dx L is formed from the L already assembled for the spectrum
+    def test_evolution_reuses_assembled_operator(self, count_calls, monkeypatch, tmp_path):
+        # dx L is formed from the L already assembled for the spectrum, and
+        # shares its coefficient spectra: one rfft of (p, q) for the job
         assembled = count_calls(linop.assemble_l)
-        diff_matrices = count_calls(linop.fourier_diff_matrix)
+        spectra = []
+
+        def rfft(a, *args, _rfft=np.fft.rfft, **kwargs):
+            if np.ndim(a) == 2:
+                spectra.append(np.shape(a))
+            return _rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft)
         assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", "--evolution",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert len(assembled) == 1 and len(diff_matrices) == 2
+        assert len(assembled) == 1 and spectra == [(2, 64)]
 
     def test_spectral_paths_build_no_dense_matrix(self, count_calls, monkeypatch, tmp_path):
-        # counts and pairing come from the parity blocks alone: no derivative
-        # matrix, and the dense n x n matrix of L is never formed
-        diff_matrices = count_calls(linop.fourier_diff_matrix)
+        # counts and pairing come from the parity blocks alone: no operator
+        # forms the n x n Fourier matrix of dx L, and no dx L is made
         built = []
 
-        def keep(*args, _assemble=linop.assemble_l, **kwargs):
-            built.append(_assemble(*args, **kwargs))
+        def keep(*args, _build, **kwargs):
+            built.append(_build(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(linop, "assemble_l", keep)
+        for name in ("assemble_l", "evolution_operator"):
+            monkeypatch.setattr(linop, name, functools.partial(keep, _build=getattr(linop, name)))
         mw.morse_check(0.5, 6 * math.pi)
         assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert len(built) == 2 and len(diff_matrices) == 0
-        assert all("matrix" not in vars(op) for op in built)
-        built[0].matrix
-        assert "matrix" in vars(built[0]) and len(diff_matrices) == 1
+        assert len(built) == 2 and all(op.kind == "selfadjoint_L" for op in built)
+        assert all("fourier" not in vars(op) for op in built)
+        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", "--evolution",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert [op.kind for op in built[2:]] == ["selfadjoint_L", "evolution_dxL"]
+        assert "fourier" not in vars(built[2]) and "fourier" in vars(built[3])
 
     @pytest.mark.parametrize("k, big_l, extra, valid", [
         ("0.8", "8pi", [], False), ("0.5", "6pi", [], True),

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import mchwave as mw
 from mchwave import AssemblyError, DomainError, RankError, linop
 
-from conftest import random_smooth
+from conftest import dense_matrix, diff_matrix, random_smooth
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -23,9 +23,10 @@ def constant_case_eigenvalues(n: int) -> np.ndarray:
 
 class TestAssembly:
     def test_symmetry_after_gate(self, op05_256):
-        m = op05_256.matrix
+        m = dense_matrix(op05_256)
         assert np.max(np.abs(m - m.T)) < 1e-10
-        assert op05_256.asymmetry < 1e-8
+        even, odd = op05_256._blocks
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
 
     def test_constant_case_matches_fourier_diagonalization(self, op_constant_128):
         rep = mw.spectrum(op_constant_128)
@@ -36,37 +37,34 @@ class TestAssembly:
         phi, _, phi2 = mw.profile(wave05, grid.nodes)
         op = mw.operator_for(wave05, 256)
         q = wave05.c - 3.0 * phi**2 + phi2
-        assert np.max(np.abs(op.matrix @ np.ones(256) - q)) < 1e-10
+        assert np.max(np.abs(dense_matrix(op) @ np.ones(256) - q)) < 1e-10
 
     def test_annihilates_wave_derivative(self, wave05, op05_256):
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi1 = mw.profile(wave05, grid.nodes)[1]
-        assert np.linalg.norm(op05_256.matrix @ phi1) / np.linalg.norm(phi1) < 1e-6
+        assert np.linalg.norm(dense_matrix(op05_256) @ phi1) / np.linalg.norm(phi1) < 1e-6
 
     def test_needs_grid_for_plain_arrays(self):
         with pytest.raises(DomainError):
             mw.assemble_l(np.ones(32), np.zeros(32), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("assemble", [mw.assemble_l, mw.assemble_dxl])
+    def test_refuses_non_finite_coefficients(self, assemble, bad):
+        grid = mw.PeriodicGrid(2 * math.pi, 32)
+        for which in (0, 1):
+            arrays = [np.full(32, -1.0), np.zeros(32)]
+            arrays[which][5] = bad
+            with pytest.raises(DomainError, match="finite"):
+                assemble(*arrays, 0.2, grid)
+
     def test_diff_matrix_on_modes(self):
         grid = mw.PeriodicGrid(2 * math.pi, 32)
-        d1 = mw.fourier_diff_matrix(grid, 1)
+        d1 = diff_matrix(grid)
         x = grid.nodes
         assert np.max(np.abs(d1 @ np.sin(3 * x) - 3 * np.cos(3 * x))) < 1e-11
         # antisymmetry makes the divergence form structurally symmetric
         assert np.max(np.abs(d1 + d1.T)) < 1e-12
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_diff_matrix_matches_fft_of_identity(self, order):
-        # oracle: the symbol applied to the FFT of every unit vector
-        for n in (16, 32, 64, 128, 256, 512, 1024):
-            grid = mw.PeriodicGrid(6 * math.pi, n)
-            kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.L
-            symbol = (1j * kap) ** order
-            if order % 2 == 1:
-                symbol[n // 2] = 0.0
-            dense = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
-            d = mw.fourier_diff_matrix(grid, order)
-            assert np.max(np.abs(d - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestSpectrum:
@@ -150,7 +148,10 @@ class TestRestrictedSpectrum:
         basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
         assert np.max(np.abs(basis.T @ basis - np.eye(n - 1))) < 1e-12
         assert np.max(np.abs(basis.T @ np.ones(n))) < 1e-12
-        dense = basis.T @ op.matrix @ basis
+        mat = dense_matrix(op)
+        if kind == "evolution_dxL":
+            mat = diff_matrix(op.grid) @ mat
+        dense = basis.T @ mat @ basis
         rep = mw.restricted_spectrum(op)
         radius = float(np.max(np.abs(rep.eigenvalues)))
         if kind == "selfadjoint_L":
@@ -159,7 +160,7 @@ class TestRestrictedSpectrum:
             vecs = rep.eigenvectors
             assert np.max(np.abs(vecs.T @ np.ones(n))) < 1e-12
             assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
-            rayleigh = np.einsum("ij,ij->j", vecs, op.matrix @ vecs)
+            rayleigh = np.einsum("ij,ij->j", vecs, mat @ vecs)
             assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
         else:
             expected = np.linalg.eigvals(dense)
@@ -170,7 +171,7 @@ class TestRestrictedSpectrum:
 
 def dense_pairing(op, allow_multi_kernel=False):
     """The deflated solve of <L^{-1} 1, 1> on one full eigendecomposition."""
-    vals, vecs = np.linalg.eigh(op.matrix)
+    vals, vecs = np.linalg.eigh(dense_matrix(op))
     tol = linop._zero_tol(vals, op.kind, None)
     kernel = np.abs(vals) <= tol
     if int(np.sum(kernel)) != 1 and not allow_multi_kernel:
@@ -195,7 +196,7 @@ class TestParityBlocks:
     def test_matches_dense_decomposition(self, k, big_l, n):
         # oracle: one full dense eigensolve and the deflated solve on it
         op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
-        dense = np.linalg.eigvalsh(op.matrix)
+        dense = np.linalg.eigvalsh(dense_matrix(op))
         radius = float(np.max(np.abs(dense)))
         rep = mw.spectrum(op)
         assert np.max(np.abs(rep.eigenvalues - dense)) <= 1e-13 * radius
@@ -213,12 +214,12 @@ class TestParityBlocks:
         assert vecs.shape == (256, linop.KEPT_MODES)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
         radius = float(np.max(np.abs(rep.eigenvalues)))
-        resid = op05_256.matrix @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
+        resid = dense_matrix(op05_256) @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
         assert np.max(np.abs(resid)) < 1e-10 * radius
 
     def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
         for op in (op05_256, op_constant_128):
-            assert op.reflection_defect <= 1e-14 * np.max(np.abs(op.matrix))
+            assert op.reflection_defect <= 1e-14 * np.max(np.abs(dense_matrix(op)))
 
     def test_reflection_gate(self):
         # the non-even coefficients of the growth-rate check (sin 2x in phi'')
@@ -228,7 +229,7 @@ class TestParityBlocks:
         ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
                                - 2.929 * np.cos(3 * x))
         lop = mw.assemble_l(phi, ph2, 0.2)
-        assert lop.asymmetry <= linop.ASYMMETRY_GATE < lop.reflection_defect
+        assert linop.ASYMMETRY_GATE < lop.reflection_defect
         for solve in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing):
             with pytest.raises(AssemblyError):
                 solve(lop)
@@ -243,14 +244,15 @@ def test_parity_counts_match_dense(k, big_l):
     n = 128
     op = mw.operator_for(mw.wave_params(k, big_l), n)
     full = mw.spectrum(op)
-    assert (full.n_neg, full.z_dim) == dense_counts(np.linalg.eigvalsh(op.matrix))
+    a = dense_matrix(op)
+    assert (full.n_neg, full.z_dim) == dense_counts(np.linalg.eigvalsh(a))
     # the restricted route against the dense Householder basis of Y0
     v = np.full(n, -1.0 / math.sqrt(n))
     v[0] += 1.0
     basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
     restr = mw.restricted_spectrum(op)
     assert (restr.n_neg, restr.z_dim) == dense_counts(
-        np.linalg.eigvalsh(basis.T @ op.matrix @ basis))
+        np.linalg.eigvalsh(basis.T @ a @ basis))
 
 
 def grid_even_weights(n):
@@ -281,12 +283,15 @@ def grid_parity_oracle(op, allow_multi_kernel=False):
     """Even, odd and restricted eigenvalues and the pairing from the dense matrix
     folded in the grid-parity bases; Y0 by the Householder compression of the even
     block along the normalized constant, the pairing by the deflated even solve."""
-    even, odd = grid_parity_blocks(op.matrix)
+    even, odd = grid_parity_blocks(dense_matrix(op))
     n = op.grid.n
     ones = grid_even_weights(n)
     even_vals, even_vecs = np.linalg.eigh(even)
     odd_vals = np.linalg.eigvalsh(odd)
-    restr_vals = np.linalg.eigvalsh(linop._compress(even, ones / math.sqrt(n)))
+    v = -ones / math.sqrt(n)
+    v[0] += 1.0
+    basis = (np.eye(n // 2 + 1) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+    restr_vals = np.linalg.eigvalsh(basis.T @ even @ basis)
     full = np.sort(np.concatenate((even_vals, odd_vals)))
     tol = linop._zero_tol(full, op.kind, None)
     kernel = np.abs(even_vals) <= tol
@@ -341,13 +346,13 @@ class TestHillBlocks:
         # E = C^T A C and O = S^T A S for the dense matrix A and the explicit
         # orthonormal cosine and sine bases; the coupling S^T A C is rounding
         cos_b, sin_b = cosine_basis(256), sine_basis(256)
-        a = op05_256.matrix
+        a = dense_matrix(op05_256)
         scale = np.max(np.abs(a))
         even, odd = op05_256._blocks
         assert np.max(np.abs(cos_b.T @ a @ cos_b - even)) <= 1e-13 * scale
         assert np.max(np.abs(sin_b.T @ a @ sin_b - odd)) <= 1e-13 * scale
         assert np.max(np.abs(sin_b.T @ a @ cos_b)) <= 1e-13 * scale
-        assert op05_256.asymmetry == 0.0
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_reflection_defect_is_the_coupling(self, seed):
@@ -358,7 +363,7 @@ class TestHillBlocks:
         phi = -1.0 + 0.1 * random_smooth(grid, np.random.default_rng(seed)).values
         phi2 = random_smooth(grid, np.random.default_rng(seed + 10)).values
         lop = mw.assemble_l(phi, phi2, 0.2, grid)
-        coupling = float(np.max(np.abs(sine_basis(n).T @ lop.matrix @ cosine_basis(n))))
+        coupling = float(np.max(np.abs(sine_basis(n).T @ dense_matrix(lop) @ cosine_basis(n))))
         assert lop.reflection_defect == pytest.approx(coupling, rel=1e-12)
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
@@ -375,7 +380,7 @@ class TestHillBlocks:
         w = math.sqrt(n) * cosine_basis(n) @ (blocks.even_vecs @ (head / blocks.even_vals))
         assert pair.value == pytest.approx(big_l * float(np.dot(head, head / blocks.even_vals)),
                                            rel=1e-14)
-        a = op.matrix
+        a = dense_matrix(op)
         scale = float(np.max(np.abs(a)) * np.max(np.abs(w)))
         assert abs(pair.residual - float(np.max(np.abs(a @ w - 1.0)))) <= 1e-12 * scale
         # the FFT application is the dense matrix on any vector, sawtooth included
@@ -403,16 +408,26 @@ def test_hill_blocks_match_grid_parity(k, big_l):
 
 
 class TestEvolutionOperator:
-    def test_product_structure(self, wave05):
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        fld = mw.PeriodicField(grid, phi)
-        fld2 = mw.PeriodicField(grid, phi2)
-        lop = mw.assemble_l(fld, fld2, wave05.c)
-        dxl = mw.assemble_dxl(fld, fld2, wave05.c)
-        d1 = mw.fourier_diff_matrix(grid, 1)
-        assert np.max(np.abs(dxl.matrix - d1 @ lop.matrix)) == 0.0
-        assert dxl.kind == "evolution_dxL"
+    def test_product_structure(self):
+        # oracle: dx L = Q^T (D1 A) Q for the dense grid matrix A, the
+        # FFT-of-identity D1 and the explicit cosine and sine bases Q; the
+        # non-even coefficients of the growth-rate check pin the sign of C
+        grid = mw.PeriodicGrid(2 * math.pi, 64)
+        x = grid.nodes
+        non_even = mw.assemble_dxl(-1.0 + 0.3 * np.cos(x), -0.019 * np.cos(x)
+                                   - 1.515 * np.sin(2 * x) - 2.929 * np.cos(3 * x), 0.2, grid)
+        for dxl in (mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 256, "evolution_dxL"),
+                    mw.operator_for(mw.constant_wave(2 * math.pi), 128, "evolution_dxL"),
+                    non_even):
+            n = dxl.grid.n
+            q = np.hstack((cosine_basis(n), sine_basis(n)))
+            a = diff_matrix(dxl.grid) @ dense_matrix(dxl)
+            assert dxl.kind == "evolution_dxL" and dxl.fourier.shape == (n, n)
+            assert np.max(np.abs(dxl.fourier - q.T @ a @ q)) <= 1e-13 * np.max(np.abs(a))
+
+    def test_fourier_matrix_only_for_evolution(self, op05_256):
+        with pytest.raises(DomainError):
+            op05_256.fourier
 
     def test_action_on_constant_vector(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
@@ -421,7 +436,10 @@ class TestEvolutionOperator:
                               wave05.c)
         q = mw.PeriodicField(grid, wave05.c - 3.0 * phi**2 + phi2)
         expected = mw.derivative(q).values
-        assert np.max(np.abs(dxl.matrix @ np.ones(256) - expected)) < 1e-8
+        # 1 = sqrt(n) (cosine mode 0), so dx L 1 is sqrt(n) column 0 on the grid
+        col = math.sqrt(256) * dxl.fourier[:, :1]
+        got = linop._to_grid(col)[:, 0]
+        assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_constant_case_purely_imaginary(self):
         dxl = mw.operator_for(mw.constant_wave(2 * math.pi), 128, "evolution_dxL")
@@ -468,6 +486,21 @@ class TestInvOnePairing:
         dxl = mw.operator_for(wave05, 128, "evolution_dxL")
         with pytest.raises(DomainError):
             mw.inv_one_pairing(dxl)
+
+
+@settings(max_examples=20)
+@given(half=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+def test_from_grid_inverts_to_grid(half, seed):
+    # the cosine/sine coordinates are orthonormal: the map is exact both ways
+    # and preserves the Euclidean norm of every column
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((2 * half, 3))
+    coords = linop._from_grid(u)
+    assert np.allclose(linop._to_grid(coords), u, rtol=0.0, atol=1e-13 * np.max(np.abs(u)))
+    assert np.allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(u, axis=0),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(linop._from_grid(linop._to_grid(coords)), coords,
+                       rtol=0.0, atol=1e-13 * np.max(np.abs(coords)))
 
 
 @settings(max_examples=6)
