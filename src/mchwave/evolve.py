@@ -12,12 +12,14 @@ dt ~ L / n.
 
 Nonlinear products are formed in physical space on a refined grid
 (factor >= 2, enough to fully dealias cubic terms) and truncated back.
-One right side costs four FFT calls: a forward transform of u, one
-batched inverse transform that lifts u, u_x and u_xx to the fine grid
-together (their symbols, the zero padding and the amplitude scale are
-tabulated once per grid), a forward transform of the product
-u (u_xx - u^2) + u_x^2 / 2, and an inverse transform of its truncated
-spectrum times the smoothing symbol.
+The RK4 state is the rfft spectrum of u, so one right side costs two FFT
+calls: one batched inverse transform that lifts u, u_x and u_xx to the
+fine grid together (their symbols, the zero padding and the amplitude
+scale are tabulated once per grid), and a forward transform of the
+product u (u_xx - u^2) + u_x^2 / 2, whose coarse modes times the
+smoothing symbol are the result.  One inverse transform per step gives
+the grid values for the blow-up check and the monitors: nine FFT calls
+per step.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -117,15 +119,9 @@ def _pad_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Project an rfft spectrum from m grid points back to n (m > n)."""
-    out = spec[: n // 2 + 1].copy()
-    out[n // 2] = 2.0 * spec[n // 2].real  # +-n/2 alias onto the grid cosine
-    return out
-
-
 class _RhsOperator:
-    """Precomputed spectral machinery for the smoothed right side.
+    """Precomputed spectral machinery for the smoothed right side, acting on
+    rfft spectra: n/2 + 1 coefficients of u in, those of u_t out.
 
     ``lift`` stacks the symbols 1, i kappa and -kappa^2 as they act on the
     coarse rfft spectrum, with the zero padding's Nyquist halving and the
@@ -148,14 +144,15 @@ class _RhsOperator:
         self.sym_out = self.sym_smooth * (self.n / self.m)
         self._fine_spec = np.zeros((3, self.m // 2 + 1), dtype=complex)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        np.multiply(self.lift, np.fft.rfft(values), out=self._fine_spec[:, : self.n // 2 + 1])
+    def __call__(self, spec: np.ndarray) -> np.ndarray:
+        half = self.n // 2 + 1
+        np.multiply(self.lift, spec, out=self._fine_spec[:, :half])
         u_f, ux_f, uxx_f = np.fft.irfft(self._fine_spec, self.m)
         w_f = u_f * (uxx_f - u_f * u_f) + 0.5 * ux_f * ux_f
-        # sym_out vanishes at the Nyquist mode, so the truncation's fold there is inert
-        w_spec = _truncate_spectrum(np.fft.rfft(w_f), self.m, self.n)
-        out = np.fft.irfft(self.sym_out * w_spec, self.n)
-        if not np.all(np.isfinite(out)):
+        # sym_out vanishes at the Nyquist mode, where the fine spectrum would
+        # fold +-n/2 onto the grid cosine, so the coarse slice is exact
+        out = self.sym_out * np.fft.rfft(w_f)[:half]
+        if not np.isfinite(out).all():
             raise BlowUpError("non-finite value in right-side evaluation")
         return out
 
@@ -163,7 +160,7 @@ class _RhsOperator:
 def rhs(u: PeriodicField, dealias_pad: int = 2) -> PeriodicField:
     """One evaluation of the smoothed right side dx (1-dx^2)^{-1}(...)."""
     op = _RhsOperator(u.grid, dealias_pad)
-    return PeriodicField(u.grid, op(u.values))
+    return PeriodicField(u.grid, np.fft.irfft(op(u.spectrum), u.grid.n))
 
 
 def _rk4_step(f, values: np.ndarray, dt: float) -> np.ndarray:
@@ -209,7 +206,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     drifts: list[np.ndarray] = []
 
     def record(t: float, values: np.ndarray) -> str | None:
-        fld = PeriodicField(u0.grid, values.copy())
+        fld = PeriodicField(u0.grid, values)
         times.append(t)
         fields.append(fld)
         e, f, v = functionals(fld)
@@ -221,18 +218,19 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 return TERMINATED_INSTABILITY
         return None
 
-    values = u0.values.copy()
-    terminated = record(0.0, values) or TERMINATED_COMPLETED
+    spec = np.fft.rfft(u0.values)
+    terminated = record(0.0, u0.values) or TERMINATED_COMPLETED
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             if terminated != TERMINATED_COMPLETED:
                 break
             try:
-                values = _rk4_step(op, values, dt)
+                spec = _rk4_step(op, spec, dt)
             except BlowUpError:
                 terminated = TERMINATED_BLOWUP
                 break
-            if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > cfg.blowup_threshold:
+            values = np.fft.irfft(spec, u0.grid.n)
+            if not (np.max(np.abs(values)) <= cfg.blowup_threshold):  # NaN fails too
                 terminated = TERMINATED_BLOWUP
                 break
             if step % cfg.monitor_every == 0 or step == n_steps:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mchwave as mw
-from mchwave import linop
+from mchwave import cli, linop
 from mchwave.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          dispatch, parse_length)
 
@@ -32,6 +32,36 @@ class TestParseLength:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_length("6tau")
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch, count_calls):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = count_calls(cli.build_parser)
+        jobs = [["wave", "--k", "0.5", "--L", "6pi", "--n", "64"],
+                ["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64"]]
+        dirs = [tmp_path / job[0] for job in jobs]
+
+        def bodies(d):
+            return {f.name: strip_timestamps(f.read_text()) for f in sorted(d.iterdir())}
+
+        for job, d in zip(jobs, dirs):
+            assert dispatch(job + ["--out-dir", str(d)]) == EXIT_OK
+        assert len(builds) == 1
+        together = [bodies(d) for d in dirs]
+        for job, d, seen in zip(jobs, dirs, together):
+            monkeypatch.setattr(cli, "_PARSER", None)
+            assert dispatch(job + ["--out-dir", str(d)]) == EXIT_OK
+            assert bodies(d) == seen and seen
+        assert len(builds) == 3
+
+    def test_exit_codes_on_a_reused_parser(self, capsys):
+        assert dispatch(["--version"]) == EXIT_OK
+        assert dispatch(["wave", "--k", "0.5"]) == EXIT_USAGE
+        assert dispatch(["wave", "--help"]) == EXIT_OK
+        assert dispatch(["nonsense"]) == EXIT_USAGE
+        assert dispatch(["--version"]) == EXIT_OK
+        assert mw.__version__ in capsys.readouterr().out
 
 
 class TestWaveCommand:

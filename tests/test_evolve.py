@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 import mchwave as mw
-from mchwave import DomainError
+from mchwave import BlowUpError, DomainError, evolve
 from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
-                            TERMINATED_INSTABILITY, _RhsOperator,
+                            TERMINATED_INSTABILITY, _pad_spectrum, _RhsOperator,
                             seeded_perturbation)
+from mchwave.field import _orbit_distance
 
 from conftest import random_smooth
+
+
+def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Project an rfft spectrum from m grid points back to n (m > n)."""
+    out = spec[: n // 2 + 1].copy()
+    out[n // 2] = 2.0 * spec[n // 2].real  # +-n/2 alias onto the grid cosine
+    return out
 
 
 class TestConfig:
@@ -70,7 +78,6 @@ class TestRhs:
     def test_fused_matches_six_transform_reference(self, n, pad):
         # the right side as three separate zero-padded lifts, u**3, and an
         # explicit truncation: six transforms per evaluation
-        from mchwave.evolve import _pad_spectrum, _truncate_spectrum
         g = mw.PeriodicGrid(6 * math.pi, n)
         rng = np.random.default_rng(n + pad)
         # every mode up to Nyquist is excited, so the padding's Nyquist split counts
@@ -88,19 +95,18 @@ class TestRhs:
         w_f = u_f * uxx_f + 0.5 * ux_f * ux_f - u_f**3
         w_spec = _truncate_spectrum(np.fft.rfft(w_f), m, n) * (n / m)
         ref = np.fft.irfft(sym_d1 / (1.0 + kap * kap) * w_spec, n)
-        out = _RhsOperator(g, pad)(u.values)
+        out = np.fft.irfft(_RhsOperator(g, pad)(spec), n)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_four_transforms_per_evaluation(self, fft_calls):
+    def test_two_transforms_per_evaluation(self, fft_calls):
         g = mw.PeriodicGrid(6 * math.pi, 256)
         op = _RhsOperator(g)
-        u = random_smooth(g, np.random.default_rng(7))
+        spec = random_smooth(g, np.random.default_rng(7)).spectrum
         fft_calls.clear()
-        op(u.values)
-        assert len(fft_calls) == 4
+        op(spec)
+        assert fft_calls == ["irfft", "rfft"]
 
     def test_resampling_round_trip(self):
-        from mchwave.evolve import _pad_spectrum, _truncate_spectrum
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u = np.sin(3 * g.nodes) + 0.3 * np.cos(7 * g.nodes)
         spec = np.fft.rfft(u)
@@ -204,6 +210,106 @@ class TestRun:
         assert rep.terminated == TERMINATED_INSTABILITY
         assert list(rep.times) == [0.0] and traj.times == [0.0]
         assert rep.rho[0] > 0.1 * 1e-3
+
+
+def grid_state_run(u0, cfg, p, delta, rho_factor=50.0):
+    """The orbit run with the grid values as RK4 state: every stage is the
+    public grid-space right side ``mw.rhs``.  Returns the verdict, the monitor
+    times, rho and the relative drifts of (E, F, V)."""
+    grid = u0.grid
+    n_steps = max(1, round(cfg.t_end / cfg.dt))
+    dt = cfg.t_end / n_steps
+    phi = mw.sample_wave(p, grid)
+    base = np.array(mw.functionals(u0))
+    times, rho, drifts = [], [], []
+
+    def f(values):
+        return mw.rhs(mw.PeriodicField(grid, values), cfg.dealias_pad).values
+
+    def detected(t, values):
+        fld = mw.PeriodicField(grid, values)
+        times.append(t)
+        drifts.append((np.array(mw.functionals(fld)) - base) / np.abs(base))
+        rho.append(_orbit_distance(fld, phi)[0])
+        return rho[-1] > rho_factor * delta
+
+    values = u0.values
+    verdict = TERMINATED_INSTABILITY if detected(0.0, values) else TERMINATED_COMPLETED
+    for step in range(1, n_steps + 1):
+        if verdict != TERMINATED_COMPLETED:
+            break
+        k1 = f(values)
+        k2 = f(values + 0.5 * dt * k1)
+        k3 = f(values + 0.5 * dt * k2)
+        k4 = f(values + dt * k3)
+        values = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.max(np.abs(values)) <= cfg.blowup_threshold:
+            verdict = TERMINATED_BLOWUP
+        elif (step % cfg.monitor_every == 0 or step == n_steps) and detected(step * dt, values):
+            verdict = TERMINATED_INSTABILITY
+    return verdict, np.array(times), np.array(rho), np.array(drifts)
+
+
+class TestSpectralState:
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi)])
+    def test_matches_grid_state_loop(self, k, big_l):
+        p = mw.wave_params(k, big_l)
+        grid = mw.PeriodicGrid(p.L, 256)
+        phi = mw.sample_wave(p, grid)
+        u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=10.0,
+                                 monitor_every=25)
+        _, rep = mw.run(u0, cfg, reference=p, delta=1e-3)
+        verdict, times, rho, drifts = grid_state_run(u0, cfg, p, 1e-3)
+        assert rep.terminated == verdict
+        assert np.array_equal(rep.times, times) and len(times) > 2
+        assert np.all(np.abs(rep.rho - rho) <= 1e-11 * rho)
+        run_drifts = np.column_stack((rep.drift_E, rep.drift_F, rep.drift_V))
+        assert np.max(np.abs(run_drifts - drifts)) <= 1e-13
+
+    def test_nine_transforms_per_step(self, fft_calls, wave05):
+        # the two runs differ by 20 steps and nothing else
+        u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
+        counts = []
+        for t_end in (1.0, 2.0):
+            fft_calls.clear()
+            _, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end,
+                                                   monitor_every=10**9))
+            assert rep.terminated == TERMINATED_COMPLETED
+            assert list(rep.times) == [0.0, t_end]
+            counts.append(len(fft_calls))
+        assert counts[1] - counts[0] <= 9 * 20
+
+    def test_four_right_sides_per_step(self, monkeypatch, wave05):
+        # the benchmark's traced per-step counters wrap exactly these two names
+        rk4, call = evolve._rk4_step, _RhsOperator.__call__
+        sides, per_step = [], []
+
+        def counted_step(f, values, dt):
+            before = len(sides)
+            out = rk4(f, values, dt)
+            per_step.append(len(sides) - before)
+            return out
+
+        def counted_call(self, spec):
+            sides.append(spec)
+            return call(self, spec)
+
+        monkeypatch.setattr(evolve, "_rk4_step", counted_step)
+        monkeypatch.setattr(_RhsOperator, "__call__", counted_call)
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        _, rep = mw.run(mw.sample_wave(wave05, grid), mw.EvolutionConfig(dt=0.05, t_end=1.0),
+                        reference=wave05)
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert per_step == [4] * 20 and len(sides) == 80
+
+    def test_non_finite_spectrum_raises(self):
+        g = mw.PeriodicGrid(2 * math.pi, 32)
+        spec = np.fft.rfft(np.sin(g.nodes))
+        spec[3] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError):
+            _RhsOperator(g)(spec)
 
 
 class TestLinearizedRun:
