@@ -60,8 +60,8 @@ from .linop import (
     OperatorMatrix,
     PairingReport,
     SpectralReport,
-    assemble_dxl,
     assemble_l,
+    evolution_spectrum,
     inv_one_pairing,
     operator_for,
     restricted_spectrum,

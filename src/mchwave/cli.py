@@ -178,9 +178,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except MchError as exc:
         payload["pairing_error"] = str(exc)
     if args.evolution:
-        dxl = linop.evolution_operator(op)
         payload["evolution_spectrum"] = _spectral_payload(
-            linop.restricted_spectrum(dxl, tol=args.tol))
+            linop.evolution_spectrum(op, tol=args.tol))
     out = Path(args.out_dir) / "spectrum.json"
     write_json(out, payload, args)
     print(f"spectrum (k={args.k}, L={args.L}, n={args.n}): n(L)={full.n_neg} "
@@ -390,11 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=parse_length, required=True)
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--tol", type=float, default=None,
-                    help="zero-eigenvalue tolerance, finite and > 0 (default: "
-                         "1e3*eps*max|lambda| for L, 1e-6*max|lambda| for dx L)")
+                    help="zero-eigenvalue tolerance in eigenvalue units, finite and > 0 "
+                         "(default: 1e3*eps*max|lambda| for L; for J L the same rule on "
+                         "mu = lambda^2, to which an explicit tol applies squared)")
     sp.add_argument("--allow-multi-kernel", action="store_true")
     sp.add_argument("--evolution", action="store_true",
-                    help="also dump the complex spectrum of the evolution operator on Y0")
+                    help="also dump the complex spectrum of J L, J = dx (1 - dx^2)^-1, on Y0")
     add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .field import (PeriodicField, PeriodicGrid, _orbit_distance, functionals,
                     h1_norm, sample_wave)
-from .linop import OperatorMatrix, _from_grid, operator_for
+from .linop import OperatorMatrix, _apply_l, _zero_tol, operator_for
 from .wave import WaveParams
 
 TERMINATED_COMPLETED = "completed"
@@ -246,32 +246,43 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     return Trajectory(times=times, fields=fields), report
 
 
+def _linear_rhs(lop: OperatorMatrix):
+    """The right side v -> J L v of :func:`linearized_run` on grid values:
+    L v by FFT, then the symbol i kappa / (1 + kappa^2), Nyquist entry 0."""
+    n, kap = lop.grid.n, lop.grid.wavenumbers()
+    symbol = 1j * np.append(kap[:-1], 0.0) / (1.0 + kap * kap)
+    return lambda v: np.fft.irfft(symbol * np.fft.rfft(_apply_l(lop, v)), n)
+
+
 def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
                    cfg: EvolutionConfig) -> LinearGrowthReport:
-    """Integrate v_t = (dx L) v in the orthonormal cosine/sine coordinates of
-    the operator's Fourier matrix (:mod:`mchwave.linop`).
+    """Integrate v_t = J L v, J = dx (1 - dx^2)^{-1}: the linearization of the
+    flow :func:`run` integrates, at the wave and in the frame moving with it.
 
-    ``p`` is a :class:`WaveParams` (then ``operator_for(p, n, "evolution_dxL")``
-    on the grid of v0) or a prebuilt evolution :class:`OperatorMatrix`.  v0
-    is mapped to coordinates by one real FFT and its cosine mode 0 (the
-    mean) is zeroed.  Norms are L^2(0, L): sqrt(L/n) times the coordinate norm.
+    ``p`` is a :class:`WaveParams` (then ``operator_for(p, n)`` on the grid of
+    v0) or a prebuilt L :class:`OperatorMatrix`, whose coefficients need not
+    be even: the right side applies L by FFT and forms no matrix.  The mean
+    of v0 is removed, and J L keeps it zero.  Norms are L^2(0, L).
+
+    Raises:
+        DomainError: if the operator's grid is not v0's, or v0 has no
+            zero-mean part above rounding (its growth rate is undefined).
     """
     grid = v0.grid
     if not isinstance(p, OperatorMatrix):
-        p = operator_for(p, grid.n, "evolution_dxL")
-    if p.kind != "evolution_dxL":
-        raise DomainError("linearized_run needs an evolution_dxL operator")
+        p = operator_for(p, grid.n)
     if p.grid != grid:
         raise DomainError("operator grid does not match the initial field")
+    values = v0.values - np.mean(v0.values)
+    if np.max(np.abs(values)) <= _zero_tol(v0.values, None):
+        raise DomainError("v0 has no zero-mean part: its growth rate is undefined")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
     w = math.sqrt(grid.spacing)
 
-    values = _from_grid(v0.values[:, None])[:, 0]
-    values[0] = 0.0
     times = [0.0]
     norms = [w * float(np.linalg.norm(values))]
-    f = p.fourier.__matmul__
+    f = _linear_rhs(p)
     for step in range(1, n_steps + 1):
         values = _rk4_step(f, values, dt)
         if not np.all(np.isfinite(values)):

@@ -23,23 +23,33 @@ gives L = [[E, -C^T], [-C, O]] with
 
 by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
 Im q^.  For an even wave C is rounding; above the assembly gate the split
-raises :class:`AssemblyError`.  Each block is solved once
-(:class:`ParityBlocks`).  As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine
-mode 0: :func:`restricted_spectrum` solves E[1:, 1:] afresh and
-:func:`inv_one_pairing` reads mode 0 of the even eigenvectors.  dx sends
-cosine mode k to -kappa_k sine mode k and sine k to kappa_k cosine k, so
-dx L (``OperatorMatrix.fourier``, C included) is the rows of L moved to
-the other parity and scaled; its cosine rows 0 and n/2 vanish.
+raises :class:`AssemblyError` wherever the blocks are read.  Each block is
+solved once (:class:`ParityBlocks`).  As 1 = sqrt(n) (cosine mode 0), Y0
+drops cosine mode 0: :func:`restricted_spectrum` solves E[1:, 1:] afresh
+and :func:`inv_one_pairing` reads mode 0 of the even eigenvectors.
+
+The evolution operator is J L, the linearization at the wave of the flow
+:mod:`mchwave.evolve` integrates, with J = dx (1 - dx^2)^{-1} (symbol
+i kappa / (1 + kappa^2), Nyquist entry 0).  J sends cosine mode k to
+-K_k sine mode k and sine k to K_k cosine k, K_k = kappa_k / (1 + kappa_k^2),
+and annihilates cosine modes 0 and n/2.  So on Y0, J L is
+[[0, K O], [-K E', 0]] beside the zero row of cosine mode n/2, where E' is
+E without cosine modes 0 and n/2, and its eigenvalues are +-sqrt(mu) over
+the eigenvalues mu of the half-size M = -K E' K O, with one structural 0
+(:func:`evolution_spectrum`).  No n x n matrix is formed.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
-zero.  An explicit ``tol`` must be finite and positive; the default scales
-with radius = max |lambda| of the eigenvalues counted.  Self-adjoint L:
-1e3 eps radius.  Its kernel is computed at least 377x below that (waves up
-to n = 2048, the constant wave up to n = 1024), and the smallest genuine
-eigenvalue seen, 4.27e-6 on Y0 at (k, L) = (0.1, 5 pi) and n = 2048, sits
-880x above; 1e-6 radius, which grows like n^2, would swallow it.  Evolution
-dx L: 1e-6 radius, since its zero eigenvalue is defective: on Y0 at
-(0.5, 6 pi) its neighbours sit at 2.2e-10 to 1.5e-8 for 64 <= n <= 512.
+zero, by one rule.  An explicit ``tol`` must be finite and positive; the
+default is 1e3 eps max |.| of the eigenvalues counted.  For L, the kernel
+is computed at least 377x below that (waves up to n = 2048, the constant
+wave up to n = 1024), and the smallest genuine eigenvalue seen, 4.27e-6 on
+Y0 at (k, L) = (0.1, 5 pi) and n = 2048, sits 880x above; 1e-6 radius,
+which grows like n^2, would swallow it.  For J L the rule applies to mu:
+the defective lambda = 0 (phi' and its generalized eigenvector) is one
+simple mu = 0, counted twice, and at (0.5, 6 pi), (0.3, 4 pi) and
+(0.7, 9 pi) for 64 <= n <= 1024 the next |mu| sits at least 1.2e5x above
+the tolerance.  An explicit ``tol`` is in lambda units and is squared
+before it is applied to mu.
 """
 
 from __future__ import annotations
@@ -47,7 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -56,10 +65,8 @@ from .field import PeriodicField, PeriodicGrid
 from .wave import WaveParams, profile
 
 ASYMMETRY_GATE = 1e-8
-# Eigenvector columns a self-adjoint SpectralReport keeps (lowest modes).
+# Eigenvector columns a SpectralReport of L keeps (lowest modes).
 KEPT_MODES = 8
-
-OperatorKind = Literal["selfadjoint_L", "evolution_dxL"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,11 @@ class ParityBlocks:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """L or dx L on an n-node grid, held as the node values p, q of L's
-    coefficients; the blocks of L, the coupling C and, for dx L only, the
-    n x n matrix ``fourier`` are built from their spectra on first read
-    (module docstring)."""
+    """L on an n-node grid, held as the node values p, q of its
+    coefficients; its blocks and its reflection defect are built from their
+    spectra on first read (module docstring)."""
 
     grid: PeriodicGrid
-    kind: OperatorKind
     coefficients: np.ndarray = dc_field(repr=False)
 
     @cached_property
@@ -100,7 +105,11 @@ class OperatorMatrix:
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks E and O (module docstring)."""
+        """The even and odd blocks E and O (module docstring); AssemblyError if
+        the reflection defect exceeds the gate."""
+        if self.reflection_defect > ASYMMETRY_GATE:
+            raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
+                                f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
         half = self.grid.n // 2
         kap = self.grid.wavenumbers()
         kap_even = np.append(kap[:half], 0.0)
@@ -112,47 +121,23 @@ class OperatorMatrix:
         odd = q_dif - q_sum - np.outer(kap[1:half], kap[1:half]) * (p_dif + p_sum)
         return even, odd
 
-    def _coupling(self) -> np.ndarray:
-        """C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) + kappa_k
-        kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended odd; not
-        cached, so an L that never forms dx L keeps no (n/2)^2 array of rounding."""
+    @cached_property
+    def reflection_defect(self) -> float:
+        """max |C|, C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) +
+        kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended
+        odd: rounding for an even wave, and gated before the split."""
         half = self.grid.n // 2
         kap, inner = self.grid.wavenumbers(), slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
         coupling = q_sum[inner] + q_dif[inner] + np.outer(
             kap[inner], np.append(kap[:half], 0.0)) * (p_sum[inner] - p_dif[inner])
-        return coupling * _cosine_weights(half)
-
-    @cached_property
-    def reflection_defect(self) -> float:
-        """max |C|: rounding for an even wave, and gated before the split."""
-        return float(np.max(np.abs(self._coupling())))
-
-    @cached_property
-    def fourier(self) -> np.ndarray:
-        """dx L in the cosine/sine basis (module docstring); DomainError for L."""
-        if self.kind != "evolution_dxL":
-            raise DomainError("the n x n Fourier matrix is formed only for dx L")
-        n, half = self.grid.n, self.grid.n // 2
-        (even, odd), coupling = self._blocks, self._coupling()
-        kap = self.grid.wavenumbers()[1:half, None]
-        dxl = np.zeros((n, n))
-        dxl[1:half, : half + 1] = -kap * coupling
-        dxl[1:half, half + 1:] = kap * odd
-        dxl[half + 1:, : half + 1] = -kap * even[1:half]
-        dxl[half + 1:, half + 1:] = kap * coupling.T[1:half]
-        return dxl
+        return float(np.max(np.abs(coupling * _cosine_weights(half))))
 
     @cached_property
     def parity(self) -> ParityBlocks:
         """The blocks' eigendecompositions, computed once and shared read-only;
-        DomainError for dx L, AssemblyError if the reflection defect exceeds
-        the gate, NumericalError if the solver fails."""
-        if self.kind != "selfadjoint_L":
-            raise DomainError("parity blocks require a selfadjoint_L operator")
-        if self.reflection_defect > ASYMMETRY_GATE:
-            raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
-                                f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
+        AssemblyError for coefficients that are not even, NumericalError if
+        the solver fails."""
         even, odd = self._blocks
         even_vals, even_vecs = _eig(np.linalg.eigh, even)
         odd_vals, odd_vecs = _eig(np.linalg.eigh, odd)
@@ -167,15 +152,18 @@ class OperatorMatrix:
 class SpectralReport:
     """Eigenvalues with negative/zero counts and the tolerance used.
 
-    ``eigenvalues`` are real ascending for the self-adjoint kind and
-    complex (sorted by real part) for the evolution kind.  ``n_neg``
-    counts eigenvalues (real parts) below -tol, ``z_dim`` those with
-    modulus <= tol; ``tol`` is the caller's or the policy default (module
-    docstring).  ``near_zero_gap`` is the separation between the two
-    smallest-modulus eigenvalues: near the constant-wave degeneracy the
-    kernel nearly doubles, and the gap makes that visible instead of a
-    silent classification.  ``eigenvectors`` holds columns for the
-    lowest few modes (self-adjoint kind only).
+    For L, ``eigenvalues`` are real ascending, ``n_neg`` counts those below
+    -tol and ``z_dim`` those with modulus <= tol.  For J L
+    (:func:`evolution_spectrum`) they are complex, sorted by real then
+    imaginary part; ``n_neg`` is k_r, the number of real mu = lambda^2
+    above the tolerance (the real unstable pairs), and ``z_dim`` counts
+    lambda = 0.  ``tol`` is the caller's or the policy default, in units of
+    the eigenvalues (module docstring).  ``near_zero_gap`` is the
+    separation between the two smallest moduli, of lambda for L and of
+    sqrt(mu) for J L: near the constant-wave degeneracy the kernel nearly
+    doubles, and the gap makes that visible instead of a silent
+    classification.  ``eigenvectors`` holds grid columns for the lowest
+    few modes of L (None for J L).
     """
 
     eigenvalues: np.ndarray = dc_field(repr=False)
@@ -184,7 +172,6 @@ class SpectralReport:
     tol: float
     near_zero_gap: float
     grid: PeriodicGrid
-    kind: OperatorKind
     eigenvectors: np.ndarray | None = dc_field(default=None, repr=False)
 
 
@@ -221,29 +208,14 @@ def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> Operato
         grid = phi.grid
     phi_vals = _as_values(phi, grid.n)
     q_vals = float(c) - 3.0 * phi_vals**2 + _as_values(phi2, grid.n)
-    return OperatorMatrix(grid=grid, kind="selfadjoint_L",
-                          coefficients=np.stack((phi_vals - float(c), q_vals)))
+    return OperatorMatrix(grid=grid, coefficients=np.stack((phi_vals - float(c), q_vals)))
 
 
-def assemble_dxl(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
-    """The evolution operator dx L around a profile (see :func:`assemble_l`)."""
-    return evolution_operator(assemble_l(phi, phi2, c, grid))
-
-
-def evolution_operator(lop: OperatorMatrix) -> OperatorMatrix:
-    """The evolution operator dx L of L, sharing L's coefficient spectra."""
-    dxl = OperatorMatrix(grid=lop.grid, kind="evolution_dxL", coefficients=lop.coefficients)
-    vars(dxl)["_windows"] = lop._windows  # the same p, q: one rfft serves both
-    return dxl
-
-
-def operator_for(p: WaveParams, n: int,
-                 kind: OperatorKind = "selfadjoint_L") -> OperatorMatrix:
-    """The operator L (or dx L) around the wave ``p`` sampled on n nodes."""
+def operator_for(p: WaveParams, n: int) -> OperatorMatrix:
+    """The operator L around the wave ``p`` sampled on n nodes."""
     grid = PeriodicGrid(p.L, n)
     phi, _, phi2 = profile(p, grid.nodes)
-    assemble = assemble_l if kind == "selfadjoint_L" else assemble_dxl
-    return assemble(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
+    return assemble_l(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
 
 
 def _eig(solver, a: np.ndarray):
@@ -265,14 +237,6 @@ def _to_grid(coords: np.ndarray) -> np.ndarray:
     spec = coords[: half + 1] / _cosine_weights(half)[:, None] + 0j
     spec[1:half] -= 1j * coords[half + 1:]
     return math.sqrt(half) * np.fft.irfft(spec, 2 * half, axis=0)
-
-
-def _from_grid(u: np.ndarray) -> np.ndarray:
-    """The coordinates of grid columns ``u`` by one real FFT: the inverse of
-    :func:`_to_grid`."""
-    half = u.shape[0] // 2
-    spec = np.fft.rfft(u, axis=0) / math.sqrt(half)
-    return np.concatenate((spec.real * _cosine_weights(half)[:, None], -spec.imag[1:half]))
 
 
 def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
@@ -298,67 +262,79 @@ def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
     return np.sort(np.concatenate((even_vals, odd_vals))), _to_grid(coords[:, lowest])
 
 
-def _zero_tol(eigenvalues: np.ndarray, kind: OperatorKind, tol: float | None) -> float:
+def _zero_tol(eigenvalues: np.ndarray, tol: float | None) -> float:
     """The zero-eigenvalue tolerance (see the module docstring): ``tol``
-    checked, or the default of ``kind`` scaled by max |eigenvalue|."""
+    checked, or 1e3 eps max |eigenvalue|."""
     if tol is not None:
         if not (math.isfinite(tol) and tol > 0.0):
             raise DomainError(f"tolerance must be finite and positive, got {tol}")
         return float(tol)
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0
-    factor = 1e3 * np.finfo(float).eps if kind == "selfadjoint_L" else 1e-6
-    return factor * max(radius, 1e-300)
+    return 1e3 * np.finfo(float).eps * max(radius, 1e-300)
+
+
+def _near_zero_gap(moduli: np.ndarray) -> float:
+    by_mod = np.sort(moduli)
+    return float(by_mod[1] - by_mod[0]) if moduli.size > 1 else math.inf
 
 
 def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
-                 kind: OperatorKind, vecs: np.ndarray | None) -> SpectralReport:
-    tol = _zero_tol(vals, kind, tol)
-    if kind == "evolution_dxL":
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-    re = vals.real if np.iscomplexobj(vals) else vals
-    n_neg = int(np.sum(re < -tol))
-    z_dim = int(np.sum(np.abs(vals) <= tol))
-    by_mod = np.sort(np.abs(vals))
-    gap = float(by_mod[1] - by_mod[0]) if vals.size > 1 else math.inf
-    kept = vecs[:, :KEPT_MODES].copy() if vecs is not None else None
+                 vecs: np.ndarray) -> SpectralReport:
+    tol = _zero_tol(vals, tol)
     return SpectralReport(
-        eigenvalues=vals, n_neg=n_neg, z_dim=z_dim, tol=float(tol),
-        near_zero_gap=gap, grid=grid, kind=kind, eigenvectors=kept,
+        eigenvalues=vals, n_neg=int(np.sum(vals < -tol)), z_dim=int(np.sum(np.abs(vals) <= tol)),
+        tol=tol, near_zero_gap=_near_zero_gap(np.abs(vals)), grid=grid, eigenvectors=vecs,
     )
 
 
 def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
-    """Full spectrum with negative/zero counts.
-
-    The self-adjoint kind reads its cached parity blocks and gets the
-    real ascending union of both; the evolution kind solves its n x n
-    Fourier matrix and gets complex eigenvalues sorted by real part.
-    """
-    if m.kind == "selfadjoint_L":
-        blocks = m.parity
-        vals, kept = _merge_lowest(blocks.even_vals, blocks.even_vecs,
-                                   blocks.odd_vals, blocks.odd_vecs)
-        return _make_report(vals, tol, m.grid, m.kind, kept)
-    return _make_report(_eig(np.linalg.eigvals, m.fourier), tol, m.grid, m.kind, None)
+    """Full spectrum of L with negative/zero counts: the real ascending
+    union of its cached parity blocks' eigenvalues."""
+    blocks = m.parity
+    vals, kept = _merge_lowest(blocks.even_vals, blocks.even_vecs,
+                               blocks.odd_vals, blocks.odd_vecs)
+    return _make_report(vals, tol, m.grid, kept)
 
 
 def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
-    """Spectrum of the operator compressed to the zero-mean subspace Y0.
+    """Spectrum of L compressed to the zero-mean subspace Y0.
 
-    For the self-adjoint kind this is the Morse data of the quadratic
-    form on Y0, spanned by the cosine modes but mode 0 (the constant) and
-    by all the sine modes: the even block without its mean mode is solved
-    afresh and joined with the odd block's eigenvalues.  For the evolution
-    kind, Y0 is invariant under dx L (a derivative has zero mean), so the
-    Fourier matrix without cosine mode 0 is the true restriction.
+    This is the Morse data of the quadratic form on Y0, spanned by the
+    cosine modes but mode 0 (the constant) and by all the sine modes: the
+    even block without its mean mode is solved afresh and joined with the
+    odd block's eigenvalues.
     """
-    if m.kind == "selfadjoint_L":
-        blocks = m.parity
-        vals, vecs = _eig(np.linalg.eigh, blocks.even[1:, 1:])
-        vecs = np.pad(vecs[:, :KEPT_MODES], ((1, 0), (0, 0)))
-        vals, kept = _merge_lowest(vals, vecs, blocks.odd_vals, blocks.odd_vecs)
-        return _make_report(vals, tol, m.grid, m.kind, kept)
-    return _make_report(_eig(np.linalg.eigvals, m.fourier[1:, 1:]), tol, m.grid, m.kind, None)
+    blocks = m.parity
+    vals, vecs = _eig(np.linalg.eigh, blocks.even[1:, 1:])
+    vecs = np.pad(vecs[:, :KEPT_MODES], ((1, 0), (0, 0)))
+    vals, kept = _merge_lowest(vals, vecs, blocks.odd_vals, blocks.odd_vecs)
+    return _make_report(vals, tol, m.grid, kept)
+
+
+def evolution_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
+    """Spectrum of the evolution operator J L on Y0, J = dx (1 - dx^2)^{-1}.
+
+    The n - 1 eigenvalues are +-sqrt(mu) over the eigenvalues mu of the
+    half-size M = -K E' K O, and the structural 0 of cosine mode n/2
+    (module docstring).  A mu within the zero tolerance gives lambda = 0
+    twice.  Raises AssemblyError for coefficients that are not even.
+    """
+    even, odd = m._blocks
+    half = m.grid.n // 2
+    kap = m.grid.wavenumbers()[1:half]
+    scale = kap / (1.0 + kap * kap)
+    mu = _eig(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
+    tol = math.sqrt(_zero_tol(mu, None)) if tol is None else _zero_tol(mu, tol)
+    tol_mu = tol * tol  # saturates at inf where tol ** 2 would raise
+    zero = np.abs(mu) <= tol_mu
+    root = np.where(zero, 0.0, np.sqrt(mu + 0j))
+    vals = np.concatenate((root, -root, [0.0])) + 0.0  # + 0.0: no -0.0 from -root
+    k_r = int(np.sum((mu.real > tol_mu) & (np.abs(mu.imag) <= tol_mu)))
+    return SpectralReport(
+        eigenvalues=vals[np.lexsort((vals.imag, vals.real))], n_neg=k_r,
+        z_dim=2 * int(np.sum(zero)) + 1, tol=tol,
+        near_zero_gap=_near_zero_gap(np.sqrt(np.abs(mu))), grid=m.grid,
+    )
 
 
 def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
@@ -375,7 +351,7 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     applies L to the grid form of w by FFT, with no block or dense matrix.
 
     Raises:
-        DomainError: for an operator of the evolution kind.
+        AssemblyError: for coefficients that are not even.
         RankError: if the numerical kernel is not one-dimensional and
             ``allow_multi_kernel`` is not set (the counting formulas
             assume a simple kernel; the constant-wave case needs the
@@ -383,7 +359,7 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     """
     blocks = m.parity
     vals, vecs = blocks.even_vals, blocks.even_vecs
-    tol = _zero_tol(np.concatenate((vals, blocks.odd_vals)), m.kind, tol)
+    tol = _zero_tol(np.concatenate((vals, blocks.odd_vals)), tol)
     kernel = np.abs(vals) <= tol
     k_dim = int(np.sum(kernel)) + int(np.sum(np.abs(blocks.odd_vals) <= tol))
     if k_dim != 1 and not allow_multi_kernel:

@@ -87,9 +87,34 @@ def diff_matrix(grid: mw.PeriodicGrid) -> np.ndarray:
     return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
 
 
+def helmholtz_diff_matrix(grid: mw.PeriodicGrid) -> np.ndarray:
+    """Dense J = dx (1 - dx^2)^{-1}: the symbol i kappa / (1 + kappa^2), with
+    the Nyquist entry zeroed, applied to the FFT of every unit vector."""
+    n = grid.n
+    kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.L
+    symbol = 1j * kap / (1.0 + kap * kap)
+    symbol[n // 2] = 0.0
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+
+
+def householder_y0_basis(n: int) -> np.ndarray:
+    """Dense orthonormal basis of the zero-mean subspace Y0: the columns
+    1 .. n - 1 of the reflection sending 1/sqrt(n) to e_1."""
+    v = np.full(n, -1.0 / math.sqrt(n))
+    v[0] += 1.0
+    return (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+
+
+def dense_evolution_eigenvalues(op) -> np.ndarray:
+    """The dense J oracle: the eigenvalues of J L on Y0, from ``eigvals`` of
+    Q^T (J A) Q for the grid matrix A of L and the Householder basis Q."""
+    basis = householder_y0_basis(op.grid.n)
+    return np.linalg.eigvals(basis.T @ helmholtz_diff_matrix(op.grid) @ dense_matrix(op) @ basis)
+
+
 def dense_matrix(op) -> np.ndarray:
-    """The grid collocation matrix of L for the coefficients of ``op`` (either
-    kind): D1 diag(p) D1 + diag(q), the sawtooth mode completed at
+    """The grid collocation matrix of L for the coefficients of ``op``:
+    D1 diag(p) D1 + diag(q), the sawtooth mode completed at
     -kappa_N^2 mean(p), symmetrized."""
     p_vals, q_vals = op.coefficients
     n = op.grid.n

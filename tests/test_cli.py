@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import dataclasses
-import functools
 import json
 import math
 
@@ -200,8 +199,8 @@ class TestSpectrumCommand:
         assert max(abs(v) for v in ev["eigenvalues_re"]) < 1e-8  # purely imaginary
 
     def test_evolution_reuses_assembled_operator(self, count_calls, monkeypatch, tmp_path):
-        # dx L is formed from the L already assembled for the spectrum, and
-        # shares its coefficient spectra: one rfft of (p, q) for the job
+        # J L is solved from the L already assembled for the spectrum, on its
+        # coefficient spectra: one rfft of (p, q) for the job
         assembled = count_calls(linop.assemble_l)
         spectra = []
 
@@ -216,25 +215,28 @@ class TestSpectrumCommand:
         assert len(assembled) == 1 and spectra == [(2, 64)]
 
     def test_spectral_paths_build_no_dense_matrix(self, count_calls, monkeypatch, tmp_path):
-        # counts and pairing come from the parity blocks alone: no operator
-        # forms the n x n Fourier matrix of dx L, and no dx L is made
-        built = []
+        # counts, pairing and the J L spectrum come from the parity blocks of
+        # one L: no eigensolver sees more than the (n/2 + 1)^2 even block
+        assembled = count_calls(linop.assemble_l)
+        shapes = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            def solve(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, solve)
 
-        def keep(*args, _build, **kwargs):
-            built.append(_build(*args, **kwargs))
-            return built[-1]
+        def at_most_half(n):
+            largest = max(max(s) for s in shapes)
+            shapes.clear()
+            return largest <= n // 2 + 1
 
-        for name in ("assemble_l", "evolution_operator"):
-            monkeypatch.setattr(linop, name, functools.partial(keep, _build=getattr(linop, name)))
         mw.morse_check(0.5, 6 * math.pi)
-        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
-                         "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert len(built) == 2 and all(op.kind == "selfadjoint_L" for op in built)
-        assert all("fourier" not in vars(op) for op in built)
-        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", "--evolution",
-                         "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert [op.kind for op in built[2:]] == ["selfadjoint_L", "evolution_dxL"]
-        assert "fourier" not in vars(built[2]) and "fourier" in vars(built[3])
+        assert at_most_half(256)  # the default n of morse_check
+        for n, extra in ((128, []), (64, ["--evolution"])):
+            assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", str(n), *extra,
+                             "--out-dir", str(tmp_path)]) == EXIT_OK
+            assert at_most_half(n)
+        assert len(assembled) == 3  # one L per job, J L included
 
     @pytest.mark.parametrize("k, big_l, extra, valid", [
         ("0.8", "8pi", [], False), ("0.5", "6pi", [], True),

@@ -12,7 +12,7 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import random_smooth
+from conftest import dense_evolution_eigenvalues, random_smooth
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -319,34 +319,35 @@ class TestLinearizedRun:
         x = grid.nodes
         v0 = mw.PeriodicField(grid, np.cos(2 * x) + 0.5 * np.sin(3 * x))
         phi, _, phi2 = mw.profile(p, grid.nodes)
-        op = mw.assemble_dxl(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), p.c)
-        radius = float(np.max(np.abs(mw.spectrum(op).eigenvalues)))
-        rep = mw.linearized_run(v0, op, mw.EvolutionConfig(dt=2.0 / radius, t_end=2.0,
+        op = mw.assemble_l(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), p.c)
+        radius = float(np.max(np.abs(mw.evolution_spectrum(op).eigenvalues)))
+        rep = mw.linearized_run(v0, op, mw.EvolutionConfig(dt=0.2 / radius, t_end=2.0,
                                                            monitor_every=1000))
         assert abs(rep.norms[-1] / rep.norms[0] - 1.0) < 1e-8
 
     def test_growth_rate_matches_eigenvalue(self):
-        # generic coefficients with a genuinely unstable pair
+        # generic coefficients with a genuinely unstable pair (0.624 +- 0.814i);
+        # they are not even, so target and radius come from the dense J oracle
         grid = mw.PeriodicGrid(2 * math.pi, 64)
         x = grid.nodes
         phi = mw.PeriodicField(grid, -1.0 + 0.3 * np.cos(x))
         ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
                                - 2.929 * np.cos(3 * x))
-        op = mw.assemble_dxl(phi, ph2, 0.2)
-        target = float(np.max(mw.restricted_spectrum(op).eigenvalues.real))
+        op = mw.assemble_l(phi, ph2, 0.2)
+        expected = dense_evolution_eigenvalues(op)
+        target = float(np.max(expected.real))
         assert target > 0.5
-        radius = float(np.max(np.abs(mw.spectrum(op).eigenvalues)))
+        radius = float(np.max(np.abs(expected)))
         rep = mw.linearized_run(seeded_perturbation(grid, seed=3), op,
-                                mw.EvolutionConfig(dt=2.0 / radius, t_end=8.0,
+                                mw.EvolutionConfig(dt=2.0 / radius, t_end=24.0,
                                                    monitor_every=200))
         assert abs(rep.rate_tail - target) / target < 0.1
 
     def test_kernel_direction_is_frozen(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 128)
         phi, phi1, phi2 = mw.profile(wave05, grid.nodes)
-        op = mw.assemble_dxl(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2),
-                             wave05.c)
-        radius = float(np.max(np.abs(mw.spectrum(op).eigenvalues)))
+        op = mw.assemble_l(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), wave05.c)
+        radius = float(np.max(np.abs(mw.evolution_spectrum(op).eigenvalues)))
         v0 = mw.PeriodicField(grid, phi1)
         cfg = mw.EvolutionConfig(dt=2.0 / radius, t_end=1.0, monitor_every=10**9)
         rep = mw.linearized_run(v0, op, cfg)
@@ -354,10 +355,10 @@ class TestLinearizedRun:
         assert abs(rep.norms[-1] - rep.norms[0]) < 1e-8 * rep.norms[0]
 
     def test_wave_and_operator_forms_agree(self, wave05):
-        # given WaveParams, the run builds the operator_for matrix itself
+        # given WaveParams, the run builds the operator_for operator itself
         grid = mw.PeriodicGrid(wave05.L, 64)
-        op = mw.operator_for(wave05, 64, "evolution_dxL")
-        radius = float(np.max(np.abs(mw.spectrum(op).eigenvalues)))
+        op = mw.operator_for(wave05, 64)
+        radius = float(np.max(np.abs(mw.evolution_spectrum(op).eigenvalues)))
         cfg = mw.EvolutionConfig(dt=2.0 / radius, t_end=0.5, monitor_every=50)
         v0 = seeded_perturbation(grid, seed=4)
         from_op = mw.linearized_run(v0, op, cfg)
@@ -365,11 +366,38 @@ class TestLinearizedRun:
         assert np.array_equal(from_wave.norms, from_op.norms)
         assert np.array_equal(from_wave.times, from_op.times)
 
-    def test_kind_checked(self, wave05, op05_256):
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        v0 = mw.sample(lambda x: np.sin(2 * np.pi * x / grid.L), grid)
-        with pytest.raises(DomainError):
-            mw.linearized_run(v0, op05_256, mw.EvolutionConfig(dt=1e-3, t_end=0.1))
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi)])
+    def test_generator_is_the_flow_derivative(self, k, big_l):
+        # oracle: the derivative of the nonlinear right side plus the frame
+        # speed c dx, at the wave along a band-limited v, is J L v; against
+        # dx L v it is off by O(1) relative.  The flow is cubic in u, so the
+        # Richardson pair of central differences is exact up to rounding
+        p = mw.wave_params(k, big_l)
+        grid = mw.PeriodicGrid(p.L, 128)
+        phi = mw.sample_wave(p, grid).values
+        v = random_smooth(grid, np.random.default_rng(5)).values
+        v /= np.max(np.abs(v))
+        rhs_op = _RhsOperator(grid)
+
+        def central(eps):
+            spec_p, spec_m = np.fft.rfft(phi + eps * v), np.fft.rfft(phi - eps * v)
+            moving = p.c * 1j * grid.wavenumbers() * (spec_p - spec_m)
+            return np.fft.irfft(rhs_op(spec_p) - rhs_op(spec_m) + moving, grid.n) / (2.0 * eps)
+
+        frechet = (4.0 * central(5e-3) - central(1e-2)) / 3.0
+        op = mw.operator_for(p, 128)
+        generator = evolve._linear_rhs(op)(v)
+        assert np.linalg.norm(frechet - generator) <= 1e-9 * np.linalg.norm(generator)
+        dx_l = mw.derivative(mw.PeriodicField(grid, mw.linop._apply_l(op, v))).values
+        assert np.linalg.norm(frechet - dx_l) > np.linalg.norm(frechet)
+
+    @pytest.mark.parametrize("value", [1.0, 0.3])
+    def test_constant_field_has_no_growth_rate(self, wave05, value):
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        v0 = mw.PeriodicField(grid, np.full(64, value))
+        with pytest.raises(DomainError, match="zero-mean"):
+            mw.linearized_run(v0, wave05, mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
 
 class TestOrbitalExperiment:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mchwave as mw
-from mchwave import AssemblyError, DomainError, RankError, linop
+from mchwave import AssemblyError, DomainError, RankError, evolve, linop
 
-from conftest import dense_matrix, diff_matrix, random_smooth
+from conftest import (dense_evolution_eigenvalues, dense_matrix, diff_matrix,
+                      helmholtz_diff_matrix, householder_y0_basis, random_smooth)
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -54,7 +55,7 @@ class TestAssembly:
             mw.assemble_l(np.ones(32), np.zeros(32), 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("assemble", [mw.assemble_l, mw.assemble_dxl])
+    @pytest.mark.parametrize("assemble", [mw.assemble_l])
     def test_refuses_non_finite_coefficients(self, assemble, bad):
         grid = mw.PeriodicGrid(2 * math.pi, 32)
         for which in (0, 1):
@@ -118,8 +119,9 @@ class TestSpectrum:
 
     def test_tol_validation(self, op05_256):
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                mw.spectrum(op05_256, tol=bad)
+            for solve in (mw.spectrum, mw.evolution_spectrum):
+                with pytest.raises(DomainError):
+                    solve(op05_256, tol=bad)
         with pytest.raises(DomainError):
             mw.inv_one_pairing(op05_256, tol=math.nan)
 
@@ -142,42 +144,53 @@ class TestRestrictedSpectrum:
         assert rep.n_neg == 1
         assert rep.z_dim == 1
 
-    @pytest.mark.parametrize("kind", ["selfadjoint_L", "evolution_dxL"])
+    # the ids keep the names the two operators had before J L replaced dx L
+    @pytest.mark.parametrize("evolution", [False, True], ids=["selfadjoint_L", "evolution_dxL"])
     @pytest.mark.parametrize("n", [128, 256])
-    def test_matches_dense_householder_compression(self, wave05, kind, n):
+    def test_matches_dense_householder_compression(self, wave05, evolution, n):
         # oracle: the dense basis Q[:, 1:] of the reflection sending
         # 1/sqrt(n) to e_1, and the explicit compression Q^T M Q
-        op = mw.operator_for(wave05, n, kind)
-        v = np.full(n, -1.0 / math.sqrt(n))
-        v[0] += 1.0
-        basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+        op = mw.operator_for(wave05, n)
+        basis = householder_y0_basis(n)
         assert np.max(np.abs(basis.T @ basis - np.eye(n - 1))) < 1e-12
         assert np.max(np.abs(basis.T @ np.ones(n))) < 1e-12
+        if evolution:
+            assert_matches_dense_evolution(op)
+            return
         mat = dense_matrix(op)
-        if kind == "evolution_dxL":
-            mat = diff_matrix(op.grid) @ mat
         dense = basis.T @ mat @ basis
         rep = mw.restricted_spectrum(op)
         radius = float(np.max(np.abs(rep.eigenvalues)))
-        if kind == "selfadjoint_L":
-            expected = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-            assert np.max(np.abs(rep.eigenvalues - expected)) < 1e-10 * radius
-            vecs = rep.eigenvectors
-            assert np.max(np.abs(vecs.T @ np.ones(n))) < 1e-12
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
-            rayleigh = np.einsum("ij,ij->j", vecs, mat @ vecs)
-            assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
-        else:
-            expected = np.linalg.eigvals(dense)
-            dist = np.abs(rep.eigenvalues[:, None] - expected[None, :])
-            assert max(np.max(np.min(dist, axis=0)), np.max(np.min(dist, axis=1))) \
-                < 1e-10 * radius
+        expected = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+        assert np.max(np.abs(rep.eigenvalues - expected)) < 1e-10 * radius
+        vecs = rep.eigenvectors
+        assert np.max(np.abs(vecs.T @ np.ones(n))) < 1e-12
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
+        rayleigh = np.einsum("ij,ij->j", vecs, mat @ vecs)
+        assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
+
+
+def assert_matches_dense_evolution(op):
+    """:func:`mw.evolution_spectrum` against the dense J oracle.  Outside the
+    disc |lambda| <= 1e-6 radius both have n - 1 - z_dim eigenvalues, at
+    Hausdorff distance < 1e-10 radius; inside it the oracle has exactly
+    z_dim.  A bound on the whole spectrum would test the oracle: its
+    ``eigvals`` splits the defective zero into 0 and a +- pair near 1e-9."""
+    rep = mw.evolution_spectrum(op)
+    expected = dense_evolution_eigenvalues(op)
+    radius = float(np.max(np.abs(rep.eigenvalues)))
+    disc = 1e-6 * radius
+    got, want = (v[np.abs(v) > disc] for v in (rep.eigenvalues, expected))
+    assert len(got) == len(want) == op.grid.n - 1 - rep.z_dim
+    dist = np.abs(got[:, None] - want[None, :])
+    assert max(np.max(np.min(dist, axis=0)), np.max(np.min(dist, axis=1))) < 1e-10 * radius
+    assert int(np.sum(np.abs(expected) <= disc)) == rep.z_dim
 
 
 def dense_pairing(op, allow_multi_kernel=False):
     """The deflated solve of <L^{-1} 1, 1> on one full eigendecomposition."""
     vals, vecs = np.linalg.eigh(dense_matrix(op))
-    tol = linop._zero_tol(vals, op.kind, None)
+    tol = linop._zero_tol(vals, None)
     kernel = np.abs(vals) <= tol
     if int(np.sum(kernel)) != 1 and not allow_multi_kernel:
         raise RankError("kernel not simple")
@@ -189,8 +202,8 @@ def dense_pairing(op, allow_multi_kernel=False):
     return (op.grid.L / op.grid.n) * float(np.dot(w, ones)), int(np.sum(kernel))
 
 
-def dense_counts(vals, kind="selfadjoint_L"):
-    tol = linop._zero_tol(vals, kind, None)
+def dense_counts(vals):
+    tol = linop._zero_tol(vals, None)
     return int(np.sum(vals < -tol)), int(np.sum(np.abs(vals) <= tol))
 
 
@@ -235,11 +248,10 @@ class TestParityBlocks:
                                - 2.929 * np.cos(3 * x))
         lop = mw.assemble_l(phi, ph2, 0.2)
         assert linop.ASYMMETRY_GATE < lop.reflection_defect
-        for solve in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing):
+        for solve in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing,
+                      mw.evolution_spectrum):
             with pytest.raises(AssemblyError):
                 solve(lop)
-        dxl = mw.assemble_dxl(phi, ph2, 0.2)
-        assert float(np.max(mw.restricted_spectrum(dxl).eigenvalues.real)) > 0.5
 
 
 @settings(max_examples=8)
@@ -252,9 +264,7 @@ def test_parity_counts_match_dense(k, big_l):
     a = dense_matrix(op)
     assert (full.n_neg, full.z_dim) == dense_counts(np.linalg.eigvalsh(a))
     # the restricted route against the dense Householder basis of Y0
-    v = np.full(n, -1.0 / math.sqrt(n))
-    v[0] += 1.0
-    basis = (np.eye(n) - (2.0 / np.dot(v, v)) * np.outer(v, v))[:, 1:]
+    basis = householder_y0_basis(n)
     restr = mw.restricted_spectrum(op)
     assert (restr.n_neg, restr.z_dim) == dense_counts(
         np.linalg.eigvalsh(basis.T @ a @ basis))
@@ -417,61 +427,66 @@ def test_hill_blocks_match_grid_parity(k, big_l):
 
 class TestEvolutionOperator:
     def test_product_structure(self):
-        # oracle: dx L = Q^T (D1 A) Q for the dense grid matrix A, the
-        # FFT-of-identity D1 and the explicit cosine and sine bases Q; the
-        # non-even coefficients of the growth-rate check pin the sign of C
-        grid = mw.PeriodicGrid(2 * math.pi, 64)
-        x = grid.nodes
-        non_even = mw.assemble_dxl(-1.0 + 0.3 * np.cos(x), -0.019 * np.cos(x)
-                                   - 1.515 * np.sin(2 * x) - 2.929 * np.cos(3 * x), 0.2, grid)
-        for dxl in (mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 256, "evolution_dxL"),
-                    mw.operator_for(mw.constant_wave(2 * math.pi), 128, "evolution_dxL"),
-                    non_even):
-            n = dxl.grid.n
+        # oracle: J L = Q^T (J A) Q for the dense J and grid matrix A and the
+        # explicit cosine and sine bases Q; it is [[0, K O], [-K E, 0]] in the
+        # program's blocks, K = kappa / (1 + kappa^2), cosine rows 0 and n/2 zero
+        for op in (mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 256),
+                   mw.operator_for(mw.constant_wave(2 * math.pi), 128)):
+            n, half = op.grid.n, op.grid.n // 2
             q = np.hstack((cosine_basis(n), sine_basis(n)))
-            a = diff_matrix(dxl.grid) @ dense_matrix(dxl)
-            assert dxl.kind == "evolution_dxL" and dxl.fourier.shape == (n, n)
-            assert np.max(np.abs(dxl.fourier - q.T @ a @ q)) <= 1e-13 * np.max(np.abs(a))
-
-    def test_fourier_matrix_only_for_evolution(self, op05_256):
-        with pytest.raises(DomainError):
-            op05_256.fourier
+            a = helmholtz_diff_matrix(op.grid) @ dense_matrix(op)
+            kap = op.grid.wavenumbers()[1:half, None]
+            even, odd = op._blocks
+            jl = np.zeros((n, n))
+            jl[1:half, half + 1:] = kap / (1.0 + kap**2) * odd
+            jl[half + 1:, : half + 1] = -kap / (1.0 + kap**2) * even[1:half]
+            assert np.max(np.abs(jl - q.T @ a @ q)) <= 1e-13 * np.max(np.abs(a))
 
     def test_action_on_constant_vector(self, wave05):
+        # J L 1 = J q, from the right side that linearized_run integrates
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        dxl = mw.assemble_dxl(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2),
-                              wave05.c)
+        op = mw.assemble_l(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), wave05.c)
         q = mw.PeriodicField(grid, wave05.c - 3.0 * phi**2 + phi2)
-        expected = mw.derivative(q).values
-        # 1 = sqrt(n) (cosine mode 0), so dx L 1 is sqrt(n) column 0 on the grid
-        col = math.sqrt(256) * dxl.fourier[:, :1]
-        got = linop._to_grid(col)[:, 0]
+        expected = mw.derivative(mw.helmholtz_inverse(q)).values
+        got = evolve._linear_rhs(op)(np.ones(256))
         assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_constant_case_purely_imaginary(self):
-        dxl = mw.operator_for(mw.constant_wave(2 * math.pi), 128, "evolution_dxL")
-        rep = mw.spectrum(dxl)
+        rep = mw.evolution_spectrum(mw.operator_for(mw.constant_wave(2 * math.pi), 128))
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-8
-        # eigenvalues i m (2 m^2 - 2) for the represented modes
+        # on Y0: i m (2 m^2 - 2) / (1 + m^2) for m = +-1 .. +-63, and the
+        # structural 0 of the Nyquist cosine
         expected = np.sort(np.concatenate(
-            [[m * (2.0 * m * m - 2.0), -m * (2.0 * m * m - 2.0)] for m in range(64)]))
+            [[0.0]] + [[s * m * (2.0 * m * m - 2.0) / (1.0 + m * m) for s in (1, -1)]
+                       for m in range(1, 64)]))
         assert np.max(np.abs(np.sort(rep.eigenvalues.imag) - expected)) < 1e-7
+        assert (rep.n_neg, rep.z_dim) == (0, 3)  # m = +-1 is the double kernel
 
     def test_hamiltonian_symmetry(self):
+        # +-sqrt(mu) is symmetric by construction; the dense J oracle is not
         rng = np.random.default_rng(20)
         for _ in range(3):
             k = rng.uniform(0.2, 0.7)
             big_l = rng.uniform(5 * math.pi, 9 * math.pi)
-            dxl = mw.operator_for(mw.wave_params(k, big_l), 128, "evolution_dxL")
-            ev = mw.spectrum(dxl).eigenvalues
-            # spectrum symmetric under lambda -> -conj(lambda)
-            worst = max(min(abs(l + np.conj(m)) for m in ev) for l in ev[::8])
-            assert worst < 1e-6
+            assert_matches_dense_evolution(mw.operator_for(mw.wave_params(k, big_l), 128))
 
-    def test_wave_is_spectrally_stable(self, wave05):
-        rep = mw.restricted_spectrum(mw.operator_for(wave05, 256, "evolution_dxL"))
+    def test_explicit_tol_in_lambda_units(self, op05_256):
+        # an explicit tol t counts |lambda| <= t, applied as |mu| <= t^2;
+        # the moduli come in +- pairs above the three exact zeros
+        mods = np.sort(np.abs(mw.evolution_spectrum(op05_256).eigenvalues))
+        assert np.array_equal(mods[:3], np.zeros(3)) and mods[3] == mods[4] < mods[5]
+        for t in (0.5 * (mods[4] + mods[5]), 0.5 * (mods[6] + mods[7])):
+            rep = mw.evolution_spectrum(op05_256, tol=t)
+            assert rep.tol == t
+            assert rep.z_dim == int(np.sum(mods <= t)) and rep.z_dim in (5, 7)
+        # a tol whose square overflows counts everything as zero
+        assert mw.evolution_spectrum(op05_256, tol=1e200).z_dim == 255
+
+    def test_wave_is_spectrally_stable(self, op05_256):
+        rep = mw.evolution_spectrum(op05_256)
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-6
+        assert (rep.n_neg, rep.z_dim) == (0, 3)
 
 
 class TestInvOnePairing:
@@ -490,10 +505,14 @@ class TestInvOnePairing:
         assert abs(p256.value - p512.value) < 1e-6 * abs(p512.value)
         assert p256.residual < 1e-8
 
-    def test_requires_selfadjoint_kind(self, wave05):
-        dxl = mw.operator_for(wave05, 128, "evolution_dxL")
-        with pytest.raises(DomainError):
-            mw.inv_one_pairing(dxl)
+
+def from_grid(u: np.ndarray) -> np.ndarray:
+    """The cosine/sine coordinates of grid columns ``u`` by one real FFT: the
+    inverse of :func:`linop._to_grid`."""
+    half = u.shape[0] // 2
+    spec = np.fft.rfft(u, axis=0) / math.sqrt(half)
+    return np.concatenate((spec.real * linop._cosine_weights(half)[:, None],
+                           -spec.imag[1:half]))
 
 
 @settings(max_examples=20)
@@ -503,11 +522,11 @@ def test_from_grid_inverts_to_grid(half, seed):
     # and preserves the Euclidean norm of every column
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((2 * half, 3))
-    coords = linop._from_grid(u)
+    coords = from_grid(u)
     assert np.allclose(linop._to_grid(coords), u, rtol=0.0, atol=1e-13 * np.max(np.abs(u)))
     assert np.allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(u, axis=0),
                        rtol=1e-13, atol=0.0)
-    assert np.allclose(linop._from_grid(linop._to_grid(coords)), coords,
+    assert np.allclose(from_grid(linop._to_grid(coords)), coords,
                        rtol=0.0, atol=1e-13 * np.max(np.abs(coords)))
 
 
@@ -529,3 +548,19 @@ def test_default_counts_invariant_under_refinement(k, big_l):
         counts.add((full.n_neg, full.z_dim, restr.n_neg, restr.z_dim, pairing > 0.0))
     assert len(counts) == 1
     assert counts.pop()[1] == 1
+
+
+@settings(max_examples=6)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
+@example(k=0.5, big_l=6 * math.pi)
+@example(k=0.3, big_l=4 * math.pi)
+@example(k=0.7, big_l=9 * math.pi)
+def test_evolution_counts_invariant_under_refinement(k, big_l):
+    # the defective zero of J L is one simple mu = 0 at every n: z_dim = 3
+    # (phi', its generalized eigenvector and the Nyquist cosine) and no real
+    # unstable pair; dx L's 1e-6 radius rule gave z_dim = 5 at n = 512
+    assume(mw.validity(k, big_l).all_ok)
+    p = mw.wave_params(k, big_l)
+    for n in (128, 256, 512, 1024):
+        rep = mw.evolution_spectrum(mw.operator_for(p, n))
+        assert (rep.n_neg, rep.z_dim) == (0, 3)
