@@ -145,9 +145,8 @@ def cmd_wave(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    samples, summary = indices.index_scan(
-        args.k_min, args.k_max, args.L_min, args.L_max, args.nk, args.nL,
-        h=args.h, workers=args.workers)
+    samples, summary = indices.index_scan(args.k_min, args.k_max, args.L_min, args.L_max,
+                                          args.nk, args.nL, h=args.h)
     out_csv = Path(args.out_dir) / "scan.csv"
     write_csv(out_csv,
               ["k", "L", "I", "valid", "dA_dk", "dc_dk", "dV_dk", "dF_dk"],
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, default=None,
                     help="FD step; given, it selects the finite-difference ladder over "
                          "the closed forms (default: exact complex-step derivatives)")
-    sp.add_argument("--workers", type=int, default=1)
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -10,8 +10,8 @@ The operator symbol i kappa / (1 + kappa^2) is bounded, which keeps the
 stiffness effectively first order and classical RK4 stable with
 dt ~ L / n.
 
-Nonlinear products are formed in physical space on a refined grid
-(factor >= 2, enough to fully dealias cubic terms) and truncated back.
+Nonlinear products are formed in physical space on a grid refined by the
+fixed factor 2, enough to fully dealias cubic terms, and truncated back.
 The RK4 state is the rfft spectrum of u, so one right side costs two FFT
 calls: one batched inverse transform that lifts u, u_x and u_xx to the
 fine grid together (their symbols, the zero padding and the amplitude
@@ -37,12 +37,18 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .field import (PeriodicField, PeriodicGrid, _orbit_distance, functionals,
                     h1_norm, sample_wave)
-from .linop import OperatorMatrix, _apply_l, _zero_tol, operator_for
+from .linop import OperatorMatrix, _apply_l, _zero_tol
 from .wave import WaveParams
 
 TERMINATED_COMPLETED = "completed"
 TERMINATED_BLOWUP = "blowup"
 TERMINATED_INSTABILITY = "instability_detected"
+
+# Fine-grid factor of the nonlinear products: with 2n nodes the cubic
+# terms of modes up to n/2 alias only onto modes the truncation drops.
+DEALIAS_PAD = 2
+# A run whose max |u| leaves this bound is recorded as blow-up.
+BLOWUP_THRESHOLD = 100.0
 
 
 @dataclass(frozen=True)
@@ -51,17 +57,13 @@ class EvolutionConfig:
 
     dt: float
     t_end: float
-    dealias_pad: int = 2
     monitor_every: int = 10
-    blowup_threshold: float = 100.0
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0):
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end > 0.0):
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if self.dealias_pad < 2:
-            raise DomainError(f"dealias_pad must be >= 2 for cubic products, got {self.dealias_pad}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise DomainError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if self.monitor_every < 1:
             raise DomainError(f"monitor_every must be >= 1, got {self.monitor_every}")
 
@@ -129,10 +131,9 @@ class _RhsOperator:
     ``lift * spec`` gives u, u_x and u_xx on the fine grid.
     """
 
-    def __init__(self, grid: PeriodicGrid, dealias_pad: int = 2):
-        self.grid = grid
+    def __init__(self, grid: PeriodicGrid):
         self.n = grid.n
-        self.m = dealias_pad * grid.n
+        self.m = DEALIAS_PAD * grid.n
         kap = grid.wavenumbers()
         sym_d1 = 1j * kap
         sym_d1[-1] = 0.0
@@ -157,9 +158,9 @@ class _RhsOperator:
         return out
 
 
-def rhs(u: PeriodicField, dealias_pad: int = 2) -> PeriodicField:
+def rhs(u: PeriodicField) -> PeriodicField:
     """One evaluation of the smoothed right side dx (1-dx^2)^{-1}(...)."""
-    op = _RhsOperator(u.grid, dealias_pad)
+    op = _RhsOperator(u.grid)
     return PeriodicField(u.grid, np.fft.irfft(op(u.spectrum), u.grid.n))
 
 
@@ -182,7 +183,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     ``delta`` is given the run halts with ``instability_detected`` once
     rho exceeds rho_factor * delta, at t = 0 included; delta = 0 or None
     turns detection off.  Blow-up (non-finite values or ||u||_inf beyond
-    the configured threshold) is recorded, not raised.
+    ``BLOWUP_THRESHOLD`` = 100) is recorded, not raised.
 
     Raises:
         DomainError: if delta is not finite and >= 0, or rho_factor is not
@@ -194,7 +195,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
-    op = _RhsOperator(u0.grid, cfg.dealias_pad)
+    op = _RhsOperator(u0.grid)
     phi_ref = sample_wave(reference, u0.grid) if reference is not None else None
 
     e0, f0, v0 = functionals(u0)
@@ -230,7 +231,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 terminated = TERMINATED_BLOWUP
                 break
             values = np.fft.irfft(spec, u0.grid.n)
-            if not (np.max(np.abs(values)) <= cfg.blowup_threshold):  # NaN fails too
+            if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
                 terminated = TERMINATED_BLOWUP
                 break
             if step % cfg.monitor_every == 0 or step == n_steps:
@@ -254,24 +255,22 @@ def _linear_rhs(lop: OperatorMatrix):
     return lambda v: np.fft.irfft(symbol * np.fft.rfft(_apply_l(lop, v)), n)
 
 
-def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
+def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
                    cfg: EvolutionConfig) -> LinearGrowthReport:
     """Integrate v_t = J L v, J = dx (1 - dx^2)^{-1}: the linearization of the
     flow :func:`run` integrates, at the wave and in the frame moving with it.
 
-    ``p`` is a :class:`WaveParams` (then ``operator_for(p, n)`` on the grid of
-    v0) or a prebuilt L :class:`OperatorMatrix`, whose coefficients need not
-    be even: the right side applies L by FFT and forms no matrix.  The mean
-    of v0 is removed, and J L keeps it zero.  Norms are L^2(0, L).
+    ``lop`` is L on the grid of v0, for a wave ``operator_for(p, n)``; its
+    coefficients need not be even: the right side applies L by FFT and
+    forms no matrix.  The mean of v0 is removed, and J L keeps it zero.
+    Norms are L^2(0, L).
 
     Raises:
         DomainError: if the operator's grid is not v0's, or v0 has no
             zero-mean part above rounding (its growth rate is undefined).
     """
     grid = v0.grid
-    if not isinstance(p, OperatorMatrix):
-        p = operator_for(p, grid.n)
-    if p.grid != grid:
+    if lop.grid != grid:
         raise DomainError("operator grid does not match the initial field")
     values = v0.values - np.mean(v0.values)
     if np.max(np.abs(values)) <= _zero_tol(v0.values, None):
@@ -282,7 +281,7 @@ def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
 
     times = [0.0]
     norms = [w * float(np.linalg.norm(values))]
-    f = _linear_rhs(p)
+    f = _linear_rhs(lop)
     for step in range(1, n_steps + 1):
         values = _rk4_step(f, values, dt)
         if not np.all(np.isfinite(values)):
@@ -303,12 +302,12 @@ def linearized_run(v0: PeriodicField, p: WaveParams | OperatorMatrix,
                               rate_tail=rate_tail)
 
 
-def seeded_perturbation(grid: PeriodicGrid, seed: int, modes: int = 8) -> PeriodicField:
-    """Band-limited random field with unit H^1 norm, reproducible by seed."""
+def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
+    """Unit-H^1 random field on the modes 1 .. min(8, n/4), reproducible by seed."""
     rng = np.random.default_rng(seed)
     x = grid.nodes
     vals = np.zeros(grid.n)
-    top = min(modes, grid.n // 4)
+    top = min(8, grid.n // 4)
     for m in range(1, top + 1):
         arg = 2.0 * math.pi * m * x / grid.L
         vals += rng.standard_normal() * np.cos(arg) + rng.standard_normal() * np.sin(arg)

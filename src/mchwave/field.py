@@ -216,8 +216,7 @@ def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
     return PeriodicField(u.grid, np.fft.irfft(shifted, u.grid.n))
 
 
-def _orbit_distance(u: PeriodicField, phi: PeriodicField,
-                    shift_tol_rel: float = 1e-10) -> tuple[float, float]:
+def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]:
     """min over y of ||u - phi(. + y)||_H1 and the minimizing shift.
 
     The squared distance is ||u||^2 + ||phi||^2 - 2 C(y), where the H^1
@@ -228,7 +227,7 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField,
     the c_j.  Fine stage: a safeguarded Newton iteration on C'(y) = 0,
     with C' and C'' summed from the same series (O(n) per step, no FFT),
     kept inside the bracket of the best grid shift +- L/n and bisecting it
-    whenever C'' >= 0 or a step leaves it, until |dy| < shift_tol_rel * L.
+    whenever C'' >= 0 or a step leaves it, until |dy| < 1e-10 L.
     The distance is then the exact objective at the optimum, not the
     cancelling sum.  phi_hat and the shifted phi come from ``phi.spectrum``,
     so a reference held across calls is transformed once.
@@ -253,7 +252,7 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField,
     j_best = int(np.argmax(cross))
     y0 = j_best * big_l / n
     lo, hi = y0 - big_l / n, y0 + big_l / n
-    tol = shift_tol_rel * big_l
+    tol = 1e-10 * big_l
     y_star, bisected = y0, False
     for iterations in range(1, 101):  # bisection alone meets tol in < 64 steps
         slope, curv = slope_curvature(y_star)

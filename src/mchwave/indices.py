@@ -19,7 +19,6 @@ sampled (k, L) grids; no claim is made beyond the sampled windows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Literal
@@ -117,9 +116,9 @@ class KreinReport:
     L_star: float = math.nan
 
 
-def _sign_count(x: float, floor: float = SIGN_FLOOR) -> tuple[int, int]:
-    """(n, z) of a scalar: one negative eigenvalue, or one zero within floor."""
-    if abs(x) <= floor:
+def _sign_count(x: float) -> tuple[int, int]:
+    """(n, z) of a scalar: one negative eigenvalue, or one zero within SIGN_FLOOR."""
+    if abs(x) <= SIGN_FLOOR:
         return 0, 1
     return (1, 0) if x < 0.0 else (0, 0)
 
@@ -179,29 +178,23 @@ def _scan_cell(k: float, L: float, h: float | None) -> IndexSample:
 
 
 def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
-               nk: int, nL: int, h: float | None = None,
-               workers: int = 1) -> tuple[list[IndexSample], ScanSummary]:
+               nk: int, nL: int, h: float | None = None) -> tuple[list[IndexSample], ScanSummary]:
     """Evaluate the index on an nk x nL grid, flagging invalid cells.
 
     Cells failing validity (or whose index evaluation raises) are kept in
-    the table with I = NaN and valid = False.  Ordering is by (k, L),
-    deterministic regardless of evaluation order; ``workers`` > 1 spreads
-    the cells over that many processes.  ``h`` selects the FD oracle
-    (see :func:`stability_index`).
+    the table with I = NaN and valid = False, in (k, L) order, by one
+    serial loop.  ``h`` selects the FD oracle (see :func:`stability_index`).
+    Bad ranges or sizes, or an ``h`` that is not finite and positive, raise
+    DomainError before any cell is evaluated.
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")
-    if nk < 1 or nL < 1 or workers < 1:
-        raise DomainError(f"nk, nL and workers must be >= 1, got {nk}, {nL}, {workers}")
-    ks, Ls = np.linspace(k_min, k_max, nk), np.linspace(L_min, L_max, nL)
-    cell_ks = [float(k) for k in ks for _ in Ls]
-    cell_Ls = [float(L) for _ in ks for L in Ls]
-    cell = partial(_scan_cell, h=h)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(cell, cell_ks, cell_Ls, chunksize=8))
-    else:
-        samples = list(map(cell, cell_ks, cell_Ls))
+    if nk < 1 or nL < 1:
+        raise DomainError(f"nk and nL must be >= 1, got {nk}, {nL}")
+    if h is not None and not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"FD step h must be finite and positive, got {h}")
+    ks, Ls = np.linspace(k_min, k_max, nk).tolist(), np.linspace(L_min, L_max, nL).tolist()
+    samples = [_scan_cell(k, L, h) for k in ks for L in Ls]
     vals = np.array([s.I for s in samples if s.valid])
     summary = ScanSummary(
         min_I=float(np.min(vals)) if vals.size else math.nan,

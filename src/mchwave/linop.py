@@ -185,30 +185,17 @@ class PairingReport:
     tol: float
 
 
-def _as_values(u, n: int) -> np.ndarray:
-    vals = u.values if isinstance(u, PeriodicField) else np.asarray(u, dtype=float)
-    if vals.shape != (n,):
-        raise DomainError(f"coefficient array has shape {vals.shape}, expected ({n},)")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("coefficient values must be finite")
-    return vals
-
-
-def assemble_l(phi, phi2, c: float, grid: PeriodicGrid | None = None) -> OperatorMatrix:
+def assemble_l(phi: PeriodicField, phi2: PeriodicField, c: float) -> OperatorMatrix:
     """The self-adjoint linearized operator around a profile.
 
-    ``phi`` and ``phi2`` are the profile and its second derivative
-    (fields or plain arrays; pass ``grid`` with arrays).  Accepts any
-    smooth profile; for a traveling wave phi - c < 0 holds pointwise.
-    Only p and q are formed here; the blocks wait for first use.
+    ``phi`` and ``phi2`` are the profile and its second derivative, fields
+    on one grid (DomainError otherwise; a field is finite by construction).
+    Accepts any smooth profile; for a traveling wave phi - c < 0 holds
+    pointwise.  Only p and q are formed here; the blocks wait for first use.
     """
-    if grid is None:
-        if not isinstance(phi, PeriodicField):
-            raise DomainError("assemble_l needs a grid when given plain arrays")
-        grid = phi.grid
-    phi_vals = _as_values(phi, grid.n)
-    q_vals = float(c) - 3.0 * phi_vals**2 + _as_values(phi2, grid.n)
-    return OperatorMatrix(grid=grid, coefficients=np.stack((phi_vals - float(c), q_vals)))
+    phi._check_same_grid(phi2)
+    q_vals = float(c) - 3.0 * phi.values**2 + phi2.values
+    return OperatorMatrix(grid=phi.grid, coefficients=np.stack((phi.values - float(c), q_vals)))
 
 
 def operator_for(p: WaveParams, n: int) -> OperatorMatrix:

@@ -83,7 +83,8 @@ class ValidityReport:
     ``ineq_ii_margin`` is the exact max(phi - c), attained at x = L/2
     (must be < 0).  For the constant wave (k = 0) ``ineq_i_value`` is
     exactly 0.0, the boundary, so ``all_ok`` is False.
-    When the discriminant fails the other two margins are NaN.
+    When the closed forms refuse (k, L), because Delta <= 0 or a power of L
+    overflows, ``discriminant_ok`` is False and the other two margins are NaN.
     """
 
     discriminant_ok: bool
@@ -106,20 +107,28 @@ class ParamDerivatives:
     step: float
 
 
+def _power(L, m: int):
+    """L**m for a real or complex period; DomainError where it overflows."""
+    try:
+        return L**m
+    except OverflowError as exc:
+        raise DomainError(f"period L={L} too large for the closed forms: L**{m} overflows") from exc
+
+
 def discriminant(k: float, L: float) -> float:
     """Delta(k, L) = 9 L^4 - 2048 K(k)^4 (1 - k^2 + k^4)."""
     big_k, _ = complete_k_e(k)
-    return 9.0 * L**4 - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
+    return 9.0 * _power(L, 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
 
 
 def _params_from_k_l(k, L: float) -> tuple:
     """(a, b, c, K, E) by direct evaluation of the closed forms.
 
     k may be complex (complex-step derivatives); Delta > 0 is then tested
-    on the real part.
+    on the real part.  DomainError where Delta <= 0 or L**4 overflows.
     """
     big_k, big_e = complete_k_e(k)
-    delta = 9.0 * L**4 - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
+    delta = 9.0 * _power(L, 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
     if delta.real <= 0.0:
         raise DomainError(
             f"period too small for this modulus: Delta(k={k}, L={L}) = {delta} <= 0"
@@ -206,15 +215,16 @@ def _closed_forms(k, L: float) -> tuple:
 def _a_closed_form(k: float, L: float, big_k: float) -> float:
     """The published long closed form for A, given K(k); cross-check only."""
     k2 = k * k
-    delta = 2048.0 * (-1.0 + k2 - k2 * k2) * big_k**4 + 9.0 * L**4
+    l4, l6 = _power(L, 4), _power(L, 6)
+    delta = 2048.0 * (-1.0 + k2 - k2 * k2) * big_k**4 + 9.0 * l4
     if delta <= 0.0:
         raise DomainError(f"Delta(k={k}, L={L}) = {delta} <= 0")
     root = math.sqrt(delta)
     k4, k6 = k2 * k2, k2 * k2 * k2
-    term1 = (1280.0 * (-1.0 + k2 - k4) * big_k**4 + 9.0 * L**4) * root
+    term1 = (1280.0 * (-1.0 + k2 - k4) * big_k**4 + 9.0 * l4) * root
     term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k**6
     term3 = 6912.0 * L * L * (1.0 - k2 + k4) * big_k**4
-    return (term1 + term2 + term3 - 27.0 * L**6) / (27.0 * L**6)
+    return (term1 + term2 + term3 - 27.0 * l6) / (27.0 * l6)
 
 
 def integration_constant_closed_form(k: float, L: float) -> float:
@@ -328,14 +338,13 @@ def validity(k: float, L: float) -> ValidityReport:
     return ValidityReport(True, ineq_i, ineq_ii, all_ok)
 
 
-def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float,
-          rel_tol: float = 0.01, abs_floor: float = 1e-9) -> np.ndarray:
+def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float) -> np.ndarray:
     """d f / dk by central differences with one Richardson level.
 
     Evaluates f at k +- h, k +- h/2, k +- h/4 and forms the Richardson
-    values R(h) and R(h/2); the two must agree componentwise to
-    ``rel_tol`` (components below ``abs_floor`` are exempt, so limits
-    where a derivative vanishes do not trip the gate).
+    values R(h) and R(h/2); the two must agree componentwise to 1%
+    (components below 1e-9 are exempt, so limits where a derivative
+    vanishes do not trip the gate).
 
     Raises:
         AccuracyError: if the step-halving consistency gate fails.
@@ -355,7 +364,7 @@ def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float,
     r_coarse = richardson(h)
     r_fine = richardson(0.5 * h)
     scale = np.maximum(np.abs(r_coarse), np.abs(r_fine))
-    bad = (scale > abs_floor) & (np.abs(r_coarse - r_fine) > rel_tol * scale)
+    bad = (scale > 1e-9) & (np.abs(r_coarse - r_fine) > 0.01 * scale)
     if np.any(bad):
         raise AccuracyError(
             f"finite-difference consistency gate failed at k={k} (h={h}): "
@@ -382,8 +391,9 @@ def _dk(f: Callable, k: float, h: float | None = None) -> tuple[float, ...]:
 
 
 def check_fd_stencil(k: float, h: float) -> None:
-    """Raise DomainError unless the FD stencil [k - h, k + h] lies in (0, 1)."""
-    if h <= 0.0 or k - h <= 0.0 or k + h >= 1.0:
+    """Raise DomainError unless h > 0 and the FD stencil [k - h, k + h] lies
+    in (0, 1); a NaN k or h fails too."""
+    if not (h > 0.0 and k - h > 0.0 and k + h < 1.0):
         raise DomainError(f"FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}")
 
 

@@ -97,6 +97,12 @@ class TestWaveCommand:
         assert code == EXIT_DOMAIN
         assert "ineq_ii" in capsys.readouterr().out
 
+    def test_huge_period_exits_domain(self, tmp_path):
+        # L**6 in the closed form for A used to overflow into a traceback
+        assert dispatch(["wave", "--k", "0.5", "--L", "1e60",
+                         "--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+        assert not (tmp_path / "wave.json").exists()
+
     def test_usage_error(self):
         assert dispatch(["wave", "--k", "0.5"]) == EXIT_USAGE
         assert dispatch(["nonsense"]) == EXIT_USAGE
@@ -120,18 +126,35 @@ class TestScanCommand:
         assert summary["max_I"] < 0.0
         assert summary["count_invalid"] == 0
 
-    def test_workers_do_not_change_output(self, tmp_path):
+    def test_scan_deterministic(self, tmp_path):
         args = ["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
                 "--L-max", "6pi", "--nk", "2", "--nL", "2"]
-        d1, d2 = tmp_path / "w1", tmp_path / "w2"
-        d1.mkdir(), d2.mkdir()
-        assert dispatch(args + ["--workers", "1", "--out-dir", str(d1)]) == EXIT_OK
-        assert dispatch(args + ["--workers", "2", "--out-dir", str(d2)]) == EXIT_OK
-        a = strip_timestamps((d1 / "scan.csv").read_text())
-        b = strip_timestamps((d2 / "scan.csv").read_text())
-        a = [l for l in a if not l.startswith("# out_dir") and not l.startswith("# workers")]
-        b = [l for l in b if not l.startswith("# out_dir") and not l.startswith("# workers")]
-        assert a == b
+        dirs = tmp_path / "first", tmp_path / "second"
+        for d in dirs:
+            assert dispatch(args + ["--out-dir", str(d)]) == EXIT_OK
+        for name in ("scan.csv", "scan_summary.json"):
+            first, second = ([l for l in strip_timestamps((d / name).read_text())
+                              if "out_dir" not in l] for d in dirs)
+            assert first == second and len(first) > 5
+
+    def test_workers_option_is_gone(self, tmp_path):
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
+                         "--L-max", "6pi", "--workers", "2",
+                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-1e-3", "0"])
+    def test_bad_fd_step_exits_domain(self, tmp_path, h):
+        # each cell used to turn the step's DomainError into a NaN, exit 0
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
+                         "--L-max", "6pi", f"--h={h}", "--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_huge_period_cells_are_invalid(self, tmp_path):
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
+                         "--L-max", "1e60", "--nk", "2", "--nL", "2",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "scan_summary.json").read_text())
+        assert summary["count_invalid"] == 2 and summary["max_I"] < 0.0
 
     def test_scan_samples_no_profile(self, count_calls, tmp_path):
         # validity margins are closed forms and derivatives exact, so no
@@ -304,6 +327,15 @@ class TestEvolveAndOrbit:
         code = dispatch(["evolve", "--k", "0.5", "--L", "6pi", "--t-end", "50",
                          "--dt", "1.0", "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command", ["evolve", "orbit"])
+    @pytest.mark.parametrize("bad", [["--t-end", "inf"], ["--dt", "inf"], ["--t-end", "nan"]])
+    def test_non_finite_time_exits_domain(self, tmp_path, command, bad):
+        # --t-end inf used to end in an OverflowError traceback, and --dt inf
+        # ran one step of length t_end
+        args = [command, "--k", "0.5", "--L", "6pi", "--out-dir", str(tmp_path)] + bad
+        assert dispatch(args) == EXIT_DOMAIN
+        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_orbit_deterministic(self, tmp_path):
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--delta", "1e-3",

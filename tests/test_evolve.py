@@ -22,14 +22,35 @@ def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
+def _six_transform_rhs(u: mw.PeriodicField, pad: int) -> np.ndarray:
+    """The right side as three separate zero-padded lifts to pad * n nodes,
+    u**3, and an explicit truncation: six transforms per evaluation."""
+    g = u.grid
+    n, m = g.n, pad * g.n
+    kap = g.wavenumbers()
+    sym_d1 = 1j * kap
+    sym_d1[-1] = 0.0
+
+    def to_fine(spec):
+        return np.fft.irfft(_pad_spectrum(spec, n, m), m) * (m / n)
+
+    spec = np.fft.rfft(u.values)
+    u_f, ux_f, uxx_f = to_fine(spec), to_fine(sym_d1 * spec), to_fine(-(kap * kap) * spec)
+    w_f = u_f * uxx_f + 0.5 * ux_f * ux_f - u_f**3
+    w_spec = _truncate_spectrum(np.fft.rfft(w_f), m, n) * (n / m)
+    return np.fft.irfft(sym_d1 / (1.0 + kap * kap) * w_spec, n)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.0, t_end=1.0)
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.1, t_end=-1.0)
-        with pytest.raises(DomainError):
-            mw.EvolutionConfig(dt=0.1, t_end=1.0, dealias_pad=1)
+        for dt, t_end in [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf),
+                          (0.1, math.nan)]:
+            with pytest.raises(DomainError, match="finite"):
+                mw.EvolutionConfig(dt=dt, t_end=t_end)
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.1, t_end=1.0, monitor_every=0)
 
@@ -65,37 +86,24 @@ class TestRhs:
         assert abs(np.mean(out.values)) < 1e-15
 
     def test_dealiasing_pad_consistency(self):
-        # pad factors 2 and 3 must agree on resolved data (both alias-free)
+        # the fixed pad 2 must agree with a pad-3 reference on resolved data
+        # (both alias-free)
         g = mw.PeriodicGrid(2 * math.pi, 64)
         rng = np.random.default_rng(5)
         u = mw.sample(lambda x: -0.8 + 0 * x, g) + 0.2 * random_smooth(g, rng, modes=8)
-        r2 = mw.rhs(u, dealias_pad=2)
-        r3 = mw.rhs(u, dealias_pad=3)
-        assert np.max(np.abs(r2.values - r3.values)) < 1e-14
+        assert np.max(np.abs(mw.rhs(u).values - _six_transform_rhs(u, 3))) < 1e-14
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("pad", [2, 3])
     def test_fused_matches_six_transform_reference(self, n, pad):
-        # the right side as three separate zero-padded lifts, u**3, and an
-        # explicit truncation: six transforms per evaluation
+        # the fused two-transform right side against the six-transform
+        # reference on pad * n nodes
         g = mw.PeriodicGrid(6 * math.pi, n)
         rng = np.random.default_rng(n + pad)
         # every mode up to Nyquist is excited, so the padding's Nyquist split counts
         u = mw.sample(lambda x: -0.6 + 0 * x, g) + 0.3 * random_smooth(g, rng, modes=n // 2)
-        m = pad * n
-        kap = g.wavenumbers()
-        sym_d1 = 1j * kap
-        sym_d1[-1] = 0.0
-
-        def to_fine(spec):
-            return np.fft.irfft(_pad_spectrum(spec, n, m), m) * (m / n)
-
-        spec = np.fft.rfft(u.values)
-        u_f, ux_f, uxx_f = to_fine(spec), to_fine(sym_d1 * spec), to_fine(-(kap * kap) * spec)
-        w_f = u_f * uxx_f + 0.5 * ux_f * ux_f - u_f**3
-        w_spec = _truncate_spectrum(np.fft.rfft(w_f), m, n) * (n / m)
-        ref = np.fft.irfft(sym_d1 / (1.0 + kap * kap) * w_spec, n)
-        out = np.fft.irfft(_RhsOperator(g, pad)(spec), n)
+        ref = _six_transform_rhs(u, pad)
+        out = np.fft.irfft(_RhsOperator(g)(u.spectrum), n)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_two_transforms_per_evaluation(self, fft_calls):
@@ -178,13 +186,13 @@ class TestRun:
         _, rep = mw.run(phi, mw.EvolutionConfig(dt=1.0, t_end=50.0))
         assert rep.terminated == TERMINATED_BLOWUP
 
-    def test_blowup_threshold_trips(self):
+    def test_blowup_threshold_trips(self, monkeypatch):
         # momentum conservation keeps the sup bounded, so exceeding a
         # threshold below the initial amplitude exercises the recording
+        monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", 0.6)
         g = mw.PeriodicGrid(2 * math.pi, 64)
         u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
-        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.01, t_end=5.0, monitor_every=1,
-                                                  blowup_threshold=0.6))
+        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.01, t_end=5.0, monitor_every=1))
         assert rep.terminated == TERMINATED_BLOWUP
         assert traj.times[-1] < 5.0
 
@@ -224,7 +232,7 @@ def grid_state_run(u0, cfg, p, delta, rho_factor=50.0):
     times, rho, drifts = [], [], []
 
     def f(values):
-        return mw.rhs(mw.PeriodicField(grid, values), cfg.dealias_pad).values
+        return mw.rhs(mw.PeriodicField(grid, values)).values
 
     def detected(t, values):
         fld = mw.PeriodicField(grid, values)
@@ -243,7 +251,7 @@ def grid_state_run(u0, cfg, p, delta, rho_factor=50.0):
         k3 = f(values + 0.5 * dt * k2)
         k4 = f(values + dt * k3)
         values = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.max(np.abs(values)) <= cfg.blowup_threshold:
+        if not np.max(np.abs(values)) <= evolve.BLOWUP_THRESHOLD:
             verdict = TERMINATED_BLOWUP
         elif (step % cfg.monitor_every == 0 or step == n_steps) and detected(step * dt, values):
             verdict = TERMINATED_INSTABILITY
@@ -354,18 +362,6 @@ class TestLinearizedRun:
         # L phi' = 0, so the evolution leaves phi' untouched
         assert abs(rep.norms[-1] - rep.norms[0]) < 1e-8 * rep.norms[0]
 
-    def test_wave_and_operator_forms_agree(self, wave05):
-        # given WaveParams, the run builds the operator_for operator itself
-        grid = mw.PeriodicGrid(wave05.L, 64)
-        op = mw.operator_for(wave05, 64)
-        radius = float(np.max(np.abs(mw.evolution_spectrum(op).eigenvalues)))
-        cfg = mw.EvolutionConfig(dt=2.0 / radius, t_end=0.5, monitor_every=50)
-        v0 = seeded_perturbation(grid, seed=4)
-        from_op = mw.linearized_run(v0, op, cfg)
-        from_wave = mw.linearized_run(v0, wave05, cfg)
-        assert np.array_equal(from_wave.norms, from_op.norms)
-        assert np.array_equal(from_wave.times, from_op.times)
-
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
     def test_generator_is_the_flow_derivative(self, k, big_l):
@@ -397,7 +393,8 @@ class TestLinearizedRun:
         grid = mw.PeriodicGrid(wave05.L, 64)
         v0 = mw.PeriodicField(grid, np.full(64, value))
         with pytest.raises(DomainError, match="zero-mean"):
-            mw.linearized_run(v0, wave05, mw.EvolutionConfig(dt=0.1, t_end=1.0))
+            mw.linearized_run(v0, mw.operator_for(wave05, 64),
+                              mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
 
 class TestOrbitalExperiment:

@@ -98,6 +98,12 @@ class TestStabilityIndex:
             with pytest.raises(DomainError):
                 mw.stability_index(k, 6 * math.pi)
 
+    def test_nan_fd_step_fails_the_stencil_check(self):
+        # every comparison with NaN is False, so the stencil check used to
+        # pass it on to the elliptic kernel
+        with pytest.raises(DomainError, match="FD stencil"):
+            mw.stability_index(0.5, 6 * math.pi, h=math.nan)
+
     def test_invalid_wave_gets_no_index(self):
         # (0.8, 8 pi) exists but violates phi - c < 0
         s = mw.stability_index(0.8, 8 * math.pi)
@@ -148,10 +154,22 @@ class TestIndexScan:
     def test_range_validation(self):
         with pytest.raises(DomainError):
             mw.index_scan(0.5, 0.2, 3.0, 4.0, 2, 2)
-        for nk, nL, workers in [(0, 2, 1), (2, 0, 1), (0, -3, 1), (2, 2, 0)]:
+        for nk, nL in [(0, 2), (2, 0), (0, -3)]:
             with pytest.raises(DomainError):
-                mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL,
-                              workers=workers)
+                mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-3, 0.0])
+    def test_bad_fd_step_raises_before_any_cell(self, h, count_calls):
+        # each cell used to turn the step's DomainError into an anonymous NaN
+        cells = count_calls(mw.indices.stability_index)
+        with pytest.raises(DomainError, match="FD step"):
+            mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, 2, 2, h=h)
+        assert cells == []
+
+    def test_huge_periods_are_invalid_cells(self):
+        samples, summary = mw.index_scan(0.3, 0.3, 5 * math.pi, 1e60, 1, 3)
+        assert [s.valid for s in samples] == [True, False, False]
+        assert summary.count_invalid == 2
 
 
 class TestMorseCheck:

@@ -50,19 +50,22 @@ class TestAssembly:
         phi1 = mw.profile(wave05, grid.nodes)[1]
         assert np.linalg.norm(dense_matrix(op05_256) @ phi1) / np.linalg.norm(phi1) < 1e-6
 
-    def test_needs_grid_for_plain_arrays(self):
-        with pytest.raises(DomainError):
-            mw.assemble_l(np.ones(32), np.zeros(32), 1.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("assemble", [mw.assemble_l])
     def test_refuses_non_finite_coefficients(self, assemble, bad):
+        # assemble_l takes fields, and a field refuses non-finite values
         grid = mw.PeriodicGrid(2 * math.pi, 32)
         for which in (0, 1):
             arrays = [np.full(32, -1.0), np.zeros(32)]
             arrays[which][5] = bad
             with pytest.raises(DomainError, match="finite"):
-                assemble(*arrays, 0.2, grid)
+                assemble(*(mw.PeriodicField(grid, a) for a in arrays), 0.2)
+
+    def test_refuses_fields_on_different_grids(self):
+        phi = mw.PeriodicField(mw.PeriodicGrid(2 * math.pi, 32), np.full(32, -1.0))
+        phi2 = mw.PeriodicField(mw.PeriodicGrid(2 * math.pi, 16), np.zeros(16))
+        with pytest.raises(DomainError, match="different grids"):
+            mw.assemble_l(phi, phi2, 0.2)
 
     def test_diff_matrix_on_modes(self):
         grid = mw.PeriodicGrid(2 * math.pi, 32)
@@ -377,9 +380,10 @@ class TestHillBlocks:
         # S^T A C for the explicit sine and cosine bases
         n = 64
         grid = mw.PeriodicGrid(2 * math.pi, n)
-        phi = -1.0 + 0.1 * random_smooth(grid, np.random.default_rng(seed)).values
-        phi2 = random_smooth(grid, np.random.default_rng(seed + 10)).values
-        lop = mw.assemble_l(phi, phi2, 0.2, grid)
+        phi = mw.PeriodicField(
+            grid, -1.0 + 0.1 * random_smooth(grid, np.random.default_rng(seed)).values)
+        phi2 = random_smooth(grid, np.random.default_rng(seed + 10))
+        lop = mw.assemble_l(phi, phi2, 0.2)
         coupling = float(np.max(np.abs(sine_basis(n).T @ dense_matrix(lop) @ cosine_basis(n))))
         assert lop.reflection_defect == pytest.approx(coupling, rel=1e-12)
 
@@ -410,7 +414,8 @@ class TestHillBlocks:
         # diagonal, and mode n/2, which the first derivative annihilates, gets
         # the completion -kappa_N^2 p (the k + m = n/2 + n/2 entry folds to 0)
         grid = mw.PeriodicGrid(2 * math.pi, 16)
-        lop = mw.assemble_l(np.full(16, -1.0), np.zeros(16), 1.0, grid)
+        lop = mw.assemble_l(mw.PeriodicField(grid, np.full(16, -1.0)),
+                            mw.PeriodicField(grid, np.zeros(16)), 1.0)
         even, odd = lop._blocks
         kap = grid.wavenumbers()
         assert np.max(np.abs(even - np.diag(2.0 * kap**2 - 2.0))) <= 1e-13

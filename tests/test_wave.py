@@ -59,6 +59,13 @@ class TestWaveParams:
             with pytest.raises(DomainError):
                 mw.wave_params(k, 6.0 * math.pi)
 
+    @pytest.mark.parametrize("big_l", [3e51, 1e60, 1e80])
+    def test_huge_period_is_a_domain_error(self, big_l):
+        # L**6 in the closed form for A overflows above about 5e51, and L**4
+        # in the coefficients above about 1e77: an OverflowError before
+        with pytest.raises(DomainError, match="too large"):
+            mw.wave_params(0.5, big_l)
+
     def test_param_bounds_on_grid(self):
         for k in np.linspace(0.05, 0.8, 10):
             for big_l in np.linspace(3 * math.pi, 10 * math.pi, 10):
@@ -177,6 +184,10 @@ class TestValidity:
         assert not rep.all_ok
         assert math.isnan(rep.ineq_i_value)
 
+    @pytest.mark.parametrize("big_l", [2e51, 3e51, 1e60, 1e80])
+    def test_huge_period_is_reported_not_raised(self, big_l):
+        assert not mw.validity(0.5, big_l).all_ok
+
     def test_all_ok_is_conjunction(self):
         for (k, big_l) in [(0.5, 6 * math.pi), (0.8, 8 * math.pi), (0.9, math.pi)]:
             rep = mw.validity(k, big_l)
@@ -285,6 +296,8 @@ class TestParamDerivatives:
     def test_stencil_domain_error(self):
         with pytest.raises(DomainError):
             mw.params_dk(0.5, 6.0 * math.pi, h=0.6)  # leaves (0, 1)
+        with pytest.raises(DomainError, match="FD stencil"):
+            mw.params_dk(0.5, 6.0 * math.pi, h=math.nan)
         with pytest.raises(DomainError):
             # Delta(0.82, 2.4 pi) > 0 but Delta(0.84, 2.4 pi) < 0:
             # the k + h point crosses the discriminant boundary
