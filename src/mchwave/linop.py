@@ -26,7 +26,10 @@ Im q^.  For an even wave C is rounding; above the assembly gate the split
 raises :class:`AssemblyError` wherever the blocks are read.  Each block is
 solved once (:class:`ParityBlocks`).  As 1 = sqrt(n) (cosine mode 0), Y0
 drops cosine mode 0: :func:`restricted_spectrum` solves E[1:, 1:] afresh
-and :func:`inv_one_pairing` reads mode 0 of the even eigenvectors.
+and :func:`inv_one_pairing` reads mode 0 of the even eigenvectors.  Only
+E is solved with its eigenvectors, which the pairing and its FFT residual
+need; the counts need only eigenvalues, so O and E[1:, 1:] are solved
+values-only, at about half the cost of a full decomposition.
 
 The evolution operator is J L, the linearization at the wave of the flow
 :mod:`mchwave.evolve` integrates, with J = dx (1 - dx^2)^{-1} (symbol
@@ -41,10 +44,11 @@ the eigenvalues mu of the half-size M = -K E' K O, with one structural 0
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero, by one rule.  An explicit ``tol`` must be finite and positive; the
 default is 1e3 eps max |.| of the eigenvalues counted.  For L, the kernel
-is computed at least 377x below that (waves up to n = 2048, the constant
-wave up to n = 1024), and the smallest genuine eigenvalue seen, 4.27e-6 on
-Y0 at (k, L) = (0.1, 5 pi) and n = 2048, sits 880x above; 1e-6 radius,
-which grows like n^2, would swallow it.  For J L the rule applies to mu:
+is computed at least 1.5e5x below that (29 valid waves up to n = 2048, the
+constant wave up to n = 1024), and the smallest genuine eigenvalues seen
+sit 880x above (4.27e-6 on Y0 at (k, L) = (0.1, 5 pi), n = 2048) and 42x
+above (2.11e-6 at (0.05, 3 pi), n = 2048); 1e-6 radius, which grows like
+n^2, would swallow them.  For J L the rule applies to mu:
 the defective lambda = 0 (phi' and its generalized eigenvector) is one
 simple mu = 0, counted twice, and at (0.5, 6 pi), (0.3, 4 pi) and
 (0.7, 9 pi) for 64 <= n <= 1024 the next |mu| sits at least 1.2e5x above
@@ -65,21 +69,18 @@ from .field import PeriodicField, PeriodicGrid
 from .wave import WaveParams, profile
 
 ASYMMETRY_GATE = 1e-8
-# Eigenvector columns a SpectralReport of L keeps (lowest modes).
-KEPT_MODES = 8
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """Eigendecompositions of the even and odd blocks of L: ascending values,
-    vectors in cosine (modes 0 .. n/2) and sine (1 .. n/2 - 1) coordinates,
-    and E itself, whose E[1:, 1:] :func:`restricted_spectrum` solves."""
+    """The even block E of L with its ascending eigenvalues and eigenvectors
+    in cosine coordinates (modes 0 .. n/2), and the ascending eigenvalues of
+    the odd block; :func:`restricted_spectrum` solves E[1:, 1:]."""
 
     even: np.ndarray = dc_field(repr=False)
     even_vals: np.ndarray = dc_field(repr=False)
     even_vecs: np.ndarray = dc_field(repr=False)
     odd_vals: np.ndarray = dc_field(repr=False)
-    odd_vecs: np.ndarray = dc_field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,13 @@ class OperatorMatrix:
 
     @cached_property
     def parity(self) -> ParityBlocks:
-        """The blocks' eigendecompositions, computed once and shared read-only;
+        """The blocks' spectra, computed once and shared read-only;
         AssemblyError for coefficients that are not even, NumericalError if
         the solver fails."""
         even, odd = self._blocks
         even_vals, even_vecs = _eig(np.linalg.eigh, even)
-        odd_vals, odd_vecs = _eig(np.linalg.eigh, odd)
         blocks = ParityBlocks(even=even, even_vals=even_vals, even_vecs=even_vecs,
-                              odd_vals=odd_vals, odd_vecs=odd_vecs)
+                              odd_vals=_eig(np.linalg.eigvalsh, odd))
         for arr in vars(blocks).values():
             arr.flags.writeable = False
         return blocks
@@ -162,8 +162,7 @@ class SpectralReport:
     separation between the two smallest moduli, of lambda for L and of
     sqrt(mu) for J L: near the constant-wave degeneracy the kernel nearly
     doubles, and the gap makes that visible instead of a silent
-    classification.  ``eigenvectors`` holds grid columns for the lowest
-    few modes of L (None for J L).
+    classification.
     """
 
     eigenvalues: np.ndarray = dc_field(repr=False)
@@ -172,7 +171,6 @@ class SpectralReport:
     tol: float
     near_zero_gap: float
     grid: PeriodicGrid
-    eigenvectors: np.ndarray | None = dc_field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -237,18 +235,6 @@ def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(flux_hat, n) + q_vals * u
 
 
-def _merge_lowest(even_vals: np.ndarray, even_vecs: np.ndarray,
-                  odd_vals: np.ndarray, odd_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of two blocks' eigenvalues, and grid columns for its
-    ``KEPT_MODES`` lowest modes, which are among the lowest of each block."""
-    heads = np.concatenate((even_vals[:KEPT_MODES], odd_vals[:KEPT_MODES]))
-    lowest = np.argsort(heads, kind="stable")[:KEPT_MODES]
-    even, odd = even_vecs[:, :KEPT_MODES], odd_vecs[:, :KEPT_MODES]
-    coords = np.block([[even, np.zeros((len(even), odd.shape[1]))],
-                       [np.zeros((len(odd), even.shape[1])), odd]])
-    return np.sort(np.concatenate((even_vals, odd_vals))), _to_grid(coords[:, lowest])
-
-
 def _zero_tol(eigenvalues: np.ndarray, tol: float | None) -> float:
     """The zero-eigenvalue tolerance (see the module docstring): ``tol``
     checked, or 1e3 eps max |eigenvalue|."""
@@ -265,12 +251,14 @@ def _near_zero_gap(moduli: np.ndarray) -> float:
     return float(by_mod[1] - by_mod[0]) if moduli.size > 1 else math.inf
 
 
-def _make_report(vals: np.ndarray, tol: float | None, grid: PeriodicGrid,
-                 vecs: np.ndarray) -> SpectralReport:
+def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray, tol: float | None,
+                 grid: PeriodicGrid) -> SpectralReport:
+    """Counts over the sorted union of an even and an odd block's eigenvalues."""
+    vals = np.sort(np.concatenate((even_vals, odd_vals)))
     tol = _zero_tol(vals, tol)
     return SpectralReport(
         eigenvalues=vals, n_neg=int(np.sum(vals < -tol)), z_dim=int(np.sum(np.abs(vals) <= tol)),
-        tol=tol, near_zero_gap=_near_zero_gap(np.abs(vals)), grid=grid, eigenvectors=vecs,
+        tol=tol, near_zero_gap=_near_zero_gap(np.abs(vals)), grid=grid,
     )
 
 
@@ -278,9 +266,7 @@ def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
     """Full spectrum of L with negative/zero counts: the real ascending
     union of its cached parity blocks' eigenvalues."""
     blocks = m.parity
-    vals, kept = _merge_lowest(blocks.even_vals, blocks.even_vecs,
-                               blocks.odd_vals, blocks.odd_vecs)
-    return _make_report(vals, tol, m.grid, kept)
+    return _make_report(blocks.even_vals, blocks.odd_vals, tol, m.grid)
 
 
 def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
@@ -292,10 +278,8 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     odd block's eigenvalues.
     """
     blocks = m.parity
-    vals, vecs = _eig(np.linalg.eigh, blocks.even[1:, 1:])
-    vecs = np.pad(vecs[:, :KEPT_MODES], ((1, 0), (0, 0)))
-    vals, kept = _merge_lowest(vals, vecs, blocks.odd_vals, blocks.odd_vecs)
-    return _make_report(vals, tol, m.grid, kept)
+    return _make_report(_eig(np.linalg.eigvalsh, blocks.even[1:, 1:]), blocks.odd_vals,
+                        tol, m.grid)
 
 
 def evolution_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:

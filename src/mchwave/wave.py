@@ -135,13 +135,10 @@ def _params_from_k_l(k, L: float) -> tuple:
         )
     root = cmath.sqrt(delta) if isinstance(delta, complex) else math.sqrt(delta)
     b = -32.0 * big_k**2 / (L * L)
-    c = (1.5 * L * L - 0.5 * root) / (L * L)
-    a = -(
-        -32.0 * (2.0 - k * k) * big_k**2
-        + 96.0 * big_e * big_k
-        + 1.5 * L * L
-        - 0.5 * root
-    ) / (3.0 * L * L)
+    # 1.5 L^2 - sqrt(Delta)/2 without the cancelling subtraction
+    head = 512.0 * big_k**4 * (1.0 - k * k + k**4) / (1.5 * L * L + 0.5 * root)
+    c = head / (L * L)
+    a = -(-32.0 * (2.0 - k * k) * big_k**2 + 96.0 * big_e * big_k + head) / (3.0 * L * L)
     return a, b, c, big_k, big_e
 
 
@@ -213,7 +210,8 @@ def _closed_forms(k, L: float) -> tuple:
 
 
 def _a_closed_form(k: float, L: float, big_k: float) -> float:
-    """The published long closed form for A, given K(k); cross-check only."""
+    """The published long closed form for A, given K(k); cross-check only.
+    DomainError where its terms of order L^6 overflow (L above about 1.4e51)."""
     k2 = k * k
     l4, l6 = _power(L, 4), _power(L, 6)
     delta = 2048.0 * (-1.0 + k2 - k2 * k2) * big_k**4 + 9.0 * l4
@@ -224,7 +222,10 @@ def _a_closed_form(k: float, L: float, big_k: float) -> float:
     term1 = (1280.0 * (-1.0 + k2 - k4) * big_k**4 + 9.0 * l4) * root
     term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k**6
     term3 = 6912.0 * L * L * (1.0 - k2 + k4) * big_k**4
-    return (term1 + term2 + term3 - 27.0 * l6) / (27.0 * l6)
+    a_closed = (term1 + term2 + term3 - 27.0 * l6) / (27.0 * l6)
+    if not math.isfinite(a_closed):
+        raise DomainError(f"period L={L} too large for the closed form of A: its terms overflow")
+    return a_closed
 
 
 def integration_constant_closed_form(k: float, L: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import mchwave as mw
+from mchwave import linop
 
 # Property tests draw the same examples on every run, and a slow machine
 # does not fail them on a per-example deadline.
@@ -32,16 +33,27 @@ def count_calls(monkeypatch):
     return install
 
 
+def _count_numpy_calls(monkeypatch, module, names) -> list:
+    """Wrap ``module.<name>`` for each of ``names``; returns the list of names called."""
+    calls = []
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Wrap numpy.fft.{fft,ifft,rfft,irfft}; returns the list of names called."""
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
+    return _count_numpy_calls(monkeypatch, np.fft, ("fft", "ifft", "rfft", "irfft"))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Wrap numpy.linalg.{eigh,eigvalsh,eig,eigvals}; returns the list of names called."""
+    return _count_numpy_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "eig", "eigvals"))
 
 
 @pytest.fixture(scope="session")
@@ -125,3 +137,22 @@ def dense_matrix(op) -> np.ndarray:
     mat += (-(kap_nyq**2) * float(np.mean(p_vals)) / n) * np.outer(saw, saw)
     mat[np.arange(n), np.arange(n)] += q_vals
     return 0.5 * (mat + mat.T)
+
+
+def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndarray:
+    """Grid columns of the ``modes`` lowest eigenvectors of L (of L on Y0 if
+    ``restricted``), ascending by eigenvalue: one ``eigh`` of each parity
+    block of ``op`` (the even one without cosine mode 0 for Y0), mapped to
+    the grid by one inverse real FFT.  The program solves only E with its
+    vectors, so these are the test's own."""
+    even, odd = op._blocks
+    even_vals, even_vecs = np.linalg.eigh(even[1:, 1:] if restricted else even)
+    if restricted:
+        even_vecs = np.pad(even_vecs, ((1, 0), (0, 0)))
+    odd_vals, odd_vecs = np.linalg.eigh(odd)
+    lowest = np.argsort(np.concatenate((even_vals[:modes], odd_vals[:modes])),
+                        kind="stable")[:modes]
+    even_vecs, odd_vecs = even_vecs[:, :modes], odd_vecs[:, :modes]
+    coords = np.block([[even_vecs, np.zeros((len(even_vecs), odd_vecs.shape[1]))],
+                       [np.zeros((len(odd_vecs), even_vecs.shape[1])), odd_vecs]])
+    return linop._to_grid(coords[:, lowest])

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mchwave as mw
-from mchwave import AssemblyError, DomainError, RankError, evolve, linop
+from mchwave import AssemblyError, DomainError, RankError, cli, evolve, linop
 
 from conftest import (dense_evolution_eigenvalues, dense_matrix, diff_matrix,
-                      helmholtz_diff_matrix, householder_y0_basis, random_smooth)
+                      helmholtz_diff_matrix, householder_y0_basis, lowest_eigenvectors,
+                      random_smooth)
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -91,7 +92,7 @@ class TestSpectrum:
 
     def test_kernel_vector_is_wave_derivative(self, wave05, op05_256):
         rep = mw.spectrum(op05_256)
-        kernel_vec = rep.eigenvectors[:, rep.n_neg]
+        kernel_vec = lowest_eigenvectors(op05_256)[:, rep.n_neg]
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi1 = mw.profile(wave05, grid.nodes)[1]
         cosang = abs(np.dot(kernel_vec, phi1 / np.linalg.norm(phi1)))
@@ -166,7 +167,7 @@ class TestRestrictedSpectrum:
         radius = float(np.max(np.abs(rep.eigenvalues)))
         expected = np.linalg.eigvalsh(0.5 * (dense + dense.T))
         assert np.max(np.abs(rep.eigenvalues - expected)) < 1e-10 * radius
-        vecs = rep.eigenvectors
+        vecs = lowest_eigenvectors(op, restricted=True)
         assert np.max(np.abs(vecs.T @ np.ones(n))) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
         rayleigh = np.einsum("ij,ij->j", vecs, mat @ vecs)
@@ -230,13 +231,27 @@ class TestParityBlocks:
         assert abs(pair.value - expected) <= 1e-8 * abs(expected)
 
     def test_kept_vectors_are_eigenvectors(self, op05_256):
+        # the oracle's block vectors on the grid are orthonormal eigenvectors
+        # of the dense matrix for the program's values-only eigenvalues
         rep = mw.spectrum(op05_256)
-        vecs = rep.eigenvectors
-        assert vecs.shape == (256, linop.KEPT_MODES)
+        vecs = lowest_eigenvectors(op05_256)
+        assert vecs.shape == (256, 8)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
         radius = float(np.max(np.abs(rep.eigenvalues)))
         resid = dense_matrix(op05_256) @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
         assert np.max(np.abs(resid)) < 1e-10 * radius
+
+    def test_one_eigh_and_two_eigvalsh_per_operator(self, eig_calls, tmp_path):
+        # only E is solved with its vectors; O and E[1:, 1:] are values-only,
+        # and J L adds its one eigvals
+        values_only = ["eigh", "eigvalsh", "eigvalsh"]
+        mw.morse_check(0.5, 6 * math.pi)
+        assert sorted(eig_calls) == values_only
+        job = ["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128", "--out-dir", str(tmp_path)]
+        for extra, added in (([], []), (["--evolution"], ["eigvals"])):
+            eig_calls.clear()
+            assert cli.dispatch(job + extra) == cli.EXIT_OK
+            assert sorted(eig_calls) == sorted(values_only + added)
 
     def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
         for op in (op05_256, op_constant_128):
@@ -313,14 +328,17 @@ def grid_parity_oracle(op):
 
 
 def block_pairing(op):
-    """<L^{-1} 1, 1> by a direct solve of the program's even block against the
-    cosine-0 coordinate sqrt(n) of 1.  The block is checked against the dense
-    oracle on its own; a pairing taken from the dense matrix instead carries
-    its rounding times the block's condition number (1e-9 to 3e-8 relative at
-    (0.0625, 11), n = 128, depending only on how D1 is rounded)."""
+    """<L^{-1} 1, 1> by a least-squares solve of the program's even block
+    against the cosine-0 coordinate sqrt(n) of 1.  The block is checked
+    against the dense oracle on its own; a pairing taken from the dense
+    matrix instead carries its rounding times the block's condition number
+    (1e-9 to 3e-8 relative at (0.0625, 11), n = 128, depending only on how
+    D1 is rounded).  At the constant wave the block is singular (cos x), and
+    its diagonal entry can round to exactly 0; the minimum-norm solution
+    deflates that kernel, which is orthogonal to the right side."""
     n = op.grid.n
     rhs = np.eye(1, n // 2 + 1)[0] * math.sqrt(n)
-    return (op.grid.L / n) * float(np.dot(rhs, np.linalg.solve(op._blocks[0], rhs)))
+    return (op.grid.L / n) * float(np.dot(rhs, np.linalg.lstsq(op._blocks[0], rhs)[0]))
 
 
 def cosine_basis(n):
@@ -428,6 +446,16 @@ class TestHillBlocks:
 def test_hill_blocks_match_grid_parity(k, big_l):
     assume(mw.validity(k, big_l).all_ok)
     assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), 128))
+
+
+@settings(max_examples=8)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi),
+       n=st.sampled_from([64, 128, 256]))
+def test_values_only_solves_match_grid_parity(k, big_l, n):
+    # on the criterion-6 window: the odd block and Y0, solved values-only,
+    # against the dense grid-parity oracle at 1e-13 radius, and their counts
+    assume(mw.validity(k, big_l).all_ok)
+    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), n))
 
 
 class TestEvolutionOperator:

@@ -31,8 +31,9 @@ class TestWaveParams:
         # formulas bit for bit
         L = big_l
         root = math.sqrt(9.0 * L**4 - 128.0 * math.pi**4)
-        c = (1.5 * L * L - 0.5 * root) / (L * L)
-        a = -(8.0 * math.pi**2 + 1.5 * L * L - 0.5 * root) / (3.0 * L * L)
+        head = 32.0 * math.pi**4 / (1.5 * L * L + 0.5 * root)  # 1.5 L^2 - root / 2
+        c = head / (L * L)
+        a = -(8.0 * math.pi**2 + head) / (3.0 * L * L)
         p = mw.constant_wave(L)
         assert (p.a, p.b, p.c, p.A) == (a, -8.0 * math.pi**2 / (L * L), c, -a**3 + c * a)
 
@@ -59,12 +60,25 @@ class TestWaveParams:
             with pytest.raises(DomainError):
                 mw.wave_params(k, 6.0 * math.pi)
 
-    @pytest.mark.parametrize("big_l", [3e51, 1e60, 1e80])
+    @pytest.mark.parametrize("big_l", [2e51, 3e51, 1e60, 1e80])
     def test_huge_period_is_a_domain_error(self, big_l):
-        # L**6 in the closed form for A overflows above about 5e51, and L**4
-        # in the coefficients above about 1e77: an OverflowError before
+        # 27 L**6 in the closed form for A overflows above about 1.4e51,
+        # L**6 itself above about 2.4e51, and L**4 in the coefficients
+        # above about 1e77: an OverflowError before
         with pytest.raises(DomainError, match="too large"):
             mw.wave_params(0.5, big_l)
+
+    @pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("big_l", [20.0, 1e2, 1e3, 1e4, 1e5])
+    def test_speed_does_not_cancel_at_long_periods(self, k, big_l):
+        # oracle: c = X / (2 (3 + sqrt(9 - X))), X = 2048 K^4 (1 - k^2 + k^4) / L^4,
+        # the root of c^2 - 3c + X/4 = 0 free of the cancelling subtraction
+        # 1.5 L^2 - sqrt(Delta)/2
+        x = 2048.0 * mw.complete_k(k) ** 4 * (1.0 - k * k + k**4) / big_l**4
+        expected = x / (2.0 * (3.0 + math.sqrt(9.0 - x)))
+        c = mw.wave_params(k, big_l).c
+        assert abs(c - expected) <= 1e-14 * expected
+        assert c > 0.0
 
     def test_param_bounds_on_grid(self):
         for k in np.linspace(0.05, 0.8, 10):
