@@ -161,24 +161,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p = indices.constant_or_wave(args.k, args.L)
     op = linop.operator_for(p, args.n)
-    full = linop.spectrum(op, tol=args.tol)
-    restr = linop.restricted_spectrum(op, tol=args.tol)
+    full = linop.spectrum(op)
+    restr = linop.restricted_spectrum(op)
     payload = {
         "wave": dataclasses.asdict(p),
         "validity": dataclasses.asdict(wave_mod.validity(args.k, args.L)),
         "operator": {"reflection_defect": op.reflection_defect},
         "spectrum": _spectral_payload(full),
         "restricted_spectrum": _spectral_payload(restr),
+        "pairing": dataclasses.asdict(linop.inv_one_pairing(op)),
     }
-    try:
-        pair = linop.inv_one_pairing(op, tol=args.tol,
-                                     allow_multi_kernel=args.allow_multi_kernel)
-        payload["pairing"] = dataclasses.asdict(pair)
-    except MchError as exc:
-        payload["pairing_error"] = str(exc)
     if args.evolution:
-        payload["evolution_spectrum"] = _spectral_payload(
-            linop.evolution_spectrum(op, tol=args.tol))
+        payload["evolution_spectrum"] = _spectral_payload(linop.evolution_spectrum(op))
     out = Path(args.out_dir) / "spectrum.json"
     write_json(out, payload, args)
     print(f"spectrum (k={args.k}, L={args.L}, n={args.n}): n(L)={full.n_neg} "
@@ -386,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--L", type=parse_length, required=True)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--tol", type=float, default=None,
-                    help="zero-eigenvalue tolerance in eigenvalue units, finite and > 0 "
-                         "(default: 1e3*eps*max|lambda| for L; for J L the same rule on "
-                         "mu = lambda^2, to which an explicit tol applies squared)")
-    sp.add_argument("--allow-multi-kernel", action="store_true")
     sp.add_argument("--evolution", action="store_true",
                     help="also dump the complex spectrum of J L, J = dx (1 - dx^2)^-1, on Y0")
     add_common(sp)

@@ -273,7 +273,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     if lop.grid != grid:
         raise DomainError("operator grid does not match the initial field")
     values = v0.values - np.mean(v0.values)
-    if np.max(np.abs(values)) <= _zero_tol(v0.values, None):
+    if np.max(np.abs(values)) <= _zero_tol(v0.values):
         raise DomainError("v0 has no zero-mean part: its growth rate is undefined")
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps

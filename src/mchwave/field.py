@@ -96,17 +96,8 @@ class PeriodicField:
 
 
 def sample(f: Callable, grid: PeriodicGrid) -> PeriodicField:
-    """Sample a pointwise function on the grid nodes."""
-    x = grid.nodes
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(xi)) for xi in x])
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("sampled function produced non-finite values")
-    return PeriodicField(grid, vals)
+    """Sample a vectorized function, f(nodes) -> values, on the grid nodes."""
+    return PeriodicField(grid, f(grid.nodes))
 
 
 def sample_wave(p: WaveParams, grid: PeriodicGrid) -> PeriodicField:
@@ -116,21 +107,12 @@ def sample_wave(p: WaveParams, grid: PeriodicGrid) -> PeriodicField:
     return PeriodicField(grid, np.asarray(profile(p, grid.nodes)[0]))
 
 
-def derivative(u: PeriodicField, order: int = 1) -> PeriodicField:
-    """Spectral x-derivative of order 1, 2 or 3.
-
-    The Nyquist mode is zeroed for odd orders (its derivative is not
-    representable on an even grid) and kept with symbol (i kappa)^order
-    for even ones.
-    """
-    if order not in (1, 2, 3):
-        raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")
-    kap = u.grid.wavenumbers()
-    symbol = (1j * kap) ** order
-    if order % 2 == 1:
-        symbol[-1] = 0.0
-    spec = np.fft.rfft(u.values)
-    return PeriodicField(u.grid, np.fft.irfft(symbol * spec, u.grid.n))
+def derivative(u: PeriodicField) -> PeriodicField:
+    """Spectral x-derivative; the Nyquist mode is zeroed (its derivative is
+    not representable on an even grid)."""
+    symbol = 1j * u.grid.wavenumbers()
+    symbol[-1] = 0.0
+    return PeriodicField(u.grid, np.fft.irfft(symbol * u.spectrum, u.grid.n))
 
 
 def integrate(u: PeriodicField) -> float:
@@ -141,7 +123,7 @@ def integrate(u: PeriodicField) -> float:
 def helmholtz_inverse(u: PeriodicField) -> PeriodicField:
     """(1 - d^2/dx^2)^{-1} u via its Fourier symbol 1 / (1 + kappa^2)."""
     kap = u.grid.wavenumbers()
-    spec = np.fft.rfft(u.values) / (1.0 + kap * kap)
+    spec = u.spectrum / (1.0 + kap * kap)
     return PeriodicField(u.grid, np.fft.irfft(spec, u.grid.n))
 
 

@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from . import wave as wave_mod
-from .errors import DomainError, MchError, NumericalError, SingularError
+from .errors import DomainError, MchError, NumericalError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
 from .wave import (COMPLEX_STEP, WaveParams, check_fd_stencil, default_fd_step, validity,
@@ -206,24 +206,18 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     return samples, summary
 
 
-def morse_check(k: float, L: float, n: int = 256,
-                allow_multi_kernel: bool = False) -> MorseReport:
+def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
     """Check the zero-mean Morse identities by two independent routes.
 
     Left sides come from the spectrum of the operator compressed to Y0;
     right sides from the unrestricted counts plus the sign of the
-    pairing <L^{-1} 1, 1>.  All counts use the default zero tolerance of
-    :mod:`mchwave.linop`.  The identities assume a simple kernel; a
-    double kernel (the constant-wave degeneracy) needs
-    ``allow_multi_kernel`` for the deflated pairing solve.
-
-    Raises:
-        RankError: propagated when the kernel is not simple and the
-            override is not set.
+    pairing <L^{-1} 1, 1>.  All counts use the zero tolerance of
+    :mod:`mchwave.linop`.  The pairing deflates the whole computed kernel,
+    so the identities are checked at the constant wave's double kernel too.
     """
     op = operator_for(constant_or_wave(k, L), n)
     full = spectrum(op)
-    pair = inv_one_pairing(op, allow_multi_kernel=allow_multi_kernel)
+    pair = inv_one_pairing(op)
     restr = restricted_spectrum(op)
     n_pair, z_pair = _sign_count(pair.value)
     return MorseReport(
@@ -371,6 +365,9 @@ def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256) -> Krein
                            pairing=math.nan, D=math.nan, K_Ham=-1,
                            classification="indeterminate")
     morse = morse_check(k, report.L_star, n)
+    if morse.z_L != 1:
+        raise RankError(f"kernel dimension {morse.z_L} at (k={k}, L*={report.L_star}); "
+                        "the Krein index needs a simple kernel")
     big_d = -report.d_second
     n_d, _ = _sign_count(big_d)
     k_ham = morse.n_Y0_direct - n_d

@@ -42,18 +42,18 @@ the eigenvalues mu of the half-size M = -K E' K O, with one structural 0
 (:func:`evolution_spectrum`).  No n x n matrix is formed.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
-zero, by one rule.  An explicit ``tol`` must be finite and positive; the
-default is 1e3 eps max |.| of the eigenvalues counted.  For L, the kernel
-is computed at least 1.5e5x below that (29 valid waves up to n = 2048, the
-constant wave up to n = 1024), and the smallest genuine eigenvalues seen
-sit 880x above (4.27e-6 on Y0 at (k, L) = (0.1, 5 pi), n = 2048) and 42x
-above (2.11e-6 at (0.05, 3 pi), n = 2048); 1e-6 radius, which grows like
-n^2, would swallow them.  For J L the rule applies to mu:
-the defective lambda = 0 (phi' and its generalized eigenvector) is one
-simple mu = 0, counted twice, and at (0.5, 6 pi), (0.3, 4 pi) and
-(0.7, 9 pi) for 64 <= n <= 1024 the next |mu| sits at least 1.2e5x above
-the tolerance.  An explicit ``tol`` is in lambda units and is squared
-before it is applied to mu.
+zero, by one rule with no override: 1e3 eps max |.| of the eigenvalues
+counted.  For L, the kernel is computed at least 1.5e5x below that (29
+valid waves up to n = 2048, the constant wave up to n = 1024), and the
+smallest genuine eigenvalues seen sit 880x above (4.27e-6 on Y0 at
+(k, L) = (0.1, 5 pi), n = 2048) and 42x above (2.11e-6 at (0.05, 3 pi),
+n = 2048); 1e-6 radius, which grows like n^2, would swallow them.  For
+J L the rule applies to mu directly: the defective lambda = 0 (phi' and
+its generalized eigenvector) is one simple mu = 0, counted twice, and at
+(0.5, 6 pi), (0.3, 4 pi) and (0.7, 9 pi) for 64 <= n <= 1024 the next
+|mu| sits at least 1.2e5x above the tolerance.  Every report holds its
+eigenvalues and the tolerance used, so another threshold is a recount
+from those two.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyError, DomainError, NumericalError, RankError
+from .errors import AssemblyError, NumericalError
 from .field import PeriodicField, PeriodicGrid
 from .wave import WaveParams, profile
 
@@ -157,12 +157,12 @@ class SpectralReport:
     (:func:`evolution_spectrum`) they are complex, sorted by real then
     imaginary part; ``n_neg`` is k_r, the number of real mu = lambda^2
     above the tolerance (the real unstable pairs), and ``z_dim`` counts
-    lambda = 0.  ``tol`` is the caller's or the policy default, in units of
-    the eigenvalues (module docstring).  ``near_zero_gap`` is the
-    separation between the two smallest moduli, of lambda for L and of
-    sqrt(mu) for J L: near the constant-wave degeneracy the kernel nearly
-    doubles, and the gap makes that visible instead of a silent
-    classification.
+    lambda = 0.  ``tol`` is the policy's, in units of the eigenvalues
+    (module docstring), and the counts are a recount of ``eigenvalues`` at
+    it.  ``near_zero_gap`` is the separation between the two smallest
+    moduli, of lambda for L and of sqrt(mu) for J L: near the constant-wave
+    degeneracy the kernel nearly doubles, and the gap makes that visible
+    instead of a silent classification.
     """
 
     eigenvalues: np.ndarray = dc_field(repr=False)
@@ -175,7 +175,8 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class PairingReport:
-    """The pairing <L^{-1} 1, 1> from a kernel-deflated solve."""
+    """The pairing <L^{-1} 1, 1> from a kernel-deflated solve; ``kernel_dim``
+    and ``tol`` are the z_dim and tol of :func:`spectrum`."""
 
     value: float
     kernel_dim: int
@@ -235,15 +236,10 @@ def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(flux_hat, n) + q_vals * u
 
 
-def _zero_tol(eigenvalues: np.ndarray, tol: float | None) -> float:
-    """The zero-eigenvalue tolerance (see the module docstring): ``tol``
-    checked, or 1e3 eps max |eigenvalue|."""
-    if tol is not None:
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise DomainError(f"tolerance must be finite and positive, got {tol}")
-        return float(tol)
+def _zero_tol(eigenvalues: np.ndarray) -> float:
+    """The zero-eigenvalue tolerance (module docstring): 1e3 eps max |eigenvalue|."""
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0
-    return 1e3 * np.finfo(float).eps * max(radius, 1e-300)
+    return float(1e3 * np.finfo(float).eps * max(radius, 1e-300))
 
 
 def _near_zero_gap(moduli: np.ndarray) -> float:
@@ -251,25 +247,25 @@ def _near_zero_gap(moduli: np.ndarray) -> float:
     return float(by_mod[1] - by_mod[0]) if moduli.size > 1 else math.inf
 
 
-def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray, tol: float | None,
+def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray,
                  grid: PeriodicGrid) -> SpectralReport:
     """Counts over the sorted union of an even and an odd block's eigenvalues."""
     vals = np.sort(np.concatenate((even_vals, odd_vals)))
-    tol = _zero_tol(vals, tol)
+    tol = _zero_tol(vals)
     return SpectralReport(
         eigenvalues=vals, n_neg=int(np.sum(vals < -tol)), z_dim=int(np.sum(np.abs(vals) <= tol)),
         tol=tol, near_zero_gap=_near_zero_gap(np.abs(vals)), grid=grid,
     )
 
 
-def spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
+def spectrum(m: OperatorMatrix) -> SpectralReport:
     """Full spectrum of L with negative/zero counts: the real ascending
     union of its cached parity blocks' eigenvalues."""
     blocks = m.parity
-    return _make_report(blocks.even_vals, blocks.odd_vals, tol, m.grid)
+    return _make_report(blocks.even_vals, blocks.odd_vals, m.grid)
 
 
-def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
+def restricted_spectrum(m: OperatorMatrix) -> SpectralReport:
     """Spectrum of L compressed to the zero-mean subspace Y0.
 
     This is the Morse data of the quadratic form on Y0, spanned by the
@@ -278,38 +274,36 @@ def restricted_spectrum(m: OperatorMatrix, tol: float | None = None) -> Spectral
     odd block's eigenvalues.
     """
     blocks = m.parity
-    return _make_report(_eig(np.linalg.eigvalsh, blocks.even[1:, 1:]), blocks.odd_vals,
-                        tol, m.grid)
+    return _make_report(_eig(np.linalg.eigvalsh, blocks.even[1:, 1:]), blocks.odd_vals, m.grid)
 
 
-def evolution_spectrum(m: OperatorMatrix, tol: float | None = None) -> SpectralReport:
+def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
     """Spectrum of the evolution operator J L on Y0, J = dx (1 - dx^2)^{-1}.
 
     The n - 1 eigenvalues are +-sqrt(mu) over the eigenvalues mu of the
     half-size M = -K E' K O, and the structural 0 of cosine mode n/2
     (module docstring).  A mu within the zero tolerance gives lambda = 0
-    twice.  Raises AssemblyError for coefficients that are not even.
+    twice; the report's ``tol`` is that tolerance's square root, in lambda
+    units.  Raises AssemblyError for coefficients that are not even.
     """
     even, odd = m._blocks
     half = m.grid.n // 2
     kap = m.grid.wavenumbers()[1:half]
     scale = kap / (1.0 + kap * kap)
     mu = _eig(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
-    tol = math.sqrt(_zero_tol(mu, None)) if tol is None else _zero_tol(mu, tol)
-    tol_mu = tol * tol  # saturates at inf where tol ** 2 would raise
+    tol_mu = _zero_tol(mu)
     zero = np.abs(mu) <= tol_mu
     root = np.where(zero, 0.0, np.sqrt(mu + 0j))
     vals = np.concatenate((root, -root, [0.0])) + 0.0  # + 0.0: no -0.0 from -root
     k_r = int(np.sum((mu.real > tol_mu) & (np.abs(mu.imag) <= tol_mu)))
     return SpectralReport(
         eigenvalues=vals[np.lexsort((vals.imag, vals.real))], n_neg=k_r,
-        z_dim=2 * int(np.sum(zero)) + 1, tol=tol,
+        z_dim=2 * int(np.sum(zero)) + 1, tol=math.sqrt(tol_mu),
         near_zero_gap=_near_zero_gap(np.sqrt(np.abs(mu))), grid=m.grid,
     )
 
 
-def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
-                    allow_multi_kernel: bool = False) -> PairingReport:
+def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
     """The pairing <L^{-1} 1, 1> with the L^2(0, L) inner product.
 
     Solves L w = 1 on the orthogonal complement of the numerical kernel
@@ -317,25 +311,15 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     consistent with the discrete operator) and returns <w, 1>.  As 1 =
     sqrt(n) (cosine mode 0), that is L sum v_i0^2 / lambda_i over the even
     eigenpairs outside the kernel; phi' is odd, and the even block has a
-    kernel only at the constant-wave degeneracy.  The kernel is counted in
-    both blocks; the residual max |L w - 1| (1 less its kernel part)
+    kernel only at the constant-wave degeneracy, whose double kernel is
+    deflated like a simple one.  The kernel and its tolerance are those of
+    :func:`spectrum`; the residual max |L w - 1| (1 less its kernel part)
     applies L to the grid form of w by FFT, with no block or dense matrix.
-
-    Raises:
-        AssemblyError: for coefficients that are not even.
-        RankError: if the numerical kernel is not one-dimensional and
-            ``allow_multi_kernel`` is not set (the counting formulas
-            assume a simple kernel; the constant-wave case needs the
-            override because its kernel is double).
+    Raises AssemblyError for coefficients that are not even.
     """
-    blocks = m.parity
-    vals, vecs = blocks.even_vals, blocks.even_vecs
-    tol = _zero_tol(np.concatenate((vals, blocks.odd_vals)), tol)
-    kernel = np.abs(vals) <= tol
-    k_dim = int(np.sum(kernel)) + int(np.sum(np.abs(blocks.odd_vals) <= tol))
-    if k_dim != 1 and not allow_multi_kernel:
-        raise RankError(f"kernel dimension {k_dim} (tol={tol:.3e}); expected 1 "
-                        "(pass allow_multi_kernel=True to deflate a larger kernel)")
+    full = spectrum(m)
+    vals, vecs = m.parity.even_vals, m.parity.even_vecs
+    kernel = np.abs(vals) <= full.tol
     n, head = m.grid.n, vecs[0]
     inv = np.zeros_like(vals)
     inv[~kernel] = 1.0 / vals[~kernel]
@@ -344,5 +328,4 @@ def inv_one_pairing(m: OperatorMatrix, tol: float | None = None,
     cols = math.sqrt(n) * np.column_stack((vecs @ (inv * head), ones))
     w, rhs = _to_grid(np.pad(cols, ((0, n // 2 - 1), (0, 0)))).T
     residual = float(np.max(np.abs(_apply_l(m, w) - rhs)))
-    return PairingReport(value=pairing, kernel_dim=k_dim, residual=residual,
-                         tol=float(tol))
+    return PairingReport(value=pairing, kernel_dim=full.z_dim, residual=residual, tol=full.tol)

@@ -73,7 +73,7 @@ def test_criterion_3_constant_limit(op_constant_128):
     assert np.max(np.abs(rep.eigenvalues - expected)) < 1e-8
     restricted = mw.restricted_spectrum(op_constant_128)
     assert np.max(np.abs(restricted.eigenvalues - expected[1:])) < 1e-8
-    pair = mw.inv_one_pairing(op_constant_128, allow_multi_kernel=True)
+    pair = mw.inv_one_pairing(op_constant_128)
     assert pair.value == pytest.approx(-math.pi, abs=1e-8)
     # Morse identity with integers: n(L|Y0) = n(L) - n(pairing) - z(pairing)
     n_pair = 1 if pair.value < 0 else 0

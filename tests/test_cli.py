@@ -196,24 +196,26 @@ class TestSpectrumCommand:
         assert payload["operator"] == {"reflection_defect": op.reflection_defect}
         assert 0.0 <= payload["operator"]["reflection_defect"] < linop.ASYMMETRY_GATE
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_bad_tol_exits_domain(self, tmp_path, bad):
-        code = dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64",
-                         "--tol", bad, "--out-dir", str(tmp_path)])
-        assert code == EXIT_DOMAIN
+    @pytest.mark.parametrize("option", [["--tol", "1e-9"], ["--allow-multi-kernel"]])
+    def test_zero_rule_options_are_gone(self, tmp_path, option):
+        assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64", *option,
+                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
         assert not (tmp_path / "spectrum.json").exists()
 
-    def test_constant_case_with_override(self, tmp_path):
+    def test_constant_case_pairing_deflated(self, tmp_path):
+        # the double kernel is deflated with no flag; provenance has no tol
         code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "128",
-                         "--allow-multi-kernel", "--out-dir", str(tmp_path)])
+                         "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert payload["spectrum"]["z_dim"] == 2
+        assert payload["pairing"]["kernel_dim"] == 2
         assert payload["pairing"]["value"] == pytest.approx(-math.pi, abs=1e-8)
+        assert "pairing_error" not in payload
+        assert set(payload["parameters"]) == {"evolution", "k", "L", "n", "out_dir"}
 
     def test_evolution_spectrum_dump(self, tmp_path):
-        code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "64",
-                         "--allow-multi-kernel", "--evolution",
+        code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "64", "--evolution",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "spectrum.json").read_text())
@@ -263,7 +265,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("k, big_l, extra, valid", [
         ("0.8", "8pi", [], False), ("0.5", "6pi", [], True),
-        ("0", "2pi", ["--allow-multi-kernel"], False)])
+        ("0", "2pi", ["--evolution"], False)])
     def test_validity_recorded(self, tmp_path, k, big_l, extra, valid):
         # an invalid wave still gets its counts and exit 0, flagged in the artifact
         code = dispatch(["spectrum", "--k", k, "--L", big_l, "--n", "64", *extra,
@@ -274,6 +276,7 @@ class TestSpectrumCommand:
         assert payload["validity"] == dataclasses.asdict(expected)
         assert payload["validity"]["all_ok"] is valid
         assert {"wave", "operator", "spectrum", "restricted_spectrum", "pairing"} <= set(payload)
+        assert ("evolution_spectrum" in payload) is bool(extra)
         if k == "0.8":
             assert payload["spectrum"]["n_neg"] == 15  # grows with n: phi - c changes sign
 

@@ -47,9 +47,13 @@ class TestGridAndField:
         assert np.allclose(mode.values, np.sin(g.nodes), atol=1e-15)
 
     def test_sample_scalar_function(self):
+        # f gets the node array: a scalar-only function is refused, and a
+        # result of the wrong shape is refused by the field
         g = mw.PeriodicGrid(2 * math.pi, 16)
-        fld = mw.sample(math.cos, g)
-        assert np.allclose(fld.values, np.cos(g.nodes), atol=1e-15)
+        with pytest.raises(TypeError):
+            mw.sample(math.cos, g)
+        with pytest.raises(DomainError):
+            mw.sample(lambda x: 1.0, g)
 
     def test_sample_nonfinite_rejected(self):
         g = mw.PeriodicGrid(2 * math.pi, 16)
@@ -70,28 +74,48 @@ class TestDerivative:
         assert np.max(np.abs(mw.derivative(mw.sample(lambda x: 4.2 + 0 * x, g)).values)) == 0.0
 
     def test_composition_matches_second_order(self):
+        # oracle: the symbol -kappa^2 with the Nyquist mode zeroed, as each
+        # first derivative zeroes it
         g = mw.PeriodicGrid(2 * math.pi, 64)
         rng = np.random.default_rng(6)
         u = random_smooth(g, rng, modes=10)
         twice = mw.derivative(mw.derivative(u))
-        second = mw.derivative(u, 2)
-        assert np.max(np.abs(twice.values - second.values)) < 1e-10
+        symbol = -g.wavenumbers() ** 2
+        symbol[-1] = 0.0
+        second = np.fft.irfft(symbol * np.fft.rfft(u.values), g.n)
+        assert np.max(np.abs(twice.values - second)) < 1e-10
 
     def test_third_order(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
         u = mw.sample(lambda x: np.sin(3 * x), g)
-        d3 = mw.derivative(u, 3)
+        d3 = mw.derivative(mw.derivative(mw.derivative(u)))
         assert np.max(np.abs(d3.values + 27 * np.cos(3 * g.nodes))) < 1e-10
 
     def test_order_validation(self):
+        # first order only: higher orders are compositions
         g = mw.PeriodicGrid(2 * math.pi, 16)
-        with pytest.raises(DomainError):
-            mw.derivative(mw.sample(lambda x: 0 * x, g), 4)
+        with pytest.raises(TypeError):
+            mw.derivative(mw.sample(lambda x: 0 * x, g), 2)
+
+    def test_held_spectrum_is_used(self, fft_calls):
+        # derivative and helmholtz_inverse read the field's held rfft,
+        # bit-identical to transforming its values afresh
+        g = mw.PeriodicGrid(2 * math.pi, 64)
+        u = random_smooth(g, np.random.default_rng(8), modes=10)
+        kap = g.wavenumbers()
+        spec = np.fft.rfft(u.values)
+        fft_calls.clear()
+        d, h = mw.derivative(u), mw.helmholtz_inverse(u)
+        assert len(fft_calls) == 3  # one rfft, two irfft
+        symbol = 1j * kap
+        symbol[-1] = 0.0
+        assert np.array_equal(d.values, np.fft.irfft(symbol * spec, g.n))
+        assert np.array_equal(h.values, np.fft.irfft(spec / (1.0 + kap * kap), g.n))
 
     def test_sampled_wave_second_derivative_matches_analytic(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi, _, phi2 = mw.profile(wave05, grid.nodes)
-        spectral = mw.derivative(mw.PeriodicField(grid, phi), 2)
+        spectral = mw.derivative(mw.derivative(mw.PeriodicField(grid, phi)))
         assert np.max(np.abs(spectral.values - phi2)) < 1e-8
 
 
@@ -302,7 +326,7 @@ class TestSemidistance:
         u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
         fft_calls.clear()
         _orbit_distance(u, phi)
-        assert len(fft_calls) <= 7
+        assert len(fft_calls) <= 6
 
     def test_newton_diagnostics_logged(self, wave05, caplog):
         g = mw.PeriodicGrid(wave05.L, 256)

@@ -184,17 +184,12 @@ class TestMorseCheck:
         assert rep.z_Y0_direct == 1
 
     def test_constant_limit_deflated(self):
-        rep = mw.morse_check(0.0, 2 * math.pi, n=128, allow_multi_kernel=True)
+        rep = mw.morse_check(0.0, 2 * math.pi, n=128)
         assert rep.n_L == 1 and rep.z_L == 2
         assert rep.pairing == pytest.approx(-math.pi, abs=1e-8)
         # n(L|Y0) = n(L) - n(pairing) - z(pairing) = 1 - 1 - 0 = 0
         assert rep.n_Y0_predicted == 0 and rep.n_Y0_direct == 0
         assert rep.z_identity_holds
-
-    def test_double_kernel_needs_override(self):
-        from mchwave import RankError
-        with pytest.raises(RankError):
-            mw.morse_check(0.0, 2 * math.pi, n=128)
 
 
 class TestZeroMeanPeriod:
@@ -350,6 +345,16 @@ class TestKrein:
         monkeypatch.setattr(mw.indices, "d_second", no_convergence)
         with pytest.raises(mw.NumericalError):
             mw.krein_index(0.985, (12.5, 200.0))
+
+    def test_refuses_a_kernel_that_is_not_simple(self, monkeypatch):
+        # morse_check deflates any kernel; the K_Ham formula needs a simple one
+        def double_kernel(k, L, n=256):
+            return mw.MorseReport(n_L=1, z_L=2, pairing=-1.0, n_Y0_direct=0, z_Y0_direct=2,
+                                  n_Y0_predicted=0, z_Y0_predicted=2)
+
+        monkeypatch.setattr(mw.indices, "morse_check", double_kernel)
+        with pytest.raises(mw.RankError, match="kernel dimension 2"):
+            mw.krein_index(0.985, (12.5, 200.0), n=128)
 
     def test_branch_absent_indeterminate(self):
         rep = mw.krein_index(0.5, (4 * math.pi, 12 * math.pi))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mchwave as mw
-from mchwave import AssemblyError, DomainError, RankError, cli, evolve, linop
+from mchwave import AssemblyError, DomainError, cli, evolve, linop
 
 from conftest import (dense_evolution_eigenvalues, dense_matrix, diff_matrix,
                       helmholtz_diff_matrix, householder_y0_basis, lowest_eigenvectors,
@@ -110,11 +110,12 @@ class TestSpectrum:
 
     def test_counts_stable_across_tolerances(self, op05_256):
         # the second near-zero eigenvalue (the k -> 0 degeneracy remnant)
-        # caps the usable window at ~1e-5 * radius here
-        radius = float(np.max(np.abs(mw.spectrum(op05_256).eigenvalues)))
+        # caps the usable window at ~1e-5 * radius here; another threshold
+        # is a recount of the report's own eigenvalues
+        vals = mw.spectrum(op05_256).eigenvalues
+        radius = float(np.max(np.abs(vals)))
         for factor in (1e-8, 1e-7, 1e-6, 1e-5):
-            rep = mw.spectrum(op05_256, tol=factor * radius)
-            assert (rep.n_neg, rep.z_dim) == (1, 1)
+            assert recount(vals, factor * radius) == (1, 1)
 
     def test_near_zero_gap_reported(self, op05_256):
         rep = mw.spectrum(op05_256)
@@ -122,12 +123,18 @@ class TestSpectrum:
         assert rep.near_zero_gap == pytest.approx(3.117e-3, rel=1e-2)
 
     def test_tol_validation(self, op05_256):
-        for bad in (-1.0, math.nan, math.inf):
-            for solve in (mw.spectrum, mw.evolution_spectrum):
-                with pytest.raises(DomainError):
-                    solve(op05_256, tol=bad)
-        with pytest.raises(DomainError):
-            mw.inv_one_pairing(op05_256, tol=math.nan)
+        # every report carries the one rule's tolerance: 1e3 eps max |.| of
+        # the eigenvalues counted, of mu = lambda^2 for J L (reported in
+        # lambda units); the pairing deflates with the spectrum's
+        eps = np.finfo(float).eps
+        full, restr = mw.spectrum(op05_256), mw.restricted_spectrum(op05_256)
+        for rep in (full, restr):
+            assert rep.tol == 1e3 * eps * float(np.max(np.abs(rep.eigenvalues)))
+        evo = mw.evolution_spectrum(op05_256)
+        radius_mu = float(np.max(np.abs(evo.eigenvalues))) ** 2
+        assert evo.tol == pytest.approx(math.sqrt(1e3 * eps * radius_mu), rel=1e-12)
+        pair = mw.inv_one_pairing(op05_256)
+        assert (pair.tol, pair.kernel_dim) == (full.tol, full.z_dim)
 
     def test_constant_derivative_mean_zero(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
@@ -191,13 +198,10 @@ def assert_matches_dense_evolution(op):
     assert int(np.sum(np.abs(expected) <= disc)) == rep.z_dim
 
 
-def dense_pairing(op, allow_multi_kernel=False):
+def dense_pairing(op):
     """The deflated solve of <L^{-1} 1, 1> on one full eigendecomposition."""
     vals, vecs = np.linalg.eigh(dense_matrix(op))
-    tol = linop._zero_tol(vals, None)
-    kernel = np.abs(vals) <= tol
-    if int(np.sum(kernel)) != 1 and not allow_multi_kernel:
-        raise RankError("kernel not simple")
+    kernel = np.abs(vals) <= linop._zero_tol(vals)
     ones = np.ones(op.grid.n)
     coeff = vecs.T @ ones
     inv = np.zeros_like(vals)
@@ -206,9 +210,13 @@ def dense_pairing(op, allow_multi_kernel=False):
     return (op.grid.L / op.grid.n) * float(np.dot(w, ones)), int(np.sum(kernel))
 
 
-def dense_counts(vals):
-    tol = linop._zero_tol(vals, None)
+def recount(vals, tol):
+    """(n_neg, z_dim) of real eigenvalues at the threshold tol."""
     return int(np.sum(vals < -tol)), int(np.sum(np.abs(vals) <= tol))
+
+
+def dense_counts(vals):
+    return recount(vals, linop._zero_tol(vals))
 
 
 class TestParityBlocks:
@@ -223,9 +231,8 @@ class TestParityBlocks:
         rep = mw.spectrum(op)
         assert np.max(np.abs(rep.eigenvalues - dense)) <= 1e-13 * radius
         assert (rep.n_neg, rep.z_dim) == dense_counts(dense)
-        multi = k == 0.0
-        expected, kernel_dim = dense_pairing(op, allow_multi_kernel=multi)
-        pair = mw.inv_one_pairing(op, allow_multi_kernel=multi)
+        expected, kernel_dim = dense_pairing(op)
+        pair = mw.inv_one_pairing(op)
         assert pair.kernel_dim == kernel_dim
         assert np.sign(pair.value) == np.sign(expected)
         assert abs(pair.value - expected) <= 1e-8 * abs(expected)
@@ -355,7 +362,7 @@ def sine_basis(n):
                                                              np.arange(1, n // 2)) / n)
 
 
-def assert_matches_grid_parity(op, multi=False):
+def assert_matches_grid_parity(op):
     even, odd, restricted = grid_parity_oracle(op)
     pairing = block_pairing(op)
     blocks = op.parity
@@ -366,7 +373,7 @@ def assert_matches_grid_parity(op, multi=False):
     assert np.max(np.abs(restr.eigenvalues - restricted)) <= 1e-13 * radius
     assert (full.n_neg, full.z_dim) == dense_counts(np.sort(np.concatenate((even, odd))))
     assert (restr.n_neg, restr.z_dim) == dense_counts(restricted)
-    pair = mw.inv_one_pairing(op, allow_multi_kernel=multi)
+    pair = mw.inv_one_pairing(op)
     assert np.sign(pair.value) == np.sign(pairing)
     assert abs(pair.value - pairing) <= 1e-8 * abs(pairing)
 
@@ -378,7 +385,7 @@ class TestHillBlocks:
     def test_matches_grid_parity_blocks(self, k, big_l, n):
         # oracle: the dense collocation matrix folded into grid-parity blocks
         op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
-        assert_matches_grid_parity(op, multi=k == 0.0)
+        assert_matches_grid_parity(op)
 
     def test_blocks_are_the_cosine_and_sine_compressions(self, op05_256):
         # E = C^T A C and O = S^T A S for the dense matrix A and the explicit
@@ -458,6 +465,18 @@ def test_values_only_solves_match_grid_parity(k, big_l, n):
     assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), n))
 
 
+@settings(max_examples=12)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi),
+       n=st.sampled_from([64, 128, 256]))
+def test_counts_are_a_recount_of_the_report(k, big_l, n):
+    # on the criterion-6 window: n_neg and z_dim are the recount of the
+    # report's own eigenvalues at its own tol, the supported re-threshold
+    assume(mw.validity(k, big_l).all_ok)
+    op = mw.operator_for(mw.wave_params(k, big_l), n)
+    for rep in (mw.spectrum(op), mw.restricted_spectrum(op)):
+        assert (rep.n_neg, rep.z_dim) == recount(rep.eigenvalues, rep.tol)
+
+
 class TestEvolutionOperator:
     def test_product_structure(self):
         # oracle: J L = Q^T (J A) Q for the dense J and grid matrix A and the
@@ -504,18 +523,6 @@ class TestEvolutionOperator:
             big_l = rng.uniform(5 * math.pi, 9 * math.pi)
             assert_matches_dense_evolution(mw.operator_for(mw.wave_params(k, big_l), 128))
 
-    def test_explicit_tol_in_lambda_units(self, op05_256):
-        # an explicit tol t counts |lambda| <= t, applied as |mu| <= t^2;
-        # the moduli come in +- pairs above the three exact zeros
-        mods = np.sort(np.abs(mw.evolution_spectrum(op05_256).eigenvalues))
-        assert np.array_equal(mods[:3], np.zeros(3)) and mods[3] == mods[4] < mods[5]
-        for t in (0.5 * (mods[4] + mods[5]), 0.5 * (mods[6] + mods[7])):
-            rep = mw.evolution_spectrum(op05_256, tol=t)
-            assert rep.tol == t
-            assert rep.z_dim == int(np.sum(mods <= t)) and rep.z_dim in (5, 7)
-        # a tol whose square overflows counts everything as zero
-        assert mw.evolution_spectrum(op05_256, tol=1e200).z_dim == 255
-
     def test_wave_is_spectrally_stable(self, op05_256):
         rep = mw.evolution_spectrum(op05_256)
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-6
@@ -524,9 +531,8 @@ class TestEvolutionOperator:
 
 class TestInvOnePairing:
     def test_constant_case_deflated(self, op_constant_128):
-        with pytest.raises(RankError):
-            mw.inv_one_pairing(op_constant_128)  # double kernel without override
-        pair = mw.inv_one_pairing(op_constant_128, allow_multi_kernel=True)
+        # the double kernel cos x, sin x is deflated like a simple one
+        pair = mw.inv_one_pairing(op_constant_128)
         assert pair.kernel_dim == 2
         assert pair.value == pytest.approx(-math.pi, abs=1e-8)
         assert pair.residual < 1e-8

@@ -96,6 +96,32 @@ class TestWaveParams:
                 worst = max(worst, abs(p.A - integration_constant_closed_form(p.k, p.L)))
         assert worst < 1e-8
 
+    def test_cross_check_warns_at_its_rounding_floor(self, monkeypatch, caplog):
+        # the -27 L^6 term of the closed form perturbed by 1e-9 relative moves
+        # A by 1e-9, which a gate of 1e-8 max(1, |A|) misses and 1e3 times
+        # the floor (about 5.6e-16 at (0.5, 20)) does not
+        closed = mw.wave._a_closed_form
+        floor = closed(0.5, 20.0, mw.complete_k(0.5))[1]
+        assert 1e-16 < floor < 1e-15
+        with caplog.at_level("WARNING", logger="mchwave.wave"):
+            mw.wave_params(0.5, 20.0)
+        assert not caplog.records
+        monkeypatch.setattr(mw.wave, "_a_closed_form",
+                            lambda k, L, big_k: (closed(k, L, big_k)[0] - 1e-9, floor))
+        with caplog.at_level("WARNING", logger="mchwave.wave"):
+            mw.wave_params(0.5, 20.0)
+        [record] = caplog.records
+        assert "cross-check disagrees" in record.getMessage()
+
+    def test_cross_check_quiet_over_the_scan_windows(self, caplog):
+        # both criterion-5 windows, every cell: the two forms of A agree to
+        # within 1e3 floors
+        windows = [(0.01, 0.2, 3 * math.pi, 6 * math.pi), (0.05, 0.8, 6 * math.pi, 10 * math.pi)]
+        with caplog.at_level("WARNING", logger="mchwave.wave"):
+            for window in windows:
+                _, summary = mw.index_scan(*window, 20, 20)
+                assert summary.count_invalid < summary.count_cells
+        assert not caplog.records
 
 class TestProfile:
     def test_constant_profile(self):
