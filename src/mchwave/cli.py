@@ -98,11 +98,11 @@ def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Na
 def _spectral_payload(rep: linop.SpectralReport) -> dict:
     if np.iscomplexobj(rep.eigenvalues):
         eig = {
-            "eigenvalues_re": [float(v) for v in rep.eigenvalues.real],
-            "eigenvalues_im": [float(v) for v in rep.eigenvalues.imag],
+            "eigenvalues_re": rep.eigenvalues.real.tolist(),
+            "eigenvalues_im": rep.eigenvalues.imag.tolist(),
         }
     else:
-        eig = {"eigenvalues": [float(v) for v in rep.eigenvalues]}
+        eig = {"eigenvalues": rep.eigenvalues.tolist()}
     return {
         **eig,
         "n_neg": rep.n_neg,

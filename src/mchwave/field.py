@@ -137,8 +137,14 @@ def inner_h1(u: PeriodicField, v: PeriodicField) -> float:
     return inner_l2(u, v) + inner_l2(derivative(u), derivative(v))
 
 
+def _h1_square(u: PeriodicField) -> float:
+    """||u||^2_H1, inner_h1(u, u) with u differentiated once."""
+    ux = derivative(u)
+    return inner_l2(u, u) + inner_l2(ux, ux)
+
+
 def h1_norm(u: PeriodicField) -> float:
-    return math.sqrt(max(inner_h1(u, u), 0.0))
+    return math.sqrt(max(_h1_square(u), 0.0))
 
 
 def functionals(u: PeriodicField) -> tuple[float, float, float]:
@@ -251,7 +257,7 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]
         logger.debug("orbit distance: %d Newton iterations, |C'(y*)| = %.3e, bisection used: %s",
                      iterations, abs(slope_curvature(y_star)[0]), bisected)
     diff = u - fractional_shift(phi, y_star)
-    val_star = inner_h1(diff, diff)
+    val_star = _h1_square(diff)
     val_grid = norm_u2 + norm_p2 - 2.0 * float(cross[j_best])
     if val_grid < val_star:
         val_star, y_star = val_grid, y0

@@ -63,7 +63,7 @@ class ScanSummary:
 
 @dataclass(frozen=True)
 class MorseReport:
-    """Both sides of the zero-mean Morse identities, computed independently."""
+    """Both sides of the zero-mean Morse identities, computed by two routes."""
 
     n_L: int
     z_L: int
@@ -207,11 +207,13 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
 
 
 def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
-    """Check the zero-mean Morse identities by two independent routes.
+    """Check the zero-mean Morse identities by two routes.
 
-    Left sides come from the spectrum of the operator compressed to Y0;
-    right sides from the unrestricted counts plus the sign of the
-    pairing <L^{-1} 1, 1>.  All counts use the zero tolerance of
+    Left sides come from the spectrum of the operator compressed to Y0,
+    the roots of the secular equation; right sides from the unrestricted
+    counts plus the sign of the pairing <L^{-1} 1, 1>, a sum.  Both routes
+    read the one even eigendecomposition, so the check compares the two
+    computations, not two solves.  All counts use the zero tolerance of
     :mod:`mchwave.linop`.  The pairing deflates the whole computed kernel,
     so the identities are checked at the constant wave's double kernel too.
     """

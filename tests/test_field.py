@@ -326,7 +326,7 @@ class TestSemidistance:
         u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
         fft_calls.clear()
         _orbit_distance(u, phi)
-        assert len(fft_calls) <= 6
+        assert len(fft_calls) == 5
 
     def test_newton_diagnostics_logged(self, wave05, caplog):
         g = mw.PeriodicGrid(wave05.L, 256)

@@ -1,6 +1,8 @@
 """Linearized-operator assembly, spectra, and the deflated pairing."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +183,81 @@ class TestRestrictedSpectrum:
         assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
 
 
+def assert_minor_matches_eigvalsh(op):
+    """The Y0 route against the oracle eigvalsh(E[1:, 1:]) of the program's
+    even block: eigenvalues within 1e-13 radius and identical counts."""
+    restr = mw.restricted_spectrum(op)
+    oracle = linop._make_report(np.linalg.eigvalsh(op._blocks[0][1:, 1:]),
+                                op.parity.odd_vals, op.grid)
+    radius = float(np.max(np.abs(oracle.eigenvalues)))
+    assert np.max(np.abs(restr.eigenvalues - oracle.eigenvalues)) <= 1e-13 * radius
+    assert (restr.n_neg, restr.z_dim) == (oracle.n_neg, oracle.z_dim)
+
+
+def secular_log(caplog, op) -> str:
+    with caplog.at_level(logging.DEBUG, logger="mchwave.linop"):
+        mw.restricted_spectrum(op)
+    [record] = [r for r in caplog.records if r.name == "mchwave.linop"]
+    return record.getMessage()
+
+
+class TestSecularMinor:
+    """E[1:, 1:] from the even eigenpairs by the deflated secular equation,
+    against a dense solve of the minor; filterwarnings = error makes a
+    division by zero fail."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_near_the_zero_mean_period(self, n):
+        # k = 0.999 at L*: the most poles kept (about 100)
+        l_star = mw.indices.zero_mean_period(0.999, (19.0, 21.0))
+        assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(0.999, l_star), n))
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_large_k(self, n):
+        assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(0.9, 4 * math.pi), n))
+
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_constant_wave_deflates_all_but_the_mean(self, caplog, n):
+        # E is diagonal up to rounding: only the mean mode's eigenvector has
+        # a head entry above 8 eps, so no secular root is solved
+        op = mw.operator_for(mw.indices.constant_or_wave(0.0, 2 * math.pi), n)
+        assert_minor_matches_eigvalsh(op)
+        message = secular_log(caplog, op)
+        assert f"kept 1 poles, deflated {n // 2}, 0 bisection iterations" in message
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeated_eigenvalues_merge(self, seed):
+        # exact repeated poles with nonzero head weights: the triple 2 is
+        # merged into one pole and leaves 2 twice in the minor
+        vals = np.array([-3.0, 0.5, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0])
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+        assert np.min(np.abs(q[0])) > 1e-3
+        got = linop._minor_eigenvalues(vals, q[0])
+        oracle = np.linalg.eigvalsh(((q * vals) @ q.T)[1:, 1:])
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * 7.0
+        assert np.count_nonzero(got == 2.0) == 2 and np.count_nonzero(got == 7.0) == 1
+
+    def test_debug_line(self, caplog, op05_256):
+        # 16 head entries of 129 exceed 8 eps at (0.5, 6 pi); the next is 2.3 eps
+        message = secular_log(caplog, op05_256)
+        kept, deflated, iterations, width = re.search(
+            r"kept (\d+) poles, deflated (\d+), (\d+) bisection iterations, "
+            r"widest final bracket (\S+)", message).groups()
+        assert int(kept) + int(deflated) == 129 and 10 <= int(kept) <= 20
+        assert 0 < int(iterations) <= 64
+        radius = float(np.max(np.abs(op05_256.parity.even_vals)))
+        assert float(width) <= 1.001 * 2 * np.finfo(float).eps * radius  # printed to 4 digits
+
+
+@settings(max_examples=20)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi),
+       n=st.sampled_from([16, 32, 64, 128, 256]))
+def test_secular_minor_matches_eigvalsh(k, big_l, n):
+    # on the criterion-6 window
+    assume(mw.validity(k, big_l).all_ok)
+    assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(k, big_l), n))
+
+
 def assert_matches_dense_evolution(op):
     """:func:`mw.evolution_spectrum` against the dense J oracle.  Outside the
     disc |lambda| <= 1e-6 radius both have n - 1 - z_dim eigenvalues, at
@@ -248,10 +325,10 @@ class TestParityBlocks:
         resid = dense_matrix(op05_256) @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
         assert np.max(np.abs(resid)) < 1e-10 * radius
 
-    def test_one_eigh_and_two_eigvalsh_per_operator(self, eig_calls, tmp_path):
-        # only E is solved with its vectors; O and E[1:, 1:] are values-only,
-        # and J L adds its one eigvals
-        values_only = ["eigh", "eigvalsh", "eigvalsh"]
+    def test_one_eigh_and_one_eigvalsh_per_operator(self, eig_calls, tmp_path):
+        # only E is solved with its vectors and O values-only; E[1:, 1:] comes
+        # from E's eigenpairs with no solve, and J L adds its one eigvals
+        values_only = ["eigh", "eigvalsh"]
         mw.morse_check(0.5, 6 * math.pi)
         assert sorted(eig_calls) == values_only
         job = ["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128", "--out-dir", str(tmp_path)]
