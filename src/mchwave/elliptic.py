@@ -5,10 +5,21 @@ Every routine here takes the elliptic MODULUS ``k``, never the parameter
 errors with these functions (scipy, for instance, works in ``m``), so the
 convention is stated once more on each public entry point.
 
-``K`` and ``E`` are evaluated with the arithmetic-geometric mean; ``sn``,
-``cn``, ``dn`` with the descending AGM ladder and the ascending amplitude
-recursion.  Both converge quadratically, so full double precision costs a
-handful of iterations and no external special-function library is needed.
+``K`` and ``E`` are evaluated with the arithmetic-geometric mean (DLMF
+19.8); ``sn``, ``cn``, ``dn`` with the descending AGM ladder and the
+ascending amplitude recursion.  Both converge quadratically, so full double
+precision costs a handful of iterations and no external special-function
+library is needed.
+
+Both iterations stop once |c_n| <= eps |a_n|: a_n and b_n then agree to
+rounding, and the next c_n would be c_n^2 / (4 a_n), below eps^2.  An
+absolute stop such as |c_n| <= 1e-17 lies below half an ulp of a_n (which
+is between 0.1 and 1), so for about a quarter of the moduli a_n and b_n
+settle one ulp apart and c_n never gets there: the iteration ran to its cap
+of 64 steps and each of them added rounding to E.  ``K`` and ``E`` take an
+array of moduli, real or complex (the complex-step k-derivatives of
+:mod:`mchwave.wave`), and take each element's value at its own stop, so it
+does not depend on the others in its array.
 
 Moduli with ``k > 1 - 1e-12`` are rejected outright: ``K`` diverges
 logarithmically at ``k = 1`` and the wave formulas downstream only ever
@@ -17,7 +28,6 @@ need moduli bounded away from 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -27,7 +37,7 @@ from .errors import DomainError
 # Reject moduli this close to the logarithmic singularity of K.
 MODULUS_CUTOFF = 1.0 - 1e-12
 
-_AGM_TOL = 1e-17
+_EPS = float(np.finfo(float).eps)
 _AGM_MAX_ITER = 64
 
 
@@ -40,25 +50,31 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def _agm_k_e(k: float | complex) -> tuple[float, float] | tuple[complex, complex]:
-    """AGM evaluation of (K(k), E(k)) for 0 <= k < 1.
+def _agm_k_e(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """AGM evaluation of (K(k), E(k)) over a 1-d array, for 0 <= Re k < 1.
 
-    A complex k (the complex-step k-derivatives of :mod:`mchwave.wave`) runs
-    the same iteration with the principal complex square root.
+    A complex k runs the same iteration with the principal square root.
+    Each element stops at its own step n, the first with
+    |c_n| <= eps |a_n|, however long the others run.
     """
-    sqrt = cmath.sqrt if isinstance(k, complex) else math.sqrt
-    a, b = 1.0, sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    # E(k) = K(k) * (1 - sum_{n>=0} 2**(n-1) c_n**2) with c_0 = k.
-    s = 0.5 * c * c
-    pow2 = 0.5
+    a, b, c = np.ones_like(k), np.sqrt((1.0 - k) * (1.0 + k)), k
+    a_n, c2_n, live_n = [a], [c * c], []
     for _ in range(_AGM_MAX_ITER):
-        if abs(c) <= _AGM_TOL:
+        live = np.abs(c) > _EPS * np.abs(a)
+        live_n.append(live)
+        if not live.any():
             break
-        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
-        pow2 *= 2.0
-        s += pow2 * c * c
-    big_k = math.pi / (2.0 * a)
+        c = 0.5 * (a - b)
+        a, b = a - c, np.sqrt(a * b)
+        a_n.append(a)
+        c2_n.append(c * c)
+    live_n.append(np.zeros(k.shape, bool))  # an element still live at the cap stops there
+    # E(k) = K(k) * (1 - sum_{n>=0} 2**(n-1) c_n**2) with c_0 = k, summed in
+    # order up to each element's own stop.
+    at_stop = np.argmin(np.array(live_n), axis=0), np.arange(k.size)
+    weights = 2.0 ** np.arange(-1.0, len(c2_n) - 1.0)[:, np.newaxis]
+    s = np.cumsum(weights * np.array(c2_n), axis=0)[at_stop]
+    big_k = math.pi / (2.0 * np.array(a_n)[at_stop])
     return big_k, big_k * (1.0 - s)
 
 
@@ -77,7 +93,7 @@ def complete_k(k: float) -> float:
         raise DomainError(
             f"complete_k requires k <= {MODULUS_CUTOFF!r} (diverges at k=1), got {k}"
         )
-    return _agm_k_e(k)[0]
+    return float(_agm_k_e(np.array([k]))[0][0])
 
 
 def complete_e(k: float) -> float:
@@ -95,21 +111,28 @@ def complete_e(k: float) -> float:
         raise DomainError(f"complete_e requires k <= 1, got {k}")
     if k == 1.0:
         return 1.0
-    return _agm_k_e(k)[1]
+    return float(_agm_k_e(np.array([k]))[1][0])
 
 
-def complete_k_e(k: float | complex) -> tuple[float, float] | tuple[complex, complex]:
+def complete_k_e(k):
     """Both K(k) and E(k) from a single AGM run (k is the modulus).
 
-    A complex k, as used for complex-step derivatives, is range-checked on
-    its real part and gives complex (K, E).
+    ``k`` is a scalar or an array, real or complex (complex moduli serve the
+    complex-step derivatives and give complex K and E); the range is checked
+    on the real part.  A scalar k gives Python numbers, an array k arrays.
+
+    Raises:
+        DomainError: unless every Re k lies in [0, MODULUS_CUTOFF].
     """
-    k_real = _check_modulus(k.real if isinstance(k, complex) else k)
-    if k_real > MODULUS_CUTOFF:
-        raise DomainError(
-            f"complete_k_e requires k <= {MODULUS_CUTOFF!r}, got {k_real}"
-        )
-    return _agm_k_e(k if isinstance(k, complex) else k_real)
+    k_arr = np.asarray(k)
+    if k_arr.dtype.kind != "c":
+        k_arr = k_arr.astype(float)
+    if not ((k_arr.real >= 0.0) & (k_arr.real <= MODULUS_CUTOFF)).all():  # NaN fails too
+        raise DomainError(f"complete_k_e requires 0 <= k <= {MODULUS_CUTOFF!r}, got {k!r}")
+    big_k, big_e = _agm_k_e(k_arr.reshape(-1))
+    if k_arr.ndim == 0:
+        return big_k.item(), big_e.item()
+    return big_k.reshape(k_arr.shape), big_e.reshape(k_arr.shape)
 
 
 def jacobi(u, k: float):
@@ -134,11 +157,11 @@ def jacobi(u, k: float):
     if not np.all(np.isfinite(u_arr)):
         raise DomainError("jacobi requires finite u")
 
-    # Descending AGM: a_n, b_n, c_n until c_n underflows.
+    # Descending AGM: a_n, b_n, c_n until c_n is rounding relative to a_n.
     a_seq = [1.0]
     c_seq = [k]
     b = math.sqrt((1.0 - k) * (1.0 + k))
-    while abs(c_seq[-1]) > _AGM_TOL and len(a_seq) < _AGM_MAX_ITER:
+    while abs(c_seq[-1]) > _EPS * a_seq[-1] and len(a_seq) < _AGM_MAX_ITER:
         a_prev = a_seq[-1]
         a_seq.append(0.5 * (a_prev + b))
         c_seq.append(0.5 * (a_prev - b))

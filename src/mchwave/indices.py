@@ -13,12 +13,19 @@ complex step by default, the finite-difference ladder at an explicit
 step h.  Only the operator behind the spectral counts samples a profile.
 
 The sign condition I < 0 is checked as a reproducible assertion over
-sampled (k, L) grids; no claim is made beyond the sampled windows.
+sampled (k, L) grids; no claim is made beyond the sampled windows.  A scan
+evaluates its flattened grid in one array pass, not one cell at a time: one
+real evaluation of the closed forms for the validity margins and the A
+cross-check, then one complex-step evaluation (or the six FD stencil
+evaluations) for the four derivatives of the valid cells.
+:func:`stability_index` is the one-cell case of the same pass.  A cell
+without an index carries the reason :mod:`mchwave.wave` names for it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Literal
@@ -26,11 +33,10 @@ from typing import Literal
 import numpy as np
 
 from . import wave as wave_mod
-from .errors import DomainError, MchError, NumericalError, RankError, SingularError
+from .errors import DomainError, NumericalError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
-from .wave import (COMPLEX_STEP, WaveParams, check_fd_stencil, default_fd_step, validity,
-                   wave_params)
+from .wave import COMPLEX_STEP, WaveParams, default_fd_step, wave_params
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -40,7 +46,11 @@ SIGN_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class IndexSample:
-    """One evaluation of the stability index with its audit components."""
+    """One evaluation of the stability index with its audit components.
+
+    ``reason`` is "" for a valid cell, else why it has no index (one of the
+    codes listed in :mod:`mchwave.wave`); its I and derivatives are then NaN.
+    """
 
     k: float
     L: float
@@ -50,15 +60,19 @@ class IndexSample:
     dc_dk: float
     dV_dk: float
     dF_dk: float
+    reason: str = ""
 
 
 @dataclass(frozen=True)
 class ScanSummary:
+    """Range and sign count of I over the valid cells; invalid cells by reason."""
+
     min_I: float
     max_I: float
     count_positive: int
     count_invalid: int
     count_cells: int
+    invalid_reasons: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -140,52 +154,58 @@ def classify(n_y0: int, pairing: float, big_d: float) -> Classification:
     return "indeterminate"
 
 
-def _invalid_sample(k: float, L: float) -> IndexSample:
-    return IndexSample(k, L, math.nan, False, math.nan, math.nan, math.nan, math.nan)
+def _index_cells(k: np.ndarray, L: np.ndarray, h: float | None) -> list[IndexSample]:
+    """The index at 1-d arrays of cells, in one pass: the validity margins
+    of every cell, then the derivatives of the closed forms for (a, c, A, F)
+    at the valid ones (:func:`mchwave.wave._dk`; complex step with ``h``
+    None, else the FD oracle, whose stencil must lie in (0, 1))."""
+    _, _, reason = wave_mod._waves(k, L)
+    if h is not None:
+        reason = np.where((reason == "") & ~wave_mod._stencil_ok(k, h), "fd_stencil", reason)
+    live = reason == ""
+    (da_dk, _, dc_dk, dA_dk, dF_dk), why = wave_mod._dk(
+        partial(wave_mod._closed_forms, L=L[live]), k[live], h)
+    reason[live] = why
+    dV_dk = L[live] * da_dk
+    cols = np.full((5, k.size), math.nan)
+    cols[:, live] = dA_dk * dV_dk - dc_dk * dF_dk, dA_dk, dc_dk, dV_dk, dF_dk
+    return [IndexSample(*cell[:3], cell[-1] == "", *cell[3:])
+            for cell in zip(k.tolist(), L.tolist(), *cols.tolist(), reason.tolist())]
 
 
 def stability_index(k: float, L: float, h: float | None = None) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
     An invalid wave (see :func:`mchwave.wave.validity`) gets no index:
-    the sample has I = NaN and valid = False.  The derivatives of the
-    closed forms for (a, c, A, F) come from :func:`mchwave.wave._dk`:
+    the sample has I = NaN, valid = False and the reason.  The derivatives
+    of the closed forms for (a, c, A, F) come from :func:`mchwave.wave._dk`:
     exact (complex step) with ``h`` None, the FD oracle at an explicit
     ``h``, all four components sharing one stencil and consistency gate.
+    The one-cell case of :func:`index_scan`.
 
     Raises:
         DomainError: if k is outside (0, 1) or the FD stencil leaves it.
         AccuracyError: if the step-halving gate fails.
     """
-    if h is not None:
-        check_fd_stencil(k, h)
-    elif not 0.0 < k < 1.0:
+    if not 0.0 < k < 1.0:
         raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
-    if not validity(k, L).all_ok:
-        return _invalid_sample(k, L)
-    da_dk, _, dc_dk, dA_dk, dF_dk = wave_mod._dk(partial(wave_mod._closed_forms, L=L), k, h)
-    dV_dk = L * da_dk
-    idx = dA_dk * dV_dk - dc_dk * dF_dk
-    return IndexSample(k=k, L=L, I=idx, valid=True, dA_dk=dA_dk, dc_dk=dc_dk,
-                       dV_dk=dV_dk, dF_dk=dF_dk)
-
-
-def _scan_cell(k: float, L: float, h: float | None) -> IndexSample:
-    try:
-        return stability_index(k, L, h=h)
-    except MchError:
-        return _invalid_sample(k, L)
+    [sample] = _index_cells(np.array([k], float), np.array([L], float), h)
+    if sample.reason.startswith("fd_"):  # the FD oracle failed; an invalid wave is no error
+        wave_mod._refuse(sample.reason, k, L, h)
+    return sample
 
 
 def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
                nk: int, nL: int, h: float | None = None) -> tuple[list[IndexSample], ScanSummary]:
     """Evaluate the index on an nk x nL grid, flagging invalid cells.
 
-    Cells failing validity (or whose index evaluation raises) are kept in
-    the table with I = NaN and valid = False, in (k, L) order, by one
-    serial loop.  ``h`` selects the FD oracle (see :func:`stability_index`).
-    Bad ranges or sizes, or an ``h`` that is not finite and positive, raise
-    DomainError before any cell is evaluated.
+    Cells without an index (failing validity, or where the FD oracle
+    fails) are kept in the table with I = NaN, valid = False and their
+    reason, in (k, L) order; the summary counts them by reason.  All cells
+    go through one array pass (see :func:`_index_cells`).  ``h`` selects
+    the FD oracle (see :func:`stability_index`).  Bad ranges or sizes, or
+    an ``h`` that is not finite and positive, raise DomainError before any
+    cell is evaluated.
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")
@@ -193,15 +213,18 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
         raise DomainError(f"nk and nL must be >= 1, got {nk}, {nL}")
     if h is not None and not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"FD step h must be finite and positive, got {h}")
-    ks, Ls = np.linspace(k_min, k_max, nk).tolist(), np.linspace(L_min, L_max, nL).tolist()
-    samples = [_scan_cell(k, L, h) for k in ks for L in Ls]
+    ks = np.repeat(np.linspace(k_min, k_max, nk), nL)
+    ls = np.tile(np.linspace(L_min, L_max, nL), nk)
+    samples = _index_cells(ks, ls, h)
     vals = np.array([s.I for s in samples if s.valid])
+    reasons = Counter(s.reason for s in samples if not s.valid)
     summary = ScanSummary(
         min_I=float(np.min(vals)) if vals.size else math.nan,
         max_I=float(np.max(vals)) if vals.size else math.nan,
         count_positive=int(np.sum(vals > 0.0)) if vals.size else 0,
-        count_invalid=sum(1 for s in samples if not s.valid),
+        count_invalid=sum(reasons.values()),
         count_cells=len(samples),
+        invalid_reasons=dict(sorted(reasons.items())),
     )
     return samples, summary
 
@@ -240,7 +263,7 @@ def constant_or_wave(k: float, L: float) -> WaveParams:
 def _mean_and_slope(k: float, L: float) -> tuple[float, float]:
     """a(k, L) and da/dL from one closed-form evaluation at L + 1e-30 i."""
     a = wave_mod._params_from_k_l(k, complex(L, COMPLEX_STEP))[0]
-    return a.real, a.imag / COMPLEX_STEP
+    return float(a.real), float(a.imag) / COMPLEX_STEP
 
 
 def zero_mean_period(k: float, L_bracket: tuple[float, float]) -> float | None:
@@ -321,7 +344,8 @@ def d_second(k: float, L_bracket: tuple[float, float],
     l_star = zero_mean_period(k, L_bracket)
     if l_star is None:
         return None
-    exact = wave_mod._dk(partial(_branch_state, l_star=l_star), k)  # dL*/dk, dc/dk, ...
+    # dL*/dk, dc/dk, dF/dk, dd/dk
+    exact = [float(v) for v in wave_mod._dk(partial(_branch_state, l_star=l_star), k)[0]]
 
     def branch(kk) -> tuple:
         ends = sorted((l_star, l_star + 2.0 * (kk.real - k) * exact[0]))
@@ -330,15 +354,22 @@ def d_second(k: float, L_bracket: tuple[float, float],
             raise DomainError(f"zero-mean branch lost at k={kk.real}")
         return _branch_state(kk, root)
 
-    _, dc_dk, df_dk, dd_dk = exact if h is None else wave_mod._dk(branch, k, h)
+    if h is None:
+        _, dc_dk, df_dk, dd_dk = exact
+    else:
+        if not wave_mod._stencil_ok(k, h):
+            wave_mod._refuse("fd_stencil", k, l_star, h)
+        fd, reason = wave_mod._dk(branch, k, h)
+        wave_mod._refuse(str(reason), k, l_star, h)
+        _, dc_dk, df_dk, dd_dk = (float(v) for v in fd)
     if abs(dc_dk) < 1e-10:
         raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
-    _, c0, f0, _ = _branch_state(k, l_star)
+    _, c0, f0, _ = (float(v) for v in _branch_state(k, l_star))
     step = default_fd_step(k) if h is None else h
 
     def d_prime_direct(kk: float) -> float:
-        _, dc, _, dd = wave_mod._dk(branch, kk)
-        return dd / dc
+        _, dc, _, dd = wave_mod._dk(branch, kk)[0]
+        return float(dd / dc)
 
     d2_fd = (d_prime_direct(k + step) - d_prime_direct(k - step)) / (2.0 * step) / dc_dk
     return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk,

@@ -25,11 +25,25 @@ through :func:`_dk`: one complex-step evaluation at k + 1e-30 i (Squire and
 Trapp, SIAM Rev. 1998), exact to rounding with no profile sampling, or at an
 explicit step h the oracle :func:`fd_dk` (central differences, one Richardson
 level, a step-halving gate) over the same real closed forms.
+
+The closed forms work elementwise on arrays of cells (k, L), so a scan
+evaluates its whole grid in one pass.  Where a cell has no wave they give
+NaN instead of raising, and each cell gets a reason code, "" when it has a
+valid wave:
+
+- ``domain``: k outside [0, MODULUS_CUTOFF], or L not finite and positive;
+- ``overflow``: a power of L in the closed forms overflows a float;
+- ``discriminant``: Delta <= 0;
+- ``ineq_i``, ``ineq_ii``: a validity margin is not negative;
+- ``fd_stencil``, ``fd_domain``, ``fd_gate``: the FD oracle's stencil
+  leaves (0, 1), a stencil point has no wave, or its gate fails.
+
+The scalar entry points are the one-element case and raise the typed error
+for their cell (an invalid margin is no error).
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import complete_k_e, jacobi
+from .elliptic import MODULUS_CUTOFF, complete_k_e, jacobi
 from .errors import AccuracyError, DomainError
 
 logger = logging.getLogger(__name__)
@@ -109,45 +123,73 @@ class ParamDerivatives:
 
 
 def _power(L, m: int):
-    """L**m for a real or complex period; DomainError where it overflows."""
-    try:
+    """L**m elementwise; inf or NaN, with no warning, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return L**m
-    except OverflowError as exc:
-        raise DomainError(f"period L={L} too large for the closed forms: L**{m} overflows") from exc
+
+
+def _outside(k, L):
+    """Where (k, L) leaves the domain of the closed forms, 0 <= Re k <=
+    MODULUS_CUTOFF and 0 < Re L < inf (k = 0 is the constant wave)."""
+    k_re, l_re = np.asarray(k).real, np.asarray(L).real
+    return ~((k_re >= 0.0) & (k_re <= MODULUS_CUTOFF) & (l_re > 0.0) & np.isfinite(L))
 
 
 def discriminant(k: float, L: float) -> float:
     """Delta(k, L) = 9 L^4 - 2048 K(k)^4 (1 - k^2 + k^4)."""
     big_k, _ = complete_k_e(k)
-    return 9.0 * _power(L, 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
+    delta = 9.0 * _power(np.float64(L), 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
+    if math.isinf(delta):
+        raise DomainError(f"period L={L} too large for the closed forms: L**4 overflows")
+    return float(delta)
 
 
-def _params_from_k_l(k, L: float) -> tuple:
-    """(a, b, c, K, E) by direct evaluation of the closed forms.
+def _params_from_k_l(k, L) -> tuple:
+    """(a, b, c, K, E) by direct evaluation of the closed forms, elementwise.
 
-    k may be complex (complex-step derivatives); Delta > 0 is then tested
-    on the real part.  DomainError where Delta <= 0 or L**4 overflows.
+    k and L are scalars or arrays that broadcast, real or complex (the
+    complex-step derivatives), with Delta > 0 tested on the real part.
+    Where (k, L) is outside the domain, L**4 overflows or Delta <= 0, a, b
+    and c are NaN; :func:`_refusal` names the reason.
     """
+    out = _outside(k, L)
+    if out.any():  # (0.5, 10) has a wave; it stands in for the cells outside
+        k, L = np.where(out, 0.5, k), np.where(out, 10.0, L)
     big_k, big_e = complete_k_e(k)
-    delta = 9.0 * _power(L, 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
-    if delta.real <= 0.0:
-        raise DomainError(
-            f"period too small for this modulus: Delta(k={k}, L={L}) = {delta} <= 0"
-        )
-    root = cmath.sqrt(delta) if isinstance(delta, complex) else math.sqrt(delta)
-    b = -32.0 * big_k**2 / (L * L)
-    # 1.5 L^2 - sqrt(Delta)/2 without the cancelling subtraction
-    head = 512.0 * big_k**4 * (1.0 - k * k + k**4) / (1.5 * L * L + 0.5 * root)
-    c = head / (L * L)
-    a = -(-32.0 * (2.0 - k * k) * big_k**2 + 96.0 * big_e * big_k + head) / (3.0 * L * L)
+    k2, big_k2 = k * k, big_k * big_k
+    with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L: refused
+        k4_q = big_k**4 * (1.0 - k2 + k2 * k2)  # K^4 (1 - k^2 + k^4)
+        delta = 9.0 * L**4 - 2048.0 * k4_q
+        refused = out | ~np.isfinite(delta) | (np.real(delta) <= 0.0)
+        root = np.sqrt(np.where(refused, 1.0, delta))
+        l2 = L * L
+        b = -32.0 * big_k2 / l2
+        # 1.5 L^2 - sqrt(Delta)/2 without the cancelling subtraction
+        head = 512.0 * k4_q / (1.5 * L * L + 0.5 * root)
+        c = head / l2
+        a = -(-32.0 * (2.0 - k2) * big_k2 + 96.0 * big_e * big_k + head) / (3.0 * L * L)
+    if refused.any():
+        a, b, c = (np.where(refused, np.nan, v) for v in (a, b, c))
     return a, b, c, big_k, big_e
 
 
-def _a_from_ode(a, b, c, k, big_k, big_e, L: float):
+def _refusal(k, L, a):
+    """Why the closed forms gave no wave where ``a`` is NaN, elementwise:
+    ``domain``, ``overflow`` (L**4 overflows) or ``discriminant`` (Delta <= 0);
+    "" where they gave one."""
+    refused = np.isnan(a)
+    if not refused.any():
+        return np.full(np.shape(a), "", dtype="<U12")
+    return np.where(refused, np.where(_outside(k, L), "domain", np.where(
+        np.isfinite(_power(L, 4)), "discriminant", "overflow")), "")
+
+
+def _a_from_ode(a, b, c, k, big_k, big_e, L):
     """Integration constant from the wave ODE evaluated at x = 0.
 
     At the origin sn = 0, cn = dn = 1, so phi' = 0 there and
-    A = (phi(0) - c) phi''(0) - phi(0)^3 + c phi(0).  Real or complex k.
+    A = (phi(0) - c) phi''(0) - phi(0)^3 + c phi(0).  Elementwise, real or
+    complex k.
     """
     omega = 2.0 * big_k / L
     phi0 = a + b * (1.0 - big_e / big_k)
@@ -170,7 +212,7 @@ def _moments(k, big_k, big_e) -> list:
     return ys
 
 
-def _momentum(a, b, k, big_k, big_e, L: float):
+def _momentum(a, b, k, big_k, big_e, L):
     """Momentum F = (1/2) int phi^2 + phi'^2 over one period, in closed form.
 
     phi - a = b (y - Y_1) and phi' = b omega y' with omega = 2K/L.  Y_1 and
@@ -185,7 +227,7 @@ def _momentum(a, b, k, big_k, big_e, L: float):
     return 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
 
 
-def _energy(a, b, k, big_k, big_e, L: float):
+def _energy(a, b, k, big_k, big_e, L):
     """Energy E = -int phi^4/4 + phi phi'^2/2 over one period, in closed form.
 
     With phi = a0 + b y, a0 = a - b Y_1, and (y')^2 = 4 P(y), both
@@ -203,17 +245,18 @@ def _energy(a, b, k, big_k, big_e, L: float):
     return -L * (0.25 * quartic + 2.0 * b * b * omega * omega * (a0 * p0 + b * p1))
 
 
-def _closed_forms(k, L: float) -> tuple:
-    """(a, b, c, A, F) from the closed forms in (k, K, E, L); k real or complex."""
+def _closed_forms(k, L) -> tuple:
+    """(a, b, c, A, F) from the closed forms in (k, K, E, L), elementwise; k
+    real or complex, NaN where :func:`_params_from_k_l` refuses."""
     a, b, c, big_k, big_e = _params_from_k_l(k, L)
     return (a, b, c, _a_from_ode(a, b, c, k, big_k, big_e, L),
             _momentum(a, b, k, big_k, big_e, L))
 
 
-def _a_closed_form(k: float, L: float, big_k: float) -> tuple[float, float]:
-    """The published long closed form for A, given K(k), and its rounding floor;
-    cross-check only.  DomainError where its terms of order L^6 overflow (L
-    above about 1.4e51).
+def _a_closed_form(k, L, big_k) -> tuple:
+    """The published long closed form for A, given K(k), and its rounding
+    floor, elementwise; cross-check only.  A is not finite where Delta <= 0
+    or where its terms of order L^6 overflow (L above about 1.4e51).
 
     A = (term1 + term2 + term3 - 27 L^6) / (27 L^6), and the floor is
     eps (|term1| (1 + s / (2 Delta)) + |term2| + |term3| + 27 L^6) / (27 L^6),
@@ -223,47 +266,89 @@ def _a_closed_form(k: float, L: float, big_k: float) -> tuple[float, float]:
     at long L, where |A| falls below it, the cross-check is only as sharp
     as the floor.
     """
-    k2 = k * k
-    l4, l6 = _power(L, 4), _power(L, 6)
-    delta = 2048.0 * (-1.0 + k2 - k2 * k2) * big_k**4 + 9.0 * l4
-    if delta <= 0.0:
-        raise DomainError(f"Delta(k={k}, L={L}) = {delta} <= 0")
-    root = math.sqrt(delta)
-    k4, k6 = k2 * k2, k2 * k2 * k2
-    term1 = (1280.0 * (-1.0 + k2 - k4) * big_k**4 + 9.0 * l4) * root
-    term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k**6
-    term3 = 6912.0 * L * L * (1.0 - k2 + k4) * big_k**4
-    a_closed = (term1 + term2 + term3 - 27.0 * l6) / (27.0 * l6)
-    if not math.isfinite(a_closed):
-        raise DomainError(f"period L={L} too large for the closed form of A: its terms overflow")
-    spread = 2048.0 * (1.0 - k2 + k4) * big_k**4 + 9.0 * l4
-    moduli = abs(term1) * (1.0 + 0.5 * spread / delta) + abs(term2) + abs(term3) + 27.0 * l6
-    return a_closed, float(np.finfo(float).eps * moduli / (27.0 * l6))
+    with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L
+        k2, big_k4 = k * k, big_k**4
+        k4, k6 = k2 * k2, k2 * k2 * k2
+        q4, l4, l6 = (1.0 - k2 + k4) * big_k4, L**4, 27.0 * L**6
+        delta = 9.0 * l4 - 2048.0 * q4
+        root = np.sqrt(np.where(delta > 0.0, delta, np.nan))
+        term1 = (9.0 * l4 - 1280.0 * q4) * root
+        term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k4 * big_k * big_k
+        term3 = 6912.0 * L * L * q4
+        a_closed = (term1 + term2 + term3 - l6) / l6
+        spread = 2048.0 * q4 + 9.0 * l4
+        moduli = abs(term1) * (1.0 + 0.5 * spread / delta) + abs(term2) + abs(term3) + l6
+        return a_closed, np.finfo(float).eps * moduli / l6
 
 
-def integration_constant_closed_form(k: float, L: float) -> float:
-    """The published long closed form for A; cross-check only."""
-    return _a_closed_form(k, L, complete_k_e(k)[0])[0]
+def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
+    """The waves at 1-d arrays of cells (k, L), k real, and their validity:
+    (a, b, c, A, K, E), the margins (ineq_i, ineq_ii) of :func:`validity`,
+    and the reason per cell.
 
-
-def _check_k_l(k: float, L: float) -> None:
-    """The domain of the closed forms; k = 0 is the constant wave."""
-    if not (0.0 <= k < 1.0 and 0.0 < L < math.inf):
-        raise DomainError(f"a wave requires 0 <= k < 1 and finite L > 0, got k={k}, L={L}")
-
-
-def _wave_k_e(k: float, L: float) -> tuple[WaveParams, float, float]:
-    """The wave at (k, L) with the K(k) and E(k) of the AGM run that built it."""
-    _check_k_l(k, L)
+    The reason is "" for a valid wave; else the refusal of the closed forms
+    (``domain``, ``overflow``, ``discriminant``), where a, b, c, A and the
+    margins are NaN, or ``ineq_i`` / ``ineq_ii`` for the first margin that
+    is not negative.  A comes from the wave ODE.  The long closed form
+    cross-checks it in every cell with a wave: a cell where that form
+    overflows is refused as ``overflow``, and one warning per call names how
+    many cells disagree by more than A_CROSSCHECK_FLOORS times its rounding
+    floor, and the worst.
+    """
     a, b, c, big_k, big_e = _params_from_k_l(k, L)
+    reason = _refusal(k, L, a)
+    refused = np.isnan(a)
+    if refused.any():  # (0.5, 10) stands in, so nothing below overflows or divides by 0
+        k, L = np.where(refused, 0.5, k), np.where(refused, 10.0, L)
     a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
     a_closed, floor = _a_closed_form(k, L, big_k)
-    if abs(a_ode - a_closed) > A_CROSSCHECK_FLOORS * floor:
+    overflow = ~np.isnan(a) & ~np.isfinite(a_closed)  # a wave, but the long form overflows
+    if overflow.any():
+        reason = np.where(overflow, "overflow", reason)
+        a, b, c, a_ode = (np.where(overflow, np.nan, v) for v in (a, b, c, a_ode))
+    has_wave = ~np.isnan(a)
+    miss = np.where(has_wave, np.abs(a_ode - a_closed) / floor, 0.0)
+    off = miss > A_CROSSCHECK_FLOORS
+    if off.any():
+        i = int(np.argmax(miss))
         logger.warning(
-            "integration-constant cross-check disagrees at (k=%g, L=%g): "
-            "ode=%.17g closed_form=%.17g floor=%.3g", k, L, a_ode, a_closed, floor,
+            "integration-constant cross-check disagrees at %d of %d cells, worst at "
+            "(k=%g, L=%g): ode=%.17g closed_form=%.17g floor=%.3g", np.count_nonzero(off),
+            off.size, k[i], L[i], a_ode[i], a_closed[i], np.broadcast_to(floor, off.shape)[i],
         )
-    return WaveParams(k=k, L=L, a=a, b=b, c=c, A=a_ode), big_k, big_e
+    # 0 c: exactly 0 for the constant wave, NaN where there is no wave
+    ineq_i = np.where(k > 0.0, c * c - 3.0 * c + 32.0 * math.pi**4 / L**4, 0.0 * c)
+    ineq_ii = a + b * ((1.0 - k * k) - big_e / big_k) - c
+    reason = np.where(has_wave, np.where(ineq_i < 0.0, np.where(
+        ineq_ii < 0.0, "", "ineq_ii"), "ineq_i"), reason)
+    return (a, b, c, a_ode, big_k, big_e), (ineq_i, ineq_ii), reason
+
+
+# Messages of the typed errors the scalar entry points raise for a refused cell.
+_REFUSED = {
+    "domain": f"a wave requires 0 <= k <= {MODULUS_CUTOFF!r} and finite L > 0, "
+              "got k={k}, L={L}",
+    "overflow": "period L={L} too large for the closed forms: a power of L overflows",
+    "discriminant": "period too small for this modulus: Delta(k={k}, L={L}) <= 0",
+    "fd_stencil": "FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}",
+    "fd_domain": "FD stencil k +- h leaves the valid domain at k={k}, L={L}, h={h}",
+}
+
+
+def _refuse(reason: str, k, L, h=None) -> None:
+    """Raise the typed error of a cell refused for ``reason``: DomainError,
+    or AccuracyError for ``fd_gate``.  "" and the validity margins raise
+    nothing."""
+    if reason == "fd_gate":
+        raise AccuracyError(f"finite-difference consistency gate failed at k={k} (h={h})")
+    if reason in _REFUSED:
+        raise DomainError(_REFUSED[reason].format(k=k, L=L, h=h))
+
+
+def _one_wave(k: float, L: float) -> WaveParams:
+    (a, b, c, big_a, _, _), _, reason = _waves(np.array([k], float), np.array([L], float))
+    _refuse(reason[0], k, L)
+    return WaveParams(k=k, L=L, a=float(a[0]), b=float(b[0]), c=float(c[0]), A=float(big_a[0]))
 
 
 def wave_params(k: float, L: float) -> WaveParams:
@@ -275,7 +360,7 @@ def wave_params(k: float, L: float) -> WaveParams:
     """
     if k == 0.0:
         raise DomainError("wave_params requires 0 < k < 1; k = 0 is constant_wave")
-    return _wave_k_e(k, L)[0]
+    return _one_wave(k, L)
 
 
 def constant_wave(L: float) -> WaveParams:
@@ -285,7 +370,7 @@ def constant_wave(L: float) -> WaveParams:
     Exposed for testing; k = 0 itself lies outside the open modulus
     interval of :func:`wave_params`.  Exists for finite L > (128/9)^(1/4) pi.
     """
-    return _wave_k_e(0.0, L)[0]
+    return _one_wave(0.0, L)
 
 
 def profile(p: WaveParams, x):
@@ -342,73 +427,75 @@ def validity(k: float, L: float) -> ValidityReport:
     constant wave's first value is identically 0, reported as exactly
     0.0, so its ``all_ok`` is False at every L.
     """
-    try:
-        p, big_k, big_e = _wave_k_e(k, L)
-    except DomainError:
-        return ValidityReport(False, math.nan, math.nan, False)
-    ineq_ii = p.a + p.b * ((1.0 - k * k) - big_e / big_k) - p.c
-    ineq_i = p.c * p.c - 3.0 * p.c + 32.0 * math.pi**4 / L**4 if k > 0.0 else 0.0
-    all_ok = bool(ineq_i < 0.0 and ineq_ii < 0.0)
-    return ValidityReport(True, ineq_i, ineq_ii, all_ok)
+    _, (ineq_i, ineq_ii), reason = _waves(np.array([k], float), np.array([L], float))
+    return ValidityReport(reason[0] in ("", "ineq_i", "ineq_ii"), float(ineq_i[0]),
+                          float(ineq_ii[0]), bool(reason[0] == ""))
 
 
-def fd_dk(f: Callable[[float], np.ndarray], k: float, h: float) -> np.ndarray:
-    """d f / dk by central differences with one Richardson level.
+def fd_dk(f: Callable, k, h: float) -> np.ndarray:
+    """d f / dk by central differences with one Richardson level, cell by cell.
 
-    Evaluates f at k +- h, k +- h/2, k +- h/4 and forms the Richardson
-    values R(h) and R(h/2); the two must agree componentwise to 1%
-    (components below 1e-9 are exempt, so limits where a derivative
-    vanishes do not trip the gate).
+    ``k`` is one modulus or an array of cells, and ``f`` maps moduli shaped
+    like ``k`` to components stacked on a leading axis, NaN where it has no
+    value.  fd_dk evaluates f on the six stencil arrays k +- h, k +- h/2 and
+    k +- h/4 and forms the Richardson values R(h) and R(h/2); in each cell
+    the two must agree componentwise to 1% (components below 1e-9 are
+    exempt, so limits where a derivative vanishes do not trip the gate).
+
+    Returns R(h/2), NaN in each cell that fails the gate or where f has no
+    value at a stencil point.
 
     Raises:
-        AccuracyError: if the step-halving consistency gate fails.
-        DomainError: propagated when the stencil leaves the valid domain.
+        AccuracyError: if the gate fails at a scalar ``k``.
     """
-    evals = {}
-    for step in (h, 0.5 * h, 0.25 * h):
-        for sgn in (1.0, -1.0):
-            evals[sgn * step] = np.asarray(f(k + sgn * step), dtype=float)
-
-    def central(step: float) -> np.ndarray:
-        return (evals[step] - evals[-step]) / (2.0 * step)
-
-    def richardson(step: float) -> np.ndarray:
-        return (4.0 * central(0.5 * step) - central(step)) / 3.0
-
-    r_coarse = richardson(h)
-    r_fine = richardson(0.5 * h)
+    central = [(np.asarray(f(k + step), dtype=float) - np.asarray(f(k - step), dtype=float))
+               / (2.0 * step) for step in (h, 0.5 * h, 0.25 * h)]
+    r_coarse = (4.0 * central[1] - central[0]) / 3.0
+    r_fine = (4.0 * central[2] - central[1]) / 3.0
     scale = np.maximum(np.abs(r_coarse), np.abs(r_fine))
-    bad = (scale > 1e-9) & (np.abs(r_coarse - r_fine) > 0.01 * scale)
-    if np.any(bad):
+    failed = ((scale > 1e-9) & (np.abs(r_coarse - r_fine) > 0.01 * scale)).any(axis=0)
+    if np.ndim(k) == 0 and failed:
         raise AccuracyError(
             f"finite-difference consistency gate failed at k={k} (h={h}): "
             f"R(h)={r_coarse!r} vs R(h/2)={r_fine!r}"
         )
-    return r_fine
+    return np.where(failed, np.nan, r_fine)
 
 
-def _dk(f: Callable, k: float, h: float | None = None) -> tuple[float, ...]:
+def _dk(f: Callable, k, h: float | None = None) -> tuple:
     """d f / dk of a closed form f of the modulus: the one derivative path.
 
-    With ``h`` None, Im f(k + i 1e-30) / 1e-30 (complex step; f analytic
-    in k), exact to rounding since nothing is differenced.  An explicit
-    ``h`` selects the oracle, :func:`fd_dk` over the same f at real moduli.
+    ``k`` is one modulus or an array of cells, and f maps moduli shaped like
+    k to a tuple of components, NaN where it has no value.  With ``h`` None,
+    Im f(k + i 1e-30) / 1e-30 (complex step; f analytic in k), exact to
+    rounding since nothing is differenced.  An explicit ``h`` selects the
+    oracle, :func:`fd_dk` over the same f at real moduli, whose stencil the
+    caller has checked (:func:`_stencil_ok`).
 
-    Raises:
-        DomainError: if the FD stencil leaves (0, 1), or from f.
-        AccuracyError: if the FD consistency gate fails.
+    Returns the derivatives and the reason per cell: ``fd_domain`` where f
+    has no value at a stencil point, ``fd_gate`` where the gate fails (both
+    with NaN derivatives), "" otherwise.  The complex step is taken only in
+    cells that have a wave, so it gives "" throughout.
     """
     if h is None:
-        return tuple(v.imag / COMPLEX_STEP for v in f(complex(k, COMPLEX_STEP)))
-    check_fd_stencil(k, h)
-    return tuple(float(v) for v in fd_dk(f, k, h))
+        return (tuple(np.imag(v) / COMPLEX_STEP for v in f(k + 1j * COMPLEX_STEP)),
+                np.full(np.shape(k), ""))
+    no_value = np.zeros(np.shape(k), bool)
+
+    def recorded(kk):
+        vals = np.asarray(f(kk), dtype=float)
+        no_value[...] |= np.isnan(vals).any(axis=0)
+        return vals
+
+    d = fd_dk(recorded, k, h)
+    reason = np.where(no_value, "fd_domain", np.where(np.isnan(d).any(axis=0), "fd_gate", ""))
+    return tuple(d), reason
 
 
-def check_fd_stencil(k: float, h: float) -> None:
-    """Raise DomainError unless h > 0 and the FD stencil [k - h, k + h] lies
-    in (0, 1); a NaN k or h fails too."""
-    if not (h > 0.0 and k - h > 0.0 and k + h < 1.0):
-        raise DomainError(f"FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}")
+def _stencil_ok(k, h: float):
+    """Where h > 0 and the FD stencil [k - h, k + h] lies in (0, 1); false
+    for a NaN k or h."""
+    return (h > 0.0) & (k - h > 0.0) & (k + h < 1.0)
 
 
 def default_fd_step(k: float) -> float:
@@ -431,6 +518,10 @@ def params_dk(k: float, L: float, h: float | None = None) -> ParamDerivatives:
     """
     if k == 0.0:
         raise DomainError("params_dk requires 0 < k < 1")
-    _check_k_l(k, L)
-    d = _dk(partial(_closed_forms, L=L), k, h)
-    return ParamDerivatives(*d[:4], step=0.0 if h is None else h)
+    ks, ls = np.array([k], float), np.array([L], float)
+    _refuse(_refusal(ks, ls, _params_from_k_l(ks, ls)[0])[0], k, L)
+    if h is not None and not _stencil_ok(k, h):
+        _refuse("fd_stencil", k, L, h)
+    d, reason = _dk(partial(_closed_forms, L=ls), ks, h)
+    _refuse(reason[0], k, L, h)
+    return ParamDerivatives(*(float(v[0]) for v in d[:4]), step=0.0 if h is None else h)

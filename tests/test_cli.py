@@ -156,6 +156,13 @@ class TestScanCommand:
         summary = json.loads((tmp_path / "scan_summary.json").read_text())
         assert summary["count_invalid"] == 2 and summary["max_I"] < 0.0
 
+    def test_summary_counts_invalid_cells_by_reason(self, tmp_path):
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.8", "--L-min", "7pi",
+                         "--L-max", "1e60", "--nk", "2", "--nL", "2",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "scan_summary.json").read_text())
+        assert summary["invalid_reasons"] == {"ineq_ii": 1, "overflow": 2}
+
     def test_scan_samples_no_profile(self, count_calls, tmp_path):
         # validity margins are closed forms and derivatives exact, so no
         # cell evaluates a Jacobi function or samples a profile

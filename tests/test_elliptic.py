@@ -3,9 +3,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ellipe, ellipj, ellipk
 
 from mchwave import DomainError, complete_e, complete_k, complete_k_e, jacobi
 
@@ -87,6 +89,63 @@ class TestCompleteIntegrals:
         big_k, big_e = complete_k_e(0.37)
         assert big_k == complete_k(0.37)
         assert big_e == complete_e(0.37)
+
+
+class TestAgmStopRule:
+    """Both AGM iterations stop at |c_n| <= eps |a_n|.  An absolute stop at
+    1e-17 lay below half an ulp of a_n, so for about a quarter of the moduli
+    they ran all 64 steps and each step added rounding to E."""
+
+    EPS = np.finfo(float).eps
+
+    def test_k_e_within_4_eps_of_scipy(self):
+        ks = np.concatenate([np.linspace(0.0, 0.995, 4001), [0.13, 0.16, 0.964]])
+        big_k, big_e = complete_k_e(ks)
+        assert np.max(np.abs(big_k / ellipk(ks * ks) - 1.0)) <= 4.0 * self.EPS
+        assert np.max(np.abs(big_e / ellipe(ks * ks) - 1.0)) <= 4.0 * self.EPS
+        for k in (0.13, 0.16, 0.964):  # moduli the absolute stop never stopped at
+            big_k, big_e = complete_k_e(k)
+            assert abs(big_k / ellipk(k * k) - 1.0) <= 4.0 * self.EPS
+            assert abs(big_e / ellipe(k * k) - 1.0) <= 4.0 * self.EPS
+
+    def test_array_elements_do_not_depend_on_each_other(self):
+        # each element freezes at its own stop, so its value is the scalar one
+        ks = np.linspace(0.0, 0.995, 200)
+        big_k, big_e = complete_k_e(ks)
+        assert all((big_k[i], big_e[i]) == complete_k_e(float(k)) for i, k in enumerate(ks))
+
+    def test_complex_step_de_dk(self):
+        # dE/dk = (E - K) / k, DLMF 19.4.2
+        ks = np.linspace(0.1, 0.995, 2000)
+        big_k, big_e = complete_k_e(ks)
+        de_dk = complete_k_e(ks + 1e-30j)[1].imag / 1e-30
+        assert np.max(np.abs(de_dk / ((big_e - big_k) / ks) - 1.0)) < 1e-13
+
+    def test_jacobi_ladder_steps(self, monkeypatch):
+        # one arcsin per ladder step; the absolute stop made 63 at k = 0.13
+        calls = []
+        arcsin = np.arcsin
+        monkeypatch.setattr(np, "arcsin", lambda *a: calls.append(1) or arcsin(*a))
+        jacobi(np.linspace(0.0, 10.0, 512), 0.13)
+        assert len(calls) <= 6
+
+    def test_jacobi_matches_mpmath(self):
+        mpmath.mp.dps = 30
+        u = np.linspace(-20.0, 20.0, 41)
+        for k in (0.05, 0.13, 0.16, 0.5, 0.9, 0.964, 0.99):
+            m = mpmath.mpf(k) ** 2
+            for name, vals in zip(("sn", "cn", "dn"), jacobi(u, k)):
+                ref = [float(mpmath.ellipfun(name, mpmath.mpf(x), m=m)) for x in u]
+                assert np.max(np.abs(vals - ref)) < 1e-14
+
+    def test_jacobi_matches_scipy(self):
+        # scipy's ellipj is itself off by up to 1.2e-14 in sn and 3.2e-14 in
+        # dn on this grid (against mpmath), so it is held to 5e-14
+        u = np.linspace(-20.0, 20.0, 2001)
+        for k in np.linspace(0.0, 0.99, 100):
+            sn, cn, dn, _ = ellipj(u, k * k)
+            for ours, ref in zip(jacobi(u, k), (sn, cn, dn)):
+                assert np.max(np.abs(ours - ref)) < 5e-14
 
 
 class TestJacobi:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import mchwave as mw
@@ -133,15 +133,31 @@ class TestIndexScan:
         assert all(not s.valid and math.isnan(s.I) for s in samples)
 
     def test_fd_gate_cell_gets_exact_index(self):
-        # at k = 0.01 the FD ladder's step-halving gate fails, so this cell
-        # of the 10 x 10 scan was NaN; the exact derivatives give I there
-        window = (0.01, 0.2, 3 * math.pi, 6 * math.pi)
-        k, big_l = 0.01, 11.519173063162574
+        # just above the discriminant boundary at k = 0.5 (L = 6.21614) the
+        # square-root singularity of Delta sits within reach of the h = 1e-3
+        # stencil, so the FD ladder's step-halving gate fails; the exact
+        # derivatives give I there
+        k, big_l = 0.5, 6.2173
         with pytest.raises(AccuracyError):
             mw.stability_index(k, big_l, h=1e-3)
-        samples, summary = mw.index_scan(*window, 10, 10)
-        cell = next(s for s in samples if s.k == k and s.L == big_l)
+        [cell], _ = mw.index_scan(k, k, big_l, big_l, 1, 1, h=1e-3)
+        assert cell.reason == "fd_gate" and math.isnan(cell.I)
+        [cell], _ = mw.index_scan(k, k, big_l, big_l, 1, 1)
         assert cell.valid and math.isfinite(cell.I) and cell.I < 0.0
+
+    def test_fd_gate_passes_at_small_modulus(self):
+        # at (0.01, 11.519...) the gate used to fail on the AGM's rounding
+        # (E off by up to 650 eps): R(h) and R(h/2) of da/dk were 2% apart,
+        # now 1.2e-4; the ladder agrees with the exact derivatives there
+        window = (0.01, 0.2, 3 * math.pi, 6 * math.pi)
+        k, big_l = 0.01, 11.519173063162574
+        fd = mw.stability_index(k, big_l, h=1e-3)
+        exact = mw.stability_index(k, big_l)
+        for name in ("dA_dk", "dc_dk", "dV_dk", "dF_dk"):
+            assert getattr(fd, name) == pytest.approx(getattr(exact, name), rel=1e-3)
+        samples, summary = mw.index_scan(*window, 10, 10, h=1e-3)
+        cell = next(s for s in samples if s.k == k and s.L == big_l)
+        assert cell.valid and cell.I < 0.0
         invalid = sum(1 for s in samples if not mw.validity(s.k, s.L).all_ok)
         assert summary.count_invalid == invalid
         assert summary.count_positive == 0
@@ -170,6 +186,82 @@ class TestIndexScan:
         samples, summary = mw.index_scan(0.3, 0.3, 5 * math.pi, 1e60, 1, 3)
         assert [s.valid for s in samples] == [True, False, False]
         assert summary.count_invalid == 2
+
+    @pytest.mark.parametrize("cell,h,reason", [
+        ((0.3, 1e60), None, "overflow"),        # L**6 of the long form for A overflows
+        ((0.3, 1e80), None, "overflow"),        # L**4 of the coefficients overflows
+        ((0.9, math.pi), None, "discriminant"),
+        ((0.8, 8 * math.pi), None, "ineq_ii"),
+        ((0.5, 6 * math.pi), 0.6, "fd_stencil"),
+        ((0.5, 6.2168), 1e-3, "fd_domain"),     # k + h has Delta < 0
+        ((0.5, 6.2173), 1e-3, "fd_gate"),
+        ((1.0 - 1e-13, 6 * math.pi), None, "domain"),  # above MODULUS_CUTOFF
+        ((0.5, 6 * math.pi), 1e-3, ""),
+    ])
+    def test_reason_of_each_cell(self, cell, h, reason):
+        k, big_l = cell
+        [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1, h=h)
+        assert sample.reason == reason and sample.valid == (reason == "")
+        assert summary.invalid_reasons == ({reason: 1} if reason else {})
+
+    def test_reasons_counted(self):
+        samples, summary = mw.index_scan(0.8, 0.8, 7 * math.pi, 9 * math.pi, 1, 3)
+        assert [s.reason for s in samples] == ["ineq_ii"] * 3
+        samples, summary = mw.index_scan(0.3, 0.3, 5 * math.pi, 1e60, 1, 3)
+        assert [s.reason for s in samples] == ["", "overflow", "overflow"]
+        assert summary.invalid_reasons == {"overflow": 2}
+
+    @pytest.mark.parametrize("nk,nL", [(1, 1), (10, 10), (25, 4)])
+    def test_one_array_pass(self, count_calls, nk, nL):
+        # one real K/E evaluation (validity, A cross-check) and one complex
+        # one (the four derivatives), whatever the grid size; no Jacobi
+        # function, no profile
+        k_e_calls = count_calls(mw.elliptic.complete_k_e)
+        jacobi_calls = count_calls(mw.elliptic.jacobi)
+        profile_calls = count_calls(mw.wave.profile)
+        samples, _ = mw.index_scan(0.05, 0.8, 6 * math.pi, 10 * math.pi, nk, nL)
+        assert len(samples) == nk * nL
+        assert [np.iscomplexobj(args[0]) for args in k_e_calls] == [False, True]
+        assert jacobi_calls == [] and profile_calls == []
+
+    def test_one_cross_check_warning_per_scan(self, monkeypatch, caplog):
+        closed = mw.wave._a_closed_form
+        monkeypatch.setattr(mw.wave, "_a_closed_form",
+                            lambda k, L, big_k: (closed(k, L, big_k)[0] - 1e-9,
+                                                 closed(k, L, big_k)[1]))
+        with caplog.at_level("WARNING", logger="mchwave.wave"):
+            mw.index_scan(0.1, 0.3, 4 * math.pi, 6 * math.pi, 3, 3)
+        [record] = caplog.records
+        assert "cross-check disagrees at 9 of 9 cells" in record.getMessage()
+
+
+WINDOWS = [(0.01, 0.2, 3 * math.pi, 6 * math.pi), (0.05, 0.8, 6 * math.pi, 10 * math.pi)]
+
+
+@st.composite
+def sub_windows(draw):
+    k0, k1, l0, l1 = WINDOWS[draw(st.integers(0, 1))]
+    u = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    v = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return (k0 + u[0] * (k1 - k0), k0 + u[1] * (k1 - k0), l0 + v[0] * (l1 - l0),
+            l0 + v[1] * (l1 - l0), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=40)
+@given(window=sub_windows(), h=st.sampled_from([None, 1e-3]))
+def test_scan_cells_are_single_cells(window, h):
+    # a scan and a single cell run the same array pass: field for field, bit
+    # for bit (repr round-trips every float), and NaN exactly where the
+    # single cell raises or has no valid wave
+    samples, _ = mw.index_scan(*window, h=h)
+    for cell in samples:
+        try:
+            single = mw.stability_index(cell.k, cell.L, h=h)
+        except mw.MchError:
+            assert not cell.valid and math.isnan(cell.I) and cell.reason.startswith("fd_")
+            continue
+        assert repr(cell) == repr(single)
+        assert math.isnan(cell.I) == (not single.valid)
 
 
 class TestMorseCheck:

@@ -11,8 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
-from mchwave.wave import (_closed_forms, _energy, _params_from_k_l, fd_dk,
-                          integration_constant_closed_form)
+from mchwave.wave import _a_closed_form, _closed_forms, _energy, _params_from_k_l, fd_dk
 
 
 class TestWaveParams:
@@ -68,6 +67,17 @@ class TestWaveParams:
         with pytest.raises(DomainError, match="too large"):
             mw.wave_params(0.5, big_l)
 
+    @pytest.mark.parametrize("k,big_l", [(0.5, 1e-200), (0.5, 5e-324), (0.5, 1e300),
+                                         (0.5, -1e300), (1e200, 10.0), (-1e300, 10.0)])
+    def test_extreme_inputs_are_refused_without_warnings(self, k, big_l):
+        # the closed forms work on arrays and must neither overflow nor divide
+        # by zero where they refuse a cell (RuntimeWarnings fail the suite)
+        rep = mw.validity(k, big_l)
+        assert not rep.discriminant_ok and not rep.all_ok
+        assert math.isnan(rep.ineq_i_value) and math.isnan(rep.ineq_ii_margin)
+        with pytest.raises(DomainError):
+            mw.wave_params(k, big_l)
+
     @pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("big_l", [20.0, 1e2, 1e3, 1e4, 1e5])
     def test_speed_does_not_cancel_at_long_periods(self, k, big_l):
@@ -88,13 +98,12 @@ class TestWaveParams:
                 assert 0.0 < p.c < 1.5
 
     def test_integration_constant_cross_check(self):
-        # the published long closed form agrees with the ODE evaluation
-        worst = 0.0
-        for k in np.linspace(0.05, 0.8, 10):
-            for big_l in np.linspace(3 * math.pi, 10 * math.pi, 10):
-                p = mw.wave_params(float(k), float(big_l))
-                worst = max(worst, abs(p.A - integration_constant_closed_form(p.k, p.L)))
-        assert worst < 1e-8
+        # the published long closed form, evaluated on the whole 10 x 10 grid
+        # in one call, agrees with the ODE evaluation
+        ks, ls = np.meshgrid(np.linspace(0.05, 0.8, 10), np.linspace(3 * math.pi, 10 * math.pi, 10))
+        closed = _a_closed_form(ks, ls, mw.complete_k_e(ks)[0])[0]
+        ode = np.array([mw.wave_params(k, big_l).A for k, big_l in zip(ks.flat, ls.flat)])
+        assert np.max(np.abs(ode - closed.ravel())) < 1e-8
 
     def test_cross_check_warns_at_its_rounding_floor(self, monkeypatch, caplog):
         # the -27 L^6 term of the closed form perturbed by 1e-9 relative moves
