@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evolve as evolve_mod, indices, linop, wave as wave_mod
-from .errors import DomainError, MchError, NumericalError
+from .errors import DomainError, NumericalError
 from .field import PeriodicGrid, fractional_shift, sample_wave
-from .wave import profile
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,6 +39,11 @@ class UsageExit(SystemExit):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: an unknown option such as --h must be a usage
+        # error, not an abbreviation of --help
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 64 instead of argparse's default 2
         self.print_usage(sys.stderr)
         raise UsageExit(message)
@@ -146,7 +150,7 @@ def cmd_wave(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     samples, summary = indices.index_scan(args.k_min, args.k_max, args.L_min, args.L_max,
-                                          args.nk, args.nL, h=args.h)
+                                          args.nk, args.nL)
     out_csv = Path(args.out_dir) / "scan.csv"
     write_csv(out_csv,
               ["k", "L", "I", "valid", "dA_dk", "dc_dk", "dV_dk", "dF_dk"],
@@ -199,13 +203,18 @@ def _run_report_rows(report) -> list[list]:
     return rows
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def _run_setup(args: argparse.Namespace) -> tuple:
+    """The wave of ``evolve`` and ``orbit``, its samples on n nodes, and the
+    run config, whose dt defaults to :func:`mchwave.evolve.suggested_dt`."""
     p = wave_mod.wave_params(args.k, args.L)
-    grid = PeriodicGrid(p.L, args.n)
-    u0 = sample_wave(p, grid)
+    u0 = sample_wave(p, PeriodicGrid(p.L, args.n))
     dt = args.dt if args.dt is not None else evolve_mod.suggested_dt(u0, speed=p.c)
-    cfg = evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
-                                     monitor_every=args.monitor_every)
+    return p, u0, evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
+                                             monitor_every=args.monitor_every)
+
+
+def cmd_evolve(args: argparse.Namespace) -> int:
+    p, u0, cfg = _run_setup(args)
     traj, report = evolve_mod.run(u0, cfg, reference=p)
     prop_err = 0.0
     for t, fld in zip(traj.times, traj.fields):
@@ -216,7 +225,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
               _run_report_rows(report), args)
     summary = {
         "terminated": report.terminated,
-        "dt": dt,
+        "dt": cfg.dt,
         "max_propagation_error": prop_err,
         "max_drift_E": float(np.max(np.abs(report.drift_E))),
         "max_drift_F": float(np.max(np.abs(report.drift_F))),
@@ -229,12 +238,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    p = wave_mod.wave_params(args.k, args.L)
-    grid = PeriodicGrid(p.L, args.n)
-    u0 = sample_wave(p, grid)
-    dt = args.dt if args.dt is not None else evolve_mod.suggested_dt(u0, speed=p.c)
-    cfg = evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
-                                     monitor_every=args.monitor_every)
+    p, _, cfg = _run_setup(args)
     report = evolve_mod.orbital_experiment(p, args.delta, args.seed, cfg, n=args.n,
                                            rho_factor=args.rho_factor)
     out_csv = Path(args.out_dir) / "orbit.csv"
@@ -243,7 +247,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     sup_rho = float(np.max(report.rho)) if report.rho is not None and report.rho.size else math.nan
     summary = {
         "terminated": report.terminated,
-        "dt": dt,
+        "dt": cfg.dt,
         "delta": args.delta,
         "seed": args.seed,
         "sup_rho": sup_rho,
@@ -253,98 +257,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     print(f"orbit (k={args.k}, L={args.L}, delta={args.delta}, seed={args.seed}): "
           f"{report.terminated}, sup rho = {sup_rho:.6e} -> {out_csv}")
     return EXIT_OK if report.terminated == evolve_mod.TERMINATED_COMPLETED else EXIT_NUMERICAL
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    """Quick property-suite runner; prints one PASS/FAIL line per check."""
-    from .elliptic import complete_e, complete_k, jacobi
-
-    checks: list[tuple[str, bool]] = []
-
-    def run_check(name: str, fn) -> None:
-        try:
-            ok = bool(fn())
-        except MchError as exc:
-            print(f"FAIL {name}: {exc}")
-            checks.append((name, False))
-            return
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        checks.append((name, ok))
-
-    def legendre() -> bool:
-        worst = 0.0
-        for k in (0.1, 0.5, 0.9):
-            kp = math.sqrt(1.0 - k * k)
-            worst = max(worst, abs(
-                complete_e(k) * complete_k(kp) + complete_e(kp) * complete_k(k)
-                - complete_k(k) * complete_k(kp) - math.pi / 2.0))
-        return worst < 1e-10
-
-    def jacobi_identities() -> bool:
-        rng = np.random.default_rng(0)
-        u = rng.uniform(-10, 10, 200)
-        k = 0.7
-        sn, cn, dn = jacobi(u, k)
-        return (np.max(np.abs(sn * sn + cn * cn - 1.0)) < 1e-12
-                and np.max(np.abs(k * k * sn * sn + dn * dn - 1.0)) < 1e-12)
-
-    def wave_residual() -> bool:
-        p = wave_mod.wave_params(0.5, 6.0 * math.pi)
-        return wave_mod.ode_residual(p, 512) < 1e-8
-
-    def constant_counts() -> bool:
-        rep = linop.spectrum(linop.operator_for(wave_mod.constant_wave(2.0 * math.pi), 128))
-        return rep.n_neg == 1 and rep.z_dim == 2
-
-    def wave_spectral_counts() -> bool:
-        # (0.1, 5 pi) carries a genuine eigenvalue 1.2e-5 beside the kernel
-        reps = [indices.morse_check(0.5, 6.0 * math.pi),
-                indices.morse_check(0.1, 5.0 * math.pi, n=128)]
-        return all(rep.n_L == 1 and rep.z_L == 1
-                   and rep.n_identity_holds and rep.z_identity_holds for rep in reps)
-
-    def snoidal_dnoidal_agreement() -> bool:
-        p = wave_mod.wave_params(0.5, 6.0 * math.pi)
-        sn_form = wave_mod.snoidal_form(p)
-        x = np.arange(512) * (p.L / 512)
-        sn = jacobi(2.0 * complete_k(p.k) * x / p.L, p.k)[0]
-        diff = sn_form.alpha + sn_form.beta * sn * sn - profile(p, x)[0]
-        return float(np.max(np.abs(diff))) < 1e-12
-
-    def semidistance_on_translates() -> bool:
-        from .field import semidistance
-        p = wave_mod.wave_params(0.5, 6.0 * math.pi)
-        grid = PeriodicGrid(p.L, 256)
-        phi = sample_wave(p, grid)
-        rho, _ = semidistance(fractional_shift(phi, 2.3), p)
-        return rho < 1e-9
-
-    def conservation_short_run() -> bool:
-        p = wave_mod.wave_params(0.5, 6.0 * math.pi)
-        grid = PeriodicGrid(p.L, 256)
-        u0 = sample_wave(p, grid)
-        cfg = evolve_mod.EvolutionConfig(dt=evolve_mod.suggested_dt(u0, speed=p.c),
-                                         t_end=2.0, monitor_every=10**9)
-        _, rep = evolve_mod.run(u0, cfg)
-        drifts = [rep.drift_E[-1], rep.drift_F[-1], rep.drift_V[-1]]
-        return rep.terminated == "completed" and max(abs(d) for d in drifts) < 1e-10
-
-    def index_negative_spots() -> bool:
-        return (indices.stability_index(0.1, 5.0 * math.pi).I < 0.0
-                and indices.stability_index(0.5, 8.0 * math.pi).I < 0.0)
-
-    run_check("legendre_relation", legendre)
-    run_check("jacobi_identities", jacobi_identities)
-    run_check("wave_ode_residual", wave_residual)
-    run_check("snoidal_dnoidal_agreement", snoidal_dnoidal_agreement)
-    run_check("constant_case_counts", constant_counts)
-    run_check("morse_identities_at_wave", wave_spectral_counts)
-    run_check("semidistance_on_translates", semidistance_on_translates)
-    run_check("conservation_short_run", conservation_short_run)
-    run_check("index_negative_spots", index_negative_spots)
-    failed = [name for name, ok in checks if not ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L-max", type=parse_length, required=True)
     sp.add_argument("--nk", type=int, default=20)
     sp.add_argument("--nL", type=int, default=20)
-    sp.add_argument("--h", type=float, default=None,
-                    help="FD step; given, it selects the finite-difference ladder over "
-                         "the closed forms (default: exact complex-step derivatives)")
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -415,10 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho-factor", type=float, default=50.0)
     add_common(sp)
     sp.set_defaults(func=cmd_orbit)
-
-    sp = sub.add_parser("check", help="run the quick property suite")
-    add_common(sp)
-    sp.set_defaults(func=cmd_check)
     return parser
 
 

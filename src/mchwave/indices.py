@@ -8,16 +8,17 @@ The index
 
 uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  Every
 k-derivative, at fixed L and along the zero-mean branch a(k, L*(k)) = 0
-alike, is :func:`mchwave.wave._dk` over closed forms in (k, K, E, L): a
-complex step by default, the finite-difference ladder at an explicit
-step h.  Only the operator behind the spectral counts samples a profile.
+alike, is :func:`mchwave.wave._dk`, one complex step over closed forms in
+(k, K, E, L); the finite-difference ladder :func:`mchwave.wave.fd_dk` is
+only the tests' oracle.  Only the operator behind the spectral counts
+samples a profile.
 
 The sign condition I < 0 is checked as a reproducible assertion over
 sampled (k, L) grids; no claim is made beyond the sampled windows.  A scan
 evaluates its flattened grid in one array pass, not one cell at a time: one
 real evaluation of the closed forms for the validity margins and the A
-cross-check, then one complex-step evaluation (or the six FD stencil
-evaluations) for the four derivatives of the valid cells.
+cross-check, then one complex-step evaluation for the four derivatives of
+the valid cells.
 :func:`stability_index` is the one-cell case of the same pass.  A cell
 without an index carries the reason :mod:`mchwave.wave` names for it.
 """
@@ -154,18 +155,14 @@ def classify(n_y0: int, pairing: float, big_d: float) -> Classification:
     return "indeterminate"
 
 
-def _index_cells(k: np.ndarray, L: np.ndarray, h: float | None) -> list[IndexSample]:
+def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
     """The index at 1-d arrays of cells, in one pass: the validity margins
     of every cell, then the derivatives of the closed forms for (a, c, A, F)
-    at the valid ones (:func:`mchwave.wave._dk`; complex step with ``h``
-    None, else the FD oracle, whose stencil must lie in (0, 1))."""
+    at the valid ones (:func:`mchwave.wave._dk`)."""
     _, _, reason = wave_mod._waves(k, L)
-    if h is not None:
-        reason = np.where((reason == "") & ~wave_mod._stencil_ok(k, h), "fd_stencil", reason)
     live = reason == ""
-    (da_dk, _, dc_dk, dA_dk, dF_dk), why = wave_mod._dk(
-        partial(wave_mod._closed_forms, L=L[live]), k[live], h)
-    reason[live] = why
+    da_dk, _, dc_dk, dA_dk, dF_dk = wave_mod._dk(
+        partial(wave_mod._closed_forms, L=L[live]), k[live])
     dV_dk = L[live] * da_dk
     cols = np.full((5, k.size), math.nan)
     cols[:, live] = dA_dk * dV_dk - dc_dk * dF_dk, dA_dk, dc_dk, dV_dk, dF_dk
@@ -173,49 +170,40 @@ def _index_cells(k: np.ndarray, L: np.ndarray, h: float | None) -> list[IndexSam
             for cell in zip(k.tolist(), L.tolist(), *cols.tolist(), reason.tolist())]
 
 
-def stability_index(k: float, L: float, h: float | None = None) -> IndexSample:
+def stability_index(k: float, L: float) -> IndexSample:
     """Evaluate I = dA/dk dV/dk - dc/dk dF/dk at fixed period.
 
     An invalid wave (see :func:`mchwave.wave.validity`) gets no index:
-    the sample has I = NaN, valid = False and the reason.  The derivatives
-    of the closed forms for (a, c, A, F) come from :func:`mchwave.wave._dk`:
-    exact (complex step) with ``h`` None, the FD oracle at an explicit
-    ``h``, all four components sharing one stencil and consistency gate.
-    The one-cell case of :func:`index_scan`.
+    the sample has I = NaN, valid = False and the reason.  The exact
+    derivatives of the closed forms for (a, c, A, F) come from
+    :func:`mchwave.wave._dk`.  The one-cell case of :func:`index_scan`.
 
     Raises:
-        DomainError: if k is outside (0, 1) or the FD stencil leaves it.
-        AccuracyError: if the step-halving gate fails.
+        DomainError: if k is outside (0, 1).
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"stability_index requires 0 < k < 1, got k={k}")
-    [sample] = _index_cells(np.array([k], float), np.array([L], float), h)
-    if sample.reason.startswith("fd_"):  # the FD oracle failed; an invalid wave is no error
-        wave_mod._refuse(sample.reason, k, L, h)
-    return sample
+    return _index_cells(np.array([k], float), np.array([L], float))[0]
 
 
 def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
-               nk: int, nL: int, h: float | None = None) -> tuple[list[IndexSample], ScanSummary]:
+               nk: int, nL: int) -> tuple[list[IndexSample], ScanSummary]:
     """Evaluate the index on an nk x nL grid, flagging invalid cells.
 
-    Cells without an index (failing validity, or where the FD oracle
-    fails) are kept in the table with I = NaN, valid = False and their
-    reason, in (k, L) order; the summary counts them by reason.  All cells
-    go through one array pass (see :func:`_index_cells`).  ``h`` selects
-    the FD oracle (see :func:`stability_index`).  Bad ranges or sizes, or
-    an ``h`` that is not finite and positive, raise DomainError before any
-    cell is evaluated.
+    Cells failing validity are kept in the table with I = NaN, valid =
+    False and their reason, in (k, L) order; the summary counts them by
+    reason.  All cells go through one array pass (see :func:`_index_cells`).
+    Bad ranges, a period bound that is not finite, or bad sizes raise
+    DomainError before any cell is evaluated.
     """
-    if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max):
-        raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, 0 < L_min <= L_max")
+    if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max < math.inf):
+        raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, "
+                          "0 < L_min <= L_max < inf")
     if nk < 1 or nL < 1:
         raise DomainError(f"nk and nL must be >= 1, got {nk}, {nL}")
-    if h is not None and not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"FD step h must be finite and positive, got {h}")
     ks = np.repeat(np.linspace(k_min, k_max, nk), nL)
     ls = np.tile(np.linspace(L_min, L_max, nL), nk)
-    samples = _index_cells(ks, ls, h)
+    samples = _index_cells(ks, ls)
     vals = np.array([s.I for s in samples if s.valid])
     reasons = Counter(s.reason for s in samples if not s.valid)
     summary = ScanSummary(
@@ -324,51 +312,37 @@ def _branch_state(k, l_star: float) -> tuple:
     return l_star, c, f, wave_mod._energy(a, b, k, big_k, big_e, l_star) + c * f
 
 
-def d_second(k: float, L_bracket: tuple[float, float],
-             h: float | None = None) -> DSecondReport | None:
+def d_second(k: float, L_bracket: tuple[float, float]) -> DSecondReport | None:
     """d'(c) and d''(c) along the zero-mean branch, or None without a branch.
 
     d'(c) = F(phi) by the chain rule through the critical-point identity;
-    d''(c) = (dF/dk) / (dc/dk), the k-derivatives being :func:`mchwave.wave._dk`
-    over :func:`_branch_state` (complex step, or the FD ladder at ``h``).
-    Cross-checks: the direct d'(c) = (dd/dk) / (dc/dk), and its central
-    difference over dc/dk at k +- (h or ``default_fd_step(k)``).  Stencil
-    points k' follow the branch from (k, L*): their root is sought between
-    L* and L* + 2 (k' - k) dL*/dk, so ``L_bracket`` need only hold L*.
+    d''(c) = (dF/dk) / (dc/dk), the exact k-derivatives being
+    :func:`mchwave.wave._dk` over :func:`_branch_state`.  Cross-checks: the
+    direct d'(c) = (dd/dk) / (dc/dk), and its central difference over dc/dk
+    at k +- ``default_fd_step(k)``.  Stencil points k' follow the branch from
+    (k, L*): their root is sought between L* and L* + 2 (k' - k) dL*/dk, so
+    ``L_bracket`` need only hold L*.
 
     Raises:
-        DomainError: bad bracket, the FD stencil leaves (0, 1), or the
-            branch leaves twice its tangent move inside the stencil.
+        DomainError: bad bracket, or the branch leaves twice its tangent
+            move inside the stencil.
         SingularError: |dc/dk| below 1e-10 (singular parametrization).
     """
     l_star = zero_mean_period(k, L_bracket)
     if l_star is None:
         return None
-    # dL*/dk, dc/dk, dF/dk, dd/dk
-    exact = [float(v) for v in wave_mod._dk(partial(_branch_state, l_star=l_star), k)[0]]
-
-    def branch(kk) -> tuple:
-        ends = sorted((l_star, l_star + 2.0 * (kk.real - k) * exact[0]))
-        root = zero_mean_period(kk.real, ends)
-        if root is None:
-            raise DomainError(f"zero-mean branch lost at k={kk.real}")
-        return _branch_state(kk, root)
-
-    if h is None:
-        _, dc_dk, df_dk, dd_dk = exact
-    else:
-        if not wave_mod._stencil_ok(k, h):
-            wave_mod._refuse("fd_stencil", k, l_star, h)
-        fd, reason = wave_mod._dk(branch, k, h)
-        wave_mod._refuse(str(reason), k, l_star, h)
-        _, dc_dk, df_dk, dd_dk = (float(v) for v in fd)
+    dl_dk, dc_dk, df_dk, dd_dk = (
+        float(v) for v in wave_mod._dk(partial(_branch_state, l_star=l_star), k))
     if abs(dc_dk) < 1e-10:
         raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
     _, c0, f0, _ = (float(v) for v in _branch_state(k, l_star))
-    step = default_fd_step(k) if h is None else h
+    step = default_fd_step(k)
 
     def d_prime_direct(kk: float) -> float:
-        _, dc, _, dd = wave_mod._dk(branch, kk)[0]
+        root = zero_mean_period(kk, sorted((l_star, l_star + 2.0 * (kk - k) * dl_dk)))
+        if root is None:
+            raise DomainError(f"zero-mean branch lost at k={kk}")
+        _, dc, _, dd = wave_mod._dk(partial(_branch_state, l_star=root), kk)
         return float(dd / dc)
 
     d2_fd = (d_prime_direct(k + step) - d_prime_direct(k - step)) / (2.0 * step) / dc_dk

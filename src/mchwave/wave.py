@@ -20,11 +20,12 @@ kept only as a cross-check because it is easy to mistype.
 
 The momentum F = (1/2) int phi^2 + phi'^2 and the energy
 E = -int phi^4/4 + phi phi'^2/2 are closed forms in (k, K, E, L) too, via a
-recurrence for the period means of powers of dn^2.  Every k-derivative goes
-through :func:`_dk`: one complex-step evaluation at k + 1e-30 i (Squire and
-Trapp, SIAM Rev. 1998), exact to rounding with no profile sampling, or at an
-explicit step h the oracle :func:`fd_dk` (central differences, one Richardson
-level, a step-halving gate) over the same real closed forms.
+recurrence for the period means of powers of dn^2.  Every k-derivative
+takes one path, :func:`_dk`: one complex-step evaluation at k + 1e-30 i
+(Squire and Trapp, SIAM Rev. 1998), exact to rounding with no profile
+sampling.  :func:`fd_dk` (central differences, one Richardson level, a
+step-halving gate) is kept as the tests' independent oracle; the package
+itself never calls it.
 
 The closed forms work elementwise on arrays of cells (k, L), so a scan
 evaluates its whole grid in one pass.  Where a cell has no wave they give
@@ -34,9 +35,7 @@ valid wave:
 - ``domain``: k outside [0, MODULUS_CUTOFF], or L not finite and positive;
 - ``overflow``: a power of L in the closed forms overflows a float;
 - ``discriminant``: Delta <= 0;
-- ``ineq_i``, ``ineq_ii``: a validity margin is not negative;
-- ``fd_stencil``, ``fd_domain``, ``fd_gate``: the FD oracle's stencil
-  leaves (0, 1), a stencil point has no wave, or its gate fails.
+- ``ineq_i``, ``ineq_ii``: a validity margin is not negative.
 
 The scalar entry points are the one-element case and raise the typed error
 for their cell (an invalid margin is no error).
@@ -110,16 +109,12 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class ParamDerivatives:
-    """k-derivatives of (a, b, c, A) at fixed period, with the FD step used.
-
-    ``step`` is 0.0 for the exact (complex-step) derivatives.
-    """
+    """Exact k-derivatives of (a, b, c, A) at fixed period."""
 
     da_dk: float
     db_dk: float
     dc_dk: float
     dA_dk: float
-    step: float
 
 
 def _power(L, m: int):
@@ -330,19 +325,14 @@ _REFUSED = {
               "got k={k}, L={L}",
     "overflow": "period L={L} too large for the closed forms: a power of L overflows",
     "discriminant": "period too small for this modulus: Delta(k={k}, L={L}) <= 0",
-    "fd_stencil": "FD stencil [k-h, k+h] leaves (0, 1) for k={k}, h={h}",
-    "fd_domain": "FD stencil k +- h leaves the valid domain at k={k}, L={L}, h={h}",
 }
 
 
-def _refuse(reason: str, k, L, h=None) -> None:
-    """Raise the typed error of a cell refused for ``reason``: DomainError,
-    or AccuracyError for ``fd_gate``.  "" and the validity margins raise
-    nothing."""
-    if reason == "fd_gate":
-        raise AccuracyError(f"finite-difference consistency gate failed at k={k} (h={h})")
+def _refuse(reason: str, k, L) -> None:
+    """Raise the DomainError of a cell refused for ``reason``; "" and the
+    validity margins raise nothing."""
     if reason in _REFUSED:
-        raise DomainError(_REFUSED[reason].format(k=k, L=L, h=h))
+        raise DomainError(_REFUSED[reason].format(k=k, L=L))
 
 
 def _one_wave(k: float, L: float) -> WaveParams:
@@ -433,7 +423,8 @@ def validity(k: float, L: float) -> ValidityReport:
 
 
 def fd_dk(f: Callable, k, h: float) -> np.ndarray:
-    """d f / dk by central differences with one Richardson level, cell by cell.
+    """d f / dk by central differences with one Richardson level, cell by cell:
+    the tests' oracle for :func:`_dk`.
 
     ``k`` is one modulus or an array of cells, and ``f`` maps moduli shaped
     like ``k`` to components stacked on a leading axis, NaN where it has no
@@ -462,40 +453,15 @@ def fd_dk(f: Callable, k, h: float) -> np.ndarray:
     return np.where(failed, np.nan, r_fine)
 
 
-def _dk(f: Callable, k, h: float | None = None) -> tuple:
+def _dk(f: Callable, k) -> tuple:
     """d f / dk of a closed form f of the modulus: the one derivative path.
 
     ``k`` is one modulus or an array of cells, and f maps moduli shaped like
-    k to a tuple of components, NaN where it has no value.  With ``h`` None,
-    Im f(k + i 1e-30) / 1e-30 (complex step; f analytic in k), exact to
-    rounding since nothing is differenced.  An explicit ``h`` selects the
-    oracle, :func:`fd_dk` over the same f at real moduli, whose stencil the
-    caller has checked (:func:`_stencil_ok`).
-
-    Returns the derivatives and the reason per cell: ``fd_domain`` where f
-    has no value at a stencil point, ``fd_gate`` where the gate fails (both
-    with NaN derivatives), "" otherwise.  The complex step is taken only in
-    cells that have a wave, so it gives "" throughout.
+    k to a tuple of components and is analytic in k.  Returns
+    Im f(k + i 1e-30) / 1e-30 per component (complex step), exact to
+    rounding since nothing is differenced.
     """
-    if h is None:
-        return (tuple(np.imag(v) / COMPLEX_STEP for v in f(k + 1j * COMPLEX_STEP)),
-                np.full(np.shape(k), ""))
-    no_value = np.zeros(np.shape(k), bool)
-
-    def recorded(kk):
-        vals = np.asarray(f(kk), dtype=float)
-        no_value[...] |= np.isnan(vals).any(axis=0)
-        return vals
-
-    d = fd_dk(recorded, k, h)
-    reason = np.where(no_value, "fd_domain", np.where(np.isnan(d).any(axis=0), "fd_gate", ""))
-    return tuple(d), reason
-
-
-def _stencil_ok(k, h: float):
-    """Where h > 0 and the FD stencil [k - h, k + h] lies in (0, 1); false
-    for a NaN k or h."""
-    return (h > 0.0) & (k - h > 0.0) & (k + h < 1.0)
+    return tuple(np.imag(v) / COMPLEX_STEP for v in f(k + 1j * COMPLEX_STEP))
 
 
 def default_fd_step(k: float) -> float:
@@ -503,25 +469,15 @@ def default_fd_step(k: float) -> float:
     return min(1e-3, 0.25 * k, 0.25 * (1.0 - k))
 
 
-def params_dk(k: float, L: float, h: float | None = None) -> ParamDerivatives:
-    """k-derivatives of (a, b, c, A) at fixed L: :func:`_dk` over the closed forms.
-
-    With ``h`` None they are exact (complex step) and ``step`` is 0.0.
-    An explicit ``h`` selects the oracle: central differences with one
-    Richardson extrapolation level, whose values must move by less than
-    1% under h -> h/2.
+def params_dk(k: float, L: float) -> ParamDerivatives:
+    """Exact k-derivatives of (a, b, c, A) at fixed L: :func:`_dk` over the
+    closed forms.
 
     Raises:
-        DomainError: outside the valid (k, L) domain, or if the FD stencil
-            leaves it.
-        AccuracyError: if the FD consistency gate fails.
+        DomainError: outside the valid (k, L) domain.
     """
     if k == 0.0:
         raise DomainError("params_dk requires 0 < k < 1")
     ks, ls = np.array([k], float), np.array([L], float)
     _refuse(_refusal(ks, ls, _params_from_k_l(ks, ls)[0])[0], k, L)
-    if h is not None and not _stencil_ok(k, h):
-        _refuse("fd_stencil", k, L, h)
-    d, reason = _dk(partial(_closed_forms, L=ls), ks, h)
-    _refuse(reason[0], k, L, h)
-    return ParamDerivatives(*(float(v[0]) for v in d[:4]), step=0.0 if h is None else h)
+    return ParamDerivatives(*(float(v[0]) for v in _dk(partial(_closed_forms, L=ls), ks)[:4]))

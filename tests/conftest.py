@@ -156,3 +156,14 @@ def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndar
     coords = np.block([[even_vecs, np.zeros((len(even_vecs), odd_vecs.shape[1]))],
                        [np.zeros((len(odd_vecs), even_vecs.shape[1])), odd_vecs]])
     return linop._to_grid(coords[:, lowest])
+
+
+def fd_index(k, big_l, h: float) -> np.ndarray:
+    """The FD oracle of the stability index: ``wave.fd_dk`` at step h over
+    the closed forms, rows (I, dA/dk, dc/dk, dV/dk, dF/dk).  A scalar k
+    raises AccuracyError where the step-halving gate fails; over arrays of
+    cells such a cell, or one with no wave at a stencil point, is NaN."""
+    da, _, dc, big_da, df = mw.wave.fd_dk(
+        lambda kk: np.array(mw.wave._closed_forms(kk, big_l)), k, h)
+    dv = big_l * da
+    return np.array([big_da * dv - dc * df, big_da, dc, dv, df])

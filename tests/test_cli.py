@@ -142,11 +142,18 @@ class TestScanCommand:
                          "--L-max", "6pi", "--workers", "2",
                          "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("h", ["nan", "inf", "-1e-3", "0"])
-    def test_bad_fd_step_exits_domain(self, tmp_path, h):
-        # each cell used to turn the step's DomainError into a NaN, exit 0
+    def test_check_command_and_fd_step_are_gone(self, tmp_path):
+        # the self-check battery lives in the tests; derivatives take no step
+        assert dispatch(["check", "--out-dir", str(tmp_path)]) == EXIT_USAGE
         assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
-                         "--L-max", "6pi", f"--h={h}", "--out-dir", str(tmp_path)]) == EXIT_DOMAIN
+                         "--L-max", "6pi", "--h", "1e-3",
+                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_infinite_period_bound_exits_domain(self, tmp_path):
+        # it used to exit 0 with NaN and inf periods in scan.csv
+        assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
+                         "--L-max", "inf", "--out-dir", str(tmp_path)]) == EXIT_DOMAIN
         assert not (tmp_path / "scan.csv").exists()
 
     def test_huge_period_cells_are_invalid(self, tmp_path):
@@ -367,10 +374,3 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_DOMAIN
         assert not (tmp_path / "orbit.csv").exists()
 
-
-class TestCheckCommand:
-    def test_all_pass(self, tmp_path, capsys):
-        assert dispatch(["check", "--out-dir", str(tmp_path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == 9

@@ -145,6 +145,8 @@ class TestRun:
             worst = max(worst, float(np.max(np.abs(fld.values - exact.values))))
         assert worst < 1e-10
         assert np.max(np.abs(rep.drift_F)) < 1e-12
+        assert np.max(np.abs(rep.drift_E)) < 1e-10
+        assert np.max(np.abs(rep.drift_V)) < 1e-10
 
     def test_mean_exactly_conserved(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)

@@ -10,7 +10,10 @@ from mpmath import mp
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
 from mchwave.cli import EXIT_OK, dispatch
-from mchwave.indices import classify, zero_mean_period
+from mchwave.indices import _branch_state, classify, zero_mean_period
+from mchwave.wave import fd_dk
+
+from conftest import fd_index
 
 
 class TestStabilityIndex:
@@ -39,20 +42,15 @@ class TestStabilityIndex:
             phi = mw.sample_wave(mw.wave_params(kk, big_l), grid)
             return np.array([mw.functionals(phi)[2]])
 
-        from mchwave.wave import fd_dk
         dv_direct = float(fd_dk(v_of, k, 1e-3)[0])
         # FD of quadrature-rounded values carries ~eps/h noise, so the two
         # derivative routes can only be certified to 1e-9 here
         assert abs(dv_direct - s.dV_dk) < 1e-9
 
     def test_step_halving_consistency(self):
-        a = mw.stability_index(0.3, 7 * math.pi, h=1e-3)
-        b = mw.stability_index(0.3, 7 * math.pi, h=5e-4)
-        assert abs(a.I - b.I) < 0.01 * max(abs(a.I), abs(b.I))
-
-    def test_stencil_domain_error(self):
-        with pytest.raises(DomainError):
-            mw.stability_index(0.82, 2.4 * math.pi, h=2e-2)
+        a = fd_index(0.3, 7 * math.pi, 1e-3)[0]
+        b = fd_index(0.3, 7 * math.pi, 5e-4)[0]
+        assert abs(a - b) < 0.01 * max(abs(a), abs(b))
 
     @given(k=st.floats(0.02, 0.9), big_l=st.floats(3 * math.pi, 10 * math.pi))
     def test_exact_matches_fd_ladder(self, k, big_l):
@@ -62,10 +60,10 @@ class TestStabilityIndex:
         # 1e-4 of da/dk; hence the absolute floor on that component only
         assume(mw.validity(k, big_l).all_ok)
         exact = mw.stability_index(k, big_l)
-        fd = mw.stability_index(k, big_l, h=1e-3)
-        assert exact.dV_dk / big_l == pytest.approx(fd.dV_dk / big_l, rel=1e-4, abs=1e-9)
-        for name in ("dA_dk", "dc_dk", "dF_dk"):
-            assert getattr(exact, name) == pytest.approx(getattr(fd, name), rel=1e-4)
+        _, fd_da, fd_dc, fd_dv, fd_df = fd_index(k, big_l, 1e-3)
+        assert exact.dV_dk / big_l == pytest.approx(fd_dv / big_l, rel=1e-4, abs=1e-9)
+        for name, fd in (("dA_dk", fd_da), ("dc_dk", fd_dc), ("dF_dk", fd_df)):
+            assert getattr(exact, name) == pytest.approx(fd, rel=1e-4)
 
     @given(k=st.floats(0.02, 0.9), big_l=st.floats(3 * math.pi, 10 * math.pi))
     def test_dF_dk_matches_sampled_momentum_ladder(self, k, big_l):
@@ -78,7 +76,6 @@ class TestStabilityIndex:
             phi = mw.sample_wave(mw.wave_params(kk, big_l), grid)
             return np.array([mw.functionals(phi)[1]])
 
-        from mchwave.wave import fd_dk
         fd = float(fd_dk(sampled_f, k, 1e-3)[0])
         assert mw.stability_index(k, big_l).dF_dk == pytest.approx(fd, rel=1e-4)
 
@@ -97,12 +94,6 @@ class TestStabilityIndex:
         for k in (0.0, 1.0, -0.1, math.nan):
             with pytest.raises(DomainError):
                 mw.stability_index(k, 6 * math.pi)
-
-    def test_nan_fd_step_fails_the_stencil_check(self):
-        # every comparison with NaN is False, so the stencil check used to
-        # pass it on to the elliptic kernel
-        with pytest.raises(DomainError, match="FD stencil"):
-            mw.stability_index(0.5, 6 * math.pi, h=math.nan)
 
     def test_invalid_wave_gets_no_index(self):
         # (0.8, 8 pi) exists but violates phi - c < 0
@@ -135,29 +126,30 @@ class TestIndexScan:
     def test_fd_gate_cell_gets_exact_index(self):
         # just above the discriminant boundary at k = 0.5 (L = 6.21614) the
         # square-root singularity of Delta sits within reach of the h = 1e-3
-        # stencil, so the FD ladder's step-halving gate fails; the exact
+        # stencil, so the FD oracle's step-halving gate fails; the exact
         # derivatives give I there
         k, big_l = 0.5, 6.2173
         with pytest.raises(AccuracyError):
-            mw.stability_index(k, big_l, h=1e-3)
-        [cell], _ = mw.index_scan(k, k, big_l, big_l, 1, 1, h=1e-3)
-        assert cell.reason == "fd_gate" and math.isnan(cell.I)
+            fd_index(k, big_l, 1e-3)
+        assert np.isnan(fd_index(np.array([k]), np.array([big_l]), 1e-3)).all()
         [cell], _ = mw.index_scan(k, k, big_l, big_l, 1, 1)
         assert cell.valid and math.isfinite(cell.I) and cell.I < 0.0
 
     def test_fd_gate_passes_at_small_modulus(self):
         # at (0.01, 11.519...) the gate used to fail on the AGM's rounding
         # (E off by up to 650 eps): R(h) and R(h/2) of da/dk were 2% apart,
-        # now 1.2e-4; the ladder agrees with the exact derivatives there
+        # now 1.2e-4; the ladder agrees with the exact derivatives there,
+        # and its gate passes at every valid cell of the window
         window = (0.01, 0.2, 3 * math.pi, 6 * math.pi)
         k, big_l = 0.01, 11.519173063162574
-        fd = mw.stability_index(k, big_l, h=1e-3)
         exact = mw.stability_index(k, big_l)
-        for name in ("dA_dk", "dc_dk", "dV_dk", "dF_dk"):
-            assert getattr(fd, name) == pytest.approx(getattr(exact, name), rel=1e-3)
-        samples, summary = mw.index_scan(*window, 10, 10, h=1e-3)
-        cell = next(s for s in samples if s.k == k and s.L == big_l)
-        assert cell.valid and cell.I < 0.0
+        for name, fd in zip(("dA_dk", "dc_dk", "dV_dk", "dF_dk"), fd_index(k, big_l, 1e-3)[1:]):
+            assert fd == pytest.approx(getattr(exact, name), rel=1e-3)
+        samples, summary = mw.index_scan(*window, 10, 10)
+        valid = [s for s in samples if s.valid]
+        assert any(s.k == k and s.L == big_l for s in valid)
+        fd_i = fd_index(np.array([s.k for s in valid]), np.array([s.L for s in valid]), 1e-3)[0]
+        assert np.all(fd_i < 0.0)  # False at a NaN cell
         invalid = sum(1 for s in samples if not mw.validity(s.k, s.L).all_ok)
         assert summary.count_invalid == invalid
         assert summary.count_positive == 0
@@ -173,34 +165,26 @@ class TestIndexScan:
         for nk, nL in [(0, 2), (2, 0), (0, -3)]:
             with pytest.raises(DomainError):
                 mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL)
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-3, 0.0])
-    def test_bad_fd_step_raises_before_any_cell(self, h, count_calls):
-        # each cell used to turn the step's DomainError into an anonymous NaN
-        cells = count_calls(mw.indices.stability_index)
-        with pytest.raises(DomainError, match="FD step"):
-            mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, 2, 2, h=h)
-        assert cells == []
+        # an infinite L_max used to give NaN and inf periods (and a warning)
+        with pytest.raises(DomainError):
+            mw.index_scan(0.2, 0.5, 3.0 * math.pi, math.inf, 2, 2)
 
     def test_huge_periods_are_invalid_cells(self):
         samples, summary = mw.index_scan(0.3, 0.3, 5 * math.pi, 1e60, 1, 3)
         assert [s.valid for s in samples] == [True, False, False]
         assert summary.count_invalid == 2
 
-    @pytest.mark.parametrize("cell,h,reason", [
-        ((0.3, 1e60), None, "overflow"),        # L**6 of the long form for A overflows
-        ((0.3, 1e80), None, "overflow"),        # L**4 of the coefficients overflows
-        ((0.9, math.pi), None, "discriminant"),
-        ((0.8, 8 * math.pi), None, "ineq_ii"),
-        ((0.5, 6 * math.pi), 0.6, "fd_stencil"),
-        ((0.5, 6.2168), 1e-3, "fd_domain"),     # k + h has Delta < 0
-        ((0.5, 6.2173), 1e-3, "fd_gate"),
-        ((1.0 - 1e-13, 6 * math.pi), None, "domain"),  # above MODULUS_CUTOFF
-        ((0.5, 6 * math.pi), 1e-3, ""),
+    @pytest.mark.parametrize("cell,reason", [
+        ((0.3, 1e60), "overflow"),        # L**6 of the long form for A overflows
+        ((0.3, 1e80), "overflow"),        # L**4 of the coefficients overflows
+        ((0.9, math.pi), "discriminant"),
+        ((0.8, 8 * math.pi), "ineq_ii"),
+        ((1.0 - 1e-13, 6 * math.pi), "domain"),  # above MODULUS_CUTOFF
+        ((0.5, 6 * math.pi), ""),
     ])
-    def test_reason_of_each_cell(self, cell, h, reason):
+    def test_reason_of_each_cell(self, cell, reason):
         k, big_l = cell
-        [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1, h=h)
+        [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1)
         assert sample.reason == reason and sample.valid == (reason == "")
         assert summary.invalid_reasons == ({reason: 1} if reason else {})
 
@@ -248,18 +232,14 @@ def sub_windows(draw):
 
 
 @settings(max_examples=40)
-@given(window=sub_windows(), h=st.sampled_from([None, 1e-3]))
-def test_scan_cells_are_single_cells(window, h):
+@given(window=sub_windows())
+def test_scan_cells_are_single_cells(window):
     # a scan and a single cell run the same array pass: field for field, bit
     # for bit (repr round-trips every float), and NaN exactly where the
-    # single cell raises or has no valid wave
-    samples, _ = mw.index_scan(*window, h=h)
+    # single cell has no valid wave
+    samples, _ = mw.index_scan(*window)
     for cell in samples:
-        try:
-            single = mw.stability_index(cell.k, cell.L, h=h)
-        except mw.MchError:
-            assert not cell.valid and math.isnan(cell.I) and cell.reason.startswith("fd_")
-            continue
+        single = mw.stability_index(cell.k, cell.L)
         assert repr(cell) == repr(single)
         assert math.isnan(cell.I) == (not single.valid)
 
@@ -325,7 +305,7 @@ class TestDSecond:
         # d'(c)_fd - F = L'(c) * ([e + c f](0) - A phi(0)) with the
         # energy/momentum densities evaluated at the profile minimum
         k, h = 0.985, 2.5e-4
-        rep = mw.d_second(k, (12.5, 200.0), h=h)
+        rep = mw.d_second(k, (12.5, 200.0))
         l_hi = zero_mean_period(k + h, (12.5, 200.0))
         l_lo = zero_mean_period(k - h, (12.5, 200.0))
         c_hi = mw.wave_params(k + h, l_hi).c
@@ -418,8 +398,10 @@ class TestKrein:
         assert tight.L_star == pytest.approx(wide.L_star, rel=1e-12)
         assert tight.d_second == pytest.approx(wide.d_second, rel=1e-10)
         assert tight.d_second_fd == pytest.approx(wide.d_second_fd, rel=1e-8)
-        assert mw.d_second(0.985, bracket, h=2.5e-4).d_second == pytest.approx(
-            wide.d_second, rel=1e-6)
+        # the FD oracle over the branch, its roots from the wide bracket
+        dc_dk, df_dk = fd_dk(lambda kk: np.array(
+            _branch_state(kk, zero_mean_period(kk, (12.5, 200.0)))[1:3]), 0.985, 2.5e-4)
+        assert tight.d_second == pytest.approx(df_dk / dc_dk, rel=1e-6)
         rep = mw.krein_index(0.985, bracket, n=128)
         assert rep.D == pytest.approx(-wide.d_second, rel=1e-10)
         assert rep.K_Ham == mw.krein_index(0.985, (12.5, 200.0), n=128).K_Ham

@@ -653,7 +653,8 @@ def test_from_grid_inverts_to_grid(half, seed):
 @example(k=0.1, big_l=5 * math.pi)
 def test_default_counts_invariant_under_refinement(k, big_l):
     # the default zero tolerance keeps the small genuine eigenvalue beside
-    # the kernel (1.2e-5 at (0.1, 5 pi)) out of the kernel at every n
+    # the kernel (1.2e-5 at (0.1, 5 pi)) out of the kernel at every n, and
+    # the zero-mean Morse identities hold at every n
     assume(mw.validity(k, big_l).all_ok)
     p = mw.wave_params(k, big_l)
     counts = set()
@@ -661,9 +662,11 @@ def test_default_counts_invariant_under_refinement(k, big_l):
         op = mw.operator_for(p, n)
         full, restr = mw.spectrum(op), mw.restricted_spectrum(op)
         pairing = mw.inv_one_pairing(op).value
+        n_pair, z_pair = mw.indices._sign_count(pairing)
+        assert (restr.n_neg, restr.z_dim) == (full.n_neg - n_pair - z_pair, full.z_dim + z_pair)
         counts.add((full.n_neg, full.z_dim, restr.n_neg, restr.z_dim, pairing > 0.0))
     assert len(counts) == 1
-    assert counts.pop()[1] == 1
+    assert counts.pop()[:2] == (1, 1)
 
 
 @settings(max_examples=6)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -322,7 +323,6 @@ class TestParamDerivatives:
         big_k, big_e = mw.complete_k_e(k)
         dk_dk = (big_e - (1 - k * k) * big_k) / (k * (1 - k * k))
         assert d.db_dk == pytest.approx(-64.0 * big_k * dk_dk / big_l**2, rel=1e-9)
-        assert d.step == 0.0
 
     def test_dc_dk_vanishes_at_small_k(self):
         vals = [abs(mw.params_dk(k, 2.0 * math.pi).dc_dk) for k in (0.2, 0.1, 0.05)]
@@ -336,21 +336,10 @@ class TestParamDerivatives:
         for _ in range(5):
             k = rng.uniform(0.1, 0.7)
             big_l = rng.uniform(4 * math.pi, 9 * math.pi)
-            d1 = mw.params_dk(k, big_l, h=1e-3)
-            d2 = mw.params_dk(k, big_l, h=5e-4)
-            for f in ("da_dk", "db_dk", "dc_dk", "dA_dk"):
-                a, b = getattr(d1, f), getattr(d2, f)
+            d1, d2 = (fd_dk(lambda kk: np.array(_closed_forms(kk, big_l)), k, h)[:4]
+                      for h in (1e-3, 5e-4))
+            for a, b in zip(d1, d2):  # da, db, dc, dA
                 assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-9)
-
-    def test_stencil_domain_error(self):
-        with pytest.raises(DomainError):
-            mw.params_dk(0.5, 6.0 * math.pi, h=0.6)  # leaves (0, 1)
-        with pytest.raises(DomainError, match="FD stencil"):
-            mw.params_dk(0.5, 6.0 * math.pi, h=math.nan)
-        with pytest.raises(DomainError):
-            # Delta(0.82, 2.4 pi) > 0 but Delta(0.84, 2.4 pi) < 0:
-            # the k + h point crosses the discriminant boundary
-            mw.params_dk(0.82, 2.4 * math.pi, h=2e-2)
 
     def test_exact_path_domain_errors(self):
         for k, big_l in [(0.0, 6.0 * math.pi), (1.0, 6.0 * math.pi), (0.5, 0.0),
@@ -358,8 +347,9 @@ class TestParamDerivatives:
             with pytest.raises(DomainError):
                 mw.params_dk(k, big_l)
 
-    def test_fd_dk_has_one_caller(self):
-        # every k-derivative goes through wave._dk; the FD ladder is its oracle
+    def test_one_derivative_path(self):
+        # every k-derivative is the complex step of wave._dk; the FD ladder
+        # is only the tests' oracle, and no public function takes a step
         callers = []
         for path in Path(mw.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
@@ -369,7 +359,10 @@ class TestParamDerivatives:
                         if isinstance(node, ast.Name) and node.id == "fd_dk" \
                                 or isinstance(node, ast.Attribute) and node.attr == "fd_dk":
                             callers.append((path.name, fn.name))
-        assert callers == [("wave.py", "_dk")]
+        assert callers == []
+        for fn in (mw.params_dk, mw.stability_index, mw.index_scan, mw.d_second):
+            assert "h" not in inspect.signature(fn).parameters
+        assert len(dataclasses.fields(mw.ParamDerivatives)) == 4
 
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
