@@ -185,7 +185,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_krein(args: argparse.Namespace) -> int:
-    rep = indices.krein_index(args.k, (args.L_min, args.L_max), n=args.n)
+    rep = indices.krein_index(args.k, n=args.n)
     payload = {"krein": dataclasses.asdict(rep)}
     out = Path(args.out_dir) / "krein.json"
     write_json(out, payload, args)
@@ -296,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("krein", help="zero-mean branch, d''(c) and Krein index")
     sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--L-min", type=parse_length, required=True)
-    sp.add_argument("--L-max", type=parse_length, required=True)
     sp.add_argument("--n", type=int, default=256)
     add_common(sp)
     sp.set_defaults(func=cmd_krein)

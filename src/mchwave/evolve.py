@@ -64,8 +64,16 @@ class EvolutionConfig:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise DomainError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         if self.monitor_every < 1:
             raise DomainError(f"monitor_every must be >= 1, got {self.monitor_every}")
+
+    @property
+    def steps(self) -> tuple[int, float]:
+        """max(1, round(t_end / dt)) steps, and the dt that lands them on t_end."""
+        n_steps = max(1, round(self.t_end / self.dt))
+        return n_steps, self.t_end / n_steps
 
 
 @dataclass(frozen=True)
@@ -193,8 +201,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if not (math.isfinite(rho_factor) and rho_factor > 0.0):
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
-    n_steps = max(1, round(cfg.t_end / cfg.dt))
-    dt = cfg.t_end / n_steps
+    n_steps, dt = cfg.steps
     op = _RhsOperator(u0.grid)
     phi_ref = sample_wave(reference, u0.grid) if reference is not None else None
 
@@ -275,8 +282,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     values = v0.values - np.mean(v0.values)
     if np.max(np.abs(values)) <= _zero_tol(v0.values):
         raise DomainError("v0 has no zero-mean part: its growth rate is undefined")
-    n_steps = max(1, round(cfg.t_end / cfg.dt))
-    dt = cfg.t_end / n_steps
+    n_steps, dt = cfg.steps
     w = math.sqrt(grid.spacing)
 
     times = [0.0]

@@ -8,7 +8,8 @@ The index
 
 uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  Every
 k-derivative, at fixed L and along the zero-mean branch a(k, L*(k)) = 0
-alike, is :func:`mchwave.wave._dk`, one complex step over closed forms in
+(itself a closed form, :func:`_zero_mean_l`) alike, is
+:func:`mchwave.wave._dk`, one complex step over closed forms in
 (k, K, E, L); the finite-difference ladder :func:`mchwave.wave.fd_dk` is
 only the tests' oracle.  Only the operator behind the spectral counts
 samples a profile.
@@ -34,10 +35,11 @@ from typing import Literal
 import numpy as np
 
 from . import wave as wave_mod
-from .errors import DomainError, NumericalError, RankError, SingularError
+from .elliptic import complete_k_e
+from .errors import DomainError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
-from .wave import COMPLEX_STEP, WaveParams, default_fd_step, wave_params
+from .wave import WaveParams, wave_params
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -106,9 +108,8 @@ class DSecondReport:
     c: float
     dc_dk: float
     d_prime: float          # F(phi), the chain-rule value of d'(c)
-    d_prime_fd: float       # direct (dd/dk) / (dc/dk) along the branch, cross-check
+    d_prime_direct: float   # direct (dd/dk) / (dc/dk) along the branch, cross-check
     d_second: float         # (dF/dk) / (dc/dk)
-    d_second_fd: float      # central difference of d_prime_fd over c, cross-check
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ class KreinReport:
     """Counts, pairing, D and the Hamiltonian Krein index classification.
 
     All numeric fields are NaN (and counts -1) when the zero-mean branch
-    does not exist in the bracket or its parametrization by k is
-    singular, in which case the classification is ``indeterminate``.
+    does not exist at k or its parametrization by k is singular, in
+    which case the classification is ``indeterminate``.
     """
 
     n_L: int
@@ -248,123 +249,87 @@ def constant_or_wave(k: float, L: float) -> WaveParams:
     return wave_params(k, L)
 
 
-def _mean_and_slope(k: float, L: float) -> tuple[float, float]:
-    """a(k, L) and da/dL from one closed-form evaluation at L + 1e-30 i."""
-    a = wave_mod._params_from_k_l(k, complex(L, COMPLEX_STEP))[0]
-    return float(a.real), float(a.imag) / COMPLEX_STEP
+def _zero_mean_l(k):
+    """L*(k) with a(k, L*) = 0, elementwise, real or complex k; NaN where
+    there is no branch.  a = (R - h) / (3 L^2), R = 32 K ((2 - k^2) K - 3 E),
+    where h = 512 Q / (1.5 L^2 + sqrt(Delta) / 2), Q = K^4 (1 - k^2 + k^4),
+    falls strictly from sqrt(512 Q) at Delta = 0 to 0.  So the one root is
+    L*^2 = (R^2 + 512 Q) / (3 R), iff 0 < R < sqrt(512 Q) (real parts)."""
+    out = wave_mod._outside(k, 1.0)
+    if out.any():  # 0.5 has no branch; it stands in for the moduli outside
+        k = np.where(out, 0.5, k)
+    big_k, big_e = complete_k_e(k)
+    k2 = k * k
+    r = 32.0 * big_k * ((2.0 - k2) * big_k - 3.0 * big_e)
+    q512 = 512.0 * big_k**4 * (1.0 - k2 + k2 * k2)
+    none = out | (np.real(r) <= 0.0) | (np.real(r) ** 2 >= np.real(q512))
+    r = np.where(none, 1.0, r)
+    return np.where(none, math.nan, np.sqrt((r * r + q512) / (3.0 * r)))
 
 
-def zero_mean_period(k: float, L_bracket: tuple[float, float]) -> float | None:
-    """Period L* with a(k, L*) = 0; None when a keeps its sign on the bracket.
+def zero_mean_period(k: float) -> float | None:
+    """Period L* with a(k, L*) = 0 (:func:`_zero_mean_l`); None without a branch.
 
-    Branch absence is an expected finding (a < 0 throughout the small-k
-    region), so a missing root is reported, not raised.  Newton's method
-    on a(k, L) (:func:`_mean_and_slope`) starts at the bracket midpoint,
-    bisects when a step leaves the sign-change interval, and stops after
-    a step below 1e-12 L, which quadratic convergence leaves at rounding.
+    Branch absence is an expected finding, so it is reported, not raised:
+    L* grows without bound as k falls to about 0.98038 and reaches the
+    discriminant boundary near k = 1 - 1.0e-8.
 
     Raises:
-        DomainError: if not 0 < lo < hi < inf, or an endpoint has no wave.
-        NumericalError: no convergence in 100 steps.
+        DomainError: if k is outside (0, 1).
     """
-    lo, hi = float(L_bracket[0]), float(L_bracket[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise DomainError(f"bad bracket {L_bracket}")
-    try:
-        a_lo = wave_params(k, lo).a
-        a_hi = wave_params(k, hi).a
-    except DomainError as exc:
-        raise DomainError(f"bracket endpoint leaves the valid domain: {exc}") from exc
-    if a_lo == 0.0:
-        return lo
-    if a_hi == 0.0:
-        return hi
-    if a_lo * a_hi > 0.0:
-        return None
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        a, slope = _mean_and_slope(k, x)
-        if a == 0.0:
-            return x
-        if (a < 0.0) == (a_lo < 0.0):
-            lo = x
-        else:
-            hi = x
-        x_new = x - a / slope if slope != 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-12 * x:
-            return x_new
-        x = x_new
-    raise NumericalError(f"zero-mean Newton iteration did not converge at k={k}")
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"zero_mean_period requires 0 < k < 1, got k={k}")
+    l_star = float(_zero_mean_l(k))
+    return None if math.isnan(l_star) else l_star
 
 
-def _branch_state(k, l_star: float) -> tuple:
-    """(L*, c, F, d = E + c F) on the zero-mean branch at modulus k, from
-    the real root l_star = L*(Re k); at complex k = k0 + i h, one complex
-    Newton step from L*(k0) gives L* - a / a_L, whose imaginary part is
-    -h a_k / a_L = h dL*/dk: the branch continued to complex k.
-    """
-    if isinstance(k, complex):
-        l_star -= wave_mod._params_from_k_l(k, l_star)[0] / _mean_and_slope(k.real, l_star)[1]
+def _branch_state(k) -> tuple:
+    """(L*, c, F, d = E + c F) on the zero-mean branch at modulus k, real or
+    complex: the closed forms at L*(k), so at k + 1e-30 i one evaluation
+    carries the branch's k-derivatives."""
+    l_star = _zero_mean_l(k)
     a, b, c, big_k, big_e = wave_mod._params_from_k_l(k, l_star)
     f = wave_mod._momentum(a, b, k, big_k, big_e, l_star)
     return l_star, c, f, wave_mod._energy(a, b, k, big_k, big_e, l_star) + c * f
 
 
-def d_second(k: float, L_bracket: tuple[float, float]) -> DSecondReport | None:
+def d_second(k: float) -> DSecondReport | None:
     """d'(c) and d''(c) along the zero-mean branch, or None without a branch.
 
     d'(c) = F(phi) by the chain rule through the critical-point identity;
     d''(c) = (dF/dk) / (dc/dk), the exact k-derivatives being
-    :func:`mchwave.wave._dk` over :func:`_branch_state`.  Cross-checks: the
-    direct d'(c) = (dd/dk) / (dc/dk), and its central difference over dc/dk
-    at k +- ``default_fd_step(k)``.  Stencil points k' follow the branch from
-    (k, L*): their root is sought between L* and L* + 2 (k' - k) dL*/dk, so
-    ``L_bracket`` need only hold L*.
+    :func:`mchwave.wave._dk` over :func:`_branch_state`.  Cross-check: the
+    direct d'(c) = (dd/dk) / (dc/dk) from the same evaluation.
 
     Raises:
-        DomainError: bad bracket, or the branch leaves twice its tangent
-            move inside the stencil.
+        DomainError: if k is outside (0, 1).
         SingularError: |dc/dk| below 1e-10 (singular parametrization).
     """
-    l_star = zero_mean_period(k, L_bracket)
-    if l_star is None:
+    if zero_mean_period(k) is None:
         return None
-    dl_dk, dc_dk, df_dk, dd_dk = (
-        float(v) for v in wave_mod._dk(partial(_branch_state, l_star=l_star), k))
+    _, dc_dk, df_dk, dd_dk = (float(v) for v in wave_mod._dk(_branch_state, k))
     if abs(dc_dk) < 1e-10:
         raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
-    _, c0, f0, _ = (float(v) for v in _branch_state(k, l_star))
-    step = default_fd_step(k)
-
-    def d_prime_direct(kk: float) -> float:
-        root = zero_mean_period(kk, sorted((l_star, l_star + 2.0 * (kk - k) * dl_dk)))
-        if root is None:
-            raise DomainError(f"zero-mean branch lost at k={kk}")
-        _, dc, _, dd = wave_mod._dk(partial(_branch_state, l_star=root), kk)
-        return float(dd / dc)
-
-    d2_fd = (d_prime_direct(k + step) - d_prime_direct(k - step)) / (2.0 * step) / dc_dk
-    return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk,
-                         d_prime=f0, d_prime_fd=dd_dk / dc_dk,
-                         d_second=df_dk / dc_dk, d_second_fd=d2_fd)
+    l_star, c0, f0, _ = (float(v) for v in _branch_state(k))
+    return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk, d_prime=f0,
+                         d_prime_direct=dd_dk / dc_dk, d_second=df_dk / dc_dk)
 
 
-def krein_index(k: float, L_bracket: tuple[float, float], n: int = 256) -> KreinReport:
+def krein_index(k: float, n: int = 256) -> KreinReport:
     """Hamiltonian Krein index on the zero-mean branch.
 
     K_Ham = n(L|Y0) - n(D) with D = -d''(c); the wave is classified
-    unstable when K_Ham = 1 and stable when K_Ham = 0.  The counts and
-    the pairing come from :func:`morse_check` at (k, L*) on n nodes, the
-    only use of n.  Classification is ``indeterminate`` when the branch is
-    absent, dc/dk is zero, the pairing or D is too close to zero, or the
-    counts fall outside the formula's reach.  Other errors propagate; a
-    bad n is refused before the branch is sought.
+    unstable when K_Ham = 1 and stable when K_Ham = 0.  L* comes from k in
+    closed form (:func:`zero_mean_period`).  The counts and the pairing
+    come from :func:`morse_check` at (k, L*) on n nodes, the only use of n.
+    Classification is ``indeterminate`` when the branch is absent, dc/dk is
+    zero, the pairing or D is too close to zero, or the counts fall outside
+    the formula's reach.  Other errors propagate; a bad n is refused before
+    the branch is evaluated, and k outside (0, 1) raises DomainError.
     """
     check_grid_size(n)
     try:
-        report = d_second(k, L_bracket)
+        report = d_second(k)
     except SingularError:  # dc/dk at zero
         report = None
     if report is None:

@@ -464,11 +464,6 @@ def _dk(f: Callable, k) -> tuple:
     return tuple(np.imag(v) / COMPLEX_STEP for v in f(k + 1j * COMPLEX_STEP))
 
 
-def default_fd_step(k: float) -> float:
-    """Step keeping the stencil inside (0, 1) and the roundoff benign."""
-    return min(1e-3, 0.25 * k, 0.25 * (1.0 - k))
-
-
 def params_dk(k: float, L: float) -> ParamDerivatives:
     """Exact k-derivatives of (a, b, c, A) at fixed L: :func:`_dk` over the
     closed forms.

@@ -297,35 +297,42 @@ class TestSpectrumCommand:
 
 class TestKreinCommand:
     def test_no_branch(self, tmp_path):
-        code = dispatch(["krein", "--k", "0.5", "--L-min", "4pi", "--L-max", "12pi",
-                         "--out-dir", str(tmp_path)])
+        code = dispatch(["krein", "--k", "0.5", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "krein.json").read_text())
         assert payload["krein"]["classification"] == "indeterminate"
 
     def test_bad_grid_size_exits_domain(self, tmp_path):
         # the branch exists, so n reaches the operator grid, which refuses 15
-        code = dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "200",
-                         "--n", "15", "--out-dir", str(tmp_path)])
+        code = dispatch(["krein", "--k", "0.985", "--n", "15", "--out-dir", str(tmp_path)])
         assert code == EXIT_DOMAIN
         assert not (tmp_path / "krein.json").exists()
 
     @pytest.mark.parametrize("n", ["15", "-3"])
     @pytest.mark.parametrize("k", ["0.5", "0.985"])
     def test_bad_grid_size_refused_with_or_without_branch(self, tmp_path, k, n):
-        # n is checked before the branch is sought; there is none at k = 0.5
-        code = dispatch(["krein", "--k", k, "--L-min", "12.5", "--L-max", "200",
-                         "--n", n, "--out-dir", str(tmp_path)])
+        # n is checked before the branch is evaluated; there is none at k = 0.5
+        code = dispatch(["krein", "--k", k, "--n", n, "--out-dir", str(tmp_path)])
         assert code == EXIT_DOMAIN
         assert not (tmp_path / "krein.json").exists()
 
-    def test_bracket_just_above_root(self, tmp_path):
-        # L* = 34.9136 at k = 0.985; the bracket need not hold the stencil's roots
-        code = dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "34.92",
-                         "--n", "64", "--out-dir", str(tmp_path)])
+    def test_branch_values(self, tmp_path):
+        code = dispatch(["krein", "--k", "0.985", "--n", "64", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "krein.json").read_text())
         assert payload["krein"]["D"] == pytest.approx(-9.598615975413358, rel=1e-10)
+        assert payload["krein"]["L_star"] == pytest.approx(34.9136, rel=1e-4)
+
+    @pytest.mark.parametrize("k", ["0", "1", "-0.5", "nan"])
+    def test_modulus_outside_unit_interval_exits_domain(self, tmp_path, k):
+        code = dispatch(["krein", "--k", k, "--out-dir", str(tmp_path)])
+        assert code == EXIT_DOMAIN
+        assert not (tmp_path / "krein.json").exists()
+
+    def test_bracket_options_are_gone(self, tmp_path):
+        # L* is computed from k, so there is no period bracket to give
+        assert dispatch(["krein", "--k", "0.985", "--L-min", "12.5", "--L-max", "200",
+                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 class TestEvolveAndOrbit:
@@ -346,10 +353,11 @@ class TestEvolveAndOrbit:
         assert code == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("command", ["evolve", "orbit"])
-    @pytest.mark.parametrize("bad", [["--t-end", "inf"], ["--dt", "inf"], ["--t-end", "nan"]])
+    @pytest.mark.parametrize("bad", [["--t-end", "inf"], ["--dt", "inf"], ["--t-end", "nan"],
+                                     ["--dt", "1e-310", "--t-end", "1"]])
     def test_non_finite_time_exits_domain(self, tmp_path, command, bad):
-        # --t-end inf used to end in an OverflowError traceback, and --dt inf
-        # ran one step of length t_end
+        # --t-end inf, and a subnormal --dt whose t_end / dt is inf, used to end
+        # in an OverflowError traceback, and --dt inf ran one step of length t_end
         args = [command, "--k", "0.5", "--L", "6pi", "--out-dir", str(tmp_path)] + bad
         assert dispatch(args) == EXIT_DOMAIN
         assert not (tmp_path / f"{command}.csv").exists()

@@ -47,12 +47,17 @@ class TestConfig:
             mw.EvolutionConfig(dt=0.0, t_end=1.0)
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.1, t_end=-1.0)
+        # at dt = 1e-310, t_end / dt is inf, which round() used to raise on
         for dt, t_end in [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf),
-                          (0.1, math.nan)]:
+                          (0.1, math.nan), (1e-310, 1.0)]:
             with pytest.raises(DomainError, match="finite"):
                 mw.EvolutionConfig(dt=dt, t_end=t_end)
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.1, t_end=1.0, monitor_every=0)
+
+    def test_steps_land_on_t_end(self):
+        assert mw.EvolutionConfig(dt=0.3, t_end=1.0).steps == (3, 1.0 / 3)
+        assert mw.EvolutionConfig(dt=5.0, t_end=1.0).steps == (1, 1.0)
 
     def test_suggested_dt(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)

@@ -1,5 +1,6 @@
 """Stability index, Morse identities, zero-mean branch, Krein machinery."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from mpmath import mp
 import mchwave as mw
 from mchwave import AccuracyError, DomainError
 from mchwave.cli import EXIT_OK, dispatch
-from mchwave.indices import _branch_state, classify, zero_mean_period
+from mchwave.indices import _branch_state, _zero_mean_l, classify, zero_mean_period
 from mchwave.wave import fd_dk
 
 from conftest import fd_index
@@ -266,11 +267,11 @@ class TestMorseCheck:
 
 class TestZeroMeanPeriod:
     def test_no_root_at_small_modulus(self):
-        # the mean level stays negative through the bracket
-        assert zero_mean_period(0.1, (3 * math.pi, 20 * math.pi)) is None
+        # the mean level stays negative at every period
+        assert zero_mean_period(0.1) is None
 
     def test_root_found_at_high_modulus(self):
-        l_star = zero_mean_period(0.985, (12.5, 200.0))
+        l_star = zero_mean_period(0.985)
         assert l_star is not None
         assert abs(mw.wave_params(0.985, l_star).a) < 1e-10
         # the sampled profile has (almost) zero mean there
@@ -278,36 +279,66 @@ class TestZeroMeanPeriod:
         phi = mw.sample_wave(p, mw.PeriodicGrid(p.L, 256))
         assert abs(mw.integrate(phi) / p.L) < 1e-9
 
-    def test_bracket_leaving_domain(self):
-        with pytest.raises(DomainError):
-            zero_mean_period(0.985, (5.0, 40.0))  # lower end has Delta < 0
+    @pytest.mark.parametrize("k", [0.5, 0.98, 1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-13])
+    def test_no_branch_outside_its_window(self, k):
+        # R <= 0 below k = 0.98038; R^2 >= 512 Q, so Delta(k, L*) <= 0, near 1
+        assert zero_mean_period(k) is None
 
-    def test_bad_bracket(self):
-        with pytest.raises(DomainError):
-            zero_mean_period(0.5, (10.0, 3.0))
+    @pytest.mark.parametrize("k", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_modulus_outside_unit_interval_raises(self, k):
+        for fn in (zero_mean_period, mw.d_second, mw.krein_index):
+            with pytest.raises(DomainError):
+                fn(k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.98046, 1.0 - 1e-7))
+    def test_mean_changes_sign_at_the_root(self, k):
+        # a rises through 0 at L*: the root is the branch, not a stray value
+        l_star = zero_mean_period(k)
+        assert l_star is not None
+        assert mw.wave_params(k, l_star * (1.0 - 1e-8)).a < 0.0
+        assert mw.wave_params(k, l_star * (1.0 + 1e-8)).a > 0.0
+
+    def test_elementwise_over_real_and_complex_moduli(self):
+        ks = np.array([0.5, 0.985, 0.999, 1.0 - 1e-13])
+        l_star = _zero_mean_l(ks)
+        assert np.isnan(l_star[[0, 3]]).all()
+        assert l_star[1] == zero_mean_period(0.985)
+        assert l_star[2] == zero_mean_period(0.999)
+        # the complex step through the closed form against the FD oracle
+        dl_dk = np.imag(_zero_mean_l(ks[1:3] + 1e-30j)) / 1e-30
+        oracle = fd_dk(lambda kk: _zero_mean_l(kk)[None], ks[1:3], 1e-5)[0]
+        assert dl_dk == pytest.approx(oracle, rel=1e-6)
 
 
 class TestDSecond:
     def test_absent_branch_returns_none(self):
-        assert mw.d_second(0.5, (4 * math.pi, 12 * math.pi)) is None
+        assert mw.d_second(0.5) is None
 
     def test_branch_values_and_crosschecks(self):
-        rep = mw.d_second(0.985, (12.5, 200.0))
+        rep = mw.d_second(0.985)
         assert rep is not None
         assert rep.L_star == pytest.approx(34.9136, rel=1e-4)
         # the chain-rule shortcut d'(c) = F(phi) misses the period-variation
-        # term on this branch; the direct FD value differs by ~1.7%
-        assert rep.d_prime_fd == pytest.approx(rep.d_prime, rel=0.03)
-        assert rep.d_second_fd == pytest.approx(rep.d_second, rel=0.05)
+        # term on this branch; the direct value differs by ~1.7%
+        assert rep.d_prime_direct == pytest.approx(rep.d_prime, rel=0.03)
+        # central difference of the direct d'(c) over c, from k +- 1e-3
+        step = 1e-3
+        hi, lo = mw.d_second(0.985 + step), mw.d_second(0.985 - step)
+        d2_fd = (hi.d_prime_direct - lo.d_prime_direct) / (2.0 * step) / rep.dc_dk
+        assert d2_fd == pytest.approx(rep.d_second, rel=0.05)
         assert rep.dc_dk > 0.0
+        # the FD oracle over the branch
+        dc_dk, df_dk = fd_dk(lambda kk: np.array(_branch_state(kk)[1:3]), 0.985, 2.5e-4)
+        assert rep.d_second == pytest.approx(df_dk / dc_dk, rel=1e-6)
 
     def test_period_variation_term_explains_gap(self):
-        # d'(c)_fd - F = L'(c) * ([e + c f](0) - A phi(0)) with the
+        # d'(c)_direct - F = L'(c) * ([e + c f](0) - A phi(0)) with the
         # energy/momentum densities evaluated at the profile minimum
         k, h = 0.985, 2.5e-4
-        rep = mw.d_second(k, (12.5, 200.0))
-        l_hi = zero_mean_period(k + h, (12.5, 200.0))
-        l_lo = zero_mean_period(k - h, (12.5, 200.0))
+        rep = mw.d_second(k)
+        l_hi = zero_mean_period(k + h)
+        l_lo = zero_mean_period(k - h)
         c_hi = mw.wave_params(k + h, l_hi).c
         c_lo = mw.wave_params(k - h, l_lo).c
         dl_dc = (l_hi - l_lo) / (c_hi - c_lo)
@@ -315,11 +346,12 @@ class TestDSecond:
         phi0 = mw.profile(p, 0.0)[0]
         density = -(phi0**4) / 4.0 + p.c * 0.5 * phi0**2
         predicted = dl_dc * (density - p.A * phi0)
-        assert rep.d_prime_fd - rep.d_prime == pytest.approx(predicted, rel=0.01)
+        assert rep.d_prime_direct - rep.d_prime == pytest.approx(predicted, rel=0.01)
 
 
 class TestBranchOracle:
-    """50-digit mpmath oracle for the zero-mean branch at k = 0.985."""
+    """50-digit mpmath oracle for the zero-mean branch: L* by a bracketed
+    root of a(k, L), d''(c) by differentiating c and F along it."""
 
     @staticmethod
     def coeffs(k, big_l):
@@ -335,7 +367,17 @@ class TestBranchOracle:
         return a, b, c, big_k, big_e
 
     def l_star(self, k):
-        return mp.findroot(lambda big_l: self.coeffs(k, big_l)[0], mp.mpf(34.9))
+        # a < 0 just above the discriminant boundary; step out to a sign change
+        m = k * k
+        lo = (2048 * mp.ellipk(m) ** 4 * (1 - m + m * m) / 9) ** mp.mpf(0.25)
+        lo, hi = lo * (1 + mp.mpf(10) ** -40), lo * mp.mpf(1.01)
+
+        def mean(big_l):
+            return self.coeffs(k, big_l)[0]
+
+        while mean(hi) < 0:
+            lo, hi = hi, hi * mp.mpf(1.1)
+        return mp.findroot(mean, (lo, hi), solver="anderson")
 
     def speed(self, k):
         return self.coeffs(k, self.l_star(k))[2]
@@ -356,13 +398,14 @@ class TestBranchOracle:
 
         return big_l / (2 * big_k) * mp.quad(integrand, [0, mp.pi / 2])
 
-    def test_newton_root_and_complex_step_d_second(self):
-        rep = mw.d_second(0.985, (12.5, 200.0))
+    @pytest.mark.parametrize("k", [0.981, 0.985, 0.995, 0.999, 0.999999])
+    def test_closed_form_root_and_complex_step_d_second(self, k):
+        rep = mw.d_second(k)
         with mp.workdps(50):
-            k = mp.mpf(0.985)
-            l_star = self.l_star(k)
-            d2 = mp.diff(self.momentum, k) / mp.diff(self.speed, k)
-            assert rep.L_star == pytest.approx(float(l_star), rel=1e-12)
+            kk = mp.mpf(k)
+            l_star = self.l_star(kk)
+            d2 = mp.diff(self.momentum, kk) / mp.diff(self.speed, kk)
+            assert rep.L_star == pytest.approx(float(l_star), rel=1e-13)
             assert rep.d_second == pytest.approx(float(d2), rel=1e-9)
 
 
@@ -370,55 +413,43 @@ class TestKrein:
     def test_bad_grid_size_raises(self):
         # n reaches only the operator grid of morse_check, which refuses 15
         with pytest.raises(DomainError):
-            mw.krein_index(0.985, (12.5, 200.0), n=15)
+            mw.krein_index(0.985, n=15)
 
     def test_default_path_samples_nothing(self, count_calls):
-        # the branch, its k-derivatives and both cross-checks are closed
-        # forms; the one profile sampling is the operator of morse_check
+        # the branch and its k-derivatives are closed forms; the one
+        # profile sampling is the operator of morse_check
         jacobi_calls = count_calls(mw.elliptic.jacobi)
         profile_calls = count_calls(mw.wave.profile)
         fd_calls = count_calls(mw.wave.fd_dk)
-        solves = count_calls(mw.indices.zero_mean_period)
-        assert mw.d_second(0.985, (12.5, 200.0)) is not None
+        branch = count_calls(mw.indices.zero_mean_period)
+        assert mw.d_second(0.985) is not None
         assert (len(jacobi_calls), len(profile_calls), len(fd_calls)) == (0, 0, 0)
-        # the root at k and the two at k +- step of the cross-check
-        assert len(solves) == 3
-        solves.clear()
-        rep = mw.krein_index(0.985, (12.5, 200.0), n=128)
+        assert len(branch) == 1
+        branch.clear()
+        rep = mw.krein_index(0.985, n=128)
         assert rep.z_L == 1
-        assert len(fd_calls) == 0 and len(solves) == 3
+        assert len(fd_calls) == 0 and len(branch) == 1
         assert len(profile_calls) == 1 and len(jacobi_calls) == 1
 
-    @pytest.mark.parametrize("bracket", [(12.5, 34.92), (34.9, 34.92)])
-    def test_bracket_only_has_to_hold_the_root(self, bracket):
-        # L* = 34.9136 at k = 0.985 moves by about 4 over the stencil step
-        # 1e-3; the stencil points follow the branch, not the bracket
-        wide = mw.d_second(0.985, (12.5, 200.0))
-        tight = mw.d_second(0.985, bracket)
-        assert tight.L_star == pytest.approx(wide.L_star, rel=1e-12)
-        assert tight.d_second == pytest.approx(wide.d_second, rel=1e-10)
-        assert tight.d_second_fd == pytest.approx(wide.d_second_fd, rel=1e-8)
-        # the FD oracle over the branch, its roots from the wide bracket
-        dc_dk, df_dk = fd_dk(lambda kk: np.array(
-            _branch_state(kk, zero_mean_period(kk, (12.5, 200.0)))[1:3]), 0.985, 2.5e-4)
-        assert tight.d_second == pytest.approx(df_dk / dc_dk, rel=1e-6)
-        rep = mw.krein_index(0.985, bracket, n=128)
-        assert rep.D == pytest.approx(-wide.d_second, rel=1e-10)
-        assert rep.K_Ham == mw.krein_index(0.985, (12.5, 200.0), n=128).K_Ham
+    def test_period_is_computed_not_given(self):
+        # L* follows from k in closed form: no entry point takes a bracket
+        for fn, params in ((zero_mean_period, ["k"]), (mw.d_second, ["k"]),
+                           (mw.krein_index, ["k", "n"])):
+            assert list(inspect.signature(fn).parameters) == params
 
     def test_only_a_singular_branch_reads_indeterminate(self, monkeypatch):
         def singular(*args, **kwargs):
             raise mw.SingularError("dc/dk = 0")
 
         monkeypatch.setattr(mw.indices, "d_second", singular)
-        assert mw.krein_index(0.985, (12.5, 200.0)).classification == "indeterminate"
+        assert mw.krein_index(0.985).classification == "indeterminate"
 
-        def no_convergence(*args, **kwargs):
-            raise mw.NumericalError("zero-mean Newton iteration did not converge")
+        def failure(*args, **kwargs):
+            raise mw.NumericalError("any other failure")
 
-        monkeypatch.setattr(mw.indices, "d_second", no_convergence)
+        monkeypatch.setattr(mw.indices, "d_second", failure)
         with pytest.raises(mw.NumericalError):
-            mw.krein_index(0.985, (12.5, 200.0))
+            mw.krein_index(0.985)
 
     def test_refuses_a_kernel_that_is_not_simple(self, monkeypatch):
         # morse_check deflates any kernel; the K_Ham formula needs a simple one
@@ -428,10 +459,10 @@ class TestKrein:
 
         monkeypatch.setattr(mw.indices, "morse_check", double_kernel)
         with pytest.raises(mw.RankError, match="kernel dimension 2"):
-            mw.krein_index(0.985, (12.5, 200.0), n=128)
+            mw.krein_index(0.985, n=128)
 
     def test_branch_absent_indeterminate(self):
-        rep = mw.krein_index(0.5, (4 * math.pi, 12 * math.pi))
+        rep = mw.krein_index(0.5)
         assert rep.classification == "indeterminate"
         assert math.isnan(rep.pairing)
 
@@ -439,7 +470,7 @@ class TestKrein:
         # at the only existing branch phi - c changes sign, the principal
         # part is indefinite, and the counting setting collapses; the
         # report must stay internally consistent and refuse a verdict
-        rep = mw.krein_index(0.985, (12.5, 200.0), n=128)
+        rep = mw.krein_index(0.985, n=128)
         assert rep.z_L == 1
         assert rep.n_L > 1
         d_count = 1 if rep.D < 0 else 0
@@ -476,7 +507,7 @@ def test_one_decomposition_per_operator(monkeypatch, tmp_path):
     mw.morse_check(0.5, 6 * math.pi)
     assert sorted(sizes) == [127, 129]
     sizes.clear()
-    mw.krein_index(0.985, (12.5, 200.0), n=128)
+    mw.krein_index(0.985, n=128)
     assert sorted(sizes) == [63, 65]
     sizes.clear()
     assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",

@@ -209,7 +209,7 @@ class TestSecularMinor:
     @pytest.mark.parametrize("n", [256, 1024])
     def test_near_the_zero_mean_period(self, n):
         # k = 0.999 at L*: the most poles kept (about 100)
-        l_star = mw.indices.zero_mean_period(0.999, (19.0, 21.0))
+        l_star = mw.indices.zero_mean_period(0.999)
         assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(0.999, l_star), n))
 
     @pytest.mark.parametrize("n", [256, 512])
