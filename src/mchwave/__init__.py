@@ -6,7 +6,7 @@ evolution.
 
 __version__ = "0.1.0"
 
-from .elliptic import complete_e, complete_k, complete_k_e, jacobi
+from .elliptic import complete_k_e, jacobi
 from .errors import (
     AccuracyError,
     AssemblyError,
@@ -73,7 +73,6 @@ from .wave import (
     ValidityReport,
     WaveParams,
     constant_wave,
-    discriminant,
     ode_residual,
     params_dk,
     profile,

@@ -309,7 +309,10 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
 
 
 def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
-    """Unit-H^1 random field on the modes 1 .. min(8, n/4), reproducible by seed."""
+    """Unit-H^1 random field on the modes 1 .. min(8, n/4), reproducible by
+    a seed >= 0 (a negative one raises DomainError)."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = grid.nodes
     vals = np.zeros(grid.n)

@@ -130,15 +130,6 @@ def _outside(k, L):
     return ~((k_re >= 0.0) & (k_re <= MODULUS_CUTOFF) & (l_re > 0.0) & np.isfinite(L))
 
 
-def discriminant(k: float, L: float) -> float:
-    """Delta(k, L) = 9 L^4 - 2048 K(k)^4 (1 - k^2 + k^4)."""
-    big_k, _ = complete_k_e(k)
-    delta = 9.0 * _power(np.float64(L), 4) - 2048.0 * big_k**4 * (1.0 - k * k + k**4)
-    if math.isinf(delta):
-        raise DomainError(f"period L={L} too large for the closed forms: L**4 overflows")
-    return float(delta)
-
-
 def _params_from_k_l(k, L) -> tuple:
     """(a, b, c, K, E) by direct evaluation of the closed forms, elementwise.
 

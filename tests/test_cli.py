@@ -375,7 +375,7 @@ class TestEvolveAndOrbit:
 
     @pytest.mark.parametrize("bad", [["--delta", "nan"], ["--delta", "inf"],
                                      ["--rho-factor", "-1"], ["--rho-factor", "0"],
-                                     ["--rho-factor", "nan"]])
+                                     ["--rho-factor", "nan"], ["--seed", "-1"]])
     def test_orbit_bad_delta_or_rho_factor_exits_domain(self, tmp_path, bad):
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--t-end", "1",
                 "--out-dir", str(tmp_path)] + bad

@@ -421,6 +421,10 @@ class TestOrbitalExperiment:
         w2 = seeded_perturbation(g, seed=11)
         assert np.array_equal(w.values, w2.values)
 
+    def test_seeded_perturbation_negative_seed(self):
+        with pytest.raises(DomainError):
+            seeded_perturbation(mw.PeriodicGrid(6 * math.pi, 256), -1)
+
     def test_small_perturbation_stays_close(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         dt = mw.suggested_dt(mw.sample_wave(wave05, grid), speed=wave05.c)

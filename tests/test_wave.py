@@ -46,12 +46,12 @@ class TestWaveParams:
         assert math.isnan(rep.ineq_i_value) and math.isnan(rep.ineq_ii_margin)
 
     def test_amplitude_formula(self, wave05):
-        big_k = mw.complete_k(0.5)
+        big_k = mw.complete_k_e(0.5)[0]
         assert wave05.b == pytest.approx(-32.0 * big_k**2 / (36.0 * math.pi**2), rel=1e-14)
         assert wave05.b == pytest.approx(-0.2559376934375863, rel=1e-12)
 
     def test_discriminant_failure(self):
-        assert mw.discriminant(0.9, math.pi) < 0.0
+        assert mw.validity(0.9, math.pi).discriminant_ok is False
         with pytest.raises(DomainError):
             mw.wave_params(0.9, math.pi)
 
@@ -85,7 +85,7 @@ class TestWaveParams:
         # oracle: c = X / (2 (3 + sqrt(9 - X))), X = 2048 K^4 (1 - k^2 + k^4) / L^4,
         # the root of c^2 - 3c + X/4 = 0 free of the cancelling subtraction
         # 1.5 L^2 - sqrt(Delta)/2
-        x = 2048.0 * mw.complete_k(k) ** 4 * (1.0 - k * k + k**4) / big_l**4
+        x = 2048.0 * mw.complete_k_e(k)[0] ** 4 * (1.0 - k * k + k**4) / big_l**4
         expected = x / (2.0 * (3.0 + math.sqrt(9.0 - x)))
         c = mw.wave_params(k, big_l).c
         assert abs(c - expected) <= 1e-14 * expected
@@ -111,7 +111,7 @@ class TestWaveParams:
         # A by 1e-9, which a gate of 1e-8 max(1, |A|) misses and 1e3 times
         # the floor (about 5.6e-16 at (0.5, 20)) does not
         closed = mw.wave._a_closed_form
-        floor = closed(0.5, 20.0, mw.complete_k(0.5))[1]
+        floor = closed(0.5, 20.0, mw.complete_k_e(0.5)[0])[1]
         assert 1e-16 < floor < 1e-15
         with caplog.at_level("WARNING", logger="mchwave.wave"):
             mw.wave_params(0.5, 20.0)
@@ -190,7 +190,7 @@ class TestSnoidalForm:
     def test_pointwise_agreement(self, wave05):
         sp = mw.snoidal_form(wave05)
         x = np.arange(512) * (wave05.L / 512)
-        big_k = mw.complete_k(wave05.k)
+        big_k = mw.complete_k_e(wave05.k)[0]
         sn = mw.jacobi(2.0 * big_k * x / wave05.L, wave05.k)[0]
         phi_sn = sp.alpha + sp.beta * sn * sn
         phi_dn = mw.profile(wave05, x)[0]
