@@ -93,8 +93,11 @@ def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Na
         lines.append(f"# {key}: {val}")
     lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        # one % pass over every cell, with the conversion _fmt picks per cell
+        template = "\n".join(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
+                             for row in rows)
+        lines.append(template % tuple(v for row in rows for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 

@@ -17,9 +17,13 @@ calls: one batched inverse transform that lifts u, u_x and u_xx to the
 fine grid together (their symbols, the zero padding and the amplitude
 scale are tabulated once per grid), and a forward transform of the
 product u (u_xx - u^2) + u_x^2 / 2, whose coarse modes times the
-smoothing symbol are the result.  One inverse transform per step gives
-the grid values for the blow-up check and the monitors: nine FFT calls
-per step.
+smoothing symbol are the result: eight FFT calls per step.  The
+blow-up check of a step's state reads u at the coarse nodes off the
+fine grid of the next step's first stage, so the coarse inverse
+transform runs only at the monitor steps, where the records need it
+and the check reads its values instead.  The two readings of u differ
+by rounding, so only a max |u| within rounding of the threshold can
+fall on the other side of it.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -133,10 +137,15 @@ class _RhsOperator:
     """Precomputed spectral machinery for the smoothed right side, acting on
     rfft spectra: n/2 + 1 coefficients of u in, those of u_t out.
 
-    ``lift`` stacks the symbols 1, i kappa and -kappa^2 as they act on the
-    coarse rfft spectrum, with the zero padding's Nyquist halving and the
-    m / n amplitude scale folded in, so one batched inverse transform of
-    ``lift * spec`` gives u, u_x and u_xx on the fine grid.
+    ``lift`` stacks the symbols 2, 2 i kappa and -4 kappa^2 as they act on
+    the coarse rfft spectrum, with the zero padding's Nyquist halving and
+    the m / n amplitude scale folded in, so one batched inverse transform
+    of ``lift * spec`` gives a = 2u, c = 2u_x and b = 4u_xx on the fine
+    grid.  The product is formed in place as 8w = a (b - a^2) + c^2 and
+    ``sym_out`` carries the 1/8: the factors are powers of two, so every
+    rounding is that of w itself while the values stay in the normal
+    range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
+    even fine ones).
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -147,37 +156,65 @@ class _RhsOperator:
         sym_d1[-1] = 0.0
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
         half = self.n // 2 + 1
-        syms = (np.ones(half), sym_d1, -(kap * kap))
+        syms = (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap))
         self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
                                                   for s in syms])
-        self.sym_out = self.sym_smooth * (self.n / self.m)
+        self.sym_out = self.sym_smooth * (self.n / self.m / 8.0)
         self._fine_spec = np.zeros((3, self.m // 2 + 1), dtype=complex)
+        self._fine = np.empty((3, self.m))
+        self._w = np.empty(self.m)
+        self.u2_coarse = self._fine[0, ::2]
 
     def __call__(self, spec: np.ndarray) -> np.ndarray:
         half = self.n // 2 + 1
         np.multiply(self.lift, spec, out=self._fine_spec[:, :half])
-        u_f, ux_f, uxx_f = np.fft.irfft(self._fine_spec, self.m)
-        w_f = u_f * (uxx_f - u_f * u_f) + 0.5 * ux_f * ux_f
+        a, c, b = np.fft.irfft(self._fine_spec, self.m, out=self._fine)
+        w = self._w
+        np.multiply(a, a, out=w)
+        np.subtract(b, w, out=w)
+        w *= a
+        np.multiply(c, c, out=c)
+        w += c
         # sym_out vanishes at the Nyquist mode, where the fine spectrum would
         # fold +-n/2 onto the grid cosine, so the coarse slice is exact
-        out = self.sym_out * np.fft.rfft(w_f)[:half]
-        if not np.isfinite(out).all():
-            raise BlowUpError("non-finite value in right-side evaluation")
-        return out
+        return self.sym_out * np.fft.rfft(w)[:half]
 
 
 def rhs(u: PeriodicField) -> PeriodicField:
-    """One evaluation of the smoothed right side dx (1-dx^2)^{-1}(...)."""
-    op = _RhsOperator(u.grid)
-    return PeriodicField(u.grid, np.fft.irfft(op(u.spectrum), u.grid.n))
+    """One evaluation of the smoothed right side dx (1-dx^2)^{-1}(...).
+
+    Raises:
+        BlowUpError: if the result is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.fft.irfft(_RhsOperator(u.grid)(u.spectrum), u.grid.n)
+    if not np.isfinite(out).all():
+        raise BlowUpError("non-finite value in right-side evaluation")
+    return PeriodicField(u.grid, out)
 
 
-def _rk4_step(f, values: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(values)
-    k2 = f(values + 0.5 * dt * k1)
-    k3 = f(values + 0.5 * dt * k2)
-    k4 = f(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step from ``values``, whose slope ``k1 = f(values)``
+    the caller has evaluated.  The stage inputs share one buffer, and the
+    sum ((k1 + 2 k2) + 2 k3) + k4, times dt / 6, plus ``values`` is formed
+    in place in k2: the operations of the textbook expression, in its order."""
+    stage = (0.5 * dt) * k1
+    stage += values
+    k2 = f(stage)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += values
+    k3 = f(stage)
+    np.multiply(k3, dt, out=stage)
+    stage += values
+    k4 = f(stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += values
+    return k2
 
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
@@ -226,22 +263,26 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 return TERMINATED_INSTABILITY
         return None
 
-    spec = np.fft.rfft(u0.values)
+    spec = u0.spectrum  # held since functionals(u0)
     terminated = record(0.0, u0.values) or TERMINATED_COMPLETED
+    monitored = True  # the state at t = 0 is recorded, not checked
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             if terminated != TERMINATED_COMPLETED:
                 break
-            try:
-                spec = _rk4_step(op, spec, dt)
-            except BlowUpError:
+            k1 = op(spec)
+            # an unmonitored step's state is checked off this stage's fine
+            # grid: 2u against twice the threshold is exact, and NaN fails too
+            if not monitored and not (np.max(np.abs(op.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
                 terminated = TERMINATED_BLOWUP
                 break
-            values = np.fft.irfft(spec, u0.grid.n)
-            if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
-                terminated = TERMINATED_BLOWUP
-                break
-            if step % cfg.monitor_every == 0 or step == n_steps:
+            spec = _rk4_step(op, spec, k1, dt)
+            monitored = step % cfg.monitor_every == 0 or step == n_steps
+            if monitored:
+                values = np.fft.irfft(spec, u0.grid.n)
+                if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
+                    terminated = TERMINATED_BLOWUP
+                    break
                 terminated = record(step * dt, values) or TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
@@ -289,7 +330,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     norms = [w * float(np.linalg.norm(values))]
     f = _linear_rhs(lop)
     for step in range(1, n_steps + 1):
-        values = _rk4_step(f, values, dt)
+        values = _rk4_step(f, values, f(values), dt)
         if not np.all(np.isfinite(values)):
             raise BlowUpError(f"linearized run lost finiteness at step {step}")
         if step % cfg.monitor_every == 0 or step == n_steps:
@@ -331,8 +372,14 @@ def orbital_experiment(p: WaveParams, delta: float, seed: int,
 
     Samples rho(u(t), phi) along the run; terminates with
     ``instability_detected`` if rho exceeds rho_factor * delta.  delta and
-    rho_factor are validated by :func:`run`.
+    rho_factor are validated by :func:`run`, and the seed must be >= 0 at
+    any delta.
+
+    Raises:
+        DomainError: if seed < 0.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     grid = PeriodicGrid(p.L, n)
     u0 = sample_wave(p, grid)
     if delta > 0.0:

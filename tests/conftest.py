@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 import mchwave as mw
-from mchwave import linop
+from mchwave import BlowUpError, evolve, linop
+from mchwave.field import _orbit_distance
 
 # Property tests draw the same examples on every run, and a slow machine
 # does not fail them on a per-example deadline.
@@ -167,3 +168,82 @@ def fd_index(k, big_l, h: float) -> np.ndarray:
         lambda kk: np.array(mw.wave._closed_forms(kk, big_l)), k, h)
     dv = big_l * da
     return np.array([big_da * dv - dc * df, big_da, dc, dv, df])
+
+
+def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
+    """``evolve.run`` as first written, the oracle it must match bit for bit:
+    every right side checks its output for finiteness and raises, and every
+    step takes the coarse inverse transform and checks max |u| on it.
+    Returns (Trajectory, StabilityRunReport) as ``run`` does."""
+    grid = u0.grid
+    n, m = grid.n, evolve.DEALIAS_PAD * grid.n
+    half = n // 2 + 1
+    kap = grid.wavenumbers()
+    sym_d1 = 1j * kap
+    sym_d1[-1] = 0.0
+    sym_out = sym_d1 / (1.0 + kap * kap) * (n / m)
+    lift = (m / n) * np.stack([evolve._pad_spectrum(s, n, m)[:half]
+                               for s in (np.ones(half), sym_d1, -(kap * kap))])
+    fine_spec = np.zeros((3, m // 2 + 1), dtype=complex)
+
+    def op(spec):
+        np.multiply(lift, spec, out=fine_spec[:, :half])
+        u_f, ux_f, uxx_f = np.fft.irfft(fine_spec, m)
+        w_f = u_f * (uxx_f - u_f * u_f) + 0.5 * ux_f * ux_f
+        out = sym_out * np.fft.rfft(w_f)[:half]
+        if not np.isfinite(out).all():
+            raise BlowUpError("non-finite value in right-side evaluation")
+        return out
+
+    def rk4_step(f, values, dt):
+        k1 = f(values)
+        k2 = f(values + 0.5 * dt * k1)
+        k3 = f(values + 0.5 * dt * k2)
+        k4 = f(values + dt * k3)
+        return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n_steps, dt = cfg.steps
+    phi_ref = mw.sample_wave(reference, grid) if reference is not None else None
+    e0, f0, v0 = mw.functionals(u0)
+    scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
+    times, fields, rho_list, drifts = [], [], [], []
+
+    def record(t, values):
+        fld = mw.PeriodicField(grid, values)
+        times.append(t)
+        fields.append(fld)
+        e, f, v = mw.functionals(fld)
+        drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
+        if phi_ref is not None:
+            r = _orbit_distance(fld, phi_ref)[0]
+            rho_list.append(r)
+            if delta and r > rho_factor * delta:
+                return evolve.TERMINATED_INSTABILITY
+        return None
+
+    spec = np.fft.rfft(u0.values)
+    terminated = record(0.0, u0.values) or evolve.TERMINATED_COMPLETED
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            if terminated != evolve.TERMINATED_COMPLETED:
+                break
+            try:
+                spec = rk4_step(op, spec, dt)
+            except BlowUpError:
+                terminated = evolve.TERMINATED_BLOWUP
+                break
+            values = np.fft.irfft(spec, n)
+            if not (np.max(np.abs(values)) <= evolve.BLOWUP_THRESHOLD):  # NaN fails too
+                terminated = evolve.TERMINATED_BLOWUP
+                break
+            if step % cfg.monitor_every == 0 or step == n_steps:
+                terminated = record(step * dt, values) or evolve.TERMINATED_COMPLETED
+
+    drift_arr = np.array(drifts)
+    report = evolve.StabilityRunReport(
+        times=np.array(times),
+        rho=np.array(rho_list) if phi_ref is not None else None,
+        drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
+        terminated=terminated,
+    )
+    return evolve.Trajectory(times=times, fields=fields), report

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -31,6 +32,27 @@ class TestParseLength:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_length("6tau")
+
+
+class TestWriteCsv:
+    ROWS = [[math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+            [np.float64(0.1), np.float64(-1e300), 1.0 / 3.0, 1e16, 123456789.0, 1.5, -2.5],
+            [0, -7, np.int64(42), True, False, np.bool_(True), np.float32(0.1)],
+            ["text", "50%", "%s", None, (1, 2), 7, "x"],
+            [], [0.5]]
+
+    def test_cells_formatted_as_fmt_decides(self, tmp_path):
+        args = argparse.Namespace(command="scan", x=0.1)
+        path = tmp_path / "out.csv"
+        cli.write_csv(path, ["a", "b"], self.ROWS, args)
+        lines = path.read_text().split("\n")
+        data = lines[lines.index("a,b") + 1:]
+        assert data == [",".join(cli._fmt(v) for v in row) for row in self.ROWS] + [""]
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli.write_csv(path, ["a", "b"], [], argparse.Namespace(command="scan"))
+        assert path.read_text().endswith("\na,b\n")
 
 
 class TestParser:
@@ -375,7 +397,8 @@ class TestEvolveAndOrbit:
 
     @pytest.mark.parametrize("bad", [["--delta", "nan"], ["--delta", "inf"],
                                      ["--rho-factor", "-1"], ["--rho-factor", "0"],
-                                     ["--rho-factor", "nan"], ["--seed", "-1"]])
+                                     ["--rho-factor", "nan"], ["--seed", "-1"],
+                                     ["--delta", "0", "--seed", "-1"]])
     def test_orbit_bad_delta_or_rho_factor_exits_domain(self, tmp_path, bad):
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--t-end", "1",
                 "--out-dir", str(tmp_path)] + bad

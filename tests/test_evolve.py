@@ -12,7 +12,7 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import dense_evolution_eigenvalues, random_smooth
+from conftest import dense_evolution_eigenvalues, random_smooth, reference_run
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -283,28 +283,30 @@ class TestSpectralState:
         run_drifts = np.column_stack((rep.drift_E, rep.drift_F, rep.drift_V))
         assert np.max(np.abs(run_drifts - drifts)) <= 1e-13
 
-    def test_nine_transforms_per_step(self, fft_calls, wave05):
-        # the two runs differ by 20 steps and nothing else
-        u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
+    def test_eight_transforms_per_step(self, fft_calls, wave05):
+        # the two runs differ by 20 unmonitored steps and nothing else: four
+        # right sides of two transforms each, and no coarse inverse transform
         counts = []
         for t_end in (1.0, 2.0):
+            u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))  # spectrum not yet held
             fft_calls.clear()
             _, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end,
                                                    monitor_every=10**9))
             assert rep.terminated == TERMINATED_COMPLETED
             assert list(rep.times) == [0.0, t_end]
             counts.append(len(fft_calls))
-        assert counts[1] - counts[0] <= 9 * 20
+        assert counts[1] - counts[0] == 8 * 20
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
-        # the benchmark's traced per-step counters wrap exactly these two names
+        # the benchmark's traced per-step counters wrap exactly these two names;
+        # run evaluates a step's first stage before it calls _rk4_step, so the
+        # right sides of a step are those between consecutive _rk4_step returns
         rk4, call = evolve._rk4_step, _RhsOperator.__call__
-        sides, per_step = [], []
+        sides, at_return = [], [0]
 
-        def counted_step(f, values, dt):
-            before = len(sides)
-            out = rk4(f, values, dt)
-            per_step.append(len(sides) - before)
+        def counted_step(*args):
+            out = rk4(*args)
+            at_return.append(len(sides))
             return out
 
         def counted_call(self, spec):
@@ -317,14 +319,98 @@ class TestSpectralState:
         _, rep = mw.run(mw.sample_wave(wave05, grid), mw.EvolutionConfig(dt=0.05, t_end=1.0),
                         reference=wave05)
         assert rep.terminated == TERMINATED_COMPLETED
-        assert per_step == [4] * 20 and len(sides) == 80
+        assert list(np.diff(at_return)) == [4] * 20 and len(sides) == 80
 
     def test_non_finite_spectrum_raises(self):
+        # the cube of 1e120 overflows, so the right side's spectrum is not finite
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        spec = np.fft.rfft(np.sin(g.nodes))
-        spec[3] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError):
-            _RhsOperator(g)(spec)
+        with pytest.raises(BlowUpError):
+            mw.rhs(mw.sample(lambda x: 1e120 * np.sin(x), g))
+
+
+def _assert_same_run(got, want):
+    (traj, rep), (traj_ref, rep_ref) = got, want
+    assert rep.terminated == rep_ref.terminated
+    assert traj.times == traj_ref.times and np.array_equal(rep.times, rep_ref.times)
+    assert (rep.rho is None) == (rep_ref.rho is None)
+    assert rep.rho is None or np.array_equal(rep.rho, rep_ref.rho)
+    for name in ("drift_E", "drift_F", "drift_V"):
+        assert np.array_equal(getattr(rep, name), getattr(rep_ref, name))
+    assert len(traj.fields) == len(traj_ref.fields)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(traj.fields, traj_ref.fields))
+
+
+class TestBitwiseOracle:
+    """``run`` against ``conftest.reference_run``, its first plain form: the
+    in-place stages and sum, the rescaled product and the blow-up check on
+    the next first stage must change no bit of any record."""
+
+    @pytest.mark.parametrize("monitor_every", [1, 25])
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.7, 9 * math.pi)])
+    def test_perturbed_waves(self, k, big_l, monitor_every):
+        p = mw.wave_params(k, big_l)
+        grid = mw.PeriodicGrid(p.L, 256)
+        phi = mw.sample_wave(p, grid)
+        u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=2.0,
+                                 monitor_every=monitor_every)
+        got = mw.run(u0, cfg, reference=p, delta=1e-3)
+        assert got[1].terminated == TERMINATED_COMPLETED and len(got[0].times) > 2
+        _assert_same_run(got, reference_run(u0, cfg, reference=p, delta=1e-3))
+
+    def test_blowup_at_large_dt(self, wave05):
+        grid = mw.PeriodicGrid(wave05.L, 256)
+        u0 = mw.sample_wave(wave05, grid)
+        cfg = mw.EvolutionConfig(dt=1.0, t_end=50.0)
+        got = mw.run(u0, cfg, reference=wave05)
+        assert got[1].terminated == TERMINATED_BLOWUP
+        _assert_same_run(got, reference_run(u0, cfg, reference=wave05))
+
+    def test_threshold_crossed_at_unmonitored_step(self, monkeypatch, wave05):
+        # the peak starts half a node off the grid and drifts onto a node, so
+        # max |u| grows by ~2.6e-7 a step: a threshold 5e-6 above its start
+        # is crossed near step 20 of 60, none of them monitored, and far
+        # beyond the rounding by which the two readings of u differ
+        rk4, steps = evolve._rk4_step, []
+
+        def counted_step(*args):
+            steps.append(None)
+            return rk4(*args)
+
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        u0 = mw.fractional_shift(mw.sample_wave(wave05, grid), 0.5 * grid.spacing)
+        monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", float(np.max(np.abs(u0.values))) + 5e-6)
+        cfg = mw.EvolutionConfig(dt=0.05, t_end=3.0, monitor_every=10**9)
+        monkeypatch.setattr(evolve, "_rk4_step", counted_step)
+        got = mw.run(u0, cfg, reference=wave05)
+        assert got[1].terminated == TERMINATED_BLOWUP and got[0].times == [0.0]
+        _assert_same_run(got, reference_run(u0, cfg, reference=wave05))
+        # the records cannot show where the run stopped: monitored at every
+        # step, the oracle records each step before the crossing, and run
+        # must have stepped exactly to it
+        every = mw.EvolutionConfig(dt=0.05, t_end=3.0, monitor_every=1)
+        crossing = len(reference_run(u0, every, reference=wave05)[0].times)
+        assert 10 < crossing < 50 and len(steps) == crossing
+
+    def test_non_finite_state_is_blowup(self, monkeypatch):
+        # a step of 1e100 overflows a stage, so the state after step 1 is not
+        # finite; step 1 is not monitored, and the first stage of step 2 reads it
+        rk4, states = evolve._rk4_step, []
+
+        def kept_step(*args):
+            states.append(rk4(*args))
+            return states[-1]
+
+        monkeypatch.setattr(evolve, "_rk4_step", kept_step)
+        g = mw.PeriodicGrid(2 * math.pi, 32)
+        u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
+        cfg = mw.EvolutionConfig(dt=1e100, t_end=2e100, monitor_every=10**9)
+        got = mw.run(u0, cfg)
+        assert len(states) == 1 and not np.isfinite(states[0]).all()
+        assert got[1].terminated == TERMINATED_BLOWUP
+        _assert_same_run(got, reference_run(u0, cfg))
 
 
 class TestLinearizedRun:
