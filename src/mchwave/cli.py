@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,50 @@ def _provenance(args: argparse.Namespace) -> dict:
     }
 
 
+def _json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=1)``, byte for byte, for a value at nesting
+    ``level`` whose dict keys are all str.
+
+    With an indent, ``json`` encodes in pure Python.  Here a list of only
+    ints and floats is one C-level ``json.dumps`` split at its ", ", which
+    no number's JSON text contains; everything else goes through the
+    scalar encoders ``json`` itself uses, with its TypeError for a value it
+    cannot encode.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        return "-Infinity" if value == -math.inf else float.__repr__(value)
+    inner = "\n" + " " * (level + 1)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} <= {float, int}:
+            items = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            items = ("," + inner).join([_json_text(v, level + 1) for v in value])
+        return "[" + inner + items + inner[:-1] + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1)
+             for k, v in value.items()]) + inner[:-1] + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict, args: argparse.Namespace) -> None:
     body = dict(_provenance(args))
     body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -81,7 +126,7 @@ def write_json(path: Path, payload: dict, args: argparse.Namespace) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # indent=1 keeps the timestamp on its own line, so byte comparisons
     # can exclude exactly that line.
-    path.write_text(json.dumps(body, indent=1, sort_keys=False) + "\n")
+    path.write_text(_json_text(body) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Namespace) -> None:
@@ -166,13 +211,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    p = indices.constant_or_wave(args.k, args.L)
+    p, rep = indices._wave_and_validity(args.k, args.L)
     op = linop.operator_for(p, args.n)
     full = linop.spectrum(op)
     restr = linop.restricted_spectrum(op)
     payload = {
         "wave": dataclasses.asdict(p),
-        "validity": dataclasses.asdict(wave_mod.validity(args.k, args.L)),
+        "validity": dataclasses.asdict(rep),
         "operator": {"reflection_defect": op.reflection_defect},
         "spectrum": _spectral_payload(full),
         "restricted_spectrum": _spectral_payload(restr),

@@ -39,7 +39,7 @@ from .elliptic import complete_k_e
 from .errors import DomainError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
-from .wave import WaveParams, wave_params
+from .wave import ValidityReport, WaveParams
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -244,21 +244,26 @@ def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
 
 def constant_or_wave(k: float, L: float) -> WaveParams:
     """Wave at (k, L), admitting the k = 0 constant-wave limit."""
-    if k == 0.0:
-        return wave_mod.constant_wave(L)
-    return wave_params(k, L)
+    return _wave_and_validity(k, L)[0]
 
 
-def _zero_mean_l(k):
+def _wave_and_validity(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
+    """:func:`constant_or_wave` and :func:`mchwave.wave.validity` at (k, L),
+    from one pass of the closed forms; k = 0 is :func:`mchwave.wave.constant_wave`."""
+    return wave_mod._one_wave(0.0 if k == 0.0 else k, L)
+
+
+def _zero_mean_l(k, k_e=None):
     """L*(k) with a(k, L*) = 0, elementwise, real or complex k; NaN where
     there is no branch.  a = (R - h) / (3 L^2), R = 32 K ((2 - k^2) K - 3 E),
     where h = 512 Q / (1.5 L^2 + sqrt(Delta) / 2), Q = K^4 (1 - k^2 + k^4),
     falls strictly from sqrt(512 Q) at Delta = 0 to 0.  So the one root is
-    L*^2 = (R^2 + 512 Q) / (3 R), iff 0 < R < sqrt(512 Q) (real parts)."""
+    L*^2 = (R^2 + 512 Q) / (3 R), iff 0 < R < sqrt(512 Q) (real parts).
+    ``k_e`` is (K, E) at k, if the caller has evaluated them."""
     out = wave_mod._outside(k, 1.0)
     if out.any():  # 0.5 has no branch; it stands in for the moduli outside
-        k = np.where(out, 0.5, k)
-    big_k, big_e = complete_k_e(k)
+        k, k_e = np.where(out, 0.5, k), None
+    big_k, big_e = complete_k_e(k) if k_e is None else k_e
     k2 = k * k
     r = 32.0 * big_k * ((2.0 - k2) * big_k - 3.0 * big_e)
     q512 = 512.0 * big_k**4 * (1.0 - k2 + k2 * k2)
@@ -285,10 +290,12 @@ def zero_mean_period(k: float) -> float | None:
 
 def _branch_state(k) -> tuple:
     """(L*, c, F, d = E + c F) on the zero-mean branch at modulus k, real or
-    complex: the closed forms at L*(k), so at k + 1e-30 i one evaluation
-    carries the branch's k-derivatives."""
-    l_star = _zero_mean_l(k)
-    a, b, c, big_k, big_e = wave_mod._params_from_k_l(k, l_star)
+    complex, NaN without a branch: the closed forms at L*(k), so at
+    k + 1e-30 i one evaluation carries the branch's k-derivatives.  L* and
+    the closed forms share one K/E evaluation where k is in the domain."""
+    k_e = None if wave_mod._outside(k, 1.0).any() else complete_k_e(k)
+    l_star = _zero_mean_l(k, k_e)
+    a, b, c, big_k, big_e = wave_mod._params_from_k_l(k, l_star, k_e)
     f = wave_mod._momentum(a, b, k, big_k, big_e, l_star)
     return l_star, c, f, wave_mod._energy(a, b, k, big_k, big_e, l_star) + c * f
 
@@ -301,16 +308,21 @@ def d_second(k: float) -> DSecondReport | None:
     :func:`mchwave.wave._dk` over :func:`_branch_state`.  Cross-check: the
     direct d'(c) = (dd/dk) / (dc/dk) from the same evaluation.
 
+    One real and one complex-step evaluation of the branch, each with one
+    K/E evaluation.
+
     Raises:
         DomainError: if k is outside (0, 1).
         SingularError: |dc/dk| below 1e-10 (singular parametrization).
     """
-    if zero_mean_period(k) is None:
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"d_second requires 0 < k < 1, got k={k}")
+    l_star, c0, f0, _ = (float(v) for v in _branch_state(k))
+    if math.isnan(l_star):
         return None
     _, dc_dk, df_dk, dd_dk = (float(v) for v in wave_mod._dk(_branch_state, k))
     if abs(dc_dk) < 1e-10:
         raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
-    l_star, c0, f0, _ = (float(v) for v in _branch_state(k))
     return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk, d_prime=f0,
                          d_prime_direct=dd_dk / dc_dk, d_second=df_dk / dc_dk)
 

@@ -129,14 +129,27 @@ class OperatorMatrix:
             raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
                                 f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
         half = self.grid.n // 2
-        kap = self.grid.wavenumbers()
+        kap, inner = self.grid.wavenumbers(), slice(1, half)
         kap_even = np.append(kap[:half], 0.0)
         (p_dif, q_dif), (p_sum, q_sum) = (v.real for v in self._windows)
-        even = q_dif + q_sum - np.outer(kap_even, kap_even) * (p_dif - p_sum)
-        even *= np.outer(_cosine_weights(half), _cosine_weights(half))
+        # Each entry takes the operations, in their order, of q_dif + q_sum -
+        # kk (p_dif - p_sum) and q_dif - q_sum - kk (p_dif + p_sum), with
+        # kk = kappa~_k kappa~_m (kappa~ = kappa inside the odd block), but
+        # in place: one scratch the size of E besides the two blocks.
+        scratch = np.outer(kap_even, kap_even)
+        odd = np.add(p_dif[inner, inner], p_sum[inner, inner])
+        odd *= scratch[inner, inner]
+        even = np.subtract(p_dif, p_sum)
+        even *= scratch
+        np.add(q_dif, q_sum, out=scratch)
+        np.subtract(scratch, even, out=even)
+        np.subtract(q_dif[inner, inner], q_sum[inner, inner], out=scratch[inner, inner])
+        np.subtract(scratch[inner, inner], odd, out=odd)
+        # E *= outer(s, s): s_k s_m is 1, and x * 1 = x, except in rows and
+        # columns 0 and n/2, so only those are scaled, by the same products
+        even[::half] *= math.sqrt(0.5) * _cosine_weights(half)
+        even[inner, ::half] *= math.sqrt(0.5)
         even[half, half] -= kap[half] ** 2 * p_dif[0, 0]
-        p_dif, p_sum, q_dif, q_sum = (a[1:half, 1:half] for a in (p_dif, p_sum, q_dif, q_sum))
-        odd = q_dif - q_sum - np.outer(kap[1:half], kap[1:half]) * (p_dif + p_sum)
         return even, odd
 
     @cached_property
@@ -147,9 +160,11 @@ class OperatorMatrix:
         half = self.grid.n // 2
         kap, inner = self.grid.wavenumbers(), slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
-        coupling = q_sum[inner] + q_dif[inner] + np.outer(
-            kap[inner], np.append(kap[:half], 0.0)) * (p_sum[inner] - p_dif[inner])
-        return float(np.max(np.abs(coupling * _cosine_weights(half))))
+        coupling = np.subtract(p_sum[inner], p_dif[inner])
+        coupling *= np.outer(kap[inner], np.append(kap[:half], 0.0))
+        np.add(np.add(q_sum[inner], q_dif[inner]), coupling, out=coupling)
+        coupling[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
+        return float(np.max(np.abs(coupling, out=coupling)))
 
     @cached_property
     def parity(self) -> ParityBlocks:

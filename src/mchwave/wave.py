@@ -130,18 +130,19 @@ def _outside(k, L):
     return ~((k_re >= 0.0) & (k_re <= MODULUS_CUTOFF) & (l_re > 0.0) & np.isfinite(L))
 
 
-def _params_from_k_l(k, L) -> tuple:
+def _params_from_k_l(k, L, k_e=None) -> tuple:
     """(a, b, c, K, E) by direct evaluation of the closed forms, elementwise.
 
     k and L are scalars or arrays that broadcast, real or complex (the
     complex-step derivatives), with Delta > 0 tested on the real part.
     Where (k, L) is outside the domain, L**4 overflows or Delta <= 0, a, b
-    and c are NaN; :func:`_refusal` names the reason.
+    and c are NaN; :func:`_refusal` names the reason.  ``k_e`` is (K, E) at
+    k, if the caller has evaluated them.
     """
     out = _outside(k, L)
     if out.any():  # (0.5, 10) has a wave; it stands in for the cells outside
-        k, L = np.where(out, 0.5, k), np.where(out, 10.0, L)
-    big_k, big_e = complete_k_e(k)
+        k, L, k_e = np.where(out, 0.5, k), np.where(out, 10.0, L), None
+    big_k, big_e = complete_k_e(k) if k_e is None else k_e
     k2, big_k2 = k * k, big_k * big_k
     with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L: refused
         k4_q = big_k**4 * (1.0 - k2 + k2 * k2)  # K^4 (1 - k^2 + k^4)
@@ -326,10 +327,20 @@ def _refuse(reason: str, k, L) -> None:
         raise DomainError(_REFUSED[reason].format(k=k, L=L))
 
 
-def _one_wave(k: float, L: float) -> WaveParams:
-    (a, b, c, big_a, _, _), _, reason = _waves(np.array([k], float), np.array([L], float))
+def _validity_report(margins: tuple, reason: str) -> ValidityReport:
+    """The :class:`ValidityReport` of one cell of :func:`_waves`."""
+    ineq_i, ineq_ii = margins
+    return ValidityReport(reason in ("", "ineq_i", "ineq_ii"), float(ineq_i[0]),
+                          float(ineq_ii[0]), bool(reason == ""))
+
+
+def _one_wave(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
+    """The wave at one cell and its validity report, from one :func:`_waves`
+    pass; the DomainError of the cell where the closed forms refuse it."""
+    (a, b, c, big_a, _, _), margins, reason = _waves(np.array([k], float), np.array([L], float))
     _refuse(reason[0], k, L)
-    return WaveParams(k=k, L=L, a=float(a[0]), b=float(b[0]), c=float(c[0]), A=float(big_a[0]))
+    return (WaveParams(k=k, L=L, a=float(a[0]), b=float(b[0]), c=float(c[0]), A=float(big_a[0])),
+            _validity_report(margins, reason[0]))
 
 
 def wave_params(k: float, L: float) -> WaveParams:
@@ -341,7 +352,7 @@ def wave_params(k: float, L: float) -> WaveParams:
     """
     if k == 0.0:
         raise DomainError("wave_params requires 0 < k < 1; k = 0 is constant_wave")
-    return _one_wave(k, L)
+    return _one_wave(k, L)[0]
 
 
 def constant_wave(L: float) -> WaveParams:
@@ -351,7 +362,7 @@ def constant_wave(L: float) -> WaveParams:
     Exposed for testing; k = 0 itself lies outside the open modulus
     interval of :func:`wave_params`.  Exists for finite L > (128/9)^(1/4) pi.
     """
-    return _one_wave(0.0, L)
+    return _one_wave(0.0, L)[0]
 
 
 def profile(p: WaveParams, x):
@@ -408,9 +419,8 @@ def validity(k: float, L: float) -> ValidityReport:
     constant wave's first value is identically 0, reported as exactly
     0.0, so its ``all_ok`` is False at every L.
     """
-    _, (ineq_i, ineq_ii), reason = _waves(np.array([k], float), np.array([L], float))
-    return ValidityReport(reason[0] in ("", "ineq_i", "ineq_ii"), float(ineq_i[0]),
-                          float(ineq_ii[0]), bool(reason[0] == ""))
+    _, margins, reason = _waves(np.array([k], float), np.array([L], float))
+    return _validity_report(margins, reason[0])
 
 
 def fd_dk(f: Callable, k, h: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 import mchwave as mw
-from mchwave import BlowUpError, evolve, linop
+from mchwave import AssemblyError, BlowUpError, evolve, linop
 from mchwave.field import _orbit_distance
 
 # Property tests draw the same examples on every run, and a slow machine
@@ -157,6 +157,38 @@ def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndar
     coords = np.block([[even_vecs, np.zeros((len(even_vecs), odd_vecs.shape[1]))],
                        [np.zeros((len(odd_vecs), even_vecs.shape[1])), odd_vecs]])
     return linop._to_grid(coords[:, lowest])
+
+
+def reference_defect(op) -> float:
+    """``OperatorMatrix.reflection_defect`` as first written, one expression
+    with a temporary per operation: the oracle the in-place assembly must
+    match bit for bit."""
+    half = op.grid.n // 2
+    kap, inner = op.grid.wavenumbers(), slice(1, half)
+    (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in op._windows)
+    coupling = q_sum[inner] + q_dif[inner] + np.outer(
+        kap[inner], np.append(kap[:half], 0.0)) * (p_sum[inner] - p_dif[inner])
+    return float(np.max(np.abs(coupling * linop._cosine_weights(half))))
+
+
+def reference_blocks(op) -> tuple[np.ndarray, np.ndarray]:
+    """``OperatorMatrix._blocks`` as first written, the even and odd blocks
+    from whole-array expressions, with the same AssemblyError above the
+    gate: the oracle the in-place assembly must match bit for bit."""
+    defect = reference_defect(op)
+    if defect > linop.ASYMMETRY_GATE:
+        raise AssemblyError(f"reflection defect {defect:.3e} exceeds "
+                            f"gate {linop.ASYMMETRY_GATE:.0e}: the coefficients are not even")
+    half = op.grid.n // 2
+    kap = op.grid.wavenumbers()
+    kap_even = np.append(kap[:half], 0.0)
+    (p_dif, q_dif), (p_sum, q_sum) = (v.real for v in op._windows)
+    even = q_dif + q_sum - np.outer(kap_even, kap_even) * (p_dif - p_sum)
+    even *= np.outer(linop._cosine_weights(half), linop._cosine_weights(half))
+    even[half, half] -= kap[half] ** 2 * p_dif[0, 0]
+    p_dif, p_sum, q_dif, q_sum = (a[1:half, 1:half] for a in (p_dif, p_sum, q_dif, q_sum))
+    odd = q_dif - q_sum - np.outer(kap[1:half], kap[1:half]) * (p_dif + p_sum)
+    return even, odd
 
 
 def fd_index(k, big_l, h: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mchwave as mw
 from mchwave import cli, linop
@@ -53,6 +54,55 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         cli.write_csv(path, ["a", "b"], [], argparse.Namespace(command="scan"))
         assert path.read_text().endswith("\na,b\n")
+
+
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1e308, 1e16, 0.1, np.float64(-2.5), np.float64(math.nan)]
+JSON_LEAVES = st.one_of(
+    st.text(), st.text(alphabet='"\\\x00\x1f\x7f \u00e9\u2028\U0001f600,:'),
+    st.integers(), st.booleans(), st.none(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from(FLOAT_EDGES))
+JSON_KEYS = st.one_of(st.text(), st.text(alphabet='"\\\n\u00e9'))
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6), st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=6),
+        # the lists the writer hands to one C-level json.dumps, and lists it
+        # must not: a string with ", " among numbers
+        st.lists(st.one_of(st.floats(), st.integers(), st.sampled_from(FLOAT_EDGES[:8])),
+                 max_size=20),
+        st.lists(st.one_of(st.floats(), st.text(alphabet=", 1")), max_size=6))
+
+
+class TestWriteJson:
+    @given(st.recursive(JSON_LEAVES, json_containers, max_leaves=40))
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=1)
+
+    @pytest.mark.parametrize("value", [
+        [], (), {}, [[]], {"a": {}}, [1.5, 2, -0.0], (math.nan, 1), [1.0, "a, b"],
+        {"": [True, None, 0.5]}])
+    def test_edge_containers(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=1)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.zeros(2), np.float32(0.5), {1, 2},
+                                     np.bool_(True), object()])
+    @pytest.mark.parametrize("where", [lambda x: x, lambda x: [x], lambda x: [1.0, 2, x],
+                                       lambda x: {"a": (0.5, x)}, lambda x: {"a": {"b": [x]}}])
+    def test_refuses_what_json_refuses(self, bad, where):
+        with pytest.raises(TypeError) as ours:
+            cli._json_text(where(bad))
+        with pytest.raises(TypeError) as reference:
+            json.dumps(where(bad), indent=1)
+        assert str(ours.value) == str(reference.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+    def test_keys_other_than_str_are_refused(self, key):
+        # json would quote the JSON text of a scalar key; no artifact has one
+        with pytest.raises(TypeError):
+            cli._json_text({"a": {key: 0}})
 
 
 class TestParser:
@@ -315,6 +365,22 @@ class TestSpectrumCommand:
         assert ("evolution_spectrum" in payload) is bool(extra)
         if k == "0.8":
             assert payload["spectrum"]["n_neg"] == 15  # grows with n: phi - c changes sign
+
+
+    @pytest.mark.parametrize("k, big_l", [("0.5", "6pi"), ("0.9", "8pi"), ("0", "2pi")])
+    def test_one_wave_pass(self, tmp_path, count_calls, k, big_l):
+        # the wave and its validity come from one pass of the closed forms
+        passes = count_calls(mw.wave._waves)
+        assert dispatch(["spectrum", "--k", k, "--L", big_l, "--n", "64",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert len(passes) == 1
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        k, big_l = float(k), parse_length(big_l)
+        assert payload["wave"] == dataclasses.asdict(mw.indices.constant_or_wave(k, big_l))
+        assert payload["validity"] == dataclasses.asdict(mw.validity(k, big_l))
+        assert payload["validity"]["all_ok"] is (k == 0.5)
+        if k == 0.9:  # only phi - c < 0 fails
+            assert payload["validity"]["ineq_i_value"] < 0.0 < payload["validity"]["ineq_ii_margin"]
 
 
 class TestKreinCommand:

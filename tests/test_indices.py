@@ -416,19 +416,27 @@ class TestKrein:
             mw.krein_index(0.985, n=15)
 
     def test_default_path_samples_nothing(self, count_calls):
-        # the branch and its k-derivatives are closed forms; the one
-        # profile sampling is the operator of morse_check
+        # the branch and its k-derivatives are closed forms, one real and one
+        # complex-step K/E evaluation; the one profile sampling is the
+        # operator of morse_check
         jacobi_calls = count_calls(mw.elliptic.jacobi)
         profile_calls = count_calls(mw.wave.profile)
         fd_calls = count_calls(mw.wave.fd_dk)
-        branch = count_calls(mw.indices.zero_mean_period)
+        k_e_calls = count_calls(mw.elliptic.complete_k_e)
+
+        def k_e_kinds():
+            kinds = ["complex" if np.iscomplexobj(args[0]) else "real" for args in k_e_calls]
+            k_e_calls.clear()
+            return kinds
+
         assert mw.d_second(0.985) is not None
         assert (len(jacobi_calls), len(profile_calls), len(fd_calls)) == (0, 0, 0)
-        assert len(branch) == 1
-        branch.clear()
+        assert k_e_kinds() == ["real", "complex"]
         rep = mw.krein_index(0.985, n=128)
         assert rep.z_L == 1
-        assert len(fd_calls) == 0 and len(branch) == 1
+        # the branch, then the wave at (k, L*) and its profile
+        assert k_e_kinds() == ["real", "complex", "real", "real"]
+        assert len(fd_calls) == 0
         assert len(profile_calls) == 1 and len(jacobi_calls) == 1
 
     def test_period_is_computed_not_given(self):

@@ -13,7 +13,7 @@ from mchwave import AssemblyError, DomainError, cli, evolve, linop
 
 from conftest import (dense_evolution_eigenvalues, dense_matrix, diff_matrix,
                       helmholtz_diff_matrix, householder_y0_basis, lowest_eigenvectors,
-                      random_smooth)
+                      random_smooth, reference_blocks, reference_defect)
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -552,6 +552,56 @@ def test_counts_are_a_recount_of_the_report(k, big_l, n):
     op = mw.operator_for(mw.wave_params(k, big_l), n)
     for rep in (mw.spectrum(op), mw.restricted_spectrum(op)):
         assert (rep.n_neg, rep.z_dim) == recount(rep.eigenvalues, rep.tol)
+
+
+ORACLE_SIZES = (16, 64, 256, 1024)
+
+
+def assert_blocks_match_reference(op):
+    """The blocks and the defect equal conftest's whole-array expressions
+    bit for bit, read in the program's order (defect first)."""
+    assert op.reflection_defect == reference_defect(op)
+    even, odd = op._blocks
+    ref_even, ref_odd = reference_blocks(op)
+    assert np.array_equal(even, ref_even) and np.array_equal(odd, ref_odd)
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("k, big_l", [(0.0, 2 * math.pi), (0.5, 6 * math.pi),
+                                          (0.9, 4 * math.pi), (0.999, None)])
+    def test_named_waves(self, k, big_l, n):
+        big_l = mw.zero_mean_period(k) if big_l is None else big_l
+        assert_blocks_match_reference(mw.operator_for(mw.indices.constant_or_wave(k, big_l), n))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("amplitude", [1e-14, 1.0])
+    def test_non_even_coefficients(self, amplitude, n):
+        # an odd part of 1e-14 stays below the gate and is assembled; one of
+        # order 1 is refused with the same message and defect
+        grid = mw.PeriodicGrid(6 * math.pi, n)
+        even = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), n)
+        odd_part = amplitude * np.stack([random_smooth(grid, np.random.default_rng(s)).values
+                                         for s in (1, 2)])
+        op = linop.OperatorMatrix(grid, even.coefficients + odd_part)
+        if amplitude < 1e-9:
+            assert_blocks_match_reference(op)
+            return
+        assert op.reflection_defect == reference_defect(op) > linop.ASYMMETRY_GATE
+        with pytest.raises(AssemblyError) as ours:
+            op._blocks
+        with pytest.raises(AssemblyError) as reference:
+            reference_blocks(op)
+        assert str(ours.value) == str(reference.value)
+
+
+@settings(max_examples=20)
+@given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
+def test_in_place_assembly_on_the_criterion_6_window(k, big_l):
+    assume(mw.validity(k, big_l).all_ok)
+    p = mw.wave_params(k, big_l)
+    for n in ORACLE_SIZES:
+        assert_blocks_match_reference(mw.operator_for(p, n))
 
 
 class TestEvolutionOperator:
