@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .elliptic import complete_k_e, jacobi
 from .errors import (
-    AccuracyError,
     AssemblyError,
     BlowUpError,
     DomainError,
@@ -31,17 +30,14 @@ from .evolve import (
 from .field import (
     PeriodicField,
     PeriodicGrid,
-    augmented,
     derivative,
     fractional_shift,
     functionals,
     h1_norm,
     helmholtz_inverse,
     integrate,
-    lyapunov,
     sample,
     sample_wave,
-    semidistance,
 )
 from .indices import (
     DSecondReport,

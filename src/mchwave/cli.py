@@ -166,8 +166,7 @@ def _spectral_payload(rep: linop.SpectralReport) -> dict:
 
 
 def cmd_wave(args: argparse.Namespace) -> int:
-    p = wave_mod.wave_params(args.k, args.L)
-    rep = wave_mod.validity(args.k, args.L)
+    p, rep = wave_mod._nonconstant_wave(args.k, args.L)
     if not rep.all_ok:
         print(f"invalid wave at (k={args.k}, L={args.L}): "
               f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}")

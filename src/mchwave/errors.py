@@ -13,10 +13,6 @@ class NumericalError(MchError, RuntimeError):
     """A computation failed to reach its accuracy or consistency target."""
 
 
-class AccuracyError(NumericalError):
-    """A finite-difference step-halving consistency gate failed."""
-
-
 class AssemblyError(NumericalError):
     """Operator assembly violated a structural gate (e.g. symmetry defect)."""
 

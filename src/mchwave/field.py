@@ -132,13 +132,8 @@ def inner_l2(u: PeriodicField, v: PeriodicField) -> float:
     return float(u.grid.spacing * np.dot(u.values, v.values))
 
 
-def inner_h1(u: PeriodicField, v: PeriodicField) -> float:
-    """H^1 pairing int u v + u_x v_x."""
-    return inner_l2(u, v) + inner_l2(derivative(u), derivative(v))
-
-
 def _h1_square(u: PeriodicField) -> float:
-    """||u||^2_H1, inner_h1(u, u) with u differentiated once."""
+    """||u||^2_H1 = int u^2 + u_x^2, with u differentiated once."""
     ux = derivative(u)
     return inner_l2(u, u) + inner_l2(ux, ux)
 
@@ -160,34 +155,6 @@ def functionals(u: PeriodicField) -> tuple[float, float, float]:
     f = 0.5 * w * float(np.sum(vals * vals + ux * ux))
     v = w * float(np.sum(vals))
     return e, f, v
-
-
-def augmented(u: PeriodicField, c: float, big_a: float) -> float:
-    """Augmented functional G(u) = E(u) + c F(u) - A V(u)."""
-    e, f, v = functionals(u)
-    return e + c * f - big_a * v
-
-
-def lyapunov(u: PeriodicField, p: WaveParams, big_n: float,
-             q_coeffs: tuple[float, float]) -> float:
-    """Modified Lyapunov functional B(u) = G(u) - G(phi) + N (Q(u) - Q(phi))^2.
-
-    ``q_coeffs = (dA_dk, dc_dk)`` defines the conserved combination
-    Q(u) = dA_dk * V(u) - dc_dk * F(u).  ``big_n`` is the caller-supplied
-    positive weight (only its existence is guaranteed, not a formula).
-    """
-    if not (big_n > 0.0):
-        raise DomainError(f"lyapunov weight must be positive, got {big_n}")
-    da_dk, dc_dk = q_coeffs
-    phi = sample_wave(p, u.grid)
-
-    def q_of(w: PeriodicField) -> float:
-        _, f, v = functionals(w)
-        return da_dk * v - dc_dk * f
-
-    g_u = augmented(u, p.c, p.A)
-    g_phi = augmented(phi, p.c, p.A)
-    return g_u - g_phi + big_n * (q_of(u) - q_of(phi)) ** 2
 
 
 def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
@@ -224,7 +191,7 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]
     n, big_l = u.grid.n, u.grid.L
     kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / big_l
     weight = 1.0 + kap * kap
-    weight[n // 2] = 1.0  # derivatives zero the Nyquist mode; match inner_h1
+    weight[n // 2] = 1.0  # derivatives zero the Nyquist mode; match _h1_square
     u_hat = np.fft.fft(u.values)
     phi_hat = np.concatenate((phi.spectrum, np.conj(phi.spectrum[-2:0:-1])))
     coef = weight * u_hat * np.conj(phi_hat) * (big_l / n**2)
@@ -262,15 +229,3 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]
     if val_grid < val_star:
         val_star, y_star = val_grid, y0
     return math.sqrt(max(val_star, 0.0)), y_star % big_l
-
-
-def semidistance(u: PeriodicField, p: WaveParams) -> tuple[float, float]:
-    """Orbital semi-distance rho(u, phi) = inf_y ||u - phi(. + y)||_H1.
-
-    Returns (rho, argmin shift).  The grid period must match the wave's.
-    The shift is found by Newton's method on the H^1 cross-correlation,
-    a trigonometric polynomial in y (see ``_orbit_distance``), and rho is
-    the exact H^1 distance at that shift.
-    """
-    phi = sample_wave(p, u.grid)
-    return _orbit_distance(u, phi)

@@ -10,16 +10,14 @@ uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  Every
 k-derivative, at fixed L and along the zero-mean branch a(k, L*(k)) = 0
 (itself a closed form, :func:`_zero_mean_l`) alike, is
 :func:`mchwave.wave._dk`, one complex step over closed forms in
-(k, K, E, L); the finite-difference ladder :func:`mchwave.wave.fd_dk` is
-only the tests' oracle.  Only the operator behind the spectral counts
-samples a profile.
+(k, K, E, L).  Only the operator behind the spectral counts samples a
+profile.
 
 The sign condition I < 0 is checked as a reproducible assertion over
 sampled (k, L) grids; no claim is made beyond the sampled windows.  A scan
 evaluates its flattened grid in one array pass, not one cell at a time: one
-real evaluation of the closed forms for the validity margins and the A
-cross-check, then one complex-step evaluation for the four derivatives of
-the valid cells.
+real evaluation of the closed forms for the validity margins, then one
+complex-step evaluation for the four derivatives of the valid cells.
 :func:`stability_index` is the one-cell case of the same pass.  A cell
 without an index carries the reason :mod:`mchwave.wave` names for it.
 """

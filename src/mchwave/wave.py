@@ -15,17 +15,14 @@ closed forms in K(k) and E(k); they exist only where the discriminant
 
 is positive ("period large enough").  The integration constant A is
 evaluated from the wave equation itself at x = 0, where the profile sits
-at its minimum and phi' vanishes; a published long closed form for A is
-kept only as a cross-check because it is easy to mistype.
+at its minimum and phi' vanishes.
 
 The momentum F = (1/2) int phi^2 + phi'^2 and the energy
 E = -int phi^4/4 + phi phi'^2/2 are closed forms in (k, K, E, L) too, via a
 recurrence for the period means of powers of dn^2.  Every k-derivative
 takes one path, :func:`_dk`: one complex-step evaluation at k + 1e-30 i
 (Squire and Trapp, SIAM Rev. 1998), exact to rounding with no profile
-sampling.  :func:`fd_dk` (central differences, one Richardson level, a
-step-halving gate) is kept as the tests' independent oracle; the package
-itself never calls it.
+sampling.
 
 The closed forms work elementwise on arrays of cells (k, L), so a scan
 evaluates its whole grid in one pass.  Where a cell has no wave they give
@@ -33,7 +30,8 @@ NaN instead of raising, and each cell gets a reason code, "" when it has a
 valid wave:
 
 - ``domain``: k outside [0, MODULUS_CUTOFF], or L not finite and positive;
-- ``overflow``: a power of L in the closed forms overflows a float;
+- ``overflow``: L**7 overflows a float, L above DBL_MAX^(1/7) ~ 1.087e44
+  (the index scales as L^-7, so past that bound it would underflow to 0);
 - ``discriminant``: Delta <= 0;
 - ``ineq_i``, ``ineq_ii``: a validity margin is not negative.
 
@@ -43,7 +41,6 @@ for their cell (an invalid margin is no error).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -52,13 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import MODULUS_CUTOFF, complete_k_e, jacobi
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
-logger = logging.getLogger(__name__)
-
-# Agreement target between the two independent computations of A, in units
-# of the rounding floor of the closed form (see :func:`_a_closed_form`).
-A_CROSSCHECK_FLOORS = 1e3
 # Imaginary step of the complex-step derivatives.  No difference is taken,
 # so any step this small gives f'(k) to rounding: the O(h^2) error is far
 # below one ulp.
@@ -97,7 +89,7 @@ class ValidityReport:
     ``ineq_ii_margin`` is the exact max(phi - c), attained at x = L/2
     (must be < 0).  For the constant wave (k = 0) ``ineq_i_value`` is
     exactly 0.0, the boundary, so ``all_ok`` is False.
-    When the closed forms refuse (k, L), because Delta <= 0 or a power of L
+    When the closed forms refuse (k, L), because Delta <= 0 or L**7
     overflows, ``discriminant_ok`` is False and the other two margins are NaN.
     """
 
@@ -135,7 +127,7 @@ def _params_from_k_l(k, L, k_e=None) -> tuple:
 
     k and L are scalars or arrays that broadcast, real or complex (the
     complex-step derivatives), with Delta > 0 tested on the real part.
-    Where (k, L) is outside the domain, L**4 overflows or Delta <= 0, a, b
+    Where (k, L) is outside the domain, L**7 overflows or Delta <= 0, a, b
     and c are NaN; :func:`_refusal` names the reason.  ``k_e`` is (K, E) at
     k, if the caller has evaluated them.
     """
@@ -147,7 +139,7 @@ def _params_from_k_l(k, L, k_e=None) -> tuple:
     with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L: refused
         k4_q = big_k**4 * (1.0 - k2 + k2 * k2)  # K^4 (1 - k^2 + k^4)
         delta = 9.0 * L**4 - 2048.0 * k4_q
-        refused = out | ~np.isfinite(delta) | (np.real(delta) <= 0.0)
+        refused = out | ~np.isfinite(L**7) | (np.real(delta) <= 0.0)
         root = np.sqrt(np.where(refused, 1.0, delta))
         l2 = L * L
         b = -32.0 * big_k2 / l2
@@ -162,13 +154,13 @@ def _params_from_k_l(k, L, k_e=None) -> tuple:
 
 def _refusal(k, L, a):
     """Why the closed forms gave no wave where ``a`` is NaN, elementwise:
-    ``domain``, ``overflow`` (L**4 overflows) or ``discriminant`` (Delta <= 0);
+    ``domain``, ``overflow`` (L**7 overflows) or ``discriminant`` (Delta <= 0);
     "" where they gave one."""
     refused = np.isnan(a)
     if not refused.any():
         return np.full(np.shape(a), "", dtype="<U12")
     return np.where(refused, np.where(_outside(k, L), "domain", np.where(
-        np.isfinite(_power(L, 4)), "discriminant", "overflow")), "")
+        np.isfinite(_power(L, 7)), "discriminant", "overflow")), "")
 
 
 def _a_from_ode(a, b, c, k, big_k, big_e, L):
@@ -240,34 +232,6 @@ def _closed_forms(k, L) -> tuple:
             _momentum(a, b, k, big_k, big_e, L))
 
 
-def _a_closed_form(k, L, big_k) -> tuple:
-    """The published long closed form for A, given K(k), and its rounding
-    floor, elementwise; cross-check only.  A is not finite where Delta <= 0
-    or where its terms of order L^6 overflow (L above about 1.4e51).
-
-    A = (term1 + term2 + term3 - 27 L^6) / (27 L^6), and the floor is
-    eps (|term1| (1 + s / (2 Delta)) + |term2| + |term3| + 27 L^6) / (27 L^6),
-    where s / (2 Delta), s the sum of Delta's terms' moduli, is the
-    conditioning of sqrt(Delta) in term1.  The sum cancels down to A, and
-    away from the discriminant boundary the floor is about 5e-16 absolute:
-    at long L, where |A| falls below it, the cross-check is only as sharp
-    as the floor.
-    """
-    with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L
-        k2, big_k4 = k * k, big_k**4
-        k4, k6 = k2 * k2, k2 * k2 * k2
-        q4, l4, l6 = (1.0 - k2 + k4) * big_k4, L**4, 27.0 * L**6
-        delta = 9.0 * l4 - 2048.0 * q4
-        root = np.sqrt(np.where(delta > 0.0, delta, np.nan))
-        term1 = (9.0 * l4 - 1280.0 * q4) * root
-        term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k4 * big_k * big_k
-        term3 = 6912.0 * L * L * q4
-        a_closed = (term1 + term2 + term3 - l6) / l6
-        spread = 2048.0 * q4 + 9.0 * l4
-        moduli = abs(term1) * (1.0 + 0.5 * spread / delta) + abs(term2) + abs(term3) + l6
-        return a_closed, np.finfo(float).eps * moduli / l6
-
-
 def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
     """The waves at 1-d arrays of cells (k, L), k real, and their validity:
     (a, b, c, A, K, E), the margins (ineq_i, ineq_ii) of :func:`validity`,
@@ -276,11 +240,7 @@ def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
     The reason is "" for a valid wave; else the refusal of the closed forms
     (``domain``, ``overflow``, ``discriminant``), where a, b, c, A and the
     margins are NaN, or ``ineq_i`` / ``ineq_ii`` for the first margin that
-    is not negative.  A comes from the wave ODE.  The long closed form
-    cross-checks it in every cell with a wave: a cell where that form
-    overflows is refused as ``overflow``, and one warning per call names how
-    many cells disagree by more than A_CROSSCHECK_FLOORS times its rounding
-    floor, and the worst.
+    is not negative.  A comes from the wave ODE.
     """
     a, b, c, big_k, big_e = _params_from_k_l(k, L)
     reason = _refusal(k, L, a)
@@ -288,25 +248,10 @@ def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
     if refused.any():  # (0.5, 10) stands in, so nothing below overflows or divides by 0
         k, L = np.where(refused, 0.5, k), np.where(refused, 10.0, L)
     a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
-    a_closed, floor = _a_closed_form(k, L, big_k)
-    overflow = ~np.isnan(a) & ~np.isfinite(a_closed)  # a wave, but the long form overflows
-    if overflow.any():
-        reason = np.where(overflow, "overflow", reason)
-        a, b, c, a_ode = (np.where(overflow, np.nan, v) for v in (a, b, c, a_ode))
-    has_wave = ~np.isnan(a)
-    miss = np.where(has_wave, np.abs(a_ode - a_closed) / floor, 0.0)
-    off = miss > A_CROSSCHECK_FLOORS
-    if off.any():
-        i = int(np.argmax(miss))
-        logger.warning(
-            "integration-constant cross-check disagrees at %d of %d cells, worst at "
-            "(k=%g, L=%g): ode=%.17g closed_form=%.17g floor=%.3g", np.count_nonzero(off),
-            off.size, k[i], L[i], a_ode[i], a_closed[i], np.broadcast_to(floor, off.shape)[i],
-        )
     # 0 c: exactly 0 for the constant wave, NaN where there is no wave
     ineq_i = np.where(k > 0.0, c * c - 3.0 * c + 32.0 * math.pi**4 / L**4, 0.0 * c)
     ineq_ii = a + b * ((1.0 - k * k) - big_e / big_k) - c
-    reason = np.where(has_wave, np.where(ineq_i < 0.0, np.where(
+    reason = np.where(~refused, np.where(ineq_i < 0.0, np.where(
         ineq_ii < 0.0, "", "ineq_ii"), "ineq_i"), reason)
     return (a, b, c, a_ode, big_k, big_e), (ineq_i, ineq_ii), reason
 
@@ -315,7 +260,7 @@ def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
 _REFUSED = {
     "domain": f"a wave requires 0 <= k <= {MODULUS_CUTOFF!r} and finite L > 0, "
               "got k={k}, L={L}",
-    "overflow": "period L={L} too large for the closed forms: a power of L overflows",
+    "overflow": "period L={L} too large for the closed forms: L**7 overflows",
     "discriminant": "period too small for this modulus: Delta(k={k}, L={L}) <= 0",
 }
 
@@ -346,13 +291,17 @@ def _one_wave(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
 def wave_params(k: float, L: float) -> WaveParams:
     """Construct the wave at modulus k and period L.
 
-    Requires 0 < k < 1 and Delta(k, L) > 0.  A comes from the wave ODE at
-    x = 0; any disagreement with the long closed form beyond 1e3 times its
-    rounding floor is logged (a warning, not a failure).
+    Requires 0 < k < 1, Delta(k, L) > 0 and a finite L**7.  A comes from
+    the wave ODE at x = 0.
     """
+    return _nonconstant_wave(k, L)[0]
+
+
+def _nonconstant_wave(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
+    """:func:`wave_params` and its validity report, from one :func:`_waves` pass."""
     if k == 0.0:
         raise DomainError("wave_params requires 0 < k < 1; k = 0 is constant_wave")
-    return _one_wave(k, L)[0]
+    return _one_wave(k, L)
 
 
 def constant_wave(L: float) -> WaveParams:
@@ -421,37 +370,6 @@ def validity(k: float, L: float) -> ValidityReport:
     """
     _, margins, reason = _waves(np.array([k], float), np.array([L], float))
     return _validity_report(margins, reason[0])
-
-
-def fd_dk(f: Callable, k, h: float) -> np.ndarray:
-    """d f / dk by central differences with one Richardson level, cell by cell:
-    the tests' oracle for :func:`_dk`.
-
-    ``k`` is one modulus or an array of cells, and ``f`` maps moduli shaped
-    like ``k`` to components stacked on a leading axis, NaN where it has no
-    value.  fd_dk evaluates f on the six stencil arrays k +- h, k +- h/2 and
-    k +- h/4 and forms the Richardson values R(h) and R(h/2); in each cell
-    the two must agree componentwise to 1% (components below 1e-9 are
-    exempt, so limits where a derivative vanishes do not trip the gate).
-
-    Returns R(h/2), NaN in each cell that fails the gate or where f has no
-    value at a stencil point.
-
-    Raises:
-        AccuracyError: if the gate fails at a scalar ``k``.
-    """
-    central = [(np.asarray(f(k + step), dtype=float) - np.asarray(f(k - step), dtype=float))
-               / (2.0 * step) for step in (h, 0.5 * h, 0.25 * h)]
-    r_coarse = (4.0 * central[1] - central[0]) / 3.0
-    r_fine = (4.0 * central[2] - central[1]) / 3.0
-    scale = np.maximum(np.abs(r_coarse), np.abs(r_fine))
-    failed = ((scale > 1e-9) & (np.abs(r_coarse - r_fine) > 0.01 * scale)).any(axis=0)
-    if np.ndim(k) == 0 and failed:
-        raise AccuracyError(
-            f"finite-difference consistency gate failed at k={k} (h={h}): "
-            f"R(h)={r_coarse!r} vs R(h/2)={r_fine!r}"
-        )
-    return np.where(failed, np.nan, r_fine)
 
 
 def _dk(f: Callable, k) -> tuple:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import settings
 
 import mchwave as mw
-from mchwave import AssemblyError, BlowUpError, evolve, linop
-from mchwave.field import _orbit_distance
+from mchwave import AssemblyError, BlowUpError, DomainError, NumericalError, evolve, linop
+from mchwave.field import _orbit_distance, derivative, functionals, inner_l2, sample_wave
 
 # Property tests draw the same examples on every run, and a slow machine
 # does not fail them on a per-example deadline.
@@ -191,15 +191,112 @@ def reference_blocks(op) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+class AccuracyError(NumericalError):
+    """The step-halving consistency gate of :func:`fd_dk` failed."""
+
+
+def fd_dk(f, k, h: float) -> np.ndarray:
+    """d f / dk by central differences with one Richardson level, cell by cell:
+    the tests' oracle for ``wave._dk``.
+
+    ``k`` is one modulus or an array of cells, and ``f`` maps moduli shaped
+    like ``k`` to components stacked on a leading axis, NaN where it has no
+    value.  fd_dk evaluates f on the six stencil arrays k +- h, k +- h/2 and
+    k +- h/4 and forms the Richardson values R(h) and R(h/2); in each cell
+    the two must agree componentwise to 1% (components below 1e-9 are
+    exempt, so limits where a derivative vanishes do not trip the gate).
+    Returns R(h/2), NaN in each cell that fails the gate or where f has no
+    value at a stencil point; a scalar ``k`` that fails the gate raises
+    AccuracyError.
+    """
+    central = [(np.asarray(f(k + step), dtype=float) - np.asarray(f(k - step), dtype=float))
+               / (2.0 * step) for step in (h, 0.5 * h, 0.25 * h)]
+    r_coarse = (4.0 * central[1] - central[0]) / 3.0
+    r_fine = (4.0 * central[2] - central[1]) / 3.0
+    scale = np.maximum(np.abs(r_coarse), np.abs(r_fine))
+    failed = ((scale > 1e-9) & (np.abs(r_coarse - r_fine) > 0.01 * scale)).any(axis=0)
+    if np.ndim(k) == 0 and failed:
+        raise AccuracyError(
+            f"finite-difference consistency gate failed at k={k} (h={h}): "
+            f"R(h)={r_coarse!r} vs R(h/2)={r_fine!r}"
+        )
+    return np.where(failed, np.nan, r_fine)
+
+
 def fd_index(k, big_l, h: float) -> np.ndarray:
-    """The FD oracle of the stability index: ``wave.fd_dk`` at step h over
+    """The FD oracle of the stability index: :func:`fd_dk` at step h over
     the closed forms, rows (I, dA/dk, dc/dk, dV/dk, dF/dk).  A scalar k
     raises AccuracyError where the step-halving gate fails; over arrays of
     cells such a cell, or one with no wave at a stencil point, is NaN."""
-    da, _, dc, big_da, df = mw.wave.fd_dk(
+    da, _, dc, big_da, df = fd_dk(
         lambda kk: np.array(mw.wave._closed_forms(kk, big_l)), k, h)
     dv = big_l * da
     return np.array([big_da * dv - dc * df, big_da, dc, dv, df])
+
+
+def a_closed_form(k, big_l) -> tuple:
+    """The published long closed form for A and its rounding floor,
+    elementwise: the oracle for A from the wave ODE.  A is not finite where
+    Delta <= 0 or where its terms of order L^6 overflow (L above about 1.4e51).
+
+    A = (term1 + term2 + term3 - 27 L^6) / (27 L^6), and the floor is
+    eps (|term1| (1 + s / (2 Delta)) + |term2| + |term3| + 27 L^6) / (27 L^6),
+    where s / (2 Delta), s the sum of Delta's terms' moduli, is the
+    conditioning of sqrt(Delta) in term1.  The sum cancels down to A, and
+    away from the discriminant boundary the floor is about 5e-16 absolute.
+    """
+    big_k = mw.complete_k_e(k)[0]
+    with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L
+        k2, big_k4 = k * k, big_k**4
+        k4, k6 = k2 * k2, k2 * k2 * k2
+        q4, l4, l6 = (1.0 - k2 + k4) * big_k4, big_l**4, 27.0 * big_l**6
+        delta = 9.0 * l4 - 2048.0 * q4
+        root = np.sqrt(np.where(delta > 0.0, delta, np.nan))
+        term1 = (9.0 * l4 - 1280.0 * q4) * root
+        term2 = (-16384.0 - 16384.0 * k6 + 24576.0 * k2 + 24576.0 * k4) * big_k4 * big_k * big_k
+        term3 = 6912.0 * big_l * big_l * q4
+        a_closed = (term1 + term2 + term3 - l6) / l6
+        spread = 2048.0 * q4 + 9.0 * l4
+        moduli = abs(term1) * (1.0 + 0.5 * spread / delta) + abs(term2) + abs(term3) + l6
+        return a_closed, np.finfo(float).eps * moduli / l6
+
+
+def inner_h1(u: mw.PeriodicField, v: mw.PeriodicField) -> float:
+    """H^1 pairing int u v + u_x v_x."""
+    return inner_l2(u, v) + inner_l2(derivative(u), derivative(v))
+
+
+def semidistance(u: mw.PeriodicField, p: mw.WaveParams) -> tuple[float, float]:
+    """Orbital semi-distance rho(u, phi) = inf_y ||u - phi(. + y)||_H1 and
+    its argmin shift: ``_orbit_distance`` to phi sampled on u's grid."""
+    return _orbit_distance(u, sample_wave(p, u.grid))
+
+
+def augmented(u: mw.PeriodicField, c: float, big_a: float) -> float:
+    """Augmented functional G(u) = E(u) + c F(u) - A V(u)."""
+    e, f, v = functionals(u)
+    return e + c * f - big_a * v
+
+
+def lyapunov(u: mw.PeriodicField, p: mw.WaveParams, big_n: float,
+             q_coeffs: tuple[float, float]) -> float:
+    """Modified Lyapunov functional B(u) = G(u) - G(phi) + N (Q(u) - Q(phi))^2.
+
+    ``q_coeffs = (dA_dk, dc_dk)`` defines the conserved combination
+    Q(u) = dA_dk * V(u) - dc_dk * F(u); ``big_n`` is a positive weight
+    (only its existence is guaranteed, not a formula).
+    """
+    if not (big_n > 0.0):
+        raise DomainError(f"lyapunov weight must be positive, got {big_n}")
+    da_dk, dc_dk = q_coeffs
+    phi = sample_wave(p, u.grid)
+
+    def q_of(w: mw.PeriodicField) -> float:
+        _, f, v = functionals(w)
+        return da_dk * v - dc_dk * f
+
+    return augmented(u, p.c, p.A) - augmented(phi, p.c, p.A) \
+        + big_n * (q_of(u) - q_of(phi)) ** 2
 
 
 def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):

@@ -170,7 +170,7 @@ class TestWaveCommand:
         assert "ineq_ii" in capsys.readouterr().out
 
     def test_huge_period_exits_domain(self, tmp_path):
-        # L**6 in the closed form for A used to overflow into a traceback
+        # L**7 overflows; the closed forms once overflowed into a traceback
         assert dispatch(["wave", "--k", "0.5", "--L", "1e60",
                          "--out-dir", str(tmp_path)]) == EXIT_DOMAIN
         assert not (tmp_path / "wave.json").exists()

@@ -12,9 +12,9 @@ from scipy.optimize import minimize_scalar
 import mchwave as mw
 from mchwave import DomainError
 from mchwave.evolve import seeded_perturbation
-from mchwave.field import _orbit_distance, inner_h1
+from mchwave.field import _orbit_distance
 
-from conftest import random_smooth
+from conftest import augmented, inner_h1, lyapunov, random_smooth, semidistance
 
 
 class TestGridAndField:
@@ -173,7 +173,7 @@ class TestFunctionals:
 class TestAugmented:
     def test_zero_state(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        assert mw.augmented(mw.sample(lambda x: 0.0 * x, g), 0.7, 0.3) == 0.0
+        assert augmented(mw.sample(lambda x: 0.0 * x, g), 0.7, 0.3) == 0.0
 
     def test_wave_is_critical_point(self, wave05):
         # the Gateaux derivative of G at phi vanishes
@@ -183,16 +183,16 @@ class TestAugmented:
         eps = 1e-5
         for _ in range(5):
             v = random_smooth(g, rng)
-            gp = mw.augmented(phi + eps * v, wave05.c, wave05.A)
-            gm = mw.augmented(phi + (-eps) * v, wave05.c, wave05.A)
+            gp = augmented(phi + eps * v, wave05.c, wave05.A)
+            gm = augmented(phi + (-eps) * v, wave05.c, wave05.A)
             assert abs((gp - gm) / (2 * eps)) < 1e-6 * mw.h1_norm(v)
 
     def test_shift_invariance(self, wave05):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
-        g_phi = mw.augmented(phi, wave05.c, wave05.A)
+        g_phi = augmented(phi, wave05.c, wave05.A)
         for s in (0.3, 2.11, 11.7):
-            assert abs(mw.augmented(mw.fractional_shift(phi, s), wave05.c, wave05.A)
+            assert abs(augmented(mw.fractional_shift(phi, s), wave05.c, wave05.A)
                        - g_phi) < 1e-10
 
 
@@ -206,13 +206,13 @@ class TestLyapunov:
     def test_zero_at_wave(self, wave05, q_coeffs):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
-        assert abs(mw.lyapunov(phi, wave05, 1e3, q_coeffs)) < 1e-14
+        assert abs(lyapunov(phi, wave05, 1e3, q_coeffs)) < 1e-14
 
     def test_zero_on_orbit(self, wave05, q_coeffs):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
         shifted = mw.fractional_shift(phi, 4.321)
-        assert abs(mw.lyapunov(shifted, wave05, 1e3, q_coeffs)) < 1e-12
+        assert abs(lyapunov(shifted, wave05, 1e3, q_coeffs)) < 1e-12
 
     def test_positive_near_orbit(self, wave05, q_coeffs):
         # empirical probe of the coercivity bound B >= D rho^2: positive on
@@ -227,9 +227,9 @@ class TestLyapunov:
             v = random_smooth(g, rng)
             v = (1.0 / mw.h1_norm(v)) * v
             u = phi + delta * v
-            val = mw.lyapunov(u, wave05, 1e3, q_coeffs)
+            val = lyapunov(u, wave05, 1e3, q_coeffs)
             assert val > 0.0
-            rho, _ = mw.semidistance(u, wave05)
+            rho, _ = semidistance(u, wave05)
             ratios.append(val / rho**2)
         assert min(ratios) > 1e-4
 
@@ -241,22 +241,22 @@ class TestLyapunov:
         for _ in range(5):
             v = random_smooth(g, rng)
             v = (1.0 / mw.h1_norm(v)) * v
-            b1 = mw.lyapunov(phi + 1e-3 * v, wave05, 1e3, q_coeffs)
-            b2 = mw.lyapunov(phi + 5e-4 * v, wave05, 1e3, q_coeffs)
+            b1 = lyapunov(phi + 1e-3 * v, wave05, 1e3, q_coeffs)
+            b2 = lyapunov(phi + 5e-4 * v, wave05, 1e3, q_coeffs)
             assert b1 / b2 == pytest.approx(4.0, rel=0.2)
 
     def test_weight_must_be_positive(self, wave05, q_coeffs):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
         with pytest.raises(DomainError):
-            mw.lyapunov(phi, wave05, 0.0, q_coeffs)
+            lyapunov(phi, wave05, 0.0, q_coeffs)
 
 
 class TestSemidistance:
     def test_zero_at_wave(self, wave05):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
-        rho, shift = mw.semidistance(phi, wave05)
+        rho, shift = semidistance(phi, wave05)
         assert rho < 1e-10
 
     def test_exact_translate(self, wave05):
@@ -265,7 +265,7 @@ class TestSemidistance:
         rng = np.random.default_rng(12)
         for _ in range(3):
             s = rng.uniform(0, wave05.L)
-            rho, shift = mw.semidistance(mw.fractional_shift(phi, s), wave05)
+            rho, shift = semidistance(mw.fractional_shift(phi, s), wave05)
             assert rho < 1e-9
             assert min(abs(shift - s), wave05.L - abs(shift - s)) < 1e-7
 
@@ -275,7 +275,7 @@ class TestSemidistance:
         rng = np.random.default_rng(13)
         for _ in range(5):
             u = phi + 0.1 * random_smooth(g, rng)
-            rho, _ = mw.semidistance(u, wave05)
+            rho, _ = semidistance(u, wave05)
             diff = u - phi
             assert rho <= mw.h1_norm(diff) + 1e-12
 
@@ -284,9 +284,9 @@ class TestSemidistance:
         phi = mw.sample_wave(wave05, g)
         rng = np.random.default_rng(14)
         u = phi + 0.05 * random_smooth(g, rng)
-        rho0, _ = mw.semidistance(u, wave05)
+        rho0, _ = semidistance(u, wave05)
         for s in (0.7, 5.3):
-            rho_s, _ = mw.semidistance(mw.fractional_shift(u, s), wave05)
+            rho_s, _ = semidistance(mw.fractional_shift(u, s), wave05)
             assert abs(rho_s - rho0) < 1e-9
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi)])
@@ -341,7 +341,7 @@ class TestSemidistance:
     def test_grid_period_mismatch(self, wave05):
         g = mw.PeriodicGrid(5.0, 64)
         with pytest.raises(DomainError):
-            mw.semidistance(mw.sample(lambda x: 0 * x, g), wave05)
+            semidistance(mw.sample(lambda x: 0 * x, g), wave05)
 
 
 class TestHelpers:

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import mchwave as mw
-from mchwave import AccuracyError, DomainError
+from mchwave import DomainError
 from mchwave.cli import EXIT_OK, dispatch
 from mchwave.indices import _branch_state, _zero_mean_l, classify, zero_mean_period
-from mchwave.wave import fd_dk
 
-from conftest import fd_index
+from conftest import AccuracyError, fd_dk, fd_index
 
 
 class TestStabilityIndex:
@@ -81,14 +81,13 @@ class TestStabilityIndex:
         assert mw.stability_index(k, big_l).dF_dk == pytest.approx(fd, rel=1e-4)
 
     def test_exact_path_cost(self, count_calls):
-        # no profile sampling, no finite differences, and one real plus
-        # one complex-step K/E evaluation
+        # no profile sampling, and one real plus one complex-step K/E
+        # evaluation
         jacobi_calls = count_calls(mw.elliptic.jacobi)
-        fd_calls = count_calls(mw.wave.fd_dk)
         k_e_calls = count_calls(mw.elliptic.complete_k_e)
         s = mw.stability_index(0.3, 5 * math.pi)
         assert s.valid and s.I < 0.0
-        assert len(jacobi_calls) == 0 and len(fd_calls) == 0
+        assert len(jacobi_calls) == 0
         assert len(k_e_calls) <= 2
 
     def test_exact_path_domain_error(self):
@@ -176,8 +175,8 @@ class TestIndexScan:
         assert summary.count_invalid == 2
 
     @pytest.mark.parametrize("cell,reason", [
-        ((0.3, 1e60), "overflow"),        # L**6 of the long form for A overflows
-        ((0.3, 1e80), "overflow"),        # L**4 of the coefficients overflows
+        ((0.3, 1e60), "overflow"),        # L**7 overflows
+        ((0.3, 1e80), "overflow"),        # L**7, and L**4 of the coefficients, overflow
         ((0.9, math.pi), "discriminant"),
         ((0.8, 8 * math.pi), "ineq_ii"),
         ((1.0 - 1e-13, 6 * math.pi), "domain"),  # above MODULUS_CUTOFF
@@ -196,9 +195,26 @@ class TestIndexScan:
         assert [s.reason for s in samples] == ["", "overflow", "overflow"]
         assert summary.invalid_reasons == {"overflow": 2}
 
+    @pytest.mark.parametrize("cell", [(0.3, 1e50), (0.5, 2e44)])
+    def test_overflow_once_l7_overflows(self, cell):
+        # above DBL_MAX^(1/7) ~ 1.087e44 the cell is refused; below 1.37e51,
+        # where the long form for A overflowed, it used to be valid with I
+        # and dA/dk underflowed to 0.0
+        k, big_l = cell
+        with pytest.raises(DomainError, match="too large"):
+            mw.wave_params(k, big_l)
+        [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1)
+        assert sample.reason == "overflow" and not sample.valid
+        assert summary.invalid_reasons == {"overflow": 1}
+
+    def test_index_measured_just_below_the_overflow_bound(self):
+        # I scales as L^-7, so just below the bound it is still a normal float
+        s = mw.stability_index(0.3, 0.99 * sys.float_info.max ** (1.0 / 7.0))
+        assert s.valid and math.isfinite(s.I) and s.I < 0.0
+
     @pytest.mark.parametrize("nk,nL", [(1, 1), (10, 10), (25, 4)])
     def test_one_array_pass(self, count_calls, nk, nL):
-        # one real K/E evaluation (validity, A cross-check) and one complex
+        # one real K/E evaluation (validity margins) and one complex
         # one (the four derivatives), whatever the grid size; no Jacobi
         # function, no profile
         k_e_calls = count_calls(mw.elliptic.complete_k_e)
@@ -208,16 +224,6 @@ class TestIndexScan:
         assert len(samples) == nk * nL
         assert [np.iscomplexobj(args[0]) for args in k_e_calls] == [False, True]
         assert jacobi_calls == [] and profile_calls == []
-
-    def test_one_cross_check_warning_per_scan(self, monkeypatch, caplog):
-        closed = mw.wave._a_closed_form
-        monkeypatch.setattr(mw.wave, "_a_closed_form",
-                            lambda k, L, big_k: (closed(k, L, big_k)[0] - 1e-9,
-                                                 closed(k, L, big_k)[1]))
-        with caplog.at_level("WARNING", logger="mchwave.wave"):
-            mw.index_scan(0.1, 0.3, 4 * math.pi, 6 * math.pi, 3, 3)
-        [record] = caplog.records
-        assert "cross-check disagrees at 9 of 9 cells" in record.getMessage()
 
 
 WINDOWS = [(0.01, 0.2, 3 * math.pi, 6 * math.pi), (0.05, 0.8, 6 * math.pi, 10 * math.pi)]
@@ -421,7 +427,6 @@ class TestKrein:
         # operator of morse_check
         jacobi_calls = count_calls(mw.elliptic.jacobi)
         profile_calls = count_calls(mw.wave.profile)
-        fd_calls = count_calls(mw.wave.fd_dk)
         k_e_calls = count_calls(mw.elliptic.complete_k_e)
 
         def k_e_kinds():
@@ -430,13 +435,12 @@ class TestKrein:
             return kinds
 
         assert mw.d_second(0.985) is not None
-        assert (len(jacobi_calls), len(profile_calls), len(fd_calls)) == (0, 0, 0)
+        assert (len(jacobi_calls), len(profile_calls)) == (0, 0)
         assert k_e_kinds() == ["real", "complex"]
         rep = mw.krein_index(0.985, n=128)
         assert rep.z_L == 1
         # the branch, then the wave at (k, L*) and its profile
         assert k_e_kinds() == ["real", "complex", "real", "real"]
-        assert len(fd_calls) == 0
         assert len(profile_calls) == 1 and len(jacobi_calls) == 1
 
     def test_period_is_computed_not_given(self):

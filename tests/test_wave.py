@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
-from mchwave import AccuracyError, DomainError
-from mchwave.wave import _a_closed_form, _closed_forms, _energy, _params_from_k_l, fd_dk
+from mchwave import DomainError
+from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
+
+from conftest import AccuracyError, a_closed_form, fd_dk
 
 
 class TestWaveParams:
@@ -62,9 +64,8 @@ class TestWaveParams:
 
     @pytest.mark.parametrize("big_l", [2e51, 3e51, 1e60, 1e80])
     def test_huge_period_is_a_domain_error(self, big_l):
-        # 27 L**6 in the closed form for A overflows above about 1.4e51,
-        # L**6 itself above about 2.4e51, and L**4 in the coefficients
-        # above about 1e77: an OverflowError before
+        # L**7 overflows above DBL_MAX^(1/7), about 1.087e44, L**4 in the
+        # coefficients above about 1e77: an OverflowError before
         with pytest.raises(DomainError, match="too large"):
             mw.wave_params(0.5, big_l)
 
@@ -102,36 +103,29 @@ class TestWaveParams:
         # the published long closed form, evaluated on the whole 10 x 10 grid
         # in one call, agrees with the ODE evaluation
         ks, ls = np.meshgrid(np.linspace(0.05, 0.8, 10), np.linspace(3 * math.pi, 10 * math.pi, 10))
-        closed = _a_closed_form(ks, ls, mw.complete_k_e(ks)[0])[0]
+        closed = a_closed_form(ks, ls)[0]
         ode = np.array([mw.wave_params(k, big_l).A for k, big_l in zip(ks.flat, ls.flat)])
         assert np.max(np.abs(ode - closed.ravel())) < 1e-8
 
-    def test_cross_check_warns_at_its_rounding_floor(self, monkeypatch, caplog):
-        # the -27 L^6 term of the closed form perturbed by 1e-9 relative moves
-        # A by 1e-9, which a gate of 1e-8 max(1, |A|) misses and 1e3 times
-        # the floor (about 5.6e-16 at (0.5, 20)) does not
-        closed = mw.wave._a_closed_form
-        floor = closed(0.5, 20.0, mw.complete_k_e(0.5)[0])[1]
+    @pytest.mark.parametrize("window", [(0.01, 0.2, 3 * math.pi, 6 * math.pi),
+                                        (0.05, 0.8, 6 * math.pi, 10 * math.pi)])
+    def test_integration_constant_within_rounding_floor(self, window):
+        # both criterion-5 windows at 20 x 20: in every cell with a wave, A
+        # from the ODE is within 1e3 rounding floors of the long form.  The
+        # bound is that sharp: 1e-9 added to A (which a gate of 1e-8
+        # max(1, |A|) misses) breaks it, the floor being about 5.6e-16
+        k0, k1, l0, l1 = window
+        ks = np.repeat(np.linspace(k0, k1, 20), 20)
+        ls = np.tile(np.linspace(l0, l1, 20), 20)
+        (a, _, _, ode, _, _), _, reason = _waves(ks, ls)
+        has_wave = ~np.isnan(a)
+        assert np.count_nonzero(reason == "") > 0 and np.all(has_wave[reason == ""])
+        closed, floor = (v[has_wave] for v in a_closed_form(ks, ls))
+        assert np.all(np.abs(ode[has_wave] - closed) <= 1e3 * floor)
+        closed, floor = a_closed_form(0.5, 20.0)
         assert 1e-16 < floor < 1e-15
-        with caplog.at_level("WARNING", logger="mchwave.wave"):
-            mw.wave_params(0.5, 20.0)
-        assert not caplog.records
-        monkeypatch.setattr(mw.wave, "_a_closed_form",
-                            lambda k, L, big_k: (closed(k, L, big_k)[0] - 1e-9, floor))
-        with caplog.at_level("WARNING", logger="mchwave.wave"):
-            mw.wave_params(0.5, 20.0)
-        [record] = caplog.records
-        assert "cross-check disagrees" in record.getMessage()
+        assert abs(mw.wave_params(0.5, 20.0).A + 1e-9 - closed) > 1e3 * floor
 
-    def test_cross_check_quiet_over_the_scan_windows(self, caplog):
-        # both criterion-5 windows, every cell: the two forms of A agree to
-        # within 1e3 floors
-        windows = [(0.01, 0.2, 3 * math.pi, 6 * math.pi), (0.05, 0.8, 6 * math.pi, 10 * math.pi)]
-        with caplog.at_level("WARNING", logger="mchwave.wave"):
-            for window in windows:
-                _, summary = mw.index_scan(*window, 20, 20)
-                assert summary.count_invalid < summary.count_cells
-        assert not caplog.records
 
 class TestProfile:
     def test_constant_profile(self):
@@ -348,18 +342,19 @@ class TestParamDerivatives:
                 mw.params_dk(k, big_l)
 
     def test_one_derivative_path(self):
-        # every k-derivative is the complex step of wave._dk; the FD ladder
-        # is only the tests' oracle, and no public function takes a step
-        callers = []
-        for path in Path(mw.__file__).parent.glob("*.py"):
-            tree = ast.parse(path.read_text())
-            for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef):
-                    for node in ast.walk(fn):
-                        if isinstance(node, ast.Name) and node.id == "fd_dk" \
-                                or isinstance(node, ast.Attribute) and node.attr == "fd_dk":
-                            callers.append((path.name, fn.name))
-        assert callers == []
+        # every k-derivative is the complex step of wave._dk, and A comes
+        # from the wave ODE alone; the FD ladder, the long form for A and the
+        # functionals' wrappers are the tests' oracles (conftest), which no
+        # module of the package defines or names, and no public function
+        # takes a step
+        oracles = {"fd_dk", "AccuracyError", "_a_closed_form", "semidistance", "inner_h1",
+                   "augmented", "lyapunov"}
+        named = [(path.name, getattr(node, field))
+                 for path in Path(mw.__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 for field in ("name", "id", "attr", "asname", "arg")
+                 if getattr(node, field, None) in oracles]
+        assert named == []
         for fn in (mw.params_dk, mw.stability_index, mw.index_scan, mw.d_second):
             assert "h" not in inspect.signature(fn).parameters
         assert len(dataclasses.fields(mw.ParamDerivatives)) == 4
