@@ -8,12 +8,14 @@ convention is stated once more on each public entry point.
 One descending AGM ladder a_n, c_n (DLMF 19.8, 22.20) serves both entry
 points: :func:`complete_k_e` reads ``K`` and ``E`` off it, and
 :func:`jacobi` walks its ratios c_n / a_n up the ascending amplitude
-recursion to ``sn``, ``cn``, ``dn``.  It converges quadratically, so full
-double precision costs a handful of steps.  It runs over an array of
-moduli, real or complex (the complex-step k-derivatives of
-:mod:`mchwave.wave`), and each element freezes at its own first step with
-|c_n| <= eps |a_n|, where a_n and b_n agree to rounding; an absolute stop
-below half an ulp of a_n never came for about a quarter of the moduli.
+recursion to ``sn``, ``cn``, ``dn``; a wave profile, which needs K to
+form its argument, reads both off one ladder.  It converges
+quadratically, so full double precision costs a handful of steps.  It
+runs over an array of moduli, real or complex (the complex-step
+k-derivatives of :mod:`mchwave.wave`), and each element freezes at its
+own first step with |c_n| <= eps |a_n|, where a_n and b_n agree to
+rounding; an absolute stop below half an ulp of a_n never came for about
+a quarter of the moduli.
 
 One modulus rule serves both: 0 <= Re k <= ``MODULUS_CUTOFF``, NaN failing.
 ``K`` diverges logarithmically at ``k = 1`` and the wave formulas
@@ -80,14 +82,18 @@ def complete_k_e(k):
         DomainError: unless every Re k lies in [0, MODULUS_CUTOFF].
     """
     k_arr = _moduli(k)
-    a_n, c_n = _agm(k_arr.reshape(-1))
-    # K = pi / (2 a_N) and E = K (1 - sum_{n>=0} 2**(n-1) c_n**2), summed in order
-    big_k = math.pi / (2.0 * a_n[-1])
-    weights = 2.0 ** np.arange(-1.0, len(c_n) - 1.0)[:, np.newaxis]
-    big_e = big_k * (1.0 - np.cumsum(weights * (c_n * c_n), axis=0)[-1])
+    big_k, big_e = _k_e(*_agm(k_arr.reshape(-1)))
     if k_arr.ndim == 0:
         return big_k.item(), big_e.item()
     return big_k.reshape(k_arr.shape), big_e.reshape(k_arr.shape)
+
+
+def _k_e(a_n: np.ndarray, c_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = pi / (2 a_N) and E = K (1 - sum_{n>=0} 2**(n-1) c_n**2), summed in
+    order, off a ladder of :func:`_agm`."""
+    big_k = math.pi / (2.0 * a_n[-1])
+    weights = 2.0 ** np.arange(-1.0, len(c_n) - 1.0)[:, np.newaxis]
+    return big_k, big_k * (1.0 - np.cumsum(weights * (c_n * c_n), axis=0)[-1])
 
 
 def jacobi(u, k: float):
@@ -106,8 +112,22 @@ def jacobi(u, k: float):
     Raises:
         DomainError: if ``k`` is outside [0, MODULUS_CUTOFF] or u is not finite.
     """
+    return _k_e_jacobi(k)[2](u)
+
+
+def _k_e_jacobi(k: float) -> tuple:
+    """K(k), E(k) and the map u -> (sn, cn, dn)(u; k) of :func:`jacobi`, for
+    one real modulus, from one ladder: the wave profile needs K before it
+    can form the argument u = 2 K x / L."""
     k = float(k)
     a_n, c_n = _agm(_moduli(k).reshape(1))
+    big_k, big_e = _k_e(a_n, c_n)
+    return big_k.item(), big_e.item(), lambda u: _descend(k, a_n, c_n, u)
+
+
+def _descend(k: float, a_n: np.ndarray, c_n: np.ndarray, u):
+    """sn, cn, dn at u by the ascending amplitude recursion over the ladder
+    a_n, c_n of the one modulus k (:func:`jacobi`)."""
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise DomainError("jacobi requires finite u")

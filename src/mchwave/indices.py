@@ -157,7 +157,8 @@ def classify(n_y0: int, pairing: float, big_d: float) -> Classification:
 def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
     """The index at 1-d arrays of cells, in one pass: the validity margins
     of every cell, then the derivatives of the closed forms for (a, c, A, F)
-    at the valid ones (:func:`mchwave.wave._dk`)."""
+    at the valid ones (:func:`mchwave.wave._dk`).  An index below the
+    smallest normal float is refused as ``underflow``."""
     _, _, reason = wave_mod._waves(k, L)
     live = reason == ""
     da_dk, _, dc_dk, dA_dk, dF_dk = wave_mod._dk(
@@ -165,6 +166,10 @@ def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
     dV_dk = L[live] * da_dk
     cols = np.full((5, k.size), math.nan)
     cols[:, live] = dA_dk * dV_dk - dc_dk * dF_dk, dA_dk, dc_dk, dV_dk, dF_dk
+    underflow = np.abs(cols[0]) < np.finfo(float).tiny  # False at NaN
+    if underflow.any():
+        reason = np.where(underflow, "underflow", reason)
+        cols[:, underflow] = math.nan
     return [IndexSample(*cell[:3], cell[-1] == "", *cell[3:])
             for cell in zip(k.tolist(), L.tolist(), *cols.tolist(), reason.tolist())]
 
@@ -220,10 +225,10 @@ def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
     """Check the zero-mean Morse identities by two routes.
 
     Left sides come from the spectrum of the operator compressed to Y0,
-    the roots of the secular equation; right sides from the unrestricted
-    counts plus the sign of the pairing <L^{-1} 1, 1>, a sum.  Both routes
-    read the one even eigendecomposition, so the check compares the two
-    computations, not two solves.  All counts use the zero tolerance of
+    the eigenvalues of E[1:, 1:]; right sides from the unrestricted counts,
+    the eigenvalues of E, plus the sign of the pairing <L^{-1} 1, 1>, an LU
+    solve of E.  So the check compares three independent solves.  All
+    counts use the zero tolerance of
     :mod:`mchwave.linop`.  The pairing deflates the whole computed kernel,
     so the identities are checked at the constant wave's double kernel too.
     """

@@ -23,27 +23,24 @@ gives L = [[E, -C^T], [-C, O]] with
 
 by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
 Im q^.  For an even wave C is rounding; above the assembly gate the split
-raises :class:`AssemblyError` wherever the blocks are read.  Each block is
-solved once (:class:`ParityBlocks`): E with its eigenvectors, which the
-pairing and its FFT residual need, and O values-only, at about half the
-cost of a full decomposition.
+raises :class:`AssemblyError` wherever the blocks are read.  Every solve
+is values-only and made once (:class:`ParityBlocks`): the eigenvalues of
+E, of its minor E[1:, 1:] and of O, by three ``eigvalsh`` calls.  No
+eigenvector is formed.
 
-As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine mode 0, and
-:func:`inv_one_pairing` reads mode 0 of the even eigenvectors.  No third
-solve is made for E[1:, 1:]: with E = V diag(lambda) V^T and z = V[0],
-the eigenvalues of a principal minor are the roots of the secular
-equation sum_i z_i^2 / (lambda_i - x) = 0 (Golub, SIAM Rev. 15, 1973),
-one in each gap between consecutive poles.  A pole with |z_i| <= 8 eps is
-itself an eigenvalue of E[1:, 1:] to within 2 |z_i| max |lambda| (the
-residual of v_i[1:]), and poles closer than eps max |lambda| are merged
-into one whose weight is the sum (LAPACK dlaed2).  Each remaining root is
-bisected, shifted to its lower pole, until its bracket is at most
-2 eps max |lambda| wide; a wider bracket holds its midpoint strictly
-inside, so no denominator vanishes (:func:`_minor_eigenvalues`).  For a
-smooth wave z decays like the wave's Fourier coefficients, so 6 to about
-100 poles of up to 513 are kept, and the constant wave keeps only the
-mean mode's.  On the waves measured, the minor's eigenvalues agree with
-a dense solve of E[1:, 1:] to within 4e-15 max |lambda|.
+As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine mode 0: L on Y0 is
+E[1:, 1:] beside O, and :func:`restricted_spectrum` reads the minor's
+eigenvalues.  :func:`inv_one_pairing` solves E w = e_0 by one LU
+factorization (``solve``): the pairing is L w_0, and its residual applies
+L to the grid form of w by FFT.  So the Morse identity of
+:func:`mchwave.indices.morse_check` compares three independent
+computations: the eigenvalues of E, those of E[1:, 1:] and the LU solve.
+E has a kernel only at the constant wave, where cos x is exactly an
+eigenvector and its diagonal entry rounds to 0 or eps, so LU may meet a
+zero pivot.  Where an eigenvalue of E is within the zero tolerance, the
+pairing takes the minimum-norm least-squares solution (``lstsq``) with
+that tolerance as the singular-value cutoff; the kernel cos x is
+orthogonal to the constant, so the right side has no kernel part.
 
 The evolution operator is J L, the linearization at the wave of the flow
 :mod:`mchwave.evolve` integrates, with J = dx (1 - dx^2)^{-1} (symbol
@@ -59,7 +56,7 @@ Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero, by one rule with no override: 1e3 eps max |.| of the eigenvalues
 counted.  For L, on the five waves named here and 24 random valid ones
 in k in [0.05, 0.9], L in [3.2 pi, 12 pi] up to n = 2048, and on the
-constant wave up to n = 1024, with Y0 by the secular route: the kernel is
+constant wave up to n = 1024, with Y0 from E[1:, 1:]: the kernel is
 computed at least 9.7e4x below that, and the smallest genuine eigenvalues
 sit 880x above (4.27e-6 on Y0 at (k, L) = (0.1, 5 pi), n = 2048) and 42x
 above (2.11e-6 at (0.05, 3 pi), n = 2048); 1e-6 radius, which grows like
@@ -73,7 +70,6 @@ used, so another threshold is a recount from those two.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -84,19 +80,17 @@ from .errors import AssemblyError, NumericalError
 from .field import PeriodicField, PeriodicGrid
 from .wave import WaveParams, profile
 
-logger = logging.getLogger(__name__)
-
 ASYMMETRY_GATE = 1e-8
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """The ascending eigenvalues and eigenvectors of the even block E of L in
-    cosine coordinates (modes 0 .. n/2), and the ascending eigenvalues of the
-    odd block; :func:`restricted_spectrum` takes E[1:, 1:] from them."""
+    """The ascending eigenvalues of the even block E of L in cosine
+    coordinates (modes 0 .. n/2), of its minor E[1:, 1:] without the mean
+    mode, and of the odd block O, each from its own values-only solve."""
 
     even_vals: np.ndarray = dc_field(repr=False)
-    even_vecs: np.ndarray = dc_field(repr=False)
+    minor_vals: np.ndarray = dc_field(repr=False)
     odd_vals: np.ndarray = dc_field(repr=False)
 
 
@@ -172,12 +166,19 @@ class OperatorMatrix:
         AssemblyError for coefficients that are not even, NumericalError if
         the solver fails."""
         even, odd = self._blocks
-        even_vals, even_vecs = _eig(np.linalg.eigh, even)
-        blocks = ParityBlocks(even_vals=even_vals, even_vecs=even_vecs,
-                              odd_vals=_eig(np.linalg.eigvalsh, odd))
+        blocks = ParityBlocks(*(_lapack(np.linalg.eigvalsh, block)
+                                for block in (even, even[1:, 1:], odd)))
         for arr in vars(blocks).values():
             arr.flags.writeable = False
         return blocks
+
+    @cached_property
+    def full_spectrum(self) -> SpectralReport:
+        """The report of :func:`spectrum`, made once from :attr:`parity` and
+        shared read-only."""
+        report = _make_report(self.parity.even_vals, self.parity.odd_vals, self.grid)
+        report.eigenvalues.flags.writeable = False
+        return report
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,8 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class PairingReport:
-    """The pairing <L^{-1} 1, 1> from a kernel-deflated solve; ``kernel_dim``
-    and ``tol`` are the z_dim and tol of :func:`spectrum`."""
+    """The pairing <L^{-1} 1, 1> from one solve of the even block;
+    ``kernel_dim`` and ``tol`` are the z_dim and tol of :func:`spectrum`."""
 
     value: float
     kernel_dim: int
@@ -236,11 +237,12 @@ def operator_for(p: WaveParams, n: int) -> OperatorMatrix:
     return assemble_l(PeriodicField(grid, phi), PeriodicField(grid, phi2), p.c)
 
 
-def _eig(solver, a: np.ndarray):
+def _lapack(solver, *args, **kwargs):
+    """``solver(*args, **kwargs)``; NumericalError if LAPACK fails."""
     try:
-        return solver(a)
+        return solver(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+        raise NumericalError(f"{solver.__name__} failed: {exc}") from exc
 
 
 def _cosine_weights(half: int) -> np.ndarray:
@@ -292,9 +294,8 @@ def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray,
 
 def spectrum(m: OperatorMatrix) -> SpectralReport:
     """Full spectrum of L with negative/zero counts: the real ascending
-    union of its cached parity blocks' eigenvalues."""
-    blocks = m.parity
-    return _make_report(blocks.even_vals, blocks.odd_vals, m.grid)
+    union of its parity blocks' eigenvalues, cached on the operator."""
+    return m.full_spectrum
 
 
 def restricted_spectrum(m: OperatorMatrix) -> SpectralReport:
@@ -302,48 +303,11 @@ def restricted_spectrum(m: OperatorMatrix) -> SpectralReport:
 
     This is the Morse data of the quadratic form on Y0, spanned by the
     cosine modes but mode 0 (the constant) and by all the sine modes: the
-    eigenvalues of the even block without its mean mode, from the cached
-    even eigenpairs by the secular equation (module docstring), joined
+    eigenvalues of the even block without its mean mode, E[1:, 1:], joined
     with the odd block's.
     """
     blocks = m.parity
-    return _make_report(_minor_eigenvalues(blocks.even_vals, blocks.even_vecs[0]),
-                        blocks.odd_vals, m.grid)
-
-
-def _minor_eigenvalues(vals: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix without its first row and
-    column, from its ascending eigenvalues ``vals`` and the first entries
-    ``head`` of their orthonormal eigenvectors: the deflated poles, and one
-    bisected root of the secular equation between each two kept poles
-    (module docstring)."""
-    eps = np.finfo(float).eps
-    scale = float(np.max(np.abs(vals)))
-    kept = np.abs(head) > 8.0 * eps
-    poles = vals[kept]
-    # a run of poles closer than eps scale keeps its first, with the run's weight
-    starts = np.flatnonzero(np.diff(poles, prepend=-np.inf) > eps * scale)
-    deflated = np.concatenate((vals[~kept], np.delete(poles, starts)))
-    weights, poles = np.add.reduceat(head[kept] ** 2, starts), poles[starts]
-    # row j: the poles less pole j, so root j lies in (0, shifted[j, j + 1])
-    shifted = poles - poles[:-1, None]
-    lo, hi = np.zeros(poles.size - 1), np.diagonal(shifted, 1).copy()
-    width = 2.0 * eps * scale
-    active = np.flatnonzero(hi - lo > width)
-    iterations = 0
-    while active.size:
-        iterations += 1
-        mid = 0.5 * (lo[active] + hi[active])
-        # the secular function rises from -inf to +inf across the bracket
-        above = (1.0 / (shifted[active] - mid[:, None])) @ weights > 0.0
-        hi[active[above]] = mid[above]
-        lo[active[~above]] = mid[~above]
-        active = active[hi[active] - lo[active] > width]
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("Y0 secular solve: kept %d poles, deflated %d, %d bisection iterations, "
-                     "widest final bracket %.3e", poles.size, deflated.size, iterations,
-                     float(np.max(hi - lo, initial=0.0)))
-    return np.sort(np.concatenate((deflated, poles[:-1] + 0.5 * (lo + hi))))
+    return _make_report(blocks.minor_vals, blocks.odd_vals, m.grid)
 
 
 def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
@@ -359,7 +323,7 @@ def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
     half = m.grid.n // 2
     kap = m.grid.wavenumbers()[1:half]
     scale = kap / (1.0 + kap * kap)
-    mu = _eig(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
+    mu = _lapack(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
     tol_mu = _zero_tol(mu)
     zero = np.abs(mu) <= tol_mu
     root = np.where(zero, 0.0, np.sqrt(mu + 0j))
@@ -375,26 +339,26 @@ def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
 def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
     """The pairing <L^{-1} 1, 1> with the L^2(0, L) inner product.
 
-    Solves L w = 1 on the orthogonal complement of the numerical kernel
-    (deflated with the computed kernel eigenvectors, so the solve is
-    consistent with the discrete operator) and returns <w, 1>.  As 1 =
-    sqrt(n) (cosine mode 0), that is L sum v_i0^2 / lambda_i over the even
-    eigenpairs outside the kernel; phi' is odd, and the even block has a
-    kernel only at the constant-wave degeneracy, whose double kernel is
-    deflated like a simple one.  The kernel and its tolerance are those of
-    :func:`spectrum`; the residual max |L w - 1| (1 less its kernel part)
-    applies L to the grid form of w by FFT, with no block or dense matrix.
-    Raises AssemblyError for coefficients that are not even.
+    As 1 = sqrt(n) (cosine mode 0) and phi' is odd, L w = 1 is the even
+    system E w = sqrt(n) e_0, and the pairing is L w_0 for E w = e_0, by one
+    LU solve.  Where E has an eigenvalue within the zero tolerance (only at
+    the constant wave, whose double kernel is deflated like a simple one),
+    w is the minimum-norm least-squares solution with the tolerance as its
+    cutoff (module docstring).  The kernel and its tolerance are those of
+    :func:`spectrum`; the residual max |L w - 1| applies L to the grid
+    form of w by FFT, with no block or dense matrix.  Raises AssemblyError
+    for coefficients that are not even.
     """
     full = spectrum(m)
-    vals, vecs = m.parity.even_vals, m.parity.even_vecs
-    kernel = np.abs(vals) <= full.tol
-    n, head = m.grid.n, vecs[0]
-    inv = np.zeros_like(vals)
-    inv[~kernel] = 1.0 / vals[~kernel]
-    pairing = m.grid.L * float(np.dot(inv, head * head))
-    ones = np.eye(1, n // 2 + 1)[0] - vecs[:, kernel] @ head[kernel]
-    cols = math.sqrt(n) * np.column_stack((vecs @ (inv * head), ones))
-    w, rhs = _to_grid(np.pad(cols, ((0, n // 2 - 1), (0, 0)))).T
-    residual = float(np.max(np.abs(_apply_l(m, w) - rhs)))
-    return PairingReport(value=pairing, kernel_dim=full.z_dim, residual=residual, tol=full.tol)
+    even, vals = m._blocks[0], m.parity.even_vals
+    n = m.grid.n
+    e_0 = np.eye(1, n // 2 + 1)[0]
+    if np.any(np.abs(vals) <= full.tol):
+        cutoff = full.tol / float(np.max(np.abs(vals)))
+        w = _lapack(np.linalg.lstsq, even, e_0, rcond=cutoff)[0]
+    else:
+        w = _lapack(np.linalg.solve, even, e_0)
+    w_grid = _to_grid(math.sqrt(n) * np.pad(w, (0, n // 2 - 1))[:, None])[:, 0]
+    residual = float(np.max(np.abs(_apply_l(m, w_grid) - 1.0)))
+    return PairingReport(value=m.grid.L * float(w[0]), kernel_dim=full.z_dim,
+                         residual=residual, tol=full.tol)

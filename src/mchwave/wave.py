@@ -33,7 +33,10 @@ valid wave:
 - ``overflow``: L**7 overflows a float, L above DBL_MAX^(1/7) ~ 1.087e44
   (the index scales as L^-7, so past that bound it would underflow to 0);
 - ``discriminant``: Delta <= 0;
-- ``ineq_i``, ``ineq_ii``: a validity margin is not negative.
+- ``ineq_i``, ``ineq_ii``: a validity margin is not negative;
+- ``underflow``: the wave is valid but its index I, named by
+  :mod:`mchwave.indices`, is below the smallest normal float (just below
+  the ``overflow`` bound, at small k).
 
 The scalar entry points are the one-element case and raise the typed error
 for their cell (an invalid margin is no error).
@@ -48,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import MODULUS_CUTOFF, complete_k_e, jacobi
+from .elliptic import MODULUS_CUTOFF, _k_e_jacobi, complete_k_e
 from .errors import DomainError
 
 # Imaginary step of the complex-step derivatives.  No difference is taken,
@@ -318,12 +321,13 @@ def profile(p: WaveParams, x):
     """Profile phi and its first two x-derivatives at x (scalar or array).
 
     Derivatives are analytic, via (dn^2)' = -2 k^2 sn cn dn and the chain
-    rule with theta = 2 K x / L.
+    rule with theta = 2 K x / L.  K, E and sn, cn, dn come from one AGM
+    ladder.
     """
-    big_k, big_e = complete_k_e(p.k)
+    big_k, big_e, sn_cn_dn = _k_e_jacobi(p.k)
     omega = 2.0 * big_k / p.L
     x_arr = np.asarray(x, dtype=float)
-    sn, cn, dn = jacobi(omega * x_arr, p.k)
+    sn, cn, dn = sn_cn_dn(omega * x_arr)
     k2 = p.k * p.k
     phi = p.a + p.b * (dn * dn - big_e / big_k)
     phi1 = -2.0 * k2 * p.b * omega * (sn * cn * dn)

@@ -327,10 +327,11 @@ class TestSpectrumCommand:
 
     def test_spectral_paths_build_no_dense_matrix(self, count_calls, monkeypatch, tmp_path):
         # counts, pairing and the J L spectrum come from the parity blocks of
-        # one L: no eigensolver sees more than the (n/2 + 1)^2 even block
+        # one L: no eigensolver or linear solve sees more than the
+        # (n/2 + 1)^2 even block
         assembled = count_calls(linop.assemble_l)
         shapes = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve", "lstsq"):
             def solve(a, *args, _solve=getattr(np.linalg, name), **kwargs):
                 shapes.append(np.shape(a))
                 return _solve(a, *args, **kwargs)

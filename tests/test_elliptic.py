@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ellipe, ellipj, ellipk
 
-from mchwave import DomainError, complete_k_e, elliptic, jacobi
+from mchwave import DomainError, complete_k_e, elliptic, jacobi, profile, wave_params
 
 
 def k_quadrature(k: float) -> float:
@@ -122,7 +122,8 @@ class TestAgmStopRule:
         assert np.max(np.abs(de_dk / ((big_e - big_k) / ks) - 1.0)) < 1e-13
 
     def test_one_ladder_per_call(self, monkeypatch):
-        # K, E and sn, cn, dn all read the one ladder, run once per call
+        # K, E and sn, cn, dn all read the one ladder, run once per call; a
+        # wave profile reads K, E and the descent off one ladder too
         calls = []
         agm = elliptic._agm
         monkeypatch.setattr(elliptic, "_agm", lambda k: calls.append(k.size) or agm(k))
@@ -130,6 +131,10 @@ class TestAgmStopRule:
         assert calls == [7]
         jacobi(np.linspace(0.0, 10.0, 64), 0.5)
         assert calls == [7, 1]
+        p = wave_params(0.5, 6 * math.pi)
+        calls.clear()
+        profile(p, np.linspace(0.0, p.L, 64))
+        assert calls == [1]
 
     def test_jacobi_ladder_steps(self, monkeypatch):
         # one arcsin per ladder step; the absolute stop made 63 at k = 0.13

@@ -207,6 +207,27 @@ class TestIndexScan:
         assert sample.reason == "overflow" and not sample.valid
         assert summary.invalid_reasons == {"overflow": 1}
 
+    @pytest.mark.parametrize("k, index", [(0.05, -4.1e-310), (0.01, -2.6e-314),
+                                          (0.001, -2.6e-320)])
+    def test_subnormal_index_is_refused_as_underflow(self, k, index):
+        # just below the overflow bound, a small k gives a valid wave whose I
+        # (about ``index``) is subnormal: refused, not reported as an index
+        big_l = 0.99 * sys.float_info.max ** (1.0 / 7.0)
+        s = mw.stability_index(k, big_l)
+        assert (s.reason, s.valid) == ("underflow", False)
+        assert all(math.isnan(v) for v in (s.I, s.dA_dk, s.dc_dk, s.dV_dk, s.dF_dk))
+        assert mw.validity(k, big_l).all_ok
+        samples, summary = mw.index_scan(k, 0.3, big_l, big_l, 2, 1)
+        assert [x.reason for x in samples] == ["underflow", ""]
+        assert summary.invalid_reasons == {"underflow": 1}
+        assert summary.count_invalid == 1 and summary.max_I == samples[1].I
+
+    @pytest.mark.parametrize("k", [0.3, 0.1])
+    def test_smallest_normal_indices_stay_valid(self, k):
+        # I = -2.5e-305 at k = 0.3 and -2.7e-308 at k = 0.1, both normal
+        s = mw.stability_index(k, 0.99 * sys.float_info.max ** (1.0 / 7.0))
+        assert s.valid and s.reason == "" and -1e-304 < s.I <= -sys.float_info.min
+
     def test_index_measured_just_below_the_overflow_bound(self):
         # I scales as L^-7, so just below the bound it is still a normal float
         s = mw.stability_index(0.3, 0.99 * sys.float_info.max ** (1.0 / 7.0))
@@ -439,9 +460,10 @@ class TestKrein:
         assert k_e_kinds() == ["real", "complex"]
         rep = mw.krein_index(0.985, n=128)
         assert rep.z_L == 1
-        # the branch, then the wave at (k, L*) and its profile
-        assert k_e_kinds() == ["real", "complex", "real", "real"]
-        assert len(profile_calls) == 1 and len(jacobi_calls) == 1
+        # the branch, then the wave at (k, L*); its profile reads K, E and
+        # sn, cn, dn off one ladder of its own, not through these two
+        assert k_e_kinds() == ["real", "complex", "real"]
+        assert len(profile_calls) == 1 and len(jacobi_calls) == 0
 
     def test_period_is_computed_not_given(self):
         # L* follows from k in closed form: no entry point takes a bracket
@@ -502,26 +524,58 @@ class TestKrein:
 
 
 def test_one_decomposition_per_operator(monkeypatch, tmp_path):
-    # each entry point decomposes the n x n operator once, as its even
-    # (n/2 + 1) and odd (n/2 - 1) parity blocks (eigenvalues, counts, zero
-    # tolerance and pairing share them); the even block without its mean
-    # mode is taken from the even eigenpairs, with no solve of its own
+    # each entry point solves the n x n operator once, as its parity blocks:
+    # values-only solves of the even block (n/2 + 1), of the even block
+    # without its mean mode (n/2) and of the odd block (n/2 - 1), and one
+    # LU solve of the even block for the pairing; no eigenvectors
     sizes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "solve", "lstsq"):
         solver = getattr(np.linalg, name)
 
-        def counted(a, *args, _solver=solver, **kwargs):
-            sizes.append(a.shape[0])
+        def counted(a, *args, _solver=solver, _name=name, **kwargs):
+            sizes.append((_name, a.shape[0]))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
+    def solves(n):
+        return [("eigvalsh", n // 2 - 1), ("eigvalsh", n // 2), ("eigvalsh", n // 2 + 1),
+                ("solve", n // 2 + 1)]
+
     mw.morse_check(0.5, 6 * math.pi)
-    assert sorted(sizes) == [127, 129]
+    assert sorted(sizes) == solves(256)
     sizes.clear()
     mw.krein_index(0.985, n=128)
-    assert sorted(sizes) == [63, 65]
+    assert sorted(sizes) == solves(128)
     sizes.clear()
     assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                      "--out-dir", str(tmp_path)]) == EXIT_OK
-    assert sorted(sizes) == [63, 65]
+    assert sorted(sizes) == solves(128)
+
+
+@pytest.mark.parametrize("solver, order", [("eigvalsh", 129), ("eigvalsh", 128),
+                                           ("solve", 129)],
+                         ids=["even_block", "y0_minor", "pairing"])
+def test_each_solve_alone_breaks_the_morse_identity(monkeypatch, solver, order):
+    # n(L) reads eigvalsh(E), n(L|Y0) eigvalsh(E[1:, 1:]) and the pairing an LU
+    # solve of E, at n = 256 of orders 129, 128 and 129.  Moving one value of
+    # one of them across 0 must show as n_Y0_direct != n_Y0_predicted: the
+    # three are independent computations, not reads of one decomposition.
+    original = getattr(np.linalg, solver)
+
+    def corrupted(a, *args, **kwargs):
+        out = original(a, *args, **kwargs)
+        if a.shape[0] != order:
+            return out
+        if solver == "solve":
+            return -out  # the pairing is L w_0: its sign flips
+        out = out.copy()
+        first_positive = np.flatnonzero(out > 0.0)[0]
+        out[first_positive] = -out[first_positive]
+        return out
+
+    intact = mw.morse_check(0.5, 6 * math.pi)
+    assert intact.n_identity_holds and intact.z_identity_holds
+    monkeypatch.setattr(np.linalg, solver, corrupted)
+    report = mw.morse_check(0.5, 6 * math.pi)
+    assert report.n_Y0_direct != report.n_Y0_predicted

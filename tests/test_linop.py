@@ -1,8 +1,6 @@
 """Linearized-operator assembly, spectra, and the deflated pairing."""
 
-import logging
 import math
-import re
 
 import numpy as np
 import pytest
@@ -183,79 +181,37 @@ class TestRestrictedSpectrum:
         assert np.max(np.abs(rayleigh - rep.eigenvalues[:vecs.shape[1]])) < 1e-10 * radius
 
 
-def assert_minor_matches_eigvalsh(op):
-    """The Y0 route against the oracle eigvalsh(E[1:, 1:]) of the program's
-    even block: eigenvalues within 1e-13 radius and identical counts."""
-    restr = mw.restricted_spectrum(op)
-    oracle = linop._make_report(np.linalg.eigvalsh(op._blocks[0][1:, 1:]),
-                                op.parity.odd_vals, op.grid)
-    radius = float(np.max(np.abs(oracle.eigenvalues)))
-    assert np.max(np.abs(restr.eigenvalues - oracle.eigenvalues)) <= 1e-13 * radius
-    assert (restr.n_neg, restr.z_dim) == (oracle.n_neg, oracle.z_dim)
-
-
-def secular_log(caplog, op) -> str:
-    with caplog.at_level(logging.DEBUG, logger="mchwave.linop"):
-        mw.restricted_spectrum(op)
-    [record] = [r for r in caplog.records if r.name == "mchwave.linop"]
-    return record.getMessage()
-
-
 class TestSecularMinor:
-    """E[1:, 1:] from the even eigenpairs by the deflated secular equation,
-    against a dense solve of the minor; filterwarnings = error makes a
-    division by zero fail."""
+    """The Y0 minor E[1:, 1:] on the waves where the secular route it replaced
+    was hardest (the ids keep that route's names), against the grid-parity
+    oracle: eigenvalues within 1e-13 radius, identical counts and pairing."""
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_near_the_zero_mean_period(self, n):
-        # k = 0.999 at L*: the most poles kept (about 100)
+        # k = 0.999 at L*: the even eigenvectors' mean-mode entries decay slowest
         l_star = mw.indices.zero_mean_period(0.999)
-        assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(0.999, l_star), n))
+        assert_matches_grid_parity(mw.operator_for(mw.wave_params(0.999, l_star), n))
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_large_k(self, n):
-        assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(0.9, 4 * math.pi), n))
+        assert_matches_grid_parity(mw.operator_for(mw.wave_params(0.9, 4 * math.pi), n))
 
     @pytest.mark.parametrize("n", [16, 128, 1024])
-    def test_constant_wave_deflates_all_but_the_mean(self, caplog, n):
-        # E is diagonal up to rounding: only the mean mode's eigenvector has
-        # a head entry above 8 eps, so no secular root is solved
+    def test_constant_wave_deflates_all_but_the_mean(self, n):
+        # E is diagonal up to rounding, with the kernel cos x: the minor is E
+        # without its mean mode, and the pairing takes the least-squares route
         op = mw.operator_for(mw.indices.constant_or_wave(0.0, 2 * math.pi), n)
-        assert_minor_matches_eigvalsh(op)
-        message = secular_log(caplog, op)
-        assert f"kept 1 poles, deflated {n // 2}, 0 bisection iterations" in message
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_repeated_eigenvalues_merge(self, seed):
-        # exact repeated poles with nonzero head weights: the triple 2 is
-        # merged into one pole and leaves 2 twice in the minor
-        vals = np.array([-3.0, 0.5, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0])
-        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
-        assert np.min(np.abs(q[0])) > 1e-3
-        got = linop._minor_eigenvalues(vals, q[0])
-        oracle = np.linalg.eigvalsh(((q * vals) @ q.T)[1:, 1:])
-        assert np.max(np.abs(got - oracle)) <= 1e-13 * 7.0
-        assert np.count_nonzero(got == 2.0) == 2 and np.count_nonzero(got == 7.0) == 1
-
-    def test_debug_line(self, caplog, op05_256):
-        # 16 head entries of 129 exceed 8 eps at (0.5, 6 pi); the next is 2.3 eps
-        message = secular_log(caplog, op05_256)
-        kept, deflated, iterations, width = re.search(
-            r"kept (\d+) poles, deflated (\d+), (\d+) bisection iterations, "
-            r"widest final bracket (\S+)", message).groups()
-        assert int(kept) + int(deflated) == 129 and 10 <= int(kept) <= 20
-        assert 0 < int(iterations) <= 64
-        radius = float(np.max(np.abs(op05_256.parity.even_vals)))
-        assert float(width) <= 1.001 * 2 * np.finfo(float).eps * radius  # printed to 4 digits
+        assert_matches_grid_parity(op)
+        assert mw.inv_one_pairing(op).kernel_dim == 2
 
 
 @settings(max_examples=20)
 @given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi),
        n=st.sampled_from([16, 32, 64, 128, 256]))
 def test_secular_minor_matches_eigvalsh(k, big_l, n):
-    # on the criterion-6 window
+    # on the criterion-6 window (the id keeps the secular route's name)
     assume(mw.validity(k, big_l).all_ok)
-    assert_minor_matches_eigvalsh(mw.operator_for(mw.wave_params(k, big_l), n))
+    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), n))
 
 
 def assert_matches_dense_evolution(op):
@@ -325,10 +281,14 @@ class TestParityBlocks:
         resid = dense_matrix(op05_256) @ vecs - vecs * rep.eigenvalues[:vecs.shape[1]]
         assert np.max(np.abs(resid)) < 1e-10 * radius
 
-    def test_one_eigh_and_one_eigvalsh_per_operator(self, eig_calls, tmp_path):
-        # only E is solved with its vectors and O values-only; E[1:, 1:] comes
-        # from E's eigenpairs with no solve, and J L adds its one eigvals
-        values_only = ["eigh", "eigvalsh"]
+    def test_three_eigvalsh_and_one_solve_per_operator(self, eig_calls, monkeypatch,
+                                                      tmp_path):
+        # E, E[1:, 1:] and O are solved values-only, the pairing is one LU
+        # solve of E, no eigenvector is formed, and J L adds its one eigvals
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **kw: eig_calls.append("solve") or solve(*a, **kw))
+        values_only = ["eigvalsh"] * 3 + ["solve"]
         mw.morse_check(0.5, 6 * math.pi)
         assert sorted(eig_calls) == values_only
         job = ["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128", "--out-dir", str(tmp_path)]
@@ -336,6 +296,20 @@ class TestParityBlocks:
             eig_calls.clear()
             assert cli.dispatch(job + extra) == cli.EXIT_OK
             assert sorted(eig_calls) == sorted(values_only + added)
+
+    def test_one_spectrum_report_per_operator(self, count_calls, tmp_path):
+        # the report of L is made once and shared by the counts and the
+        # pairing; the Y0 report is the other
+        reports = count_calls(linop._make_report)
+        mw.morse_check(0.5, 6 * math.pi)
+        assert len(reports) == 2
+        reports.clear()
+        assert cli.dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
+                             "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert len(reports) == 2
+        op = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 64)
+        assert mw.spectrum(op) is mw.spectrum(op) is op.full_spectrum
+        assert not mw.spectrum(op).eigenvalues.flags.writeable
 
     def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
         for op in (op05_256, op_constant_128):
@@ -498,11 +472,10 @@ class TestHillBlocks:
         n = 256
         op = mw.operator_for(mw.wave_params(k, big_l), n)
         pair = mw.inv_one_pairing(op)
-        blocks = op.parity
-        head = blocks.even_vecs[0]
-        w = math.sqrt(n) * cosine_basis(n) @ (blocks.even_vecs @ (head / blocks.even_vals))
-        assert pair.value == pytest.approx(big_l * float(np.dot(head, head / blocks.even_vals)),
-                                           rel=1e-14)
+        vals, vecs = np.linalg.eigh(op._blocks[0])
+        head = vecs[0]
+        w = math.sqrt(n) * cosine_basis(n) @ (vecs @ (head / vals))
+        assert pair.value == pytest.approx(big_l * float(np.dot(head, head / vals)), rel=1e-14)
         a = dense_matrix(op)
         scale = float(np.max(np.abs(a)) * np.max(np.abs(w)))
         assert abs(pair.residual - float(np.max(np.abs(a @ w - 1.0)))) <= 1e-12 * scale
