@@ -68,12 +68,12 @@ from .wave import (
     SnoidalParams,
     ValidityReport,
     WaveParams,
-    constant_wave,
     ode_residual,
     params_dk,
     profile,
     snoidal_form,
     validity,
+    wave_at,
     wave_params,
 )
 

@@ -166,7 +166,7 @@ def _spectral_payload(rep: linop.SpectralReport) -> dict:
 
 
 def cmd_wave(args: argparse.Namespace) -> int:
-    p, rep = wave_mod._nonconstant_wave(args.k, args.L)
+    p, rep = wave_mod.wave_at(args.k, args.L)
     if not rep.all_ok:
         print(f"invalid wave at (k={args.k}, L={args.L}): "
               f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}")
@@ -210,7 +210,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    p, rep = indices._wave_and_validity(args.k, args.L)
+    p, rep = wave_mod.wave_at(args.k, args.L)
     op = linop.operator_for(p, args.n)
     full = linop.spectrum(op)
     restr = linop.restricted_spectrum(op)

@@ -37,7 +37,6 @@ from .elliptic import complete_k_e
 from .errors import DomainError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
-from .wave import ValidityReport, WaveParams
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
@@ -232,7 +231,7 @@ def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
     :mod:`mchwave.linop`.  The pairing deflates the whole computed kernel,
     so the identities are checked at the constant wave's double kernel too.
     """
-    op = operator_for(constant_or_wave(k, L), n)
+    op = operator_for(wave_mod.wave_at(k, L)[0], n)
     full = spectrum(op)
     pair = inv_one_pairing(op)
     restr = restricted_spectrum(op)
@@ -243,17 +242,6 @@ def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
         n_Y0_predicted=full.n_neg - n_pair - z_pair,
         z_Y0_predicted=full.z_dim + z_pair,
     )
-
-
-def constant_or_wave(k: float, L: float) -> WaveParams:
-    """Wave at (k, L), admitting the k = 0 constant-wave limit."""
-    return _wave_and_validity(k, L)[0]
-
-
-def _wave_and_validity(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
-    """:func:`constant_or_wave` and :func:`mchwave.wave.validity` at (k, L),
-    from one pass of the closed forms; k = 0 is :func:`mchwave.wave.constant_wave`."""
-    return wave_mod._one_wave(0.0 if k == 0.0 else k, L)
 
 
 def _zero_mean_l(k, k_e=None):

@@ -38,8 +38,11 @@ valid wave:
   :mod:`mchwave.indices`, is below the smallest normal float (just below
   the ``overflow`` bound, at small k).
 
-The scalar entry points are the one-element case and raise the typed error
-for their cell (an invalid margin is no error).
+Three scalar entry points are the one-element case of that pass:
+:func:`wave_at` returns the wave and its :class:`ValidityReport`, admits
+k = 0 as the constant wave, and raises the typed error of a refused cell
+(an invalid margin is no error); :func:`wave_params` is its raising k > 0
+form; :func:`validity` returns the report alone and never raises.
 """
 
 from __future__ import annotations
@@ -92,8 +95,9 @@ class ValidityReport:
     ``ineq_ii_margin`` is the exact max(phi - c), attained at x = L/2
     (must be < 0).  For the constant wave (k = 0) ``ineq_i_value`` is
     exactly 0.0, the boundary, so ``all_ok`` is False.
-    When the closed forms refuse (k, L), because Delta <= 0 or L**7
-    overflows, ``discriminant_ok`` is False and the other two margins are NaN.
+    When the closed forms refuse (k, L), because (k, L) is outside their
+    domain (e.g. ``validity(nan, 6.0)``), Delta <= 0 or L**7 overflows,
+    ``discriminant_ok`` is False and the other two margins are NaN.
     """
 
     discriminant_ok: bool
@@ -112,12 +116,6 @@ class ParamDerivatives:
     dA_dk: float
 
 
-def _power(L, m: int):
-    """L**m elementwise; inf or NaN, with no warning, where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return L**m
-
-
 def _outside(k, L):
     """Where (k, L) leaves the domain of the closed forms, 0 <= Re k <=
     MODULUS_CUTOFF and 0 < Re L < inf (k = 0 is the constant wave)."""
@@ -131,7 +129,7 @@ def _params_from_k_l(k, L, k_e=None) -> tuple:
     k and L are scalars or arrays that broadcast, real or complex (the
     complex-step derivatives), with Delta > 0 tested on the real part.
     Where (k, L) is outside the domain, L**7 overflows or Delta <= 0, a, b
-    and c are NaN; :func:`_refusal` names the reason.  ``k_e`` is (K, E) at
+    and c are NaN; :func:`_waves` names the reason.  ``k_e`` is (K, E) at
     k, if the caller has evaluated them.
     """
     out = _outside(k, L)
@@ -153,17 +151,6 @@ def _params_from_k_l(k, L, k_e=None) -> tuple:
     if refused.any():
         a, b, c = (np.where(refused, np.nan, v) for v in (a, b, c))
     return a, b, c, big_k, big_e
-
-
-def _refusal(k, L, a):
-    """Why the closed forms gave no wave where ``a`` is NaN, elementwise:
-    ``domain``, ``overflow`` (L**7 overflows) or ``discriminant`` (Delta <= 0);
-    "" where they gave one."""
-    refused = np.isnan(a)
-    if not refused.any():
-        return np.full(np.shape(a), "", dtype="<U12")
-    return np.where(refused, np.where(_outside(k, L), "domain", np.where(
-        np.isfinite(_power(L, 7)), "discriminant", "overflow")), "")
 
 
 def _a_from_ode(a, b, c, k, big_k, big_e, L):
@@ -246,20 +233,22 @@ def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
     is not negative.  A comes from the wave ODE.
     """
     a, b, c, big_k, big_e = _params_from_k_l(k, L)
-    reason = _refusal(k, L, a)
     refused = np.isnan(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # L**7 is inf or NaN where it overflows
+        reason = np.where(_outside(k, L), "domain", np.where(
+            np.isfinite(L**7), "discriminant", "overflow"))
     if refused.any():  # (0.5, 10) stands in, so nothing below overflows or divides by 0
         k, L = np.where(refused, 0.5, k), np.where(refused, 10.0, L)
     a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
     # 0 c: exactly 0 for the constant wave, NaN where there is no wave
     ineq_i = np.where(k > 0.0, c * c - 3.0 * c + 32.0 * math.pi**4 / L**4, 0.0 * c)
     ineq_ii = a + b * ((1.0 - k * k) - big_e / big_k) - c
-    reason = np.where(~refused, np.where(ineq_i < 0.0, np.where(
-        ineq_ii < 0.0, "", "ineq_ii"), "ineq_i"), reason)
+    reason = np.where(refused, reason, np.where(ineq_i < 0.0, np.where(
+        ineq_ii < 0.0, "", "ineq_ii"), "ineq_i"))
     return (a, b, c, a_ode, big_k, big_e), (ineq_i, ineq_ii), reason
 
 
-# Messages of the typed errors the scalar entry points raise for a refused cell.
+# Messages of the typed errors :func:`wave_at` raises for a refused cell.
 _REFUSED = {
     "domain": f"a wave requires 0 <= k <= {MODULUS_CUTOFF!r} and finite L > 0, "
               "got k={k}, L={L}",
@@ -268,53 +257,45 @@ _REFUSED = {
 }
 
 
-def _refuse(reason: str, k, L) -> None:
-    """Raise the DomainError of a cell refused for ``reason``; "" and the
-    validity margins raise nothing."""
+def _cell(k: float, L: float) -> tuple:
+    """One :func:`_waves` pass at the cell (k, L): the floats (a, b, c, A),
+    the cell's :class:`ValidityReport` and its reason."""
+    waves, (ineq_i, ineq_ii), (reason,) = _waves(np.array([k], float), np.array([L], float))
+    report = ValidityReport(reason not in _REFUSED, float(ineq_i[0]), float(ineq_ii[0]),
+                            bool(reason == ""))
+    return [float(v[0]) for v in waves[:4]], report, reason
+
+
+def wave_at(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
+    """The wave at modulus k and period L and its validity report, from one
+    :func:`_waves` pass.
+
+    k = 0 (or -0.0, recorded as 0.0) is the constant wave phi = a, the closed
+    forms at K = E = pi/2; it exists for finite L > (128/9)^(1/4) pi, and its
+    ``ineq_i_value`` is exactly 0.0, so it is never valid.  An invalid margin
+    is no error: the report carries it.
+
+    Raises:
+        DomainError: where the closed forms refuse (k, L), for a ``domain``,
+            ``overflow`` or ``discriminant`` cell.
+    """
+    k = 0.0 if k == 0.0 else k
+    coeffs, report, reason = _cell(k, L)
     if reason in _REFUSED:
         raise DomainError(_REFUSED[reason].format(k=k, L=L))
-
-
-def _validity_report(margins: tuple, reason: str) -> ValidityReport:
-    """The :class:`ValidityReport` of one cell of :func:`_waves`."""
-    ineq_i, ineq_ii = margins
-    return ValidityReport(reason in ("", "ineq_i", "ineq_ii"), float(ineq_i[0]),
-                          float(ineq_ii[0]), bool(reason == ""))
-
-
-def _one_wave(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
-    """The wave at one cell and its validity report, from one :func:`_waves`
-    pass; the DomainError of the cell where the closed forms refuse it."""
-    (a, b, c, big_a, _, _), margins, reason = _waves(np.array([k], float), np.array([L], float))
-    _refuse(reason[0], k, L)
-    return (WaveParams(k=k, L=L, a=float(a[0]), b=float(b[0]), c=float(c[0]), A=float(big_a[0])),
-            _validity_report(margins, reason[0]))
+    return WaveParams(k, L, *coeffs), report
 
 
 def wave_params(k: float, L: float) -> WaveParams:
-    """Construct the wave at modulus k and period L.
+    """Construct the wave at modulus k and period L: :func:`wave_at` without
+    its report.
 
     Requires 0 < k < 1, Delta(k, L) > 0 and a finite L**7.  A comes from
     the wave ODE at x = 0.
     """
-    return _nonconstant_wave(k, L)[0]
-
-
-def _nonconstant_wave(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
-    """:func:`wave_params` and its validity report, from one :func:`_waves` pass."""
     if k == 0.0:
-        raise DomainError("wave_params requires 0 < k < 1; k = 0 is constant_wave")
-    return _one_wave(k, L)
-
-
-def constant_wave(L: float) -> WaveParams:
-    """The k -> 0 degenerate wave: a constant profile phi = a.
-
-    The closed forms of :func:`wave_params` at k = 0, where K = E = pi/2.
-    Exposed for testing; k = 0 itself lies outside the open modulus
-    interval of :func:`wave_params`.  Exists for finite L > (128/9)^(1/4) pi.
-    """
-    return _one_wave(0.0, L)[0]
+        raise DomainError("wave_params requires 0 < k < 1; k = 0 is wave_at(0.0, L)")
+    return wave_at(k, L)[0]
 
 
 def profile(p: WaveParams, x):
@@ -372,8 +353,7 @@ def validity(k: float, L: float) -> ValidityReport:
     constant wave's first value is identically 0, reported as exactly
     0.0, so its ``all_ok`` is False at every L.
     """
-    _, margins, reason = _waves(np.array([k], float), np.array([L], float))
-    return _validity_report(margins, reason[0])
+    return _cell(k, L)[1]
 
 
 def _dk(f: Callable, k) -> tuple:
@@ -392,10 +372,8 @@ def params_dk(k: float, L: float) -> ParamDerivatives:
     closed forms.
 
     Raises:
-        DomainError: outside the valid (k, L) domain.
+        DomainError: where :func:`wave_params` refuses (k, L).
     """
-    if k == 0.0:
-        raise DomainError("params_dk requires 0 < k < 1")
+    wave_params(k, L)
     ks, ls = np.array([k], float), np.array([L], float)
-    _refuse(_refusal(ks, ls, _params_from_k_l(ks, ls)[0])[0], k, L)
     return ParamDerivatives(*(float(v[0]) for v in _dk(partial(_closed_forms, L=ls), ks)[:4]))

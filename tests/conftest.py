@@ -75,7 +75,7 @@ def op05_512(wave05):
 
 @pytest.fixture(scope="session")
 def op_constant_128():
-    p = mw.constant_wave(2.0 * np.pi)
+    p = mw.wave_at(0.0, 2.0 * np.pi)[0]
     return mw.operator_for(p, 128)
 
 

@@ -205,7 +205,7 @@ def test_criterion_9_spectral_temporal_crosscheck(wave05):
                                                monitor_every=200))
     assert abs(rep.rate_tail - target) / target < 0.10
 
-    p0 = mw.constant_wave(2 * math.pi)
+    p0 = mw.wave_at(0.0, 2 * math.pi)[0]
     op_c = mw.operator_for(p0, 64)
     grid_c = op_c.grid
     radius_c = float(np.max(np.abs(mw.evolution_spectrum(op_c).eigenvalues)))

@@ -164,10 +164,15 @@ class TestWaveCommand:
         assert (target / "wave.json").exists()
 
     def test_invalid_wave_reports_margins(self, tmp_path, capsys):
-        # k = 0.8 at L = 8 pi exists but fails the phi - c < 0 inequality
-        code = dispatch(["wave", "--k", "0.8", "--L", "8pi", "--out-dir", str(tmp_path)])
-        assert code == EXIT_DOMAIN
-        assert "ineq_ii" in capsys.readouterr().out
+        # k = 0.8 at L = 8 pi exists but fails the phi - c < 0 inequality; the
+        # constant wave (k = 0 or -0.0) sits exactly on the boundary of the first
+        for k, big_l, printed in (("0.8", "8pi", "ineq_ii"), ("0", "2pi", "ineq_i=0.0"),
+                                  ("-0.0", "2pi", "ineq_i=0.0")):
+            out = tmp_path / k
+            code = dispatch(["wave", "--k", k, "--L", big_l, "--out-dir", str(out)])
+            assert code == EXIT_DOMAIN == 1
+            assert printed in capsys.readouterr().out
+            assert not (out / "wave.json").exists()
 
     def test_huge_period_exits_domain(self, tmp_path):
         # L**7 overflows; the closed forms once overflowed into a traceback
@@ -368,7 +373,8 @@ class TestSpectrumCommand:
             assert payload["spectrum"]["n_neg"] == 15  # grows with n: phi - c changes sign
 
 
-    @pytest.mark.parametrize("k, big_l", [("0.5", "6pi"), ("0.9", "8pi"), ("0", "2pi")])
+    @pytest.mark.parametrize("k, big_l", [("0.5", "6pi"), ("0.9", "8pi"), ("0", "2pi"),
+                                          ("-0.0", "2pi")])
     def test_one_wave_pass(self, tmp_path, count_calls, k, big_l):
         # the wave and its validity come from one pass of the closed forms
         passes = count_calls(mw.wave._waves)
@@ -377,7 +383,10 @@ class TestSpectrumCommand:
         assert len(passes) == 1
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         k, big_l = float(k), parse_length(big_l)
-        assert payload["wave"] == dataclasses.asdict(mw.indices.constant_or_wave(k, big_l))
+        assert payload["wave"] == dataclasses.asdict(mw.wave_at(k, big_l)[0])
+        # -0.0 is the constant wave, recorded as 0.0
+        assert math.copysign(1.0, mw.wave_at(k, big_l)[0].k) == 1.0
+        assert math.copysign(1.0, payload["wave"]["k"]) == 1.0
         assert payload["validity"] == dataclasses.asdict(mw.validity(k, big_l))
         assert payload["validity"]["all_ok"] is (k == 0.5)
         if k == 0.9:  # only phi - c < 0 fails

@@ -415,7 +415,7 @@ class TestBitwiseOracle:
 
 class TestLinearizedRun:
     def test_constant_case_norm_conserved(self):
-        p = mw.constant_wave(2 * math.pi)
+        p = mw.wave_at(0.0, 2 * math.pi)[0]
         grid = mw.PeriodicGrid(p.L, 64)
         x = grid.nodes
         v0 = mw.PeriodicField(grid, np.cos(2 * x) + 0.5 * np.sin(3 * x))

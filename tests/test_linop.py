@@ -200,7 +200,7 @@ class TestSecularMinor:
     def test_constant_wave_deflates_all_but_the_mean(self, n):
         # E is diagonal up to rounding, with the kernel cos x: the minor is E
         # without its mean mode, and the pairing takes the least-squares route
-        op = mw.operator_for(mw.indices.constant_or_wave(0.0, 2 * math.pi), n)
+        op = mw.operator_for(mw.wave_at(0.0, 2 * math.pi)[0], n)
         assert_matches_grid_parity(op)
         assert mw.inv_one_pairing(op).kernel_dim == 2
 
@@ -258,7 +258,7 @@ class TestParityBlocks:
                                           (0.7, 9 * math.pi), (0.0, 2 * math.pi)])
     def test_matches_dense_decomposition(self, k, big_l, n):
         # oracle: one full dense eigensolve and the deflated solve on it
-        op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
         dense = np.linalg.eigvalsh(dense_matrix(op))
         radius = float(np.max(np.abs(dense)))
         rep = mw.spectrum(op)
@@ -435,7 +435,7 @@ class TestHillBlocks:
                                           (0.7, 9 * math.pi), (0.0, 2 * math.pi)])
     def test_matches_grid_parity_blocks(self, k, big_l, n):
         # oracle: the dense collocation matrix folded into grid-parity blocks
-        op = mw.operator_for(mw.indices.constant_or_wave(k, big_l), n)
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
         assert_matches_grid_parity(op)
 
     def test_blocks_are_the_cosine_and_sine_compressions(self, op05_256):
@@ -545,7 +545,7 @@ class TestInPlaceAssembly:
                                           (0.9, 4 * math.pi), (0.999, None)])
     def test_named_waves(self, k, big_l, n):
         big_l = mw.zero_mean_period(k) if big_l is None else big_l
-        assert_blocks_match_reference(mw.operator_for(mw.indices.constant_or_wave(k, big_l), n))
+        assert_blocks_match_reference(mw.operator_for(mw.wave_at(k, big_l)[0], n))
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     @pytest.mark.parametrize("amplitude", [1e-14, 1.0])
@@ -583,7 +583,7 @@ class TestEvolutionOperator:
         # explicit cosine and sine bases Q; it is [[0, K O], [-K E, 0]] in the
         # program's blocks, K = kappa / (1 + kappa^2), cosine rows 0 and n/2 zero
         for op in (mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 256),
-                   mw.operator_for(mw.constant_wave(2 * math.pi), 128)):
+                   mw.operator_for(mw.wave_at(0.0, 2 * math.pi)[0], 128)):
             n, half = op.grid.n, op.grid.n // 2
             q = np.hstack((cosine_basis(n), sine_basis(n)))
             a = helmholtz_diff_matrix(op.grid) @ dense_matrix(op)
@@ -605,7 +605,7 @@ class TestEvolutionOperator:
         assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_constant_case_purely_imaginary(self):
-        rep = mw.evolution_spectrum(mw.operator_for(mw.constant_wave(2 * math.pi), 128))
+        rep = mw.evolution_spectrum(mw.operator_for(mw.wave_at(0.0, 2 * math.pi)[0], 128))
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-8
         # on Y0: i m (2 m^2 - 2) / (1 + m^2) for m = +-1 .. +-63, and the
         # structural 0 of the Nyquist cosine

@@ -12,15 +12,26 @@ from hypothesis import assume, given, strategies as st
 
 import mchwave as mw
 from mchwave import DomainError
+from mchwave.cli import dispatch
 from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
 
 from conftest import AccuracyError, a_closed_form, fd_dk
 
 
+def names_in_package(names: set) -> list:
+    """(module, name) for each identifier of ``names`` that a module of the
+    package defines or names."""
+    return [(path.name, getattr(node, field))
+            for path in Path(mw.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("name", "id", "attr", "asname", "arg")
+            if getattr(node, field, None) in names]
+
+
 class TestWaveParams:
     def test_constant_limit(self):
         # k -> 0 at L = 2 pi degenerates to a = -1, b = -2, c = 1, A = 0
-        p = mw.constant_wave(2.0 * math.pi)
+        p = mw.wave_at(0.0, 2.0 * math.pi)[0]
         assert p.a == pytest.approx(-1.0, abs=1e-12)
         assert p.b == pytest.approx(-2.0, abs=1e-12)
         assert p.c == pytest.approx(1.0, abs=1e-12)
@@ -36,13 +47,13 @@ class TestWaveParams:
         head = 32.0 * math.pi**4 / (1.5 * L * L + 0.5 * root)  # 1.5 L^2 - root / 2
         c = head / (L * L)
         a = -(8.0 * math.pi**2 + head) / (3.0 * L * L)
-        p = mw.constant_wave(L)
+        p = mw.wave_at(0.0, L)[0]
         assert (p.a, p.b, p.c, p.A) == (a, -8.0 * math.pi**2 / (L * L), c, -a**3 + c * a)
 
     @pytest.mark.parametrize("big_l", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_constant_wave_bad_period(self, big_l):
         with pytest.raises(DomainError):
-            mw.constant_wave(big_l)
+            mw.wave_at(0.0, big_l)[0]
         rep = mw.validity(0.0, big_l)
         assert not rep.discriminant_ok and not rep.all_ok
         assert math.isnan(rep.ineq_i_value) and math.isnan(rep.ineq_ii_margin)
@@ -129,7 +140,7 @@ class TestWaveParams:
 
 class TestProfile:
     def test_constant_profile(self):
-        p = mw.constant_wave(2.0 * math.pi)
+        p = mw.wave_at(0.0, 2.0 * math.pi)[0]
         x = np.linspace(0, p.L, 40)
         phi, phi1, phi2 = mw.profile(p, x)
         assert np.allclose(phi, p.a, atol=1e-14)
@@ -170,7 +181,7 @@ class TestProfile:
 
 class TestSnoidalForm:
     def test_constant_limit_degenerates(self):
-        p = mw.constant_wave(2.0 * math.pi)
+        p = mw.wave_at(0.0, 2.0 * math.pi)[0]
         sp = mw.snoidal_form(p)
         assert sp.beta == pytest.approx(0.0, abs=1e-15)
         assert sp.alpha == pytest.approx(p.a, abs=1e-12)
@@ -199,7 +210,7 @@ class TestOdeResidual:
                 assert mw.ode_residual(p, 512) < 1e-8
 
     def test_constant_wave_residual(self):
-        assert mw.ode_residual(mw.constant_wave(2.0 * math.pi), 64) < 1e-14
+        assert mw.ode_residual(mw.wave_at(0.0, 2.0 * math.pi)[0], 64) < 1e-14
 
     def test_offset_constant_shifts_residual(self, wave05):
         shifted = dataclasses.replace(wave05, A=wave05.A + 1.0)
@@ -260,7 +271,7 @@ class TestValidity:
                                        10 * math.pi, 14 * math.pi])
     def test_constant_wave_margin(self, big_l):
         rep = mw.validity(0.0, big_l)
-        self.check_margin_against_sampling(rep, mw.constant_wave(big_l))
+        self.check_margin_against_sampling(rep, mw.wave_at(0.0, big_l)[0])
         # c^2 - 3c + 32 pi^4 / L^4 vanishes identically: the boundary, never valid
         assert rep.ineq_i_value == 0.0
         assert not rep.all_ok
@@ -349,17 +360,34 @@ class TestParamDerivatives:
         # takes a step
         oracles = {"fd_dk", "AccuracyError", "_a_closed_form", "semidistance", "inner_h1",
                    "augmented", "lyapunov"}
-        named = [(path.name, getattr(node, field))
-                 for path in Path(mw.__file__).parent.glob("*.py")
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 for field in ("name", "id", "attr", "asname", "arg")
-                 if getattr(node, field, None) in oracles]
-        assert named == []
+        assert names_in_package(oracles) == []
         for fn in (mw.params_dk, mw.stability_index, mw.index_scan, mw.d_second):
             assert "h" not in inspect.signature(fn).parameters
         assert len(dataclasses.fields(mw.ParamDerivatives)) == 4
+
+    def test_one_wave_entry_point(self):
+        # a wave and its verdict come from wave_at (wave_params and validity
+        # are its two other faces); the entry points it replaced are gone
+        deleted = {"constant_wave", "constant_or_wave", "_wave_and_validity", "_one_wave",
+                   "_nonconstant_wave", "_refuse", "_validity_report", "_refusal", "_power"}
+        assert names_in_package(deleted) == []
+        assert "wave_at" in mw.__all__ and "constant_wave" not in mw.__all__
 
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
         with pytest.raises(AccuracyError):
             fd_dk(lambda k: np.array([abs(k - 0.5003)]), 0.5, 1e-3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda out: mw.wave_at(0.5, 6.0 * math.pi),
+    lambda out: mw.validity(0.5, 6.0 * math.pi),
+    lambda out: mw.wave_params(0.5, 6.0 * math.pi),
+    lambda out: mw.morse_check(0.5, 6.0 * math.pi, n=64),
+    lambda out: dispatch(["wave", "--k", "0.5", "--L", "6pi", "--out-dir", str(out)]),
+], ids=["wave_at", "validity", "wave_params", "morse_check", "cli_wave"])
+def test_one_wave_pass(call, count_calls, tmp_path):
+    # each entry point evaluates the closed forms and the validity margins once
+    passes = count_calls(mw.wave._waves)
+    call(tmp_path)
+    assert len(passes) == 1
