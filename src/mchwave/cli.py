@@ -252,12 +252,13 @@ def _run_report_rows(report) -> list[list]:
 
 def _run_setup(args: argparse.Namespace) -> tuple:
     """The wave of ``evolve`` and ``orbit``, its samples on n nodes, and the
-    run config, whose dt defaults to :func:`mchwave.evolve.suggested_dt`."""
+    run config: fixed steps of ``--dt``, else adaptive with ``suggested_dt``."""
     p = wave_mod.wave_params(args.k, args.L)
     u0 = sample_wave(p, PeriodicGrid(p.L, args.n))
     dt = args.dt if args.dt is not None else evolve_mod.suggested_dt(u0, speed=p.c)
     return p, u0, evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
-                                             monitor_every=args.monitor_every)
+                                             monitor_every=args.monitor_every,
+                                             adaptive=args.dt is None)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -273,6 +274,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     summary = {
         "terminated": report.terminated,
         "dt": cfg.dt,
+        "steps": report.steps,
+        "max_error_estimate": report.max_error_estimate,
         "max_propagation_error": prop_err,
         "max_drift_E": float(np.max(np.abs(report.drift_E))),
         "max_drift_F": float(np.max(np.abs(report.drift_F))),
@@ -295,6 +298,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     summary = {
         "terminated": report.terminated,
         "dt": cfg.dt,
+        "steps": report.steps,
+        "max_error_estimate": report.max_error_estimate,
         "delta": args.delta,
         "seed": args.seed,
         "sup_rho": sup_rho,
@@ -311,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    dt_help = ("fixed RK4 step; without it, error-controlled steps fill the "
+               "intervals of --monitor-every suggested steps between records")
 
     def add_common(sp):
         sp.add_argument("--out-dir", default=".", help="artifact directory")
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--L", type=parse_length, required=True)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=float, default=None, help=dt_help)
     sp.add_argument("--t-end", type=float, default=5.0)
     sp.add_argument("--monitor-every", type=int, default=20)
     add_common(sp)
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--delta", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=float, default=None, help=dt_help)
     sp.add_argument("--t-end", type=float, default=50.0)
     sp.add_argument("--monitor-every", type=int, default=25)
     sp.add_argument("--rho-factor", type=float, default=50.0)

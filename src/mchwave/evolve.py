@@ -6,9 +6,19 @@ The equation is integrated in its smoothed form
 
 whose x-derivative reproduces u u_xxx + 2 u_x u_xx - 3 u^2 u_x exactly,
 so this is the original flow written through its Hamiltonian structure.
-The operator symbol i kappa / (1 + kappa^2) is bounded, which keeps the
-stiffness effectively first order and classical RK4 stable with
-dt ~ L / n.
+The operator symbol i kappa / (1 + kappa^2) is bounded, so the stiffness
+comes from the transport term alone, with speed ~ u: classical RK4 is
+stable for dt max |u| / (L / n) up to about 2 sqrt(2) / pi.
+
+Step control.  A run records the state every ``monitor_every`` steps of
+``dt``.  With ``adaptive`` set, the fewest equal RK4 steps h whose error
+estimates stay within ``STEP_TOL`` h fill each interval between records.
+The estimate (h/6) ||k4 - k5|| (RMS grid norm) is the distance to RK4's
+order-3 FSAL companion, k5 = f(y_{n+1}) being the next step's k1, so it
+costs no right side.  The counts start from h = 0.25 (L/n) / max |u0|
+and follow est / h ~ h^3 (safety 0.9, growth at most 2x); an interval
+over the target is redone.  A non-finite estimate, or a count past
+``MAX_REFINE`` times the interval's count of ``dt`` steps, is blow-up.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -53,6 +63,10 @@ TERMINATED_INSTABILITY = "instability_detected"
 DEALIAS_PAD = 2
 # A run whose max |u| leaves this bound is recorded as blow-up.
 BLOWUP_THRESHOLD = 100.0
+# Target of an adaptive run's steps: error estimate per unit time, RMS norm.
+STEP_TOL = 1e-11
+# An adaptive interval past this many times its count of dt steps is blow-up.
+MAX_REFINE = 64
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,7 @@ class EvolutionConfig:
     dt: float
     t_end: float
     monitor_every: int = 10
+    adaptive: bool = False  # run only: dt spaces the records (module docstring)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -95,6 +110,8 @@ class StabilityRunReport:
     drift_F: np.ndarray
     drift_V: np.ndarray
     terminated: str
+    steps: int  # RK4 steps taken, redone ones included
+    max_error_estimate: float  # largest accepted estimate per unit time
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,9 @@ class LinearGrowthReport:
 
 
 def suggested_dt(u0: PeriodicField, speed: float = 0.0) -> float:
-    """Default step 0.5 (L/n) / max(1, ||u0||_inf + speed)."""
+    """0.5 (L/n) / max(1, ||u0||_inf + |speed|): an adaptive run's monitor
+    spacing, and a stable fixed step.  The max(1, .) floor keeps a small
+    wave densely sampled, and the records at the times they always had."""
     umax = float(np.max(np.abs(u0.values)))
     return 0.5 * u0.grid.spacing / max(1.0, umax + abs(speed))
 
@@ -193,11 +212,12 @@ def rhs(u: PeriodicField) -> PeriodicField:
     return PeriodicField(u.grid, out)
 
 
-def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step from ``values``, whose slope ``k1 = f(values)``
-    the caller has evaluated.  The stage inputs share one buffer, and the
-    sum ((k1 + 2 k2) + 2 k3) + k4, times dt / 6, plus ``values`` is formed
-    in place in k2: the operations of the textbook expression, in its order."""
+    the caller has evaluated; returns the new state and k4.  The stage
+    inputs share one buffer, and the sum ((k1 + 2 k2) + 2 k3) + k4, times
+    dt / 6, plus ``values`` is formed in place in k2: the operations of the
+    textbook expression, in its order."""
     stage = (0.5 * dt) * k1
     stage += values
     k2 = f(stage)
@@ -214,7 +234,31 @@ def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     k2 += k4
     k2 *= dt / 6.0
     k2 += values
-    return k2
+    return k2, k4
+
+
+def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float,
+             tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
+    """Up to q RK4 steps of h from ``spec``, whose slope ``k1`` is given:
+    the end state and its slope, the largest estimate per unit time and
+    the steps taken.  The first estimate not within ``tol`` ends the steps
+    and is returned; the state is None if that estimate is not finite, or
+    if a state before the last left the blow-up bound."""
+    # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
+    scale = math.sqrt(2.0) / (6.0 * f.n)
+    worst = 0.0
+    for j in range(q):
+        # 2u against twice the threshold is exact, and NaN fails too
+        if j and not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
+            return None, k1, worst, j
+        spec, k4 = _rk4_step(f, spec, k1, h)
+        k1 = f(spec)
+        k4 -= k1
+        est = scale * float(np.linalg.norm(k4))
+        if not est <= tol:
+            return (spec if math.isfinite(est) else None), k1, est, j + 1
+        worst = max(worst, est)
+    return spec, k1, worst, q
 
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
@@ -223,7 +267,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     """Integrate the flow from u0 with RK4, recording drift diagnostics.
 
     dt is adjusted (at most fractionally) so an integer number of steps
-    lands exactly on t_end.  When a ``reference`` wave is supplied the
+    lands exactly on t_end; the state is recorded every ``monitor_every``
+    of them and at t_end.  When a ``reference`` wave is supplied the
     orbital semi-distance rho(u(t), phi) is recorded too, and if
     ``delta`` is given the run halts with ``instability_detected`` once
     rho exceeds rho_factor * delta, at t = 0 included; delta = 0 or None
@@ -265,32 +310,43 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
     spec = u0.spectrum  # held since functionals(u0)
     terminated = record(0.0, u0.values) or TERMINATED_COMPLETED
-    monitored = True  # the state at t = 0 is recorded, not checked
+    tol = STEP_TOL if cfg.adaptive else math.inf
+    umax = float(np.max(np.abs(u0.values)))
+    h_target = 0.25 * u0.grid.spacing / umax if umax > 0.0 else math.inf
+    k1, s0, steps, worst = op(spec), 0, 0, 0.0  # the state at t = 0 is not checked
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            if terminated != TERMINATED_COMPLETED:
-                break
-            k1 = op(spec)
-            # an unmonitored step's state is checked off this stage's fine
-            # grid: 2u against twice the threshold is exact, and NaN fails too
-            if not monitored and not (np.max(np.abs(op.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
+        while terminated == TERMINATED_COMPLETED and s0 < n_steps:
+            s1 = min(s0 + cfg.monitor_every, n_steps)
+            span = (s1 - s0) * dt
+            while True:  # trials of the interval [s0 dt, s1 dt]
+                q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
+                if q > MAX_REFINE * (s1 - s0):
+                    end = None
+                    break
+                h = span / q if cfg.adaptive else dt
+                end, k_end, est, taken = _advance(op, spec, k1, q, h, tol)
+                steps += taken
+                if end is None:
+                    break
+                h_target = h * min(2.0, 0.9 * (tol / est) ** (1.0 / 3.0)) if est else 2.0 * h
+                if est <= tol:
+                    break
+            if end is None:
                 terminated = TERMINATED_BLOWUP
                 break
-            spec = _rk4_step(op, spec, k1, dt)
-            monitored = step % cfg.monitor_every == 0 or step == n_steps
-            if monitored:
-                values = np.fft.irfft(spec, u0.grid.n)
-                if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
-                    terminated = TERMINATED_BLOWUP
-                    break
-                terminated = record(step * dt, values) or TERMINATED_COMPLETED
+            spec, k1, s0, worst = end, k_end, s1, max(worst, est)
+            values = np.fft.irfft(spec, u0.grid.n)
+            if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
+                terminated = TERMINATED_BLOWUP
+                break
+            terminated = record(s1 * dt, values) or TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
     report = StabilityRunReport(
         times=np.array(times),
         rho=np.array(rho_list) if phi_ref is not None else None,
         drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
-        terminated=terminated,
+        terminated=terminated, steps=steps, max_error_estimate=worst,
     )
     return Trajectory(times=times, fields=fields), report
 
@@ -330,7 +386,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     norms = [w * float(np.linalg.norm(values))]
     f = _linear_rhs(lop)
     for step in range(1, n_steps + 1):
-        values = _rk4_step(f, values, f(values), dt)
+        values = _rk4_step(f, values, f(values), dt)[0]
         if not np.all(np.isfinite(values)):
             raise BlowUpError(f"linearized run lost finiteness at step {step}")
         if step % cfg.monitor_every == 0 or step == n_steps:

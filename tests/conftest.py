@@ -299,6 +299,21 @@ def lyapunov(u: mw.PeriodicField, p: mw.WaveParams, big_n: float,
         + big_n * (q_of(u) - q_of(phi)) ** 2
 
 
+def fsal_companion(u0: mw.PeriodicField, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One textbook RK4 step of h from u0, y1, and RK4's order-3 FSAL
+    companion y* = y + h (k1/6 + k2/3 + k3/3 + k5/6), k5 = f(y1), both as
+    grid values: ||y1 - y*|| is the step's error estimate."""
+    f = evolve._RhsOperator(u0.grid)
+    y = np.fft.rfft(u0.values)
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y_star = y + h * (k1 / 6.0 + k2 / 3.0 + k3 / 3.0 + f(y1) / 6.0)
+    return np.fft.irfft(y1, u0.grid.n), np.fft.irfft(y_star, u0.grid.n)
+
+
 def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
     """``evolve.run`` as first written, the oracle it must match bit for bit:
     every right side checks its output for finiteness and raises, and every
@@ -352,10 +367,12 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
 
     spec = np.fft.rfft(u0.values)
     terminated = record(0.0, u0.values) or evolve.TERMINATED_COMPLETED
+    taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             if terminated != evolve.TERMINATED_COMPLETED:
                 break
+            taken = step
             try:
                 spec = rk4_step(op, spec, dt)
             except BlowUpError:
@@ -373,6 +390,6 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
         times=np.array(times),
         rho=np.array(rho_list) if phi_ref is not None else None,
         drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
-        terminated=terminated,
+        terminated=terminated, steps=taken, max_error_estimate=math.nan,
     )
     return evolve.Trajectory(times=times, fields=fields), report

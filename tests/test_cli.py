@@ -441,6 +441,7 @@ class TestEvolveAndOrbit:
         summary = json.loads((tmp_path / "evolve_summary.json").read_text())
         assert summary["terminated"] == "completed"
         assert summary["max_propagation_error"] < 1e-8
+        assert summary["steps"] > 0 and 0.0 < summary["max_error_estimate"] <= mw.evolve.STEP_TOL
         lines = (tmp_path / "evolve.csv").read_text().splitlines()
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "t,rho,drift_E,drift_F,drift_V"
@@ -470,6 +471,35 @@ class TestEvolveAndOrbit:
         assert first == second
         summary = json.loads((tmp_path / "orbit_summary.json").read_text())
         assert summary["sup_rho"] < 20 * 1e-3
+
+    def test_default_dt_takes_a_third_of_the_right_sides(self, tmp_path, monkeypatch):
+        # a count, not a timing: the default-dt run against fixed steps of the
+        # suggested dt, which spaces its monitor times
+        call, calls = mw.evolve._RhsOperator.__call__, []
+
+        def counted(self, spec):
+            calls.append(None)
+            return call(self, spec)
+
+        monkeypatch.setattr(mw.evolve._RhsOperator, "__call__", counted)
+        p = mw.wave_params(0.5, 6 * math.pi)
+        dt = mw.suggested_dt(mw.sample_wave(p, mw.PeriodicGrid(p.L, 256)), speed=p.c)
+        args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "256", "--t-end", "10",
+                "--monitor-every", "25"]
+        counts, summaries, times = [], [], []
+        for extra, out in (([], tmp_path / "default"), (["--dt", repr(dt)], tmp_path / "fixed")):
+            calls.clear()
+            assert dispatch(args + extra + ["--out-dir", str(out)]) == EXIT_OK
+            counts.append(len(calls))
+            summaries.append(json.loads((out / "orbit_summary.json").read_text()))
+            rows = strip_timestamps((out / "orbit.csv").read_text())
+            times.append([l.split(",")[0] for l in rows if not l.startswith("#")])
+        assert counts[0] <= counts[1] / 3
+        assert times[0] == times[1] and len(times[0]) > 2
+        for summary, count in zip(summaries, counts):
+            assert summary["dt"] == dt and 4 * summary["steps"] + 1 == count
+            assert 0.0 < summary["max_error_estimate"] < 1e-8
+        assert summaries[0]["max_error_estimate"] <= mw.evolve.STEP_TOL
 
     @pytest.mark.parametrize("bad", [["--delta", "nan"], ["--delta", "inf"],
                                      ["--rho-factor", "-1"], ["--rho-factor", "0"],

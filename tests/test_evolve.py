@@ -1,5 +1,6 @@
 """Time integration: exactness, conservation, equivariance, experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import dense_evolution_eigenvalues, random_smooth, reference_run
+from conftest import (dense_evolution_eigenvalues, fsal_companion, random_smooth,
+                      reference_run)
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -300,7 +302,8 @@ class TestSpectralState:
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
         # the benchmark's traced per-step counters wrap exactly these two names;
         # run evaluates a step's first stage before it calls _rk4_step, so the
-        # right sides of a step are those between consecutive _rk4_step returns
+        # right sides of a step are those between consecutive _rk4_step returns,
+        # and one more, the slope of the last state, completes its estimate
         rk4, call = evolve._rk4_step, _RhsOperator.__call__
         sides, at_return = [], [0]
 
@@ -319,7 +322,7 @@ class TestSpectralState:
         _, rep = mw.run(mw.sample_wave(wave05, grid), mw.EvolutionConfig(dt=0.05, t_end=1.0),
                         reference=wave05)
         assert rep.terminated == TERMINATED_COMPLETED
-        assert list(np.diff(at_return)) == [4] * 20 and len(sides) == 80
+        assert list(np.diff(at_return)) == [4] * 20 and len(sides) == 81
 
     def test_non_finite_spectrum_raises(self):
         # the cube of 1e120 overflows, so the right side's spectrum is not finite
@@ -330,7 +333,7 @@ class TestSpectralState:
 
 def _assert_same_run(got, want):
     (traj, rep), (traj_ref, rep_ref) = got, want
-    assert rep.terminated == rep_ref.terminated
+    assert rep.terminated == rep_ref.terminated and rep.steps == rep_ref.steps
     assert traj.times == traj_ref.times and np.array_equal(rep.times, rep_ref.times)
     assert (rep.rho is None) == (rep_ref.rho is None)
     assert rep.rho is None or np.array_equal(rep.rho, rep_ref.rho)
@@ -408,9 +411,94 @@ class TestBitwiseOracle:
         u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
         cfg = mw.EvolutionConfig(dt=1e100, t_end=2e100, monitor_every=10**9)
         got = mw.run(u0, cfg)
-        assert len(states) == 1 and not np.isfinite(states[0]).all()
+        assert len(states) == 1 and not np.isfinite(states[0][0]).all()
         assert got[1].terminated == TERMINATED_BLOWUP
         _assert_same_run(got, reference_run(u0, cfg))
+
+
+def _orbit_start(k, big_l, n=256, delta=1e-3):
+    """The wave (k, L), an orbit run's u0 = phi + delta w, seed 2, and the
+    fixed-step config at the suggested dt, t = 10, monitored every 25."""
+    p = mw.wave_params(k, big_l)
+    grid = mw.PeriodicGrid(p.L, n)
+    phi = mw.sample_wave(p, grid)
+    u0 = phi + delta * seeded_perturbation(grid, seed=2)
+    cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=10.0,
+                             monitor_every=25)
+    return p, u0, cfg
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("h", [0.8, 0.4, 0.2])
+    def test_estimate_is_the_companion_distance(self, h):
+        # one step of h: its estimate per unit time times h is the RMS
+        # distance to the independently formed order-3 companion
+        _, u0, _ = _orbit_start(0.5, 6 * math.pi)
+        _, rep = mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, monitor_every=1))
+        y1, y_star = fsal_companion(u0, h)
+        distance = math.sqrt(np.mean((y1 - y_star) ** 2))
+        rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
+        assert rep.steps == 1 and distance > 1e3 * rounding
+        assert abs(rep.max_error_estimate * h - distance) <= 4.0 * rounding
+
+    def test_estimate_is_fourth_order(self):
+        _, u0, _ = _orbit_start(0.5, 6 * math.pi)
+        est = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h))[1].max_error_estimate * h
+               for h in (0.4, 0.2)]
+        assert 16.0 * 0.8 <= est[0] / est[1] <= 16.0 * 1.2
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
+                                          (0.7, 9 * math.pi)])
+    def test_default_dt_accuracy(self, k, big_l):
+        p, u0, cfg = _orbit_start(k, big_l)
+        _, rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=p, delta=1e-3)
+        _, fixed = mw.run(u0, cfg, reference=p, delta=1e-3)
+        # the reference: an eighth of the landed step, monitored at the same times
+        fine = mw.EvolutionConfig(dt=cfg.steps[1] / 8, t_end=cfg.t_end,
+                                  monitor_every=8 * cfg.monitor_every)
+        _, ref = mw.run(u0, fine, reference=p, delta=1e-3)
+        assert rep.terminated == fixed.terminated == ref.terminated == TERMINATED_COMPLETED
+        assert np.array_equal(rep.times, fixed.times) and len(ref.times) == len(rep.times)
+        assert np.max(np.abs(rep.rho - ref.rho)) <= 1e-8 * 1e-3
+        for drift in (rep.drift_E, rep.drift_F, rep.drift_V):
+            assert np.max(np.abs(drift)) < 1e-7
+        assert 0.0 < rep.max_error_estimate <= evolve.STEP_TOL
+
+    def test_overflowing_field_is_blowup(self):
+        # the cube of 1e120 overflows in the first step: its estimate is NaN
+        g = mw.PeriodicGrid(2 * math.pi, 32)
+        u0 = mw.sample(lambda x: 1e120 * np.sin(x), g)
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=1,
+                                 adaptive=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
+            traj, rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
+        assert rep.steps == 1
+
+    def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
+        # no step meets a target of 1e-300, so the first interval is refined
+        # until its count passes MAX_REFINE times its count of dt steps
+        monkeypatch.setattr(evolve, "STEP_TOL", 1e-300)
+        _, u0, cfg = _orbit_start(0.5, 6 * math.pi, n=64)
+        traj, rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
+        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
+        assert rep.steps == 1
+
+    def test_threshold_crossed_inside_an_interval(self, monkeypatch, wave05):
+        # as in TestBitwiseOracle, the peak starts half a node off the grid:
+        # max |u| crosses a threshold 5e-6 above its start near t = 1, peaks
+        # as the wave's crest passes a node, and is back below it when the
+        # crest is half a node past it, near t = 33, the one monitor time
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        u0 = mw.fractional_shift(mw.sample_wave(wave05, grid), 0.5 * grid.spacing)
+        cfg = mw.EvolutionConfig(dt=0.05, t_end=33.0, monitor_every=10**9, adaptive=True)
+        threshold = float(np.max(np.abs(u0.values))) + 5e-6
+        traj, rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert np.max(np.abs(traj.fields[-1].values)) < threshold
+        monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", threshold)
+        traj, rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
 
 
 class TestLinearizedRun:
