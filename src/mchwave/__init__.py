@@ -20,7 +20,6 @@ from .evolve import (
     EvolutionConfig,
     LinearGrowthReport,
     StabilityRunReport,
-    Trajectory,
     linearized_run,
     orbital_experiment,
     rhs,

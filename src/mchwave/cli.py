@@ -165,11 +165,17 @@ def _spectral_payload(rep: linop.SpectralReport) -> dict:
     }
 
 
-def cmd_wave(args: argparse.Namespace) -> int:
-    p, rep = wave_mod.wave_at(args.k, args.L)
+def _refused(args: argparse.Namespace, rep: wave_mod.ValidityReport) -> bool:
+    """Whether the wave of ``rep`` is invalid; if so, print its two margins."""
     if not rep.all_ok:
         print(f"invalid wave at (k={args.k}, L={args.L}): "
               f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}")
+    return not rep.all_ok
+
+
+def cmd_wave(args: argparse.Namespace) -> int:
+    p, rep = wave_mod.wave_at(args.k, args.L)
+    if _refused(args, rep):
         return EXIT_DOMAIN
     residual = wave_mod.ode_residual(p, n=max(args.n, 512))
     sn = wave_mod.snoidal_form(p)
@@ -241,71 +247,58 @@ def cmd_krein(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_report_rows(report) -> list[list]:
-    rows = []
-    for i, t in enumerate(report.times):
-        rho = report.rho[i] if report.rho is not None else math.nan
-        rows.append([float(t), float(rho), float(report.drift_E[i]),
-                     float(report.drift_F[i]), float(report.drift_V[i])])
-    return rows
-
-
 def _run_setup(args: argparse.Namespace) -> tuple:
-    """The wave of ``evolve`` and ``orbit``, its samples on n nodes, and the
-    run config: fixed steps of ``--dt``, else adaptive with ``suggested_dt``."""
-    p = wave_mod.wave_params(args.k, args.L)
-    u0 = sample_wave(p, PeriodicGrid(p.L, args.n))
-    dt = args.dt if args.dt is not None else evolve_mod.suggested_dt(u0, speed=p.c)
-    return p, u0, evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
-                                             monitor_every=args.monitor_every,
-                                             adaptive=args.dt is None)
+    """The wave of ``evolve`` and ``orbit`` and its validity report from one
+    wave pass, its one sampling phi on n nodes, and the run config: fixed
+    steps of ``--dt``, else adaptive with ``suggested_dt``.  k = 0, the
+    constant wave, is refused."""
+    if args.k == 0.0:
+        raise DomainError("a run requires 0 < k < 1; k = 0 is the constant wave")
+    p, rep = wave_mod.wave_at(args.k, args.L)
+    phi = sample_wave(p, PeriodicGrid(p.L, args.n))
+    dt = args.dt if args.dt is not None else evolve_mod.suggested_dt(phi, speed=p.c)
+    return p, rep, phi, evolve_mod.EvolutionConfig(dt=dt, t_end=args.t_end,
+                                                   monitor_every=args.monitor_every,
+                                                   adaptive=args.dt is None)
+
+
+def _write_run(args: argparse.Namespace, cfg: evolve_mod.EvolutionConfig,
+               report: evolve_mod.StabilityRunReport, **fields) -> Path:
+    """Write ``<command>.csv``, the records of a run with a reference, and
+    ``<command>_summary.json``: the fields every run reports, then ``fields``."""
+    out_csv = Path(args.out_dir) / f"{args.command}.csv"
+    write_csv(out_csv, ["t", "rho", "drift_E", "drift_F", "drift_V"],
+              np.column_stack((report.times, report.rho, report.drift_E, report.drift_F,
+                               report.drift_V)).tolist(), args)
+    summary = {"terminated": report.terminated, "dt": cfg.dt, "steps": report.steps,
+               "max_error_estimate": report.max_error_estimate, **fields}
+    write_json(Path(args.out_dir) / f"{args.command}_summary.json", summary, args)
+    return out_csv
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    p, u0, cfg = _run_setup(args)
-    traj, report = evolve_mod.run(u0, cfg, reference=p)
-    prop_err = 0.0
-    for t, fld in zip(traj.times, traj.fields):
-        exact = fractional_shift(u0, -p.c * t)
-        prop_err = max(prop_err, float(np.max(np.abs(fld.values - exact.values))))
-    out_csv = Path(args.out_dir) / "evolve.csv"
-    write_csv(out_csv, ["t", "rho", "drift_E", "drift_F", "drift_V"],
-              _run_report_rows(report), args)
-    summary = {
-        "terminated": report.terminated,
-        "dt": cfg.dt,
-        "steps": report.steps,
-        "max_error_estimate": report.max_error_estimate,
-        "max_propagation_error": prop_err,
-        "max_drift_E": float(np.max(np.abs(report.drift_E))),
-        "max_drift_F": float(np.max(np.abs(report.drift_F))),
-        "max_drift_V": float(np.max(np.abs(report.drift_V))),
-    }
-    write_json(Path(args.out_dir) / "evolve_summary.json", summary, args)
+    p, _, u0, cfg = _run_setup(args)
+    report = evolve_mod.run(u0, cfg, reference=u0)
+    prop_err = max(float(np.max(np.abs(fld.values - fractional_shift(u0, -p.c * t).values)))
+                   for t, fld in zip(report.times, report.fields))
+    out_csv = _write_run(args, cfg, report, max_propagation_error=prop_err,
+                         max_drift_E=float(np.max(np.abs(report.drift_E))),
+                         max_drift_F=float(np.max(np.abs(report.drift_F))),
+                         max_drift_V=float(np.max(np.abs(report.drift_V))))
     print(f"evolve (k={args.k}, L={args.L}, n={args.n}, t_end={args.t_end}): "
           f"{report.terminated}, propagation error {prop_err:.3e} -> {out_csv}")
     return EXIT_OK if report.terminated == evolve_mod.TERMINATED_COMPLETED else EXIT_NUMERICAL
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    p, _, cfg = _run_setup(args)
-    report = evolve_mod.orbital_experiment(p, args.delta, args.seed, cfg, n=args.n,
+    _, rep, phi, cfg = _run_setup(args)
+    if _refused(args, rep):
+        return EXIT_DOMAIN
+    report = evolve_mod.orbital_experiment(phi, args.delta, args.seed, cfg,
                                            rho_factor=args.rho_factor)
-    out_csv = Path(args.out_dir) / "orbit.csv"
-    write_csv(out_csv, ["t", "rho", "drift_E", "drift_F", "drift_V"],
-              _run_report_rows(report), args)
-    sup_rho = float(np.max(report.rho)) if report.rho is not None and report.rho.size else math.nan
-    summary = {
-        "terminated": report.terminated,
-        "dt": cfg.dt,
-        "steps": report.steps,
-        "max_error_estimate": report.max_error_estimate,
-        "delta": args.delta,
-        "seed": args.seed,
-        "sup_rho": sup_rho,
-        "sup_rho_over_delta": sup_rho / args.delta if args.delta > 0 else math.nan,
-    }
-    write_json(Path(args.out_dir) / "orbit_summary.json", summary, args)
+    sup_rho = float(np.max(report.rho))
+    out_csv = _write_run(args, cfg, report, delta=args.delta, seed=args.seed, sup_rho=sup_rho,
+                         sup_rho_over_delta=sup_rho / args.delta if args.delta > 0 else math.nan)
     print(f"orbit (k={args.k}, L={args.L}, delta={args.delta}, seed={args.seed}): "
           f"{report.terminated}, sup rho = {sup_rho:.6e} -> {out_csv}")
     return EXIT_OK if report.terminated == evolve_mod.TERMINATED_COMPLETED else EXIT_NUMERICAL

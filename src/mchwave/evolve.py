@@ -49,10 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .field import (PeriodicField, PeriodicGrid, _orbit_distance, functionals,
-                    h1_norm, sample_wave)
+from .field import PeriodicField, PeriodicGrid, _orbit_distance, functionals, h1_norm
 from .linop import OperatorMatrix, _apply_l, _zero_tol
-from .wave import WaveParams
 
 TERMINATED_COMPLETED = "completed"
 TERMINATED_BLOWUP = "blowup"
@@ -97,7 +95,7 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class StabilityRunReport:
-    """Diagnostics sampled along a run.
+    """The fields and diagnostics recorded along a run, at ``times``.
 
     Drifts are relative to the t = 0 values of E, F, V; ``rho`` is the
     orbital semi-distance to the reference wave (None when no reference
@@ -105,6 +103,7 @@ class StabilityRunReport:
     """
 
     times: np.ndarray
+    fields: list[PeriodicField]
     rho: np.ndarray | None
     drift_E: np.ndarray
     drift_F: np.ndarray
@@ -112,14 +111,6 @@ class StabilityRunReport:
     terminated: str
     steps: int  # RK4 steps taken, redone ones included
     max_error_estimate: float  # largest accepted estimate per unit time
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Field snapshots at the monitor times."""
-
-    times: list[float]
-    fields: list[PeriodicField]
 
 
 @dataclass(frozen=True)
@@ -262,30 +253,34 @@ def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float
 
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
-        reference: WaveParams | None = None, delta: float | None = None,
-        rho_factor: float = 50.0) -> tuple[Trajectory, StabilityRunReport]:
-    """Integrate the flow from u0 with RK4, recording drift diagnostics.
+        reference: PeriodicField | None = None, delta: float | None = None,
+        rho_factor: float = 50.0) -> StabilityRunReport:
+    """Integrate the flow from u0 with RK4 and record the field and its
+    drift diagnostics.
 
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_end; the state is recorded every ``monitor_every``
-    of them and at t_end.  When a ``reference`` wave is supplied the
-    orbital semi-distance rho(u(t), phi) is recorded too, and if
-    ``delta`` is given the run halts with ``instability_detected`` once
-    rho exceeds rho_factor * delta, at t = 0 included; delta = 0 or None
-    turns detection off.  Blow-up (non-finite values or ||u||_inf beyond
-    ``BLOWUP_THRESHOLD`` = 100) is recorded, not raised.
+    of them and at t_end.  When a ``reference`` wave, sampled on u0's
+    grid, is supplied the orbital semi-distance rho(u(t), phi) is
+    recorded too, and if ``delta`` is given the run halts with
+    ``instability_detected`` once rho exceeds rho_factor * delta, at
+    t = 0 included; delta = 0 or None turns detection off.  Blow-up
+    (non-finite values or ||u||_inf beyond ``BLOWUP_THRESHOLD`` = 100) is
+    recorded, not raised.
 
     Raises:
-        DomainError: if delta is not finite and >= 0, or rho_factor is not
-            finite and > 0.
+        DomainError: if delta is not finite and >= 0, a positive delta
+            comes without a reference, the reference is not on u0's grid,
+            or rho_factor is not finite and > 0.
     """
     if delta is not None and not (math.isfinite(delta) and delta >= 0.0):
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    if delta and reference is None:
+        raise DomainError("instability detection needs a reference wave")
     if not (math.isfinite(rho_factor) and rho_factor > 0.0):
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps, dt = cfg.steps
     op = _RhsOperator(u0.grid)
-    phi_ref = sample_wave(reference, u0.grid) if reference is not None else None
 
     e0, f0, v0 = functionals(u0)
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
@@ -301,8 +296,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         fields.append(fld)
         e, f, v = functionals(fld)
         drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
-        if phi_ref is not None:
-            r = _orbit_distance(fld, phi_ref)[0]
+        if reference is not None:
+            r = _orbit_distance(fld, reference)[0]
             rho_list.append(r)
             if delta and r > rho_factor * delta:
                 return TERMINATED_INSTABILITY
@@ -342,13 +337,12 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
             terminated = record(s1 * dt, values) or TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
-    report = StabilityRunReport(
-        times=np.array(times),
-        rho=np.array(rho_list) if phi_ref is not None else None,
+    return StabilityRunReport(
+        times=np.array(times), fields=fields,
+        rho=np.array(rho_list) if reference is not None else None,
         drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
         terminated=terminated, steps=steps, max_error_estimate=worst,
     )
-    return Trajectory(times=times, fields=fields), report
 
 
 def _linear_rhs(lop: OperatorMatrix):
@@ -370,12 +364,15 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     Norms are L^2(0, L).
 
     Raises:
-        DomainError: if the operator's grid is not v0's, or v0 has no
-            zero-mean part above rounding (its growth rate is undefined).
+        DomainError: if the operator's grid is not v0's, v0 has no
+            zero-mean part above rounding (its growth rate is undefined),
+            or ``cfg.adaptive`` is set (the steps here are fixed).
     """
     grid = v0.grid
     if lop.grid != grid:
         raise DomainError("operator grid does not match the initial field")
+    if cfg.adaptive:
+        raise DomainError("linearized_run takes fixed steps of dt; adaptive is not supported")
     values = v0.values - np.mean(v0.values)
     if np.max(np.abs(values)) <= _zero_tol(v0.values):
         raise DomainError("v0 has no zero-mean part: its growth rate is undefined")
@@ -421,24 +418,27 @@ def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
     return (1.0 / h1_norm(fld)) * fld
 
 
-def orbital_experiment(p: WaveParams, delta: float, seed: int,
-                       cfg: EvolutionConfig, n: int = 256,
-                       rho_factor: float = 50.0) -> StabilityRunReport:
-    """Evolve phi + delta * w for a seeded unit-H^1 perturbation w.
+def orbital_experiment(phi: PeriodicField, delta: float, seed: int,
+                       cfg: EvolutionConfig, rho_factor: float = 50.0) -> StabilityRunReport:
+    """Evolve phi + delta * w, w a seeded unit-H^1 perturbation on phi's grid,
+    with phi, the sampled wave, as the reference.
 
-    Samples rho(u(t), phi) along the run; terminates with
+    Records rho(u(t), phi) along the run; terminates with
     ``instability_detected`` if rho exceeds rho_factor * delta.  delta and
     rho_factor are validated by :func:`run`, and the seed must be >= 0 at
     any delta.
 
     Raises:
-        DomainError: if seed < 0.
+        DomainError: if seed < 0, or delta > 0 moves no value of phi by
+            more than its rounding (``linop._zero_tol``), where rho could
+            not tell the perturbation from rounding.
     """
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    grid = PeriodicGrid(p.L, n)
-    u0 = sample_wave(p, grid)
+    u0 = phi
     if delta > 0.0:
-        u0 = u0 + delta * seeded_perturbation(grid, seed)
-    _, report = run(u0, cfg, reference=p, delta=delta, rho_factor=rho_factor)
-    return report
+        w = seeded_perturbation(phi.grid, seed)
+        if delta * np.max(np.abs(w.values)) <= _zero_tol(phi.values):
+            raise DomainError(f"delta = {delta!r} perturbs phi by no more than its rounding")
+        u0 = phi + delta * w
+    return run(u0, cfg, reference=phi, delta=delta, rho_factor=rho_factor)

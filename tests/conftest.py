@@ -318,7 +318,7 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
     """``evolve.run`` as first written, the oracle it must match bit for bit:
     every right side checks its output for finiteness and raises, and every
     step takes the coarse inverse transform and checks max |u| on it.
-    Returns (Trajectory, StabilityRunReport) as ``run`` does."""
+    Returns the StabilityRunReport, as ``run`` does."""
     grid = u0.grid
     n, m = grid.n, evolve.DEALIAS_PAD * grid.n
     half = n // 2 + 1
@@ -347,7 +347,6 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
         return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     n_steps, dt = cfg.steps
-    phi_ref = mw.sample_wave(reference, grid) if reference is not None else None
     e0, f0, v0 = mw.functionals(u0)
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
     times, fields, rho_list, drifts = [], [], [], []
@@ -358,8 +357,8 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
         fields.append(fld)
         e, f, v = mw.functionals(fld)
         drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
-        if phi_ref is not None:
-            r = _orbit_distance(fld, phi_ref)[0]
+        if reference is not None:
+            r = _orbit_distance(fld, reference)[0]
             rho_list.append(r)
             if delta and r > rho_factor * delta:
                 return evolve.TERMINATED_INSTABILITY
@@ -386,10 +385,9 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
                 terminated = record(step * dt, values) or evolve.TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
-    report = evolve.StabilityRunReport(
-        times=np.array(times),
-        rho=np.array(rho_list) if phi_ref is not None else None,
+    return evolve.StabilityRunReport(
+        times=np.array(times), fields=fields,
+        rho=np.array(rho_list) if reference is not None else None,
         drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
         terminated=terminated, steps=taken, max_error_estimate=math.nan,
     )
-    return evolve.Trajectory(times=times, fields=fields), report

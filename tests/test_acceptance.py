@@ -140,10 +140,10 @@ def test_criterion_7_evolution_exactness(wave05):
     grid = mw.PeriodicGrid(wave05.L, 256)
     phi = mw.sample_wave(wave05, grid)
     dt = mw.suggested_dt(phi, speed=wave05.c)
-    traj, rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=5.0, monitor_every=20))
+    rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=5.0, monitor_every=20))
     assert rep.terminated == "completed"
     worst = 0.0
-    for t, fld in zip(traj.times, traj.fields):
+    for t, fld in zip(rep.times, rep.fields):
         exact = mw.fractional_shift(phi, -wave05.c * t)
         worst = max(worst, float(np.max(np.abs(fld.values - exact.values))))
     assert worst < 1e-5
@@ -157,7 +157,7 @@ def test_criterion_7_evolution_exactness(wave05):
     u0 = phi + pert
     drifts = []
     for dt_c in (0.1, 0.05):
-        _, r = mw.run(u0, mw.EvolutionConfig(dt=dt_c, t_end=10.0, monitor_every=10**9))
+        r = mw.run(u0, mw.EvolutionConfig(dt=dt_c, t_end=10.0, monitor_every=10**9))
         drifts.append(abs(r.drift_F[-1]))
     assert 8.0 < drifts[0] / drifts[1] < 32.0
     report(7, f"wave propagation exact to {worst:.1e}; drift ratio "
@@ -166,15 +166,15 @@ def test_criterion_7_evolution_exactness(wave05):
 
 def test_criterion_8_orbital_stability(wave05):
     t0 = time.perf_counter()
-    grid = mw.PeriodicGrid(wave05.L, 256)
-    dt = mw.suggested_dt(mw.sample_wave(wave05, grid), speed=wave05.c)
+    phi = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 256))
+    dt = mw.suggested_dt(phi, speed=wave05.c)
     cfg = mw.EvolutionConfig(dt=dt, t_end=50.0, monitor_every=25)
     delta = 1e-3
-    rep = mw.orbital_experiment(wave05, delta, seed=42, cfg=cfg)
+    rep = mw.orbital_experiment(phi, delta, seed=42, cfg=cfg)
     assert rep.terminated == "completed"
     sup_rho = float(np.max(rep.rho))
     assert sup_rho < 20.0 * delta
-    rep_half = mw.orbital_experiment(wave05, 0.5 * delta, seed=42, cfg=cfg)
+    rep_half = mw.orbital_experiment(phi, 0.5 * delta, seed=42, cfg=cfg)
     ratio = sup_rho / float(np.max(rep_half.rho))
     assert 1.5 < ratio < 3.0
     report(8, f"sup rho = {sup_rho / delta:.2f} delta; halving delta shrinks it "

@@ -461,6 +461,35 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_DOMAIN
         assert not (tmp_path / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize("k", ["0.9", "0.8"])
+    def test_orbit_refuses_an_invalid_wave(self, tmp_path, capsys, k):
+        # (k, 8 pi) fails the phi - c < 0 inequality; orbit used to give it a
+        # stability verdict, and evolve still runs on it
+        args = ["--k", k, "--L", "8pi", "--t-end", "1", "--out-dir", str(tmp_path)]
+        rep = mw.validity(float(k), 8 * math.pi)
+        assert not rep.all_ok
+        assert dispatch(["orbit"] + args) == EXIT_DOMAIN
+        assert (f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}"
+                in capsys.readouterr().out)
+        assert not any(tmp_path.iterdir())
+        assert dispatch(["evolve"] + args) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["evolve", "orbit"])
+    def test_constant_wave_exits_domain(self, tmp_path, command):
+        args = [command, "--k", "0", "--L", "6pi", "--t-end", "1", "--out-dir", str(tmp_path)]
+        assert dispatch(args) == EXIT_DOMAIN
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["evolve", "orbit"])
+    def test_wave_sampled_once(self, tmp_path, count_calls, command):
+        # one wave pass (its AGM ladder gives K and E) and one profile call
+        # (its own ladder): the run and its reference share that sampling
+        profiles = count_calls(mw.wave.profile)
+        ladders = count_calls(mw.elliptic._agm)
+        args = [command, "--k", "0.5", "--L", "6pi", "--t-end", "1", "--out-dir", str(tmp_path)]
+        assert dispatch(args) == EXIT_OK
+        assert len(profiles) == 1 and len(ladders) == 2
+
     def test_orbit_deterministic(self, tmp_path):
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--delta", "1e-3",
                 "--seed", "3", "--t-end", "2", "--out-dir", str(tmp_path)]

@@ -136,18 +136,18 @@ class TestRun:
     def test_constant_equilibrium(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
         u0 = mw.sample(lambda x: 0.4 + 0 * x, g)
-        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0))
+        rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0))
         assert rep.terminated == TERMINATED_COMPLETED
-        assert np.max(np.abs(traj.fields[-1].values - 0.4)) < 1e-14
+        assert np.max(np.abs(rep.fields[-1].values - 0.4)) < 1e-14
         assert np.max(np.abs(rep.drift_F)) < 1e-14
 
     def test_traveling_wave_propagation(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, grid)
         dt = mw.suggested_dt(phi, speed=wave05.c)
-        traj, rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=3.0, monitor_every=20))
+        rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=3.0, monitor_every=20))
         worst = 0.0
-        for t, fld in zip(traj.times, traj.fields):
+        for t, fld in zip(rep.times, rep.fields):
             exact = mw.fractional_shift(phi, -wave05.c * t)
             worst = max(worst, float(np.max(np.abs(fld.values - exact.values))))
         assert worst < 1e-10
@@ -160,9 +160,9 @@ class TestRun:
         phi = mw.sample_wave(wave05, grid)
         rng = np.random.default_rng(6)
         u0 = phi + 0.1 * random_smooth(grid, rng)
-        traj, _ = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=2.0))
-        v0 = mw.functionals(traj.fields[0])[2]
-        v1 = mw.functionals(traj.fields[-1])[2]
+        rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=2.0))
+        v0 = mw.functionals(rep.fields[0])[2]
+        v1 = mw.functionals(rep.fields[-1])[2]
         assert abs(v1 - v0) < 1e-12
 
     def test_conservation_order_in_dt(self, wave05):
@@ -173,7 +173,7 @@ class TestRun:
         u0 = phi + pert
         drifts = []
         for dt in (0.1, 0.05):
-            _, rep = mw.run(u0, mw.EvolutionConfig(dt=dt, t_end=10.0,
+            rep = mw.run(u0, mw.EvolutionConfig(dt=dt, t_end=10.0,
                                                    monitor_every=10**9))
             drifts.append(abs(rep.drift_F[-1]))
         assert 8.0 < drifts[0] / drifts[1] < 32.0
@@ -184,15 +184,15 @@ class TestRun:
         u0 = phi + mw.PeriodicField(grid, 0.05 * np.sin(2 * np.pi * grid.nodes / grid.L))
         s = 1.7
         cfg = mw.EvolutionConfig(dt=0.03, t_end=1.5, monitor_every=10**9)
-        t1, _ = mw.run(u0, cfg)
-        t2, _ = mw.run(mw.fractional_shift(u0, s), cfg)
+        t1 = mw.run(u0, cfg)
+        t2 = mw.run(mw.fractional_shift(u0, s), cfg)
         assert np.max(np.abs(t2.fields[-1].values
                              - mw.fractional_shift(t1.fields[-1], s).values)) < 1e-8
 
     def test_instability_of_too_large_dt_is_recorded(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, grid)
-        _, rep = mw.run(phi, mw.EvolutionConfig(dt=1.0, t_end=50.0))
+        rep = mw.run(phi, mw.EvolutionConfig(dt=1.0, t_end=50.0))
         assert rep.terminated == TERMINATED_BLOWUP
 
     def test_blowup_threshold_trips(self, monkeypatch):
@@ -201,9 +201,9 @@ class TestRun:
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", 0.6)
         g = mw.PeriodicGrid(2 * math.pi, 64)
         u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
-        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.01, t_end=5.0, monitor_every=1))
+        rep = mw.run(u0, mw.EvolutionConfig(dt=0.01, t_end=5.0, monitor_every=1))
         assert rep.terminated == TERMINATED_BLOWUP
-        assert traj.times[-1] < 5.0
+        assert rep.times[-1] < 5.0
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": 1e-3, "rho_factor": -1.0}, {"delta": 1e-3, "rho_factor": 0.0},
@@ -216,16 +216,29 @@ class TestRun:
         p = mw.wave_params(0.5, 6 * math.pi)
         u0 = mw.sample_wave(p, mw.PeriodicGrid(p.L, 64))
         with pytest.raises(DomainError):
-            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=p, **kwargs)
+            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=u0, **kwargs)
+
+    def test_detection_needs_a_reference(self, wave05):
+        # without a reference rho is never recorded, so delta used to be ignored
+        u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
+        with pytest.raises(DomainError, match="reference"):
+            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), delta=1e-3)
+
+    def test_reference_on_another_grid_raises(self, wave05):
+        u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
+        phi = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 128))
+        with pytest.raises(DomainError, match="different grids"):
+            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi)
 
     def test_threshold_exceeded_at_start_ends_run(self, wave05):
         # rho(0) is about delta, far above 0.1 delta: the t = 0 sample decides
         grid = mw.PeriodicGrid(wave05.L, 64)
-        u0 = mw.sample_wave(wave05, grid) + 1e-3 * seeded_perturbation(grid, 3)
-        traj, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=wave05,
-                           delta=1e-3, rho_factor=0.1)
+        phi = mw.sample_wave(wave05, grid)
+        u0 = phi + 1e-3 * seeded_perturbation(grid, 3)
+        rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi,
+                     delta=1e-3, rho_factor=0.1)
         assert rep.terminated == TERMINATED_INSTABILITY
-        assert list(rep.times) == [0.0] and traj.times == [0.0]
+        assert list(rep.times) == [0.0] and len(rep.fields) == 1
         assert rep.rho[0] > 0.1 * 1e-3
 
 
@@ -277,7 +290,7 @@ class TestSpectralState:
         u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=10.0,
                                  monitor_every=25)
-        _, rep = mw.run(u0, cfg, reference=p, delta=1e-3)
+        rep = mw.run(u0, cfg, reference=phi, delta=1e-3)
         verdict, times, rho, drifts = grid_state_run(u0, cfg, p, 1e-3)
         assert rep.terminated == verdict
         assert np.array_equal(rep.times, times) and len(times) > 2
@@ -292,7 +305,7 @@ class TestSpectralState:
         for t_end in (1.0, 2.0):
             u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))  # spectrum not yet held
             fft_calls.clear()
-            _, rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end,
+            rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end,
                                                    monitor_every=10**9))
             assert rep.terminated == TERMINATED_COMPLETED
             assert list(rep.times) == [0.0, t_end]
@@ -318,9 +331,8 @@ class TestSpectralState:
 
         monkeypatch.setattr(evolve, "_rk4_step", counted_step)
         monkeypatch.setattr(_RhsOperator, "__call__", counted_call)
-        grid = mw.PeriodicGrid(wave05.L, 64)
-        _, rep = mw.run(mw.sample_wave(wave05, grid), mw.EvolutionConfig(dt=0.05, t_end=1.0),
-                        reference=wave05)
+        phi = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
+        rep = mw.run(phi, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED
         assert list(np.diff(at_return)) == [4] * 20 and len(sides) == 81
 
@@ -331,17 +343,16 @@ class TestSpectralState:
             mw.rhs(mw.sample(lambda x: 1e120 * np.sin(x), g))
 
 
-def _assert_same_run(got, want):
-    (traj, rep), (traj_ref, rep_ref) = got, want
+def _assert_same_run(rep, rep_ref):
     assert rep.terminated == rep_ref.terminated and rep.steps == rep_ref.steps
-    assert traj.times == traj_ref.times and np.array_equal(rep.times, rep_ref.times)
+    assert np.array_equal(rep.times, rep_ref.times)
     assert (rep.rho is None) == (rep_ref.rho is None)
     assert rep.rho is None or np.array_equal(rep.rho, rep_ref.rho)
     for name in ("drift_E", "drift_F", "drift_V"):
         assert np.array_equal(getattr(rep, name), getattr(rep_ref, name))
-    assert len(traj.fields) == len(traj_ref.fields)
+    assert len(rep.fields) == len(rep_ref.fields)
     assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(traj.fields, traj_ref.fields))
+               for a, b in zip(rep.fields, rep_ref.fields))
 
 
 class TestBitwiseOracle:
@@ -359,17 +370,17 @@ class TestBitwiseOracle:
         u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=2.0,
                                  monitor_every=monitor_every)
-        got = mw.run(u0, cfg, reference=p, delta=1e-3)
-        assert got[1].terminated == TERMINATED_COMPLETED and len(got[0].times) > 2
-        _assert_same_run(got, reference_run(u0, cfg, reference=p, delta=1e-3))
+        got = mw.run(u0, cfg, reference=phi, delta=1e-3)
+        assert got.terminated == TERMINATED_COMPLETED and len(got.times) > 2
+        _assert_same_run(got, reference_run(u0, cfg, reference=phi, delta=1e-3))
 
     def test_blowup_at_large_dt(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
         u0 = mw.sample_wave(wave05, grid)
         cfg = mw.EvolutionConfig(dt=1.0, t_end=50.0)
-        got = mw.run(u0, cfg, reference=wave05)
-        assert got[1].terminated == TERMINATED_BLOWUP
-        _assert_same_run(got, reference_run(u0, cfg, reference=wave05))
+        got = mw.run(u0, cfg, reference=u0)
+        assert got.terminated == TERMINATED_BLOWUP
+        _assert_same_run(got, reference_run(u0, cfg, reference=u0))
 
     def test_threshold_crossed_at_unmonitored_step(self, monkeypatch, wave05):
         # the peak starts half a node off the grid and drifts onto a node, so
@@ -383,18 +394,19 @@ class TestBitwiseOracle:
             return rk4(*args)
 
         grid = mw.PeriodicGrid(wave05.L, 64)
-        u0 = mw.fractional_shift(mw.sample_wave(wave05, grid), 0.5 * grid.spacing)
+        phi = mw.sample_wave(wave05, grid)
+        u0 = mw.fractional_shift(phi, 0.5 * grid.spacing)
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", float(np.max(np.abs(u0.values))) + 5e-6)
         cfg = mw.EvolutionConfig(dt=0.05, t_end=3.0, monitor_every=10**9)
         monkeypatch.setattr(evolve, "_rk4_step", counted_step)
-        got = mw.run(u0, cfg, reference=wave05)
-        assert got[1].terminated == TERMINATED_BLOWUP and got[0].times == [0.0]
-        _assert_same_run(got, reference_run(u0, cfg, reference=wave05))
+        got = mw.run(u0, cfg, reference=phi)
+        assert got.terminated == TERMINATED_BLOWUP and list(got.times) == [0.0]
+        _assert_same_run(got, reference_run(u0, cfg, reference=phi))
         # the records cannot show where the run stopped: monitored at every
         # step, the oracle records each step before the crossing, and run
         # must have stepped exactly to it
         every = mw.EvolutionConfig(dt=0.05, t_end=3.0, monitor_every=1)
-        crossing = len(reference_run(u0, every, reference=wave05)[0].times)
+        crossing = len(reference_run(u0, every, reference=phi).times)
         assert 10 < crossing < 50 and len(steps) == crossing
 
     def test_non_finite_state_is_blowup(self, monkeypatch):
@@ -412,20 +424,21 @@ class TestBitwiseOracle:
         cfg = mw.EvolutionConfig(dt=1e100, t_end=2e100, monitor_every=10**9)
         got = mw.run(u0, cfg)
         assert len(states) == 1 and not np.isfinite(states[0][0]).all()
-        assert got[1].terminated == TERMINATED_BLOWUP
+        assert got.terminated == TERMINATED_BLOWUP
         _assert_same_run(got, reference_run(u0, cfg))
 
 
 def _orbit_start(k, big_l, n=256, delta=1e-3):
-    """The wave (k, L), an orbit run's u0 = phi + delta w, seed 2, and the
-    fixed-step config at the suggested dt, t = 10, monitored every 25."""
+    """The wave (k, L) sampled on n nodes, phi, an orbit run's
+    u0 = phi + delta w, seed 2, and the fixed-step config at the suggested
+    dt, t = 10, monitored every 25."""
     p = mw.wave_params(k, big_l)
     grid = mw.PeriodicGrid(p.L, n)
     phi = mw.sample_wave(p, grid)
     u0 = phi + delta * seeded_perturbation(grid, seed=2)
     cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=10.0,
                              monitor_every=25)
-    return p, u0, cfg
+    return phi, u0, cfg
 
 
 class TestStepControl:
@@ -434,7 +447,7 @@ class TestStepControl:
         # one step of h: its estimate per unit time times h is the RMS
         # distance to the independently formed order-3 companion
         _, u0, _ = _orbit_start(0.5, 6 * math.pi)
-        _, rep = mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, monitor_every=1))
+        rep = mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, monitor_every=1))
         y1, y_star = fsal_companion(u0, h)
         distance = math.sqrt(np.mean((y1 - y_star) ** 2))
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
@@ -443,20 +456,20 @@ class TestStepControl:
 
     def test_estimate_is_fourth_order(self):
         _, u0, _ = _orbit_start(0.5, 6 * math.pi)
-        est = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h))[1].max_error_estimate * h
+        est = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h)).max_error_estimate * h
                for h in (0.4, 0.2)]
         assert 16.0 * 0.8 <= est[0] / est[1] <= 16.0 * 1.2
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
     def test_default_dt_accuracy(self, k, big_l):
-        p, u0, cfg = _orbit_start(k, big_l)
-        _, rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=p, delta=1e-3)
-        _, fixed = mw.run(u0, cfg, reference=p, delta=1e-3)
+        phi, u0, cfg = _orbit_start(k, big_l)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
+        fixed = mw.run(u0, cfg, reference=phi, delta=1e-3)
         # the reference: an eighth of the landed step, monitored at the same times
         fine = mw.EvolutionConfig(dt=cfg.steps[1] / 8, t_end=cfg.t_end,
                                   monitor_every=8 * cfg.monitor_every)
-        _, ref = mw.run(u0, fine, reference=p, delta=1e-3)
+        ref = mw.run(u0, fine, reference=phi, delta=1e-3)
         assert rep.terminated == fixed.terminated == ref.terminated == TERMINATED_COMPLETED
         assert np.array_equal(rep.times, fixed.times) and len(ref.times) == len(rep.times)
         assert np.max(np.abs(rep.rho - ref.rho)) <= 1e-8 * 1e-3
@@ -471,8 +484,8 @@ class TestStepControl:
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=1,
                                  adaptive=True)
         with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
-            traj, rep = mw.run(u0, cfg)
-        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
+            rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
@@ -480,8 +493,8 @@ class TestStepControl:
         # until its count passes MAX_REFINE times its count of dt steps
         monkeypatch.setattr(evolve, "STEP_TOL", 1e-300)
         _, u0, cfg = _orbit_start(0.5, 6 * math.pi, n=64)
-        traj, rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
-        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
+        assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
 
     def test_threshold_crossed_inside_an_interval(self, monkeypatch, wave05):
@@ -493,12 +506,12 @@ class TestStepControl:
         u0 = mw.fractional_shift(mw.sample_wave(wave05, grid), 0.5 * grid.spacing)
         cfg = mw.EvolutionConfig(dt=0.05, t_end=33.0, monitor_every=10**9, adaptive=True)
         threshold = float(np.max(np.abs(u0.values))) + 5e-6
-        traj, rep = mw.run(u0, cfg)
+        rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_COMPLETED
-        assert np.max(np.abs(traj.fields[-1].values)) < threshold
+        assert np.max(np.abs(rep.fields[-1].values)) < threshold
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", threshold)
-        traj, rep = mw.run(u0, cfg)
-        assert rep.terminated == TERMINATED_BLOWUP and traj.times == [0.0]
+        rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
 
 
 class TestLinearizedRun:
@@ -569,6 +582,13 @@ class TestLinearizedRun:
         dx_l = mw.derivative(mw.PeriodicField(grid, mw.linop._apply_l(op, v))).values
         assert np.linalg.norm(frechet - dx_l) > np.linalg.norm(frechet)
 
+    def test_adaptive_config_refused(self, wave05):
+        # the linearized steps are fixed; adaptive used to be ignored silently
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        with pytest.raises(DomainError, match="adaptive"):
+            mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 64),
+                              mw.EvolutionConfig(dt=0.1, t_end=1.0, adaptive=True))
+
     @pytest.mark.parametrize("value", [1.0, 0.3])
     def test_constant_field_has_no_growth_rate(self, wave05, value):
         grid = mw.PeriodicGrid(wave05.L, 64)
@@ -578,11 +598,16 @@ class TestLinearizedRun:
                               mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
 
+@pytest.fixture(scope="module")
+def phi05(wave05):
+    """The wave at (0.5, 6 pi) sampled on 256 nodes."""
+    return mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 256))
+
+
 class TestOrbitalExperiment:
-    def test_zero_delta_stays_on_orbit(self, wave05):
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        dt = mw.suggested_dt(mw.sample_wave(wave05, grid), speed=wave05.c)
-        rep = mw.orbital_experiment(wave05, 0.0, seed=1,
+    def test_zero_delta_stays_on_orbit(self, wave05, phi05):
+        dt = mw.suggested_dt(phi05, speed=wave05.c)
+        rep = mw.orbital_experiment(phi05, 0.0, seed=1,
                                     cfg=mw.EvolutionConfig(dt=dt, t_end=5.0,
                                                            monitor_every=25))
         assert rep.terminated == TERMINATED_COMPLETED
@@ -599,20 +624,18 @@ class TestOrbitalExperiment:
         with pytest.raises(DomainError):
             seeded_perturbation(mw.PeriodicGrid(6 * math.pi, 256), -1)
 
-    def test_small_perturbation_stays_close(self, wave05):
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        dt = mw.suggested_dt(mw.sample_wave(wave05, grid), speed=wave05.c)
+    def test_small_perturbation_stays_close(self, wave05, phi05):
+        dt = mw.suggested_dt(phi05, speed=wave05.c)
         cfg = mw.EvolutionConfig(dt=dt, t_end=10.0, monitor_every=25)
-        rep = mw.orbital_experiment(wave05, 1e-3, seed=42, cfg=cfg)
+        rep = mw.orbital_experiment(phi05, 1e-3, seed=42, cfg=cfg)
         assert rep.terminated == TERMINATED_COMPLETED
         assert np.max(rep.rho) < 20e-3
 
-    def test_instability_detection_trips(self, wave05):
+    def test_instability_detection_trips(self, wave05, phi05):
         # rho/delta sits near 1 on this orbit, so a factor below that must
         # terminate the run early with the detection verdict
-        grid = mw.PeriodicGrid(wave05.L, 256)
-        dt = mw.suggested_dt(mw.sample_wave(wave05, grid), speed=wave05.c)
-        rep = mw.orbital_experiment(wave05, 1e-3, seed=42,
+        dt = mw.suggested_dt(phi05, speed=wave05.c)
+        rep = mw.orbital_experiment(phi05, 1e-3, seed=42,
                                     cfg=mw.EvolutionConfig(dt=dt, t_end=5.0,
                                                            monitor_every=5),
                                     rho_factor=0.5)
@@ -620,20 +643,34 @@ class TestOrbitalExperiment:
         assert rep.times[-1] < 5.0
         assert rep.rho[-1] > 0.5 * 1e-3
 
-    def test_delta_validation(self, wave05):
+    @pytest.mark.parametrize("delta, refused", [(1e-320, True), (1e-18, True), (1e-12, False)])
+    def test_perturbation_below_rounding_refused(self, wave05, phi05, delta, refused):
+        # rho's rounding floor (~5e-15 here) used to read as instability at
+        # delta = 1e-18 and 1e-320; delta w must move phi beyond _zero_tol
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi05, speed=wave05.c), t_end=2.0,
+                                 monitor_every=25, adaptive=True)
+        if refused:
+            with pytest.raises(DomainError, match="rounding"):
+                mw.orbital_experiment(phi05, delta, seed=0, cfg=cfg)
+        else:
+            rep = mw.orbital_experiment(phi05, delta, seed=0, cfg=cfg)
+            assert rep.terminated == TERMINATED_COMPLETED
+            assert np.max(rep.rho) < 20 * delta
+
+    def test_delta_validation(self, phi05):
         with pytest.raises(DomainError):
-            mw.orbital_experiment(wave05, -1.0, seed=0,
+            mw.orbital_experiment(phi05, -1.0, seed=0,
                                   cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
-    def test_nonfinite_delta_rejected(self, wave05, delta):
+    def test_nonfinite_delta_rejected(self, phi05, delta):
         with pytest.raises(DomainError):
-            mw.orbital_experiment(wave05, delta, seed=0,
+            mw.orbital_experiment(phi05, delta, seed=0,
                                   cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("rho_factor", [0.0, -1.0, math.nan, math.inf])
-    def test_rho_factor_validation(self, wave05, rho_factor):
+    def test_rho_factor_validation(self, phi05, rho_factor):
         with pytest.raises(DomainError):
-            mw.orbital_experiment(wave05, 1e-3, seed=0,
+            mw.orbital_experiment(phi05, 1e-3, seed=0,
                                   cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0),
                                   rho_factor=rho_factor)

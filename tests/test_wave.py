@@ -373,6 +373,12 @@ class TestParamDerivatives:
         assert names_in_package(deleted) == []
         assert "wave_at" in mw.__all__ and "constant_wave" not in mw.__all__
 
+    def test_one_run_report(self):
+        # a run's fields and times live in its StabilityRunReport alone, and
+        # the run artifacts have one writer
+        assert names_in_package({"Trajectory", "_run_report_rows"}) == []
+        assert "Trajectory" not in mw.__all__
+
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
         with pytest.raises(AccuracyError):
