@@ -8,17 +8,27 @@ whose x-derivative reproduces u u_xxx + 2 u_x u_xx - 3 u^2 u_x exactly,
 so this is the original flow written through its Hamiltonian structure.
 The operator symbol i kappa / (1 + kappa^2) is bounded, so the stiffness
 comes from the transport term alone, with speed ~ u: classical RK4 is
-stable for dt max |u| / (L / n) up to about 2 sqrt(2) / pi.
+stable for dt max |u| / (L / n) up to about 2 sqrt(2) / pi, and the
+integrating factor below leaves only the speed max |u - ubar|.
 
 Step control.  A run records the state every ``monitor_every`` steps of
-``dt``.  With ``adaptive`` set, the fewest equal RK4 steps h whose error
-estimates stay within ``STEP_TOL`` h fill each interval between records.
-The estimate (h/6) ||k4 - k5|| (RMS grid norm) is the distance to RK4's
-order-3 FSAL companion, k5 = f(y_{n+1}) being the next step's k1, so it
-costs no right side.  The counts start from h = 0.25 (L/n) / max |u0|
-and follow est / h ~ h^3 (safety 0.9, growth at most 2x); an interval
-over the target is redone.  A non-finite estimate, or a count past
+``dt``; fixed steps are classical RK4.  With ``adaptive`` set the steps
+are Lawson's integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4,
+1967): the linearization of the right side at the mean ubar of u0, which
+the flow conserves, has the symbol
+lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2), 0 at the mean
+and Nyquist modes; E = exp(lambda h / 2) steps that part exactly, and
+the stages take the rest, N = f - lambda u.  The fewest equal steps h
+whose error estimates stay within ``STEP_TOL`` h fill each interval
+between records.  The estimate (h/6) ||k4 - k5|| (RMS grid norm) is the
+distance to the order-3 FSAL companion, k5 = N(y_{n+1}) being the next
+step's k1, so it costs no right side; |E| = 1 keeps it RK4's form.  The
+counts start from h = 0.25 (L/n) / max |u0 - ubar| and follow
+est / h ~ h^3 (safety 0.9, growth at most 2x); an interval over the
+target is redone.  A non-finite estimate, or a count past
 ``MAX_REFINE`` times the interval's count of ``dt`` steps, is blow-up.
+Where u strays from its mean by the mean or more, the factor can take
+more steps than classical RK4, and more so in long runs (README.md).
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -128,9 +138,11 @@ class LinearGrowthReport:
 
 
 def suggested_dt(u0: PeriodicField, speed: float = 0.0) -> float:
-    """0.5 (L/n) / max(1, ||u0||_inf + |speed|): an adaptive run's monitor
-    spacing, and a stable fixed step.  The max(1, .) floor keeps a small
-    wave densely sampled, and the records at the times they always had."""
+    """0.5 (L/n) / max(1, ||u0||_inf + |speed|): a stable fixed step, and an
+    adaptive run's monitor spacing; there the error estimate sizes the
+    steps, and more than ``MAX_REFINE`` of them per dt is blow-up.  The
+    max(1, .) floor keeps a small wave densely sampled, and the records
+    at the times they always had."""
     umax = float(np.max(np.abs(u0.values)))
     return 0.5 * u0.grid.spacing / max(1.0, umax + abs(speed))
 
@@ -155,16 +167,19 @@ class _RhsOperator:
     ``sym_out`` carries the 1/8: the factors are powers of two, so every
     rounding is that of w itself while the values stay in the normal
     range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
-    even fine ones).
+    even fine ones).  ``lin`` is the symbol lambda of the linearization at
+    the constant ``mean``, and a call returns f(u) - lambda u: all of f at
+    the default mean 0.
     """
 
-    def __init__(self, grid: PeriodicGrid):
+    def __init__(self, grid: PeriodicGrid, mean: float = 0.0):
         self.n = grid.n
         self.m = DEALIAS_PAD * grid.n
         kap = grid.wavenumbers()
         sym_d1 = 1j * kap
         sym_d1[-1] = 0.0
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
+        self.lin = self.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean)
         half = self.n // 2 + 1
         syms = (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap))
         self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
@@ -187,7 +202,9 @@ class _RhsOperator:
         w += c
         # sym_out vanishes at the Nyquist mode, where the fine spectrum would
         # fold +-n/2 onto the grid cosine, so the coarse slice is exact
-        return self.sym_out * np.fft.rfft(w)[:half]
+        out = self.sym_out * np.fft.rfft(w)[:half]
+        out -= self.lin * spec
+        return out
 
 
 def rhs(u: PeriodicField) -> PeriodicField:
@@ -203,28 +220,37 @@ def rhs(u: PeriodicField) -> PeriodicField:
     return PeriodicField(u.grid, out)
 
 
-def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step from ``values``, whose slope ``k1 = f(values)``
-    the caller has evaluated; returns the new state and k4.  The stage
-    inputs share one buffer, and the sum ((k1 + 2 k2) + 2 k3) + k4, times
-    dt / 6, plus ``values`` is formed in place in k2: the operations of the
-    textbook expression, in its order."""
+def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
+              e: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from ``values`` in Lawson's integrating-factor form, whose
+    slope ``k1 = f(values)`` the caller has evaluated; returns the new state
+    and k4.  ``f`` is the right side less a linear part lambda that is
+    stepped exactly, e = exp(lambda dt / 2), and e = 1 (lambda = 0) is
+    classical RK4, value for value: each product by e = 1 is exact, and the
+    stage inputs, formed in one buffer, and the sum ((k1 + 2 k2) + 2 k3) + k4,
+    times dt / 6, plus ``values``, formed in place in k2, take the operations
+    of the textbook expression in its order."""
     stage = (0.5 * dt) * k1
     stage += values
+    stage *= e
     k2 = f(stage)
+    ev = e * values
     np.multiply(k2, 0.5 * dt, out=stage)
-    stage += values
+    stage += ev
     k3 = f(stage)
+    ev *= e
     np.multiply(k3, dt, out=stage)
-    stage += values
+    stage *= e
+    stage += ev
     k4 = f(stage)
     k2 *= 2.0
-    k2 += k1
+    k2 += e * k1
     k3 *= 2.0
     k2 += k3
+    k2 *= e
     k2 += k4
     k2 *= dt / 6.0
-    k2 += values
+    k2 += ev
     return k2, k4
 
 
@@ -237,12 +263,12 @@ def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float
     if a state before the last left the blow-up bound."""
     # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (6.0 * f.n)
-    worst = 0.0
+    worst, e = 0.0, np.exp((0.5 * h) * f.lin)
     for j in range(q):
         # 2u against twice the threshold is exact, and NaN fails too
         if j and not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
             return None, k1, worst, j
-        spec, k4 = _rk4_step(f, spec, k1, h)
+        spec, k4 = _rk4_step(f, spec, k1, h, e)
         k1 = f(spec)
         k4 -= k1
         est = scale * float(np.linalg.norm(k4))
@@ -280,7 +306,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     if not (math.isfinite(rho_factor) and rho_factor > 0.0):
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps, dt = cfg.steps
-    op = _RhsOperator(u0.grid)
+    mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
+    op = _RhsOperator(u0.grid, mean)
 
     e0, f0, v0 = functionals(u0)
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
@@ -306,8 +333,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     spec = u0.spectrum  # held since functionals(u0)
     terminated = record(0.0, u0.values) or TERMINATED_COMPLETED
     tol = STEP_TOL if cfg.adaptive else math.inf
-    umax = float(np.max(np.abs(u0.values)))
-    h_target = 0.25 * u0.grid.spacing / umax if umax > 0.0 else math.inf
+    spread = float(np.max(np.abs(u0.values - mean)))
+    h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
     k1, s0, steps, worst = op(spec), 0, 0, 0.0  # the state at t = 0 is not checked
     with np.errstate(over="ignore", invalid="ignore"):
         while terminated == TERMINATED_COMPLETED and s0 < n_steps:

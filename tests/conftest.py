@@ -299,18 +299,35 @@ def lyapunov(u: mw.PeriodicField, p: mw.WaveParams, big_n: float,
         + big_n * (q_of(u) - q_of(phi)) ** 2
 
 
-def fsal_companion(u0: mw.PeriodicField, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One textbook RK4 step of h from u0, y1, and RK4's order-3 FSAL
-    companion y* = y + h (k1/6 + k2/3 + k3/3 + k5/6), k5 = f(y1), both as
-    grid values: ||y1 - y*|| is the step's error estimate."""
+def fsal_companion(u0: mw.PeriodicField, h: float,
+                   lawson: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One textbook RK4 step of h from u0, y1, and its order-3 FSAL
+    companion y*, both as grid values: ||y1 - y*|| is the step's error
+    estimate.  With ``lawson`` the step is Lawson's integrating-factor RK4
+    about the linearization of f at the mean ubar of u0, whose symbol
+    lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2), 0 at the
+    Nyquist mode, E = exp(lambda h / 2) steps exactly; the stages take
+    N = f - lambda y:
+        y1 = E^2 y + h (E^2 k1 + 2 E k2 + 2 E k3 + k4) / 6,
+        y* = E^2 y + h (E^2 k1 / 6 + E k2 / 3 + E k3 / 3 + N(y1) / 6).
+    Without it lambda = 0 and E = 1: classical RK4."""
     f = evolve._RhsOperator(u0.grid)
+    kap = u0.grid.wavenumbers()
+    ubar = float(np.mean(u0.values)) if lawson else 0.0
+    lam = 1j * kap / (1.0 + kap * kap) * (-ubar * kap * kap - 3.0 * ubar * ubar)
+    lam[-1] = 0.0
+    e = np.exp(0.5 * h * lam)
+
+    def nl(y):
+        return f(y) - lam * y
+
     y = np.fft.rfft(u0.values)
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y_star = y + h * (k1 / 6.0 + k2 / 3.0 + k3 / 3.0 + f(y1) / 6.0)
+    k1 = nl(y)
+    k2 = nl(e * (y + 0.5 * h * k1))
+    k3 = nl(e * y + 0.5 * h * k2)
+    k4 = nl(e * e * y + h * e * k3)
+    y1 = e * e * y + (h / 6.0) * (e * e * k1 + 2.0 * e * k2 + 2.0 * e * k3 + k4)
+    y_star = e * e * y + h * (e * e * k1 / 6.0 + e * k2 / 3.0 + e * k3 / 3.0 + nl(y1) / 6.0)
     return np.fft.irfft(y1, u0.grid.n), np.fft.irfft(y_star, u0.grid.n)
 
 

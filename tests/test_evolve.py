@@ -299,24 +299,33 @@ class TestSpectralState:
         assert np.max(np.abs(run_drifts - drifts)) <= 1e-13
 
     def test_eight_transforms_per_step(self, fft_calls, wave05):
-        # the two runs differ by 20 unmonitored steps and nothing else: four
-        # right sides of two transforms each, and no coarse inverse transform
-        counts = []
-        for t_end in (1.0, 2.0):
-            u0 = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))  # spectrum not yet held
-            fft_calls.clear()
-            rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end,
-                                                   monitor_every=10**9))
-            assert rep.terminated == TERMINATED_COMPLETED
-            assert list(rep.times) == [0.0, t_end]
-            counts.append(len(fft_calls))
-        assert counts[1] - counts[0] == 8 * 20
+        # the two runs of each kind differ by unmonitored steps (20 fixed ones)
+        # and nothing else: four right sides of two transforms each, and no
+        # coarse inverse transform; the integrating factor takes none
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        for adaptive in (False, True):
+            counts, steps = [], []
+            for t_end in (1.0, 2.0):
+                # spectrum not yet held; the perturbation makes the adaptive runs
+                # differ (the wave alone meets the target in one step of either)
+                u0 = mw.sample_wave(wave05, grid) + 1e-2 * seeded_perturbation(grid, seed=2)
+                fft_calls.clear()
+                rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=t_end, monitor_every=10**9,
+                                                       adaptive=adaptive))
+                assert rep.terminated == TERMINATED_COMPLETED
+                assert list(rep.times) == [0.0, t_end]
+                counts.append(len(fft_calls))
+                steps.append(rep.steps)
+            assert steps[1] > steps[0] and (adaptive or steps[1] - steps[0] == 20)
+            assert counts[1] - counts[0] == 8 * (steps[1] - steps[0])
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
         # the benchmark's traced per-step counters wrap exactly these two names;
         # run evaluates a step's first stage before it calls _rk4_step, so the
         # right sides of a step are those between consecutive _rk4_step returns,
-        # and one more, the slope of the last state, completes its estimate
+        # and one more, the slope of the last state, completes its estimate; a
+        # redone interval, as the adaptive run's one interval is here, starts
+        # again from its first stage, already evaluated
         rk4, call = evolve._rk4_step, _RhsOperator.__call__
         sides, at_return = [], [0]
 
@@ -331,10 +340,17 @@ class TestSpectralState:
 
         monkeypatch.setattr(evolve, "_rk4_step", counted_step)
         monkeypatch.setattr(_RhsOperator, "__call__", counted_call)
-        phi = mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 64))
-        rep = mw.run(phi, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi)
-        assert rep.terminated == TERMINATED_COMPLETED
-        assert list(np.diff(at_return)) == [4] * 20 and len(sides) == 81
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        phi = mw.sample_wave(wave05, grid)
+        u0 = phi + 1e-2 * seeded_perturbation(grid, seed=2)
+        for adaptive in (False, True):
+            sides.clear()
+            del at_return[1:]
+            rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=10**9,
+                                                adaptive=adaptive), reference=phi)
+            assert rep.terminated == TERMINATED_COMPLETED and (adaptive or rep.steps == 20)
+            assert list(np.diff(at_return)) == [4] * rep.steps
+            assert len(sides) == 4 * rep.steps + 1
 
     def test_non_finite_spectrum_raises(self):
         # the cube of 1e120 overflows, so the right side's spectrum is not finite
@@ -459,6 +475,57 @@ class TestStepControl:
         est = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h)).max_error_estimate * h
                for h in (0.4, 0.2)]
         assert 16.0 * 0.8 <= est[0] / est[1] <= 16.0 * 1.2
+
+    @pytest.mark.parametrize("h", [0.5, 0.25])
+    def test_lawson_estimate_is_the_companion_distance(self, monkeypatch, h):
+        # an adaptive run of one interval of h, below the first count's step
+        # 0.25 (L/n) / max |u0 - ubar| ~ 0.56, takes one integrating-factor
+        # step, and with no target it is not redone: its estimate is the
+        # companion distance of the oracle's textbook Lawson step
+        monkeypatch.setattr(evolve, "STEP_TOL", math.inf)
+        _, u0, _ = _orbit_start(0.5, 6 * math.pi)
+        rep = mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, adaptive=True))
+        y1, y_star = fsal_companion(u0, h, lawson=True)
+        distance = math.sqrt(np.mean((y1 - y_star) ** 2))
+        rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
+        assert rep.steps == 1 and distance > 1e3 * rounding
+        assert abs(rep.max_error_estimate * h - distance) <= 4.0 * rounding
+
+    def test_lawson_estimate_is_fourth_order(self, monkeypatch):
+        monkeypatch.setattr(evolve, "STEP_TOL", math.inf)
+        _, u0, _ = _orbit_start(0.5, 6 * math.pi)
+        reps = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, adaptive=True)) for h in (0.5, 0.25)]
+        assert [rep.steps for rep in reps] == [1, 1]
+        est = [rep.max_error_estimate * h for rep, h in zip(reps, (0.5, 0.25))]
+        assert 16.0 * 0.8 <= est[0] / est[1] <= 16.0 * 1.2
+
+    def test_constant_field_is_exact(self):
+        # lambda vanishes at the mean mode, and N at a constant: each step of
+        # the integrating factor leaves the spectrum, and every record, as it was
+        g = mw.PeriodicGrid(2 * math.pi, 64)
+        u0 = mw.sample(lambda x: 0.3 + 0 * x, g)
+        rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=2, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED and len(rep.fields) == 11
+        assert all(np.array_equal(fld.values, u0.values) for fld in rep.fields)
+
+    def test_mean_conserved_to_rounding(self):
+        # E = 1 and N = 0 at the mean mode, so the mean moves only by the
+        # rounding of each record's inverse transform
+        phi, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
+        assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) > 2
+        assert np.max(np.abs(rep.drift_V)) <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("k, big_l, most", [(0.144, 3.736 * math.pi, 22),
+                                                (0.693, 3.6 * math.pi, 357)])
+    def test_integrating_factor_step_counts(self, k, big_l, most):
+        # classical RK4 steps under the same control take 298 and 555 here,
+        # the integrating factor 18 and 286: the bounds are those counts
+        # plus 25 %, so dropping the linear part fails them
+        phi, u0, cfg = _orbit_start(k, big_l)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert rep.steps <= most
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
