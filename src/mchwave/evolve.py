@@ -12,23 +12,22 @@ stable for dt max |u| / (L / n) up to about 2 sqrt(2) / pi, and the
 integrating factor below leaves only the speed max |u - ubar|.
 
 Step control.  A run records the state every ``monitor_every`` steps of
-``dt``; fixed steps are classical RK4.  With ``adaptive`` set the steps
-are Lawson's integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4,
-1967): the linearization of the right side at the mean ubar of u0, which
-the flow conserves, has the symbol
-lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2), 0 at the mean
-and Nyquist modes; E = exp(lambda h / 2) steps that part exactly, and
-the stages take the rest, N = f - lambda u.  The fewest equal steps h
-whose error estimates stay within ``STEP_TOL`` h fill each interval
-between records.  The estimate (h/6) ||k4 - k5|| (RMS grid norm) is the
-distance to the order-3 FSAL companion, k5 = N(y_{n+1}) being the next
-step's k1, so it costs no right side; |E| = 1 keeps it RK4's form.  The
-counts start from h = 0.25 (L/n) / max |u0 - ubar| and follow
-est / h ~ h^3 (safety 0.9, growth at most 2x); an interval over the
-target is redone.  A non-finite estimate, or a count past
-``MAX_REFINE`` times the interval's count of ``dt`` steps, is blow-up.
-Where u strays from its mean by the mean or more, the factor can take
-more steps than classical RK4, and more so in long runs (README.md).
+``dt``; fixed steps are classical RK4.  With ``adaptive`` set the fewest
+equal steps h whose error estimates stay within ``STEP_TOL`` h fill each
+interval between records.  Where |u0 - ubar| < |u0| at every node, ubar
+the conserved mean, the steps are Lawson's integrating-factor RK4 (SIAM
+J. Numer. Anal. 4, 1967): E = exp(lambda h / 2) steps the linearization
+at ubar, lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2),
+exactly, and the stages take N = f - lambda u.  Elsewhere, as where u0
+crosses zero, the factor can cost steps, the more the longer the run
+(README.md), and the steps are classical: ubar = 0 below.  The estimate
+(h/6) ||k4 - k5|| (RMS grid norm, |E| = 1) is the distance to the
+order-3 FSAL companion, k5 = N(y_{n+1}) being the next step's k1, so it
+costs no right side.  The counts start from h = 0.25 (L/n) /
+max |u0 - ubar| and follow est / h ~ h^3 (safety 0.9, growth at most
+2x); an interval over the target is redone.  A non-finite estimate, or a
+count past ``MAX_REFINE`` times the interval's count of ``dt`` steps, is
+blow-up.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -167,9 +166,8 @@ class _RhsOperator:
     ``sym_out`` carries the 1/8: the factors are powers of two, so every
     rounding is that of w itself while the values stay in the normal
     range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
-    even fine ones).  ``lin`` is the symbol lambda of the linearization at
-    the constant ``mean``, and a call returns f(u) - lambda u: all of f at
-    the default mean 0.
+    even fine ones).  A call returns f(u) - lambda u, ``lin`` = lambda the
+    symbol of the linearization at a nonzero ``mean``; f(u) at mean 0.
     """
 
     def __init__(self, grid: PeriodicGrid, mean: float = 0.0):
@@ -179,7 +177,7 @@ class _RhsOperator:
         sym_d1 = 1j * kap
         sym_d1[-1] = 0.0
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
-        self.lin = self.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean)
+        self.lin = self.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if mean else None
         half = self.n // 2 + 1
         syms = (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap))
         self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
@@ -203,7 +201,8 @@ class _RhsOperator:
         # sym_out vanishes at the Nyquist mode, where the fine spectrum would
         # fold +-n/2 onto the grid cosine, so the coarse slice is exact
         out = self.sym_out * np.fft.rfft(w)[:half]
-        out -= self.lin * spec
+        if self.lin is not None:
+            out -= self.lin * spec
         return out
 
 
@@ -221,37 +220,38 @@ def rhs(u: PeriodicField) -> PeriodicField:
 
 
 def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
-              e: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step from ``values`` in Lawson's integrating-factor form, whose
-    slope ``k1 = f(values)`` the caller has evaluated; returns the new state
-    and k4.  ``f`` is the right side less a linear part lambda that is
-    stepped exactly, e = exp(lambda dt / 2), and e = 1 (lambda = 0) is
-    classical RK4, value for value: each product by e = 1 is exact, and the
-    stage inputs, formed in one buffer, and the sum ((k1 + 2 k2) + 2 k3) + k4,
-    times dt / 6, plus ``values``, formed in place in k2, take the operations
-    of the textbook expression in its order."""
-    stage = (0.5 * dt) * k1
-    stage += values
-    stage *= e
-    k2 = f(stage)
+              e: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from ``values``, whose slope ``k1 = f(values)`` the
+    caller has evaluated; returns the new state and k4.  Without ``e`` the
+    step is classical: the stage inputs share one buffer, and the sum
+    ((k1 + 2 k2) + 2 k3) + k4, times dt / 6, plus ``values`` is formed in
+    place in k2, the operations of the textbook expression in its order.
+    With e = exp(lambda dt / 2) it is Lawson's integrating-factor step, ``f``
+    being the right side less the linear part lambda that e steps exactly."""
+    if e is None:
+        stage = (0.5 * dt) * k1
+        stage += values
+        k2 = f(stage)
+        np.multiply(k2, 0.5 * dt, out=stage)
+        stage += values
+        k3 = f(stage)
+        np.multiply(k3, dt, out=stage)
+        stage += values
+        k4 = f(stage)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += values
+        return k2, k4
     ev = e * values
-    np.multiply(k2, 0.5 * dt, out=stage)
-    stage += ev
-    k3 = f(stage)
+    k2 = f(e * (values + (0.5 * dt) * k1))
+    k3 = f(ev + (0.5 * dt) * k2)
     ev *= e
-    np.multiply(k3, dt, out=stage)
-    stage *= e
-    stage += ev
-    k4 = f(stage)
-    k2 *= 2.0
-    k2 += e * k1
-    k3 *= 2.0
-    k2 += k3
-    k2 *= e
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += ev
-    return k2, k4
+    k4 = f(ev + dt * (e * k3))
+    return ev + (dt / 6.0) * (e * (e * k1 + 2.0 * (k2 + k3)) + k4), k4
 
 
 def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float,
@@ -263,7 +263,7 @@ def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float
     if a state before the last left the blow-up bound."""
     # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (6.0 * f.n)
-    worst, e = 0.0, np.exp((0.5 * h) * f.lin)
+    worst, e = 0.0, None if f.lin is None else np.exp((0.5 * h) * f.lin)
     for j in range(q):
         # 2u against twice the threshold is exact, and NaN fails too
         if j and not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
@@ -307,6 +307,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps, dt = cfg.steps
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
+    if not np.all(np.abs(u0.values - mean) < np.abs(u0.values)):
+        mean = 0.0  # the mean's frame is not the slower one at every node
     op = _RhsOperator(u0.grid, mean)
 
     e0, f0, v0 = functionals(u0)

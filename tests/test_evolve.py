@@ -323,9 +323,10 @@ class TestSpectralState:
         # the benchmark's traced per-step counters wrap exactly these two names;
         # run evaluates a step's first stage before it calls _rk4_step, so the
         # right sides of a step are those between consecutive _rk4_step returns,
-        # and one more, the slope of the last state, completes its estimate; a
-        # redone interval, as the adaptive run's one interval is here, starts
-        # again from its first stage, already evaluated
+        # and one more, the slope of the last state, completes its estimate; the
+        # fixed run records its state between steps 10 and 11, and a redone
+        # interval, as the adaptive run's one interval is here, starts again
+        # from its first stage, already evaluated
         rk4, call = evolve._rk4_step, _RhsOperator.__call__
         sides, at_return = [], [0]
 
@@ -343,10 +344,10 @@ class TestSpectralState:
         grid = mw.PeriodicGrid(wave05.L, 64)
         phi = mw.sample_wave(wave05, grid)
         u0 = phi + 1e-2 * seeded_perturbation(grid, seed=2)
-        for adaptive in (False, True):
+        for adaptive, every in ((False, 10), (True, 10**9)):
             sides.clear()
             del at_return[1:]
-            rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=10**9,
+            rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=every,
                                                 adaptive=adaptive), reference=phi)
             assert rep.terminated == TERMINATED_COMPLETED and (adaptive or rep.steps == 20)
             assert list(np.diff(at_return)) == [4] * rep.steps
@@ -511,21 +512,44 @@ class TestStepControl:
     def test_mean_conserved_to_rounding(self):
         # E = 1 and N = 0 at the mean mode, so the mean moves only by the
         # rounding of each record's inverse transform
-        phi, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
+        phi, u0, cfg = _orbit_start(0.144, 3.736 * math.pi)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) > 2
         assert np.max(np.abs(rep.drift_V)) <= 4.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("k, big_l, most", [(0.144, 3.736 * math.pi, 22),
-                                                (0.693, 3.6 * math.pi, 357)])
+                                                (0.411, 3.536 * math.pi, 71)])
     def test_integrating_factor_step_counts(self, k, big_l, most):
-        # classical RK4 steps under the same control take 298 and 555 here,
-        # the integrating factor 18 and 286: the bounds are those counts
+        # classical RK4 steps under the same control take 298 and 404 here,
+        # the integrating factor 18 and 57: the bounds are those counts
         # plus 25 %, so dropping the linear part fails them
         phi, u0, cfg = _orbit_start(k, big_l)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
         assert rep.terminated == TERMINATED_COMPLETED
         assert rep.steps <= most
+
+    @pytest.mark.parametrize("k, big_l, lawson", [(0.144, 3.736 * math.pi, True),
+                                                  (0.5, 6 * math.pi, True),
+                                                  (0.693, 3.6 * math.pi, False),
+                                                  (0.9, 4 * math.pi, False)])
+    def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, k, big_l,
+                                                               lawson):
+        # the factor moves the frame to the mean, and is used only where
+        # that lowers the transport speed at every node, |u0 - ubar| < |u0|;
+        # elsewhere, as where u0 crosses zero, the steps are classical
+        rk4, factored = evolve._rk4_step, []
+
+        def spied_step(f, values, k1, dt, e=None):
+            factored.append(e is not None)
+            return rk4(f, values, k1, dt, e)
+
+        monkeypatch.setattr(evolve, "_rk4_step", spied_step)
+        _, u0, cfg = _orbit_start(k, big_l)
+        u = u0.values
+        assert bool(np.all(np.abs(u - np.mean(u)) < np.abs(u))) == lawson
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert len(factored) == rep.steps and set(factored) == {lawson}
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
