@@ -33,8 +33,6 @@ from .field import (
     fractional_shift,
     functionals,
     h1_norm,
-    helmholtz_inverse,
-    integrate,
     sample,
     sample_wave,
 )

@@ -42,7 +42,8 @@ fine grid of the next step's first stage, so the coarse inverse
 transform runs only at the monitor steps, where the records need it
 and the check reads its values instead.  The two readings of u differ
 by rounding, so only a max |u| within rounding of the threshold can
-fall on the other side of it.
+fall on the other side of it.  A record adds the recorded field's rfft,
+its u_x for E and the orbit distance's one irfft: four FFT calls.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -173,9 +174,7 @@ class _RhsOperator:
     def __init__(self, grid: PeriodicGrid, mean: float = 0.0):
         self.n = grid.n
         self.m = DEALIAS_PAD * grid.n
-        kap = grid.wavenumbers()
-        sym_d1 = 1j * kap
-        sym_d1[-1] = 0.0
+        kap, sym_d1, _ = grid.rfft_tables
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
         self.lin = self.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if mean else None
         half = self.n // 2 + 1
@@ -319,11 +318,10 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     rho_list: list[float] = []
     drifts: list[np.ndarray] = []
 
-    def record(t: float, values: np.ndarray) -> str | None:
-        fld = PeriodicField(u0.grid, values)
+    def record(t: float, fld: PeriodicField, efv: tuple | None = None) -> str | None:
         times.append(t)
         fields.append(fld)
-        e, f, v = functionals(fld)
+        e, f, v = efv or functionals(fld)
         drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
         if reference is not None:
             r = _orbit_distance(fld, reference)[0]
@@ -333,7 +331,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         return None
 
     spec = u0.spectrum  # held since functionals(u0)
-    terminated = record(0.0, u0.values) or TERMINATED_COMPLETED
+    terminated = record(0.0, u0, (e0, f0, v0)) or TERMINATED_COMPLETED
     tol = STEP_TOL if cfg.adaptive else math.inf
     spread = float(np.max(np.abs(u0.values - mean)))
     h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
@@ -363,7 +361,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
             if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
                 terminated = TERMINATED_BLOWUP
                 break
-            terminated = record(s1 * dt, values) or TERMINATED_COMPLETED
+            terminated = record(s1 * dt, PeriodicField(u0.grid, values)) or TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
     return StabilityRunReport(

@@ -2,10 +2,11 @@
 orbital semi-distance.
 
 A :class:`PeriodicField` carries samples of an L-periodic function on a
-uniform grid.  Differentiation is Fourier (exact for band-limited data),
-integration is the trapezoid rule, which is spectrally accurate for
-smooth periodic integrands.  The H^1 inner product used throughout is
-the one induced by the momentum functional: ||v||^2 = int v^2 + v_x^2.
+uniform grid and holds their rfft.  Differentiation is Fourier (exact
+for band-limited data), integrals are trapezoid sums, spectrally
+accurate for smooth periodic integrands, and the H^1 norm induced by
+the momentum functional, ||v||^2 = int v^2 + v_x^2, is summed from the
+rfft by Parseval.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ class PeriodicGrid:
     def wavenumbers(self) -> np.ndarray:
         """rfft wavenumbers 2 pi m / L, m = 0 .. n/2."""
         return 2.0 * math.pi * np.arange(self.n // 2 + 1) / self.L
+
+    @cached_property
+    def rfft_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only tables on the rfft modes m = 0 .. n/2: kappa, i kappa
+        with the Nyquist entry zeroed (not representable on an even grid),
+        and the H^1 Parseval weights w, 2 (1 + kappa^2) off modes 0 and n/2
+        and 1 at both: ||u||^2_H1 = (L / n^2) sum_m w_m |u_hat_m|^2."""
+        kap = self.wavenumbers()
+        d1 = 1j * kap
+        d1[-1] = 0.0
+        weight = 2.0 * (1.0 + kap * kap)
+        weight[0] = weight[-1] = 1.0
+        for table in (kap, d1, weight):
+            table.flags.writeable = False
+        return kap, d1, weight
 
 
 @dataclass(frozen=True)
@@ -108,23 +124,8 @@ def sample_wave(p: WaveParams, grid: PeriodicGrid) -> PeriodicField:
 
 
 def derivative(u: PeriodicField) -> PeriodicField:
-    """Spectral x-derivative; the Nyquist mode is zeroed (its derivative is
-    not representable on an even grid)."""
-    symbol = 1j * u.grid.wavenumbers()
-    symbol[-1] = 0.0
-    return PeriodicField(u.grid, np.fft.irfft(symbol * u.spectrum, u.grid.n))
-
-
-def integrate(u: PeriodicField) -> float:
-    """Trapezoid rule over one period: (L/n) sum u_j."""
-    return float(u.grid.spacing * np.sum(u.values))
-
-
-def helmholtz_inverse(u: PeriodicField) -> PeriodicField:
-    """(1 - d^2/dx^2)^{-1} u via its Fourier symbol 1 / (1 + kappa^2)."""
-    kap = u.grid.wavenumbers()
-    spec = u.spectrum / (1.0 + kap * kap)
-    return PeriodicField(u.grid, np.fft.irfft(spec, u.grid.n))
+    """Spectral x-derivative; the Nyquist mode is zeroed."""
+    return PeriodicField(u.grid, np.fft.irfft(u.grid.rfft_tables[1] * u.spectrum, u.grid.n))
 
 
 def inner_l2(u: PeriodicField, v: PeriodicField) -> float:
@@ -132,29 +133,27 @@ def inner_l2(u: PeriodicField, v: PeriodicField) -> float:
     return float(u.grid.spacing * np.dot(u.values, v.values))
 
 
-def _h1_square(u: PeriodicField) -> float:
-    """||u||^2_H1 = int u^2 + u_x^2, with u differentiated once."""
-    ux = derivative(u)
-    return inner_l2(u, u) + inner_l2(ux, ux)
+def _h1_square(spec: np.ndarray, grid: PeriodicGrid) -> float:
+    """||u||^2_H1 = int u^2 + u_x^2 as the Parseval sum over u's rfft ``spec``."""
+    return (grid.L / grid.n**2) * float(np.vdot(spec, grid.rfft_tables[2] * spec).real)
 
 
 def h1_norm(u: PeriodicField) -> float:
-    return math.sqrt(max(_h1_square(u), 0.0))
+    return math.sqrt(_h1_square(u.spectrum, u.grid))
 
 
 def functionals(u: PeriodicField) -> tuple[float, float, float]:
     """The three conserved quantities (E, F, V) of the flow.
 
     E = -int [u^4/4 + u u_x^2 / 2], F = (1/2) int u^2 + u_x^2, V = int u,
-    with u_x from spectral differentiation.
+    trapezoid sums with u_x from spectral differentiation.
     """
     ux = derivative(u).values
-    w = u.grid.spacing
     vals = u.values
-    e = -w * float(np.sum(0.25 * vals**4 + 0.5 * vals * ux * ux))
-    f = 0.5 * w * float(np.sum(vals * vals + ux * ux))
-    v = w * float(np.sum(vals))
-    return e, f, v
+    sq = vals * vals
+    w = u.grid.spacing
+    e = -w * float(np.sum(0.25 * sq * sq + 0.5 * vals * ux * ux))
+    return e, 0.5 * w * float(np.sum(sq + ux * ux)), w * float(np.sum(vals))
 
 
 def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
@@ -163,49 +162,53 @@ def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
     The Nyquist mode is phase-shifted with its cosine interpretation kept
     real, so shifted fields stay real for any fractional s.
     """
-    kap = u.grid.wavenumbers()
-    spec = u.spectrum
+    return PeriodicField(u.grid, np.fft.irfft(_shifted(u.spectrum, u.grid, s), u.grid.n))
+
+
+def _shifted(spec: np.ndarray, grid: PeriodicGrid, s: float) -> np.ndarray:
+    """The rfft ``spec`` of u on ``grid`` rotated to that of u(. + s)."""
+    kap = grid.rfft_tables[0]
     shifted = spec * np.exp(1j * kap * s)
     # the Nyquist coefficient represents a pure cosine; rotate it as such
     shifted[-1] = spec[-1] * math.cos(kap[-1] * s)
-    return PeriodicField(u.grid, np.fft.irfft(shifted, u.grid.n))
+    return shifted
 
 
 def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]:
-    """min over y of ||u - phi(. + y)||_H1 and the minimizing shift.
+    """min over y of ||u - phi(. + y)||_H1 and the minimizing shift in [0, L).
 
-    The squared distance is ||u||^2 + ||phi||^2 - 2 C(y), where the H^1
-    cross-correlation C(y) = Re sum_j c_j exp(-i kappa_j y) is a
-    trigonometric polynomial with c_j = w_j u_hat_j conj(phi_hat_j) L / n^2,
-    and ||u||^2 = sum_j w_j |u_hat_j|^2 L / n^2 (likewise phi) comes from
-    the same spectra.  Coarse stage: C at all n grid shifts in one FFT of
-    the c_j.  Fine stage: a safeguarded Newton iteration on C'(y) = 0,
-    with C' and C'' summed from the same series (O(n) per step, no FFT),
-    kept inside the bracket of the best grid shift +- L/n and bisecting it
-    whenever C'' >= 0 or a step leaves it, until |dy| < 1e-10 L.
-    The distance is then the exact objective at the optimum, not the
-    cancelling sum.  phi_hat and the shifted phi come from ``phi.spectrum``,
-    so a reference held across calls is transformed once.
+    Sums run over the rfft half-spectra the fields hold, with the grid's
+    H^1 Parseval weights w_m.  The H^1 cross-correlation C(y) =
+    <u, phi(. + y)>_H1 is Re sum_m c_m exp(i kappa_m y), with
+    c_m = w_m conj(u_hat_m) phi_hat_m L / n^2.  Coarse stage: C at all n
+    grid shifts in one irfft.  Fine stage: a safeguarded Newton iteration
+    on C'(y) = 0, with C' and C'' summed from the series (no FFT), kept
+    inside the bracket of the best grid shift +- L/n and bisecting it
+    whenever C'' >= 0 or a step leaves it, until |dy| < 1e-10 L.  The
+    distance is then the Parseval sum of ``h1_norm`` over the coefficients
+    u_hat_m - phi_hat_m exp(i kappa_m y*), the Nyquist mode rotated as a
+    cosine (:func:`fractional_shift`): a sum of squares, not the cancelling
+    ||u||^2 + ||phi||^2 - 2 C.
     """
     u._check_same_grid(phi)
     n, big_l = u.grid.n, u.grid.L
-    kap = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / big_l
-    weight = 1.0 + kap * kap
-    weight[n // 2] = 1.0  # derivatives zero the Nyquist mode; match _h1_square
-    u_hat = np.fft.fft(u.values)
-    phi_hat = np.concatenate((phi.spectrum, np.conj(phi.spectrum[-2:0:-1])))
-    coef = weight * u_hat * np.conj(phi_hat) * (big_l / n**2)
-    # <u, phi(.+y_j)>_H1 for every grid shift y_j = j L / n in one pass.
-    cross = np.fft.fft(coef).real
-    norm_u2 = float(np.dot(weight, np.abs(u_hat) ** 2)) * (big_l / n**2)
-    norm_p2 = float(np.dot(weight, np.abs(phi_hat) ** 2)) * (big_l / n**2)
+    kap, _, weight = u.grid.rfft_tables
+    u_hat, phi_hat = u.spectrum, phi.spectrum
+    coef = (big_l / n**2) * weight * np.conj(u_hat) * phi_hat
+    # irfft sums the modes 0 < m < n/2 twice, as their weights already do:
+    # halve the coefficients there, and C(j L / n) is n irfft(.)_j
+    grid_coef = (0.5 * n) * coef
+    grid_coef[0] *= 2.0
+    grid_coef[-1] *= 2.0
+    cross = np.fft.irfft(grid_coef, n)
+    slope_terms = kap * coef
+    curv_terms = kap * slope_terms
 
     def slope_curvature(y: float) -> tuple[float, float]:
-        terms = coef * np.exp(-1j * kap * y)
-        return float(np.dot(kap, terms.imag)), -float(np.dot(kap * kap, terms.real))
+        phase = np.exp((1j * y) * kap)
+        return -float((slope_terms @ phase).imag), -float((curv_terms @ phase).real)
 
-    j_best = int(np.argmax(cross))
-    y0 = j_best * big_l / n
+    y0 = int(np.argmax(cross)) * big_l / n
     lo, hi = y0 - big_l / n, y0 + big_l / n
     tol = 1e-10 * big_l
     y_star, bisected = y0, False
@@ -223,9 +226,6 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("orbit distance: %d Newton iterations, |C'(y*)| = %.3e, bisection used: %s",
                      iterations, abs(slope_curvature(y_star)[0]), bisected)
-    diff = u - fractional_shift(phi, y_star)
-    val_star = _h1_square(diff)
-    val_grid = norm_u2 + norm_p2 - 2.0 * float(cross[j_best])
-    if val_grid < val_star:
-        val_star, y_star = val_grid, y0
-    return math.sqrt(max(val_star, 0.0)), y_star % big_l
+    dist = math.sqrt(_h1_square(u_hat - _shifted(phi_hat, u.grid, y_star), u.grid))
+    shift = y_star % big_l  # a step of -1e-50 from y = 0 lands on L itself
+    return dist, (shift if shift < big_l else 0.0)

@@ -16,7 +16,7 @@ from scipy.integrate import IntegrationWarning, quad
 import mchwave as mw
 from mchwave.evolve import seeded_perturbation
 
-from conftest import dense_evolution_eigenvalues, fd_index, lowest_eigenvectors
+from conftest import dense_evolution_eigenvalues, fd_index, integrate, lowest_eigenvectors
 
 
 def report(num: int, desc: str, t0: float, budget: float) -> None:
@@ -53,7 +53,7 @@ def test_criterion_2_exact_solutions():
             assert mw.ode_residual(p, 512) < 1e-8
             grid = mw.PeriodicGrid(p.L, 256)
             phi = mw.sample_wave(p, grid)
-            assert abs(mw.integrate(phi) / p.L - p.a) < 1e-10
+            assert abs(integrate(phi) / p.L - p.a) < 1e-10
             sp = mw.snoidal_form(p)
             x = np.arange(512) * (p.L / 512)
             big_k = mw.complete_k_e(p.k)[0]

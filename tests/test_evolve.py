@@ -13,8 +13,8 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import (dense_evolution_eigenvalues, fsal_companion, random_smooth,
-                      reference_run)
+from conftest import (dense_evolution_eigenvalues, fsal_companion, helmholtz_inverse,
+                      random_smooth, reference_run)
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -82,7 +82,7 @@ class TestRhs:
         w = random_smooth(g, rng, modes=12)
         op = _RhsOperator(g)
         combined = np.fft.irfft(op.sym_smooth * np.fft.rfft(w.values), g.n)
-        two_step = mw.derivative(mw.helmholtz_inverse(w)).values
+        two_step = mw.derivative(helmholtz_inverse(w)).values
         assert np.max(np.abs(combined - two_step)) < 1e-13
 
     def test_rhs_has_zero_mean(self):
@@ -318,6 +318,28 @@ class TestSpectralState:
                 steps.append(rep.steps)
             assert steps[1] > steps[0] and (adaptive or steps[1] - steps[0] == 20)
             assert counts[1] - counts[0] == 8 * (steps[1] - steps[0])
+
+    def test_four_transforms_per_record(self, fft_calls, monkeypatch):
+        # outside the steps a record takes four FFT calls: the state's
+        # inverse transform, the recorded field's rfft, its u_x for E, and C
+        # at the grid shifts; the t = 0 record, of u0 itself, takes the last
+        # three, and the first slope two more
+        advance, inside = evolve._advance, []
+
+        def counted_advance(*args):
+            before = len(fft_calls)
+            out = advance(*args)
+            inside.append(len(fft_calls) - before)
+            return out
+
+        monkeypatch.setattr(evolve, "_advance", counted_advance)
+        phi, u0, cfg = _orbit_start(0.5, 6 * math.pi)
+        assert phi.spectrum is not None  # held, as across an orbit run's records
+        fft_calls.clear()
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=2.0, monitor_every=5, adaptive=True),
+                     reference=phi)
+        assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) > 5
+        assert len(fft_calls) - sum(inside) == 4 * len(rep.times) + 1
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
         # the benchmark's traced per-step counters wrap exactly these two names;

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -14,7 +14,8 @@ from mchwave import DomainError
 from mchwave.evolve import seeded_perturbation
 from mchwave.field import _orbit_distance
 
-from conftest import augmented, inner_h1, lyapunov, random_smooth, semidistance
+from conftest import (augmented, helmholtz_inverse, inner_h1, integrate, lyapunov,
+                      orbit_distance_grid, random_smooth, semidistance)
 
 
 class TestGridAndField:
@@ -105,7 +106,7 @@ class TestDerivative:
         kap = g.wavenumbers()
         spec = np.fft.rfft(u.values)
         fft_calls.clear()
-        d, h = mw.derivative(u), mw.helmholtz_inverse(u)
+        d, h = mw.derivative(u), helmholtz_inverse(u)
         assert len(fft_calls) == 3  # one rfft, two irfft
         symbol = 1j * kap
         symbol[-1] = 0.0
@@ -122,18 +123,18 @@ class TestDerivative:
 class TestIntegrate:
     def test_full_period_sine(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        assert abs(mw.integrate(mw.sample(np.sin, g))) < 1e-14
+        assert abs(integrate(mw.sample(np.sin, g))) < 1e-14
 
     def test_constant(self):
         g = mw.PeriodicGrid(5.0, 32)
-        assert mw.integrate(mw.sample(lambda x: 1.0 + 0 * x, g)) == pytest.approx(5.0, rel=1e-15)
+        assert integrate(mw.sample(lambda x: 1.0 + 0 * x, g)) == pytest.approx(5.0, rel=1e-15)
 
     def test_dn_squared_mean_value(self, wave05):
         # int_0^L dn^2(2Kx/L) dx = L E/K, cross-checked by adaptive quadrature
         big_k, big_e = mw.complete_k_e(wave05.k)
         g = mw.PeriodicGrid(wave05.L, 256)
         dn2 = mw.sample(lambda x: mw.jacobi(2 * big_k * x / wave05.L, wave05.k)[2] ** 2, g)
-        val = mw.integrate(dn2)
+        val = integrate(dn2)
         assert abs(val - wave05.L * big_e / big_k) < 1e-10
         oracle, _ = quad(lambda x: mw.jacobi(2 * big_k * x / wave05.L, wave05.k)[2] ** 2,
                          0.0, wave05.L, epsabs=1e-12, limit=200)
@@ -252,6 +253,17 @@ class TestLyapunov:
             lyapunov(phi, wave05, 0.0, q_coeffs)
 
 
+def _assert_matches_oracle(u: mw.PeriodicField, phi: mw.PeriodicField) -> None:
+    """rho within 4 eps ||phi||_H1 of the physical-space oracle's, and the
+    shift in [0, L) within 1e-8 L of its shift."""
+    rho, shift = _orbit_distance(u, phi)
+    rho_grid, shift_grid = orbit_distance_grid(u, phi)
+    assert abs(rho - rho_grid) <= 4.0 * np.finfo(float).eps * mw.h1_norm(phi)
+    assert 0.0 <= shift < u.grid.L
+    gap = (shift - shift_grid) % u.grid.L
+    assert min(gap, u.grid.L - gap) <= 1e-8 * u.grid.L
+
+
 class TestSemidistance:
     def test_zero_at_wave(self, wave05):
         g = mw.PeriodicGrid(wave05.L, 256)
@@ -278,6 +290,20 @@ class TestSemidistance:
             rho, _ = semidistance(u, wave05)
             diff = u - phi
             assert rho <= mw.h1_norm(diff) + 1e-12
+
+    @pytest.mark.parametrize("s", [None, 1e-15, -1e-15, 1e-13, -1e-13])
+    def test_at_and_next_to_the_reference(self, wave05, s):
+        # u = phi, or phi shifted by rounding-sized s: rho is rounding, and
+        # the shift lies in [0, L) next to s mod L, where a Newton step of
+        # -1e-50 taken mod L would round to L itself
+        g = mw.PeriodicGrid(wave05.L, 256)
+        phi = mw.sample_wave(wave05, g)
+        u = phi if s is None else mw.fractional_shift(phi, s)
+        rho, shift = _orbit_distance(u, phi)
+        assert rho <= 1e-13 * mw.h1_norm(phi)
+        assert 0.0 <= shift < g.L
+        gap = (shift - (s or 0.0)) % g.L
+        assert min(gap, g.L - gap) <= 1e-8 * g.L
 
     def test_invariance_under_shifting_the_candidate(self, wave05):
         g = mw.PeriodicGrid(wave05.L, 256)
@@ -320,13 +346,44 @@ class TestSemidistance:
         gap = (shift - y_ref) % p.L
         assert min(gap, p.L - gap) <= 1e-8 * p.L
 
+    @settings(max_examples=100)
+    @given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi),
+           n=st.sampled_from([64, 128, 256, 512]), log_eps=st.floats(-7.0, -1.0),
+           frac=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**16))
+    def test_matches_physical_space_oracle(self, k, big_l, n, log_eps, frac, seed):
+        # oracle: the full-FFT correlation and the trapezoid H^1 norm of
+        # u - phi(. + y*); both distances are sums of squares, so they agree
+        # to rounding of phi's size at any perturbation size
+        assume(mw.validity(k, big_l).all_ok)
+        p = mw.wave_params(k, big_l)
+        g = mw.PeriodicGrid(p.L, n)
+        phi = mw.sample_wave(p, g)
+        u = mw.fractional_shift(phi, frac * p.L) + 10.0**log_eps * seeded_perturbation(g, seed)
+        _assert_matches_oracle(u, phi)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_matches_oracle_with_nyquist_content(self, n):
+        # white noise carries every mode, where a wave's Nyquist mode is at
+        # rounding: that mode's weight, its rotation as a cosine and its
+        # share of C at the grid shifts all show here
+        rng = np.random.default_rng(n)
+        g = mw.PeriodicGrid(5.0, n)
+        for _ in range(10):
+            phi = mw.PeriodicField(g, rng.standard_normal(n))
+            noise = mw.PeriodicField(g, 0.3 * rng.standard_normal(n))
+            u = mw.fractional_shift(phi, rng.uniform(0.0, g.L)) + noise
+            _assert_matches_oracle(u, phi)
+
     def test_fft_calls_per_monitor_point(self, wave05, fft_calls):
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
         u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
         fft_calls.clear()
         _orbit_distance(u, phi)
-        assert len(fft_calls) == 5
+        assert fft_calls == ["rfft", "irfft"]  # u's spectrum, then C at the grid shifts
+        fft_calls.clear()
+        _orbit_distance(u, phi)
+        assert fft_calls == ["irfft"]  # u's spectrum is held now, as phi's was
 
     def test_newton_diagnostics_logged(self, wave05, caplog):
         g = mw.PeriodicGrid(wave05.L, 256)
@@ -357,7 +414,7 @@ class TestHelpers:
         g = mw.PeriodicGrid(2 * math.pi, 64)
         for m in (1, 3, 7):
             u = mw.sample(lambda x: np.cos(m * x), g)
-            out = mw.helmholtz_inverse(u)
+            out = helmholtz_inverse(u)
             assert np.max(np.abs(out.values - np.cos(m * g.nodes) / (1 + m * m))) < 1e-14
 
     def test_h1_norm_matches_momentum(self, wave05):

@@ -10,8 +10,8 @@ import mchwave as mw
 from mchwave import AssemblyError, DomainError, cli, evolve, linop
 
 from conftest import (dense_evolution_eigenvalues, dense_matrix, diff_matrix,
-                      helmholtz_diff_matrix, householder_y0_basis, lowest_eigenvectors,
-                      random_smooth, reference_blocks, reference_defect)
+                      helmholtz_diff_matrix, helmholtz_inverse, householder_y0_basis,
+                      lowest_eigenvectors, random_smooth, reference_blocks, reference_defect)
 
 
 def constant_case_eigenvalues(n: int) -> np.ndarray:
@@ -600,7 +600,7 @@ class TestEvolutionOperator:
         phi, _, phi2 = mw.profile(wave05, grid.nodes)
         op = mw.assemble_l(mw.PeriodicField(grid, phi), mw.PeriodicField(grid, phi2), wave05.c)
         q = mw.PeriodicField(grid, wave05.c - 3.0 * phi**2 + phi2)
-        expected = mw.derivative(mw.helmholtz_inverse(q)).values
+        expected = mw.derivative(helmholtz_inverse(q)).values
         got = evolve._linear_rhs(op)(np.ones(256))
         assert np.max(np.abs(got - expected)) < 1e-8
 

@@ -15,7 +15,7 @@ from mchwave import DomainError
 from mchwave.cli import dispatch
 from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
 
-from conftest import AccuracyError, a_closed_form, fd_dk
+from conftest import AccuracyError, a_closed_form, fd_dk, integrate
 
 
 def names_in_package(names: set) -> list:
@@ -176,7 +176,7 @@ class TestProfile:
             p = mw.wave_params(k, big_l)
             grid = mw.PeriodicGrid(p.L, 256)
             phi = mw.sample_wave(p, grid)
-            assert abs(mw.integrate(phi) / p.L - p.a) < 1e-10
+            assert abs(integrate(phi) / p.L - p.a) < 1e-10
 
 
 class TestSnoidalForm:
@@ -378,6 +378,12 @@ class TestParamDerivatives:
         # the run artifacts have one writer
         assert names_in_package({"Trajectory", "_run_report_rows"}) == []
         assert "Trajectory" not in mw.__all__
+
+    def test_field_oracles_are_the_tests_own(self):
+        # the trapezoid integral, the Helmholtz inverse and the physical-space
+        # orbit distance are oracles in conftest, which no module of the
+        # package defines or names
+        assert names_in_package({"integrate", "helmholtz_inverse", "orbit_distance_grid"}) == []
 
     def test_gate_failure_raises(self):
         # a kink just off the evaluation point breaks Richardson consistency
