@@ -22,7 +22,6 @@ from .evolve import (
     StabilityRunReport,
     linearized_run,
     orbital_experiment,
-    rhs,
     run,
     suggested_dt,
 )
@@ -61,12 +60,10 @@ from .linop import (
     spectrum,
 )
 from .wave import (
-    ParamDerivatives,
     SnoidalParams,
     ValidityReport,
     WaveParams,
     ode_residual,
-    params_dk,
     profile,
     snoidal_form,
     validity,

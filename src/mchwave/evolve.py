@@ -205,19 +205,6 @@ class _RhsOperator:
         return out
 
 
-def rhs(u: PeriodicField) -> PeriodicField:
-    """One evaluation of the smoothed right side dx (1-dx^2)^{-1}(...).
-
-    Raises:
-        BlowUpError: if the result is not finite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.fft.irfft(_RhsOperator(u.grid)(u.spectrum), u.grid.n)
-    if not np.isfinite(out).all():
-        raise BlowUpError("non-finite value in right-side evaluation")
-    return PeriodicField(u.grid, out)
-
-
 def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
               e: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from ``values``, whose slope ``k1 = f(values)`` the
@@ -375,8 +362,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 def _linear_rhs(lop: OperatorMatrix):
     """The right side v -> J L v of :func:`linearized_run` on grid values:
     L v by FFT, then the symbol i kappa / (1 + kappa^2), Nyquist entry 0."""
-    n, kap = lop.grid.n, lop.grid.wavenumbers()
-    symbol = 1j * np.append(kap[:-1], 0.0) / (1.0 + kap * kap)
+    n, (kap, sym_d1, _) = lop.grid.n, lop.grid.rfft_tables
+    symbol = sym_d1 / (1.0 + kap * kap)
     return lambda v: np.fft.irfft(symbol * np.fft.rfft(_apply_l(lop, v)), n)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable
@@ -26,9 +27,9 @@ logger = logging.getLogger(__name__)
 
 
 def check_grid_size(n: int) -> None:
-    """DomainError unless n is an even grid size of at least 16."""
-    if n < 16 or n % 2 != 0:
-        raise DomainError(f"grid size must be even and >= 16, got {n}")
+    """DomainError unless n is an even integer (numpy's too) of at least 16."""
+    if not isinstance(n, numbers.Integral) or n < 16 or n % 2 != 0:
+        raise DomainError(f"grid size must be an even integer >= 16, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,6 @@ def sample_wave(p: WaveParams, grid: PeriodicGrid) -> PeriodicField:
 def derivative(u: PeriodicField) -> PeriodicField:
     """Spectral x-derivative; the Nyquist mode is zeroed."""
     return PeriodicField(u.grid, np.fft.irfft(u.grid.rfft_tables[1] * u.spectrum, u.grid.n))
-
-
-def inner_l2(u: PeriodicField, v: PeriodicField) -> float:
-    u._check_same_grid(v)
-    return float(u.grid.spacing * np.dot(u.values, v.values))
 
 
 def _h1_square(spec: np.ndarray, grid: PeriodicGrid) -> float:

@@ -136,21 +136,17 @@ def _sign_count(x: float) -> tuple[int, int]:
     return (1, 0) if x < 0.0 else (0, 0)
 
 
-def classify(n_y0: int, pairing: float, big_d: float) -> Classification:
-    """Krein classification from n(L|Y0), the pairing, and D = -d''(c).
+def classify(n_y0: int, pairing: float, big_d: float) -> tuple[int, Classification]:
+    """K_Ham and the Krein classification from n(L|Y0), the pairing, and D = -d''(c).
 
     K_Ham = n(L|Y0) - n(D); unstable at 1, stable at 0, indeterminate
     when the pairing or D sits at zero or the counts fall outside {0, 1}.
     """
     n_d, z_d = _sign_count(big_d)
     k_ham = n_y0 - n_d
-    if abs(pairing) <= SIGN_FLOOR or z_d == 1:
-        return "indeterminate"
-    if k_ham == 1:
-        return "unstable"
-    if k_ham == 0:
-        return "stable"
-    return "indeterminate"
+    if abs(pairing) <= SIGN_FLOOR or z_d == 1 or k_ham not in (0, 1):
+        return k_ham, "indeterminate"
+    return k_ham, ("unstable" if k_ham == 1 else "stable")
 
 
 def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
@@ -344,9 +340,7 @@ def krein_index(k: float, n: int = 256) -> KreinReport:
         raise RankError(f"kernel dimension {morse.z_L} at (k={k}, L*={report.L_star}); "
                         "the Krein index needs a simple kernel")
     big_d = -report.d_second
-    n_d, _ = _sign_count(big_d)
-    k_ham = morse.n_Y0_direct - n_d
-    cls = classify(morse.n_Y0_direct, morse.pairing, big_d)
+    k_ham, cls = classify(morse.n_Y0_direct, morse.pairing, big_d)
     return KreinReport(n_L=morse.n_L, n_L_Y0=morse.n_Y0_direct, z_L=morse.z_L,
                        z_L_Y0=morse.z_Y0_direct, pairing=morse.pairing, D=big_d,
                        K_Ham=k_ham, classification=cls, L_star=report.L_star)

@@ -14,8 +14,9 @@ The basis (Hill's method) is the cosine modes sqrt(2/n) s_k cos(kappa_k x),
 k = 0 .. n/2 (s_0 = s_{n/2} = 1/sqrt 2, else 1), then the sine modes
 sqrt(2/n) sin(kappa_k x), k = 1 .. n/2 - 1.  With p^ = rfft(p)/n,
 q^ = rfft(q)/n, (k+m)* = min(k + m, n - k - m) and kappa~ = kappa with its
-Nyquist entry 0, this orthogonal change of basis (not an approximation)
-gives L = [[E, -C^T], [-C, O]] with
+Nyquist entry 0 (kappa and i kappa~ are read from the grid's
+``rfft_tables``, as is every symbol here), this orthogonal change of basis
+(not an approximation) gives L = [[E, -C^T], [-C, O]] with
 
     E_km = s_k s_m [q^_|k-m| + q^_(k+m)* - kappa~_k kappa~_m (p^_|k-m| - p^_(k+m)*)]
            - kappa_N^2 p^_0 at (n/2, n/2),
@@ -123,14 +124,13 @@ class OperatorMatrix:
             raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
                                 f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
         half = self.grid.n // 2
-        kap, inner = self.grid.wavenumbers(), slice(1, half)
-        kap_even = np.append(kap[:half], 0.0)
+        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = (v.real for v in self._windows)
         # Each entry takes the operations, in their order, of q_dif + q_sum -
         # kk (p_dif - p_sum) and q_dif - q_sum - kk (p_dif + p_sum), with
         # kk = kappa~_k kappa~_m (kappa~ = kappa inside the odd block), but
         # in place: one scratch the size of E besides the two blocks.
-        scratch = np.outer(kap_even, kap_even)
+        scratch = np.outer(d1.imag, d1.imag)
         odd = np.add(p_dif[inner, inner], p_sum[inner, inner])
         odd *= scratch[inner, inner]
         even = np.subtract(p_dif, p_sum)
@@ -152,10 +152,10 @@ class OperatorMatrix:
         kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended
         odd: rounding for an even wave, and gated before the split."""
         half = self.grid.n // 2
-        kap, inner = self.grid.wavenumbers(), slice(1, half)
+        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
         coupling = np.subtract(p_sum[inner], p_dif[inner])
-        coupling *= np.outer(kap[inner], np.append(kap[:half], 0.0))
+        coupling *= np.outer(kap[inner], d1.imag)
         np.add(np.add(q_sum[inner], q_dif[inner]), coupling, out=coupling)
         coupling[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
         return float(np.max(np.abs(coupling, out=coupling)))
@@ -262,10 +262,9 @@ def _to_grid(coords: np.ndarray) -> np.ndarray:
 def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
     """L u on the grid by FFT: d/dx(p du/dx) + q u, and the Nyquist completion."""
     p_vals, q_vals = m.coefficients
-    n, kap = m.grid.n, m.grid.wavenumbers()
-    symbol = 1j * np.append(kap[:-1], 0.0)
+    n, (kap, d1, _) = m.grid.n, m.grid.rfft_tables
     u_hat = np.fft.rfft(u)
-    flux_hat = symbol * np.fft.rfft(p_vals * np.fft.irfft(symbol * u_hat, n))
+    flux_hat = d1 * np.fft.rfft(p_vals * np.fft.irfft(d1 * u_hat, n))
     flux_hat[-1] = -(kap[-1] ** 2) * float(np.mean(p_vals)) * u_hat[-1]
     return np.fft.irfft(flux_hat, n) + q_vals * u
 
@@ -321,8 +320,8 @@ def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
     """
     even, odd = m._blocks
     half = m.grid.n // 2
-    kap = m.grid.wavenumbers()[1:half]
-    scale = kap / (1.0 + kap * kap)
+    kap = m.grid.rfft_tables[0][1:half]
+    scale = kap / (1.0 + kap * kap)  # a real division: Im of J's complex symbol rounds apart
     mu = _lapack(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
     tol_mu = _zero_tol(mu)
     zero = np.abs(mu) <= tol_mu

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -104,16 +103,6 @@ class ValidityReport:
     ineq_i_value: float
     ineq_ii_margin: float
     all_ok: bool
-
-
-@dataclass(frozen=True)
-class ParamDerivatives:
-    """Exact k-derivatives of (a, b, c, A) at fixed period."""
-
-    da_dk: float
-    db_dk: float
-    dc_dk: float
-    dA_dk: float
 
 
 def _outside(k, L):
@@ -365,15 +354,3 @@ def _dk(f: Callable, k) -> tuple:
     rounding since nothing is differenced.
     """
     return tuple(np.imag(v) / COMPLEX_STEP for v in f(k + 1j * COMPLEX_STEP))
-
-
-def params_dk(k: float, L: float) -> ParamDerivatives:
-    """Exact k-derivatives of (a, b, c, A) at fixed L: :func:`_dk` over the
-    closed forms.
-
-    Raises:
-        DomainError: where :func:`wave_params` refuses (k, L).
-    """
-    wave_params(k, L)
-    ks, ls = np.array([k], float), np.array([L], float)
-    return ParamDerivatives(*(float(v[0]) for v in _dk(partial(_closed_forms, L=ls), ks)[:4]))

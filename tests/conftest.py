@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import settings
 
 import mchwave as mw
 from mchwave import AssemblyError, BlowUpError, DomainError, NumericalError, evolve, linop
+from mchwave.evolve import _RhsOperator
 from mchwave.field import (_orbit_distance, derivative, fractional_shift, functionals,
-                           inner_l2, sample_wave)
+                           sample_wave)
+from mchwave.wave import _closed_forms, _dk
 
 # Property tests draw the same examples on every run, and a slow machine
 # does not fail them on a per-example deadline.
@@ -192,6 +195,18 @@ def reference_blocks(op) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def grid_rhs(u: mw.PeriodicField) -> np.ndarray:
+    """The smoothed right side of the flow at u, on the grid nodes."""
+    return np.fft.irfft(_RhsOperator(u.grid)(u.spectrum), u.grid.n)
+
+
+def closed_form_dk(k: float, big_l: float) -> tuple[float, float, float, float]:
+    """(da, db, dc, dA)/dk at fixed L: the package's one complex-step pass
+    over the closed forms, at the single cell (k, L)."""
+    ks, ls = np.array([k], float), np.array([big_l], float)
+    return tuple(float(v[0]) for v in _dk(partial(_closed_forms, L=ls), ks)[:4])
+
+
 class AccuracyError(NumericalError):
     """The step-halving consistency gate of :func:`fd_dk` failed."""
 
@@ -272,6 +287,12 @@ def helmholtz_inverse(u: mw.PeriodicField) -> mw.PeriodicField:
     kap = u.grid.wavenumbers()
     spec = u.spectrum / (1.0 + kap * kap)
     return mw.PeriodicField(u.grid, np.fft.irfft(spec, u.grid.n))
+
+
+def inner_l2(u: mw.PeriodicField, v: mw.PeriodicField) -> float:
+    """L^2 pairing int u v as a trapezoid sum."""
+    u._check_same_grid(v)
+    return float(u.grid.spacing * np.dot(u.values, v.values))
 
 
 def inner_h1(u: mw.PeriodicField, v: mw.PeriodicField) -> float:

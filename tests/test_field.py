@@ -27,6 +27,21 @@ class TestGridAndField:
         with pytest.raises(DomainError):
             mw.PeriodicGrid(1.0, 33)  # odd
 
+    @pytest.mark.parametrize("n", [64.0, np.float64(64), np.int64(64)],
+                             ids=["float", "float64", "int64"])
+    def test_grid_size_must_be_an_integer(self, n):
+        # a float size is refused by the grid, not by a slice deep in linop;
+        # a numpy integer is a grid size like any int
+        runs = (lambda size: mw.PeriodicGrid(1.0, size).n,
+                lambda size: mw.morse_check(0.5, 6 * math.pi, n=size),
+                lambda size: mw.krein_index(0.999, n=size))
+        for make in runs:
+            if isinstance(n, np.integer):
+                assert make(n) == make(64)
+            else:
+                with pytest.raises(DomainError, match="even integer"):
+                    make(n)
+
     def test_field_shape_and_finiteness(self):
         g = mw.PeriodicGrid(2 * math.pi, 16)
         with pytest.raises(DomainError):
@@ -199,8 +214,8 @@ class TestAugmented:
 
 @pytest.fixture(scope="module")
 def q_coeffs(wave05):
-    d = mw.params_dk(wave05.k, wave05.L)
-    return (d.dA_dk, d.dc_dk)
+    s = mw.stability_index(wave05.k, wave05.L)
+    return (s.dA_dk, s.dc_dk)
 
 
 class TestLyapunov:

@@ -513,14 +513,14 @@ class TestKrein:
 
     def test_classification_rules(self):
         # the three sign cases discussed for the Krein count
-        assert classify(1, pairing=2.0, big_d=-3.0) == "stable"      # d''(c) > 0
-        assert classify(1, pairing=2.0, big_d=3.0) == "unstable"     # d''(c) < 0
-        assert classify(0, pairing=-2.0, big_d=3.0) == "stable"      # cautionary case
-        assert classify(1, pairing=0.0, big_d=-3.0) == "indeterminate"
-        assert classify(1, pairing=2.0, big_d=0.0) == "indeterminate"
+        assert classify(1, pairing=2.0, big_d=-3.0) == (0, "stable")   # d''(c) > 0
+        assert classify(1, pairing=2.0, big_d=3.0) == (1, "unstable")  # d''(c) < 0
+        assert classify(0, pairing=-2.0, big_d=3.0) == (0, "stable")   # cautionary case
+        assert classify(1, pairing=0.0, big_d=-3.0) == (0, "indeterminate")
+        assert classify(1, pairing=2.0, big_d=0.0) == (1, "indeterminate")
         # the difference count is what decides, not n(L|Y0) alone
-        assert classify(2, pairing=2.0, big_d=-3.0) == "unstable"
-        assert classify(3, pairing=2.0, big_d=3.0) == "indeterminate"
+        assert classify(2, pairing=2.0, big_d=-3.0) == (1, "unstable")
+        assert classify(3, pairing=2.0, big_d=3.0) == (3, "indeterminate")
 
 
 def test_one_decomposition_per_operator(monkeypatch, tmp_path):

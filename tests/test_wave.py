@@ -15,7 +15,23 @@ from mchwave import DomainError
 from mchwave.cli import dispatch
 from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
 
-from conftest import AccuracyError, a_closed_form, fd_dk, integrate
+from conftest import AccuracyError, a_closed_form, closed_form_dk, fd_dk, integrate
+
+# mchwave.__all__: the public classes and functions, and the submodules the
+# package imports
+PUBLIC_NAMES = [
+    "AssemblyError", "BlowUpError", "DSecondReport", "DomainError", "EvolutionConfig",
+    "IndexSample", "KreinReport", "LinearGrowthReport", "MchError", "MorseReport",
+    "NumericalError", "OperatorMatrix", "PairingReport", "PeriodicField", "PeriodicGrid",
+    "RankError", "ScanSummary", "SingularError", "SnoidalParams", "SpectralReport",
+    "StabilityRunReport", "ValidityReport", "WaveParams", "assemble_l", "complete_k_e",
+    "d_second", "derivative", "elliptic", "errors", "evolution_spectrum", "evolve", "field",
+    "fractional_shift", "functionals", "h1_norm", "index_scan", "indices", "inv_one_pairing",
+    "jacobi", "krein_index", "linearized_run", "linop", "morse_check", "ode_residual",
+    "operator_for", "orbital_experiment", "profile", "restricted_spectrum", "run", "sample",
+    "sample_wave", "snoidal_form", "spectrum", "stability_index", "suggested_dt", "validity",
+    "wave", "wave_at", "wave_params", "zero_mean_period",
+]
 
 
 def names_in_package(names: set) -> list:
@@ -313,24 +329,24 @@ class TestParamDerivatives:
     def test_db_dk_analytic(self):
         # b = -32 K^2 / L^2 so db/dk = -64 K K' / L^2 with the classical K'
         k, big_l = 0.5, 6.0 * math.pi
-        d = mw.params_dk(k, big_l)
+        db_dk = closed_form_dk(k, big_l)[1]
         big_k, big_e = mw.complete_k_e(k)
         dk_dk = (big_e - (1 - k * k) * big_k) / (k * (1 - k * k))
         expected = -64.0 * big_k * dk_dk / big_l**2
-        assert d.db_dk == pytest.approx(expected, rel=1e-9)
+        assert db_dk == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("k", [0.05, 0.3, 0.7, 0.9])
     def test_exact_db_dk_matches_dlmf(self, k):
         # dK/dk = (E - k'^2 K) / (k k'^2), DLMF 19.4.1; the exact path
         # takes no step
         big_l = 8.0 * math.pi
-        d = mw.params_dk(k, big_l)
+        db_dk = closed_form_dk(k, big_l)[1]
         big_k, big_e = mw.complete_k_e(k)
         dk_dk = (big_e - (1 - k * k) * big_k) / (k * (1 - k * k))
-        assert d.db_dk == pytest.approx(-64.0 * big_k * dk_dk / big_l**2, rel=1e-9)
+        assert db_dk == pytest.approx(-64.0 * big_k * dk_dk / big_l**2, rel=1e-9)
 
     def test_dc_dk_vanishes_at_small_k(self):
-        vals = [abs(mw.params_dk(k, 2.0 * math.pi).dc_dk) for k in (0.2, 0.1, 0.05)]
+        vals = [abs(closed_form_dk(k, 2.0 * math.pi)[2]) for k in (0.2, 0.1, 0.05)]
         assert vals[0] > vals[1] > vals[2]
         # cubic decay: halving k shrinks the derivative about eightfold
         assert vals[0] / vals[1] == pytest.approx(8.0, rel=0.3)
@@ -347,10 +363,11 @@ class TestParamDerivatives:
                 assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-9)
 
     def test_exact_path_domain_errors(self):
+        # wave_params refuses the cells where the exact path has no wave
         for k, big_l in [(0.0, 6.0 * math.pi), (1.0, 6.0 * math.pi), (0.5, 0.0),
                          (0.5, math.nan), (0.9, math.pi)]:  # the last has Delta < 0
             with pytest.raises(DomainError):
-                mw.params_dk(k, big_l)
+                mw.wave_params(k, big_l)
 
     def test_one_derivative_path(self):
         # every k-derivative is the complex step of wave._dk, and A comes
@@ -361,9 +378,26 @@ class TestParamDerivatives:
         oracles = {"fd_dk", "AccuracyError", "_a_closed_form", "semidistance", "inner_h1",
                    "augmented", "lyapunov"}
         assert names_in_package(oracles) == []
-        for fn in (mw.params_dk, mw.stability_index, mw.index_scan, mw.d_second):
+        for fn in (mw.stability_index, mw.index_scan, mw.d_second):
             assert "h" not in inspect.signature(fn).parameters
-        assert len(dataclasses.fields(mw.ParamDerivatives)) == 4
+
+    def test_no_second_entry_points(self):
+        # the grid-space right side, the scalar derivative wrapper and the L^2
+        # pairing re-entered code the laboratory calls another way; the
+        # tests' stand-ins live in conftest
+        deleted = {"rhs", "params_dk", "ParamDerivatives", "inner_l2"}
+        assert names_in_package(deleted) == []
+        assert not deleted & set(mw.__all__)
+
+    def test_fourier_symbols_come_from_the_grid_tables(self):
+        # kappa and i kappa~ are read from PeriodicGrid.rfft_tables; only the
+        # module that builds those tables names the wavenumbers
+        users = {name for name, _ in names_in_package({"wavenumbers"})}
+        assert users == {"field.py"}
+
+    def test_public_names_are_pinned(self):
+        # a new export is a deliberate edit of this list
+        assert mw.__all__ == PUBLIC_NAMES
 
     def test_one_wave_entry_point(self):
         # a wave and its verdict come from wave_at (wave_params and validity
