@@ -6,6 +6,8 @@ evolution.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .elliptic import complete_k_e, jacobi
 from .errors import (
     AssemblyError,
@@ -71,4 +73,6 @@ from .wave import (
     wave_params,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported classes and functions; the submodules are reached by name
+__all__ = [name for name in dir()
+           if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

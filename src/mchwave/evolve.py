@@ -14,20 +14,27 @@ integrating factor below leaves only the speed max |u - ubar|.
 Step control.  A run records the state every ``monitor_every`` steps of
 ``dt``; fixed steps are classical RK4.  With ``adaptive`` set the fewest
 equal steps h whose error estimates stay within ``STEP_TOL`` h fill each
-interval between records.  Where |u0 - ubar| < |u0| at every node, ubar
-the conserved mean, the steps are Lawson's integrating-factor RK4 (SIAM
-J. Numer. Anal. 4, 1967): E = exp(lambda h / 2) steps the linearization
-at ubar, lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2),
-exactly, and the stages take N = f - lambda u.  Elsewhere, as where u0
-crosses zero, the factor can cost steps, the more the longer the run
-(README.md), and the steps are classical: ubar = 0 below.  The estimate
+interval between records, in one of two frames.  In the mean's, ubar the
+conserved mean, the steps are Lawson's integrating-factor RK4 (SIAM J.
+Numer. Anal. 4, 1967): E = exp(lambda h / 2) steps the linearization at
+ubar, lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2),
+exactly, and the stages take N = f - lambda u.  In the lab's they are
+classical.  Neither frame wins everywhere: where u crosses zero the
+mean's can gain at first and lose as the run goes on (README.md).  So a
+run starts in the mean's frame, and an interval whose count q is 3 or
+more, and above the count set at the last choice, first takes one step
+of span / q in each frame, with no target; the run goes on in the frame
+with the smaller estimate and sizes its steps by it.  The frames' first
+slopes differ by lambda u exactly, so the trial costs two steps and no
+other right side.  A mean within rounding of 0 (``linop._zero_tol``)
+leaves the lab's frame alone, and no trial.  The estimate
 (h/6) ||k4 - k5|| (RMS grid norm, |E| = 1) is the distance to the
 order-3 FSAL companion, k5 = N(y_{n+1}) being the next step's k1, so it
 costs no right side.  The counts start from h = 0.25 (L/n) /
 max |u0 - ubar| and follow est / h ~ h^3 (safety 0.9, growth at most
-2x); an interval over the target is redone.  A non-finite estimate, or a
-count past ``MAX_REFINE`` times the interval's count of ``dt`` steps, is
-blow-up.
+2x); an interval over the target is redone.  A non-finite estimate, in
+both trials too, or a count past ``MAX_REFINE`` times the interval's
+count of ``dt`` steps, is blow-up.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -119,7 +126,7 @@ class StabilityRunReport:
     drift_F: np.ndarray
     drift_V: np.ndarray
     terminated: str
-    steps: int  # RK4 steps taken, redone ones included
+    steps: int  # RK4 steps taken, redone and trial ones included
     max_error_estimate: float  # largest accepted estimate per unit time
 
 
@@ -169,6 +176,7 @@ class _RhsOperator:
     range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
     even fine ones).  A call returns f(u) - lambda u, ``lin`` = lambda the
     symbol of the linearization at a nonzero ``mean``; f(u) at mean 0.
+    ``run`` moves between the two frames by setting ``lin``.
     """
 
     def __init__(self, grid: PeriodicGrid, mean: float = 0.0):
@@ -272,8 +280,13 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_end; the state is recorded every ``monitor_every``
-    of them and at t_end.  When a ``reference`` wave, sampled on u0's
-    grid, is supplied the orbital semi-distance rho(u(t), phi) is
+    of them and at t_end.  With ``cfg.adaptive`` the records keep those
+    times and error-controlled steps fill each interval (module
+    docstring): an interval of 3 or more steps, more than at the last
+    choice, first takes one trial step in the mean's frame and one in
+    the lab's, and goes on in the frame with the smaller estimate; the
+    trial steps count in ``steps``.  When a ``reference`` wave, sampled
+    on u0's grid, is supplied the orbital semi-distance rho(u(t), phi) is
     recorded too, and if ``delta`` is given the run halts with
     ``instability_detected`` once rho exceeds rho_factor * delta, at
     t = 0 included; delta = 0 or None turns detection off.  Blow-up
@@ -293,9 +306,10 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps, dt = cfg.steps
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
-    if not np.all(np.abs(u0.values - mean) < np.abs(u0.values)):
-        mean = 0.0  # the mean's frame is not the slower one at every node
+    if not abs(mean) > _zero_tol(u0.values):
+        mean = 0.0  # the mean's frame is the lab's within rounding
     op = _RhsOperator(u0.grid, mean)
+    lam, chosen_q = op.lin, 0  # the mean's frame, and the count set at the last choice
 
     e0, f0, v0 = functionals(u0)
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
@@ -320,6 +334,12 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     spec = u0.spectrum  # held since functionals(u0)
     terminated = record(0.0, u0, (e0, f0, v0)) or TERMINATED_COMPLETED
     tol = STEP_TOL if cfg.adaptive else math.inf
+
+    def resized(h: float, est: float) -> float:
+        """The step after one of h with estimate est: est / h ~ h^3, with
+        safety 0.9 and growth at most 2x."""
+        return h * min(2.0, 0.9 * (tol / est) ** (1.0 / 3.0)) if est else 2.0 * h
+
     spread = float(np.max(np.abs(u0.values - mean)))
     h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
     k1, s0, steps, worst = op(spec), 0, 0, 0.0  # the state at t = 0 is not checked
@@ -327,7 +347,27 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         while terminated == TERMINATED_COMPLETED and s0 < n_steps:
             s1 = min(s0 + cfg.monitor_every, n_steps)
             span = (s1 - s0) * dt
-            while True:  # trials of the interval [s0 dt, s1 dt]
+            if lam is not None and span / h_target > max(2, chosen_q):
+                # a planned count of 3 or more, above that of the last choice:
+                # one step of h in each frame with no target (their slopes
+                # differ by lam spec exactly), and the run goes on in the
+                # frame with the smaller estimate, sized by it
+                h = span / math.ceil(span / h_target)
+                k_mean, k_lab = ((k1, k1 + lam * spec) if op.lin is not None
+                                 else (k1 - lam * spec, k1))
+                op.lin = lam
+                est_mean = _advance(op, spec, k_mean, 1, h, math.inf)[2]
+                op.lin = None
+                est_lab = _advance(op, spec, k_lab, 1, h, math.inf)[2]
+                steps += 2
+                op.lin, k1, est = ((lam, k_mean, est_mean) if est_mean <= est_lab
+                                   else (None, k_lab, est_lab))
+                if not math.isfinite(est):  # in both frames
+                    terminated = TERMINATED_BLOWUP
+                    break
+                h_target = resized(h, est)
+                chosen_q = math.ceil(span / h_target)
+            while True:  # attempts at the interval [s0 dt, s1 dt]
                 q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
                 if q > MAX_REFINE * (s1 - s0):
                     end = None
@@ -337,7 +377,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 steps += taken
                 if end is None:
                     break
-                h_target = h * min(2.0, 0.9 * (tol / est) ** (1.0 / 3.0)) if est else 2.0 * h
+                h_target = resized(h, est)
                 if est <= tol:
                     break
             if end is None:

@@ -533,38 +533,106 @@ class TestStepControl:
         assert np.max(np.abs(rep.drift_V)) <= 4.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("k, big_l, most", [(0.144, 3.736 * math.pi, 22),
-                                                (0.411, 3.536 * math.pi, 71)])
+                                                (0.411, 3.536 * math.pi, 71),
+                                                (0.693, 3.6 * math.pi, 372),
+                                                (0.667, 3.27 * math.pi, 521)])
     def test_integrating_factor_step_counts(self, k, big_l, most):
-        # classical RK4 steps under the same control take 298 and 404 here,
-        # the integrating factor 18 and 57: the bounds are those counts
-        # plus 25 %, so dropping the linear part fails them
+        # classical RK4 steps under the same control take 298, 404, 555 and
+        # 721 here; the first two runs keep the mean's frame, 18 and 58
+        # steps, and the last two, whose u0 crosses zero, take 298 and 417
+        # with the frame chosen per interval: the bounds are those counts
+        # plus 25 %, so dropping the linear part, or keeping it only where
+        # it slows every node of u0, fails them
         phi, u0, cfg = _orbit_start(k, big_l)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
         assert rep.terminated == TERMINATED_COMPLETED
         assert rep.steps <= most
 
-    @pytest.mark.parametrize("k, big_l, lawson", [(0.144, 3.736 * math.pi, True),
-                                                  (0.5, 6 * math.pi, True),
-                                                  (0.693, 3.6 * math.pi, False),
-                                                  (0.9, 4 * math.pi, False)])
-    def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, k, big_l,
-                                                               lawson):
-        # the factor moves the frame to the mean, and is used only where
-        # that lowers the transport speed at every node, |u0 - ubar| < |u0|;
-        # elsewhere, as where u0 crosses zero, the steps are classical
-        rk4, factored = evolve._rk4_step, []
+    def test_frame_choice_over_a_long_run(self):
+        # the mean's frame gains first and then loses here: to t = 100 it
+        # takes 5617 steps, classical ones under the same control 898, and
+        # the run that chooses the frame per interval 731
+        phi, u0, cfg = _orbit_start(0.730, 4.92 * math.pi)
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=100.0, adaptive=True), reference=phi,
+                     delta=1e-3)
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert rep.steps < 898
+
+    def test_frame_chosen_per_interval(self, monkeypatch):
+        # an adaptive run starts in the mean's frame; an interval of 3 or
+        # more steps, more than at the last choice, first takes one step in
+        # each frame, and the run goes on in the one with the smaller
+        # estimate.  u0 crosses zero at (0.693, 3.6 pi) and (0.667, 3.27 pi),
+        # and both still take factored steps; at (0.667, 3.27 pi) the lab's
+        # frame wins near t = 8, so the steps outside the trials are of both
+        # kinds.  A u0 whose mean is rounding, and fixed steps, are classical
+        rk4, advance, steps, in_trial = evolve._rk4_step, evolve._advance, [], [False]
 
         def spied_step(f, values, k1, dt, e=None):
-            factored.append(e is not None)
+            steps.append((e is not None, in_trial[0]))
             return rk4(f, values, k1, dt, e)
 
+        def spied_advance(f, spec, k1, q, h, tol):
+            in_trial[0] = q == 1 and tol == math.inf
+            return advance(f, spec, k1, q, h, tol)
+
         monkeypatch.setattr(evolve, "_rk4_step", spied_step)
-        _, u0, cfg = _orbit_start(k, big_l)
+        monkeypatch.setattr(evolve, "_advance", spied_advance)
+
+        def kinds(u0, cfg):
+            steps.clear()
+            rep = mw.run(u0, cfg)
+            assert rep.terminated == TERMINATED_COMPLETED and len(steps) == rep.steps
+            return ({lawson for lawson, trial in steps if not trial},
+                    {lawson for lawson, trial in steps if trial})
+
+        _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
         u = u0.values
-        assert bool(np.all(np.abs(u - np.mean(u)) < np.abs(u))) == lawson
-        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
+        assert not np.all(np.abs(u - np.mean(u)) < np.abs(u))
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({True},
+                                                                                {True, False})
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0)) == ({False}, set())
+        _, u0, cfg = _orbit_start(0.667, 3.27 * math.pi)
+        assert kinds(u0, dataclasses.replace(cfg, adaptive=True)) == ({True, False},
+                                                                      {True, False})
+        _, u0, cfg = _orbit_start(0.5, 6 * math.pi)
+        u0 = mw.PeriodicField(u0.grid, u0.values - np.mean(u0.values))
+        assert np.mean(u0.values) != 0.0
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({False}, set())
+
+    def test_trials_match_the_oracles(self, monkeypatch):
+        # each trial steps from the interval's first state with the slope of
+        # its frame, the one the run holds or that one -+ lam spec: it must
+        # be a fresh right side's to rounding, as must the first slope after
+        # a switch, and the trial's estimate times h the distance of
+        # conftest's textbook step to its companion
+        advance, calls = evolve._advance, []
+
+        def spied_advance(f, spec, k1, q, h, tol):
+            out = advance(f, spec, k1, q, h, tol)
+            calls.append((f.lin is not None, spec, k1, q == 1 and tol == math.inf, h, out[2]))
+            return out
+
+        monkeypatch.setattr(evolve, "_advance", spied_advance)
+        phi, u0, cfg = _orbit_start(0.667, 3.27 * math.pi)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED
-        assert len(factored) == rep.steps and set(factored) == {lawson}
+        grid, eps = u0.grid, np.finfo(float).eps
+        fresh = {True: _RhsOperator(grid, float(np.mean(u0.values))), False: _RhsOperator(grid)}
+        trials = [call for call in calls if call[3]]
+        kept = [call for call in calls if not call[3]]
+        switches = [i + 1 for i in range(len(kept) - 1) if kept[i][0] != kept[i + 1][0]]
+        assert len(switches) == 1 and len(trials) >= 4
+        for lawson, spec, k1, *_ in trials + [kept[switches[0]]]:
+            slope = fresh[lawson](spec)
+            assert np.max(np.abs(k1 - slope)) <= 4.0 * eps * np.max(np.abs(slope))
+        for lawson, spec, _, _, h, est in trials:
+            y1, y_star = fsal_companion(mw.PeriodicField(grid, np.fft.irfft(spec, grid.n)), h,
+                                        lawson=lawson)
+            distance = math.sqrt(np.mean((y1 - y_star) ** 2))
+            rounding = eps * math.sqrt(np.mean(y1 ** 2))
+            assert distance > 1e3 * rounding
+            assert abs(est * h - distance) <= 4.0 * rounding
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
@@ -593,6 +661,18 @@ class TestStepControl:
             rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
+
+    def test_overflow_in_both_trials_is_blowup(self):
+        # u0 has a mean, and an interval of 4 steps starts with the trials;
+        # the cube of 1e120 overflows in both, and the run ends there
+        g = mw.PeriodicGrid(2 * math.pi, 32)
+        u0 = mw.sample(lambda x: 1e120 * (np.sin(x) + 0.5), g)
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=3,
+                                 adaptive=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
+            rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
+        assert rep.steps == 2
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined

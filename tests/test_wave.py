@@ -17,20 +17,19 @@ from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
 
 from conftest import AccuracyError, a_closed_form, closed_form_dk, fd_dk, integrate
 
-# mchwave.__all__: the public classes and functions, and the submodules the
-# package imports
+# mchwave.__all__: the public classes and functions; no submodule
 PUBLIC_NAMES = [
     "AssemblyError", "BlowUpError", "DSecondReport", "DomainError", "EvolutionConfig",
     "IndexSample", "KreinReport", "LinearGrowthReport", "MchError", "MorseReport",
     "NumericalError", "OperatorMatrix", "PairingReport", "PeriodicField", "PeriodicGrid",
     "RankError", "ScanSummary", "SingularError", "SnoidalParams", "SpectralReport",
     "StabilityRunReport", "ValidityReport", "WaveParams", "assemble_l", "complete_k_e",
-    "d_second", "derivative", "elliptic", "errors", "evolution_spectrum", "evolve", "field",
-    "fractional_shift", "functionals", "h1_norm", "index_scan", "indices", "inv_one_pairing",
-    "jacobi", "krein_index", "linearized_run", "linop", "morse_check", "ode_residual",
-    "operator_for", "orbital_experiment", "profile", "restricted_spectrum", "run", "sample",
-    "sample_wave", "snoidal_form", "spectrum", "stability_index", "suggested_dt", "validity",
-    "wave", "wave_at", "wave_params", "zero_mean_period",
+    "d_second", "derivative", "evolution_spectrum", "fractional_shift", "functionals",
+    "h1_norm", "index_scan", "inv_one_pairing", "jacobi", "krein_index", "linearized_run",
+    "morse_check", "ode_residual", "operator_for", "orbital_experiment", "profile",
+    "restricted_spectrum", "run", "sample", "sample_wave", "snoidal_form", "spectrum",
+    "stability_index", "suggested_dt", "validity", "wave_at", "wave_params",
+    "zero_mean_period",
 ]
 
 
