@@ -600,6 +600,44 @@ class TestStepControl:
         assert np.mean(u0.values) != 0.0
         assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({False}, set())
 
+    @pytest.mark.parametrize("k, big_l, lawson", [(0.144, 3.736 * math.pi, True),
+                                                  (0.5, 6 * math.pi, True),
+                                                  (0.693, 3.6 * math.pi, False),
+                                                  (0.9, 4 * math.pi, False)])
+    def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, k, big_l,
+                                                               lawson):
+        # where |u0 - ubar| < |u0| at every node the mean's frame slows every
+        # node, the planned counts stay below 3, and every step is factored
+        # with no trial; elsewhere, as where u0 crosses zero, each trial
+        # steps in the mean's frame and then in the lab's, and the steps
+        # after it are in the frame whose trial estimate is the smaller
+        rk4, advance, factored, attempts = evolve._rk4_step, evolve._advance, [], []
+
+        def spied_step(f, values, k1, dt, e=None):
+            factored.append(e is not None)
+            return rk4(f, values, k1, dt, e)
+
+        def spied_advance(f, spec, k1, q, h, tol):
+            out = advance(f, spec, k1, q, h, tol)
+            attempts.append((f.lin is not None, q == 1 and tol == math.inf, out[2]))
+            return out
+
+        monkeypatch.setattr(evolve, "_rk4_step", spied_step)
+        monkeypatch.setattr(evolve, "_advance", spied_advance)
+        _, u0, cfg = _orbit_start(k, big_l)
+        u = u0.values
+        assert bool(np.all(np.abs(u - np.mean(u)) < np.abs(u))) == lawson
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED and len(factored) == rep.steps
+        trials = [i for i, (_, trial, _) in enumerate(attempts) if trial]
+        assert bool(trials) != lawson
+        if lawson:
+            assert set(factored) == {True}
+        for i in trials[::2]:
+            (in_mean, _, est_mean), (in_mean_2, trial_2, est_lab) = attempts[i:i + 2]
+            assert in_mean and trial_2 and not in_mean_2
+            assert not attempts[i + 2][1] and attempts[i + 2][0] == (est_mean <= est_lab)
+
     def test_trials_match_the_oracles(self, monkeypatch):
         # each trial steps from the interval's first state with the slope of
         # its frame, the one the run holds or that one -+ lam spec: it must
