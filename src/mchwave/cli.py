@@ -80,33 +80,15 @@ def _json_text(value, level: int = 0) -> str:
     ``level`` whose dict keys are all str.
 
     With an indent, ``json`` encodes in pure Python.  Here a list of only
-    ints and floats is one C-level ``json.dumps`` split at its ", ", which
-    no number's JSON text contains; everything else goes through the
-    scalar encoders ``json`` itself uses, with its TypeError for a value it
-    cannot encode.
+    ints and floats is one C-level ``json.dumps`` whose item separator
+    carries the indent, and every other leaf is ``json.dumps`` of itself.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        return "-Infinity" if value == -math.inf else float.__repr__(value)
     inner = "\n" + " " * (level + 1)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         if {*map(type, value)} <= {float, int}:
-            items = json.dumps(value)[1:-1].replace(", ", "," + inner)
+            items = json.dumps(value, separators=("," + inner, ": "))[1:-1]
         else:
             items = ("," + inner).join([_json_text(v, level + 1) for v in value])
         return "[" + inner + items + inner[:-1] + "]"
@@ -116,7 +98,7 @@ def _json_text(value, level: int = 0) -> str:
         return "{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1)
              for k, v in value.items()]) + inner[:-1] + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return json.dumps(value)
 
 
 def write_json(path: Path, payload: dict, args: argparse.Namespace) -> None:
@@ -148,21 +130,12 @@ def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Na
 
 
 def _spectral_payload(rep: linop.SpectralReport) -> dict:
-    if np.iscomplexobj(rep.eigenvalues):
-        eig = {
-            "eigenvalues_re": rep.eigenvalues.real.tolist(),
-            "eigenvalues_im": rep.eigenvalues.imag.tolist(),
-        }
-    else:
-        eig = {"eigenvalues": rep.eigenvalues.tolist()}
-    return {
-        **eig,
-        "n_neg": rep.n_neg,
-        "z_dim": rep.z_dim,
-        "tol": rep.tol,
-        "near_zero_gap": rep.near_zero_gap,
-        "grid": {"L": rep.grid.L, "n": rep.grid.n},
-    }
+    payload = dataclasses.asdict(rep)
+    eig = payload.pop("eigenvalues")
+    if np.iscomplexobj(eig):
+        return {"eigenvalues_re": eig.real.tolist(), "eigenvalues_im": eig.imag.tolist(),
+                **payload}
+    return {"eigenvalues": eig.tolist(), **payload}
 
 
 def _refused(args: argparse.Namespace, rep: wave_mod.ValidityReport) -> bool:

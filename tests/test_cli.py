@@ -305,6 +305,17 @@ class TestSpectrumCommand:
         assert "pairing_error" not in payload
         assert set(payload["parameters"]) == {"evolution", "k", "L", "n", "out_dir"}
 
+    def test_lapack_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        def eigvalsh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        code = dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "64",
+                         "--out-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL == 2
+        assert "numerical error: eigvalsh failed" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
+
     def test_evolution_spectrum_dump(self, tmp_path):
         code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "64", "--evolution",
                          "--out-dir", str(tmp_path)])

@@ -389,8 +389,8 @@ def _assert_same_run(rep, rep_ref):
 
 class TestBitwiseOracle:
     """``run`` against ``conftest.reference_run``, its first plain form: the
-    in-place stages and sum, the rescaled product and the blow-up check on
-    the next first stage must change no bit of any record."""
+    rescaled in-place product and the blow-up check on the next first
+    stage must change no bit of any record."""
 
     @pytest.mark.parametrize("monitor_every", [1, 25])
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
@@ -812,6 +812,20 @@ class TestLinearizedRun:
         with pytest.raises(DomainError, match="adaptive"):
             mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 64),
                               mw.EvolutionConfig(dt=0.1, t_end=1.0, adaptive=True))
+
+    def test_blowup_raises_its_own_error(self, wave05):
+        # steps of 50 lose finiteness; numpy's overflow warnings, errors under
+        # this suite, must not stand in for BlowUpError
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        with pytest.raises(mw.BlowUpError, match="lost finiteness"):
+            mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 64),
+                              mw.EvolutionConfig(dt=50.0, t_end=5000.0))
+
+    def test_operator_on_another_grid_refused(self, wave05):
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        with pytest.raises(DomainError, match="operator grid"):
+            mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 128),
+                              mw.EvolutionConfig(dt=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("value", [1.0, 0.3])
     def test_constant_field_has_no_growth_rate(self, wave05, value):

@@ -410,6 +410,19 @@ class TestSemidistance:
         assert "Newton iterations" in record.getMessage()
         assert "bisection" in record.getMessage()
 
+    def test_bisection_where_the_cross_term_is_flat(self, caplog):
+        # a constant u has C' = 0 at every shift, so Newton never steps and the
+        # bracket is bisected; rho^2 = ||0.3||^2 + ||cos||^2, both in H^1
+        g = mw.PeriodicGrid(2 * math.pi, 64)
+        u = mw.PeriodicField(g, np.full(64, 0.3))
+        phi = mw.PeriodicField(g, np.cos(g.nodes))
+        with caplog.at_level(logging.DEBUG, logger="mchwave.field"):
+            rho, shift = _orbit_distance(u, phi)
+        [record] = caplog.records
+        assert "bisection used: True" in record.getMessage()
+        assert rho == pytest.approx(math.sqrt(0.09 * 2 * math.pi + 2 * math.pi), rel=1e-13)
+        assert 0.0 <= shift < g.L
+
     def test_grid_period_mismatch(self, wave05):
         g = mw.PeriodicGrid(5.0, 64)
         with pytest.raises(DomainError):

@@ -485,6 +485,22 @@ class TestKrein:
         with pytest.raises(mw.NumericalError):
             mw.krein_index(0.985)
 
+    def test_vanishing_dc_dk_is_singular(self, monkeypatch):
+        # d_second itself raises at |dc/dk| < 1e-10, and krein_index reads that
+        # as indeterminate with no counts
+        exact = mw.wave._dk
+
+        def flat_c(f, k):
+            derivs = exact(f, k)
+            return (derivs[0], 1e-11, *derivs[2:])
+
+        monkeypatch.setattr(mw.wave, "_dk", flat_c)
+        with pytest.raises(mw.SingularError, match="singular parametrization"):
+            mw.d_second(0.985)
+        rep = mw.krein_index(0.985, n=64)
+        assert rep.classification == "indeterminate"
+        assert (rep.n_L, rep.n_L_Y0, rep.z_L, rep.z_L_Y0, rep.K_Ham) == (-1, -1, -1, -1, -1)
+
     def test_refuses_a_kernel_that_is_not_simple(self, monkeypatch):
         # morse_check deflates any kernel; the K_Ham formula needs a simple one
         def double_kernel(k, L, n=256):
