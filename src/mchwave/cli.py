@@ -139,9 +139,9 @@ def _spectral_payload(rep: linop.SpectralReport) -> dict:
 
 
 def _refused(args: argparse.Namespace, rep: wave_mod.ValidityReport) -> bool:
-    """Whether the wave of ``rep`` is invalid; if so, print its two margins."""
+    """Whether the wave of ``rep`` is invalid; if so, print its reason and two margins."""
     if not rep.all_ok:
-        print(f"invalid wave at (k={args.k}, L={args.L}): "
+        print(f"invalid wave at (k={args.k}, L={args.L}): reason={rep.reason} "
               f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}")
     return not rep.all_ok
 

@@ -23,18 +23,20 @@ classical.  Neither frame wins everywhere: where u crosses zero the
 mean's can gain at first and lose as the run goes on (README.md).  So a
 run starts in the mean's frame, and an interval whose count q is 3 or
 more, and above the count set at the last choice, first takes one step
-of span / q in each frame, with no target; the run goes on in the frame
-with the smaller estimate and sizes its steps by it.  The frames' first
-slopes differ by lambda u exactly, so the trial costs two steps and no
-other right side.  A mean within rounding of 0 (``linop._zero_tol``)
-leaves the lab's frame alone, and no trial.  The estimate
-(h/6) ||k4 - k5|| (RMS grid norm, |E| = 1) is the distance to the
-order-3 FSAL companion, k5 = N(y_{n+1}) being the next step's k1, so it
-costs no right side.  The counts start from h = 0.25 (L/n) /
-max |u0 - ubar| and follow est / h ~ h^3 (safety 0.9, growth at most
-2x); an interval over the target is redone.  A non-finite estimate, in
-both trials too, or a count past ``MAX_REFINE`` times the interval's
-count of ``dt`` steps, is blow-up.
+of span / q in each frame, with no target; the run goes on in the first
+frame with the smallest estimate, a non-finite one counting as +inf, and
+sizes its steps by it.  The step takes the frame as its symbol lambda
+(None for the lab's), and the slope the run holds is f(u) in every
+frame, so the trial costs a step per frame and no other right side.  A
+mean within rounding of 0 (``linop._zero_tol``) leaves the lab's frame
+alone, and no trial.  The estimate (h/6) ||k4 - k5|| (RMS grid norm,
+|E| = 1) is the distance to the order-3 FSAL companion, k5 = N(y_{n+1})
+being the next step's first stage, so it costs no right side.  The
+counts start from h = 0.25 (L/n) / max |u0 - ubar| and follow
+est / h ~ h^3 (safety 0.9, growth at most 2x); an interval over the
+target is redone.  A non-finite estimate, in every trial too, or a count
+past ``MAX_REFINE`` times the interval's count of ``dt`` steps, is
+blow-up.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -61,6 +63,7 @@ only conditionally globally well-posed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +103,8 @@ class EvolutionConfig:
             raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
             raise DomainError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
-        if self.monitor_every < 1:
-            raise DomainError(f"monitor_every must be >= 1, got {self.monitor_every}")
+        if not isinstance(self.monitor_every, numbers.Integral) or self.monitor_every < 1:
+            raise DomainError(f"monitor_every must be an integer >= 1, got {self.monitor_every!r}")
 
     @property
     def steps(self) -> tuple[int, float]:
@@ -164,7 +167,7 @@ def _pad_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
 
 class _RhsOperator:
     """Precomputed spectral machinery for the smoothed right side, acting on
-    rfft spectra: n/2 + 1 coefficients of u in, those of u_t out.
+    rfft spectra: n/2 + 1 coefficients of u in, those of f(u) = u_t out.
 
     ``lift`` stacks the symbols 2, 2 i kappa and -4 kappa^2 as they act on
     the coarse rfft spectrum, with the zero padding's Nyquist halving and
@@ -174,17 +177,14 @@ class _RhsOperator:
     ``sym_out`` carries the 1/8: the factors are powers of two, so every
     rounding is that of w itself while the values stay in the normal
     range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
-    even fine ones).  A call returns f(u) - lambda u, ``lin`` = lambda the
-    symbol of the linearization at a nonzero ``mean``; f(u) at mean 0.
-    ``run`` moves between the two frames by setting ``lin``.
+    even fine ones).  ``run`` builds the mean's frame from ``sym_smooth``.
     """
 
-    def __init__(self, grid: PeriodicGrid, mean: float = 0.0):
+    def __init__(self, grid: PeriodicGrid):
         self.n = grid.n
         self.m = DEALIAS_PAD * grid.n
         kap, sym_d1, _ = grid.rfft_tables
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
-        self.lin = self.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if mean else None
         half = self.n // 2 + 1
         syms = (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap))
         self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
@@ -207,10 +207,7 @@ class _RhsOperator:
         w += c
         # sym_out vanishes at the Nyquist mode, where the fine spectrum would
         # fold +-n/2 onto the grid cosine, so the coarse slice is exact
-        out = self.sym_out * np.fft.rfft(w)[:half]
-        if self.lin is not None:
-            out -= self.lin * spec
-        return out
+        return self.sym_out * np.fft.rfft(w)[:half]
 
 
 def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
@@ -233,23 +230,31 @@ def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
     return ev + (dt / 6.0) * (e * (e * k1 + 2.0 * (k2 + k3)) + k4), k4
 
 
-def _advance(f: _RhsOperator, spec: np.ndarray, k1: np.ndarray, q: int, h: float,
-             tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
-    """Up to q RK4 steps of h from ``spec``, whose slope ``k1`` is given:
-    the end state and its slope, the largest estimate per unit time and
-    the steps taken.  The first estimate not within ``tol`` ends the steps
-    and is returned; the state is None if that estimate is not finite, or
-    if a state before the last left the blow-up bound."""
+def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.ndarray,
+             q: int, h: float, tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
+    """Up to q RK4 steps of h from ``spec``, whose slope ``k1`` = f(spec) is
+    given, in the frame of the symbol ``lam`` (Lawson's stages take
+    N = f - lam y; None is the lab's, classical): the end state and its f,
+    the largest estimate per unit time and the steps taken.  The first
+    estimate not within ``tol`` ends the steps and is returned; the state is
+    None if it is not finite, or if a state before the last left the blow-up bound."""
     # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (6.0 * f.n)
-    worst, e = 0.0, None if f.lin is None else np.exp((0.5 * h) * f.lin)
+    worst, nl, e, n1 = 0.0, f, None, k1
+    if lam is not None:
+        def nl(y: np.ndarray) -> np.ndarray:
+            out = f(y)
+            out -= lam * y
+            return out
+        e, n1 = np.exp((0.5 * h) * lam), k1 - lam * spec
     for j in range(q):
         # 2u against twice the threshold is exact, and NaN fails too
         if j and not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
             return None, k1, worst, j
-        spec, k4 = _rk4_step(f, spec, k1, h, e)
+        spec, k4 = _rk4_step(nl, spec, n1, h, e)
         k1 = f(spec)
-        k4 -= k1
+        n1 = k1 if lam is None else k1 - lam * spec  # k5, the next step's first stage
+        k4 -= n1
         est = scale * float(np.linalg.norm(k4))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1
@@ -268,9 +273,9 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     of them and at t_end.  With ``cfg.adaptive`` the records keep those
     times and error-controlled steps fill each interval (module
     docstring): an interval of 3 or more steps, more than at the last
-    choice, first takes one trial step in the mean's frame and one in
-    the lab's, and goes on in the frame with the smaller estimate; the
-    trial steps count in ``steps``.  When a ``reference`` wave, sampled
+    choice, first takes one trial step in each frame, the mean's and the
+    lab's, and goes on in the first with the smallest estimate; the trial
+    steps count in ``steps``.  When a ``reference`` wave, sampled
     on u0's grid, is supplied the orbital semi-distance rho(u(t), phi) is
     recorded too, and if ``delta`` is given the run halts with
     ``instability_detected`` once rho exceeds rho_factor * delta, at
@@ -293,8 +298,9 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
     if not abs(mean) > _zero_tol(u0.values):
         mean = 0.0  # the mean's frame is the lab's within rounding
-    op = _RhsOperator(u0.grid, mean)
-    lam, chosen_q = op.lin, 0  # the mean's frame, and the count set at the last choice
+    op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
+    frames = (op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean), None) if mean else (None,)
+    lam, chosen_q = frames[0], 0  # the run's frame, and the count set at the last choice
 
     e0, f0, v0 = functionals(u0)
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
@@ -332,22 +338,15 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         while terminated == TERMINATED_COMPLETED and s0 < n_steps:
             s1 = min(s0 + cfg.monitor_every, n_steps)
             span = (s1 - s0) * dt
-            if lam is not None and span / h_target > max(2, chosen_q):
+            if len(frames) > 1 and span / h_target > max(2, chosen_q):
                 # a planned count of 3 or more, above that of the last choice:
-                # one step of h in each frame with no target (their slopes
-                # differ by lam spec exactly), and the run goes on in the
-                # frame with the smaller estimate, sized by it
+                # one step of h in each frame with no target; the run goes on
+                # in the first frame of the smallest estimate, NaN as +inf
                 h = span / math.ceil(span / h_target)
-                k_mean, k_lab = ((k1, k1 + lam * spec) if op.lin is not None
-                                 else (k1 - lam * spec, k1))
-                op.lin = lam
-                est_mean = _advance(op, spec, k_mean, 1, h, math.inf)[2]
-                op.lin = None
-                est_lab = _advance(op, spec, k_lab, 1, h, math.inf)[2]
-                steps += 2
-                op.lin, k1, est = ((lam, k_mean, est_mean) if est_mean <= est_lab
-                                   else (None, k_lab, est_lab))
-                if not math.isfinite(est):  # in both frames
+                trials = [(_advance(op, fr, spec, k1, 1, h, math.inf)[2], fr) for fr in frames]
+                est, lam = min(trials, key=lambda t: t[0] if math.isfinite(t[0]) else math.inf)
+                steps += len(frames)
+                if not math.isfinite(est):  # in every frame
                     terminated = TERMINATED_BLOWUP
                     break
                 h_target = resized(h, est)
@@ -358,7 +357,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                     end = None
                     break
                 h = span / q if cfg.adaptive else dt
-                end, k_end, est, taken = _advance(op, spec, k1, q, h, tol)
+                end, k_end, est, taken = _advance(op, lam, spec, k1, q, h, tol)
                 steps += taken
                 if end is None:
                     break
@@ -446,9 +445,9 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
 
 def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
     """Unit-H^1 random field on the modes 1 .. min(8, n/4), reproducible by
-    a seed >= 0 (a negative one raises DomainError)."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    an integer seed >= 0 (any other raises DomainError)."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     x = grid.nodes
     vals = np.zeros(grid.n)
@@ -467,16 +466,16 @@ def orbital_experiment(phi: PeriodicField, delta: float, seed: int,
 
     Records rho(u(t), phi) along the run; terminates with
     ``instability_detected`` if rho exceeds rho_factor * delta.  delta and
-    rho_factor are validated by :func:`run`, and the seed must be >= 0 at
-    any delta.
+    rho_factor are validated by :func:`run`, and the seed must be an
+    integer >= 0 at any delta.
 
     Raises:
-        DomainError: if seed < 0, or delta > 0 moves no value of phi by
-            more than its rounding (``linop._zero_tol``), where rho could
-            not tell the perturbation from rounding.
+        DomainError: if seed is not an integer >= 0, or delta > 0 moves
+            no value of phi by more than its rounding (``linop._zero_tol``),
+            where rho could not tell the perturbation from rounding.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     u0 = phi
     if delta > 0.0:
         w = seeded_perturbation(phi.grid, seed)

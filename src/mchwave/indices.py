@@ -25,6 +25,7 @@ without an index carries the reason :mod:`mchwave.wave` names for it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -198,8 +199,8 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max < math.inf):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, "
                           "0 < L_min <= L_max < inf")
-    if nk < 1 or nL < 1:
-        raise DomainError(f"nk and nL must be >= 1, got {nk}, {nL}")
+    if not all(isinstance(m, numbers.Integral) and m >= 1 for m in (nk, nL)):
+        raise DomainError(f"nk and nL must be integers >= 1, got {nk!r}, {nL!r}")
     ks = np.repeat(np.linspace(k_min, k_max, nk), nL)
     ls = np.tile(np.linspace(L_min, L_max, nL), nk)
     samples = _index_cells(ks, ls)

@@ -97,12 +97,14 @@ class ValidityReport:
     When the closed forms refuse (k, L), because (k, L) is outside their
     domain (e.g. ``validity(nan, 6.0)``), Delta <= 0 or L**7 overflows,
     ``discriminant_ok`` is False and the other two margins are NaN.
+    ``reason`` is the cell's code of :func:`_waves`, "" for a valid wave.
     """
 
     discriminant_ok: bool
     ineq_i_value: float
     ineq_ii_margin: float
     all_ok: bool
+    reason: str
 
 
 def _outside(k, L):
@@ -247,12 +249,13 @@ _REFUSED = {
 
 
 def _cell(k: float, L: float) -> tuple:
-    """One :func:`_waves` pass at the cell (k, L): the floats (a, b, c, A),
-    the cell's :class:`ValidityReport` and its reason."""
+    """One :func:`_waves` pass at the cell (k, L): the floats (a, b, c, A)
+    and the cell's :class:`ValidityReport`."""
     waves, (ineq_i, ineq_ii), (reason,) = _waves(np.array([k], float), np.array([L], float))
+    reason = str(reason)
     report = ValidityReport(reason not in _REFUSED, float(ineq_i[0]), float(ineq_ii[0]),
-                            bool(reason == ""))
-    return [float(v[0]) for v in waves[:4]], report, reason
+                            reason == "", reason)
+    return [float(v[0]) for v in waves[:4]], report
 
 
 def wave_at(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
@@ -269,9 +272,9 @@ def wave_at(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
             ``overflow`` or ``discriminant`` cell.
     """
     k = 0.0 if k == 0.0 else k
-    coeffs, report, reason = _cell(k, L)
-    if reason in _REFUSED:
-        raise DomainError(_REFUSED[reason].format(k=k, L=L))
+    coeffs, report = _cell(k, L)
+    if report.reason in _REFUSED:
+        raise DomainError(_REFUSED[report.reason].format(k=k, L=L))
     return WaveParams(k, L, *coeffs), report
 
 

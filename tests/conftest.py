@@ -1,6 +1,7 @@
 import math
 import sys
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -59,6 +60,35 @@ def fft_calls(monkeypatch):
 def eig_calls(monkeypatch):
     """Wrap numpy.linalg.{eigh,eigvalsh,eig,eigvals}; returns the list of names called."""
     return _count_numpy_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "eig", "eigvals"))
+
+
+class AdvanceCall(NamedTuple):
+    """One ``evolve._advance`` call: its frame's symbol (None for the lab's),
+    whether it is a trial (one step with no target), the state and slope it
+    starts from, its step and the estimate it returns (None until then)."""
+
+    lam: np.ndarray | None
+    trial: bool
+    spec: np.ndarray
+    k1: np.ndarray
+    h: float
+    est: float | None
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """Wrap evolve._advance; returns the list of its calls as AdvanceCall,
+    each appended on entry, so ``advance_calls[-1]`` is the current one."""
+    calls, advance = [], evolve._advance
+
+    def spied(f, lam, spec, k1, q, h, tol):
+        calls.append(AdvanceCall(lam, q == 1 and tol == math.inf, spec, k1, h, None))
+        out = advance(f, lam, spec, k1, q, h, tol)
+        calls[-1] = calls[-1]._replace(est=out[2])
+        return out
+
+    monkeypatch.setattr(evolve, "_advance", spied)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -166,8 +166,9 @@ class TestWaveCommand:
     def test_invalid_wave_reports_margins(self, tmp_path, capsys):
         # k = 0.8 at L = 8 pi exists but fails the phi - c < 0 inequality; the
         # constant wave (k = 0 or -0.0) sits exactly on the boundary of the first
-        for k, big_l, printed in (("0.8", "8pi", "ineq_ii"), ("0", "2pi", "ineq_i=0.0"),
-                                  ("-0.0", "2pi", "ineq_i=0.0")):
+        for k, big_l, printed in (("0.8", "8pi", "reason=ineq_ii "),
+                                  ("0", "2pi", "reason=ineq_i ineq_i=0.0"),
+                                  ("-0.0", "2pi", "reason=ineq_i ineq_i=0.0")):
             out = tmp_path / k
             code = dispatch(["wave", "--k", k, "--L", big_l, "--out-dir", str(out)])
             assert code == EXIT_DOMAIN == 1
@@ -480,8 +481,8 @@ class TestEvolveAndOrbit:
         rep = mw.validity(float(k), 8 * math.pi)
         assert not rep.all_ok
         assert dispatch(["orbit"] + args) == EXIT_DOMAIN
-        assert (f"ineq_i={rep.ineq_i_value!r} ineq_ii_margin={rep.ineq_ii_margin!r}"
-                in capsys.readouterr().out)
+        assert (f"reason={rep.reason} ineq_i={rep.ineq_i_value!r} "
+                f"ineq_ii_margin={rep.ineq_ii_margin!r}" in capsys.readouterr().out)
         assert not any(tmp_path.iterdir())
         assert dispatch(["evolve"] + args) == EXIT_OK
 

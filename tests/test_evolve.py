@@ -56,6 +56,11 @@ class TestConfig:
                 mw.EvolutionConfig(dt=dt, t_end=t_end)
         with pytest.raises(DomainError):
             mw.EvolutionConfig(dt=0.1, t_end=1.0, monitor_every=0)
+        # a count that is not an integer used to raise a bare TypeError, or
+        # with adaptive steps to space the records by 2.5 dt
+        for every in (2.5, np.float64(3.0)):
+            with pytest.raises(DomainError, match="integer"):
+                mw.EvolutionConfig(dt=0.1, t_end=1.0, monitor_every=every)
 
     def test_steps_land_on_t_end(self):
         assert mw.EvolutionConfig(dt=0.3, t_end=1.0).steps == (3, 1.0 / 3)
@@ -558,7 +563,7 @@ class TestStepControl:
         assert rep.terminated == TERMINATED_COMPLETED
         assert rep.steps < 898
 
-    def test_frame_chosen_per_interval(self, monkeypatch):
+    def test_frame_chosen_per_interval(self, monkeypatch, advance_calls):
         # an adaptive run starts in the mean's frame; an interval of 3 or
         # more steps, more than at the last choice, first takes one step in
         # each frame, and the run goes on in the one with the smaller
@@ -566,18 +571,13 @@ class TestStepControl:
         # and both still take factored steps; at (0.667, 3.27 pi) the lab's
         # frame wins near t = 8, so the steps outside the trials are of both
         # kinds.  A u0 whose mean is rounding, and fixed steps, are classical
-        rk4, advance, steps, in_trial = evolve._rk4_step, evolve._advance, [], [False]
+        rk4, steps = evolve._rk4_step, []
 
         def spied_step(f, values, k1, dt, e=None):
-            steps.append((e is not None, in_trial[0]))
+            steps.append((e is not None, advance_calls[-1].trial))
             return rk4(f, values, k1, dt, e)
 
-        def spied_advance(f, spec, k1, q, h, tol):
-            in_trial[0] = q == 1 and tol == math.inf
-            return advance(f, spec, k1, q, h, tol)
-
         monkeypatch.setattr(evolve, "_rk4_step", spied_step)
-        monkeypatch.setattr(evolve, "_advance", spied_advance)
 
         def kinds(u0, cfg):
             steps.clear()
@@ -604,31 +604,26 @@ class TestStepControl:
                                                   (0.5, 6 * math.pi, True),
                                                   (0.693, 3.6 * math.pi, False),
                                                   (0.9, 4 * math.pi, False)])
-    def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, k, big_l,
-                                                               lawson):
+    def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, advance_calls,
+                                                               k, big_l, lawson):
         # where |u0 - ubar| < |u0| at every node the mean's frame slows every
         # node, the planned counts stay below 3, and every step is factored
         # with no trial; elsewhere, as where u0 crosses zero, each trial
         # steps in the mean's frame and then in the lab's, and the steps
         # after it are in the frame whose trial estimate is the smaller
-        rk4, advance, factored, attempts = evolve._rk4_step, evolve._advance, [], []
+        rk4, factored = evolve._rk4_step, []
 
         def spied_step(f, values, k1, dt, e=None):
             factored.append(e is not None)
             return rk4(f, values, k1, dt, e)
 
-        def spied_advance(f, spec, k1, q, h, tol):
-            out = advance(f, spec, k1, q, h, tol)
-            attempts.append((f.lin is not None, q == 1 and tol == math.inf, out[2]))
-            return out
-
         monkeypatch.setattr(evolve, "_rk4_step", spied_step)
-        monkeypatch.setattr(evolve, "_advance", spied_advance)
         _, u0, cfg = _orbit_start(k, big_l)
         u = u0.values
         assert bool(np.all(np.abs(u - np.mean(u)) < np.abs(u))) == lawson
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
         assert rep.terminated == TERMINATED_COMPLETED and len(factored) == rep.steps
+        attempts = [(call.lam is not None, call.trial, call.est) for call in advance_calls]
         trials = [i for i, (_, trial, _) in enumerate(attempts) if trial]
         assert bool(trials) != lawson
         if lawson:
@@ -638,32 +633,23 @@ class TestStepControl:
             assert in_mean and trial_2 and not in_mean_2
             assert not attempts[i + 2][1] and attempts[i + 2][0] == (est_mean <= est_lab)
 
-    def test_trials_match_the_oracles(self, monkeypatch):
-        # each trial steps from the interval's first state with the slope of
-        # its frame, the one the run holds or that one -+ lam spec: it must
-        # be a fresh right side's to rounding, as must the first slope after
-        # a switch, and the trial's estimate times h the distance of
-        # conftest's textbook step to its companion
-        advance, calls = evolve._advance, []
-
-        def spied_advance(f, spec, k1, q, h, tol):
-            out = advance(f, spec, k1, q, h, tol)
-            calls.append((f.lin is not None, spec, k1, q == 1 and tol == math.inf, h, out[2]))
-            return out
-
-        monkeypatch.setattr(evolve, "_advance", spied_advance)
+    def test_trials_match_the_oracles(self, advance_calls):
+        # each trial steps from the interval's first state with the slope the
+        # run holds, f in every frame: it must be a fresh right side's bit for
+        # bit, as must the first slope after a switch, and the trial's
+        # estimate times h the distance of conftest's textbook step to its
+        # companion
         phi, u0, cfg = _orbit_start(0.667, 3.27 * math.pi)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED
         grid, eps = u0.grid, np.finfo(float).eps
-        fresh = {True: _RhsOperator(grid, float(np.mean(u0.values))), False: _RhsOperator(grid)}
+        calls = [(c.lam is not None, c.spec, c.k1, c.trial, c.h, c.est) for c in advance_calls]
         trials = [call for call in calls if call[3]]
         kept = [call for call in calls if not call[3]]
         switches = [i + 1 for i in range(len(kept) - 1) if kept[i][0] != kept[i + 1][0]]
         assert len(switches) == 1 and len(trials) >= 4
-        for lawson, spec, k1, *_ in trials + [kept[switches[0]]]:
-            slope = fresh[lawson](spec)
-            assert np.max(np.abs(k1 - slope)) <= 4.0 * eps * np.max(np.abs(slope))
+        for _, spec, k1, *_ in trials + [kept[switches[0]]]:
+            assert np.array_equal(k1, _RhsOperator(grid)(spec))
         for lawson, spec, _, _, h, est in trials:
             y1, y_star = fsal_companion(mw.PeriodicField(grid, np.fft.irfft(spec, grid.n)), h,
                                         lawson=lawson)
@@ -711,6 +697,25 @@ class TestStepControl:
             rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 2
+
+    @pytest.mark.parametrize("lab", [True, False])
+    def test_nan_in_one_trial_alone_is_no_blowup(self, monkeypatch, lab):
+        # a test double gives one frame's trials a NaN estimate and leaves the
+        # other's finite: the run goes on in the other frame and completes;
+        # a NaN in the lab's trial used to win the comparison and end the run
+        # at t = 0
+        advance = evolve._advance
+
+        def one_trial_nan(f, lam, spec, k1, q, h, tol):
+            out = advance(f, lam, spec, k1, q, h, tol)
+            trial = q == 1 and tol == math.inf
+            return (None, out[1], math.nan, out[3]) if (lam is None) == lab and trial else out
+
+        monkeypatch.setattr(evolve, "_advance", one_trial_nan)
+        _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
+        assert 0.0 < rep.max_error_estimate <= evolve.STEP_TOL
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined
@@ -858,9 +863,16 @@ class TestOrbitalExperiment:
         w2 = seeded_perturbation(g, seed=11)
         assert np.array_equal(w.values, w2.values)
 
-    def test_seeded_perturbation_negative_seed(self):
+    def test_seeded_perturbation_negative_seed(self, phi05):
         with pytest.raises(DomainError):
             seeded_perturbation(mw.PeriodicGrid(6 * math.pi, 256), -1)
+        # a seed that is not an integer used to raise numpy's TypeError
+        with pytest.raises(DomainError, match="integer"):
+            seeded_perturbation(mw.PeriodicGrid(6 * math.pi, 256), 1.5)
+        cfg = mw.EvolutionConfig(dt=0.1, t_end=1.0)
+        for seed in (-1, 1.5):
+            with pytest.raises(DomainError, match="integer"):
+                mw.orbital_experiment(phi05, 0.0, seed=seed, cfg=cfg)
 
     def test_small_perturbation_stays_close(self, wave05, phi05):
         dt = mw.suggested_dt(phi05, speed=wave05.c)

@@ -162,7 +162,8 @@ class TestIndexScan:
     def test_range_validation(self):
         with pytest.raises(DomainError):
             mw.index_scan(0.5, 0.2, 3.0, 4.0, 2, 2)
-        for nk, nL in [(0, 2), (2, 0), (0, -3)]:
+        # a size that is not an integer used to raise a bare TypeError
+        for nk, nL in [(0, 2), (2, 0), (0, -3), (2.5, 2), (2, np.float64(2.0))]:
             with pytest.raises(DomainError):
                 mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL)
         # an infinite L_max used to give NaN and inf periods (and a warning)
@@ -187,6 +188,7 @@ class TestIndexScan:
         [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1)
         assert sample.reason == reason and sample.valid == (reason == "")
         assert summary.invalid_reasons == ({reason: 1} if reason else {})
+        assert mw.validity(k, big_l).reason == reason
 
     def test_reasons_counted(self):
         samples, summary = mw.index_scan(0.8, 0.8, 7 * math.pi, 9 * math.pi, 1, 3)
