@@ -33,12 +33,6 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
 
-class UsageExit(SystemExit):
-    def __init__(self, message: str):
-        print(f"usage error: {message}", file=sys.stderr)
-        super().__init__(EXIT_USAGE)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # no prefix matching: an unknown option such as --h must be a usage
@@ -47,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # exit 64 instead of argparse's default 2
         self.print_usage(sys.stderr)
-        raise UsageExit(message)
+        print(f"usage error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def parse_length(text: str) -> float:
@@ -60,18 +55,15 @@ def parse_length(text: str) -> float:
     return float(s)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _provenance(args: argparse.Namespace) -> dict:
-    params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    """The header of every artifact: tool version, command, the parameters
+    by name, a float to 17 significant digits, and the UTC time."""
     return {
         "tool_version": __version__,
         "command": args.command,
-        "parameters": {k: (_fmt(v) if isinstance(v, float) else v) for k, v in params.items()},
+        "parameters": {k: format(v, ".17g") if isinstance(v, float) else v
+                       for k, v in sorted(vars(args).items()) if k not in ("func", "command")},
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
 
@@ -102,26 +94,20 @@ def _json_text(value, level: int = 0) -> str:
 
 
 def write_json(path: Path, payload: dict, args: argparse.Namespace) -> None:
-    body = dict(_provenance(args))
-    body["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    body.update(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     # indent=1 keeps the timestamp on its own line, so byte comparisons
     # can exclude exactly that line.
-    path.write_text(_json_text(body) + "\n")
+    path.write_text(_json_text({**_provenance(args), **payload}) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Namespace) -> None:
-    lines = []
-    prov = _provenance(args)
-    lines.append(f"# tool_version: {prov['tool_version']}")
-    lines.append(f"# command: {prov['command']}")
-    for key, val in prov["parameters"].items():
-        lines.append(f"# {key}: {val}")
-    lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
+    # the provenance as "# key: value" lines, its parameters flattened in place
+    *head, (_, params), stamp = _provenance(args).items()
+    lines = [f"# {key}: {val}" for key, val in (*head, *params.items(), stamp)]
     lines.append(",".join(header))
     if rows:
-        # one % pass over every cell, with the conversion _fmt picks per cell
+        # one % pass over every cell: a float to 17 significant digits, as in
+        # the header, and str of any other cell
         template = "\n".join(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
                              for row in rows)
         lines.append(template % tuple(v for row in rows for v in row))
@@ -282,66 +268,45 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    dt_help = ("fixed RK4 step; without it, error-controlled steps fill the "
-               "intervals of --monitor-every suggested steps between records")
+    wave_options = {"--k": {"type": float, "required": True},
+                    "--L": {"type": parse_length, "required": True},
+                    "--n": {"type": int, "default": 256}}
 
-    def add_common(sp):
-        sp.add_argument("--out-dir", default=".", help="artifact directory")
+    def add(name: str, func, summary: str, wave=tuple(wave_options), run=None):
+        """The subcommand ``name`` running ``func``, with the wave options in
+        ``wave``, and the run options if ``run`` gives the defaults of --t-end
+        and --monitor-every."""
+        sp = sub.add_parser(name, help=summary)
+        for option in wave:
+            sp.add_argument(option, **wave_options[option])
+        if run:
+            sp.add_argument("--dt", type=float, default=None,
+                            help="fixed RK4 step; without it, error-controlled steps fill the "
+                                 "intervals of --monitor-every suggested steps between records")
+            sp.add_argument("--t-end", type=float, default=run[0])
+            sp.add_argument("--monitor-every", type=int, default=run[1])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("wave", help="construct one wave and report residual/validity")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--L", type=parse_length, required=True)
-    sp.add_argument("--n", type=int, default=256)
-    add_common(sp)
-    sp.set_defaults(func=cmd_wave)
-
-    sp = sub.add_parser("scan", help="stability-index grid scan")
+    add("wave", cmd_wave, "construct one wave and report residual/validity")
+    sp = add("scan", cmd_scan, "stability-index grid scan", wave=())
     sp.add_argument("--k-min", type=float, required=True)
     sp.add_argument("--k-max", type=float, required=True)
     sp.add_argument("--L-min", type=parse_length, required=True)
     sp.add_argument("--L-max", type=parse_length, required=True)
     sp.add_argument("--nk", type=int, default=20)
     sp.add_argument("--nL", type=int, default=20)
-    add_common(sp)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("spectrum", help="linearized-operator spectra and counts")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--L", type=parse_length, required=True)
-    sp.add_argument("--n", type=int, default=256)
+    sp = add("spectrum", cmd_spectrum, "linearized-operator spectra and counts")
     sp.add_argument("--evolution", action="store_true",
                     help="also dump the complex spectrum of J L, J = dx (1 - dx^2)^-1, on Y0")
-    add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("krein", help="zero-mean branch, d''(c) and Krein index")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--n", type=int, default=256)
-    add_common(sp)
-    sp.set_defaults(func=cmd_krein)
-
-    sp = sub.add_parser("evolve", help="propagate the exact wave; conservation check")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--L", type=parse_length, required=True)
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--dt", type=float, default=None, help=dt_help)
-    sp.add_argument("--t-end", type=float, default=5.0)
-    sp.add_argument("--monitor-every", type=int, default=20)
-    add_common(sp)
-    sp.set_defaults(func=cmd_evolve)
-
-    sp = sub.add_parser("orbit", help="orbital-stability experiment")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--L", type=parse_length, required=True)
-    sp.add_argument("--n", type=int, default=256)
+    add("krein", cmd_krein, "zero-mean branch, d''(c) and Krein index", wave=("--k", "--n"))
+    add("evolve", cmd_evolve, "propagate the exact wave; conservation check", run=(5.0, 20))
+    sp = add("orbit", cmd_orbit, "orbital-stability experiment", run=(50.0, 25))
     sp.add_argument("--delta", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=float, default=None, help=dt_help)
-    sp.add_argument("--t-end", type=float, default=50.0)
-    sp.add_argument("--monitor-every", type=int, default=25)
     sp.add_argument("--rho-factor", type=float, default=50.0)
-    add_common(sp)
-    sp.set_defaults(func=cmd_orbit)
+    for sp in sub.choices.values():  # last in every usage line
+        sp.add_argument("--out-dir", default=".", help="artifact directory")
     return parser
 
 
@@ -354,11 +319,8 @@ def dispatch(argv: list[str]) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except UsageExit:
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help / --version
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code
+    except SystemExit as exc:  # a usage error (64), --help or --version (0)
+        return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.func(args)
     except DomainError as exc:

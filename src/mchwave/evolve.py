@@ -34,9 +34,9 @@ alone, and no trial.  The estimate (h/6) ||k4 - k5|| (RMS grid norm,
 being the next step's first stage, so it costs no right side.  The
 counts start from h = 0.25 (L/n) / max |u0 - ubar| and follow
 est / h ~ h^3 (safety 0.9, growth at most 2x); an interval over the
-target is redone.  A non-finite estimate, in every trial too, or a count
-past ``MAX_REFINE`` times the interval's count of ``dt`` steps, is
-blow-up.
+target is redone.  A non-finite estimate or a kept state past the bound,
+in every trial too, or a count past ``MAX_REFINE`` times the interval's
+count of ``dt`` steps, is blow-up; a trial past the bound estimates +inf.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -46,13 +46,11 @@ fine grid together (their symbols, the zero padding and the amplitude
 scale are tabulated once per grid), and a forward transform of the
 product u (u_xx - u^2) + u_x^2 / 2, whose coarse modes times the
 smoothing symbol are the result: eight FFT calls per step.  The
-blow-up check of a step's state reads u at the coarse nodes off the
-fine grid of the next step's first stage, so the coarse inverse
-transform runs only at the monitor steps, where the records need it
-and the check reads its values instead.  The two readings of u differ
-by rounding, so only a max |u| within rounding of the threshold can
-fall on the other side of it.  A record adds the recorded field's rfft,
-its u_x for E and the orbit distance's one irfft: four FFT calls.
+blow-up check of each state a step keeps, a trial's too, reads u at the
+coarse nodes off the fine grid of the slope that completes its
+estimate, so the coarse inverse transform runs only at the monitor
+steps, for the records.  A record adds the recorded field's rfft, its
+u_x for E and the orbit distance's one irfft: four FFT calls.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -236,8 +234,9 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.n
     given, in the frame of the symbol ``lam`` (Lawson's stages take
     N = f - lam y; None is the lab's, classical): the end state and its f,
     the largest estimate per unit time and the steps taken.  The first
-    estimate not within ``tol`` ends the steps and is returned; the state is
-    None if it is not finite, or if a state before the last left the blow-up bound."""
+    estimate not within ``tol`` ends the steps and is returned, with a state
+    of None if it is not finite.  A state that passes the estimate and leaves
+    the blow-up bound ends them too: None, with an estimate of +inf."""
     # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (6.0 * f.n)
     worst, nl, e, n1 = 0.0, f, None, k1
@@ -248,9 +247,6 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.n
             return out
         e, n1 = np.exp((0.5 * h) * lam), k1 - lam * spec
     for j in range(q):
-        # 2u against twice the threshold is exact, and NaN fails too
-        if j and not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
-            return None, k1, worst, j
         spec, k4 = _rk4_step(nl, spec, n1, h, e)
         k1 = f(spec)
         n1 = k1 if lam is None else k1 - lam * spec  # k5, the next step's first stage
@@ -258,6 +254,10 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.n
         est = scale * float(np.linalg.norm(k4))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1
+        # f(spec) left 2u at the coarse nodes: against twice the threshold
+        # the test is exact, and NaN fails too
+        if not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
+            return None, k1, math.inf, j + 1
         worst = max(worst, est)
     return spec, k1, worst, q
 
@@ -280,8 +280,9 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     recorded too, and if ``delta`` is given the run halts with
     ``instability_detected`` once rho exceeds rho_factor * delta, at
     t = 0 included; delta = 0 or None turns detection off.  Blow-up
-    (non-finite values or ||u||_inf beyond ``BLOWUP_THRESHOLD`` = 100) is
-    recorded, not raised.
+    (non-finite values or ||u||_inf beyond ``BLOWUP_THRESHOLD`` = 100 at
+    any state a step keeps) is recorded, not raised; a trial step that
+    blows up loses its trial.
 
     Raises:
         DomainError: if delta is not finite and >= 0, a positive delta
@@ -302,19 +303,15 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     frames = (op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean), None) if mean else (None,)
     lam, chosen_q = frames[0], 0  # the run's frame, and the count set at the last choice
 
-    e0, f0, v0 = functionals(u0)
-    scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
-
     times: list[float] = []
     fields: list[PeriodicField] = []
     rho_list: list[float] = []
-    drifts: list[np.ndarray] = []
+    efvs: list[tuple[float, float, float]] = []
 
-    def record(t: float, fld: PeriodicField, efv: tuple | None = None) -> str | None:
+    def record(t: float, fld: PeriodicField) -> str | None:
         times.append(t)
         fields.append(fld)
-        e, f, v = efv or functionals(fld)
-        drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
+        efvs.append(functionals(fld))
         if reference is not None:
             r = _orbit_distance(fld, reference)[0]
             rho_list.append(r)
@@ -322,8 +319,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 return TERMINATED_INSTABILITY
         return None
 
+    terminated = record(0.0, u0) or TERMINATED_COMPLETED
     spec = u0.spectrum  # held since functionals(u0)
-    terminated = record(0.0, u0, (e0, f0, v0)) or TERMINATED_COMPLETED
     tol = STEP_TOL if cfg.adaptive else math.inf
 
     def resized(h: float, est: float) -> float:
@@ -368,17 +365,15 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 terminated = TERMINATED_BLOWUP
                 break
             spec, k1, s0, worst = end, k_end, s1, max(worst, est)
-            values = np.fft.irfft(spec, u0.grid.n)
-            if not (np.max(np.abs(values)) <= BLOWUP_THRESHOLD):  # NaN fails too
-                terminated = TERMINATED_BLOWUP
-                break
-            terminated = record(s1 * dt, PeriodicField(u0.grid, values)) or TERMINATED_COMPLETED
+            fld = PeriodicField(u0.grid, np.fft.irfft(spec, u0.grid.n))
+            terminated = record(s1 * dt, fld) or TERMINATED_COMPLETED
+        efv = np.array(efvs)
+        drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
 
-    drift_arr = np.array(drifts)
     return StabilityRunReport(
         times=np.array(times), fields=fields,
         rho=np.array(rho_list) if reference is not None else None,
-        drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
+        drift_E=drifts[:, 0], drift_F=drifts[:, 1], drift_V=drifts[:, 2],
         terminated=terminated, steps=steps, max_error_estimate=worst,
     )
 

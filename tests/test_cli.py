@@ -4,6 +4,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +52,10 @@ class TestWriteCsv:
         cli.write_csv(path, ["a", "b"], self.ROWS, args)
         lines = path.read_text().split("\n")
         data = lines[lines.index("a,b") + 1:]
-        assert data == [",".join(cli._fmt(v) for v in row) for row in self.ROWS] + [""]
+        # a float (np.float64 included) to 17 significant digits, else str
+        cells = [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
+                 for row in self.ROWS]
+        assert data == [",".join(row) for row in cells] + [""]
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -126,6 +133,30 @@ class TestParser:
             assert bodies(d) == seen and seen
         assert len(builds) == 3
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["wave", "--k", "0.5", "--L", "6pi"],
+         {"k": 0.5, "L": 6 * math.pi, "n": 256, "func": cli.cmd_wave}),
+        (["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi", "--L-max", "6"],
+         {"k_min": 0.1, "k_max": 0.3, "L_min": 4 * math.pi, "L_max": 6.0, "nk": 20, "nL": 20,
+          "func": cli.cmd_scan}),
+        (["spectrum", "--k", "0.5", "--L", "6pi"],
+         {"k": 0.5, "L": 6 * math.pi, "n": 256, "evolution": False, "func": cli.cmd_spectrum}),
+        (["krein", "--k", "0.9"], {"k": 0.9, "n": 256, "func": cli.cmd_krein}),
+        (["evolve", "--k", "0.5", "--L", "6pi"],
+         {"k": 0.5, "L": 6 * math.pi, "n": 256, "dt": None, "t_end": 5.0, "monitor_every": 20,
+          "func": cli.cmd_evolve}),
+        (["orbit", "--k", "0.5", "--L", "6pi"],
+         {"k": 0.5, "L": 6 * math.pi, "n": 256, "dt": None, "t_end": 50.0, "monitor_every": 25,
+          "delta": 1e-3, "seed": 0, "rho_factor": 50.0, "func": cli.cmd_orbit}),
+    ], ids=["wave", "scan", "spectrum", "krein", "evolve", "orbit"])
+    def test_namespace_of_each_subcommand(self, capsys, argv, expected):
+        # every dest and default of a minimal argument list: a default that
+        # one subcommand sets must not leak into another's
+        args = cli.build_parser().parse_args(argv)
+        assert vars(args) == {"command": argv[0], "out_dir": ".", **expected}
+        assert dispatch([argv[0], "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: mchwave {argv[0]} ")
+
     def test_exit_codes_on_a_reused_parser(self, capsys):
         assert dispatch(["--version"]) == EXIT_OK
         assert dispatch(["wave", "--k", "0.5"]) == EXIT_USAGE
@@ -133,6 +164,23 @@ class TestParser:
         assert dispatch(["nonsense"]) == EXIT_USAGE
         assert dispatch(["--version"]) == EXIT_OK
         assert mw.__version__ in capsys.readouterr().out
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--version"], EXIT_OK, "stdout", mw.__version__),
+        (["wave", "--k", "0.5"], EXIT_USAGE, "stderr", "usage error:"),
+        (["wave", "--k", "0.9", "--L", "3.14159"], EXIT_DOMAIN, "stderr", "domain error:"),
+    ])
+    def test_module_as_a_program(self, tmp_path, argv, code, stream, text):
+        # main() runs as `python -m mchwave.cli`, its exit status the code
+        # dispatch returns
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "mchwave.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        assert text in getattr(done, stream)
+        assert not any(tmp_path.iterdir())
 
 
 class TestWaveCommand:

@@ -717,6 +717,30 @@ class TestStepControl:
         assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
         assert 0.0 < rep.max_error_estimate <= evolve.STEP_TOL
 
+    def test_trial_past_the_bound_loses(self, monkeypatch, advance_calls):
+        # a test double scales every lab-frame trial step by 1e3 and gives it a
+        # zero estimate: the blow-up check reads that state, so its trial
+        # estimates +inf and the run goes on in the mean's frame, 32 steps;
+        # unchecked, the zero estimate used to win, and the run stepped in the
+        # lab's, 83
+        rk4 = evolve._rk4_step
+
+        def blown_lab_trial(f, values, k1, dt, e=None):
+            out, k4 = rk4(f, values, k1, dt, e)
+            if advance_calls[-1].trial and e is None:
+                out = 1e3 * out
+                k4 = f(out)  # the slope of the step's end: k4 - k5 = 0
+            return out, k4
+
+        monkeypatch.setattr(evolve, "_rk4_step", blown_lab_trial)
+        phi, _, cfg = _orbit_start(0.693, 3.6 * math.pi)
+        u0 = phi + 1e-3 * seeded_perturbation(phi.grid, seed=1)
+        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
+        lab_trials = [c.est for c in advance_calls if c.trial and c.lam is None]
+        assert lab_trials and all(est == math.inf for est in lab_trials)
+        assert all(c.lam is not None for c in advance_calls if not c.trial)
+
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined
         # until its count passes MAX_REFINE times its count of dt steps
