@@ -253,11 +253,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     _, rep, phi, cfg = _run_setup(args)
     if _refused(args, rep):
         return EXIT_DOMAIN
-    report = evolve_mod.orbital_experiment(phi, args.delta, args.seed, cfg,
-                                           rho_factor=args.rho_factor)
+    report = evolve_mod.orbital_experiment(phi, args.delta, args.seed, cfg)
     sup_rho = float(np.max(report.rho))
     out_csv = _write_run(args, cfg, report, delta=args.delta, seed=args.seed, sup_rho=sup_rho,
-                         sup_rho_over_delta=sup_rho / args.delta if args.delta > 0 else math.nan)
+                         sup_rho_over_delta=sup_rho / args.delta)
     print(f"orbit (k={args.k}, L={args.L}, delta={args.delta}, seed={args.seed}): "
           f"{report.terminated}, sup rho = {sup_rho:.6e} -> {out_csv}")
     return EXIT_OK if report.terminated == evolve_mod.TERMINATED_COMPLETED else EXIT_NUMERICAL
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("orbit", cmd_orbit, "orbital-stability experiment", run=(50.0, 25))
     sp.add_argument("--delta", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rho-factor", type=float, default=50.0)
     for sp in sub.choices.values():  # last in every usage line
         sp.add_argument("--out-dir", default=".", help="artifact directory")
     return parser

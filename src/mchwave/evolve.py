@@ -79,6 +79,8 @@ TERMINATED_INSTABILITY = "instability_detected"
 DEALIAS_PAD = 2
 # A run whose max |u| leaves this bound is recorded as blow-up.
 BLOWUP_THRESHOLD = 100.0
+# A run with a delta > 0 is recorded as unstable once rho exceeds this times delta.
+RHO_FACTOR = 50.0
 # Target of an adaptive run's steps: error estimate per unit time, RMS norm.
 STEP_TOL = 1e-11
 # An adaptive interval past this many times its count of dt steps is blow-up.
@@ -150,7 +152,9 @@ def suggested_dt(u0: PeriodicField, speed: float = 0.0) -> float:
     adaptive run's monitor spacing; there the error estimate sizes the
     steps, and more than ``MAX_REFINE`` of them per dt is blow-up.  The
     max(1, .) floor keeps a small wave densely sampled, and the records
-    at the times they always had."""
+    at the times they always had.  A non-finite speed raises DomainError."""
+    if not math.isfinite(speed):
+        raise DomainError(f"speed must be finite, got {speed}")
     umax = float(np.max(np.abs(u0.values)))
     return 0.5 * u0.grid.spacing / max(1.0, umax + abs(speed))
 
@@ -263,8 +267,7 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.n
 
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
-        reference: PeriodicField | None = None, delta: float | None = None,
-        rho_factor: float = 50.0) -> StabilityRunReport:
+        reference: PeriodicField | None = None, delta: float = 0.0) -> StabilityRunReport:
     """Integrate the flow from u0 with RK4 and record the field and its
     drift diagnostics.
 
@@ -277,24 +280,21 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     lab's, and goes on in the first with the smallest estimate; the trial
     steps count in ``steps``.  When a ``reference`` wave, sampled
     on u0's grid, is supplied the orbital semi-distance rho(u(t), phi) is
-    recorded too, and if ``delta`` is given the run halts with
-    ``instability_detected`` once rho exceeds rho_factor * delta, at
-    t = 0 included; delta = 0 or None turns detection off.  Blow-up
+    recorded too, and a positive ``delta`` halts the run with
+    ``instability_detected`` once rho exceeds ``RHO_FACTOR`` * delta, at
+    t = 0 included; delta = 0 turns detection off.  Blow-up
     (non-finite values or ||u||_inf beyond ``BLOWUP_THRESHOLD`` = 100 at
     any state a step keeps) is recorded, not raised; a trial step that
     blows up loses its trial.
 
     Raises:
         DomainError: if delta is not finite and >= 0, a positive delta
-            comes without a reference, the reference is not on u0's grid,
-            or rho_factor is not finite and > 0.
+            comes without a reference, or the reference is not on u0's grid.
     """
-    if delta is not None and not (math.isfinite(delta) and delta >= 0.0):
+    if not (math.isfinite(delta) and delta >= 0.0):
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if delta and reference is None:
         raise DomainError("instability detection needs a reference wave")
-    if not (math.isfinite(rho_factor) and rho_factor > 0.0):
-        raise DomainError(f"rho_factor must be finite and > 0, got {rho_factor}")
     n_steps, dt = cfg.steps
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
     if not abs(mean) > _zero_tol(u0.values):
@@ -315,7 +315,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         if reference is not None:
             r = _orbit_distance(fld, reference)[0]
             rho_list.append(r)
-            if delta and r > rho_factor * delta:
+            if delta and r > RHO_FACTOR * delta:
                 return TERMINATED_INSTABILITY
         return None
 
@@ -455,26 +455,23 @@ def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
 
 
 def orbital_experiment(phi: PeriodicField, delta: float, seed: int,
-                       cfg: EvolutionConfig, rho_factor: float = 50.0) -> StabilityRunReport:
+                       cfg: EvolutionConfig) -> StabilityRunReport:
     """Evolve phi + delta * w, w a seeded unit-H^1 perturbation on phi's grid,
     with phi, the sampled wave, as the reference.
 
     Records rho(u(t), phi) along the run; terminates with
-    ``instability_detected`` if rho exceeds rho_factor * delta.  delta and
-    rho_factor are validated by :func:`run`, and the seed must be an
-    integer >= 0 at any delta.
+    ``instability_detected`` if rho exceeds ``RHO_FACTOR`` * delta.  The
+    unperturbed run is :func:`run` with phi as u0 and reference.
 
     Raises:
-        DomainError: if seed is not an integer >= 0, or delta > 0 moves
-            no value of phi by more than its rounding (``linop._zero_tol``),
-            where rho could not tell the perturbation from rounding.
+        DomainError: if seed is not an integer >= 0, or delta is not finite
+            or moves no value of phi by more than its rounding
+            (``linop._zero_tol``), where rho could not tell the perturbation
+            from rounding; delta <= 0 among them.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    u0 = phi
-    if delta > 0.0:
-        w = seeded_perturbation(phi.grid, seed)
-        if delta * np.max(np.abs(w.values)) <= _zero_tol(phi.values):
-            raise DomainError(f"delta = {delta!r} perturbs phi by no more than its rounding")
-        u0 = phi + delta * w
-    return run(u0, cfg, reference=phi, delta=delta, rho_factor=rho_factor)
+    w = seeded_perturbation(phi.grid, seed)
+    w_max, tol = float(np.max(np.abs(w.values))), _zero_tol(phi.values)
+    if not (math.isfinite(delta) and delta * w_max > tol):
+        raise DomainError(f"delta = {delta!r} must be finite and above {tol / w_max!r}, "
+                          "where it moves phi by more than its rounding")
+    return run(phi + delta * w, cfg, reference=phi, delta=delta)

@@ -319,8 +319,8 @@ def krein_index(k: float, n: int = 256) -> KreinReport:
     """Hamiltonian Krein index on the zero-mean branch.
 
     K_Ham = n(L|Y0) - n(D) with D = -d''(c); the wave is classified
-    unstable when K_Ham = 1 and stable when K_Ham = 0.  L* comes from k in
-    closed form (:func:`zero_mean_period`).  The counts and the pairing
+    unstable when K_Ham = 1 and stable when K_Ham = 0.  L* is the closed
+    form ``d_second(k).L_star`` (:func:`_zero_mean_l`).  The counts and the pairing
     come from :func:`morse_check` at (k, L*) on n nodes, the only use of n.
     Classification is ``indeterminate`` when the branch is absent, dc/dk is
     zero, the pairing or D is too close to zero, or the counts fall outside

@@ -442,7 +442,7 @@ def fsal_companion(u0: mw.PeriodicField, h: float,
     return np.fft.irfft(y1, u0.grid.n), np.fft.irfft(y_star, u0.grid.n)
 
 
-def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
+def reference_run(u0, cfg, reference=None, delta=0.0):
     """``evolve.run`` as first written, the oracle it must match bit for bit:
     every right side checks its output for finiteness and raises, and every
     step takes the coarse inverse transform and checks max |u| on it.
@@ -488,7 +488,7 @@ def reference_run(u0, cfg, reference=None, delta=None, rho_factor=50.0):
         if reference is not None:
             r = _orbit_distance(fld, reference)[0]
             rho_list.append(r)
-            if delta and r > rho_factor * delta:
+            if delta and r > evolve.RHO_FACTOR * delta:
                 return evolve.TERMINATED_INSTABILITY
         return None
 

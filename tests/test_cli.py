@@ -24,6 +24,14 @@ def strip_timestamps(text: str) -> list[str]:
             if not l.startswith("# timestamp") and '"timestamp"' not in l]
 
 
+def strict_json(path: Path):
+    """The JSON body at ``path``, refusing NaN and +-Infinity, which RFC 8259
+    does not allow and ``json.loads`` would accept."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds the non-JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestParseLength:
     def test_plain_number(self):
         assert parse_length("3.5") == 3.5
@@ -147,7 +155,7 @@ class TestParser:
           "func": cli.cmd_evolve}),
         (["orbit", "--k", "0.5", "--L", "6pi"],
          {"k": 0.5, "L": 6 * math.pi, "n": 256, "dt": None, "t_end": 50.0, "monitor_every": 25,
-          "delta": 1e-3, "seed": 0, "rho_factor": 50.0, "func": cli.cmd_orbit}),
+          "delta": 1e-3, "seed": 0, "func": cli.cmd_orbit}),
     ], ids=["wave", "scan", "spectrum", "krein", "evolve", "orbit"])
     def test_namespace_of_each_subcommand(self, capsys, argv, expected):
         # every dest and default of a minimal argument list: a default that
@@ -558,8 +566,25 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_OK
         second = strip_timestamps((tmp_path / "orbit.csv").read_text())
         assert first == second
-        summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+        summary = strict_json(tmp_path / "orbit_summary.json")
+        assert summary["terminated"] == "completed"
         assert summary["sup_rho"] < 20 * 1e-3
+
+    def test_orbit_detection_exits_numerical(self, tmp_path, monkeypatch):
+        # rho / delta is about 0.99 on this orbit from t = 0, so a factor of
+        # 0.5 ends the run with the detection verdict and exit 2
+        monkeypatch.setattr(mw.evolve, "RHO_FACTOR", 0.5)
+        args = ["orbit", "--k", "0.5", "--L", "6pi", "--delta", "1e-3", "--seed", "42",
+                "--t-end", "5", "--monitor-every", "5", "--out-dir", str(tmp_path)]
+        assert dispatch(args) == EXIT_NUMERICAL
+        summary = strict_json(tmp_path / "orbit_summary.json")
+        rows = [l for l in (tmp_path / "orbit.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[0].startswith("t,rho,")
+        rho = [float(l.split(",")[1]) for l in rows[1:]]
+        assert summary["terminated"] == "instability_detected"
+        assert summary["sup_rho"] == max(rho) and rho[-1] > 0.5 * 1e-3
+        assert summary["sup_rho_over_delta"] == summary["sup_rho"] / 1e-3
 
     def test_default_dt_takes_a_third_of_the_right_sides(self, tmp_path, monkeypatch):
         # a count, not a timing: the default-dt run against fixed steps of the
@@ -590,13 +615,15 @@ class TestEvolveAndOrbit:
             assert 0.0 < summary["max_error_estimate"] < 1e-8
         assert summaries[0]["max_error_estimate"] <= mw.evolve.STEP_TOL
 
+    # -0.001, not -1e-3, which argparse reads as an option
     @pytest.mark.parametrize("bad", [["--delta", "nan"], ["--delta", "inf"],
-                                     ["--rho-factor", "-1"], ["--rho-factor", "0"],
-                                     ["--rho-factor", "nan"], ["--seed", "-1"],
+                                     ["--delta", "0"], ["--delta", "-0.001"],
+                                     ["--delta", "1e-320"], ["--seed", "-1"],
                                      ["--delta", "0", "--seed", "-1"]])
     def test_orbit_bad_delta_or_rho_factor_exits_domain(self, tmp_path, bad):
+        # delta <= 0 is refused too: the unperturbed run is evolve's
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--t-end", "1",
                 "--out-dir", str(tmp_path)] + bad
         assert dispatch(args) == EXIT_DOMAIN
-        assert not (tmp_path / "orbit.csv").exists()
+        assert not any(tmp_path.iterdir())
 

@@ -72,6 +72,11 @@ class TestConfig:
         assert mw.suggested_dt(u) == pytest.approx(0.5 * g.spacing, rel=1e-12)
         assert mw.suggested_dt(u, speed=2.0) == pytest.approx(
             0.5 * g.spacing / 2.3, rel=1e-12)
+        # max(1, umax + |nan|) is 1, so NaN used to read as speed 0, and an
+        # infinite speed gave dt = 0
+        for speed in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="speed"):
+                mw.suggested_dt(u, speed=speed)
 
 
 class TestRhs:
@@ -210,13 +215,10 @@ class TestRun:
         assert rep.times[-1] < 5.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"delta": 1e-3, "rho_factor": -1.0}, {"delta": 1e-3, "rho_factor": 0.0},
-        {"delta": 1e-3, "rho_factor": math.nan}, {"delta": 1e-3, "rho_factor": math.inf},
         {"delta": math.nan}, {"delta": math.inf}, {"delta": -1e-3},
     ])
     def test_detection_inputs_validated(self, kwargs):
-        # rho_factor = -1 used to report instability_detected at t = 0.5
-        # and delta = nan to switch detection off silently
+        # delta = nan used to switch detection off silently
         p = mw.wave_params(0.5, 6 * math.pi)
         u0 = mw.sample_wave(p, mw.PeriodicGrid(p.L, 64))
         with pytest.raises(DomainError):
@@ -234,19 +236,20 @@ class TestRun:
         with pytest.raises(DomainError, match="different grids"):
             mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi)
 
-    def test_threshold_exceeded_at_start_ends_run(self, wave05):
+    def test_threshold_exceeded_at_start_ends_run(self, wave05, monkeypatch):
         # rho(0) is about delta, far above 0.1 delta: the t = 0 sample decides
+        monkeypatch.setattr(evolve, "RHO_FACTOR", 0.1)
         grid = mw.PeriodicGrid(wave05.L, 64)
         phi = mw.sample_wave(wave05, grid)
         u0 = phi + 1e-3 * seeded_perturbation(grid, 3)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi,
-                     delta=1e-3, rho_factor=0.1)
+                     delta=1e-3)
         assert rep.terminated == TERMINATED_INSTABILITY
         assert list(rep.times) == [0.0] and len(rep.fields) == 1
         assert rep.rho[0] > 0.1 * 1e-3
 
 
-def grid_state_run(u0, cfg, p, delta, rho_factor=50.0):
+def grid_state_run(u0, cfg, p, delta):
     """The orbit run with the grid values as RK4 state: every stage is the
     grid-space right side ``grid_rhs``.  Returns the verdict, the monitor
     times, rho and the relative drifts of (E, F, V)."""
@@ -265,7 +268,7 @@ def grid_state_run(u0, cfg, p, delta, rho_factor=50.0):
         times.append(t)
         drifts.append((np.array(mw.functionals(fld)) - base) / np.abs(base))
         rho.append(_orbit_distance(fld, phi)[0])
-        return rho[-1] > rho_factor * delta
+        return rho[-1] > evolve.RHO_FACTOR * delta
 
     values = u0.values
     verdict = TERMINATED_INSTABILITY if detected(0.0, values) else TERMINATED_COMPLETED
@@ -873,10 +876,13 @@ def phi05(wave05):
 
 class TestOrbitalExperiment:
     def test_zero_delta_stays_on_orbit(self, wave05, phi05):
+        # the unperturbed run is evolve's, run from phi; orbital_experiment
+        # always perturbs
         dt = mw.suggested_dt(phi05, speed=wave05.c)
-        rep = mw.orbital_experiment(phi05, 0.0, seed=1,
-                                    cfg=mw.EvolutionConfig(dt=dt, t_end=5.0,
-                                                           monitor_every=25))
+        cfg = mw.EvolutionConfig(dt=dt, t_end=5.0, monitor_every=25)
+        with pytest.raises(DomainError, match="above"):
+            mw.orbital_experiment(phi05, 0.0, seed=1, cfg=cfg)
+        rep = mw.run(phi05, cfg, reference=phi05)
         assert rep.terminated == TERMINATED_COMPLETED
         assert np.max(rep.rho) < 1e-8
 
@@ -905,14 +911,14 @@ class TestOrbitalExperiment:
         assert rep.terminated == TERMINATED_COMPLETED
         assert np.max(rep.rho) < 20e-3
 
-    def test_instability_detection_trips(self, wave05, phi05):
+    def test_instability_detection_trips(self, wave05, phi05, monkeypatch):
         # rho/delta sits near 1 on this orbit, so a factor below that must
         # terminate the run early with the detection verdict
+        monkeypatch.setattr(evolve, "RHO_FACTOR", 0.5)
         dt = mw.suggested_dt(phi05, speed=wave05.c)
         rep = mw.orbital_experiment(phi05, 1e-3, seed=42,
                                     cfg=mw.EvolutionConfig(dt=dt, t_end=5.0,
-                                                           monitor_every=5),
-                                    rho_factor=0.5)
+                                                           monitor_every=5))
         assert rep.terminated == TERMINATED_INSTABILITY
         assert rep.times[-1] < 5.0
         assert rep.rho[-1] > 0.5 * 1e-3
@@ -941,10 +947,3 @@ class TestOrbitalExperiment:
         with pytest.raises(DomainError):
             mw.orbital_experiment(phi05, delta, seed=0,
                                   cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0))
-
-    @pytest.mark.parametrize("rho_factor", [0.0, -1.0, math.nan, math.inf])
-    def test_rho_factor_validation(self, phi05, rho_factor):
-        with pytest.raises(DomainError):
-            mw.orbital_experiment(phi05, 1e-3, seed=0,
-                                  cfg=mw.EvolutionConfig(dt=0.1, t_end=1.0),
-                                  rho_factor=rho_factor)
