@@ -215,14 +215,18 @@ class TestRun:
         assert rep.times[-1] < 5.0
 
     @pytest.mark.parametrize("kwargs", [
+        {"delta": 1e-3, "reference": None}, {"delta": -math.inf},
+        {"delta": -1.0}, {"delta": -5e-324},
         {"delta": math.nan}, {"delta": math.inf}, {"delta": -1e-3},
     ])
     def test_detection_inputs_validated(self, kwargs):
-        # delta = nan used to switch detection off silently
+        # delta = nan used to switch detection off silently; the smallest
+        # negative double is refused like any other negative delta
         p = mw.wave_params(0.5, 6 * math.pi)
         u0 = mw.sample_wave(p, mw.PeriodicGrid(p.L, 64))
         with pytest.raises(DomainError):
-            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=u0, **kwargs)
+            mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0),
+                   **{"reference": u0, **kwargs})
 
     def test_detection_needs_a_reference(self, wave05):
         # without a reference rho is never recorded, so delta used to be ignored
