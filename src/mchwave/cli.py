@@ -69,7 +69,8 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 def _json_text(value, level: int = 0) -> str:
     """``json.dumps(value, indent=1)``, byte for byte, for a value at nesting
-    ``level`` whose dict keys are all str.
+    ``level`` whose dict keys are all str, except that a non-finite float
+    is ``null``, not the bare ``NaN`` or ``Infinity`` that JSON does not allow.
 
     With an indent, ``json`` encodes in pure Python.  Here a list of only
     ints and floats is one C-level ``json.dumps`` whose item separator
@@ -80,7 +81,12 @@ def _json_text(value, level: int = 0) -> str:
         if not value:
             return "[]"
         if {*map(type, value)} <= {float, int}:
-            items = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            try:
+                items = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)
+            except ValueError:  # a non-finite float
+                items = json.dumps([None if isinstance(v, float) and not math.isfinite(v)
+                                    else v for v in value], separators=("," + inner, ": "))
+            items = items[1:-1]
         else:
             items = ("," + inner).join([_json_text(v, level + 1) for v in value])
         return "[" + inner + items + inner[:-1] + "]"
@@ -90,6 +96,8 @@ def _json_text(value, level: int = 0) -> str:
         return "{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1)
              for k, v in value.items()]) + inner[:-1] + "}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
     return json.dumps(value)
 
 
@@ -230,7 +238,8 @@ def _write_run(args: argparse.Namespace, cfg: evolve_mod.EvolutionConfig,
               np.column_stack((report.times, report.rho, report.drift_E, report.drift_F,
                                report.drift_V)).tolist(), args)
     summary = {"terminated": report.terminated, "dt": cfg.dt, "steps": report.steps,
-               "max_error_estimate": report.max_error_estimate, **fields}
+               "rhs_calls": report.rhs_calls, "max_error_estimate": report.max_error_estimate,
+               **fields}
     write_json(Path(args.out_dir) / f"{args.command}_summary.json", summary, args)
     return out_csv
 

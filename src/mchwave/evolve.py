@@ -13,43 +13,59 @@ integrating factor below leaves only the speed max |u - ubar|.
 
 Step control.  A run records the state every ``monitor_every`` steps of
 ``dt``; fixed steps are classical RK4.  With ``adaptive`` set the fewest
-equal steps h whose error estimates stay within ``STEP_TOL`` h fill each
-interval between records, in one of two frames.  In the mean's, ubar the
-conserved mean, the steps are Lawson's integrating-factor RK4 (SIAM J.
-Numer. Anal. 4, 1967): E = exp(lambda h / 2) steps the linearization at
-ubar, lambda = i kappa / (1 + kappa^2) (-ubar kappa^2 - 3 ubar^2),
-exactly, and the stages take N = f - lambda u.  In the lab's they are
-classical.  Neither frame wins everywhere: where u crosses zero the
-mean's can gain at first and lose as the run goes on (README.md).  So a
-run starts in the mean's frame, and an interval whose count q is 3 or
-more, and above the count set at the last choice, first takes one step
-of span / q in each frame, with no target; the run goes on in the first
-frame with the smallest estimate, a non-finite one counting as +inf, and
-sizes its steps by it.  The step takes the frame as its symbol lambda
-(None for the lab's), and the slope the run holds is f(u) in every
-frame, so the trial costs a step per frame and no other right side.  A
-mean within rounding of 0 (``linop._zero_tol``) leaves the lab's frame
-alone, and no trial.  The estimate (h/6) ||k4 - k5|| (RMS grid norm,
-|E| = 1) is the distance to the order-3 FSAL companion, k5 = N(y_{n+1})
-being the next step's first stage, so it costs no right side.  The
-counts start from h = 0.25 (L/n) / max |u0 - ubar| and follow
-est / h ~ h^3 (safety 0.9, growth at most 2x); an interval over the
-target is redone.  A non-finite estimate or a kept state past the bound,
-in every trial too, or a count past ``MAX_REFINE`` times the interval's
-count of ``dt`` steps, is blow-up; a trial past the bound estimates +inf.
+equal steps h whose error estimates stay within their method's target
+fill each interval between records, in one of two frames and with one of
+two explicit Runge-Kutta pairs with FSAL, the last stage being the next
+step's first.  In the mean's frame, ubar the conserved mean, the steps
+are Lawson's integrating-factor steps (SIAM J. Numer. Anal. 4, 1967;
+Hochbruck & Ostermann, Acta Numerica 19, 2010): E_c = exp(c h lambda)
+steps the linearization at ubar, lambda = i kappa / (1 + kappa^2)
+(-ubar kappa^2 - 3 ubar^2), exactly, and stage i of a tableau (c, A, b,
+b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u
+(lambda is imaginary, so conj(E_c) = 1 / E_c); the E_c are formed once per
+call of ``_advance``.  In the lab's frame they are classical, E = 1.  The
+estimate of a step, per unit time, is the RMS grid norm of
+sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the distance between the step and
+its companion over h; |E| = 1, and the last N is the next step's first
+stage, so it costs no right side.  The two pairs are classical RK4 with
+its order-3 companion, whose estimate follows est ~ h^3 within
+``STEP_TOL``, and Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6,
+1980), which carries the order-5 solution and follows est ~ h^4 within
+``PAIR_TOL``.  RK4 costs 4 right sides a step and the pair 6.  Neither
+frame nor pair wins everywhere: where u crosses zero the mean's frame
+can gain at first and lose as the run goes on, and a job that takes
+about one step an interval pays 6 right sides for the pair's where
+RK4's cost 4 (README.md).  So a run starts in
+the mean's frame with RK4, and an interval whose count q is 3 or more,
+and above the count set at the last choice, first takes one step of
+span / q of each (frame, pair) candidate, with no target.  The run goes
+on with the first candidate of the fewest predicted right sides,
+rhs-per-step ceil(span / (0.9 h (target / est)^(1/p))), a non-finite
+estimate predicting +inf, and sizes its steps by that estimate; where
+that size gives the trial's own h and the estimate meets the target, the
+trial step is the interval's first.  A zero mean (within rounding,
+``linop._zero_tol``) leaves the lab's frame alone, and its two candidates.
+The step takes the frame as its symbol lambda (None for the lab's), and
+the slope the run holds is f(u) in every frame, so a trial costs a step
+per candidate and no other right side.  The counts start from
+h = 0.25 (L/n) / max |u0 - ubar| and follow the chosen pair's law
+(safety 0.9, growth at most 2x); an interval over the target is redone.
+A non-finite estimate or a kept state past the bound, in every trial too,
+or a count past ``MAX_REFINE`` times the interval's count of ``dt``
+steps, is blow-up; a trial past the bound estimates +inf.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
-The RK4 state is the rfft spectrum of u, so one right side costs two FFT
+The state is the rfft spectrum of u, so one right side costs two FFT
 calls: one batched inverse transform that lifts u, u_x and u_xx to the
 fine grid together (their symbols, the zero padding and the amplitude
 scale are tabulated once per grid), and a forward transform of the
 product u (u_xx - u^2) + u_x^2 / 2, whose coarse modes times the
-smoothing symbol are the result: eight FFT calls per step.  The
-blow-up check of each state a step keeps, a trial's too, reads u at the
-coarse nodes off the fine grid of the slope that completes its
-estimate, so the coarse inverse transform runs only at the monitor
-steps, for the records.  A record adds the recorded field's rfft, its
+smoothing symbol are the result: eight FFT calls an RK4 step, and twelve
+a step of the pair.  The blow-up check of each state a step keeps, a
+trial's too, reads u at the coarse nodes off the fine grid of the slope
+that completes its estimate, so the coarse inverse transform runs only
+at the monitor steps, for the records.  A record adds the recorded field's rfft, its
 u_x for E and the orbit distance's one irfft: four FFT calls.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
@@ -81,8 +97,11 @@ DEALIAS_PAD = 2
 BLOWUP_THRESHOLD = 100.0
 # A run with a delta > 0 is recorded as unstable once rho exceeds this times delta.
 RHO_FACTOR = 50.0
-# Target of an adaptive run's steps: error estimate per unit time, RMS norm.
+# Target of an adaptive run's RK4 steps: error estimate per unit time, RMS norm.
 STEP_TOL = 1e-11
+# The same for the Dormand-Prince pair's steps, whose estimate is of order 4,
+# not 3: at STEP_TOL five of the 72 bench orbit jobs missed 1e-8 delta in rho.
+PAIR_TOL = 3e-12
 # An adaptive interval past this many times its count of dt steps is blow-up.
 MAX_REFINE = 64
 
@@ -129,7 +148,8 @@ class StabilityRunReport:
     drift_F: np.ndarray
     drift_V: np.ndarray
     terminated: str
-    steps: int  # RK4 steps taken, redone and trial ones included
+    steps: int  # steps taken, of either method, redone and trial ones included
+    rhs_calls: int  # right sides evaluated, 4 an RK4 step and 6 a pair's, and one first slope
     max_error_estimate: float  # largest accepted estimate per unit time
 
 
@@ -212,6 +232,44 @@ class _RhsOperator:
         return self.sym_out * np.fft.rfft(w)[:half]
 
 
+class _Pair:
+    """An explicit Runge-Kutta pair with FSAL, from its tableau: the nodes
+    c and the rows of A, stage by stage, the last row being the weights b
+    of the solution the step carries, whose right side is the next step's
+    first stage (so c_s = 1 and b_s = 0), and e = b - b_hat, b_hat the
+    weights of its companion.  ``w`` = e / -e_s are the error weights of
+    the stages before the last, ``err_div`` is 1 / -e_s, ``p`` the order
+    in h of the estimate per unit time and ``rhs_per_step`` the right
+    sides a step costs, s - 1."""
+
+    def __init__(self, c, a, e, p: int):
+        s = len(c)
+        self.c = tuple(map(float, c))
+        self.a = np.array([list(row) + [0.0] * (s - len(row)) for row in a])
+        self.b = self.a[-1, :-1]
+        self.w = np.array(e[:-1]) / -e[-1]
+        self.err_div = 1.0 / -e[-1]
+        self.nodes = tuple(sorted(set(self.c) - {0.0}))
+        self.p, self.rhs_per_step = p, s - 1
+
+
+# Classical RK4 and its order-3 FSAL companion: est ~ h^3.
+_RK4 = _Pair(c=(0, 1 / 2, 1 / 2, 1, 1),
+             a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+             e=(0, 0, 0, 1 / 6, -1 / 6), p=3)
+# Dormand & Prince's 5(4) pair, which carries the order-5 solution: est ~ h^4
+# (Hairer, Norsett & Wanner, Solving ODEs I, table II.5.2).
+_DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
+              a=((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+                 (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+                 (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+                 (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+              e=(71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+              p=4)
+# The methods an adaptive interval's trial chooses from, in order of preference.
+_METHODS = (_RK4, _DP54)
+
+
 def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
               e: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step from ``values``, whose slope ``k1 = f(values)`` the
@@ -232,30 +290,67 @@ def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
     return ev + (dt / 6.0) * (e * (e * k1 + 2.0 * (k2 + k3)) + k4), k4
 
 
-def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.ndarray,
-             q: int, h: float, tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
-    """Up to q RK4 steps of h from ``spec``, whose slope ``k1`` = f(spec) is
-    given, in the frame of the symbol ``lam`` (Lawson's stages take
-    N = f - lam y; None is the lab's, classical): the end state and its f,
-    the largest estimate per unit time and the steps taken.  The first
+def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
+             es: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One step of h of ``pair`` from ``values``, whose first stage
+    ``k1 = f(values)`` the caller has evaluated.  Returns the new state y1
+    and E_1 sum_j w_j conj(E_c_j) N_j over the stages before the last, E_1
+    the factor at c = 1: less the next first stage N(y1), it is
+    ``err_div`` times the step's error per unit time.  Without ``es`` the step is classical.  With
+    ``es``, which maps each node c to E_c = exp(c h lambda) and its
+    conjugate, it is Lawson's, ``f`` being the right side N less the linear
+    part lambda, and stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j).
+    The RK4 pair takes its textbook expressions, ``_rk4_step``, whose bits
+    the loop would not keep: its stage 3 is E y + (h/2) N_2, not
+    E (y + (h/2) conj(E) N_2)."""
+    if pair is _RK4:
+        return _rk4_step(f, values, k1, h, None if es is None else es[0.5][0])
+    z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
+    z[0] = k1
+    for i in range(1, len(z)):
+        stage = values + h * (pair.a[i, :i] @ z[:i])
+        if es is not None:
+            e, e_conj = es[pair.c[i]]
+            stage *= e
+        z[i] = f(stage)
+        if es is not None:
+            z[i] *= e_conj
+    y1, err = values + h * (pair.b @ z), pair.w @ z
+    if es is not None:
+        y1 *= es[1.0][0]
+        err *= es[1.0][0]
+    return y1, err
+
+
+def _advance(f: _RhsOperator, lam: np.ndarray | None, pair: _Pair, spec: np.ndarray,
+             k1: np.ndarray, q: int, h: float,
+             tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
+    """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
+    f(spec) is given, in the frame of the symbol ``lam`` (Lawson's stages
+    take N = f - lam y; None is the lab's, classical): the end state and its
+    f, the largest estimate per unit time and the steps taken.  The first
     estimate not within ``tol`` ends the steps and is returned, with a state
     of None if it is not finite.  A state that passes the estimate and leaves
     the blow-up bound ends them too: None, with an estimate of +inf."""
-    # k4 - k5 vanishes at the mean and Nyquist modes: Parseval's weight is 2
-    scale = math.sqrt(2.0) / (6.0 * f.n)
-    worst, nl, e, n1 = 0.0, f, None, k1
+    # the error vanishes at the mean and Nyquist modes: Parseval's weight is 2
+    scale = math.sqrt(2.0) / (pair.err_div * f.n)
+    worst, nl, es, n1 = 0.0, f, None, k1
     if lam is not None:
         def nl(y: np.ndarray) -> np.ndarray:
             out = f(y)
             out -= lam * y
             return out
-        e, n1 = np.exp((0.5 * h) * lam), k1 - lam * spec
+        # E_c and its conjugate at each node c; the textbook RK4 step reads
+        # E_1/2 alone, and squares it for E_1
+        es = ({0.5: (np.exp((0.5 * h) * lam), None)} if pair is _RK4 else
+              {c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * lam),)})
+        n1 = k1 - lam * spec
     for j in range(q):
-        spec, k4 = _rk4_step(nl, spec, n1, h, e)
+        spec, err = _rk_step(nl, pair, spec, n1, h, es)
         k1 = f(spec)
-        n1 = k1 if lam is None else k1 - lam * spec  # k5, the next step's first stage
-        k4 -= n1
-        est = scale * float(np.linalg.norm(k4))
+        n1 = k1 if lam is None else k1 - lam * spec  # the next step's first stage
+        err -= n1
+        est = scale * float(np.linalg.norm(err))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1
         # f(spec) left 2u at the coarse nodes: against twice the threshold
@@ -268,17 +363,21 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, spec: np.ndarray, k1: np.n
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
         reference: PeriodicField | None = None, delta: float = 0.0) -> StabilityRunReport:
-    """Integrate the flow from u0 with RK4 and record the field and its
-    drift diagnostics.
+    """Integrate the flow from u0 with Runge-Kutta steps and record the
+    field and its drift diagnostics.
 
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_end; the state is recorded every ``monitor_every``
     of them and at t_end.  With ``cfg.adaptive`` the records keep those
     times and error-controlled steps fill each interval (module
     docstring): an interval of 3 or more steps, more than at the last
-    choice, first takes one trial step in each frame, the mean's and the
-    lab's, and goes on in the first with the smallest estimate; the trial
-    steps count in ``steps``.  When a ``reference`` wave, sampled
+    choice, first takes one trial step of each candidate, RK4 and the
+    Dormand-Prince pair in the mean's frame and then in the lab's (the
+    lab's alone for a zero mean), and goes on with the first of the fewest
+    predicted right sides; it keeps the winning trial step where its
+    step size and estimate would repeat it.  The trial steps count in
+    ``steps`` and their right sides in ``rhs_calls``: 4 an RK4 step and
+    6 a step of the pair, 8 and 12 FFT calls.  When a ``reference`` wave, sampled
     on u0's grid, is supplied the orbital semi-distance rho(u(t), phi) is
     recorded too, and a positive ``delta`` halts the run with
     ``instability_detected`` once rho exceeds ``RHO_FACTOR`` * delta, at
@@ -301,7 +400,11 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         mean = 0.0  # the mean's frame is the lab's within rounding
     op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
     frames = (op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean), None) if mean else (None,)
-    lam, chosen_q = frames[0], 0  # the run's frame, and the count set at the last choice
+    candidates = [(fr, m) for fr in frames for m in (_METHODS if cfg.adaptive else (_RK4,))]
+    targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL}
+    # the run's frame and method, their target, and the count set at the last choice
+    (lam, pair), chosen_q = candidates[0], 0
+    tol = targets[pair] if cfg.adaptive else math.inf
 
     times: list[float] = []
     fields: list[PeriodicField] = []
@@ -321,43 +424,65 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
     terminated = record(0.0, u0) or TERMINATED_COMPLETED
     spec = u0.spectrum  # held since functionals(u0)
-    tol = STEP_TOL if cfg.adaptive else math.inf
 
     def resized(h: float, est: float) -> float:
-        """The step after one of h with estimate est: est / h ~ h^3, with
-        safety 0.9 and growth at most 2x."""
-        return h * min(2.0, 0.9 * (tol / est) ** (1.0 / 3.0)) if est else 2.0 * h
+        """The step after one of h with estimate est per unit time:
+        est ~ h^p, with safety 0.9 and growth at most 2x."""
+        return h * min(2.0, 0.9 * (tol / est) ** (1.0 / pair.p)) if est else 2.0 * h
+
+    def cost(span: float, h: float, est: float, method: _Pair) -> float:
+        """The right sides ``method`` predicts for the interval after a trial
+        step of h with estimate est per unit time, est ~ h^p with safety
+        0.9: +inf for a non-finite est."""
+        if not math.isfinite(est):
+            return math.inf
+        h_next = 0.9 * h * (targets[method] / est) ** (1.0 / method.p) if est else math.inf
+        return method.rhs_per_step * max(1, math.ceil(span / h_next))
 
     spread = float(np.max(np.abs(u0.values - mean)))
     h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
-    k1, s0, steps, worst = op(spec), 0, 0, 0.0  # the state at t = 0 is not checked
+    # the state at t = 0 is not checked
+    k1, s0, steps, rhs_calls, worst = op(spec), 0, 0, 1, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         while terminated == TERMINATED_COMPLETED and s0 < n_steps:
             s1 = min(s0 + cfg.monitor_every, n_steps)
             span = (s1 - s0) * dt
-            if len(frames) > 1 and span / h_target > max(2, chosen_q):
+            head = None  # a trial step the interval keeps: its end, slope and estimate
+            if len(candidates) > 1 and span / h_target > max(2, chosen_q):
                 # a planned count of 3 or more, above that of the last choice:
-                # one step of h in each frame with no target; the run goes on
-                # in the first frame of the smallest estimate, NaN as +inf
-                h = span / math.ceil(span / h_target)
-                trials = [(_advance(op, fr, spec, k1, 1, h, math.inf)[2], fr) for fr in frames]
-                est, lam = min(trials, key=lambda t: t[0] if math.isfinite(t[0]) else math.inf)
-                steps += len(frames)
-                if not math.isfinite(est):  # in every frame
+                # one step of h for each candidate with no target; the run goes
+                # on with the first of the fewest predicted right sides
+                q = math.ceil(span / h_target)
+                h = span / q
+                trials = [_advance(op, fr, m, spec, k1, 1, h, math.inf) for fr, m in candidates]
+                steps += len(trials)
+                rhs_calls += sum(m.rhs_per_step for _, m in candidates)
+                costs = [cost(span, h, out[2], m) for (_, m), out in zip(candidates, trials)]
+                best = costs.index(min(costs))
+                if costs[best] == math.inf:  # every estimate is non-finite
                     terminated = TERMINATED_BLOWUP
                     break
+                (lam, pair), (end, k_end, est, _) = candidates[best], trials[best]
+                tol = targets[pair]
                 h_target = resized(h, est)
                 chosen_q = math.ceil(span / h_target)
+                if chosen_q == q and est <= tol:  # its first step is the trial's
+                    head = end, k_end, est
             while True:  # attempts at the interval [s0 dt, s1 dt]
                 q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
                 if q > MAX_REFINE * (s1 - s0):
                     end = None
                     break
                 h = span / q if cfg.adaptive else dt
-                end, k_end, est, taken = _advance(op, lam, spec, k1, q, h, tol)
+                start, slope, left, first = spec, k1, q, 0.0
+                if head is not None:  # the first attempt after the trial keeps its step
+                    (start, slope, first), left, head = head, q - 1, None
+                end, k_end, est, taken = _advance(op, lam, pair, start, slope, left, h, tol)
                 steps += taken
+                rhs_calls += taken * pair.rhs_per_step
                 if end is None:
                     break
+                est = max(est, first) if est <= tol else est
                 h_target = resized(h, est)
                 if est <= tol:
                     break
@@ -374,7 +499,7 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         times=np.array(times), fields=fields,
         rho=np.array(rho_list) if reference is not None else None,
         drift_E=drifts[:, 0], drift_F=drifts[:, 1], drift_V=drifts[:, 2],
-        terminated=terminated, steps=steps, max_error_estimate=worst,
+        terminated=terminated, steps=steps, rhs_calls=rhs_calls, max_error_estimate=worst,
     )
 
 

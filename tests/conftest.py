@@ -64,14 +64,17 @@ def eig_calls(monkeypatch):
 
 class AdvanceCall(NamedTuple):
     """One ``evolve._advance`` call: its frame's symbol (None for the lab's),
-    whether it is a trial (one step with no target), the state and slope it
-    starts from, its step and the estimate it returns (None until then)."""
+    its method (``evolve._RK4`` or ``evolve._DP54``), whether it is a trial
+    (one step with no target), the state and slope it starts from, its
+    step, its count and the estimate it returns (None until then)."""
 
     lam: np.ndarray | None
+    pair: object
     trial: bool
     spec: np.ndarray
     k1: np.ndarray
     h: float
+    q: int
     est: float | None
 
 
@@ -81,9 +84,9 @@ def advance_calls(monkeypatch):
     each appended on entry, so ``advance_calls[-1]`` is the current one."""
     calls, advance = [], evolve._advance
 
-    def spied(f, lam, spec, k1, q, h, tol):
-        calls.append(AdvanceCall(lam, q == 1 and tol == math.inf, spec, k1, h, None))
-        out = advance(f, lam, spec, k1, q, h, tol)
+    def spied(f, lam, pair, spec, k1, q, h, tol):
+        calls.append(AdvanceCall(lam, pair, q == 1 and tol == math.inf, spec, k1, h, q, None))
+        out = advance(f, lam, pair, spec, k1, q, h, tol)
         calls[-1] = calls[-1]._replace(est=out[2])
         return out
 
@@ -442,6 +445,63 @@ def fsal_companion(u0: mw.PeriodicField, h: float,
     return np.fft.irfft(y1, u0.grid.n), np.fft.irfft(y_star, u0.grid.n)
 
 
+def dp54_companion(u0: mw.PeriodicField, h: float,
+                   lawson: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One textbook Dormand-Prince 5(4) step of h from u0 (Hairer, Norsett &
+    Wanner, Solving ODEs I, table II.5.2), y1 of order 5 and its order-4
+    companion y_hat, both as grid values: ||y1 - y_hat|| is the step's
+    error estimate.  With ``lawson`` the step is Lawson's about the
+    linearization at the mean of u0, lambda as in :func:`fsal_companion`:
+    the textbook step of v' = exp(-t lambda) N(exp(t lambda) v), N = f -
+    lambda y, from v = y, and y1 = exp(h lambda) v1.  Without it lambda = 0."""
+    f = evolve._RhsOperator(u0.grid)
+    kap = u0.grid.wavenumbers()
+    ubar = float(np.mean(u0.values)) if lawson else 0.0
+    lam = 1j * kap / (1.0 + kap * kap) * (-ubar * kap * kap - 3.0 * ubar * ubar)
+    lam[-1] = 0.0
+
+    def g(t, v):
+        y = np.exp(t * lam) * v
+        return np.exp(-t * lam) * (f(y) - lam * y)
+
+    y = np.fft.rfft(u0.values)
+    k1 = g(0.0, y)
+    k2 = g(h / 5, y + h * (k1 / 5))
+    k3 = g(3 * h / 10, y + h * (3 / 40 * k1 + 9 / 40 * k2))
+    k4 = g(4 * h / 5, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+    k5 = g(8 * h / 9, y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                               - 212 / 729 * k4))
+    k6 = g(h, y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                       - 5103 / 18656 * k5))
+    v1 = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
+                  + 11 / 84 * k6)
+    k7 = g(h, v1)
+    v_hat = y + h * (5179 / 57600 * k1 + 7571 / 16695 * k3 + 393 / 640 * k4
+                     - 92097 / 339200 * k5 + 187 / 2100 * k6 + 1 / 40 * k7)
+    e = np.exp(h * lam)
+    return np.fft.irfft(e * v1, u0.grid.n), np.fft.irfft(e * v_hat, u0.grid.n)
+
+
+def reflected(u: mw.PeriodicField) -> mw.PeriodicField:
+    """u(-x) on u's grid, exactly: node j takes the value at node -j mod n."""
+    return mw.PeriodicField(u.grid, np.roll(u.values[::-1], 1))
+
+
+def round_trip(u0: mw.PeriodicField, cfg) -> float:
+    """The reversibility witness of a run's time stepping: the RMS distance
+    to u0 of R run(R run(u0)), R the reflection x -> -x, each run to
+    cfg.t_end.  The flow maps u(x, t) to u(-x, -t), every term of
+    u_t = dx (1 - dx^2)^-1 (u u_xx + u_x^2 / 2 - u^3) flipping sign, and
+    the Fourier symbols commute with R, so the exact discrete flow returns
+    to u0: the distance measures the stepping's global error, with no finer
+    reference run (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, ch. V).  It does not see the grid's truncation."""
+    there = mw.run(u0, cfg)
+    back = mw.run(reflected(there.fields[-1]), cfg)
+    assert there.terminated == back.terminated == evolve.TERMINATED_COMPLETED
+    return float(np.sqrt(np.mean((reflected(back.fields[-1]).values - u0.values) ** 2)))
+
+
 def reference_run(u0, cfg, reference=None, delta=0.0):
     """``evolve.run`` as first written, the oracle it must match bit for bit:
     every right side checks its output for finiteness and raises, and every
@@ -517,5 +577,5 @@ def reference_run(u0, cfg, reference=None, delta=0.0):
         times=np.array(times), fields=fields,
         rho=np.array(rho_list) if reference is not None else None,
         drift_E=drift_arr[:, 0], drift_F=drift_arr[:, 1], drift_V=drift_arr[:, 2],
-        terminated=terminated, steps=taken, max_error_estimate=math.nan,
+        terminated=terminated, steps=taken, rhs_calls=4 * taken, max_error_estimate=math.nan,
     )

@@ -91,16 +91,31 @@ def json_containers(children):
         st.lists(st.one_of(st.floats(), st.text(alphabet=", 1")), max_size=6))
 
 
+def nulled(value):
+    """``value`` with every non-finite float, np.float64 included, as None:
+    the JSON that the artifact writer must give."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [nulled(v) for v in value]
+    if isinstance(value, dict):
+        return {k: nulled(v) for k, v in value.items()}
+    return value
+
+
 class TestWriteJson:
     @given(st.recursive(JSON_LEAVES, json_containers, max_leaves=40))
     def test_matches_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=1)
+        # json.dumps writes a non-finite float as the bare NaN or Infinity
+        # that RFC 8259 does not allow; the writer writes null
+        assert cli._json_text(value) == json.dumps(nulled(value), indent=1, allow_nan=False)
 
     @pytest.mark.parametrize("value", [
         [], (), {}, [[]], {"a": {}}, [1.5, 2, -0.0], (math.nan, 1), [1.0, "a, b"],
-        {"": [True, None, 0.5]}])
+        {"": [True, None, 0.5]}, [math.inf, -math.inf, 0.5], {"a": np.float64(math.nan)},
+        [10**400, math.nan]])
     def test_edge_containers(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=1)
+        assert cli._json_text(value) == json.dumps(nulled(value), indent=1, allow_nan=False)
 
     @pytest.mark.parametrize("bad", [np.int64(3), np.zeros(2), np.float32(0.5), {1, 2},
                                      np.bool_(True), object()])
@@ -196,7 +211,7 @@ class TestWaveCommand:
         code = dispatch(["wave", "--k", "0.5", "--L", "18.8495559", "--n", "256",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "wave.json").read_text())
+        payload = strict_json(tmp_path / "wave.json")
         assert payload["tool_version"]
         assert payload["wave"]["b"] == pytest.approx(-0.2559, rel=1e-3)
         assert payload["ode_residual"] < 1e-8
@@ -256,7 +271,7 @@ class TestScanCommand:
         # 17-significant-digit round trip
         first_i = float(rows[0].split(",")[2])
         assert first_i < 0.0
-        summary = json.loads((tmp_path / "scan_summary.json").read_text())
+        summary = strict_json(tmp_path / "scan_summary.json")
         assert summary["max_I"] < 0.0
         assert summary["count_invalid"] == 0
 
@@ -294,15 +309,25 @@ class TestScanCommand:
         assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
                          "--L-max", "1e60", "--nk", "2", "--nL", "2",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
-        summary = json.loads((tmp_path / "scan_summary.json").read_text())
+        summary = strict_json(tmp_path / "scan_summary.json")
         assert summary["count_invalid"] == 2 and summary["max_I"] < 0.0
 
     def test_summary_counts_invalid_cells_by_reason(self, tmp_path):
         assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.8", "--L-min", "7pi",
                          "--L-max", "1e60", "--nk", "2", "--nL", "2",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
-        summary = json.loads((tmp_path / "scan_summary.json").read_text())
+        summary = strict_json(tmp_path / "scan_summary.json")
         assert summary["invalid_reasons"] == {"ineq_ii": 1, "overflow": 2}
+
+    def test_window_without_a_valid_cell_writes_null(self, tmp_path):
+        # the extremes of I over no valid cell are NaN, which the summary
+        # used to write as a bare NaN
+        assert dispatch(["scan", "--k-min", "0.9", "--k-max", "0.95", "--L-min", "1",
+                         "--L-max", "2", "--nk", "2", "--nL", "2",
+                         "--out-dir", str(tmp_path)]) == EXIT_OK
+        summary = strict_json(tmp_path / "scan_summary.json")
+        assert summary["count_invalid"] == 4
+        assert summary["min_I"] is None and summary["max_I"] is None
 
     def test_scan_samples_no_profile(self, count_calls, tmp_path):
         # validity margins are closed forms and derivatives exact, so no
@@ -327,7 +352,7 @@ class TestSpectrumCommand:
         code = dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         spec = payload["spectrum"]
         assert spec["n_neg"] == 1 and spec["z_dim"] == 1
         assert len(spec["eigenvalues"]) == 128
@@ -339,7 +364,7 @@ class TestSpectrumCommand:
     def test_operator_defects_recorded(self, tmp_path):
         assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         op = linop.operator_for(mw.wave_params(0.5, 6 * math.pi), 128)
         assert payload["operator"] == {"reflection_defect": op.reflection_defect}
         assert 0.0 <= payload["operator"]["reflection_defect"] < linop.ASYMMETRY_GATE
@@ -355,7 +380,7 @@ class TestSpectrumCommand:
         code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "128",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         assert payload["spectrum"]["z_dim"] == 2
         assert payload["pairing"]["kernel_dim"] == 2
         assert payload["pairing"]["value"] == pytest.approx(-math.pi, abs=1e-8)
@@ -377,7 +402,7 @@ class TestSpectrumCommand:
         code = dispatch(["spectrum", "--k", "0", "--L", "2pi", "--n", "64", "--evolution",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         ev = payload["evolution_spectrum"]
         assert len(ev["eigenvalues_re"]) == 63
         assert max(abs(v) for v in ev["eigenvalues_re"]) < 1e-8  # purely imaginary
@@ -431,7 +456,7 @@ class TestSpectrumCommand:
         code = dispatch(["spectrum", "--k", k, "--L", big_l, "--n", "64", *extra,
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         expected = mw.validity(float(k), parse_length(big_l))
         assert payload["validity"] == dataclasses.asdict(expected)
         assert payload["validity"]["all_ok"] is valid
@@ -449,7 +474,7 @@ class TestSpectrumCommand:
         assert dispatch(["spectrum", "--k", k, "--L", big_l, "--n", "64",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
         assert len(passes) == 1
-        payload = json.loads((tmp_path / "spectrum.json").read_text())
+        payload = strict_json(tmp_path / "spectrum.json")
         k, big_l = float(k), parse_length(big_l)
         assert payload["wave"] == dataclasses.asdict(mw.wave_at(k, big_l)[0])
         # -0.0 is the constant wave, recorded as 0.0
@@ -465,8 +490,10 @@ class TestKreinCommand:
     def test_no_branch(self, tmp_path):
         code = dispatch(["krein", "--k", "0.5", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "krein.json").read_text())
+        payload = strict_json(tmp_path / "krein.json")
         assert payload["krein"]["classification"] == "indeterminate"
+        # no branch has no pairing, D or L*: null, where a bare NaN used to be
+        assert [payload["krein"][key] for key in ("pairing", "D", "L_star")] == [None] * 3
 
     def test_bad_grid_size_exits_domain(self, tmp_path):
         # the branch exists, so n reaches the operator grid, which refuses 15
@@ -485,7 +512,7 @@ class TestKreinCommand:
     def test_branch_values(self, tmp_path):
         code = dispatch(["krein", "--k", "0.985", "--n", "64", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "krein.json").read_text())
+        payload = strict_json(tmp_path / "krein.json")
         assert payload["krein"]["D"] == pytest.approx(-9.598615975413358, rel=1e-10)
         assert payload["krein"]["L_star"] == pytest.approx(34.9136, rel=1e-4)
 
@@ -506,7 +533,7 @@ class TestEvolveAndOrbit:
         code = dispatch(["evolve", "--k", "0.5", "--L", "6pi", "--t-end", "2",
                          "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        summary = strict_json(tmp_path / "evolve_summary.json")
         assert summary["terminated"] == "completed"
         assert summary["max_propagation_error"] < 1e-8
         assert summary["steps"] > 0 and 0.0 < summary["max_error_estimate"] <= mw.evolve.STEP_TOL
@@ -605,13 +632,15 @@ class TestEvolveAndOrbit:
             calls.clear()
             assert dispatch(args + extra + ["--out-dir", str(out)]) == EXIT_OK
             counts.append(len(calls))
-            summaries.append(json.loads((out / "orbit_summary.json").read_text()))
+            summaries.append(strict_json(out / "orbit_summary.json"))
             rows = strip_timestamps((out / "orbit.csv").read_text())
             times.append([l.split(",")[0] for l in rows if not l.startswith("#")])
         assert counts[0] <= counts[1] / 3
         assert times[0] == times[1] and len(times[0]) > 2
         for summary, count in zip(summaries, counts):
-            assert summary["dt"] == dt and 4 * summary["steps"] + 1 == count
+            # RK4 steps alone: no interval of either run takes a trial
+            assert summary["dt"] == dt
+            assert summary["rhs_calls"] == 4 * summary["steps"] + 1 == count
             assert 0.0 < summary["max_error_estimate"] < 1e-8
         assert summaries[0]["max_error_estimate"] <= mw.evolve.STEP_TOL
 

@@ -1,5 +1,6 @@
 """Time integration: exactness, conservation, equivariance, experiments."""
 
+import copy
 import dataclasses
 import math
 
@@ -13,8 +14,8 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import (dense_evolution_eigenvalues, fsal_companion, grid_rhs,
-                      helmholtz_inverse, random_smooth, reference_run)
+from conftest import (dense_evolution_eigenvalues, dp54_companion, fsal_companion, grid_rhs,
+                      helmholtz_inverse, random_smooth, reference_run, round_trip)
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -311,11 +312,12 @@ class TestSpectralState:
 
     def test_eight_transforms_per_step(self, fft_calls, wave05):
         # the two runs of each kind differ by unmonitored steps (20 fixed ones)
-        # and nothing else: four right sides of two transforms each, and no
-        # coarse inverse transform; the integrating factor takes none
+        # and nothing else: right sides of two transforms each, four an RK4
+        # step and six a pair's, and no coarse inverse transform; the
+        # integrating factor takes none
         grid = mw.PeriodicGrid(wave05.L, 64)
         for adaptive in (False, True):
-            counts, steps = [], []
+            counts, steps, sides = [], [], []
             for t_end in (1.0, 2.0):
                 # spectrum not yet held; the perturbation makes the adaptive runs
                 # differ (the wave alone meets the target in one step of either)
@@ -327,8 +329,10 @@ class TestSpectralState:
                 assert list(rep.times) == [0.0, t_end]
                 counts.append(len(fft_calls))
                 steps.append(rep.steps)
+                sides.append(rep.rhs_calls)
             assert steps[1] > steps[0] and (adaptive or steps[1] - steps[0] == 20)
-            assert counts[1] - counts[0] == 8 * (steps[1] - steps[0])
+            assert counts[1] - counts[0] == 2 * (sides[1] - sides[0])
+            assert adaptive or sides[1] - sides[0] == 4 * (steps[1] - steps[0])
 
     def test_four_transforms_per_record(self, fft_calls, monkeypatch):
         # outside the steps a record takes four FFT calls: the state's
@@ -353,38 +357,42 @@ class TestSpectralState:
         assert len(fft_calls) - sum(inside) == 4 * len(rep.times) + 1
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
-        # the benchmark's traced per-step counters wrap exactly these two names;
-        # run evaluates a step's first stage before it calls _rk4_step, so the
-        # right sides of a step are those between consecutive _rk4_step returns,
-        # and one more, the slope of the last state, completes its estimate; the
-        # fixed run records its state between steps 10 and 11, and a redone
-        # interval, as the adaptive run's one interval is here, starts again
-        # from its first stage, already evaluated
-        rk4, call = evolve._rk4_step, _RhsOperator.__call__
-        sides, at_return = [], [0]
+        # run evaluates a step's first stage before it calls _rk_step, so the
+        # right sides of a step are those between consecutive _rk_step returns,
+        # and one more, the slope of the last state, completes its estimate:
+        # four for RK4 and six for the pair; the fixed run records its state
+        # between steps 10 and 11, and the adaptive run's one interval, where
+        # u0 crosses zero, starts with a trial of all four candidates
+        step, call = evolve._rk_step, _RhsOperator.__call__
+        sides, at_return, pairs = [], [0], []
 
-        def counted_step(*args):
-            out = rk4(*args)
+        def counted_step(f, pair, *args):
+            out = step(f, pair, *args)
             at_return.append(len(sides))
+            pairs.append(pair)
             return out
 
         def counted_call(self, spec):
             sides.append(spec)
             return call(self, spec)
 
-        monkeypatch.setattr(evolve, "_rk4_step", counted_step)
+        monkeypatch.setattr(evolve, "_rk_step", counted_step)
         monkeypatch.setattr(_RhsOperator, "__call__", counted_call)
-        grid = mw.PeriodicGrid(wave05.L, 64)
-        phi = mw.sample_wave(wave05, grid)
-        u0 = phi + 1e-2 * seeded_perturbation(grid, seed=2)
-        for adaptive, every in ((False, 10), (True, 10**9)):
+        for p, adaptive, every in ((wave05, False, 10),
+                                   (mw.wave_params(0.693, 3.6 * math.pi), True, 10**9)):
+            grid = mw.PeriodicGrid(p.L, 64)
+            phi = mw.sample_wave(p, grid)
+            u0 = phi + 1e-2 * seeded_perturbation(grid, seed=2)
             sides.clear()
+            pairs.clear()
             del at_return[1:]
             rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=every,
                                                 adaptive=adaptive), reference=phi)
             assert rep.terminated == TERMINATED_COMPLETED and (adaptive or rep.steps == 20)
-            assert list(np.diff(at_return)) == [4] * rep.steps
-            assert len(sides) == 4 * rep.steps + 1
+            assert len(pairs) == rep.steps
+            assert {pair.rhs_per_step for pair in pairs} == ({4, 6} if adaptive else {4})
+            assert list(np.diff(at_return)) == [pair.rhs_per_step for pair in pairs]
+            assert len(sides) == rep.rhs_calls == sum(pair.rhs_per_step for pair in pairs) + 1
 
 
 def _assert_same_run(rep, rep_ref):
@@ -485,6 +493,17 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
     return phi, u0, cfg
 
 
+def predicted_right_sides(pair, target, span, h, est):
+    """The right sides that a trial step of h of ``pair``, with estimate
+    est, predicts for an interval of ``span``: its right sides a step times
+    ceil(span / h'), h' = 0.9 h (target / est)^(1/p) being the step that
+    meets its target; +inf for a non-finite est."""
+    if not math.isfinite(est):
+        return math.inf
+    h_next = 0.9 * h * (target / est) ** (1.0 / pair.p) if est else math.inf
+    return pair.rhs_per_step * max(1, math.ceil(span / h_next))
+
+
 class TestStepControl:
     @pytest.mark.parametrize("h", [0.8, 0.4, 0.2])
     def test_estimate_is_the_companion_distance(self, h):
@@ -551,10 +570,12 @@ class TestStepControl:
     def test_integrating_factor_step_counts(self, k, big_l, most):
         # classical RK4 steps under the same control take 298, 404, 555 and
         # 721 here; the first two runs keep the mean's frame, 18 and 58
-        # steps, and the last two, whose u0 crosses zero, take 298 and 417
+        # steps, and the last two, whose u0 crosses zero, took 298 and 417
         # with the frame chosen per interval: the bounds are those counts
         # plus 25 %, so dropping the linear part, or keeping it only where
-        # it slows every node of u0, fails them
+        # it slows every node of u0, fails them.  With RK4 alone the runs,
+        # which keep a winning trial step, take 18, 58, 294 and 413, and
+        # with the pair among the candidates 18, 24, 94 and 133
         phi, u0, cfg = _orbit_start(k, big_l)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
         assert rep.terminated == TERMINATED_COMPLETED
@@ -562,8 +583,9 @@ class TestStepControl:
 
     def test_frame_choice_over_a_long_run(self):
         # the mean's frame gains first and then loses here: to t = 100 it
-        # takes 5617 steps, classical ones under the same control 898, and
-        # the run that chooses the frame per interval 731
+        # takes 5617 RK4 steps, classical ones under the same control 898,
+        # the run that chooses the frame per interval 731, and the one that
+        # chooses the pair too 513
         phi, u0, cfg = _orbit_start(0.730, 4.92 * math.pi)
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=100.0, adaptive=True), reference=phi,
                      delta=1e-3)
@@ -571,41 +593,44 @@ class TestStepControl:
         assert rep.steps < 898
 
     def test_frame_chosen_per_interval(self, monkeypatch, advance_calls):
-        # an adaptive run starts in the mean's frame; an interval of 3 or
-        # more steps, more than at the last choice, first takes one step in
-        # each frame, and the run goes on in the one with the smaller
-        # estimate.  u0 crosses zero at (0.693, 3.6 pi) and (0.667, 3.27 pi),
-        # and both still take factored steps; at (0.667, 3.27 pi) the lab's
-        # frame wins near t = 8, so the steps outside the trials are of both
-        # kinds.  A u0 whose mean is rounding, and fixed steps, are classical
-        rk4, steps = evolve._rk4_step, []
+        # an adaptive run starts in the mean's frame with RK4; an interval of
+        # 3 or more steps, more than at the last choice, first takes one step
+        # of each candidate, RK4 and the pair in each frame, and the run goes
+        # on with the one of the fewest predicted right sides.  u0 crosses
+        # zero at (0.693, 3.6 pi) and (0.667, 3.27 pi), and both go on with
+        # the pair's factored steps; at (0.667, 3.27 pi) the lab's frame wins
+        # near t = 8, so the steps outside the trials are of both frames.
+        # Fixed steps are classical RK4, and a u0 whose mean is rounding, on
+        # the zero-mean branch, trials the lab frame's two candidates
+        step, steps = evolve._rk_step, []
 
-        def spied_step(f, values, k1, dt, e=None):
-            steps.append((e is not None, advance_calls[-1].trial))
-            return rk4(f, values, k1, dt, e)
+        def spied_step(f, pair, values, k1, h, es=None):
+            steps.append((es is not None, pair is evolve._DP54, advance_calls[-1].trial))
+            return step(f, pair, values, k1, h, es)
 
-        monkeypatch.setattr(evolve, "_rk4_step", spied_step)
+        monkeypatch.setattr(evolve, "_rk_step", spied_step)
 
         def kinds(u0, cfg):
             steps.clear()
             rep = mw.run(u0, cfg)
             assert rep.terminated == TERMINATED_COMPLETED and len(steps) == rep.steps
-            return ({lawson for lawson, trial in steps if not trial},
-                    {lawson for lawson, trial in steps if trial})
+            return ({(lawson, dp) for lawson, dp, trial in steps if not trial},
+                    {(lawson, dp) for lawson, dp, trial in steps if trial})
 
+        every = {(True, False), (True, True), (False, False), (False, True)}
         _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
         u = u0.values
         assert not np.all(np.abs(u - np.mean(u)) < np.abs(u))
-        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({True},
-                                                                                {True, False})
-        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0)) == ({False}, set())
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({(True, True)},
+                                                                                every)
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0)) == ({(False, False)}, set())
         _, u0, cfg = _orbit_start(0.667, 3.27 * math.pi)
-        assert kinds(u0, dataclasses.replace(cfg, adaptive=True)) == ({True, False},
-                                                                      {True, False})
-        _, u0, cfg = _orbit_start(0.5, 6 * math.pi)
-        u0 = mw.PeriodicField(u0.grid, u0.values - np.mean(u0.values))
-        assert np.mean(u0.values) != 0.0
-        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == ({False}, set())
+        assert kinds(u0, dataclasses.replace(cfg, adaptive=True)) == (
+            {(True, True), (False, True)}, every)
+        _, u0, cfg = _orbit_start(0.999, mw.indices.zero_mean_period(0.999))
+        assert abs(np.mean(u0.values)) <= mw.linop._zero_tol(u0.values)
+        assert kinds(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True)) == (
+            {(False, True)}, {(False, False), (False, True)})
 
     @pytest.mark.parametrize("k, big_l, lawson", [(0.144, 3.736 * math.pi, True),
                                                   (0.5, 6 * math.pi, True),
@@ -614,56 +639,139 @@ class TestStepControl:
     def test_integrating_factor_only_where_it_slows_every_node(self, monkeypatch, advance_calls,
                                                                k, big_l, lawson):
         # where |u0 - ubar| < |u0| at every node the mean's frame slows every
-        # node, the planned counts stay below 3, and every step is factored
-        # with no trial; elsewhere, as where u0 crosses zero, each trial
-        # steps in the mean's frame and then in the lab's, and the steps
-        # after it are in the frame whose trial estimate is the smaller
-        rk4, factored = evolve._rk4_step, []
+        # node, the planned counts stay below 3, and every step is a factored
+        # RK4 step with no trial; elsewhere, as where u0 crosses zero, each
+        # trial steps RK4 and then the pair in the mean's frame, and then in
+        # the lab's, and the steps after it take the candidate whose trial
+        # predicts the fewest right sides for the interval, the first on a tie
+        step, kinds = evolve._rk_step, []
 
-        def spied_step(f, values, k1, dt, e=None):
-            factored.append(e is not None)
-            return rk4(f, values, k1, dt, e)
+        def spied_step(f, pair, values, k1, h, es=None):
+            kinds.append((es is not None, pair))
+            return step(f, pair, values, k1, h, es)
 
-        monkeypatch.setattr(evolve, "_rk4_step", spied_step)
+        monkeypatch.setattr(evolve, "_rk_step", spied_step)
         _, u0, cfg = _orbit_start(k, big_l)
         u = u0.values
         assert bool(np.all(np.abs(u - np.mean(u)) < np.abs(u))) == lawson
-        rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
-        assert rep.terminated == TERMINATED_COMPLETED and len(factored) == rep.steps
-        attempts = [(call.lam is not None, call.trial, call.est) for call in advance_calls]
-        trials = [i for i, (_, trial, _) in enumerate(attempts) if trial]
+        cfg = dataclasses.replace(cfg, t_end=1.0, adaptive=True)
+        rep = mw.run(u0, cfg)
+        assert rep.terminated == TERMINATED_COMPLETED and len(kinds) == rep.steps
+        trials = [i for i, call in enumerate(advance_calls) if call.trial]
         assert bool(trials) != lawson
         if lawson:
-            assert set(factored) == {True}
-        for i in trials[::2]:
-            (in_mean, _, est_mean), (in_mean_2, trial_2, est_lab) = attempts[i:i + 2]
-            assert in_mean and trial_2 and not in_mean_2
-            assert not attempts[i + 2][1] and attempts[i + 2][0] == (est_mean <= est_lab)
+            assert set(kinds) == {(True, evolve._RK4)}
+        n_steps, dt = cfg.steps
+        targets = {evolve._RK4: evolve.STEP_TOL, evolve._DP54: evolve.PAIR_TOL}
+        for i in trials[::4]:
+            group, chosen = advance_calls[i:i + 4], advance_calls[i + 4]
+            assert [(c.lam is not None, c.pair, c.trial) for c in group] == [
+                (True, evolve._RK4, True), (True, evolve._DP54, True),
+                (False, evolve._RK4, True), (False, evolve._DP54, True)]
+            # the interval: as many accepted attempts come before its trial
+            s0 = cfg.monitor_every * sum(
+                1 for c in advance_calls[:i] if not c.trial and c.est <= targets[c.pair])
+            span = (min(s0 + cfg.monitor_every, n_steps) - s0) * dt
+            costs = [predicted_right_sides(c.pair, targets[c.pair], span, c.h, c.est)
+                     for c in group]
+            best = group[costs.index(min(costs))]
+            assert (chosen.lam is not None, chosen.pair) == (best.lam is not None, best.pair)
+            assert not chosen.trial
 
     def test_trials_match_the_oracles(self, advance_calls):
         # each trial steps from the interval's first state with the slope the
         # run holds, f in every frame: it must be a fresh right side's bit for
         # bit, as must the first slope after a switch, and the trial's
-        # estimate times h the distance of conftest's textbook step to its
-        # companion
+        # estimate times h the distance of conftest's textbook step, RK4 or
+        # Dormand-Prince, to its companion.  The pair's trial distances lie
+        # closer to rounding, 23 to 3.7e3 times it here: the pair's oracle
+        # test holds them at larger h
         phi, u0, cfg = _orbit_start(0.667, 3.27 * math.pi)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED
         grid, eps = u0.grid, np.finfo(float).eps
-        calls = [(c.lam is not None, c.spec, c.k1, c.trial, c.h, c.est) for c in advance_calls]
-        trials = [call for call in calls if call[3]]
-        kept = [call for call in calls if not call[3]]
-        switches = [i + 1 for i in range(len(kept) - 1) if kept[i][0] != kept[i + 1][0]]
-        assert len(switches) == 1 and len(trials) >= 4
-        for _, spec, k1, *_ in trials + [kept[switches[0]]]:
-            assert np.array_equal(k1, _RhsOperator(grid)(spec))
-        for lawson, spec, _, _, h, est in trials:
-            y1, y_star = fsal_companion(mw.PeriodicField(grid, np.fft.irfft(spec, grid.n)), h,
-                                        lawson=lawson)
+        trials = [call for call in advance_calls if call.trial]
+        kept = [call for call in advance_calls if not call.trial]
+        switches = [b for a, b in zip(kept, kept[1:])
+                    if (a.lam is None, a.pair) != (b.lam is None, b.pair)]
+        assert len(switches) == 1 and len(trials) >= 8
+        for call in trials + switches:
+            assert np.array_equal(call.k1, _RhsOperator(grid)(call.spec))
+        for call in trials:
+            oracle = dp54_companion if call.pair is evolve._DP54 else fsal_companion
+            y1, y_star = oracle(mw.PeriodicField(grid, np.fft.irfft(call.spec, grid.n)), call.h,
+                                lawson=call.lam is not None)
             distance = math.sqrt(np.mean((y1 - y_star) ** 2))
             rounding = eps * math.sqrt(np.mean(y1 ** 2))
-            assert distance > 1e3 * rounding
-            assert abs(est * h - distance) <= 4.0 * rounding
+            assert distance > (10.0 if call.pair is evolve._DP54 else 1e3) * rounding
+            assert abs(call.est * call.h - distance) <= 4.0 * rounding
+
+    def test_winning_trial_step_is_kept(self, advance_calls):
+        # where the interval's count gives the winning trial's own h and its
+        # estimate meets the target, the trial step is the interval's first:
+        # no interval's first kept step repeats the winning trial's, and the
+        # interval resumes from the trial's end with one step fewer
+        phi, u0, cfg = _orbit_start(0.9, 4 * math.pi)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
+        assert rep.terminated == TERMINATED_COMPLETED
+        resumed = 0
+        for i, call in enumerate(advance_calls):
+            if call.trial and not advance_calls[i + 1].trial:
+                group = advance_calls[i - 3:i + 1]
+                first = advance_calls[i + 1]
+                winner = next(c for c in group
+                              if (c.lam is None, c.pair) == (first.lam is None, first.pair))
+                same_start = np.array_equal(first.spec, winner.spec)
+                assert not (same_start and first.h == winner.h)
+                resumed += not same_start
+        assert resumed > 0
+
+    @pytest.mark.parametrize("lawson", [False, True], ids=["lab", "lawson"])
+    @pytest.mark.parametrize("h", [0.4, 0.2])
+    @pytest.mark.parametrize("name", ["_DP54", "_RK4"])
+    def test_tableau_step_matches_the_textbook_oracles(self, name, h, lawson):
+        # one step of h of a pair through the tableau loop of _rk_step (a copy
+        # of the RK4 pair, which only the textbook expressions take by name),
+        # in the lab's frame and the mean's: its state is the textbook step's
+        # to rounding, and its estimate times h the distance of that step to
+        # its companion
+        pair = copy.copy(getattr(evolve, name))
+        oracle = dp54_companion if name == "_DP54" else fsal_companion
+        _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
+        op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
+        mean = float(np.mean(u0.values))
+        lam = op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if lawson else None
+        spec = u0.spectrum
+        end, _, est, taken = evolve._advance(op, lam, pair, spec, op(spec), 1, h, math.inf)
+        y1, y_hat = oracle(u0, h, lawson=lawson)
+        rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
+        distance = math.sqrt(np.mean((y1 - y_hat) ** 2))
+        assert taken == 1 and distance > 1e3 * rounding
+        assert np.max(np.abs(np.fft.irfft(end, u0.grid.n) - y1)) <= 8.0 * rounding
+        assert abs(est * h - distance) <= 4.0 * rounding
+
+    @pytest.mark.parametrize("lawson", [False, True], ids=["lab", "lawson"])
+    def test_pair_estimate_is_fifth_order(self, lawson):
+        # the pair's estimate per unit time is of order 4 in h, so one step's
+        # is of order 5: halving h divides it by 32
+        _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
+        op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
+        mean = float(np.mean(u0.values))
+        lam = op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if lawson else None
+        spec = u0.spectrum
+        est = [evolve._advance(op, lam, evolve._DP54, spec, op(spec), 1, h, math.inf)[2] * h
+               for h in (0.4, 0.2)]
+        assert 32.0 * 0.8 <= est[0] / est[1] <= 32.0 * 1.2
+
+    def test_branch_right_side_count(self):
+        # on the zero-mean branch a run is in the lab's frame; at (0.999, L*)
+        # RK4 steps under the same control take 15397 right sides to t = 10,
+        # and the run that trials the pair 3713: the bound is that count
+        # plus 25 %
+        phi, u0, cfg = _orbit_start(0.999, mw.indices.zero_mean_period(0.999))
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi, delta=1e-3)
+        assert rep.terminated == TERMINATED_COMPLETED
+        assert rep.rhs_calls <= 4641
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
@@ -695,7 +803,8 @@ class TestStepControl:
 
     def test_overflow_in_both_trials_is_blowup(self):
         # u0 has a mean, and an interval of 4 steps starts with the trials;
-        # the cube of 1e120 overflows in both, and the run ends there
+        # the cube of 1e120 overflows in all four, RK4 and the pair in both
+        # frames, and the run ends there
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u0 = mw.sample(lambda x: 1e120 * (np.sin(x) + 0.5), g)
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=3,
@@ -703,18 +812,19 @@ class TestStepControl:
         with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
             rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
-        assert rep.steps == 2
+        assert rep.steps == 4 and rep.rhs_calls == 1 + 2 * (4 + 6)
 
     @pytest.mark.parametrize("lab", [True, False])
     def test_nan_in_one_trial_alone_is_no_blowup(self, monkeypatch, lab):
-        # a test double gives one frame's trials a NaN estimate and leaves the
-        # other's finite: the run goes on in the other frame and completes;
+        # a test double gives one frame's trials, RK4's and the pair's, a NaN
+        # estimate and leaves the other's finite: the run goes on in the other
+        # frame and completes;
         # a NaN in the lab's trial used to win the comparison and end the run
         # at t = 0
         advance = evolve._advance
 
-        def one_trial_nan(f, lam, spec, k1, q, h, tol):
-            out = advance(f, lam, spec, k1, q, h, tol)
+        def one_trial_nan(f, lam, pair, spec, k1, q, h, tol):
+            out = advance(f, lam, pair, spec, k1, q, h, tol)
             trial = q == 1 and tol == math.inf
             return (None, out[1], math.nan, out[3]) if (lam is None) == lab and trial else out
 
@@ -725,21 +835,21 @@ class TestStepControl:
         assert 0.0 < rep.max_error_estimate <= evolve.STEP_TOL
 
     def test_trial_past_the_bound_loses(self, monkeypatch, advance_calls):
-        # a test double scales every lab-frame trial step by 1e3 and gives it a
-        # zero estimate: the blow-up check reads that state, so its trial
-        # estimates +inf and the run goes on in the mean's frame, 32 steps;
-        # unchecked, the zero estimate used to win, and the run stepped in the
-        # lab's, 83
-        rk4 = evolve._rk4_step
+        # a test double scales every lab-frame trial step, RK4's and the
+        # pair's, by 1e3 and gives it a zero estimate: the blow-up check reads
+        # that state, so its trial estimates +inf and the run goes on in the
+        # mean's frame, 14 steps; unchecked, the zero estimate would win, and
+        # the run would step in the lab's, 87
+        step = evolve._rk_step
 
-        def blown_lab_trial(f, values, k1, dt, e=None):
-            out, k4 = rk4(f, values, k1, dt, e)
-            if advance_calls[-1].trial and e is None:
+        def blown_lab_trial(f, pair, values, k1, h, es=None):
+            out, err = step(f, pair, values, k1, h, es)
+            if advance_calls[-1].trial and es is None:
                 out = 1e3 * out
-                k4 = f(out)  # the slope of the step's end: k4 - k5 = 0
-            return out, k4
+                err = f(out)  # the slope of the step's end: the estimate is 0
+            return out, err
 
-        monkeypatch.setattr(evolve, "_rk4_step", blown_lab_trial)
+        monkeypatch.setattr(evolve, "_rk_step", blown_lab_trial)
         phi, _, cfg = _orbit_start(0.693, 3.6 * math.pi)
         u0 = phi + 1e-3 * seeded_perturbation(phi.grid, seed=1)
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
@@ -772,6 +882,45 @@ class TestStepControl:
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", threshold)
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
+
+
+BRANCH_999 = (0.999, mw.indices.zero_mean_period(0.999))
+
+
+class TestReversibility:
+    """``conftest.round_trip``, the run there, reflected, and back: a global
+    error witness of each method that rests on no finer run."""
+
+    @pytest.mark.parametrize("methods", ["rk4", "pair"])
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.9, 4 * math.pi), BRANCH_999])
+    def test_round_trip_within_the_target(self, monkeypatch, k, big_l, methods):
+        # the trial chooses from one method alone: RK4's round trips are
+        # 2.5e-13, 2.6e-13 and 5.3e-15 here, and the pair's 9.0e-15, 1.2e-11
+        # and 1.3e-13
+        monkeypatch.setattr(evolve, "_METHODS",
+                            (evolve._RK4,) if methods == "rk4" else (evolve._DP54,))
+        _, u0, cfg = _orbit_start(k, big_l)
+        assert round_trip(u0, dataclasses.replace(cfg, adaptive=True)) <= evolve.STEP_TOL * 10.0
+
+    @pytest.mark.parametrize("k, big_l", [(0.9, 4 * math.pi), BRANCH_999])
+    def test_round_trip_where_the_trial_chooses_the_pair(self, advance_calls, k, big_l):
+        _, u0, cfg = _orbit_start(k, big_l)
+        assert round_trip(u0, dataclasses.replace(cfg, adaptive=True)) <= evolve.STEP_TOL * 10.0
+        assert any(c.pair is evolve._DP54 for c in advance_calls if not c.trial)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_wrong_pair_weight_fails(self, monkeypatch, j):
+        # a test double moves one weight b_j of the carried solution by 1e-3
+        # and keeps the error weights: the steps' estimates still meet the
+        # pair's target in the mean's frame, where N is small, and the run
+        # completes, but its round trip is 5e-10 to 1.4e-9
+        wrong = copy.copy(evolve._DP54)
+        wrong.b = wrong.b.copy()
+        wrong.b[j] += 1e-3
+        monkeypatch.setattr(evolve, "_DP54", wrong)
+        monkeypatch.setattr(evolve, "_METHODS", (wrong,))
+        _, u0, cfg = _orbit_start(0.5, 6 * math.pi)
+        assert round_trip(u0, dataclasses.replace(cfg, adaptive=True)) > evolve.STEP_TOL * 10.0
 
 
 class TestLinearizedRun:
@@ -926,6 +1075,25 @@ class TestOrbitalExperiment:
         assert rep.terminated == TERMINATED_INSTABILITY
         assert rep.times[-1] < 5.0
         assert rep.rho[-1] > 0.5 * 1e-3
+
+    def test_instability_detection_trips_after_a_step(self, monkeypatch, advance_calls):
+        # at (0.9, 4 pi), where the run goes on with the pair, rho / delta
+        # grows from 0.996 at t = 0 to 1.10 at t = 5: a factor between the two
+        # ends the run at a record after t = 0, the first above it
+        p = mw.wave_params(0.9, 4 * math.pi)
+        phi = mw.sample_wave(p, mw.PeriodicGrid(p.L, 256))
+        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=5.0, monitor_every=25,
+                                 adaptive=True)
+        ratio = mw.orbital_experiment(phi, 1e-3, seed=42, cfg=cfg).rho / 1e-3
+        assert ratio[0] < 1.0 < 1.05 < ratio.max()
+        assert any(c.pair is evolve._DP54 for c in advance_calls if not c.trial)
+        factor = 0.5 * (ratio[0] + ratio.max())
+        monkeypatch.setattr(evolve, "RHO_FACTOR", factor)
+        rep = mw.orbital_experiment(phi, 1e-3, seed=42, cfg=cfg)
+        first = int(np.argmax(ratio > factor))
+        assert rep.terminated == TERMINATED_INSTABILITY
+        assert len(rep.times) == first + 1 and rep.times[-1] > 0.0
+        assert np.array_equal(rep.rho / 1e-3, ratio[:first + 1])
 
     @pytest.mark.parametrize("delta, refused", [(1e-320, True), (1e-18, True), (1e-12, False)])
     def test_perturbation_below_rounding_refused(self, wave05, phi05, delta, refused):
