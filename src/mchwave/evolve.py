@@ -13,46 +13,42 @@ integrating factor below leaves only the speed max |u - ubar|.
 
 Step control.  A run records the state every ``monitor_every`` steps of
 ``dt``; fixed steps are classical RK4.  With ``adaptive`` set the fewest
-equal steps h whose error estimates stay within their method's target
-fill each interval between records, in one of two frames and with one of
-two explicit Runge-Kutta pairs with FSAL, the last stage being the next
+equal steps h whose error estimates meet their method's target fill each
+interval between records, in one of two frames and with one of two
+explicit Runge-Kutta pairs with FSAL, the last stage being the next
 step's first.  In the mean's frame, ubar the conserved mean, the steps
-are Lawson's integrating-factor steps (SIAM J. Numer. Anal. 4, 1967;
-Hochbruck & Ostermann, Acta Numerica 19, 2010): E_c = exp(c h lambda)
-steps the linearization at ubar, lambda = i kappa / (1 + kappa^2)
+are Lawson's (SIAM J. Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta
+Numerica 19, 2010): E_c = exp(c h lambda), formed once per (pair, h) of
+a run, steps the linearization at ubar, lambda = i kappa / (1 + kappa^2)
 (-ubar kappa^2 - 3 ubar^2), exactly, and stage i of a tableau (c, A, b,
-b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u
-(lambda is imaginary, so conj(E_c) = 1 / E_c); the E_c are formed once per
-call of ``_advance``.  In the lab's frame they are classical, E = 1.  The
-estimate of a step, per unit time, is the RMS grid norm of
-sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the distance between the step and
-its companion over h; |E| = 1, and the last N is the next step's first
-stage, so it costs no right side.  The two pairs are classical RK4 with
-its order-3 companion, whose estimate follows est ~ h^3 within
-``STEP_TOL``, and Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6,
-1980), which carries the order-5 solution and follows est ~ h^4 within
-``PAIR_TOL``.  RK4 costs 4 right sides a step and the pair 6.  Neither
-frame nor pair wins everywhere: where u crosses zero the mean's frame
-can gain at first and lose as the run goes on, and a job that takes
-about one step an interval pays 6 right sides for the pair's where
-RK4's cost 4 (README.md).  So a run starts in
-the mean's frame with RK4, and an interval whose count q is 3 or more,
-and above the count set at the last choice, first takes one step of
-span / q of each (frame, pair) candidate, with no target.  The run goes
-on with the first candidate of the fewest predicted right sides,
-rhs-per-step ceil(span / (0.9 h (target / est)^(1/p))), a non-finite
-estimate predicting +inf, and sizes its steps by that estimate; where
-that size gives the trial's own h and the estimate meets the target, the
-trial step is the interval's first.  A zero mean (within rounding,
-``linop._zero_tol``) leaves the lab's frame alone, and its two candidates.
-The step takes the frame as its symbol lambda (None for the lab's), and
-the slope the run holds is f(u) in every frame, so a trial costs a step
-per candidate and no other right side.  The counts start from
-h = 0.25 (L/n) / max |u0 - ubar| and follow the chosen pair's law
-(safety 0.9, growth at most 2x); an interval over the target is redone.
-A non-finite estimate or a kept state past the bound, in every trial too,
-or a count past ``MAX_REFINE`` times the interval's count of ``dt``
-steps, is blow-up; a trial past the bound estimates +inf.
+b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u,
+conj(E_c) = 1 / E_c.  In the lab's frame E = 1; there RK4 keeps its
+textbook expressions, as fixed steps do, and every other step runs
+through one tableau loop.  The estimate per unit time is the RMS grid
+norm of sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the step's distance to
+its companion over h, at no right side: the last N is the next step's
+first.  RK4 with its order-3 companion follows est ~ h^3 within
+``STEP_TOL`` at 4 right sides a step; Dormand & Prince's 5(4) pair
+(J. Comput. Appl. Math. 6, 1980) carries the order-5 solution and
+follows est ~ h^4 within ``PAIR_TOL`` at 6.  Neither frame nor pair wins
+everywhere (README.md), so a run starts in the mean's frame with RK4,
+and an interval whose count q is 3 or more, and above the count set at
+the last choice, first takes one step of span / q of each (frame, pair)
+candidate, with no target.  The run goes on with the first candidate of
+the fewest predicted right sides, rhs-per-step ceil(span / (0.9 h
+(target / est)^(1/p))), a non-finite estimate predicting +inf, and sizes
+its steps by that estimate; where that size gives the trial's own h and
+the estimate meets the target, the trial step is the interval's first.
+A zero mean (within rounding, ``linop._zero_tol``) leaves the lab's
+frame alone.  The right side, candidates, targets and step-size law are
+one value per run (``_stepping``), and the slope the run holds is f(u)
+in every frame, so a trial costs a step per candidate and no other
+right side.  The counts start from h = 0.25 (L/n) / max |u0 - ubar| and
+follow the chosen pair's law (safety 0.9, growth at most 2x); an
+interval over the target is redone.  A non-finite estimate or a kept
+state past the bound, in every trial too, or a count past
+``MAX_REFINE`` times the interval's count of ``dt`` steps, is blow-up;
+a trial past the bound estimates +inf.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -270,24 +266,14 @@ _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
 _METHODS = (_RK4, _DP54)
 
 
-def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float,
-              e: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step from ``values``, whose slope ``k1 = f(values)`` the
-    caller has evaluated; returns the new state and k4.  Without ``e`` the
-    step is classical, in its textbook form.  With e = exp(lambda dt / 2)
-    it is Lawson's integrating-factor step, ``f`` being the right side less
-    the linear part lambda that e steps exactly."""
-    if e is None:
-        k2 = f(values + 0.5 * dt * k1)
-        k3 = f(values + 0.5 * dt * k2)
-        k4 = f(values + dt * k3)
-        return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
-    ev = e * values
-    k2 = f(e * (values + (0.5 * dt) * k1))
-    k3 = f(ev + (0.5 * dt) * k2)
-    ev *= e
-    k4 = f(ev + dt * (e * k3))
-    return ev + (dt / 6.0) * (e * (e * k1 + 2.0 * (k2 + k3)) + k4), k4
+def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One textbook RK4 step from ``values``, whose slope ``k1 = f(values)``
+    the caller has evaluated: the new state and k4.  Fixed steps, the lab
+    frame's RK4 steps and :func:`linearized_run` take it."""
+    k2 = f(values + 0.5 * dt * k1)
+    k3 = f(values + 0.5 * dt * k2)
+    k4 = f(values + dt * k3)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
 
 
 def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
@@ -296,15 +282,13 @@ def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
     ``k1 = f(values)`` the caller has evaluated.  Returns the new state y1
     and E_1 sum_j w_j conj(E_c_j) N_j over the stages before the last, E_1
     the factor at c = 1: less the next first stage N(y1), it is
-    ``err_div`` times the step's error per unit time.  Without ``es`` the step is classical.  With
-    ``es``, which maps each node c to E_c = exp(c h lambda) and its
-    conjugate, it is Lawson's, ``f`` being the right side N less the linear
-    part lambda, and stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j).
-    The RK4 pair takes its textbook expressions, ``_rk4_step``, whose bits
-    the loop would not keep: its stage 3 is E y + (h/2) N_2, not
-    E (y + (h/2) conj(E) N_2)."""
-    if pair is _RK4:
-        return _rk4_step(f, values, k1, h, None if es is None else es[0.5][0])
+    ``err_div`` times the step's error per unit time.  Without ``es`` the
+    step is classical, and RK4's is ``_rk4_step``.  With ``es``, which maps
+    each node c to E_c = exp(c h lambda) and its conjugate, it is Lawson's,
+    ``f`` being the right side N less the linear part lambda, and stage i
+    is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j)."""
+    if pair is _RK4 and es is None:
+        return _rk4_step(f, values, k1, h)
     z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
     z[0] = k1
     for i in range(1, len(z)):
@@ -322,33 +306,48 @@ def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
     return y1, err
 
 
-def _advance(f: _RhsOperator, lam: np.ndarray | None, pair: _Pair, spec: np.ndarray,
+class _Frame:
+    """The mean's frame of Lawson's steps: the symbol ``lam`` of the linear
+    part its factors step exactly, and those factors, E_c = exp(c h lam)
+    and its conjugate at each node c of a pair, formed once per (pair, h)."""
+
+    def __init__(self, lam: np.ndarray):
+        self.lam, self._factors = lam, {}
+
+    def factors(self, pair: _Pair, h: float) -> dict:
+        es = self._factors.get((pair, h))
+        if es is None:
+            es = self._factors[pair, h] = {
+                c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * self.lam),)}
+        return es
+
+
+def _advance(f: _RhsOperator, frame: _Frame | None, pair: _Pair, spec: np.ndarray,
              k1: np.ndarray, q: int, h: float,
              tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
     """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
-    f(spec) is given, in the frame of the symbol ``lam`` (Lawson's stages
-    take N = f - lam y; None is the lab's, classical): the end state and its
-    f, the largest estimate per unit time and the steps taken.  The first
-    estimate not within ``tol`` ends the steps and is returned, with a state
-    of None if it is not finite.  A state that passes the estimate and leaves
-    the blow-up bound ends them too: None, with an estimate of +inf."""
+    f(spec) is given, in ``frame`` (Lawson's stages take N = f - lam y;
+    None is the lab's, classical): the end state and its f, the largest
+    estimate per unit time and the steps taken.  The first estimate not
+    within ``tol`` ends the steps and is returned, with a state of None if
+    it is not finite.  A state that passes the estimate and leaves the
+    blow-up bound ends them too: None, with an estimate of +inf."""
     # the error vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (pair.err_div * f.n)
     worst, nl, es, n1 = 0.0, f, None, k1
-    if lam is not None:
+    if frame is not None:
+        lam = frame.lam
+
         def nl(y: np.ndarray) -> np.ndarray:
             out = f(y)
             out -= lam * y
             return out
-        # E_c and its conjugate at each node c; the textbook RK4 step reads
-        # E_1/2 alone, and squares it for E_1
-        es = ({0.5: (np.exp((0.5 * h) * lam), None)} if pair is _RK4 else
-              {c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * lam),)})
+        es = frame.factors(pair, h)
         n1 = k1 - lam * spec
     for j in range(q):
         spec, err = _rk_step(nl, pair, spec, n1, h, es)
         k1 = f(spec)
-        n1 = k1 if lam is None else k1 - lam * spec  # the next step's first stage
+        n1 = k1 if frame is None else k1 - lam * spec  # the next step's first stage
         err -= n1
         est = scale * float(np.linalg.norm(err))
         if not est <= tol:
@@ -361,6 +360,44 @@ def _advance(f: _RhsOperator, lam: np.ndarray | None, pair: _Pair, spec: np.ndar
     return spec, k1, worst, q
 
 
+@dataclass(frozen=True)
+class _Stepping:
+    """A run's stepping state on its grid (:func:`_stepping`): the right
+    side ``f``, the (frame, pair) ``candidates`` of an interval's trial in
+    order of preference, the first being the run's first choice, and each
+    pair's target, ``targets`` (inf for fixed steps)."""
+
+    f: _RhsOperator
+    candidates: tuple[tuple[_Frame | None, _Pair], ...]
+    targets: dict
+
+    def h_next(self, pair: _Pair, h: float, est: float) -> float:
+        """The step meeting the target after one of h with estimate est ~ h^p, times 0.9."""
+        return 0.9 * h * (self.targets[pair] / est) ** (1.0 / pair.p) if est else math.inf
+
+    def resized(self, pair: _Pair, h: float, est: float) -> float:
+        """The next step: ``h_next``, growing at most 2x."""
+        return min(2.0 * h, self.h_next(pair, h, est))
+
+    def cost(self, pair: _Pair, span: float, h: float, est: float) -> float:
+        """The right sides of ``span`` that a trial step of h predicts."""
+        if not math.isfinite(est):
+            return math.inf
+        return pair.rhs_per_step * max(1, math.ceil(span / self.h_next(pair, h, est)))
+
+
+def _stepping(grid: PeriodicGrid, mean: float, adaptive: bool) -> _Stepping:
+    """The stepping state of a run on ``grid``: adaptive, RK4 and then the
+    Dormand-Prince pair, in the frame of a nonzero ``mean`` and then in the
+    lab's; fixed, classical RK4 alone with no target."""
+    f, kap = _RhsOperator(grid), grid.rfft_tables[0]
+    lam = f.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean)
+    frames = (_Frame(lam), None) if mean else (None,)
+    methods = _METHODS if adaptive else (_RK4,)
+    targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL} if adaptive else {_RK4: math.inf}
+    return _Stepping(f, tuple((fr, m) for fr in frames for m in methods), targets)
+
+
 def run(u0: PeriodicField, cfg: EvolutionConfig,
         reference: PeriodicField | None = None, delta: float = 0.0) -> StabilityRunReport:
     """Integrate the flow from u0 with Runge-Kutta steps and record the
@@ -369,15 +406,10 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_end; the state is recorded every ``monitor_every``
     of them and at t_end.  With ``cfg.adaptive`` the records keep those
-    times and error-controlled steps fill each interval (module
-    docstring): an interval of 3 or more steps, more than at the last
-    choice, first takes one trial step of each candidate, RK4 and the
-    Dormand-Prince pair in the mean's frame and then in the lab's (the
-    lab's alone for a zero mean), and goes on with the first of the fewest
-    predicted right sides; it keeps the winning trial step where its
-    step size and estimate would repeat it.  The trial steps count in
-    ``steps`` and their right sides in ``rhs_calls``: 4 an RK4 step and
-    6 a step of the pair, 8 and 12 FFT calls.  When a ``reference`` wave, sampled
+    times and error-controlled steps, of the candidate a trial chooses,
+    fill each interval (module docstring).  Trial steps count in ``steps``
+    and their right sides in ``rhs_calls``: 4 an RK4 step and 6 a step of
+    the pair, 8 and 12 FFT calls.  When a ``reference`` wave, sampled
     on u0's grid, is supplied the orbital semi-distance rho(u(t), phi) is
     recorded too, and a positive ``delta`` halts the run with
     ``instability_detected`` once rho exceeds ``RHO_FACTOR`` * delta, at
@@ -398,75 +430,50 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
     if not abs(mean) > _zero_tol(u0.values):
         mean = 0.0  # the mean's frame is the lab's within rounding
-    op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
-    frames = (op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean), None) if mean else (None,)
-    candidates = [(fr, m) for fr in frames for m in (_METHODS if cfg.adaptive else (_RK4,))]
-    targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL}
-    # the run's frame and method, their target, and the count set at the last choice
-    (lam, pair), chosen_q = candidates[0], 0
-    tol = targets[pair] if cfg.adaptive else math.inf
-
-    times: list[float] = []
-    fields: list[PeriodicField] = []
-    rho_list: list[float] = []
-    efvs: list[tuple[float, float, float]] = []
-
-    def record(t: float, fld: PeriodicField) -> str | None:
-        times.append(t)
-        fields.append(fld)
-        efvs.append(functionals(fld))
-        if reference is not None:
-            r = _orbit_distance(fld, reference)[0]
-            rho_list.append(r)
-            if delta and r > RHO_FACTOR * delta:
-                return TERMINATED_INSTABILITY
-        return None
-
-    terminated = record(0.0, u0) or TERMINATED_COMPLETED
-    spec = u0.spectrum  # held since functionals(u0)
-
-    def resized(h: float, est: float) -> float:
-        """The step after one of h with estimate est per unit time:
-        est ~ h^p, with safety 0.9 and growth at most 2x."""
-        return h * min(2.0, 0.9 * (tol / est) ** (1.0 / pair.p)) if est else 2.0 * h
-
-    def cost(span: float, h: float, est: float, method: _Pair) -> float:
-        """The right sides ``method`` predicts for the interval after a trial
-        step of h with estimate est per unit time, est ~ h^p with safety
-        0.9: +inf for a non-finite est."""
-        if not math.isfinite(est):
-            return math.inf
-        h_next = 0.9 * h * (targets[method] / est) ** (1.0 / method.p) if est else math.inf
-        return method.rhs_per_step * max(1, math.ceil(span / h_next))
-
+    st = _stepping(u0.grid, mean, cfg.adaptive)
+    # the run's frame and method, and the count set at the last choice
+    (frame, pair), chosen_q = st.candidates[0], 0
     spread = float(np.max(np.abs(u0.values - mean)))
     h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
+
+    times, fields, rho_list, efvs = [], [], [], []  # the records: E, F, V in efvs
+    terminated, fld, spec = TERMINATED_COMPLETED, u0, u0.spectrum
     # the state at t = 0 is not checked
-    k1, s0, steps, rhs_calls, worst = op(spec), 0, 0, 1, 0.0
+    k1, s0, steps, rhs_calls, worst = st.f(spec), 0, 0, 1, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        while terminated == TERMINATED_COMPLETED and s0 < n_steps:
+        while True:  # the record at s0 dt, then the interval that follows it
+            times.append(s0 * dt)
+            fields.append(fld)
+            efvs.append(functionals(fld))
+            if reference is not None:
+                rho_list.append(_orbit_distance(fld, reference)[0])
+                if delta and rho_list[-1] > RHO_FACTOR * delta:
+                    terminated = TERMINATED_INSTABILITY
+                    break
+            if s0 == n_steps:
+                break
             s1 = min(s0 + cfg.monitor_every, n_steps)
             span = (s1 - s0) * dt
             head = None  # a trial step the interval keeps: its end, slope and estimate
-            if len(candidates) > 1 and span / h_target > max(2, chosen_q):
+            if len(st.candidates) > 1 and span / h_target > max(2, chosen_q):
                 # a planned count of 3 or more, above that of the last choice:
                 # one step of h for each candidate with no target; the run goes
                 # on with the first of the fewest predicted right sides
                 q = math.ceil(span / h_target)
                 h = span / q
-                trials = [_advance(op, fr, m, spec, k1, 1, h, math.inf) for fr, m in candidates]
+                trials = [_advance(st.f, fr, m, spec, k1, 1, h, math.inf)
+                          for fr, m in st.candidates]
                 steps += len(trials)
-                rhs_calls += sum(m.rhs_per_step for _, m in candidates)
-                costs = [cost(span, h, out[2], m) for (_, m), out in zip(candidates, trials)]
+                rhs_calls += sum(m.rhs_per_step for _, m in st.candidates)
+                costs = [st.cost(m, span, h, out[2]) for (_, m), out in zip(st.candidates, trials)]
                 best = costs.index(min(costs))
                 if costs[best] == math.inf:  # every estimate is non-finite
                     terminated = TERMINATED_BLOWUP
                     break
-                (lam, pair), (end, k_end, est, _) = candidates[best], trials[best]
-                tol = targets[pair]
-                h_target = resized(h, est)
+                (frame, pair), (end, k_end, est, _) = st.candidates[best], trials[best]
+                h_target = st.resized(pair, h, est)
                 chosen_q = math.ceil(span / h_target)
-                if chosen_q == q and est <= tol:  # its first step is the trial's
+                if chosen_q == q and est <= st.targets[pair]:  # its first step is the trial's
                     head = end, k_end, est
             while True:  # attempts at the interval [s0 dt, s1 dt]
                 q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
@@ -477,21 +484,21 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 start, slope, left, first = spec, k1, q, 0.0
                 if head is not None:  # the first attempt after the trial keeps its step
                     (start, slope, first), left, head = head, q - 1, None
-                end, k_end, est, taken = _advance(op, lam, pair, start, slope, left, h, tol)
+                end, k_end, est, taken = _advance(st.f, frame, pair, start, slope, left, h,
+                                                  st.targets[pair])
                 steps += taken
                 rhs_calls += taken * pair.rhs_per_step
                 if end is None:
                     break
-                est = max(est, first) if est <= tol else est
-                h_target = resized(h, est)
-                if est <= tol:
+                est = max(est, first) if est <= st.targets[pair] else est
+                h_target = st.resized(pair, h, est)
+                if est <= st.targets[pair]:
                     break
             if end is None:
                 terminated = TERMINATED_BLOWUP
                 break
             spec, k1, s0, worst = end, k_end, s1, max(worst, est)
             fld = PeriodicField(u0.grid, np.fft.irfft(spec, u0.grid.n))
-            terminated = record(s1 * dt, fld) or TERMINATED_COMPLETED
         efv = np.array(efvs)
         drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
 

@@ -493,6 +493,13 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
     return phi, u0, cfg
 
 
+def _stepping_at_the_mean(u0, lawson):
+    """The right side of an adaptive run from u0 and its frame: the mean's,
+    whose symbol ``conftest.fsal_companion`` rebuilds, or None, the lab's."""
+    st = evolve._stepping(u0.grid, float(np.mean(u0.values)), adaptive=True)
+    return st.f, st.candidates[0][0] if lawson else None
+
+
 def predicted_right_sides(pair, target, span, h, est):
     """The right sides that a trial step of h of ``pair``, with estimate
     est, predicts for an interval of ``span``: its right sides a step times
@@ -665,7 +672,7 @@ class TestStepControl:
         targets = {evolve._RK4: evolve.STEP_TOL, evolve._DP54: evolve.PAIR_TOL}
         for i in trials[::4]:
             group, chosen = advance_calls[i:i + 4], advance_calls[i + 4]
-            assert [(c.lam is not None, c.pair, c.trial) for c in group] == [
+            assert [(c.frame is not None, c.pair, c.trial) for c in group] == [
                 (True, evolve._RK4, True), (True, evolve._DP54, True),
                 (False, evolve._RK4, True), (False, evolve._DP54, True)]
             # the interval: as many accepted attempts come before its trial
@@ -675,7 +682,7 @@ class TestStepControl:
             costs = [predicted_right_sides(c.pair, targets[c.pair], span, c.h, c.est)
                      for c in group]
             best = group[costs.index(min(costs))]
-            assert (chosen.lam is not None, chosen.pair) == (best.lam is not None, best.pair)
+            assert (chosen.frame is not None, chosen.pair) == (best.frame is not None, best.pair)
             assert not chosen.trial
 
     def test_trials_match_the_oracles(self, advance_calls):
@@ -693,14 +700,14 @@ class TestStepControl:
         trials = [call for call in advance_calls if call.trial]
         kept = [call for call in advance_calls if not call.trial]
         switches = [b for a, b in zip(kept, kept[1:])
-                    if (a.lam is None, a.pair) != (b.lam is None, b.pair)]
+                    if (a.frame is None, a.pair) != (b.frame is None, b.pair)]
         assert len(switches) == 1 and len(trials) >= 8
         for call in trials + switches:
             assert np.array_equal(call.k1, _RhsOperator(grid)(call.spec))
         for call in trials:
             oracle = dp54_companion if call.pair is evolve._DP54 else fsal_companion
             y1, y_star = oracle(mw.PeriodicField(grid, np.fft.irfft(call.spec, grid.n)), call.h,
-                                lawson=call.lam is not None)
+                                lawson=call.frame is not None)
             distance = math.sqrt(np.mean((y1 - y_star) ** 2))
             rounding = eps * math.sqrt(np.mean(y1 ** 2))
             assert distance > (10.0 if call.pair is evolve._DP54 else 1e3) * rounding
@@ -720,7 +727,7 @@ class TestStepControl:
                 group = advance_calls[i - 3:i + 1]
                 first = advance_calls[i + 1]
                 winner = next(c for c in group
-                              if (c.lam is None, c.pair) == (first.lam is None, first.pair))
+                              if (c.frame is None, c.pair) == (first.frame is None, first.pair))
                 same_start = np.array_equal(first.spec, winner.spec)
                 assert not (same_start and first.h == winner.h)
                 resumed += not same_start
@@ -731,18 +738,16 @@ class TestStepControl:
     @pytest.mark.parametrize("name", ["_DP54", "_RK4"])
     def test_tableau_step_matches_the_textbook_oracles(self, name, h, lawson):
         # one step of h of a pair through the tableau loop of _rk_step (a copy
-        # of the RK4 pair, which only the textbook expressions take by name),
-        # in the lab's frame and the mean's: its state is the textbook step's
+        # of the RK4 pair, whose lab-frame steps take the textbook expressions
+        # by name), in the lab's frame and the mean's: its state is the textbook step's
         # to rounding, and its estimate times h the distance of that step to
         # its companion
         pair = copy.copy(getattr(evolve, name))
         oracle = dp54_companion if name == "_DP54" else fsal_companion
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
-        mean = float(np.mean(u0.values))
-        lam = op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if lawson else None
+        op, frame = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        end, _, est, taken = evolve._advance(op, lam, pair, spec, op(spec), 1, h, math.inf)
+        end, _, est, taken = evolve._advance(op, frame, pair, spec, op(spec), 1, h, math.inf)
         y1, y_hat = oracle(u0, h, lawson=lawson)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
         distance = math.sqrt(np.mean((y1 - y_hat) ** 2))
@@ -755,13 +760,60 @@ class TestStepControl:
         # the pair's estimate per unit time is of order 4 in h, so one step's
         # is of order 5: halving h divides it by 32
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        op, kap = _RhsOperator(u0.grid), u0.grid.rfft_tables[0]
-        mean = float(np.mean(u0.values))
-        lam = op.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean) if lawson else None
+        op, frame = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        est = [evolve._advance(op, lam, evolve._DP54, spec, op(spec), 1, h, math.inf)[2] * h
+        est = [evolve._advance(op, frame, evolve._DP54, spec, op(spec), 1, h, math.inf)[2] * h
                for h in (0.4, 0.2)]
         assert 32.0 * 0.8 <= est[0] / est[1] <= 32.0 * 1.2
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.667, 3.27 * math.pi),
+                                          (0.9, 4 * math.pi)])
+    def test_mean_frame_rk4_step_matches_the_lawson_oracle(self, monkeypatch, k, big_l):
+        # the mean frame's RK4 step runs through the tableau loop, not the
+        # textbook expressions: its state y1 is the textbook Lawson step's to
+        # rounding, and its estimate times h that step's companion distance
+        rk4 = evolve._rk4_step
+        textbook = []
+
+        def spied(*args):
+            textbook.append(None)
+            return rk4(*args)
+
+        monkeypatch.setattr(evolve, "_rk4_step", spied)
+        _, u0, _ = _orbit_start(k, big_l)
+        op, frame = _stepping_at_the_mean(u0, lawson=True)
+        spec, h = u0.spectrum, 0.4
+        end, _, est, taken = evolve._advance(op, frame, evolve._RK4, spec, op(spec), 1, h,
+                                             math.inf)
+        y1, y_star = fsal_companion(u0, h, lawson=True)
+        rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
+        distance = math.sqrt(np.mean((y1 - y_star) ** 2))
+        assert taken == 1 and not textbook and distance > 1e3 * rounding
+        assert np.max(np.abs(np.fft.irfft(end, u0.grid.n) - y1)) <= 8.0 * rounding
+        assert abs(est * h - distance) <= 4.0 * rounding
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.667, 3.27 * math.pi)])
+    def test_lawson_factors_formed_once_per_h(self, monkeypatch, advance_calls, k, big_l):
+        # a run forms the factors E_c of its mean's frame once for each
+        # (pair, h) it steps with there: one complex exp per node of the
+        # pair, however often the intervals repeat h.  (0.5, 6 pi) steps RK4
+        # alone, (0.667, 3.27 pi) both pairs after its trials; with no
+        # reference, no other complex exp is taken
+        exp, complex_exps = np.exp, []
+
+        def counted(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                complex_exps.append(None)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        _, u0, cfg = _orbit_start(k, big_l)
+        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
+        assert rep.terminated == TERMINATED_COMPLETED
+        factored = [(c.pair, c.h) for c in advance_calls if c.frame is not None]
+        distinct = set(factored)
+        assert len(factored) > len(distinct)
+        assert len(complex_exps) == sum(len(pair.nodes) for pair, _ in distinct)
 
     def test_branch_right_side_count(self):
         # on the zero-mean branch a run is in the lab's frame; at (0.999, L*)
@@ -823,10 +875,10 @@ class TestStepControl:
         # at t = 0
         advance = evolve._advance
 
-        def one_trial_nan(f, lam, pair, spec, k1, q, h, tol):
-            out = advance(f, lam, pair, spec, k1, q, h, tol)
+        def one_trial_nan(f, frame, pair, spec, k1, q, h, tol):
+            out = advance(f, frame, pair, spec, k1, q, h, tol)
             trial = q == 1 and tol == math.inf
-            return (None, out[1], math.nan, out[3]) if (lam is None) == lab and trial else out
+            return (None, out[1], math.nan, out[3]) if (frame is None) == lab and trial else out
 
         monkeypatch.setattr(evolve, "_advance", one_trial_nan)
         _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
@@ -854,9 +906,9 @@ class TestStepControl:
         u0 = phi + 1e-3 * seeded_perturbation(phi.grid, seed=1)
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
         assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
-        lab_trials = [c.est for c in advance_calls if c.trial and c.lam is None]
+        lab_trials = [c.est for c in advance_calls if c.trial and c.frame is None]
         assert lab_trials and all(est == math.inf for est in lab_trials)
-        assert all(c.lam is not None for c in advance_calls if not c.trial)
+        assert all(c.frame is not None for c in advance_calls if not c.trial)
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined
