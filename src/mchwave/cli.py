@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -67,45 +66,32 @@ def _provenance(args: argparse.Namespace) -> dict:
     }
 
 
-def _json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=1)``, byte for byte, for a value at nesting
-    ``level`` whose dict keys are all str, except that a non-finite float
-    is ``null``, not the bare ``NaN`` or ``Infinity`` that JSON does not allow.
-
-    With an indent, ``json`` encodes in pure Python.  Here a list of only
-    ints and floats is one C-level ``json.dumps`` whose item separator
-    carries the indent, and every other leaf is ``json.dumps`` of itself.
-    """
-    inner = "\n" + " " * (level + 1)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if {*map(type, value)} <= {float, int}:
-            try:
-                items = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)
-            except ValueError:  # a non-finite float
-                items = json.dumps([None if isinstance(v, float) and not math.isfinite(v)
-                                    else v for v in value], separators=("," + inner, ": "))
-            items = items[1:-1]
-        else:
-            items = ("," + inner).join([_json_text(v, level + 1) for v in value])
-        return "[" + inner + items + inner[:-1] + "]"
+def _nulled(value):
+    """``value`` with every non-finite float as None, a tuple as a list."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1)
-             for k, v in value.items()]) + inner[:-1] + "}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "null"
-    return json.dumps(value)
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+# one encoder for every artifact: json.dumps with an argument builds its own
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def write_json(path: Path, payload: dict, args: argparse.Namespace) -> None:
+    """The provenance and ``payload`` as one JSON object, one top-level key a
+    line, so byte comparisons can exclude exactly the timestamp line.  Each
+    line is one C-level encoding; a non-finite float is ``null``, not the
+    bare ``NaN`` or ``Infinity`` that RFC 8259 does not allow."""
+    items = []
+    for key, value in {**_provenance(args), **payload}.items():
+        try:
+            items.append(_encode({key: value})[1:-1])
+        except ValueError:  # a non-finite float
+            items.append(_encode({key: _nulled(value)})[1:-1])
     path.parent.mkdir(parents=True, exist_ok=True)
-    # indent=1 keeps the timestamp on its own line, so byte comparisons
-    # can exclude exactly that line.
-    path.write_text(_json_text({**_provenance(args), **payload}) + "\n")
+    path.write_text("{\n " + ",\n ".join(items) + "\n}\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list], args: argparse.Namespace) -> None:
@@ -155,14 +141,14 @@ def cmd_wave(args: argparse.Namespace) -> int:
         "ode_residual": residual,
         "profile": {
             "grid": {"L": grid.L, "n": grid.n},
-            "x": [float(v) for v in grid.nodes],
-            "values": [float(v) for v in phi.values],
+            "x": grid.nodes.tolist(),
+            "values": phi.values.tolist(),
         },
     }
     out = Path(args.out_dir) / "wave.json"
     write_json(out, payload, args)
     write_csv(Path(args.out_dir) / "wave_profile.csv", ["x", "value"],
-              [[float(x), float(v)] for x, v in zip(grid.nodes, phi.values)], args)
+              np.column_stack((grid.nodes, phi.values)).tolist(), args)
     print(f"wave (k={p.k}, L={p.L}): a={p.a:.6g} b={p.b:.6g} c={p.c:.6g} A={p.A:.6g} "
           f"residual={residual:.3e} -> {out}")
     return EXIT_OK

@@ -172,14 +172,6 @@ class OperatorMatrix:
             arr.flags.writeable = False
         return blocks
 
-    @cached_property
-    def full_spectrum(self) -> SpectralReport:
-        """The report of :func:`spectrum`, made once from :attr:`parity` and
-        shared read-only."""
-        report = _make_report(self.parity.even_vals, self.parity.odd_vals, self.grid)
-        report.eigenvalues.flags.writeable = False
-        return report
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -293,8 +285,8 @@ def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray,
 
 def spectrum(m: OperatorMatrix) -> SpectralReport:
     """Full spectrum of L with negative/zero counts: the real ascending
-    union of its parity blocks' eigenvalues, cached on the operator."""
-    return m.full_spectrum
+    union of its parity blocks' eigenvalues."""
+    return _make_report(m.parity.even_vals, m.parity.odd_vals, m.grid)
 
 
 def restricted_spectrum(m: OperatorMatrix) -> SpectralReport:
@@ -305,8 +297,7 @@ def restricted_spectrum(m: OperatorMatrix) -> SpectralReport:
     eigenvalues of the even block without its mean mode, E[1:, 1:], joined
     with the odd block's.
     """
-    blocks = m.parity
-    return _make_report(blocks.minor_vals, blocks.odd_vals, m.grid)
+    return _make_report(m.parity.minor_vals, m.parity.odd_vals, m.grid)
 
 
 def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:

@@ -20,8 +20,9 @@ from mchwave.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
 
 
 def strip_timestamps(text: str) -> list[str]:
-    return [l for l in text.splitlines()
-            if not l.startswith("# timestamp") and '"timestamp"' not in l]
+    """The lines of an artifact but its timestamp line: the timestamp key
+    alone, not every line that holds the string "timestamp"."""
+    return [l for l in text.splitlines() if not l.startswith(("# timestamp: ", ' "timestamp": '))]
 
 
 def strict_json(path: Path):
@@ -103,36 +104,62 @@ def nulled(value):
     return value
 
 
+def json_lines(text: str) -> list[dict]:
+    """Each line between the braces of a written JSON artifact as the one-key
+    object it holds; AssertionError if a line holds another count of keys."""
+    lines = text.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    items = [json.loads("{" + l.removesuffix(",") + "}") for l in lines[1:-2]]
+    assert all(len(item) == 1 for item in items)
+    return items
+
+
+PROVENANCE_KEYS = ("tool_version", "command", "parameters", "timestamp")
+
+
 class TestWriteJson:
-    @given(st.recursive(JSON_LEAVES, json_containers, max_leaves=40))
-    def test_matches_json_dumps(self, value):
+    ARGS = argparse.Namespace(command="scan", x=0.1, out_dir="out")
+
+    def written(self, tmp_path, body):
+        path = tmp_path / "body.json"
+        cli.write_json(path, body, self.ARGS)
+        return path
+
+    @given(st.dictionaries(JSON_KEYS.filter(lambda k: k not in PROVENANCE_KEYS),
+                           st.recursive(JSON_LEAVES, json_containers, max_leaves=40),
+                           max_size=6))
+    def test_matches_json_dumps(self, tmp_path_factory, body):
         # json.dumps writes a non-finite float as the bare NaN or Infinity
         # that RFC 8259 does not allow; the writer writes null
-        assert cli._json_text(value) == json.dumps(nulled(value), indent=1, allow_nan=False)
+        path = self.written(tmp_path_factory.mktemp("json"), body)
+        written = strict_json(path)
+        assert list(written) == [*PROVENANCE_KEYS, *body]
+        assert {k: written[k] for k in body} == nulled(body)
+        assert written["parameters"] == {"out_dir": "out", "x": "0.10000000000000001"}
+        keys = [k for item in json_lines(path.read_text()) for k in item]
+        assert keys == list(written) and keys.count("timestamp") == 1
 
     @pytest.mark.parametrize("value", [
         [], (), {}, [[]], {"a": {}}, [1.5, 2, -0.0], (math.nan, 1), [1.0, "a, b"],
         {"": [True, None, 0.5]}, [math.inf, -math.inf, 0.5], {"a": np.float64(math.nan)},
-        [10**400, math.nan]])
-    def test_edge_containers(self, value):
-        assert cli._json_text(value) == json.dumps(nulled(value), indent=1, allow_nan=False)
+        [10**400, math.nan], {"a\nb": "\u2028\n"}])
+    def test_edge_containers(self, tmp_path, value):
+        # the value's line is json.dumps of it, its non-finite floats null
+        text = self.written(tmp_path, {"v": value}).read_text()
+        assert text.split("\n")[-3] == ' "v": ' + json.dumps(nulled(value), allow_nan=False)
 
     @pytest.mark.parametrize("bad", [np.int64(3), np.zeros(2), np.float32(0.5), {1, 2},
                                      np.bool_(True), object()])
     @pytest.mark.parametrize("where", [lambda x: x, lambda x: [x], lambda x: [1.0, 2, x],
-                                       lambda x: {"a": (0.5, x)}, lambda x: {"a": {"b": [x]}}])
-    def test_refuses_what_json_refuses(self, bad, where):
+                                       lambda x: {"a": (0.5, x)}, lambda x: {"a": {"b": [x]}},
+                                       lambda x: [math.nan, x]])
+    def test_refuses_what_json_refuses(self, tmp_path, bad, where):
         with pytest.raises(TypeError) as ours:
-            cli._json_text(where(bad))
+            self.written(tmp_path, {"v": where(bad)})
         with pytest.raises(TypeError) as reference:
-            json.dumps(where(bad), indent=1)
+            json.dumps(where(bad))
         assert str(ours.value) == str(reference.value)
-
-    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
-    def test_keys_other_than_str_are_refused(self, key):
-        # json would quote the JSON text of a scalar key; no artifact has one
-        with pytest.raises(TypeError):
-            cli._json_text({"a": {key: 0}})
+        assert not (tmp_path / "body.json").exists()
 
 
 class TestParser:
@@ -281,10 +308,13 @@ class TestScanCommand:
         dirs = tmp_path / "first", tmp_path / "second"
         for d in dirs:
             assert dispatch(args + ["--out-dir", str(d)]) == EXIT_OK
-        for name in ("scan.csv", "scan_summary.json"):
-            first, second = ([l for l in strip_timestamps((d / name).read_text())
-                              if "out_dir" not in l] for d in dirs)
-            assert first == second and len(first) > 5
+        first, second = ([l for l in strip_timestamps((d / "scan.csv").read_text())
+                          if not l.startswith("# out_dir: ")] for d in dirs)
+        assert first == second and len(first) > 5
+        first, second = (strict_json(d / "scan_summary.json") for d in dirs)
+        for body in first, second:
+            del body["timestamp"], body["parameters"]["out_dir"]
+        assert first == second and len(first["parameters"]) == 6
 
     def test_workers_option_is_gone(self, tmp_path):
         assert dispatch(["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi",
@@ -656,3 +686,39 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_DOMAIN
         assert not any(tmp_path.iterdir())
 
+
+class TestArtifacts:
+    WAVE = ["--k", "0.5", "--L", "6pi", "--n", "64"]
+    RUN = WAVE + ["--t-end", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["wave", *WAVE],
+        ["scan", "--k-min", "0.1", "--k-max", "0.3", "--L-min", "4pi", "--L-max", "6pi",
+         "--nk", "2", "--nL", "2"],
+        ["scan", "--k-min", "0.9", "--k-max", "0.95", "--L-min", "1", "--L-max", "2",
+         "--nk", "2", "--nL", "2"],
+        ["spectrum", *WAVE, "--evolution"],
+        ["krein", "--k", "0.5", "--n", "64"],
+        ["krein", "--k", "0.999", "--n", "64"],
+        ["evolve", *RUN],
+        ["orbit", *RUN],
+        ["orbit", *RUN, "--dt", "0.01"],
+    ], ids=["wave", "scan", "scan-no-valid-cell", "spectrum", "krein-no-branch", "krein",
+            "evolve", "orbit", "orbit-dt"])
+    def test_layout_and_bodies_reproduced(self, tmp_path, argv):
+        # every JSON artifact is strict JSON, one top-level key a line, the
+        # timestamp on exactly one; a second run into the same directory
+        # writes every body again apart from that line
+        def bodies():
+            assert dispatch(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+            return {f.name: strip_timestamps(f.read_text()) for f in sorted(tmp_path.iterdir())}
+
+        first = bodies()
+        json_paths = sorted(tmp_path.glob("*.json"))
+        assert json_paths
+        for path in json_paths:
+            body = strict_json(path)
+            text = path.read_text()
+            assert [k for item in json_lines(text) for k in item] == list(body)
+            assert len(text.splitlines()) - len(strip_timestamps(text)) == 1
+        assert bodies() == first

@@ -297,19 +297,22 @@ class TestParityBlocks:
             assert cli.dispatch(job + extra) == cli.EXIT_OK
             assert sorted(eig_calls) == sorted(values_only + added)
 
-    def test_one_spectrum_report_per_operator(self, count_calls, tmp_path):
-        # the report of L is made once and shared by the counts and the
-        # pairing; the Y0 report is the other
-        reports = count_calls(linop._make_report)
-        mw.morse_check(0.5, 6 * math.pi)
-        assert len(reports) == 2
-        reports.clear()
+    def test_one_spectrum_report_per_operator(self, tmp_path):
+        # the reports of L and of L on Y0 read the operator's one set of
+        # block spectra, and the pairing takes the kernel and tolerance of L's
+        op = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 64)
+        full, restr, pair = (f(op) for f in (mw.spectrum, mw.restricted_spectrum,
+                                             mw.inv_one_pairing))
+        blocks = op.parity
+        assert np.array_equal(full.eigenvalues,
+                              np.sort(np.concatenate((blocks.even_vals, blocks.odd_vals))))
+        assert np.array_equal(restr.eigenvalues,
+                              np.sort(np.concatenate((blocks.minor_vals, blocks.odd_vals))))
+        assert (pair.tol, pair.kernel_dim) == (full.tol, full.z_dim)
+        assert op.parity is blocks
+        assert mw.morse_check(0.5, 6 * math.pi).n_L == 1
         assert cli.dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                              "--out-dir", str(tmp_path)]) == cli.EXIT_OK
-        assert len(reports) == 2
-        op = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 64)
-        assert mw.spectrum(op) is mw.spectrum(op) is op.full_spectrum
-        assert not mw.spectrum(op).eigenvalues.flags.writeable
 
     def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
         for op in (op05_256, op_constant_128):
