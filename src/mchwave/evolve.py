@@ -37,8 +37,8 @@ the last choice, first takes one step of span / q of each (frame, pair)
 candidate, with no target.  The run goes on with the first candidate of
 the fewest predicted right sides, rhs-per-step ceil(span / (0.9 h
 (target / est)^(1/p))), a non-finite estimate predicting +inf, and sizes
-its steps by that estimate; where that size gives the trial's own h and
-the estimate meets the target, the trial step is the interval's first.
+its steps by that estimate.  A trial keeps only the estimates: every
+attempt at an interval steps it whole from its start.
 A zero mean (within rounding, ``linop._zero_tol``) leaves the lab's
 frame alone.  The right side, candidates, targets and step-size law are
 one value per run (``_stepping``), and the slope the run holds is f(u)
@@ -454,43 +454,35 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
                 break
             s1 = min(s0 + cfg.monitor_every, n_steps)
             span = (s1 - s0) * dt
-            head = None  # a trial step the interval keeps: its end, slope and estimate
             if len(st.candidates) > 1 and span / h_target > max(2, chosen_q):
                 # a planned count of 3 or more, above that of the last choice:
                 # one step of h for each candidate with no target; the run goes
                 # on with the first of the fewest predicted right sides
-                q = math.ceil(span / h_target)
-                h = span / q
-                trials = [_advance(st.f, fr, m, spec, k1, 1, h, math.inf)
-                          for fr, m in st.candidates]
-                steps += len(trials)
+                h = span / math.ceil(span / h_target)
+                ests = [_advance(st.f, fr, m, spec, k1, 1, h, math.inf)[2]
+                        for fr, m in st.candidates]
+                steps += len(ests)
                 rhs_calls += sum(m.rhs_per_step for _, m in st.candidates)
-                costs = [st.cost(m, span, h, out[2]) for (_, m), out in zip(st.candidates, trials)]
+                costs = [st.cost(m, span, h, est) for (_, m), est in zip(st.candidates, ests)]
                 best = costs.index(min(costs))
                 if costs[best] == math.inf:  # every estimate is non-finite
                     terminated = TERMINATED_BLOWUP
                     break
-                (frame, pair), (end, k_end, est, _) = st.candidates[best], trials[best]
-                h_target = st.resized(pair, h, est)
+                frame, pair = st.candidates[best]
+                h_target = st.resized(pair, h, ests[best])
                 chosen_q = math.ceil(span / h_target)
-                if chosen_q == q and est <= st.targets[pair]:  # its first step is the trial's
-                    head = end, k_end, est
             while True:  # attempts at the interval [s0 dt, s1 dt]
                 q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
                 if q > MAX_REFINE * (s1 - s0):
                     end = None
                     break
                 h = span / q if cfg.adaptive else dt
-                start, slope, left, first = spec, k1, q, 0.0
-                if head is not None:  # the first attempt after the trial keeps its step
-                    (start, slope, first), left, head = head, q - 1, None
-                end, k_end, est, taken = _advance(st.f, frame, pair, start, slope, left, h,
+                end, k_end, est, taken = _advance(st.f, frame, pair, spec, k1, q, h,
                                                   st.targets[pair])
                 steps += taken
                 rhs_calls += taken * pair.rhs_per_step
                 if end is None:
                     break
-                est = max(est, first) if est <= st.targets[pair] else est
                 h_target = st.resized(pair, h, est)
                 if est <= st.targets[pair]:
                     break

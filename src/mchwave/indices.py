@@ -41,7 +41,7 @@ from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
 
 Classification = Literal["stable", "unstable", "indeterminate"]
 
-# |pairing| or |D| below this is treated as "needs to be non-zero" failing.
+# |pairing|, |D| or |dc/dk| below this fails "needs to be non-zero".
 SIGN_FLOOR = 1e-10
 
 
@@ -301,7 +301,7 @@ def d_second(k: float) -> DSecondReport | None:
 
     Raises:
         DomainError: if k is outside (0, 1).
-        SingularError: |dc/dk| below 1e-10 (singular parametrization).
+        SingularError: |dc/dk| below ``SIGN_FLOOR`` (singular parametrization).
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"d_second requires 0 < k < 1, got k={k}")
@@ -309,8 +309,9 @@ def d_second(k: float) -> DSecondReport | None:
     if math.isnan(l_star):
         return None
     _, dc_dk, df_dk, dd_dk = (float(v) for v in wave_mod._dk(_branch_state, k))
-    if abs(dc_dk) < 1e-10:
-        raise SingularError(f"singular parametrization: |dc/dk| = {abs(dc_dk)} < 1e-10")
+    if abs(dc_dk) < SIGN_FLOOR:
+        raise SingularError(
+            f"singular parametrization: |dc/dk| = {abs(dc_dk)} < SIGN_FLOOR = {SIGN_FLOOR}")
     return DSecondReport(k=k, L_star=l_star, c=c0, dc_dk=dc_dk, d_prime=f0,
                          d_prime_direct=dd_dk / dc_dk, d_second=df_dk / dc_dk)
 

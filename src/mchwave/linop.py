@@ -200,13 +200,10 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class PairingReport:
-    """The pairing <L^{-1} 1, 1> from one solve of the even block;
-    ``kernel_dim`` and ``tol`` are the z_dim and tol of :func:`spectrum`."""
+    """The pairing <L^{-1} 1, 1> from one solve of the even block."""
 
     value: float
-    kernel_dim: int
     residual: float
-    tol: float
 
 
 def assemble_l(phi: PeriodicField, phi2: PeriodicField, c: float) -> OperatorMatrix:
@@ -334,21 +331,20 @@ def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
     LU solve.  Where E has an eigenvalue within the zero tolerance (only at
     the constant wave, whose double kernel is deflated like a simple one),
     w is the minimum-norm least-squares solution with the tolerance as its
-    cutoff (module docstring).  The kernel and its tolerance are those of
-    :func:`spectrum`; the residual max |L w - 1| applies L to the grid
-    form of w by FFT, with no block or dense matrix.  Raises AssemblyError
-    for coefficients that are not even.
+    cutoff (module docstring).  The tolerance is that of :func:`spectrum`,
+    read off the blocks' spectra; the residual max |L w - 1| applies L to
+    the grid form of w by FFT, with no block or dense matrix.  Raises
+    AssemblyError for coefficients that are not even.
     """
-    full = spectrum(m)
     even, vals = m._blocks[0], m.parity.even_vals
+    tol = max(_zero_tol(vals), _zero_tol(m.parity.odd_vals))
     n = m.grid.n
     e_0 = np.eye(1, n // 2 + 1)[0]
-    if np.any(np.abs(vals) <= full.tol):
-        cutoff = full.tol / float(np.max(np.abs(vals)))
+    if np.any(np.abs(vals) <= tol):
+        cutoff = tol / float(np.max(np.abs(vals)))
         w = _lapack(np.linalg.lstsq, even, e_0, rcond=cutoff)[0]
     else:
         w = _lapack(np.linalg.solve, even, e_0)
     w_grid = _to_grid(math.sqrt(n) * np.pad(w, (0, n // 2 - 1))[:, None])[:, 0]
     residual = float(np.max(np.abs(_apply_l(m, w_grid) - 1.0)))
-    return PairingReport(value=m.grid.L * float(w[0]), kernel_dim=full.z_dim,
-                         residual=residual, tol=full.tol)
+    return PairingReport(value=m.grid.L * float(w[0]), residual=residual)

@@ -412,7 +412,7 @@ class TestSpectrumCommand:
         assert code == EXIT_OK
         payload = strict_json(tmp_path / "spectrum.json")
         assert payload["spectrum"]["z_dim"] == 2
-        assert payload["pairing"]["kernel_dim"] == 2
+        assert set(payload["pairing"]) == {"value", "residual"}
         assert payload["pairing"]["value"] == pytest.approx(-math.pi, abs=1e-8)
         assert "pairing_error" not in payload
         assert set(payload["parameters"]) == {"evolution", "k", "L", "n", "out_dir"}

@@ -713,25 +713,34 @@ class TestStepControl:
             assert distance > (10.0 if call.pair is evolve._DP54 else 1e3) * rounding
             assert abs(call.est * call.h - distance) <= 4.0 * rounding
 
-    def test_winning_trial_step_is_kept(self, advance_calls):
-        # where the interval's count gives the winning trial's own h and its
-        # estimate meets the target, the trial step is the interval's first:
-        # no interval's first kept step repeats the winning trial's, and the
-        # interval resumes from the trial's end with one step fewer
+    def test_interval_after_a_trial_is_stepped_whole(self, advance_calls):
+        # a trial keeps only its estimates: after each group of trial steps the
+        # interval is stepped whole from the state and slope the trials
+        # stepped from, with the count the winner's estimate plans, q steps
+        # of span / q
         phi, u0, cfg = _orbit_start(0.9, 4 * math.pi)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True), reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED
-        resumed = 0
+        n_steps, dt = cfg.steps
+        targets = {evolve._RK4: evolve.STEP_TOL, evolve._DP54: evolve.PAIR_TOL}
+        group, groups = [], 0
         for i, call in enumerate(advance_calls):
-            if call.trial and not advance_calls[i + 1].trial:
-                group = advance_calls[i - 3:i + 1]
-                first = advance_calls[i + 1]
-                winner = next(c for c in group
-                              if (c.frame is None, c.pair) == (first.frame is None, first.pair))
-                same_start = np.array_equal(first.spec, winner.spec)
-                assert not (same_start and first.h == winner.h)
-                resumed += not same_start
-        assert resumed > 0
+            if call.trial:
+                group.append(call)
+                continue
+            if group:
+                winner = next(c for c in group if (c.frame, c.pair) == (call.frame, call.pair))
+                s0 = cfg.monitor_every * sum(
+                    1 for c in advance_calls[:i] if not c.trial and c.est <= targets[c.pair])
+                span = (min(s0 + cfg.monitor_every, n_steps) - s0) * dt
+                h_next = 0.9 * winner.h * (targets[winner.pair] / winner.est) ** (
+                    1.0 / winner.pair.p)
+                q = max(1, math.ceil(span / min(2.0 * winner.h, h_next)))
+                for c in group:
+                    assert np.array_equal(call.spec, c.spec) and np.array_equal(call.k1, c.k1)
+                assert (call.q, call.h) == (q, span / q)
+                group, groups = [], groups + 1
+        assert groups > 0
 
     @pytest.mark.parametrize("lawson", [False, True], ids=["lab", "lawson"])
     @pytest.mark.parametrize("h", [0.4, 0.2])

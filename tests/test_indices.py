@@ -488,7 +488,7 @@ class TestKrein:
             mw.krein_index(0.985)
 
     def test_vanishing_dc_dk_is_singular(self, monkeypatch):
-        # d_second itself raises at |dc/dk| < 1e-10, and krein_index reads that
+        # d_second itself raises at |dc/dk| < SIGN_FLOOR, and krein_index reads that
         # as indeterminate with no counts
         exact = mw.wave._dk
 
@@ -497,7 +497,7 @@ class TestKrein:
             return (derivs[0], 1e-11, *derivs[2:])
 
         monkeypatch.setattr(mw.wave, "_dk", flat_c)
-        with pytest.raises(mw.SingularError, match="singular parametrization"):
+        with pytest.raises(mw.SingularError, match="singular parametrization.*SIGN_FLOOR"):
             mw.d_second(0.985)
         rep = mw.krein_index(0.985, n=64)
         assert rep.classification == "indeterminate"

@@ -122,10 +122,11 @@ class TestSpectrum:
         # gap between the kernel eigenvalue and its nearest neighbour
         assert rep.near_zero_gap == pytest.approx(3.117e-3, rel=1e-2)
 
-    def test_tol_validation(self, op05_256):
+    def test_tol_validation(self, op05_256, op_constant_128, monkeypatch):
         # every report carries the one rule's tolerance: 1e3 eps max |.| of
         # the eigenvalues counted, of mu = lambda^2 for J L (reported in
-        # lambda units); the pairing deflates with the spectrum's
+        # lambda units); the pairing deflates with the spectrum's, the
+        # least-squares cutoff at the constant wave's kernel
         eps = np.finfo(float).eps
         full, restr = mw.spectrum(op05_256), mw.restricted_spectrum(op05_256)
         for rep in (full, restr):
@@ -133,8 +134,14 @@ class TestSpectrum:
         evo = mw.evolution_spectrum(op05_256)
         radius_mu = float(np.max(np.abs(evo.eigenvalues))) ** 2
         assert evo.tol == pytest.approx(math.sqrt(1e3 * eps * radius_mu), rel=1e-12)
-        pair = mw.inv_one_pairing(op05_256)
-        assert (pair.tol, pair.kernel_dim) == (full.tol, full.z_dim)
+        lstsq, cutoffs = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, rcond: cutoffs.append(rcond) or lstsq(*a, rcond=rcond))
+        mw.inv_one_pairing(op05_256)
+        assert cutoffs == []
+        mw.inv_one_pairing(op_constant_128)
+        vals = op_constant_128.parity.even_vals
+        assert cutoffs == [mw.spectrum(op_constant_128).tol / float(np.max(np.abs(vals)))]
 
     def test_constant_derivative_mean_zero(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
@@ -202,7 +209,8 @@ class TestSecularMinor:
         # without its mean mode, and the pairing takes the least-squares route
         op = mw.operator_for(mw.wave_at(0.0, 2 * math.pi)[0], n)
         assert_matches_grid_parity(op)
-        assert mw.inv_one_pairing(op).kernel_dim == 2
+        assert mw.spectrum(op).z_dim == 2
+        assert mw.inv_one_pairing(op).value == pytest.approx(-math.pi, abs=1e-8)
 
 
 @settings(max_examples=20)
@@ -266,7 +274,7 @@ class TestParityBlocks:
         assert (rep.n_neg, rep.z_dim) == dense_counts(dense)
         expected, kernel_dim = dense_pairing(op)
         pair = mw.inv_one_pairing(op)
-        assert pair.kernel_dim == kernel_dim
+        assert rep.z_dim == kernel_dim
         assert np.sign(pair.value) == np.sign(expected)
         assert abs(pair.value - expected) <= 1e-8 * abs(expected)
 
@@ -297,22 +305,27 @@ class TestParityBlocks:
             assert cli.dispatch(job + extra) == cli.EXIT_OK
             assert sorted(eig_calls) == sorted(values_only + added)
 
-    def test_one_spectrum_report_per_operator(self, tmp_path):
+    def test_one_spectrum_report_per_operator(self, tmp_path, monkeypatch):
         # the reports of L and of L on Y0 read the operator's one set of
-        # block spectra, and the pairing takes the kernel and tolerance of L's
+        # block spectra, and the pairing reads L's tolerance off the blocks:
+        # a morse_check or a spectrum job makes each report once
         op = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 64)
-        full, restr, pair = (f(op) for f in (mw.spectrum, mw.restricted_spectrum,
-                                             mw.inv_one_pairing))
+        full, restr = mw.spectrum(op), mw.restricted_spectrum(op)
         blocks = op.parity
         assert np.array_equal(full.eigenvalues,
                               np.sort(np.concatenate((blocks.even_vals, blocks.odd_vals))))
         assert np.array_equal(restr.eigenvalues,
                               np.sort(np.concatenate((blocks.minor_vals, blocks.odd_vals))))
-        assert (pair.tol, pair.kernel_dim) == (full.tol, full.z_dim)
         assert op.parity is blocks
+        make, reports = linop._make_report, []
+        monkeypatch.setattr(linop, "_make_report",
+                            lambda *a: reports.append(a) or make(*a))
         assert mw.morse_check(0.5, 6 * math.pi).n_L == 1
+        assert len(reports) == 2
+        reports.clear()
         assert cli.dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                              "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert len(reports) == 2
 
     def test_reflection_defect_is_rounding(self, op05_256, op_constant_128):
         for op in (op05_256, op_constant_128):
@@ -636,14 +649,14 @@ class TestInvOnePairing:
     def test_constant_case_deflated(self, op_constant_128):
         # the double kernel cos x, sin x is deflated like a simple one
         pair = mw.inv_one_pairing(op_constant_128)
-        assert pair.kernel_dim == 2
+        assert mw.spectrum(op_constant_128).z_dim == 2
         assert pair.value == pytest.approx(-math.pi, abs=1e-8)
         assert pair.residual < 1e-8
 
     def test_wave_pairing_stable_under_refinement(self, op05_256, op05_512):
         p256 = mw.inv_one_pairing(op05_256)
         p512 = mw.inv_one_pairing(op05_512)
-        assert p256.kernel_dim == 1
+        assert mw.spectrum(op05_256).z_dim == 1
         assert abs(p256.value - p512.value) < 1e-6 * abs(p512.value)
         assert p256.residual < 1e-8
 
