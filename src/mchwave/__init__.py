@@ -34,7 +34,6 @@ from .field import (
     fractional_shift,
     functionals,
     h1_norm,
-    sample,
     sample_wave,
 )
 from .indices import (
@@ -70,7 +69,6 @@ from .wave import (
     snoidal_form,
     validity,
     wave_at,
-    wave_params,
 )
 
 # the imported classes and functions; the submodules are reached by name

@@ -7,7 +7,8 @@ and JSON artifacts.  Every artifact starts with a provenance header
 seeds reproduce byte-identical bodies apart from the timestamp line.
 
 Exit codes: 0 success, 1 domain or validation error, 2 numerical
-failure, 64 usage error.
+failure, 64 usage error, 73 an artifact that cannot be written (an
+``--out-dir`` that cannot be created, say).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,6 +324,9 @@ def dispatch(argv: list[str]) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 def main() -> None:

@@ -439,8 +439,9 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     times, fields, rho_list, efvs = [], [], [], []  # the records: E, F, V in efvs
     terminated, fld, spec = TERMINATED_COMPLETED, u0, u0.spectrum
     # the state at t = 0 is not checked
-    k1, s0, steps, rhs_calls, worst = st.f(spec), 0, 0, 1, 0.0
+    s0, steps, rhs_calls, worst = 0, 0, 1, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        k1 = st.f(spec)
         while True:  # the record at s0 dt, then the interval that follows it
             times.append(s0 * dt)
             fields.append(fld)

@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -110,11 +109,6 @@ class PeriodicField:
 
     def __rmul__(self, scalar: float) -> "PeriodicField":
         return PeriodicField(self.grid, float(scalar) * self.values)
-
-
-def sample(f: Callable, grid: PeriodicGrid) -> PeriodicField:
-    """Sample a vectorized function, f(nodes) -> values, on the grid nodes."""
-    return PeriodicField(grid, f(grid.nodes))
 
 
 def sample_wave(p: WaveParams, grid: PeriodicGrid) -> PeriodicField:

@@ -38,11 +38,11 @@ valid wave:
   :mod:`mchwave.indices`, is below the smallest normal float (just below
   the ``overflow`` bound, at small k).
 
-Three scalar entry points are the one-element case of that pass:
+Two scalar entry points are the one-element case of that pass:
 :func:`wave_at` returns the wave and its :class:`ValidityReport`, admits
 k = 0 as the constant wave, and raises the typed error of a refused cell
-(an invalid margin is no error); :func:`wave_params` is its raising k > 0
-form; :func:`validity` returns the report alone and never raises.
+(an invalid margin is no error); :func:`validity` returns the report alone
+and never raises.
 """
 
 from __future__ import annotations
@@ -276,18 +276,6 @@ def wave_at(k: float, L: float) -> tuple[WaveParams, ValidityReport]:
     if report.reason in _REFUSED:
         raise DomainError(_REFUSED[report.reason].format(k=k, L=L))
     return WaveParams(k, L, *coeffs), report
-
-
-def wave_params(k: float, L: float) -> WaveParams:
-    """Construct the wave at modulus k and period L: :func:`wave_at` without
-    its report.
-
-    Requires 0 < k < 1, Delta(k, L) > 0 and a finite L**7.  A comes from
-    the wave ODE at x = 0.
-    """
-    if k == 0.0:
-        raise DomainError("wave_params requires 0 < k < 1; k = 0 is wave_at(0.0, L)")
-    return wave_at(k, L)[0]
 
 
 def profile(p: WaveParams, x):

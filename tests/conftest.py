@@ -97,7 +97,7 @@ def advance_calls(monkeypatch):
 @pytest.fixture(scope="session")
 def wave05():
     """The workhorse wave at (k, L) = (0.5, 6 pi)."""
-    return mw.wave_params(0.5, 6.0 * np.pi)
+    return mw.wave_at(0.5, 6.0 * np.pi)[0]
 
 
 @pytest.fixture(scope="session")

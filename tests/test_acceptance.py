@@ -47,7 +47,7 @@ def test_criterion_2_exact_solutions():
     t0 = time.perf_counter()
     for k in np.linspace(0.05, 0.8, 10):
         for big_l in np.linspace(3 * math.pi, 10 * math.pi, 10):
-            p = mw.wave_params(float(k), float(big_l))
+            p = mw.wave_at(float(k), float(big_l))[0]
             assert p.b < 0.0
             assert 0.0 < p.c < 1.5
             assert mw.ode_residual(p, 512) < 1e-8

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import mchwave as mw
 from mchwave import cli, linop
-from mchwave.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+from mchwave.cli import (EXIT_CANTCREAT, EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                          dispatch, parse_length)
 
 
@@ -221,6 +221,8 @@ class TestEntryPoint:
         (["--version"], EXIT_OK, "stdout", mw.__version__),
         (["wave", "--k", "0.5"], EXIT_USAGE, "stderr", "usage error:"),
         (["wave", "--k", "0.9", "--L", "3.14159"], EXIT_DOMAIN, "stderr", "domain error:"),
+        (["wave", "--k", "0.5", "--L", "6pi", "--n", "64", "--out-dir", __file__],
+         EXIT_CANTCREAT, "stderr", "i/o error:"),
     ])
     def test_module_as_a_program(self, tmp_path, argv, code, stream, text):
         # main() runs as `python -m mchwave.cli`, its exit status the code
@@ -260,6 +262,19 @@ class TestWaveCommand:
                          "--out-dir", str(target)])
         assert code == EXIT_OK
         assert (target / "wave.json").exists()
+
+    def test_out_dir_that_cannot_be_created(self, tmp_path, capsys):
+        # an existing file, and a path under it, used to end in an uncaught
+        # FileExistsError or NotADirectoryError: exit 1, the domain status
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            code = dispatch(["wave", "--k", "0.5", "--L", "6pi", "--n", "64",
+                             "--out-dir", str(out)])
+            assert code == EXIT_CANTCREAT == 73
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
     def test_invalid_wave_reports_margins(self, tmp_path, capsys):
         # k = 0.8 at L = 8 pi exists but fails the phi - c < 0 inequality; the
@@ -395,7 +410,7 @@ class TestSpectrumCommand:
         assert dispatch(["spectrum", "--k", "0.5", "--L", "6pi", "--n", "128",
                          "--out-dir", str(tmp_path)]) == EXIT_OK
         payload = strict_json(tmp_path / "spectrum.json")
-        op = linop.operator_for(mw.wave_params(0.5, 6 * math.pi), 128)
+        op = linop.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], 128)
         assert payload["operator"] == {"reflection_defect": op.reflection_defect}
         assert 0.0 <= payload["operator"]["reflection_defect"] < linop.ASYMMETRY_GATE
 
@@ -605,6 +620,15 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_DOMAIN
         assert not any(tmp_path.iterdir())
 
+    def test_overflowing_initial_state_is_blowup(self, tmp_path):
+        # the cube of a perturbation of 1e120 overflows in the first slope,
+        # which was taken outside the run's errstate block: a RuntimeWarning,
+        # an error under this suite's filter, before blow-up could be recorded
+        args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "64", "--t-end", "0.5",
+                "--delta", "1e120", "--out-dir", str(tmp_path)]
+        assert dispatch(args) == EXIT_NUMERICAL
+        assert strict_json(tmp_path / "orbit_summary.json")["terminated"] == "blowup"
+
     @pytest.mark.parametrize("command", ["evolve", "orbit"])
     def test_wave_sampled_once(self, tmp_path, count_calls, command):
         # one wave pass (its AGM ladder gives K and E) and one profile call
@@ -653,7 +677,7 @@ class TestEvolveAndOrbit:
             return call(self, spec)
 
         monkeypatch.setattr(mw.evolve._RhsOperator, "__call__", counted)
-        p = mw.wave_params(0.5, 6 * math.pi)
+        p = mw.wave_at(0.5, 6 * math.pi)[0]
         dt = mw.suggested_dt(mw.sample_wave(p, mw.PeriodicGrid(p.L, 256)), speed=p.c)
         args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "256", "--t-end", "10",
                 "--monitor-every", "25"]

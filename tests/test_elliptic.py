@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ellipe, ellipj, ellipk
 
-from mchwave import DomainError, complete_k_e, elliptic, jacobi, profile, wave_params
+from mchwave import DomainError, complete_k_e, elliptic, jacobi, profile, wave_at
 
 
 def k_quadrature(k: float) -> float:
@@ -131,7 +131,7 @@ class TestAgmStopRule:
         assert calls == [7]
         jacobi(np.linspace(0.0, 10.0, 64), 0.5)
         assert calls == [7, 1]
-        p = wave_params(0.5, 6 * math.pi)
+        p = wave_at(0.5, 6 * math.pi)[0]
         calls.clear()
         profile(p, np.linspace(0.0, p.L, 64))
         assert calls == [1]

@@ -69,7 +69,7 @@ class TestConfig:
 
     def test_suggested_dt(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u = mw.sample(lambda x: 0.3 * np.sin(x), g)
+        u = mw.PeriodicField(g, 0.3 * np.sin(g.nodes))
         assert mw.suggested_dt(u) == pytest.approx(0.5 * g.spacing, rel=1e-12)
         assert mw.suggested_dt(u, speed=2.0) == pytest.approx(
             0.5 * g.spacing / 2.3, rel=1e-12)
@@ -83,7 +83,7 @@ class TestConfig:
 class TestRhs:
     def test_constants_are_equilibria(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u = mw.sample(lambda x: 0.7 + 0 * x, g)
+        u = mw.PeriodicField(g, 0.7 + 0 * g.nodes)
         assert np.max(np.abs(grid_rhs(u))) == 0.0
 
     def test_smoothing_symbol_composition(self):
@@ -99,7 +99,7 @@ class TestRhs:
     def test_rhs_has_zero_mean(self):
         g = mw.PeriodicGrid(6 * math.pi, 128)
         rng = np.random.default_rng(4)
-        u = mw.sample(lambda x: -0.5 + 0 * x, g) + 0.3 * random_smooth(g, rng)
+        u = mw.PeriodicField(g, -0.5 + 0 * g.nodes) + 0.3 * random_smooth(g, rng)
         assert abs(np.mean(grid_rhs(u))) < 1e-15
 
     def test_dealiasing_pad_consistency(self):
@@ -107,7 +107,7 @@ class TestRhs:
         # (both alias-free)
         g = mw.PeriodicGrid(2 * math.pi, 64)
         rng = np.random.default_rng(5)
-        u = mw.sample(lambda x: -0.8 + 0 * x, g) + 0.2 * random_smooth(g, rng, modes=8)
+        u = mw.PeriodicField(g, -0.8 + 0 * g.nodes) + 0.2 * random_smooth(g, rng, modes=8)
         assert np.max(np.abs(grid_rhs(u) - _six_transform_rhs(u, 3))) < 1e-14
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -118,7 +118,7 @@ class TestRhs:
         g = mw.PeriodicGrid(6 * math.pi, n)
         rng = np.random.default_rng(n + pad)
         # every mode up to Nyquist is excited, so the padding's Nyquist split counts
-        u = mw.sample(lambda x: -0.6 + 0 * x, g) + 0.3 * random_smooth(g, rng, modes=n // 2)
+        u = mw.PeriodicField(g, -0.6 + 0 * g.nodes) + 0.3 * random_smooth(g, rng, modes=n // 2)
         ref = _six_transform_rhs(u, pad)
         out = np.fft.irfft(_RhsOperator(g)(u.spectrum), n)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -145,7 +145,7 @@ class TestRhs:
 class TestRun:
     def test_constant_equilibrium(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u0 = mw.sample(lambda x: 0.4 + 0 * x, g)
+        u0 = mw.PeriodicField(g, 0.4 + 0 * g.nodes)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0))
         assert rep.terminated == TERMINATED_COMPLETED
         assert np.max(np.abs(rep.fields[-1].values - 0.4)) < 1e-14
@@ -210,7 +210,7 @@ class TestRun:
         # threshold below the initial amplitude exercises the recording
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", 0.6)
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
+        u0 = mw.PeriodicField(g, 0.5 + 0.4 * np.sin(g.nodes))
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.01, t_end=5.0, monitor_every=1))
         assert rep.terminated == TERMINATED_BLOWUP
         assert rep.times[-1] < 5.0
@@ -223,7 +223,7 @@ class TestRun:
     def test_detection_inputs_validated(self, kwargs):
         # delta = nan used to switch detection off silently; the smallest
         # negative double is refused like any other negative delta
-        p = mw.wave_params(0.5, 6 * math.pi)
+        p = mw.wave_at(0.5, 6 * math.pi)[0]
         u0 = mw.sample_wave(p, mw.PeriodicGrid(p.L, 64))
         with pytest.raises(DomainError):
             mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0),
@@ -296,7 +296,7 @@ class TestSpectralState:
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
     def test_matches_grid_state_loop(self, k, big_l):
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         grid = mw.PeriodicGrid(p.L, 256)
         phi = mw.sample_wave(p, grid)
         u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
@@ -379,7 +379,7 @@ class TestSpectralState:
         monkeypatch.setattr(evolve, "_rk_step", counted_step)
         monkeypatch.setattr(_RhsOperator, "__call__", counted_call)
         for p, adaptive, every in ((wave05, False, 10),
-                                   (mw.wave_params(0.693, 3.6 * math.pi), True, 10**9)):
+                                   (mw.wave_at(0.693, 3.6 * math.pi)[0], True, 10**9)):
             grid = mw.PeriodicGrid(p.L, 64)
             phi = mw.sample_wave(p, grid)
             u0 = phi + 1e-2 * seeded_perturbation(grid, seed=2)
@@ -416,7 +416,7 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
                                           (0.7, 9 * math.pi)])
     def test_perturbed_waves(self, k, big_l, monitor_every):
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         grid = mw.PeriodicGrid(p.L, 256)
         phi = mw.sample_wave(p, grid)
         u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
@@ -472,7 +472,7 @@ class TestBitwiseOracle:
 
         monkeypatch.setattr(evolve, "_rk4_step", kept_step)
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        u0 = mw.sample(lambda x: 0.5 + 0.4 * np.sin(x), g)
+        u0 = mw.PeriodicField(g, 0.5 + 0.4 * np.sin(g.nodes))
         cfg = mw.EvolutionConfig(dt=1e100, t_end=2e100, monitor_every=10**9)
         got = mw.run(u0, cfg)
         assert len(states) == 1 and not np.isfinite(states[0][0]).all()
@@ -484,7 +484,7 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
     """The wave (k, L) sampled on n nodes, phi, an orbit run's
     u0 = phi + delta w, seed 2, and the fixed-step config at the suggested
     dt, t = 10, monitored every 25."""
-    p = mw.wave_params(k, big_l)
+    p = mw.wave_at(k, big_l)[0]
     grid = mw.PeriodicGrid(p.L, n)
     phi = mw.sample_wave(p, grid)
     u0 = phi + delta * seeded_perturbation(grid, seed=2)
@@ -557,7 +557,7 @@ class TestStepControl:
         # lambda vanishes at the mean mode, and N at a constant: each step of
         # the integrating factor leaves the spectrum, and every record, as it was
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u0 = mw.sample(lambda x: 0.3 + 0 * x, g)
+        u0 = mw.PeriodicField(g, 0.3 + 0 * g.nodes)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=2, adaptive=True))
         assert rep.terminated == TERMINATED_COMPLETED and len(rep.fields) == 11
         assert all(np.array_equal(fld.values, u0.values) for fld in rep.fields)
@@ -854,11 +854,10 @@ class TestStepControl:
     def test_overflowing_field_is_blowup(self):
         # the cube of 1e120 overflows in the first step: its estimate is NaN
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        u0 = mw.sample(lambda x: 1e120 * np.sin(x), g)
+        u0 = mw.PeriodicField(g, 1e120 * np.sin(g.nodes))
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=1,
                                  adaptive=True)
-        with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
-            rep = mw.run(u0, cfg)
+        rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
 
@@ -867,11 +866,10 @@ class TestStepControl:
         # the cube of 1e120 overflows in all four, RK4 and the pair in both
         # frames, and the run ends there
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        u0 = mw.sample(lambda x: 1e120 * (np.sin(x) + 0.5), g)
+        u0 = mw.PeriodicField(g, 1e120 * (np.sin(g.nodes) + 0.5))
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=3,
                                  adaptive=True)
-        with np.errstate(over="ignore", invalid="ignore"):  # E(u0) overflows too
-            rep = mw.run(u0, cfg)
+        rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 4 and rep.rhs_calls == 1 + 2 * (4 + 6)
 
@@ -1033,7 +1031,7 @@ class TestLinearizedRun:
         # speed c dx, at the wave along a band-limited v, is J L v; against
         # dx L v it is off by O(1) relative.  The flow is cubic in u, so the
         # Richardson pair of central differences is exact up to rounding
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         grid = mw.PeriodicGrid(p.L, 128)
         phi = mw.sample_wave(p, grid).values
         v = random_smooth(grid, np.random.default_rng(5)).values
@@ -1141,7 +1139,7 @@ class TestOrbitalExperiment:
         # at (0.9, 4 pi), where the run goes on with the pair, rho / delta
         # grows from 0.996 at t = 0 to 1.10 at t = 5: a factor between the two
         # ends the run at a record after t = 0, the first above it
-        p = mw.wave_params(0.9, 4 * math.pi)
+        p = mw.wave_at(0.9, 4 * math.pi)[0]
         phi = mw.sample_wave(p, mw.PeriodicGrid(p.L, 256))
         cfg = mw.EvolutionConfig(dt=mw.suggested_dt(phi, speed=p.c), t_end=5.0, monitor_every=25,
                                  adaptive=True)

@@ -57,37 +57,37 @@ class TestGridAndField:
 
     def test_sample_constant_and_mode(self):
         g = mw.PeriodicGrid(2 * math.pi, 16)
-        ones = mw.sample(lambda x: 1.0 + 0.0 * x, g)
+        ones = mw.PeriodicField(g, 1.0 + 0.0 * g.nodes)
         assert np.all(ones.values == 1.0)
-        mode = mw.sample(lambda x: np.sin(2 * np.pi * x / g.L), g)
+        mode = mw.PeriodicField(g, np.sin(2 * np.pi * g.nodes / g.L))
         assert np.allclose(mode.values, np.sin(g.nodes), atol=1e-15)
 
     def test_sample_scalar_function(self):
-        # f gets the node array: a scalar-only function is refused, and a
-        # result of the wrong shape is refused by the field
+        # values are computed over the node array, which a scalar-only
+        # function refuses; a result of the wrong shape is refused by the field
         g = mw.PeriodicGrid(2 * math.pi, 16)
         with pytest.raises(TypeError):
-            mw.sample(math.cos, g)
+            mw.PeriodicField(g, math.cos(g.nodes))
         with pytest.raises(DomainError):
-            mw.sample(lambda x: 1.0, g)
+            mw.PeriodicField(g, 1.0)
 
     def test_sample_nonfinite_rejected(self):
         g = mw.PeriodicGrid(2 * math.pi, 16)
         with pytest.raises(DomainError):
-            mw.sample(lambda x: np.where(x == g.nodes[3], np.inf, 1.0), g)
+            mw.PeriodicField(g, np.where(g.nodes == g.nodes[3], np.inf, 1.0))
 
 
 class TestDerivative:
     def test_single_mode(self):
         g = mw.PeriodicGrid(6.0, 64)
-        u = mw.sample(lambda x: np.sin(2 * np.pi * x / g.L), g)
+        u = mw.PeriodicField(g, np.sin(2 * np.pi * g.nodes / g.L))
         d = mw.derivative(u)
         expected = (2 * np.pi / g.L) * np.cos(2 * np.pi * g.nodes / g.L)
         assert np.max(np.abs(d.values - expected)) < 1e-12
 
     def test_constant_derivative_zero(self):
         g = mw.PeriodicGrid(3.0, 32)
-        assert np.max(np.abs(mw.derivative(mw.sample(lambda x: 4.2 + 0 * x, g)).values)) == 0.0
+        assert np.max(np.abs(mw.derivative(mw.PeriodicField(g, 4.2 + 0 * g.nodes)).values)) == 0.0
 
     def test_composition_matches_second_order(self):
         # oracle: the symbol -kappa^2 with the Nyquist mode zeroed, as each
@@ -103,7 +103,7 @@ class TestDerivative:
 
     def test_third_order(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u = mw.sample(lambda x: np.sin(3 * x), g)
+        u = mw.PeriodicField(g, np.sin(3 * g.nodes))
         d3 = mw.derivative(mw.derivative(mw.derivative(u)))
         assert np.max(np.abs(d3.values + 27 * np.cos(3 * g.nodes))) < 1e-10
 
@@ -111,7 +111,7 @@ class TestDerivative:
         # first order only: higher orders are compositions
         g = mw.PeriodicGrid(2 * math.pi, 16)
         with pytest.raises(TypeError):
-            mw.derivative(mw.sample(lambda x: 0 * x, g), 2)
+            mw.derivative(mw.PeriodicField(g, 0 * g.nodes), 2)
 
     def test_held_spectrum_is_used(self, fft_calls):
         # derivative and helmholtz_inverse read the field's held rfft,
@@ -138,17 +138,17 @@ class TestDerivative:
 class TestIntegrate:
     def test_full_period_sine(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        assert abs(integrate(mw.sample(np.sin, g))) < 1e-14
+        assert abs(integrate(mw.PeriodicField(g, np.sin(g.nodes)))) < 1e-14
 
     def test_constant(self):
         g = mw.PeriodicGrid(5.0, 32)
-        assert integrate(mw.sample(lambda x: 1.0 + 0 * x, g)) == pytest.approx(5.0, rel=1e-15)
+        assert integrate(mw.PeriodicField(g, 1.0 + 0 * g.nodes)) == pytest.approx(5.0, rel=1e-15)
 
     def test_dn_squared_mean_value(self, wave05):
         # int_0^L dn^2(2Kx/L) dx = L E/K, cross-checked by adaptive quadrature
         big_k, big_e = mw.complete_k_e(wave05.k)
         g = mw.PeriodicGrid(wave05.L, 256)
-        dn2 = mw.sample(lambda x: mw.jacobi(2 * big_k * x / wave05.L, wave05.k)[2] ** 2, g)
+        dn2 = mw.PeriodicField(g, mw.jacobi(2 * big_k * g.nodes / wave05.L, wave05.k)[2] ** 2)
         val = integrate(dn2)
         assert abs(val - wave05.L * big_e / big_k) < 1e-10
         oracle, _ = quad(lambda x: mw.jacobi(2 * big_k * x / wave05.L, wave05.k)[2] ** 2,
@@ -160,7 +160,7 @@ class TestFunctionals:
     def test_constant_state(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
         kappa = 0.7
-        e, f, v = mw.functionals(mw.sample(lambda x: kappa + 0 * x, g))
+        e, f, v = mw.functionals(mw.PeriodicField(g, kappa + 0 * g.nodes))
         big_l = 2 * math.pi
         assert e == pytest.approx(-kappa**4 * big_l / 4, rel=1e-14)
         assert f == pytest.approx(kappa**2 * big_l / 2, rel=1e-14)
@@ -168,7 +168,7 @@ class TestFunctionals:
 
     def test_zero_state(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        assert mw.functionals(mw.sample(lambda x: 0.0 * x, g)) == (0.0, 0.0, 0.0)
+        assert mw.functionals(mw.PeriodicField(g, 0.0 * g.nodes)) == (0.0, 0.0, 0.0)
 
     def test_spectral_convergence(self, wave05):
         f256 = np.array(mw.functionals(mw.sample_wave(wave05, mw.PeriodicGrid(wave05.L, 256))))
@@ -189,7 +189,7 @@ class TestFunctionals:
 class TestAugmented:
     def test_zero_state(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
-        assert augmented(mw.sample(lambda x: 0.0 * x, g), 0.7, 0.3) == 0.0
+        assert augmented(mw.PeriodicField(g, 0.0 * g.nodes), 0.7, 0.3) == 0.0
 
     def test_wave_is_critical_point(self, wave05):
         # the Gateaux derivative of G at phi vanishes
@@ -339,7 +339,7 @@ class TestSemidistance:
         # bounded scalar minimizations around the best one; the second,
         # re-centred on the first, gets below minimize_scalar's
         # sqrt(eps) * |x| stopping floor
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         g = mw.PeriodicGrid(p.L, 128)
         phi = mw.sample_wave(p, g)
         u = mw.fractional_shift(phi, frac * p.L) + eps * seeded_perturbation(g, seed)
@@ -370,7 +370,7 @@ class TestSemidistance:
         # u - phi(. + y*); both distances are sums of squares, so they agree
         # to rounding of phi's size at any perturbation size
         assume(mw.validity(k, big_l).all_ok)
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         g = mw.PeriodicGrid(p.L, n)
         phi = mw.sample_wave(p, g)
         u = mw.fractional_shift(phi, frac * p.L) + 10.0**log_eps * seeded_perturbation(g, seed)
@@ -426,13 +426,13 @@ class TestSemidistance:
     def test_grid_period_mismatch(self, wave05):
         g = mw.PeriodicGrid(5.0, 64)
         with pytest.raises(DomainError):
-            semidistance(mw.sample(lambda x: 0 * x, g), wave05)
+            semidistance(mw.PeriodicField(g, 0 * g.nodes), wave05)
 
 
 class TestHelpers:
     def test_fractional_shift_exactness(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
-        u = mw.sample(lambda x: np.sin(3 * x) + 0.5 * np.cos(5 * x), g)
+        u = mw.PeriodicField(g, np.sin(3 * g.nodes) + 0.5 * np.cos(5 * g.nodes))
         s = 0.4321
         shifted = mw.fractional_shift(u, s)
         expected = np.sin(3 * (g.nodes + s)) + 0.5 * np.cos(5 * (g.nodes + s))
@@ -441,7 +441,7 @@ class TestHelpers:
     def test_helmholtz_inverse_symbol(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
         for m in (1, 3, 7):
-            u = mw.sample(lambda x: np.cos(m * x), g)
+            u = mw.PeriodicField(g, np.cos(m * g.nodes))
             out = helmholtz_inverse(u)
             assert np.max(np.abs(out.values - np.cos(m * g.nodes) / (1 + m * m))) < 1e-14
 

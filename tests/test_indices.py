@@ -33,14 +33,14 @@ class TestStabilityIndex:
         k, big_l = 0.4, 6 * math.pi
         grid = mw.PeriodicGrid(big_l, 256)
         for kk in (0.35, 0.4, 0.45):
-            p = mw.wave_params(kk, big_l)
+            p = mw.wave_at(kk, big_l)[0]
             v = mw.functionals(mw.sample_wave(p, grid))[2]
             assert abs(v - p.a * big_l) < 1e-12
 
         s = mw.stability_index(k, big_l)
 
         def v_of(kk: float) -> np.ndarray:
-            phi = mw.sample_wave(mw.wave_params(kk, big_l), grid)
+            phi = mw.sample_wave(mw.wave_at(kk, big_l)[0], grid)
             return np.array([mw.functionals(phi)[2]])
 
         dv_direct = float(fd_dk(v_of, k, 1e-3)[0])
@@ -74,7 +74,7 @@ class TestStabilityIndex:
         grid = mw.PeriodicGrid(big_l, 256)
 
         def sampled_f(kk: float) -> np.ndarray:
-            phi = mw.sample_wave(mw.wave_params(kk, big_l), grid)
+            phi = mw.sample_wave(mw.wave_at(kk, big_l)[0], grid)
             return np.array([mw.functionals(phi)[1]])
 
         fd = float(fd_dk(sampled_f, k, 1e-3)[0])
@@ -204,7 +204,7 @@ class TestIndexScan:
         # and dA/dk underflowed to 0.0
         k, big_l = cell
         with pytest.raises(DomainError, match="too large"):
-            mw.wave_params(k, big_l)
+            mw.wave_at(k, big_l)
         [sample], summary = mw.index_scan(k, k, big_l, big_l, 1, 1)
         assert sample.reason == "overflow" and not sample.valid
         assert summary.invalid_reasons == {"overflow": 1}
@@ -302,9 +302,9 @@ class TestZeroMeanPeriod:
     def test_root_found_at_high_modulus(self):
         l_star = zero_mean_period(0.985)
         assert l_star is not None
-        assert abs(mw.wave_params(0.985, l_star).a) < 1e-10
+        assert abs(mw.wave_at(0.985, l_star)[0].a) < 1e-10
         # the sampled profile has (almost) zero mean there
-        p = mw.wave_params(0.985, l_star)
+        p = mw.wave_at(0.985, l_star)[0]
         phi = mw.sample_wave(p, mw.PeriodicGrid(p.L, 256))
         assert abs(integrate(phi) / p.L) < 1e-9
 
@@ -325,8 +325,8 @@ class TestZeroMeanPeriod:
         # a rises through 0 at L*: the root is the branch, not a stray value
         l_star = zero_mean_period(k)
         assert l_star is not None
-        assert mw.wave_params(k, l_star * (1.0 - 1e-8)).a < 0.0
-        assert mw.wave_params(k, l_star * (1.0 + 1e-8)).a > 0.0
+        assert mw.wave_at(k, l_star * (1.0 - 1e-8))[0].a < 0.0
+        assert mw.wave_at(k, l_star * (1.0 + 1e-8))[0].a > 0.0
 
     def test_elementwise_over_real_and_complex_moduli(self):
         ks = np.array([0.5, 0.985, 0.999, 1.0 - 1e-13])
@@ -368,10 +368,10 @@ class TestDSecond:
         rep = mw.d_second(k)
         l_hi = zero_mean_period(k + h)
         l_lo = zero_mean_period(k - h)
-        c_hi = mw.wave_params(k + h, l_hi).c
-        c_lo = mw.wave_params(k - h, l_lo).c
+        c_hi = mw.wave_at(k + h, l_hi)[0].c
+        c_lo = mw.wave_at(k - h, l_lo)[0].c
         dl_dc = (l_hi - l_lo) / (c_hi - c_lo)
-        p = mw.wave_params(k, rep.L_star)
+        p = mw.wave_at(k, rep.L_star)[0]
         phi0 = mw.profile(p, 0.0)[0]
         density = -(phi0**4) / 4.0 + p.c * 0.5 * phi0**2
         predicted = dl_dc * (density - p.A * phi0)

@@ -197,11 +197,11 @@ class TestSecularMinor:
     def test_near_the_zero_mean_period(self, n):
         # k = 0.999 at L*: the even eigenvectors' mean-mode entries decay slowest
         l_star = mw.indices.zero_mean_period(0.999)
-        assert_matches_grid_parity(mw.operator_for(mw.wave_params(0.999, l_star), n))
+        assert_matches_grid_parity(mw.operator_for(mw.wave_at(0.999, l_star)[0], n))
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_large_k(self, n):
-        assert_matches_grid_parity(mw.operator_for(mw.wave_params(0.9, 4 * math.pi), n))
+        assert_matches_grid_parity(mw.operator_for(mw.wave_at(0.9, 4 * math.pi)[0], n))
 
     @pytest.mark.parametrize("n", [16, 128, 1024])
     def test_constant_wave_deflates_all_but_the_mean(self, n):
@@ -219,7 +219,7 @@ class TestSecularMinor:
 def test_secular_minor_matches_eigvalsh(k, big_l, n):
     # on the criterion-6 window (the id keeps the secular route's name)
     assume(mw.validity(k, big_l).all_ok)
-    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), n))
+    assert_matches_grid_parity(mw.operator_for(mw.wave_at(k, big_l)[0], n))
 
 
 def assert_matches_dense_evolution(op):
@@ -309,7 +309,7 @@ class TestParityBlocks:
         # the reports of L and of L on Y0 read the operator's one set of
         # block spectra, and the pairing reads L's tolerance off the blocks:
         # a morse_check or a spectrum job makes each report once
-        op = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 64)
+        op = mw.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], 64)
         full, restr = mw.spectrum(op), mw.restricted_spectrum(op)
         blocks = op.parity
         assert np.array_equal(full.eigenvalues,
@@ -351,7 +351,7 @@ class TestParityBlocks:
 def test_parity_counts_match_dense(k, big_l):
     assume(mw.validity(k, big_l).all_ok)
     n = 128
-    op = mw.operator_for(mw.wave_params(k, big_l), n)
+    op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
     full = mw.spectrum(op)
     a = dense_matrix(op)
     assert (full.n_neg, full.z_dim) == dense_counts(np.linalg.eigvalsh(a))
@@ -486,7 +486,7 @@ class TestHillBlocks:
         # the dense residual max |A w - 1|; both residuals are rounding, so they
         # agree to 1e-12 of the scale max |A| max |w| of the terms they cancel
         n = 256
-        op = mw.operator_for(mw.wave_params(k, big_l), n)
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
         pair = mw.inv_one_pairing(op)
         vals, vecs = np.linalg.eigh(op._blocks[0])
         head = vecs[0]
@@ -518,7 +518,7 @@ class TestHillBlocks:
 @example(k=0.0625, big_l=11.0)  # near the constant wave: smallest even eigenvalue 7.3e-6
 def test_hill_blocks_match_grid_parity(k, big_l):
     assume(mw.validity(k, big_l).all_ok)
-    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), 128))
+    assert_matches_grid_parity(mw.operator_for(mw.wave_at(k, big_l)[0], 128))
 
 
 @settings(max_examples=8)
@@ -528,7 +528,7 @@ def test_values_only_solves_match_grid_parity(k, big_l, n):
     # on the criterion-6 window: the odd block and Y0, solved values-only,
     # against the dense grid-parity oracle at 1e-13 radius, and their counts
     assume(mw.validity(k, big_l).all_ok)
-    assert_matches_grid_parity(mw.operator_for(mw.wave_params(k, big_l), n))
+    assert_matches_grid_parity(mw.operator_for(mw.wave_at(k, big_l)[0], n))
 
 
 @settings(max_examples=12)
@@ -538,7 +538,7 @@ def test_counts_are_a_recount_of_the_report(k, big_l, n):
     # on the criterion-6 window: n_neg and z_dim are the recount of the
     # report's own eigenvalues at its own tol, the supported re-threshold
     assume(mw.validity(k, big_l).all_ok)
-    op = mw.operator_for(mw.wave_params(k, big_l), n)
+    op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
     for rep in (mw.spectrum(op), mw.restricted_spectrum(op)):
         assert (rep.n_neg, rep.z_dim) == recount(rep.eigenvalues, rep.tol)
 
@@ -569,7 +569,7 @@ class TestInPlaceAssembly:
         # an odd part of 1e-14 stays below the gate and is assembled; one of
         # order 1 is refused with the same message and defect
         grid = mw.PeriodicGrid(6 * math.pi, n)
-        even = mw.operator_for(mw.wave_params(0.5, 6 * math.pi), n)
+        even = mw.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], n)
         odd_part = amplitude * np.stack([random_smooth(grid, np.random.default_rng(s)).values
                                          for s in (1, 2)])
         op = linop.OperatorMatrix(grid, even.coefficients + odd_part)
@@ -588,7 +588,7 @@ class TestInPlaceAssembly:
 @given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
 def test_in_place_assembly_on_the_criterion_6_window(k, big_l):
     assume(mw.validity(k, big_l).all_ok)
-    p = mw.wave_params(k, big_l)
+    p = mw.wave_at(k, big_l)[0]
     for n in ORACLE_SIZES:
         assert_blocks_match_reference(mw.operator_for(p, n))
 
@@ -598,7 +598,7 @@ class TestEvolutionOperator:
         # oracle: J L = Q^T (J A) Q for the dense J and grid matrix A and the
         # explicit cosine and sine bases Q; it is [[0, K O], [-K E, 0]] in the
         # program's blocks, K = kappa / (1 + kappa^2), cosine rows 0 and n/2 zero
-        for op in (mw.operator_for(mw.wave_params(0.5, 6 * math.pi), 256),
+        for op in (mw.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], 256),
                    mw.operator_for(mw.wave_at(0.0, 2 * math.pi)[0], 128)):
             n, half = op.grid.n, op.grid.n // 2
             q = np.hstack((cosine_basis(n), sine_basis(n)))
@@ -637,7 +637,7 @@ class TestEvolutionOperator:
         for _ in range(3):
             k = rng.uniform(0.2, 0.7)
             big_l = rng.uniform(5 * math.pi, 9 * math.pi)
-            assert_matches_dense_evolution(mw.operator_for(mw.wave_params(k, big_l), 128))
+            assert_matches_dense_evolution(mw.operator_for(mw.wave_at(k, big_l)[0], 128))
 
     def test_wave_is_spectrally_stable(self, op05_256):
         rep = mw.evolution_spectrum(op05_256)
@@ -695,7 +695,7 @@ def test_default_counts_invariant_under_refinement(k, big_l):
     # the kernel (1.2e-5 at (0.1, 5 pi)) out of the kernel at every n, and
     # the zero-mean Morse identities hold at every n
     assume(mw.validity(k, big_l).all_ok)
-    p = mw.wave_params(k, big_l)
+    p = mw.wave_at(k, big_l)[0]
     counts = set()
     for n in (128, 256, 512, 1024):
         op = mw.operator_for(p, n)
@@ -718,7 +718,7 @@ def test_evolution_counts_invariant_under_refinement(k, big_l):
     # (phi', its generalized eigenvector and the Nyquist cosine) and no real
     # unstable pair; dx L's 1e-6 radius rule gave z_dim = 5 at n = 512
     assume(mw.validity(k, big_l).all_ok)
-    p = mw.wave_params(k, big_l)
+    p = mw.wave_at(k, big_l)[0]
     for n in (128, 256, 512, 1024):
         rep = mw.evolution_spectrum(mw.operator_for(p, n))
         assert (rep.n_neg, rep.z_dim) == (0, 3)

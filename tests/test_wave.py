@@ -27,9 +27,8 @@ PUBLIC_NAMES = [
     "d_second", "derivative", "evolution_spectrum", "fractional_shift", "functionals",
     "h1_norm", "index_scan", "inv_one_pairing", "jacobi", "krein_index", "linearized_run",
     "morse_check", "ode_residual", "operator_for", "orbital_experiment", "profile",
-    "restricted_spectrum", "run", "sample", "sample_wave", "snoidal_form", "spectrum",
-    "stability_index", "suggested_dt", "validity", "wave_at", "wave_params",
-    "zero_mean_period",
+    "restricted_spectrum", "run", "sample_wave", "snoidal_form", "spectrum",
+    "stability_index", "suggested_dt", "validity", "wave_at", "zero_mean_period",
 ]
 
 
@@ -81,19 +80,19 @@ class TestWaveParams:
     def test_discriminant_failure(self):
         assert mw.validity(0.9, math.pi).discriminant_ok is False
         with pytest.raises(DomainError):
-            mw.wave_params(0.9, math.pi)
+            mw.wave_at(0.9, math.pi)
 
     def test_modulus_domain(self):
-        for k in (0.0, 1.0, -0.5, 1.5):
+        for k in (1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
-                mw.wave_params(k, 6.0 * math.pi)
+                mw.wave_at(k, 6.0 * math.pi)
 
     @pytest.mark.parametrize("big_l", [2e51, 3e51, 1e60, 1e80])
     def test_huge_period_is_a_domain_error(self, big_l):
         # L**7 overflows above DBL_MAX^(1/7), about 1.087e44, L**4 in the
         # coefficients above about 1e77: an OverflowError before
         with pytest.raises(DomainError, match="too large"):
-            mw.wave_params(0.5, big_l)
+            mw.wave_at(0.5, big_l)
 
     @pytest.mark.parametrize("k,big_l", [(0.5, 1e-200), (0.5, 5e-324), (0.5, 1e300),
                                          (0.5, -1e300), (1e200, 10.0), (-1e300, 10.0)])
@@ -104,7 +103,7 @@ class TestWaveParams:
         assert not rep.discriminant_ok and not rep.all_ok
         assert math.isnan(rep.ineq_i_value) and math.isnan(rep.ineq_ii_margin)
         with pytest.raises(DomainError):
-            mw.wave_params(k, big_l)
+            mw.wave_at(k, big_l)
 
     @pytest.mark.parametrize("k", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("big_l", [20.0, 1e2, 1e3, 1e4, 1e5])
@@ -114,14 +113,14 @@ class TestWaveParams:
         # 1.5 L^2 - sqrt(Delta)/2
         x = 2048.0 * mw.complete_k_e(k)[0] ** 4 * (1.0 - k * k + k**4) / big_l**4
         expected = x / (2.0 * (3.0 + math.sqrt(9.0 - x)))
-        c = mw.wave_params(k, big_l).c
+        c = mw.wave_at(k, big_l)[0].c
         assert abs(c - expected) <= 1e-14 * expected
         assert c > 0.0
 
     def test_param_bounds_on_grid(self):
         for k in np.linspace(0.05, 0.8, 10):
             for big_l in np.linspace(3 * math.pi, 10 * math.pi, 10):
-                p = mw.wave_params(float(k), float(big_l))
+                p = mw.wave_at(float(k), float(big_l))[0]
                 assert p.b < 0.0
                 assert 0.0 < p.c < 1.5
 
@@ -130,7 +129,7 @@ class TestWaveParams:
         # in one call, agrees with the ODE evaluation
         ks, ls = np.meshgrid(np.linspace(0.05, 0.8, 10), np.linspace(3 * math.pi, 10 * math.pi, 10))
         closed = a_closed_form(ks, ls)[0]
-        ode = np.array([mw.wave_params(k, big_l).A for k, big_l in zip(ks.flat, ls.flat)])
+        ode = np.array([mw.wave_at(k, big_l)[0].A for k, big_l in zip(ks.flat, ls.flat)])
         assert np.max(np.abs(ode - closed.ravel())) < 1e-8
 
     @pytest.mark.parametrize("window", [(0.01, 0.2, 3 * math.pi, 6 * math.pi),
@@ -150,7 +149,7 @@ class TestWaveParams:
         assert np.all(np.abs(ode[has_wave] - closed) <= 1e3 * floor)
         closed, floor = a_closed_form(0.5, 20.0)
         assert 1e-16 < floor < 1e-15
-        assert abs(mw.wave_params(0.5, 20.0).A + 1e-9 - closed) > 1e3 * floor
+        assert abs(mw.wave_at(0.5, 20.0)[0].A + 1e-9 - closed) > 1e3 * floor
 
 
 class TestProfile:
@@ -188,7 +187,7 @@ class TestProfile:
 
     def test_mean_is_a(self):
         for k, big_l in [(0.2, 4 * math.pi), (0.5, 6 * math.pi), (0.75, 9 * math.pi)]:
-            p = mw.wave_params(k, big_l)
+            p = mw.wave_at(k, big_l)[0]
             grid = mw.PeriodicGrid(p.L, 256)
             phi = mw.sample_wave(p, grid)
             assert abs(integrate(phi) / p.L - p.a) < 1e-10
@@ -221,7 +220,7 @@ class TestOdeResidual:
     def test_exact_solution_grid(self):
         for k in np.linspace(0.05, 0.8, 10):
             for big_l in np.linspace(3 * math.pi, 10 * math.pi, 10):
-                p = mw.wave_params(float(k), float(big_l))
+                p = mw.wave_at(float(k), float(big_l))[0]
                 assert mw.ode_residual(p, 512) < 1e-8
 
     def test_constant_wave_residual(self):
@@ -279,7 +278,7 @@ class TestValidity:
         # valid and invalid draws; those without a wave have no profile
         rep = mw.validity(k, big_l)
         assume(rep.discriminant_ok)
-        self.check_margin_against_sampling(rep, mw.wave_params(k, big_l))
+        self.check_margin_against_sampling(rep, mw.wave_at(k, big_l)[0])
 
     @pytest.mark.parametrize("big_l", [2.2 * math.pi, 2.5 * math.pi, 3 * math.pi,
                                        4 * math.pi, 6 * math.pi, 7.3 * math.pi,
@@ -305,12 +304,12 @@ class TestMomentumClosedForm:
         # the spectral quadrature of the sampled profile is exact to
         # rounding for this smooth periodic integrand
         for big_l in (4.0 * math.pi, 7.0 * math.pi):
-            p = mw.wave_params(k, big_l)
+            p = mw.wave_at(k, big_l)[0]
             sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 256)))[1]
             assert _closed_forms(k, big_l)[4] == pytest.approx(sampled, rel=1e-13)
 
-    def test_real_k_reproduces_wave_params(self):
-        p = mw.wave_params(0.4, 6.0 * math.pi)
+    def test_real_k_reproduces_wave_at(self):
+        p = mw.wave_at(0.4, 6.0 * math.pi)[0]
         assert _closed_forms(p.k, p.L)[:4] == (p.a, p.b, p.c, p.A)
 
 
@@ -318,7 +317,7 @@ class TestEnergyClosedForm:
     @pytest.mark.parametrize("k,big_l", [(0.3, 4 * math.pi), (0.5, 6 * math.pi),
                                          (0.9, 20.0), (0.985, 34.9)])
     def test_matches_sampled_functional(self, k, big_l):
-        p = mw.wave_params(k, big_l)
+        p = mw.wave_at(k, big_l)[0]
         sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 1024)))[0]
         a, b, _, big_k, big_e = _params_from_k_l(k, big_l)
         assert _energy(a, b, k, big_k, big_e, big_l) == pytest.approx(sampled, rel=1e-12)
@@ -362,11 +361,11 @@ class TestParamDerivatives:
                 assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-9)
 
     def test_exact_path_domain_errors(self):
-        # wave_params refuses the cells where the exact path has no wave
-        for k, big_l in [(0.0, 6.0 * math.pi), (1.0, 6.0 * math.pi), (0.5, 0.0),
-                         (0.5, math.nan), (0.9, math.pi)]:  # the last has Delta < 0
+        # wave_at refuses the cells where the exact path has no wave
+        for k, big_l in [(1.0, 6.0 * math.pi), (0.5, 0.0), (0.5, math.nan),
+                         (0.9, math.pi)]:  # the last has Delta < 0
             with pytest.raises(DomainError):
-                mw.wave_params(k, big_l)
+                mw.wave_at(k, big_l)
 
     def test_one_derivative_path(self):
         # every k-derivative is the complex step of wave._dk, and A comes
@@ -383,9 +382,11 @@ class TestParamDerivatives:
     def test_no_second_entry_points(self):
         # the grid-space right side, the scalar derivative wrapper and the L^2
         # pairing re-entered code the laboratory calls another way, as did the
-        # command line's usage exit and cell formatter; the tests' stand-ins
-        # live in conftest
-        deleted = {"rhs", "params_dk", "ParamDerivatives", "inner_l2", "UsageExit", "_fmt"}
+        # command line's usage exit and cell formatter, and the aliases
+        # wave_params (wave_at without its report) and sample (a PeriodicField
+        # of f(grid.nodes)); the tests' stand-ins live in conftest
+        deleted = {"rhs", "params_dk", "ParamDerivatives", "inner_l2", "UsageExit", "_fmt",
+                   "wave_params", "sample"}
         assert names_in_package(deleted) == []
         assert not deleted & set(mw.__all__)
 
@@ -400,8 +401,8 @@ class TestParamDerivatives:
         assert mw.__all__ == PUBLIC_NAMES
 
     def test_one_wave_entry_point(self):
-        # a wave and its verdict come from wave_at (wave_params and validity
-        # are its two other faces); the entry points it replaced are gone
+        # a wave and its verdict come from wave_at (validity is its other
+        # face); the entry points it replaced are gone
         deleted = {"constant_wave", "constant_or_wave", "_wave_and_validity", "_one_wave",
                    "_nonconstant_wave", "_refuse", "_validity_report", "_refusal", "_power"}
         assert names_in_package(deleted) == []
@@ -428,10 +429,9 @@ class TestParamDerivatives:
 @pytest.mark.parametrize("call", [
     lambda out: mw.wave_at(0.5, 6.0 * math.pi),
     lambda out: mw.validity(0.5, 6.0 * math.pi),
-    lambda out: mw.wave_params(0.5, 6.0 * math.pi),
     lambda out: mw.morse_check(0.5, 6.0 * math.pi, n=64),
     lambda out: dispatch(["wave", "--k", "0.5", "--L", "6pi", "--out-dir", str(out)]),
-], ids=["wave_at", "validity", "wave_params", "morse_check", "cli_wave"])
+], ids=["wave_at", "validity", "morse_check", "cli_wave"])
 def test_one_wave_pass(call, count_calls, tmp_path):
     # each entry point evaluates the closed forms and the validity margins once
     passes = count_calls(mw.wave._waves)
