@@ -11,7 +11,9 @@ comes from the transport term alone, with speed ~ u: classical RK4 is
 stable for dt max |u| / (L / n) up to about 2 sqrt(2) / pi, and the
 integrating factor below leaves only the speed max |u - ubar|.
 
-Step control.  A run records the state every ``monitor_every`` steps of
+Step control.  One loop, ``_integrate``, steps this flow and the
+linearized one of :func:`linearized_run`, each with its stepping state.
+A run records the state every ``monitor_every`` steps of
 ``dt``; fixed steps are classical RK4.  With ``adaptive`` set the fewest
 equal steps h whose error estimates meet their method's target fill each
 interval between records, in one of two frames and with one of two
@@ -40,10 +42,12 @@ the fewest predicted right sides, rhs-per-step ceil(span / (0.9 h
 its steps by that estimate.  A trial keeps only the estimates: every
 attempt at an interval steps it whole from its start.
 A zero mean (within rounding, ``linop._zero_tol``) leaves the lab's
-frame alone.  The right side, candidates, targets and step-size law are
-one value per run (``_stepping``), and the slope the run holds is f(u)
-in every frame, so a trial costs a step per candidate and no other
-right side.  The counts start from h = 0.25 (L/n) / max |u0 - ubar| and
+frame alone.  A run's stepping state is one value (``_stepping``): its
+right side, candidates, targets, step-size law and bound, max |u| at
+most ``BLOWUP_THRESHOLD`` here and, for J L, whose growing modes leave
+any fixed bound, finiteness.  The slope the run holds is f(u) in every
+frame, so a trial costs a step per candidate and no other right side.
+The counts start from h = 0.25 (L/n) / max |u0 - ubar| and
 follow the chosen pair's law (safety 0.9, growth at most 2x); an
 interval over the target is redone.  A non-finite estimate or a kept
 state past the bound, in every trial too, or a count past
@@ -74,6 +78,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +103,12 @@ STEP_TOL = 1e-11
 # The same for the Dormand-Prince pair's steps, whose estimate is of order 4,
 # not 3: at STEP_TOL five of the 72 bench orbit jobs missed 1e-8 delta in rho.
 PAIR_TOL = 3e-12
-# An adaptive interval past this many times its count of dt steps is blow-up.
+# An adaptive interval past this many times its count of dt steps is blow-up,
+# and a fixed dt below suggested_dt / MAX_REFINE is refused.
 MAX_REFINE = 64
+# A plan of more records is refused: 2**15 fields of n = 1024 values keep
+# 256 MiB (records x n x 8 B), their held spectra about as much again.
+MAX_RECORDS = 2**15
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ class _RhsOperator:
     ``sym_out`` carries the 1/8: the factors are powers of two, so every
     rounding is that of w itself while the values stay in the normal
     range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
-    even fine ones).  ``run`` builds the mean's frame from ``sym_smooth``.
+    even fine ones), bounded in ``_stepping``, which takes ``sym_smooth`` too.
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -268,8 +277,8 @@ _METHODS = (_RK4, _DP54)
 
 def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One textbook RK4 step from ``values``, whose slope ``k1 = f(values)``
-    the caller has evaluated: the new state and k4.  Fixed steps, the lab
-    frame's RK4 steps and :func:`linearized_run` take it."""
+    the caller has evaluated: the new state and k4.  Every RK4 step in the
+    lab's frame, fixed ones of both flows too, takes it via ``_rk_step``."""
     k2 = f(values + 0.5 * dt * k1)
     k3 = f(values + 0.5 * dt * k2)
     k4 = f(values + dt * k3)
@@ -322,39 +331,37 @@ class _Frame:
         return es
 
 
-def _advance(f: _RhsOperator, frame: _Frame | None, pair: _Pair, spec: np.ndarray,
+def _advance(st: _Stepping, frame: _Frame | None, pair: _Pair, spec: np.ndarray,
              k1: np.ndarray, q: int, h: float,
              tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
     """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
-    f(spec) is given, in ``frame`` (Lawson's stages take N = f - lam y;
+    st.f(spec) is given, in ``frame`` (Lawson's stages take N = f - lam y;
     None is the lab's, classical): the end state and its f, the largest
     estimate per unit time and the steps taken.  The first estimate not
     within ``tol`` ends the steps and is returned, with a state of None if
-    it is not finite.  A state that passes the estimate and leaves the
-    blow-up bound ends them too: None, with an estimate of +inf."""
+    it is not finite.  A state that passes the estimate and fails
+    ``st.bounded`` ends them too: None, with an estimate of +inf."""
     # the error vanishes at the mean and Nyquist modes: Parseval's weight is 2
-    scale = math.sqrt(2.0) / (pair.err_div * f.n)
-    worst, nl, es, n1 = 0.0, f, None, k1
+    scale = math.sqrt(2.0) / (pair.err_div * st.n)
+    worst, nl, es, n1 = 0.0, st.f, None, k1
     if frame is not None:
         lam = frame.lam
 
         def nl(y: np.ndarray) -> np.ndarray:
-            out = f(y)
+            out = st.f(y)
             out -= lam * y
             return out
         es = frame.factors(pair, h)
         n1 = k1 - lam * spec
     for j in range(q):
         spec, err = _rk_step(nl, pair, spec, n1, h, es)
-        k1 = f(spec)
+        k1 = st.f(spec)
         n1 = k1 if frame is None else k1 - lam * spec  # the next step's first stage
         err -= n1
         est = scale * float(np.linalg.norm(err))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1
-        # f(spec) left 2u at the coarse nodes: against twice the threshold
-        # the test is exact, and NaN fails too
-        if not (np.max(np.abs(f.u2_coarse)) <= 2.0 * BLOWUP_THRESHOLD):
+        if not st.bounded(spec):
             return None, k1, math.inf, j + 1
         worst = max(worst, est)
     return spec, k1, worst, q
@@ -362,12 +369,14 @@ def _advance(f: _RhsOperator, frame: _Frame | None, pair: _Pair, spec: np.ndarra
 
 @dataclass(frozen=True)
 class _Stepping:
-    """A run's stepping state on its grid (:func:`_stepping`): the right
-    side ``f``, the (frame, pair) ``candidates`` of an interval's trial in
-    order of preference, the first being the run's first choice, and each
-    pair's target, ``targets`` (inf for fixed steps)."""
+    """A run's stepping state on its ``n`` nodes (:func:`_stepping`): the
+    right side ``f`` on spectra, the test ``bounded(spec)`` of a kept state
+    after f(spec), the trial's (frame, pair) ``candidates`` by preference,
+    the first being the run's first choice, and each pair's ``targets``."""
 
-    f: _RhsOperator
+    f: Callable[[np.ndarray], np.ndarray]
+    n: int
+    bounded: Callable[[np.ndarray], bool]
     candidates: tuple[tuple[_Frame | None, _Pair], ...]
     targets: dict
 
@@ -395,7 +404,70 @@ def _stepping(grid: PeriodicGrid, mean: float, adaptive: bool) -> _Stepping:
     frames = (_Frame(lam), None) if mean else (None,)
     methods = _METHODS if adaptive else (_RK4,)
     targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL} if adaptive else {_RK4: math.inf}
-    return _Stepping(f, tuple((fr, m) for fr in frames for m in methods), targets)
+    # the bound: f(spec) left 2u at the coarse nodes, so against twice
+    # BLOWUP_THRESHOLD the test is exact, and NaN fails too
+    return _Stepping(f, grid.n, lambda spec: np.max(np.abs(f.u2_coarse)) <= 2 * BLOWUP_THRESHOLD,
+                     tuple((fr, m) for fr in frames for m in methods), targets)
+
+
+def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: float,
+               record) -> tuple[str, int, int, float]:
+    """The one stepping loop, from the spectrum ``spec`` at t = 0 over
+    intervals of ``cfg.monitor_every`` steps of dt (module docstring), the
+    first count set by ``h_target``.  ``record(t, spec)`` is called at
+    t = 0, after each interval and at t_end; a true return ends the run as
+    ``instability_detected``.  Returns (verdict, steps, rhs_calls, worst).
+
+    Raises:
+        DomainError: if the plan takes more than ``MAX_RECORDS`` records.
+    """
+    n_steps, dt = cfg.steps
+    n_records = 1 + -(-n_steps // cfg.monitor_every)
+    if n_records > MAX_RECORDS:
+        raise DomainError(f"{n_records:.3g} records planned, one every {cfg.monitor_every} of "
+                          f"{n_steps:.3g} steps, above MAX_RECORDS = {MAX_RECORDS}")
+    # the run's frame and method, and the count set at the last choice
+    (frame, pair), chosen_q = st.candidates[0], 0
+    # the state at t = 0 is not checked
+    s0, steps, rhs_calls, worst = 0, 0, 1, 0.0
+    k1 = st.f(spec)
+    while not record(s0 * dt, spec):  # the record at s0 dt, then the interval after it
+        if s0 == n_steps:
+            return TERMINATED_COMPLETED, steps, rhs_calls, worst
+        s1 = min(s0 + cfg.monitor_every, n_steps)
+        span = (s1 - s0) * dt
+        if len(st.candidates) > 1 and span / h_target > max(2, chosen_q):
+            # a planned count of 3 or more, above that of the last choice:
+            # one step of h for each candidate with no target; the run goes
+            # on with the first of the fewest predicted right sides
+            h = span / math.ceil(span / h_target)
+            ests = [_advance(st, fr, m, spec, k1, 1, h, math.inf)[2]
+                    for fr, m in st.candidates]
+            steps += len(ests)
+            rhs_calls += sum(m.rhs_per_step for _, m in st.candidates)
+            costs = [st.cost(m, span, h, est) for (_, m), est in zip(st.candidates, ests)]
+            best = costs.index(min(costs))
+            if costs[best] == math.inf:  # every estimate is non-finite
+                return TERMINATED_BLOWUP, steps, rhs_calls, worst
+            frame, pair = st.candidates[best]
+            h_target = st.resized(pair, h, ests[best])
+            chosen_q = math.ceil(span / h_target)
+        while True:  # attempts at the interval [s0 dt, s1 dt]
+            q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
+            if q > MAX_REFINE * (s1 - s0):
+                return TERMINATED_BLOWUP, steps, rhs_calls, worst
+            h = span / q if cfg.adaptive else dt
+            end, k_end, est, taken = _advance(st, frame, pair, spec, k1, q, h,
+                                              st.targets[pair])
+            steps += taken
+            rhs_calls += taken * pair.rhs_per_step
+            if end is None:
+                return TERMINATED_BLOWUP, steps, rhs_calls, worst
+            h_target = st.resized(pair, h, est)
+            if est <= st.targets[pair]:
+                break
+        spec, k1, s0, worst = end, k_end, s1, max(worst, est)
+    return TERMINATED_INSTABILITY, steps, rhs_calls, worst
 
 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
@@ -420,95 +492,51 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
     Raises:
         DomainError: if delta is not finite and >= 0, a positive delta
-            comes without a reference, or the reference is not on u0's grid.
+            comes without a reference, the reference is not on u0's grid,
+            a fixed dt is below ``suggested_dt(u0) / MAX_REFINE``, or the
+            plan takes more than ``MAX_RECORDS`` records.
     """
     if not (math.isfinite(delta) and delta >= 0.0):
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if delta and reference is None:
         raise DomainError("instability detection needs a reference wave")
-    n_steps, dt = cfg.steps
+    if not cfg.adaptive and MAX_REFINE * cfg.dt < suggested_dt(u0):
+        raise DomainError(f"a fixed dt = {cfg.dt!r} is below suggested_dt(u0) / MAX_REFINE = "
+                          f"{suggested_dt(u0) / MAX_REFINE!r}")
     mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
     if not abs(mean) > _zero_tol(u0.values):
         mean = 0.0  # the mean's frame is the lab's within rounding
-    st = _stepping(u0.grid, mean, cfg.adaptive)
-    # the run's frame and method, and the count set at the last choice
-    (frame, pair), chosen_q = st.candidates[0], 0
     spread = float(np.max(np.abs(u0.values - mean)))
-    h_target = 0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf
+    records = []  # (t, the field, its E, F, V, rho or NaN without a reference)
 
-    times, fields, rho_list, efvs = [], [], [], []  # the records: E, F, V in efvs
-    terminated, fld, spec = TERMINATED_COMPLETED, u0, u0.spectrum
-    # the state at t = 0 is not checked
-    s0, steps, rhs_calls, worst = 0, 0, 1, 0.0
+    def record(t: float, spec: np.ndarray) -> bool:
+        fld = u0 if t == 0.0 else PeriodicField(u0.grid, np.fft.irfft(spec, u0.grid.n))
+        rho = math.nan if reference is None else _orbit_distance(fld, reference)[0]
+        records.append((t, fld, functionals(fld), rho))
+        return delta > 0.0 and rho > RHO_FACTOR * delta
+
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = st.f(spec)
-        while True:  # the record at s0 dt, then the interval that follows it
-            times.append(s0 * dt)
-            fields.append(fld)
-            efvs.append(functionals(fld))
-            if reference is not None:
-                rho_list.append(_orbit_distance(fld, reference)[0])
-                if delta and rho_list[-1] > RHO_FACTOR * delta:
-                    terminated = TERMINATED_INSTABILITY
-                    break
-            if s0 == n_steps:
-                break
-            s1 = min(s0 + cfg.monitor_every, n_steps)
-            span = (s1 - s0) * dt
-            if len(st.candidates) > 1 and span / h_target > max(2, chosen_q):
-                # a planned count of 3 or more, above that of the last choice:
-                # one step of h for each candidate with no target; the run goes
-                # on with the first of the fewest predicted right sides
-                h = span / math.ceil(span / h_target)
-                ests = [_advance(st.f, fr, m, spec, k1, 1, h, math.inf)[2]
-                        for fr, m in st.candidates]
-                steps += len(ests)
-                rhs_calls += sum(m.rhs_per_step for _, m in st.candidates)
-                costs = [st.cost(m, span, h, est) for (_, m), est in zip(st.candidates, ests)]
-                best = costs.index(min(costs))
-                if costs[best] == math.inf:  # every estimate is non-finite
-                    terminated = TERMINATED_BLOWUP
-                    break
-                frame, pair = st.candidates[best]
-                h_target = st.resized(pair, h, ests[best])
-                chosen_q = math.ceil(span / h_target)
-            while True:  # attempts at the interval [s0 dt, s1 dt]
-                q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
-                if q > MAX_REFINE * (s1 - s0):
-                    end = None
-                    break
-                h = span / q if cfg.adaptive else dt
-                end, k_end, est, taken = _advance(st.f, frame, pair, spec, k1, q, h,
-                                                  st.targets[pair])
-                steps += taken
-                rhs_calls += taken * pair.rhs_per_step
-                if end is None:
-                    break
-                h_target = st.resized(pair, h, est)
-                if est <= st.targets[pair]:
-                    break
-            if end is None:
-                terminated = TERMINATED_BLOWUP
-                break
-            spec, k1, s0, worst = end, k_end, s1, max(worst, est)
-            fld = PeriodicField(u0.grid, np.fft.irfft(spec, u0.grid.n))
-        efv = np.array(efvs)
+        terminated, steps, rhs_calls, worst = _integrate(
+            _stepping(u0.grid, mean, cfg.adaptive), u0.spectrum, cfg,
+            0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf, record)
+        times, fields, efv, rho = zip(*records)
+        efv = np.array(efv)
         drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
 
     return StabilityRunReport(
-        times=np.array(times), fields=fields,
-        rho=np.array(rho_list) if reference is not None else None,
+        times=np.array(times), fields=list(fields),
+        rho=np.array(rho) if reference is not None else None,
         drift_E=drifts[:, 0], drift_F=drifts[:, 1], drift_V=drifts[:, 2],
         terminated=terminated, steps=steps, rhs_calls=rhs_calls, max_error_estimate=worst,
     )
 
 
 def _linear_rhs(lop: OperatorMatrix):
-    """The right side v -> J L v of :func:`linearized_run` on grid values:
+    """The right side v -> J L v of :func:`linearized_run` on rfft spectra:
     L v by FFT, then the symbol i kappa / (1 + kappa^2), Nyquist entry 0."""
     n, (kap, sym_d1, _) = lop.grid.n, lop.grid.rfft_tables
     symbol = sym_d1 / (1.0 + kap * kap)
-    return lambda v: np.fft.irfft(symbol * np.fft.rfft(_apply_l(lop, v)), n)
+    return lambda spec: symbol * np.fft.rfft(_apply_l(lop, np.fft.irfft(spec, n)))
 
 
 def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
@@ -524,7 +552,8 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     Raises:
         DomainError: if the operator's grid is not v0's, v0 has no
             zero-mean part above rounding (its growth rate is undefined),
-            or ``cfg.adaptive`` is set (the steps here are fixed).
+            ``cfg.adaptive`` is set (the steps here are fixed), or the
+            plan takes more than ``MAX_RECORDS`` records.
         BlowUpError: if a step loses finiteness; numpy's overflow warnings
             on the way there are silenced.
     """
@@ -536,31 +565,24 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     values = v0.values - np.mean(v0.values)
     if np.max(np.abs(values)) <= _zero_tol(v0.values):
         raise DomainError("v0 has no zero-mean part: its growth rate is undefined")
-    n_steps, dt = cfg.steps
-    w = math.sqrt(grid.spacing)
+    w, records = math.sqrt(grid.spacing), []  # (t, ||v||) at each record
 
-    times = [0.0]
-    norms = [w * float(np.linalg.norm(values))]
-    f = _linear_rhs(lop)
+    def record(t: float, spec: np.ndarray) -> None:
+        records.append((t, w * float(np.linalg.norm(np.fft.irfft(spec, grid.n)))))
+
+    st = _Stepping(_linear_rhs(lop), grid.n, lambda spec: np.isfinite(spec).all(),
+                   ((None, _RK4),), {_RK4: math.inf})
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
-        for step in range(1, n_steps + 1):
-            values = _rk4_step(f, values, f(values), dt)[0]
-            if not np.all(np.isfinite(values)):
-                raise BlowUpError(f"linearized run lost finiteness at step {step}")
-            if step % cfg.monitor_every == 0 or step == n_steps:
-                times.append(step * dt)
-                norms.append(w * float(np.linalg.norm(values)))
+        terminated, steps, _, _ = _integrate(st, np.fft.rfft(values), cfg, math.inf, record)
+    if terminated == TERMINATED_BLOWUP:
+        raise BlowUpError(f"linearized run lost finiteness at step {steps}")
 
-    times_arr = np.array(times)
-    norms_arr = np.array(norms)
-    total = cfg.t_end
-    rate = math.log(norms_arr[-1] / norms_arr[0]) / total
-    i_half = int(np.searchsorted(times_arr, 0.5 * total))
-    i_half = min(i_half, len(times_arr) - 2)
+    times_arr, norms_arr = np.array(records).T
+    rate = math.log(norms_arr[-1] / norms_arr[0]) / cfg.t_end
+    i_half = min(int(np.searchsorted(times_arr, 0.5 * cfg.t_end)), len(times_arr) - 2)
     span = times_arr[-1] - times_arr[i_half]
     rate_tail = math.log(norms_arr[-1] / norms_arr[i_half]) / span if span > 0 else rate
-    return LinearGrowthReport(times=times_arr, norms=norms_arr, rate=rate,
-                              rate_tail=rate_tail)
+    return LinearGrowthReport(times=times_arr, norms=norms_arr, rate=rate, rate_tail=rate_tail)
 
 
 def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:

@@ -66,7 +66,8 @@ class AdvanceCall(NamedTuple):
     """One ``evolve._advance`` call: its frame (None for the lab's),
     its method (``evolve._RK4`` or ``evolve._DP54``), whether it is a trial
     (one step with no target), the state and slope it starts from, its
-    step, its count and the estimate it returns (None until then)."""
+    step, its count, its target and the estimate it returns (None until
+    then)."""
 
     frame: evolve._Frame | None
     pair: object
@@ -75,6 +76,7 @@ class AdvanceCall(NamedTuple):
     k1: np.ndarray
     h: float
     q: int
+    tol: float
     est: float | None
 
 
@@ -84,9 +86,10 @@ def advance_calls(monkeypatch):
     each appended on entry, so ``advance_calls[-1]`` is the current one."""
     calls, advance = [], evolve._advance
 
-    def spied(f, frame, pair, spec, k1, q, h, tol):
-        calls.append(AdvanceCall(frame, pair, q == 1 and tol == math.inf, spec, k1, h, q, None))
-        out = advance(f, frame, pair, spec, k1, q, h, tol)
+    def spied(st, frame, pair, spec, k1, q, h, tol):
+        calls.append(AdvanceCall(frame, pair, q == 1 and tol == math.inf, spec, k1, h, q, tol,
+                                 None))
+        out = advance(st, frame, pair, spec, k1, q, h, tol)
         calls[-1] = calls[-1]._replace(est=out[2])
         return out
 

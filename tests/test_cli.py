@@ -629,6 +629,20 @@ class TestEvolveAndOrbit:
         assert dispatch(args) == EXIT_NUMERICAL
         assert strict_json(tmp_path / "orbit_summary.json")["terminated"] == "blowup"
 
+    @pytest.mark.parametrize("plan, bound", [
+        (["--t-end", "0.5", "--dt", "1e-300"], "suggested_dt(u0) / MAX_REFINE = "),
+        (["--t-end", "1e300"], "above MAX_RECORDS = 32768")], ids=["dt", "t-end"])
+    def test_plan_that_cannot_finish_refused(self, tmp_path, capsys, monkeypatch, plan, bound):
+        # 5e299 fixed steps, or 2.7e299 records, would never end: refused
+        # before the first right side, with the bound named
+        monkeypatch.setattr(mw.evolve._RhsOperator, "__call__",
+                            lambda self, spec: pytest.fail("a right side was taken"))
+        args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "64", *plan,
+                "--delta", "1e-3", "--out-dir", str(tmp_path)]
+        assert dispatch(args) == EXIT_DOMAIN
+        assert bound in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["evolve", "orbit"])
     def test_wave_sampled_once(self, tmp_path, count_calls, command):
         # one wave pass (its AGM ladder gives K and E) and one profile call

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mchwave as mw
 from mchwave import DomainError, evolve
@@ -14,8 +15,9 @@ from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
                             seeded_perturbation)
 from mchwave.field import _orbit_distance
 
-from conftest import (dense_evolution_eigenvalues, dp54_companion, fsal_companion, grid_rhs,
-                      helmholtz_inverse, random_smooth, reference_run, round_trip)
+from conftest import (dense_evolution_eigenvalues, dense_matrix, dp54_companion, fsal_companion,
+                      grid_rhs, helmholtz_diff_matrix, helmholtz_inverse, random_smooth,
+                      reference_run, round_trip)
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -66,6 +68,36 @@ class TestConfig:
     def test_steps_land_on_t_end(self):
         assert mw.EvolutionConfig(dt=0.3, t_end=1.0).steps == (3, 1.0 / 3)
         assert mw.EvolutionConfig(dt=5.0, t_end=1.0).steps == (1, 1.0)
+
+    def test_fixed_dt_floor(self):
+        # a fixed dt below suggested_dt(u0) / MAX_REFINE is refused before a
+        # step, as an adaptive interval past MAX_REFINE times its dt steps is
+        # blow-up; at the floor the run goes
+        g = mw.PeriodicGrid(2 * math.pi, 32)
+        u0 = mw.PeriodicField(g, 0.5 + 0.4 * np.sin(g.nodes))
+        floor = mw.suggested_dt(u0) / evolve.MAX_REFINE
+        rep = mw.run(u0, mw.EvolutionConfig(dt=floor, t_end=2 * floor))
+        assert rep.terminated == TERMINATED_COMPLETED and rep.steps == 2
+        with pytest.raises(DomainError, match="MAX_REFINE"):
+            mw.run(u0, mw.EvolutionConfig(dt=np.nextafter(floor, 0.0), t_end=2 * floor))
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["run", "linearized_run"])
+    def test_record_cap(self, monkeypatch, wave05, linear):
+        # a plan of more than MAX_RECORDS records, the one at t = 0 included,
+        # is refused before a step; at the cap the run goes
+        monkeypatch.setattr(evolve, "MAX_RECORDS", 4)
+        grid = mw.PeriodicGrid(wave05.L, 64)
+
+        def planned(t_end):
+            cfg = mw.EvolutionConfig(dt=0.1, t_end=t_end, monitor_every=2)
+            if linear:
+                return mw.linearized_run(seeded_perturbation(grid, seed=3),
+                                         mw.operator_for(wave05, 64), cfg)
+            return mw.run(mw.sample_wave(wave05, grid), cfg)
+
+        assert len(planned(0.6).times) == 4  # at 0, 2, 4 and 6 steps of 0.1
+        with pytest.raises(DomainError, match="above MAX_RECORDS = 4"):
+            planned(0.7)
 
     def test_suggested_dt(self):
         g = mw.PeriodicGrid(2 * math.pi, 64)
@@ -494,10 +526,10 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
 
 
 def _stepping_at_the_mean(u0, lawson):
-    """The right side of an adaptive run from u0 and its frame: the mean's,
+    """The stepping state of an adaptive run from u0 and its frame: the mean's,
     whose symbol ``conftest.fsal_companion`` rebuilds, or None, the lab's."""
     st = evolve._stepping(u0.grid, float(np.mean(u0.values)), adaptive=True)
-    return st.f, st.candidates[0][0] if lawson else None
+    return st, st.candidates[0][0] if lawson else None
 
 
 def predicted_right_sides(pair, target, span, h, est):
@@ -754,9 +786,9 @@ class TestStepControl:
         pair = copy.copy(getattr(evolve, name))
         oracle = dp54_companion if name == "_DP54" else fsal_companion
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        op, frame = _stepping_at_the_mean(u0, lawson)
+        st, frame = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        end, _, est, taken = evolve._advance(op, frame, pair, spec, op(spec), 1, h, math.inf)
+        end, _, est, taken = evolve._advance(st, frame, pair, spec, st.f(spec), 1, h, math.inf)
         y1, y_hat = oracle(u0, h, lawson=lawson)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
         distance = math.sqrt(np.mean((y1 - y_hat) ** 2))
@@ -769,9 +801,9 @@ class TestStepControl:
         # the pair's estimate per unit time is of order 4 in h, so one step's
         # is of order 5: halving h divides it by 32
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        op, frame = _stepping_at_the_mean(u0, lawson)
+        st, frame = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        est = [evolve._advance(op, frame, evolve._DP54, spec, op(spec), 1, h, math.inf)[2] * h
+        est = [evolve._advance(st, frame, evolve._DP54, spec, st.f(spec), 1, h, math.inf)[2] * h
                for h in (0.4, 0.2)]
         assert 32.0 * 0.8 <= est[0] / est[1] <= 32.0 * 1.2
 
@@ -790,9 +822,9 @@ class TestStepControl:
 
         monkeypatch.setattr(evolve, "_rk4_step", spied)
         _, u0, _ = _orbit_start(k, big_l)
-        op, frame = _stepping_at_the_mean(u0, lawson=True)
+        st, frame = _stepping_at_the_mean(u0, lawson=True)
         spec, h = u0.spectrum, 0.4
-        end, _, est, taken = evolve._advance(op, frame, evolve._RK4, spec, op(spec), 1, h,
+        end, _, est, taken = evolve._advance(st, frame, evolve._RK4, spec, st.f(spec), 1, h,
                                              math.inf)
         y1, y_star = fsal_companion(u0, h, lawson=True)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
@@ -852,11 +884,12 @@ class TestStepControl:
         assert 0.0 < rep.max_error_estimate <= evolve.STEP_TOL
 
     def test_overflowing_field_is_blowup(self):
-        # the cube of 1e120 overflows in the first step: its estimate is NaN
+        # the cube of 1e120 overflows in the first step: its estimate is NaN;
+        # t_end is a few steps, as t_end = 1 plans 1e121 records
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u0 = mw.PeriodicField(g, 1e120 * np.sin(g.nodes))
-        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=1,
-                                 adaptive=True)
+        dt = mw.suggested_dt(u0)
+        cfg = mw.EvolutionConfig(dt=dt, t_end=4 * dt, monitor_every=1, adaptive=True)
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
@@ -864,11 +897,12 @@ class TestStepControl:
     def test_overflow_in_both_trials_is_blowup(self):
         # u0 has a mean, and an interval of 4 steps starts with the trials;
         # the cube of 1e120 overflows in all four, RK4 and the pair in both
-        # frames, and the run ends there
+        # frames, and the run ends there; t_end is a few intervals, as t_end = 1
+        # plans 5e120 records
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u0 = mw.PeriodicField(g, 1e120 * (np.sin(g.nodes) + 0.5))
-        cfg = mw.EvolutionConfig(dt=mw.suggested_dt(u0), t_end=1.0, monitor_every=3,
-                                 adaptive=True)
+        dt = mw.suggested_dt(u0)
+        cfg = mw.EvolutionConfig(dt=dt, t_end=8 * dt, monitor_every=3, adaptive=True)
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 4 and rep.rhs_calls == 1 + 2 * (4 + 6)
@@ -982,6 +1016,17 @@ class TestReversibility:
         assert round_trip(u0, dataclasses.replace(cfg, adaptive=True)) > evolve.STEP_TOL * 10.0
 
 
+def _unstable_operator():
+    """L for generic coefficients on 64 nodes, not even, whose J L has the
+    unstable pair 0.624 +- 0.814i: criterion 9's."""
+    grid = mw.PeriodicGrid(2 * math.pi, 64)
+    x = grid.nodes
+    phi = mw.PeriodicField(grid, -1.0 + 0.3 * np.cos(x))
+    ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
+                           - 2.929 * np.cos(3 * x))
+    return mw.assemble_l(phi, ph2, 0.2)
+
+
 class TestLinearizedRun:
     def test_constant_case_norm_conserved(self):
         p = mw.wave_at(0.0, 2 * math.pi)[0]
@@ -998,17 +1043,12 @@ class TestLinearizedRun:
     def test_growth_rate_matches_eigenvalue(self):
         # generic coefficients with a genuinely unstable pair (0.624 +- 0.814i);
         # they are not even, so target and radius come from the dense J oracle
-        grid = mw.PeriodicGrid(2 * math.pi, 64)
-        x = grid.nodes
-        phi = mw.PeriodicField(grid, -1.0 + 0.3 * np.cos(x))
-        ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
-                               - 2.929 * np.cos(3 * x))
-        op = mw.assemble_l(phi, ph2, 0.2)
+        op = _unstable_operator()
         expected = dense_evolution_eigenvalues(op)
         target = float(np.max(expected.real))
         assert target > 0.5
         radius = float(np.max(np.abs(expected)))
-        rep = mw.linearized_run(seeded_perturbation(grid, seed=3), op,
+        rep = mw.linearized_run(seeded_perturbation(op.grid, seed=3), op,
                                 mw.EvolutionConfig(dt=2.0 / radius, t_end=24.0,
                                                    monitor_every=200))
         assert abs(rep.rate_tail - target) / target < 0.1
@@ -1045,7 +1085,7 @@ class TestLinearizedRun:
 
         frechet = (4.0 * central(5e-3) - central(1e-2)) / 3.0
         op = mw.operator_for(p, 128)
-        generator = evolve._linear_rhs(op)(v)
+        generator = np.fft.irfft(evolve._linear_rhs(op)(np.fft.rfft(v)), grid.n)
         assert np.linalg.norm(frechet - generator) <= 1e-9 * np.linalg.norm(generator)
         dx_l = mw.derivative(mw.PeriodicField(grid, mw.linop._apply_l(op, v))).values
         assert np.linalg.norm(frechet - dx_l) > np.linalg.norm(frechet)
@@ -1070,6 +1110,41 @@ class TestLinearizedRun:
         with pytest.raises(DomainError, match="operator grid"):
             mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 128),
                               mw.EvolutionConfig(dt=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("unstable", [True, False], ids=["criterion-9", "wave05"])
+    def test_norms_match_the_matrix_exponential(self, wave05, unstable):
+        # independent oracle: sqrt(L / n) ||expm(t J A) v0|| at every record, J
+        # and the grid matrix A of L dense.  Measured: 4.3e-7 relative on
+        # criterion 9's run, whose norm grows 1.07e6x, and 7.5e-9 at (0.5, 6 pi),
+        # n = 64, recorded at every step; the bounds are three times those
+        if unstable:
+            op = _unstable_operator()
+            radius = float(np.max(np.abs(dense_evolution_eigenvalues(op))))
+            cfg, bound = mw.EvolutionConfig(dt=2.0 / radius, t_end=24.0, monitor_every=200), 1.3e-6
+        else:
+            op = mw.operator_for(wave05, 64)
+            radius = float(np.max(np.abs(mw.evolution_spectrum(op).eigenvalues)))
+            cfg, bound = mw.EvolutionConfig(dt=0.5 / radius, t_end=10.0, monitor_every=1), 2.3e-8
+        v0 = seeded_perturbation(op.grid, seed=3)
+        rep = mw.linearized_run(v0, op, cfg)
+        ja = helmholtz_diff_matrix(op.grid) @ dense_matrix(op)
+        v = v0.values - np.mean(v0.values)
+        exact = [math.sqrt(op.grid.spacing) * np.linalg.norm(scipy.linalg.expm(t * ja) @ v)
+                 for t in rep.times]
+        assert len(rep.times) > 3
+        assert np.max(np.abs(rep.norms / exact - 1.0)) <= bound
+
+    def test_steps_through_the_one_loop(self, wave05, advance_calls):
+        # the linearized flow is stepped by run's interval loop: fixed RK4
+        # steps in the lab's frame with no target, one _advance call an interval
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        cfg = mw.EvolutionConfig(dt=0.1, t_end=2.0, monitor_every=5)
+        rep = mw.linearized_run(seeded_perturbation(grid, seed=3), mw.operator_for(wave05, 64),
+                                cfg)
+        assert len(advance_calls) == len(rep.times) - 1 == 4
+        for call in advance_calls:
+            assert call.frame is None and call.pair is evolve._RK4 and call.tol == math.inf
+            assert (call.q, call.h) == (5, cfg.steps[1])
 
     @pytest.mark.parametrize("value", [1.0, 0.3])
     def test_constant_field_has_no_growth_rate(self, wave05, value):
