@@ -24,12 +24,12 @@ Numerica 19, 2010): E_c = exp(c h lambda), formed once per (pair, h) of
 a run, steps the linearization at ubar, lambda = i kappa / (1 + kappa^2)
 (-ubar kappa^2 - 3 ubar^2), exactly, and stage i of a tableau (c, A, b,
 b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u,
-conj(E_c) = 1 / E_c.  In the lab's frame E = 1; there RK4 keeps its
-textbook expressions, as fixed steps do, and every other step runs
-through one tableau loop.  The estimate per unit time is the RMS grid
-norm of sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the step's distance to
-its companion over h, at no right side: the last N is the next step's
-first.  RK4 with its order-3 companion follows est ~ h^3 within
+conj(E_c) = 1 / E_c.  In the lab's frame E = 1.  One tableau loop takes
+every step, fixed ones too, RK4's weights being (1, 2, 2, 1) / 6, so its
+classical step keeps the textbook bits.  The estimate per unit time is
+the RMS grid norm of sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the step's
+distance to its companion over h, at no right side: the last N is the
+next step's first.  RK4 with its order-3 companion follows est ~ h^3 within
 ``STEP_TOL`` at 4 right sides a step; Dormand & Prince's 5(4) pair
 (J. Comput. Appl. Math. 6, 1980) carries the order-5 solution and
 follows est ~ h^4 within ``PAIR_TOL`` at 6.  Neither frame nor pair wins
@@ -239,29 +239,29 @@ class _RhsOperator:
 
 class _Pair:
     """An explicit Runge-Kutta pair with FSAL, from its tableau: the nodes
-    c and the rows of A, stage by stage, the last row being the weights b
-    of the solution the step carries, whose right side is the next step's
-    first stage (so c_s = 1 and b_s = 0), and e = b - b_hat, b_hat the
-    weights of its companion.  ``w`` = e / -e_s are the error weights of
-    the stages before the last, ``err_div`` is 1 / -e_s, ``p`` the order
-    in h of the estimate per unit time and ``rhs_per_step`` the right
-    sides a step costs, s - 1."""
+    c and the rows of A, stage by stage, the last row being ``div`` times
+    the weights b of the solution the step carries, whose right side is
+    the next step's first stage (so c_s = 1 and b_s = 0), and e = b -
+    b_hat, b_hat the weights of its companion.  ``w`` = e / -e_s are the
+    error weights of the stages before the last, ``err_div`` is 1 / -e_s,
+    ``p`` the order in h of the estimate per unit time and
+    ``rhs_per_step`` the right sides a step costs, s - 1."""
 
-    def __init__(self, c, a, e, p: int):
+    def __init__(self, c, a, e, p: int, div: float = 1.0):
         s = len(c)
         self.c = tuple(map(float, c))
         self.a = np.array([list(row) + [0.0] * (s - len(row)) for row in a])
-        self.b = self.a[-1, :-1]
+        self.b, self.div = self.a[-1, :-1], div
         self.w = np.array(e[:-1]) / -e[-1]
         self.err_div = 1.0 / -e[-1]
         self.nodes = tuple(sorted(set(self.c) - {0.0}))
         self.p, self.rhs_per_step = p, s - 1
 
 
-# Classical RK4 and its order-3 FSAL companion: est ~ h^3.
+# Classical RK4, weights (1, 2, 2, 1) / 6, and its order-3 FSAL companion: est ~ h^3.
 _RK4 = _Pair(c=(0, 1 / 2, 1 / 2, 1, 1),
-             a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
-             e=(0, 0, 0, 1 / 6, -1 / 6), p=3)
+             a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1), (1, 2, 2, 1)),
+             e=(0, 0, 0, 1 / 6, -1 / 6), p=3, div=6)
 # Dormand & Prince's 5(4) pair, which carries the order-5 solution: est ~ h^4
 # (Hairer, Norsett & Wanner, Solving ODEs I, table II.5.2).
 _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
@@ -275,29 +275,20 @@ _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
 _METHODS = (_RK4, _DP54)
 
 
-def _rk4_step(f, values: np.ndarray, k1: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One textbook RK4 step from ``values``, whose slope ``k1 = f(values)``
-    the caller has evaluated: the new state and k4.  Every RK4 step in the
-    lab's frame, fixed ones of both flows too, takes it via ``_rk_step``."""
-    k2 = f(values + 0.5 * dt * k1)
-    k3 = f(values + 0.5 * dt * k2)
-    k4 = f(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
-
-
 def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
              es: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of h of ``pair`` from ``values``, whose first stage
-    ``k1 = f(values)`` the caller has evaluated.  Returns the new state y1
-    and E_1 sum_j w_j conj(E_c_j) N_j over the stages before the last, E_1
-    the factor at c = 1: less the next first stage N(y1), it is
-    ``err_div`` times the step's error per unit time.  Without ``es`` the
-    step is classical, and RK4's is ``_rk4_step``.  With ``es``, which maps
-    each node c to E_c = exp(c h lambda) and its conjugate, it is Lawson's,
-    ``f`` being the right side N less the linear part lambda, and stage i
-    is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j)."""
-    if pair is _RK4 and es is None:
-        return _rk4_step(f, values, k1, h)
+    ``k1 = f(values)`` the caller has evaluated: every step of both flows,
+    fixed ones too.  Returns the new state y1 = y + (h / div) (b @ z) and
+    E_1 sum_j w_j conj(E_c_j) N_j over the stages before the last, E_1 the
+    factor at c = 1: less the next first stage N(y1), it is ``err_div``
+    times the step's error per unit time.  Without ``es`` the step is
+    classical, and RK4's, weights (1, 2, 2, 1) over 6, is the textbook
+    step bit for bit if ``b @ z`` sums its exact products in the order
+    j = 0 .. 3, as OpenBLAS does.  With ``es``, which maps each node c to
+    E_c = exp(c h lambda) and its conjugate, it is Lawson's, ``f`` being
+    the right side N less the linear part lambda, and stage i is
+    Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j)."""
     z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
     z[0] = k1
     for i in range(1, len(z)):
@@ -308,7 +299,7 @@ def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
         z[i] = f(stage)
         if es is not None:
             z[i] *= e_conj
-    y1, err = values + h * (pair.b @ z), pair.w @ z
+    y1, err = values + (h / pair.div) * (pair.b @ z), pair.w @ z
     if es is not None:
         y1 *= es[1.0][0]
         err *= es[1.0][0]
@@ -532,11 +523,11 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
 
 
 def _linear_rhs(lop: OperatorMatrix):
-    """The right side v -> J L v of :func:`linearized_run` on rfft spectra:
-    L v by FFT, then the symbol i kappa / (1 + kappa^2), Nyquist entry 0."""
-    n, (kap, sym_d1, _) = lop.grid.n, lop.grid.rfft_tables
+    """The right side v -> J L v of :func:`linearized_run` on rfft spectra: L v
+    by ``linop._apply_l``, then i kappa / (1 + kappa^2), Nyquist 0: 4 FFT calls."""
+    kap, sym_d1, _ = lop.grid.rfft_tables
     symbol = sym_d1 / (1.0 + kap * kap)
-    return lambda spec: symbol * np.fft.rfft(_apply_l(lop, np.fft.irfft(spec, n)))
+    return lambda spec: symbol * _apply_l(lop, spec)
 
 
 def linearized_run(v0: PeriodicField, lop: OperatorMatrix,

@@ -33,7 +33,7 @@ As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine mode 0: L on Y0 is
 E[1:, 1:] beside O, and :func:`restricted_spectrum` reads the minor's
 eigenvalues.  :func:`inv_one_pairing` solves E w = e_0 by one LU
 factorization (``solve``): the pairing is L w_0, and its residual applies
-L to the grid form of w by FFT.  So the Morse identity of
+L to the spectrum of w by FFT.  So the Morse identity of
 :func:`mchwave.indices.morse_check` compares three independent
 computations: the eigenvalues of E, those of E[1:, 1:] and the LU solve.
 E has a kernel only at the constant wave, where cos x is exactly an
@@ -239,23 +239,15 @@ def _cosine_weights(half: int) -> np.ndarray:
     return np.concatenate(([math.sqrt(0.5)], np.ones(half - 1), [math.sqrt(0.5)]))
 
 
-def _to_grid(coords: np.ndarray) -> np.ndarray:
-    """Grid columns of cosine (rows 0 .. n/2), then sine coordinates (rows
-    n/2 + 1 ..) ``coords``, by one inverse real FFT."""
-    half = coords.shape[0] // 2
-    spec = coords[: half + 1] / _cosine_weights(half)[:, None] + 0j
-    spec[1:half] -= 1j * coords[half + 1:]
-    return math.sqrt(half) * np.fft.irfft(spec, 2 * half, axis=0)
-
-
-def _apply_l(m: OperatorMatrix, u: np.ndarray) -> np.ndarray:
-    """L u on the grid by FFT: d/dx(p du/dx) + q u, and the Nyquist completion."""
+def _apply_l(m: OperatorMatrix, u_hat: np.ndarray) -> np.ndarray:
+    """The rfft spectrum of L u from that of u by FFT: d/dx(p du/dx) + q u,
+    p u_x and q u its grid products, and the Nyquist completion."""
     p_vals, q_vals = m.coefficients
     n, (kap, d1, _) = m.grid.n, m.grid.rfft_tables
-    u_hat = np.fft.rfft(u)
-    flux_hat = d1 * np.fft.rfft(p_vals * np.fft.irfft(d1 * u_hat, n))
-    flux_hat[-1] = -(kap[-1] ** 2) * float(np.mean(p_vals)) * u_hat[-1]
-    return np.fft.irfft(flux_hat, n) + q_vals * u
+    out = d1 * np.fft.rfft(p_vals * np.fft.irfft(d1 * u_hat, n))
+    out[-1] = -(kap[-1] ** 2) * float(np.mean(p_vals)) * u_hat[-1]
+    out += np.fft.rfft(q_vals * np.fft.irfft(u_hat, n))
+    return out
 
 
 def _zero_tol(eigenvalues: np.ndarray) -> float:
@@ -333,7 +325,7 @@ def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
     w is the minimum-norm least-squares solution with the tolerance as its
     cutoff (module docstring).  The tolerance is that of :func:`spectrum`,
     read off the blocks' spectra; the residual max |L w - 1| applies L to
-    the grid form of w by FFT, with no block or dense matrix.  Raises
+    the rfft spectrum of w by FFT, with no block or dense matrix.  Raises
     AssemblyError for coefficients that are not even.
     """
     even, vals = m._blocks[0], m.parity.even_vals
@@ -345,6 +337,7 @@ def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
         w = _lapack(np.linalg.lstsq, even, e_0, rcond=cutoff)[0]
     else:
         w = _lapack(np.linalg.solve, even, e_0)
-    w_grid = _to_grid(math.sqrt(n) * np.pad(w, (0, n // 2 - 1))[:, None])[:, 0]
-    residual = float(np.max(np.abs(_apply_l(m, w_grid) - 1.0)))
+    # the rfft of w's grid form sqrt(n) sum_k w_k sqrt(2/n) s_k cos(kappa_k x)
+    w_hat = n * math.sqrt(0.5) * w / _cosine_weights(n // 2)
+    residual = float(np.max(np.abs(np.fft.irfft(_apply_l(m, w_hat), n) - 1.0)))
     return PairingReport(value=m.grid.L * float(w[0]), residual=residual)

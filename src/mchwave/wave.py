@@ -48,6 +48,7 @@ and never raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -314,9 +315,10 @@ def snoidal_form(p: WaveParams) -> SnoidalParams:
 
 
 def ode_residual(p: WaveParams, n: int = 512) -> float:
-    """Max residual of the wave ODE over n uniform samples of one period."""
-    if n < 16:
-        raise DomainError(f"ode_residual requires n >= 16, got {n}")
+    """Max residual of the wave ODE over n uniform samples of one period;
+    DomainError unless n is an integer >= 16."""
+    if not isinstance(n, numbers.Integral) or n < 16:
+        raise DomainError(f"ode_residual requires an integer n >= 16, got {n!r}")
     x = np.arange(n) * (p.L / n)
     phi, phi1, phi2 = profile(p, x)
     res = (phi - p.c) * phi2 + 0.5 * phi1 * phi1 - phi**3 + p.c * phi - p.A

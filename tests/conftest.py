@@ -180,6 +180,24 @@ def dense_matrix(op) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def to_grid(coords: np.ndarray) -> np.ndarray:
+    """Grid columns of cosine (rows 0 .. n/2), then sine coordinates (rows
+    n/2 + 1 ..) ``coords``, by one inverse real FFT."""
+    half = coords.shape[0] // 2
+    spec = coords[: half + 1] / linop._cosine_weights(half)[:, None] + 0j
+    spec[1:half] -= 1j * coords[half + 1:]
+    return math.sqrt(half) * np.fft.irfft(spec, 2 * half, axis=0)
+
+
+def from_grid(u: np.ndarray) -> np.ndarray:
+    """The cosine/sine coordinates of grid columns ``u`` by one real FFT: the
+    inverse of :func:`to_grid`."""
+    half = u.shape[0] // 2
+    spec = np.fft.rfft(u, axis=0) / math.sqrt(half)
+    return np.concatenate((spec.real * linop._cosine_weights(half)[:, None],
+                           -spec.imag[1:half]))
+
+
 def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndarray:
     """Grid columns of the ``modes`` lowest eigenvectors of L (of L on Y0 if
     ``restricted``), ascending by eigenvalue: one ``eigh`` of each parity
@@ -196,7 +214,7 @@ def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndar
     even_vecs, odd_vecs = even_vecs[:, :modes], odd_vecs[:, :modes]
     coords = np.block([[even_vecs, np.zeros((len(even_vecs), odd_vecs.shape[1]))],
                        [np.zeros((len(odd_vecs), even_vecs.shape[1])), odd_vecs]])
-    return linop._to_grid(coords[:, lowest])
+    return to_grid(coords[:, lowest])
 
 
 def reference_defect(op) -> float:

@@ -466,23 +466,44 @@ class TestBitwiseOracle:
         assert got.terminated == TERMINATED_BLOWUP
         _assert_same_run(got, reference_run(u0, cfg, reference=u0))
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_rk4_step_is_the_textbook_step(self, wave05, n):
+        # one lab-frame RK4 step through the tableau loop is the textbook
+        # y + (h/6) (k1 + 2 k2 + 2 k3 + k4) bit for bit, and its estimate row
+        # (0, 0, 0, 1) returns k4, but for the sign of a zero entry: 0 k1 +
+        # ... + k4 adds a -0.0 of k4 to +0.0.  The weights 1 and 2 give exact
+        # products, so the state's bits rest on b @ z summing them in the
+        # order j = 0 .. 3, as the BLAS behind numpy's matmul must
+        grid = mw.PeriodicGrid(wave05.L, n)
+        u0 = mw.sample_wave(wave05, grid) + 1e-3 * seeded_perturbation(grid, seed=2)
+        f, spec = _RhsOperator(grid), u0.spectrum
+        k1 = f(spec)
+        for h in [r * mw.suggested_dt(u0) for r in (0.25, 1.0, 2.0)]:
+            k2 = f(spec + 0.5 * h * k1)
+            k3 = f(spec + 0.5 * h * k2)
+            k4 = f(spec + h * k3)
+            textbook = spec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y1, err = evolve._rk_step(f, evolve._RK4, spec, k1, h)
+            assert np.array_equal(y1.view(np.uint64), textbook.view(np.uint64))
+            assert np.array_equal(err, k4)
+
     def test_threshold_crossed_at_unmonitored_step(self, monkeypatch, wave05):
         # the peak starts half a node off the grid and drifts onto a node, so
         # max |u| grows by ~2.6e-7 a step: a threshold 5e-6 above its start
         # is crossed near step 20 of 60, none of them monitored, and far
         # beyond the rounding by which the two readings of u differ
-        rk4, steps = evolve._rk4_step, []
+        rk_step, steps = evolve._rk_step, []
 
         def counted_step(*args):
             steps.append(None)
-            return rk4(*args)
+            return rk_step(*args)
 
         grid = mw.PeriodicGrid(wave05.L, 64)
         phi = mw.sample_wave(wave05, grid)
         u0 = mw.fractional_shift(phi, 0.5 * grid.spacing)
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", float(np.max(np.abs(u0.values))) + 5e-6)
         cfg = mw.EvolutionConfig(dt=0.05, t_end=3.0, monitor_every=10**9)
-        monkeypatch.setattr(evolve, "_rk4_step", counted_step)
+        monkeypatch.setattr(evolve, "_rk_step", counted_step)
         got = mw.run(u0, cfg, reference=phi)
         assert got.terminated == TERMINATED_BLOWUP and list(got.times) == [0.0]
         _assert_same_run(got, reference_run(u0, cfg, reference=phi))
@@ -496,13 +517,13 @@ class TestBitwiseOracle:
     def test_non_finite_state_is_blowup(self, monkeypatch):
         # a step of 1e100 overflows a stage, so the state after step 1 is not
         # finite; step 1 is not monitored, and the first stage of step 2 reads it
-        rk4, states = evolve._rk4_step, []
+        rk_step, states = evolve._rk_step, []
 
         def kept_step(*args):
-            states.append(rk4(*args))
+            states.append(rk_step(*args))
             return states[-1]
 
-        monkeypatch.setattr(evolve, "_rk4_step", kept_step)
+        monkeypatch.setattr(evolve, "_rk_step", kept_step)
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u0 = mw.PeriodicField(g, 0.5 + 0.4 * np.sin(g.nodes))
         cfg = mw.EvolutionConfig(dt=1e100, t_end=2e100, monitor_every=10**9)
@@ -778,12 +799,11 @@ class TestStepControl:
     @pytest.mark.parametrize("h", [0.4, 0.2])
     @pytest.mark.parametrize("name", ["_DP54", "_RK4"])
     def test_tableau_step_matches_the_textbook_oracles(self, name, h, lawson):
-        # one step of h of a pair through the tableau loop of _rk_step (a copy
-        # of the RK4 pair, whose lab-frame steps take the textbook expressions
-        # by name), in the lab's frame and the mean's: its state is the textbook step's
+        # one step of h of a pair through the tableau loop of _rk_step, in
+        # the lab's frame and the mean's: its state is the textbook step's
         # to rounding, and its estimate times h the distance of that step to
         # its companion
-        pair = copy.copy(getattr(evolve, name))
+        pair = getattr(evolve, name)
         oracle = dp54_companion if name == "_DP54" else fsal_companion
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
         st, frame = _stepping_at_the_mean(u0, lawson)
@@ -809,18 +829,10 @@ class TestStepControl:
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.667, 3.27 * math.pi),
                                           (0.9, 4 * math.pi)])
-    def test_mean_frame_rk4_step_matches_the_lawson_oracle(self, monkeypatch, k, big_l):
-        # the mean frame's RK4 step runs through the tableau loop, not the
-        # textbook expressions: its state y1 is the textbook Lawson step's to
-        # rounding, and its estimate times h that step's companion distance
-        rk4 = evolve._rk4_step
-        textbook = []
-
-        def spied(*args):
-            textbook.append(None)
-            return rk4(*args)
-
-        monkeypatch.setattr(evolve, "_rk4_step", spied)
+    def test_mean_frame_rk4_step_matches_the_lawson_oracle(self, k, big_l):
+        # the mean frame's RK4 step: its state y1 is the textbook Lawson
+        # step's to rounding, and its estimate times h that step's companion
+        # distance
         _, u0, _ = _orbit_start(k, big_l)
         st, frame = _stepping_at_the_mean(u0, lawson=True)
         spec, h = u0.spectrum, 0.4
@@ -829,7 +841,7 @@ class TestStepControl:
         y1, y_star = fsal_companion(u0, h, lawson=True)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
         distance = math.sqrt(np.mean((y1 - y_star) ** 2))
-        assert taken == 1 and not textbook and distance > 1e3 * rounding
+        assert taken == 1 and distance > 1e3 * rounding
         assert np.max(np.abs(np.fft.irfft(end, u0.grid.n) - y1)) <= 8.0 * rounding
         assert abs(est * h - distance) <= 4.0 * rounding
 
@@ -1040,6 +1052,16 @@ class TestLinearizedRun:
                                                            monitor_every=1000))
         assert abs(rep.norms[-1] / rep.norms[0] - 1.0) < 1e-8
 
+    def test_four_transforms_per_right_side(self, fft_calls):
+        # J L on a spectrum: p u_x and q u are formed on the grid, one
+        # inverse and one forward transform each, and no other
+        op = _unstable_operator()
+        rhs = evolve._linear_rhs(op)
+        spec = seeded_perturbation(op.grid, seed=3).spectrum
+        fft_calls.clear()
+        rhs(spec)
+        assert fft_calls == ["irfft", "rfft", "irfft", "rfft"]
+
     def test_growth_rate_matches_eigenvalue(self):
         # generic coefficients with a genuinely unstable pair (0.624 +- 0.814i);
         # they are not even, so target and radius come from the dense J oracle
@@ -1087,7 +1109,8 @@ class TestLinearizedRun:
         op = mw.operator_for(p, 128)
         generator = np.fft.irfft(evolve._linear_rhs(op)(np.fft.rfft(v)), grid.n)
         assert np.linalg.norm(frechet - generator) <= 1e-9 * np.linalg.norm(generator)
-        dx_l = mw.derivative(mw.PeriodicField(grid, mw.linop._apply_l(op, v))).values
+        lv = np.fft.irfft(mw.linop._apply_l(op, np.fft.rfft(v)), grid.n)
+        dx_l = mw.derivative(mw.PeriodicField(grid, lv)).values
         assert np.linalg.norm(frechet - dx_l) > np.linalg.norm(frechet)
 
     def test_adaptive_config_refused(self, wave05):

@@ -234,6 +234,14 @@ class TestOdeResidual:
         with pytest.raises(DomainError):
             mw.ode_residual(wave05, 8)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 16.5])
+    def test_sample_count_not_an_integer_refused(self, wave05, n):
+        # nan and inf used to raise an untyped ValueError from np.arange, and
+        # 16.5 was accepted
+        with pytest.raises(DomainError, match="integer"):
+            mw.ode_residual(wave05, n)
+        assert mw.ode_residual(wave05, 17) < 1e-8
+
 
 class TestValidity:
     def test_good_wave(self):
