@@ -64,9 +64,12 @@ product u (u_xx - u^2) + u_x^2 / 2, whose coarse modes times the
 smoothing symbol are the result: eight FFT calls an RK4 step, and twelve
 a step of the pair.  The blow-up check of each state a step keeps, a
 trial's too, reads u at the coarse nodes off the fine grid of the slope
-that completes its estimate, so the coarse inverse transform runs only
-at the monitor steps, for the records.  A record adds the recorded field's rfft, its
-u_x for E and the orbit distance's one irfft: four FFT calls.
+that completes its estimate, so no coarse inverse transform runs in the
+loop.  A record keeps the spectrum the loop holds and takes rho from it,
+at the orbit distance's one irfft, all the ``RHO_FACTOR`` stop needs.
+After the loop one pass over the kept spectra, in blocks of
+``RECORD_BLOCK`` values, gives the recorded fields by one batched irfft
+and their E, F and V, u_x for E by one more: two FFT calls a block.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -84,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .field import PeriodicField, PeriodicGrid, _orbit_distance, functionals, h1_norm
+from .field import PeriodicField, PeriodicGrid, _functionals, _h1_square, _orbit_distance
 from .linop import OperatorMatrix, _apply_l, _zero_tol
 
 TERMINATED_COMPLETED = "completed"
@@ -109,6 +112,9 @@ MAX_REFINE = 64
 # A plan of more records is refused: 2**15 fields of n = 1024 values keep
 # 256 MiB (records x n x 8 B), their held spectra about as much again.
 MAX_RECORDS = 2**15
+# Values per block of the pass that turns a run's records into fields and
+# their functionals: its scratch arrays stay a few blocks in size.
+RECORD_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,8 @@ class EvolutionConfig:
             raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
             raise DomainError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
-        if not isinstance(self.monitor_every, numbers.Integral) or self.monitor_every < 1:
+        if (isinstance(self.monitor_every, bool)
+                or not isinstance(self.monitor_every, numbers.Integral) or self.monitor_every < 1):
             raise DomainError(f"monitor_every must be an integer >= 1, got {self.monitor_every!r}")
 
     @property
@@ -491,6 +498,8 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if delta and reference is None:
         raise DomainError("instability detection needs a reference wave")
+    if reference is not None:
+        u0._check_same_grid(reference)
     if not cfg.adaptive and MAX_REFINE * cfg.dt < suggested_dt(u0):
         raise DomainError(f"a fixed dt = {cfg.dt!r} is below suggested_dt(u0) / MAX_REFINE = "
                           f"{suggested_dt(u0) / MAX_REFINE!r}")
@@ -498,28 +507,50 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     if not abs(mean) > _zero_tol(u0.values):
         mean = 0.0  # the mean's frame is the lab's within rounding
     spread = float(np.max(np.abs(u0.values - mean)))
-    records = []  # (t, the field, its E, F, V, rho or NaN without a reference)
+    times, spectra, rho = [], [], []  # at each record: t, the held state, rho
 
     def record(t: float, spec: np.ndarray) -> bool:
-        fld = u0 if t == 0.0 else PeriodicField(u0.grid, np.fft.irfft(spec, u0.grid.n))
-        rho = math.nan if reference is None else _orbit_distance(fld, reference)[0]
-        records.append((t, fld, functionals(fld), rho))
-        return delta > 0.0 and rho > RHO_FACTOR * delta
+        times.append(t)
+        spectra.append(spec)
+        if reference is None:
+            return False
+        rho.append(_orbit_distance(spec, reference)[0])
+        return delta > 0.0 and rho[-1] > RHO_FACTOR * delta
 
     with np.errstate(over="ignore", invalid="ignore"):
         terminated, steps, rhs_calls, worst = _integrate(
             _stepping(u0.grid, mean, cfg.adaptive), u0.spectrum, cfg,
             0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf, record)
-        times, fields, efv, rho = zip(*records)
-        efv = np.array(efv)
+        fields, efv = _recorded_fields(u0, spectra)
         drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
 
     return StabilityRunReport(
-        times=np.array(times), fields=list(fields),
+        times=np.array(times), fields=fields,
         rho=np.array(rho) if reference is not None else None,
         drift_E=drifts[:, 0], drift_F=drifts[:, 1], drift_V=drifts[:, 2],
         terminated=terminated, steps=steps, rhs_calls=rhs_calls, max_error_estimate=worst,
     )
+
+
+def _recorded_fields(u0: PeriodicField,
+                     spectra: list[np.ndarray]) -> tuple[list[PeriodicField], np.ndarray]:
+    """The fields of a run's held ``spectra``, u0 itself first, and their
+    (E, F, V) rows, in one array pass of blocks of ``RECORD_BLOCK`` values:
+    each block's fields come from one batched irfft, bit for bit those of
+    one row at a time, and hold their spectra as given."""
+    grid = u0.grid
+    rows = max(1, RECORD_BLOCK // grid.n)
+    fields, efv = [], np.empty((len(spectra), 3))
+    for lo in range(0, len(spectra), rows):
+        block = spectra[lo:lo + rows]
+        spec = np.stack(block)
+        values = np.fft.irfft(spec, grid.n)
+        if lo == 0:
+            values[0] = u0.values
+        efv[lo:lo + len(block)] = _functionals(values, spec, grid)
+        fields += [PeriodicField._with_spectrum(grid, v, s) for v, s in zip(values, block)]
+    fields[0] = u0
+    return fields, efv
 
 
 def _linear_rhs(lop: OperatorMatrix):
@@ -578,18 +609,17 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
 
 def seeded_perturbation(grid: PeriodicGrid, seed: int) -> PeriodicField:
     """Unit-H^1 random field on the modes 1 .. min(8, n/4), reproducible by
-    an integer seed >= 0 (any other raises DomainError)."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    an integer seed >= 0 (any other, a bool too, raises DomainError): the
+    sum of a_m cos(kappa_m x) + b_m sin(kappa_m x), the normals drawn in
+    the order a_1, b_1, a_2, ..., built by one irfft of its spectrum."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    x = grid.nodes
-    vals = np.zeros(grid.n)
     top = min(8, grid.n // 4)
-    for m in range(1, top + 1):
-        arg = 2.0 * math.pi * m * x / grid.L
-        vals += rng.standard_normal() * np.cos(arg) + rng.standard_normal() * np.sin(arg)
-    fld = PeriodicField(grid, vals)
-    return (1.0 / h1_norm(fld)) * fld
+    a, b = np.random.default_rng(seed).standard_normal((top, 2)).T
+    spec = np.zeros(grid.n // 2 + 1, dtype=complex)
+    spec[1:top + 1] = (0.5 * grid.n) * (a - 1j * b)
+    spec /= math.sqrt(_h1_square(spec, grid))
+    return PeriodicField(grid, np.fft.irfft(spec, grid.n))
 
 
 def orbital_experiment(phi: PeriodicField, delta: float, seed: int,

@@ -26,8 +26,8 @@ logger = logging.getLogger(__name__)
 
 
 def check_grid_size(n: int) -> None:
-    """DomainError unless n is an even integer (numpy's too) of at least 16."""
-    if not isinstance(n, numbers.Integral) or n < 16 or n % 2 != 0:
+    """DomainError unless n is an even integer (numpy's too, not a bool) of at least 16."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16 or n % 2 != 0:
         raise DomainError(f"grid size must be an even integer >= 16, got {n!r}")
 
 
@@ -80,14 +80,28 @@ class PeriodicField:
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals):
+            raise DomainError("field values must be real")
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != (self.grid.n,):
             raise DomainError(
                 f"values shape {vals.shape} does not match grid size {self.grid.n}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("field values must be finite")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _with_spectrum(cls, grid: PeriodicGrid, values: np.ndarray,
+                       spectrum: np.ndarray) -> "PeriodicField":
+        """The field of ``values`` holding ``spectrum``, read-only, as its rfft:
+        a record of a run, whose values are the inverse transform of the
+        spectrum the run held."""
+        fld = cls(grid, values)
+        spectrum.flags.writeable = False
+        fld.__dict__["spectrum"] = spectrum
+        return fld
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -123,27 +137,49 @@ def derivative(u: PeriodicField) -> PeriodicField:
     return PeriodicField(u.grid, np.fft.irfft(u.grid.rfft_tables[1] * u.spectrum, u.grid.n))
 
 
-def _h1_square(spec: np.ndarray, grid: PeriodicGrid) -> float:
-    """||u||^2_H1 = int u^2 + u_x^2 as the Parseval sum over u's rfft ``spec``."""
-    return (grid.L / grid.n**2) * float(np.vdot(spec, grid.rfft_tables[2] * spec).real)
+def _h1_square(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """||u||^2_H1 = int u^2 + u_x^2 as the Parseval sum over u's rfft ``spec``,
+    one for each row of a stack of spectra."""
+    power = np.abs(spec)
+    power *= power
+    power *= grid.rfft_tables[2]
+    return (grid.L / grid.n**2) * power.sum(axis=-1)
 
 
 def h1_norm(u: PeriodicField) -> float:
     return math.sqrt(_h1_square(u.spectrum, u.grid))
 
 
+def _functionals(values: np.ndarray, spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """(E, F, V) of each row of a stack of fields on ``grid``, from their
+    values and rfft spectra: one row of three for each field."""
+    ux = np.fft.irfft(grid.rfft_tables[1] * spec, grid.n)
+    # the density u u_x^2 / 2 + u^4 / 4 in two arrays of the stack's size:
+    # a pass over a run's records takes a block of rows at a time
+    density = values * ux
+    density *= ux
+    density *= 0.5
+    quartic = np.multiply(values, values, out=ux)
+    quartic *= quartic
+    quartic *= 0.25
+    density += quartic
+    efv = np.empty(spec.shape[:-1] + (3,))
+    efv[..., 0] = -grid.spacing * density.sum(axis=-1)
+    efv[..., 1] = 0.5 * _h1_square(spec, grid)
+    efv[..., 2] = grid.spacing * spec[..., 0].real
+    return efv
+
+
 def functionals(u: PeriodicField) -> tuple[float, float, float]:
     """The three conserved quantities (E, F, V) of the flow.
 
-    E = -int [u^4/4 + u u_x^2 / 2], F = (1/2) int u^2 + u_x^2, V = int u,
-    trapezoid sums with u_x from spectral differentiation.
+    E = -int [u^4/4 + u u_x^2 / 2], a trapezoid sum with u_x from spectral
+    differentiation; F = (1/2) int u^2 + u_x^2, half the Parseval sum of
+    ``h1_norm``; V = int u, the mean mode of the rfft.  A field is the
+    one-row case of the pass over a run's records (``evolve.run``), which
+    takes the same code on a stack of them.
     """
-    ux = derivative(u).values
-    vals = u.values
-    sq = vals * vals
-    w = u.grid.spacing
-    e = -w * float(np.sum(0.25 * sq * sq + 0.5 * vals * ux * ux))
-    return e, 0.5 * w * float(np.sum(sq + ux * ux)), w * float(np.sum(vals))
+    return tuple(_functionals(u.values, u.spectrum, u.grid).tolist())
 
 
 def fractional_shift(u: PeriodicField, s: float) -> PeriodicField:
@@ -164,44 +200,55 @@ def _shifted(spec: np.ndarray, grid: PeriodicGrid, s: float) -> np.ndarray:
     return shifted
 
 
-def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]:
-    """min over y of ||u - phi(. + y)||_H1 and the minimizing shift in [0, L).
+def _orbit_distance(u_hat: np.ndarray, phi: PeriodicField) -> tuple[float, float]:
+    """min over y of ||u - phi(. + y)||_H1 and the minimizing shift in [0, L),
+    for u given by its rfft ``u_hat`` on phi's grid: a run's held state.
 
-    Sums run over the rfft half-spectra the fields hold, with the grid's
-    H^1 Parseval weights w_m.  The H^1 cross-correlation C(y) =
+    Sums run over the rfft half-spectra, with the grid's H^1 Parseval
+    weights w_m; no field of u is built.  The H^1 cross-correlation C(y) =
     <u, phi(. + y)>_H1 is Re sum_m c_m exp(i kappa_m y), with
     c_m = w_m conj(u_hat_m) phi_hat_m L / n^2.  Coarse stage: C at all n
     grid shifts in one irfft.  Fine stage: a safeguarded Newton iteration
-    on C'(y) = 0, with C' and C'' summed from the series (no FFT), kept
-    inside the bracket of the best grid shift +- L/n and bisecting it
-    whenever C'' >= 0 or a step leaves it, until |dy| < 1e-10 L.  The
-    distance is then the Parseval sum of ``h1_norm`` over the coefficients
-    u_hat_m - phi_hat_m exp(i kappa_m y*), the Nyquist mode rotated as a
-    cosine (:func:`fractional_shift`): a sum of squares, not the cancelling
-    ||u||^2 + ||phi||^2 - 2 C.
+    on C'(y) = 0, with C' and C'' summed from the series in one product
+    (no FFT), from the vertex of the parabola through C at the best grid
+    shift and its two neighbours, kept inside the bracket of that shift
+    +- L/n and bisecting it whenever C'' >= 0 or a step leaves it, until
+    |dy| < 1e-10 L.  The distance is then the Parseval sum of ``h1_norm``
+    over the coefficients u_hat_m - phi_hat_m exp(i kappa_m y*), the
+    Nyquist mode rotated as a cosine (:func:`fractional_shift`): a sum of
+    squares, not the cancelling ||u||^2 + ||phi||^2 - 2 C.
     """
-    u._check_same_grid(phi)
-    n, big_l = u.grid.n, u.grid.L
-    kap, _, weight = u.grid.rfft_tables
-    u_hat, phi_hat = u.spectrum, phi.spectrum
-    coef = (big_l / n**2) * weight * np.conj(u_hat) * phi_hat
+    grid = phi.grid
+    n, big_l = grid.n, grid.L
+    kap, _, weight = grid.rfft_tables
+    phi_hat = phi.spectrum
+    coef = np.conj(u_hat)
+    coef *= phi_hat
+    coef *= (big_l / n**2) * weight
     # irfft sums the modes 0 < m < n/2 twice, as their weights already do:
     # halve the coefficients there, and C(j L / n) is n irfft(.)_j
     grid_coef = (0.5 * n) * coef
     grid_coef[0] *= 2.0
     grid_coef[-1] *= 2.0
     cross = np.fft.irfft(grid_coef, n)
-    slope_terms = kap * coef
-    curv_terms = kap * slope_terms
+    terms = np.empty((2, coef.size), dtype=complex)  # kappa c and kappa^2 c
+    np.multiply(kap, coef, out=terms[0])
+    np.multiply(kap, terms[0], out=terms[1])
 
     def slope_curvature(y: float) -> tuple[float, float]:
-        phase = np.exp((1j * y) * kap)
-        return -float((slope_terms @ phase).imag), -float((curv_terms @ phase).real)
+        slope, curv = (terms @ np.exp((1j * y) * kap)).tolist()
+        return -slope.imag, -curv.real
 
-    y0 = int(np.argmax(cross)) * big_l / n
+    j = int(np.argmax(cross))
+    y0 = j * big_l / n
     lo, hi = y0 - big_l / n, y0 + big_l / n
     tol = 1e-10 * big_l
-    y_star, bisected = y0, False
+    # start at the vertex of the parabola through C at the best grid shift
+    # and its neighbours, within L / 2n of it as C there is the largest
+    left, mid, right = cross[[j - 1, j, (j + 1) % n]].tolist()
+    bend = left - 2.0 * mid + right
+    y_star = y0 + (0.5 * big_l / n) * (left - right) / bend if bend < 0.0 else y0
+    bisected = False
     for iterations in range(1, 101):  # bisection alone meets tol in < 64 steps
         slope, curv = slope_curvature(y_star)
         # C rises where C' > 0, so its maximum lies on that side of y_star
@@ -216,6 +263,6 @@ def _orbit_distance(u: PeriodicField, phi: PeriodicField) -> tuple[float, float]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("orbit distance: %d Newton iterations, |C'(y*)| = %.3e, bisection used: %s",
                      iterations, abs(slope_curvature(y_star)[0]), bisected)
-    dist = math.sqrt(_h1_square(u_hat - _shifted(phi_hat, u.grid, y_star), u.grid))
+    dist = math.sqrt(_h1_square(u_hat - _shifted(phi_hat, grid, y_star), grid))
     shift = y_star % big_l  # a step of -1e-50 from y = 0 lands on L itself
     return dist, (shift if shift < big_l else 0.0)

@@ -336,6 +336,19 @@ def integrate(u: mw.PeriodicField) -> float:
     return float(u.grid.spacing * np.sum(u.values))
 
 
+def functionals_grid(u: mw.PeriodicField) -> tuple[np.ndarray, np.ndarray]:
+    """``functionals`` as first written, all three trapezoid sums over the
+    grid values, u_x from spectral differentiation: the oracle of the
+    Parseval sums.  Returns (E, F, V) and the same sums over the absolute
+    values of their integrands, the scale of their rounding."""
+    vals, ux, h = u.values, derivative(u).values, u.grid.spacing
+    quartic, cubic = 0.25 * vals**4, 0.5 * vals * ux * ux
+    efv = h * np.array([-np.sum(quartic + cubic), 0.5 * np.sum(vals**2 + ux**2), np.sum(vals)])
+    scale = h * np.array([np.sum(quartic + np.abs(cubic)), 0.5 * np.sum(vals**2 + ux**2),
+                          np.sum(np.abs(vals))])
+    return efv, scale
+
+
 def helmholtz_inverse(u: mw.PeriodicField) -> mw.PeriodicField:
     """(1 - d^2/dx^2)^{-1} u via its Fourier symbol 1 / (1 + kappa^2)."""
     kap = u.grid.wavenumbers()
@@ -404,7 +417,7 @@ def orbit_distance_grid(u: mw.PeriodicField, phi: mw.PeriodicField) -> tuple[flo
 def semidistance(u: mw.PeriodicField, p: mw.WaveParams) -> tuple[float, float]:
     """Orbital semi-distance rho(u, phi) = inf_y ||u - phi(. + y)||_H1 and
     its argmin shift: ``_orbit_distance`` to phi sampled on u's grid."""
-    return _orbit_distance(u, sample_wave(p, u.grid))
+    return _orbit_distance(u.spectrum, sample_wave(p, u.grid))
 
 
 def augmented(u: mw.PeriodicField, c: float, big_a: float) -> float:
@@ -526,8 +539,10 @@ def round_trip(u0: mw.PeriodicField, cfg) -> float:
 def reference_run(u0, cfg, reference=None, delta=0.0):
     """``evolve.run`` as first written, the oracle it must match bit for bit:
     every right side checks its output for finiteness and raises, and every
-    step takes the coarse inverse transform and checks max |u| on it.
-    Returns the StabilityRunReport, as ``run`` does."""
+    step takes the coarse inverse transform and checks max |u| on it.  A
+    record is a field holding the state's spectrum, as run's are, its
+    functionals and its rho taken one at a time.  Returns the
+    StabilityRunReport, as ``run`` does."""
     grid = u0.grid
     n, m = grid.n, evolve.DEALIAS_PAD * grid.n
     half = n // 2 + 1
@@ -560,21 +575,20 @@ def reference_run(u0, cfg, reference=None, delta=0.0):
     scale = np.array([max(abs(e0), 1e-300), max(abs(f0), 1e-300), max(abs(v0), 1e-300)])
     times, fields, rho_list, drifts = [], [], [], []
 
-    def record(t, values):
-        fld = mw.PeriodicField(grid, values)
+    def record(t, fld):
         times.append(t)
         fields.append(fld)
         e, f, v = mw.functionals(fld)
         drifts.append(np.array([(e - e0), (f - f0), (v - v0)]) / scale)
         if reference is not None:
-            r = _orbit_distance(fld, reference)[0]
+            r = _orbit_distance(fld.spectrum, reference)[0]
             rho_list.append(r)
             if delta and r > evolve.RHO_FACTOR * delta:
                 return evolve.TERMINATED_INSTABILITY
         return None
 
     spec = np.fft.rfft(u0.values)
-    terminated = record(0.0, u0.values) or evolve.TERMINATED_COMPLETED
+    terminated = record(0.0, u0) or evolve.TERMINATED_COMPLETED
     taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
@@ -591,7 +605,9 @@ def reference_run(u0, cfg, reference=None, delta=0.0):
                 terminated = evolve.TERMINATED_BLOWUP
                 break
             if step % cfg.monitor_every == 0 or step == n_steps:
-                terminated = record(step * dt, values) or evolve.TERMINATED_COMPLETED
+                # the recorded field holds the state's spectrum, as run's records do
+                fld = mw.PeriodicField._with_spectrum(grid, values, spec)
+                terminated = record(step * dt, fld) or evolve.TERMINATED_COMPLETED
 
     drift_arr = np.array(drifts)
     return evolve.StabilityRunReport(

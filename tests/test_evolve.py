@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ def grid_state_run(u0, cfg, p, delta):
         fld = mw.PeriodicField(grid, values)
         times.append(t)
         drifts.append((np.array(mw.functionals(fld)) - base) / np.abs(base))
-        rho.append(_orbit_distance(fld, phi)[0])
+        rho.append(_orbit_distance(fld.spectrum, phi)[0])
         return rho[-1] > evolve.RHO_FACTOR * delta
 
     values = u0.values
@@ -366,11 +367,11 @@ class TestSpectralState:
             assert counts[1] - counts[0] == 2 * (sides[1] - sides[0])
             assert adaptive or sides[1] - sides[0] == 4 * (steps[1] - steps[0])
 
-    def test_four_transforms_per_record(self, fft_calls, monkeypatch):
-        # outside the steps a record takes four FFT calls: the state's
-        # inverse transform, the recorded field's rfft, its u_x for E, and C
-        # at the grid shifts; the t = 0 record, of u0 itself, takes the last
-        # three, and the first slope two more
+    def test_one_transform_per_record(self, fft_calls, monkeypatch):
+        # outside the steps a record takes one FFT call, C at the grid shifts
+        # of its held spectrum; after the loop the records' fields and their
+        # u_x for E take one batched inverse transform each, in one block
+        # here; u0's rfft and the first slope take three more
         advance, inside = evolve._advance, []
 
         def counted_advance(*args):
@@ -386,7 +387,30 @@ class TestSpectralState:
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=2.0, monitor_every=5, adaptive=True),
                      reference=phi)
         assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) > 5
-        assert len(fft_calls) - sum(inside) == 4 * len(rep.times) + 1
+        assert len(fft_calls) - sum(inside) == len(rep.times) + 2 + 3
+
+    def test_record_pass_keeps_the_peak_memory(self, wave05):
+        # 2001 records of n = 1024 hold 31.3 MiB of values and spectra.  The
+        # bound, 1.5 MiB above that (32.8 MiB), is the peak of records made
+        # one at a time, each with its field, rfft and functionals; the pass
+        # after the loop holds each spectrum once, as its field's own, and
+        # its scratch arrays are a block's size
+        grid = mw.PeriodicGrid(wave05.L, 1024)
+        phi = mw.sample_wave(wave05, grid)
+        u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
+        assert phi.spectrum is not None
+        dt = mw.suggested_dt(phi, speed=wave05.c)
+        cfg = mw.EvolutionConfig(dt=dt, t_end=2000 * dt, monitor_every=1)
+        tracemalloc.start()
+        try:
+            rep = mw.run(u0, cfg, reference=phi, delta=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) == 2001
+        held = len(rep.times) * (8 * grid.n + 16 * (grid.n // 2 + 1))
+        assert held == pytest.approx(31.3 * 2**20, rel=1e-3)
+        assert peak <= held + 1.5 * 2**20
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
         # run evaluates a step's first stage before it calls _rk_step, so the
@@ -1202,6 +1226,23 @@ class TestOrbitalExperiment:
         assert mw.h1_norm(w) == pytest.approx(1.0, rel=1e-12)
         w2 = seeded_perturbation(g, seed=11)
         assert np.array_equal(w.values, w2.values)
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_seeded_perturbation_is_the_cosine_sum(self, n):
+        # oracle: sum_m a_m cos(kappa_m x) + b_m sin(kappa_m x) on the nodes,
+        # one normal drawn at a time in the order a_1, b_1, a_2, ..., scaled
+        # to unit H^1; the one irfft agrees to rounding
+        g = mw.PeriodicGrid(5.3, n)
+        for seed in (0, 7, 2**40):
+            rng = np.random.default_rng(seed)
+            vals = np.zeros(n)
+            for m in range(1, min(8, n // 4) + 1):
+                arg = 2.0 * math.pi * m * g.nodes / g.L
+                vals += rng.standard_normal() * np.cos(arg) + rng.standard_normal() * np.sin(arg)
+            oracle = mw.PeriodicField(g, vals)
+            oracle = (1.0 / mw.h1_norm(oracle)) * oracle
+            w = seeded_perturbation(g, seed)
+            assert np.max(np.abs(w.values - oracle.values)) <= 1e-14 * np.max(np.abs(oracle.values))
 
     def test_seeded_perturbation_negative_seed(self, phi05):
         with pytest.raises(DomainError):

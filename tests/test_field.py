@@ -10,12 +10,12 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 import mchwave as mw
-from mchwave import DomainError
+from mchwave import DomainError, evolve
 from mchwave.evolve import seeded_perturbation
 from mchwave.field import _orbit_distance
 
-from conftest import (augmented, helmholtz_inverse, inner_h1, integrate, lyapunov,
-                      orbit_distance_grid, random_smooth, semidistance)
+from conftest import (augmented, functionals_grid, helmholtz_inverse, inner_h1, integrate,
+                      lyapunov, orbit_distance_grid, random_smooth, semidistance)
 
 
 class TestGridAndField:
@@ -50,6 +50,25 @@ class TestGridAndField:
                 mw.PeriodicField(g, values)
         with pytest.raises(DomainError):
             mw.PeriodicField(g, np.full(16, np.nan))
+
+    def test_complex_values_refused(self):
+        # numpy would drop the imaginary part with a ComplexWarning; a zero
+        # imaginary part is refused too
+        g = mw.PeriodicGrid(2 * math.pi, 16)
+        for values in ((1 + 2j) * np.ones(16), np.ones(16, dtype=complex)):
+            with pytest.raises(DomainError, match="real"):
+                mw.PeriodicField(g, values)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("make", [
+        lambda flag: mw.PeriodicGrid(1.0, flag),
+        lambda flag: mw.EvolutionConfig(dt=0.1, t_end=1.0, monitor_every=flag),
+        lambda flag: seeded_perturbation(mw.PeriodicGrid(2 * math.pi, 16), flag),
+    ], ids=["grid_size", "monitor_every", "seed"])
+    def test_bool_is_not_an_integer(self, make, flag):
+        # bool is a numbers.Integral, so True would pass as 1 and False as 0
+        with pytest.raises(DomainError, match="integer"):
+            make(flag)
 
     def test_cross_grid_arithmetic_rejected(self):
         g1 = mw.PeriodicGrid(2 * math.pi, 16)
@@ -179,6 +198,30 @@ class TestFunctionals:
             assert np.max(np.abs(shifted - base)) < 1e-10
 
 
+    @settings(max_examples=40)
+    @given(n=st.sampled_from([16, 64, 256]), rows=st.integers(1, 6), modes=st.integers(1, 8),
+           mean=st.floats(-2.0, 2.0), seed=st.integers(0, 2**16))
+    def test_stacked_records_match_physical_space_oracles(self, n, rows, modes, mean, seed):
+        # a run's records as the pass after its loop computes them, from the
+        # held spectra of random smooth fields: E, F and V against the
+        # trapezoid sums, each within 1e-13 of the sums of the absolute
+        # values of its integrand, and the spectral rho within 1e-13
+        # relative of the full-FFT oracle's
+        g = mw.PeriodicGrid(7.3, n)
+        rng = np.random.default_rng(seed)
+        modes = min(modes, n // 2 - 1)
+        states = [mw.PeriodicField(g, mean + random_smooth(g, rng, modes).values)
+                  for _ in range(rows)]
+        phi = random_smooth(g, rng, modes)
+        fields, efv = evolve._recorded_fields(states[0], [u.spectrum for u in states])
+        assert fields[0] is states[0] and len(fields) == rows
+        for fld, row in zip(fields, efv):
+            oracle, scale = functionals_grid(mw.PeriodicField(g, fld.values))
+            assert np.all(np.abs(row - oracle) <= 1e-13 * scale)
+            rho, rho_grid = _orbit_distance(fld.spectrum, phi)[0], orbit_distance_grid(fld, phi)[0]
+            assert abs(rho - rho_grid) <= 1e-13 * rho_grid
+
+
 class TestAugmented:
     def test_zero_state(self):
         g = mw.PeriodicGrid(2 * math.pi, 32)
@@ -264,7 +307,7 @@ class TestLyapunov:
 def _assert_matches_oracle(u: mw.PeriodicField, phi: mw.PeriodicField) -> None:
     """rho within 4 eps ||phi||_H1 of the physical-space oracle's, and the
     shift in [0, L) within 1e-8 L of its shift."""
-    rho, shift = _orbit_distance(u, phi)
+    rho, shift = _orbit_distance(u.spectrum, phi)
     rho_grid, shift_grid = orbit_distance_grid(u, phi)
     assert abs(rho - rho_grid) <= 4.0 * np.finfo(float).eps * mw.h1_norm(phi)
     assert 0.0 <= shift < u.grid.L
@@ -307,7 +350,7 @@ class TestSemidistance:
         g = mw.PeriodicGrid(wave05.L, 256)
         phi = mw.sample_wave(wave05, g)
         u = phi if s is None else mw.fractional_shift(phi, s)
-        rho, shift = _orbit_distance(u, phi)
+        rho, shift = _orbit_distance(u.spectrum, phi)
         assert rho <= 1e-13 * mw.h1_norm(phi)
         assert 0.0 <= shift < g.L
         gap = (shift - (s or 0.0)) % g.L
@@ -349,7 +392,7 @@ class TestSemidistance:
                                   options={"xatol": 1e-14 * p.L})
             y_ref += res.x
         rho_ref = math.sqrt(max(res.fun, 0.0))
-        rho, shift = _orbit_distance(u, phi)
+        rho, shift = _orbit_distance(u.spectrum, phi)
         assert abs(rho - rho_ref) <= 1e-9 * rho_ref + 1e-12
         gap = (shift - y_ref) % p.L
         assert min(gap, p.L - gap) <= 1e-8 * p.L
@@ -387,10 +430,10 @@ class TestSemidistance:
         phi = mw.sample_wave(wave05, g)
         u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
         fft_calls.clear()
-        _orbit_distance(u, phi)
+        _orbit_distance(u.spectrum, phi)
         assert fft_calls == ["rfft", "irfft"]  # u's spectrum, then C at the grid shifts
         fft_calls.clear()
-        _orbit_distance(u, phi)
+        _orbit_distance(u.spectrum, phi)
         assert fft_calls == ["irfft"]  # u's spectrum is held now, as phi's was
 
     def test_newton_diagnostics_logged(self, wave05, caplog):
@@ -398,7 +441,7 @@ class TestSemidistance:
         phi = mw.sample_wave(wave05, g)
         u = mw.fractional_shift(phi, 2.5) + 1e-3 * seeded_perturbation(g, 1)
         with caplog.at_level(logging.DEBUG, logger="mchwave.field"):
-            _orbit_distance(u, phi)
+            _orbit_distance(u.spectrum, phi)
         [record] = caplog.records
         assert "Newton iterations" in record.getMessage()
         assert "bisection" in record.getMessage()
@@ -410,7 +453,7 @@ class TestSemidistance:
         u = mw.PeriodicField(g, np.full(64, 0.3))
         phi = mw.PeriodicField(g, np.cos(g.nodes))
         with caplog.at_level(logging.DEBUG, logger="mchwave.field"):
-            rho, shift = _orbit_distance(u, phi)
+            rho, shift = _orbit_distance(u.spectrum, phi)
         [record] = caplog.records
         assert "bisection used: True" in record.getMessage()
         assert rho == pytest.approx(math.sqrt(0.09 * 2 * math.pi + 2 * math.pi), rel=1e-13)
