@@ -235,8 +235,8 @@ def _write_run(args: argparse.Namespace, cfg: evolve_mod.EvolutionConfig,
 def cmd_evolve(args: argparse.Namespace) -> int:
     p, _, u0, cfg = _run_setup(args)
     report = evolve_mod.run(u0, cfg, reference=u0)
-    prop_err = max(float(np.max(np.abs(fld.values - fractional_shift(u0, -p.c * t).values)))
-                   for t, fld in zip(report.times, report.fields))
+    prop_err = max(float(np.max(np.abs(row - fractional_shift(u0, -p.c * t).values)))
+                   for t, row in zip(report.times, report.values))
     out_csv = _write_run(args, cfg, report, max_propagation_error=prop_err,
                          max_drift_E=float(np.max(np.abs(report.drift_E))),
                          max_drift_F=float(np.max(np.abs(report.drift_F))),

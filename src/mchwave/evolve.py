@@ -68,8 +68,9 @@ that completes its estimate, so no coarse inverse transform runs in the
 loop.  A record keeps the spectrum the loop holds and takes rho from it,
 at the orbit distance's one irfft, all the ``RHO_FACTOR`` stop needs.
 After the loop one pass over the kept spectra, in blocks of
-``RECORD_BLOCK`` values, gives the recorded fields by one batched irfft
-and their E, F and V, u_x for E by one more: two FFT calls a block.
+``RECORD_BLOCK`` values, fills the report's array of recorded values by
+one batched irfft and gives their E, F and V, u_x for E by one more:
+two FFT calls a block.
 The right side is an exact x-derivative, so the discrete mean of u is
 conserved to rounding.
 
@@ -109,11 +110,12 @@ PAIR_TOL = 3e-12
 # An adaptive interval past this many times its count of dt steps is blow-up,
 # and a fixed dt below suggested_dt / MAX_REFINE is refused.
 MAX_REFINE = 64
-# A plan of more records is refused: 2**15 fields of n = 1024 values keep
-# 256 MiB (records x n x 8 B), their held spectra about as much again.
+# A plan of more records is refused: at n = 1024 the report keeps 256 MiB of
+# values (records x n x 8 B), and the loop holds their spectra besides.
 MAX_RECORDS = 2**15
-# Values per block of the pass that turns a run's records into fields and
-# their functionals: its scratch arrays stay a few blocks in size.
+# Values per block of the pass that turns a run's held spectra into its
+# recorded values and their functionals: its scratch arrays stay a few
+# blocks in size.
 RECORD_BLOCK = 2**13
 
 
@@ -146,15 +148,16 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class StabilityRunReport:
-    """The fields and diagnostics recorded along a run, at ``times``.
+    """The states and diagnostics recorded along a run, at ``times``.
 
-    Drifts are relative to the t = 0 values of E, F, V; ``rho`` is the
-    orbital semi-distance to the reference wave (None when no reference
-    was supplied).
+    ``values`` holds one row of grid values a record, row 0 being u0's
+    own; drifts are relative to the t = 0 values of E, F, V; ``rho`` is
+    the orbital semi-distance to the reference wave (None when no
+    reference was supplied).  Every array is indexed by record.
     """
 
     times: np.ndarray
-    fields: list[PeriodicField]
+    values: np.ndarray  # (records, n)
     rho: np.ndarray | None
     drift_E: np.ndarray
     drift_F: np.ndarray
@@ -191,14 +194,6 @@ def suggested_dt(u0: PeriodicField, speed: float = 0.0) -> float:
     return 0.5 * u0.grid.spacing / max(1.0, umax + abs(speed))
 
 
-def _pad_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Zero-pad an rfft spectrum from n to m grid points (m > n, both even)."""
-    out = np.zeros(m // 2 + 1, dtype=complex)
-    out[: n // 2 + 1] = spec
-    out[n // 2] *= 0.5  # split the Nyquist cosine between +-n/2
-    return out
-
-
 class _RhsOperator:
     """Precomputed spectral machinery for the smoothed right side, acting on
     rfft spectra: n/2 + 1 coefficients of u in, those of f(u) = u_t out.
@@ -220,9 +215,9 @@ class _RhsOperator:
         kap, sym_d1, _ = grid.rfft_tables
         self.sym_smooth = sym_d1 / (1.0 + kap * kap)
         half = self.n // 2 + 1
-        syms = (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap))
-        self.lift = (self.m / self.n) * np.stack([_pad_spectrum(s, self.n, self.m)[:half]
-                                                  for s in syms])
+        self.lift = (self.m / self.n) * np.stack(
+            (np.full(half, 2.0), 2.0 * sym_d1, -4.0 * (kap * kap)))
+        self.lift[:, -1] *= 0.5  # the zero padding splits the Nyquist cosine between +-n/2
         self.sym_out = self.sym_smooth * (self.n / self.m / 8.0)
         self._fine_spec = np.zeros((3, self.m // 2 + 1), dtype=complex)
         self._fine = np.empty((3, self.m))
@@ -471,7 +466,7 @@ def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: 
 def run(u0: PeriodicField, cfg: EvolutionConfig,
         reference: PeriodicField | None = None, delta: float = 0.0) -> StabilityRunReport:
     """Integrate the flow from u0 with Runge-Kutta steps and record the
-    field and its drift diagnostics.
+    state's grid values and its drift diagnostics.
 
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_end; the state is recorded every ``monitor_every``
@@ -521,36 +516,33 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         terminated, steps, rhs_calls, worst = _integrate(
             _stepping(u0.grid, mean, cfg.adaptive), u0.spectrum, cfg,
             0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf, record)
-        fields, efv = _recorded_fields(u0, spectra)
+        values, efv = _recorded_values(u0, spectra)
         drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
 
     return StabilityRunReport(
-        times=np.array(times), fields=fields,
+        times=np.array(times), values=values,
         rho=np.array(rho) if reference is not None else None,
         drift_E=drifts[:, 0], drift_F=drifts[:, 1], drift_V=drifts[:, 2],
         terminated=terminated, steps=steps, rhs_calls=rhs_calls, max_error_estimate=worst,
     )
 
 
-def _recorded_fields(u0: PeriodicField,
-                     spectra: list[np.ndarray]) -> tuple[list[PeriodicField], np.ndarray]:
-    """The fields of a run's held ``spectra``, u0 itself first, and their
-    (E, F, V) rows, in one array pass of blocks of ``RECORD_BLOCK`` values:
-    each block's fields come from one batched irfft, bit for bit those of
-    one row at a time, and hold their spectra as given."""
+def _recorded_values(u0: PeriodicField,
+                     spectra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The grid values of a run's held ``spectra``, one row each, u0's own
+    first, and their (E, F, V) rows, in one pass of blocks of
+    ``RECORD_BLOCK`` values: each block's rows come from one batched
+    irfft, bit for bit those of one row at a time."""
     grid = u0.grid
     rows = max(1, RECORD_BLOCK // grid.n)
-    fields, efv = [], np.empty((len(spectra), 3))
+    values, efv = np.empty((len(spectra), grid.n)), np.empty((len(spectra), 3))
     for lo in range(0, len(spectra), rows):
-        block = spectra[lo:lo + rows]
-        spec = np.stack(block)
-        values = np.fft.irfft(spec, grid.n)
+        spec = np.stack(spectra[lo:lo + rows])
+        block = np.fft.irfft(spec, grid.n, out=values[lo:lo + len(spec)])
         if lo == 0:
-            values[0] = u0.values
-        efv[lo:lo + len(block)] = _functionals(values, spec, grid)
-        fields += [PeriodicField._with_spectrum(grid, v, s) for v, s in zip(values, block)]
-    fields[0] = u0
-    return fields, efv
+            block[0] = u0.values
+        efv[lo:lo + len(spec)] = _functionals(block, spec, grid)
+    return values, efv
 
 
 def _linear_rhs(lop: OperatorMatrix):

@@ -92,17 +92,6 @@ class PeriodicField:
             raise DomainError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def _with_spectrum(cls, grid: PeriodicGrid, values: np.ndarray,
-                       spectrum: np.ndarray) -> "PeriodicField":
-        """The field of ``values`` holding ``spectrum``, read-only, as its rfft:
-        a record of a run, whose values are the inverse transform of the
-        spectrum the run held."""
-        fld = cls(grid, values)
-        spectrum.flags.writeable = False
-        fld.__dict__["spectrum"] = spectrum
-        return fld
-
     @cached_property
     def spectrum(self) -> np.ndarray:
         spec = np.fft.rfft(self.values)

@@ -193,13 +193,14 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     Cells failing validity are kept in the table with I = NaN, valid =
     False and their reason, in (k, L) order; the summary counts them by
     reason.  All cells go through one array pass (see :func:`_index_cells`).
-    Bad ranges, a period bound that is not finite, or bad sizes raise
-    DomainError before any cell is evaluated.
+    Bad ranges, a period bound that is not finite, or bad sizes (a bool
+    among them) raise DomainError before any cell is evaluated.
     """
     if not (0.0 < k_min <= k_max < 1.0) or not (0.0 < L_min <= L_max < math.inf):
         raise DomainError("scan ranges must satisfy 0 < k_min <= k_max < 1, "
                           "0 < L_min <= L_max < inf")
-    if not all(isinstance(m, numbers.Integral) and m >= 1 for m in (nk, nL)):
+    if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1
+               for m in (nk, nL)):
         raise DomainError(f"nk and nL must be integers >= 1, got {nk!r}, {nL!r}")
     ks = np.repeat(np.linspace(k_min, k_max, nk), nL)
     ls = np.tile(np.linspace(L_min, L_max, nL), nk)

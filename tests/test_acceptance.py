@@ -143,9 +143,9 @@ def test_criterion_7_evolution_exactness(wave05):
     rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=5.0, monitor_every=20))
     assert rep.terminated == "completed"
     worst = 0.0
-    for t, fld in zip(rep.times, rep.fields):
+    for t, row in zip(rep.times, rep.values):
         exact = mw.fractional_shift(phi, -wave05.c * t)
-        worst = max(worst, float(np.max(np.abs(fld.values - exact.values))))
+        worst = max(worst, float(np.max(np.abs(row - exact.values))))
     assert worst < 1e-5
     for drift in (rep.drift_E, rep.drift_F, rep.drift_V):
         assert np.max(np.abs(drift)) < 1e-7

@@ -12,13 +12,12 @@ import scipy.linalg
 import mchwave as mw
 from mchwave import DomainError, evolve
 from mchwave.evolve import (TERMINATED_BLOWUP, TERMINATED_COMPLETED,
-                            TERMINATED_INSTABILITY, _pad_spectrum, _RhsOperator,
-                            seeded_perturbation)
+                            TERMINATED_INSTABILITY, _RhsOperator, seeded_perturbation)
 from mchwave.field import _orbit_distance
 
 from conftest import (dense_evolution_eigenvalues, dense_matrix, dp54_companion, fsal_companion,
-                      grid_rhs, helmholtz_diff_matrix, helmholtz_inverse, random_smooth,
-                      reference_run, round_trip)
+                      grid_rhs, helmholtz_diff_matrix, helmholtz_inverse, pad_spectrum,
+                      random_smooth, reference_run, round_trip)
 
 
 def _truncate_spectrum(spec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -38,7 +37,7 @@ def _six_transform_rhs(u: mw.PeriodicField, pad: int) -> np.ndarray:
     sym_d1[-1] = 0.0
 
     def to_fine(spec):
-        return np.fft.irfft(_pad_spectrum(spec, n, m), m) * (m / n)
+        return np.fft.irfft(pad_spectrum(spec, n, m), m) * (m / n)
 
     spec = np.fft.rfft(u.values)
     u_f, ux_f, uxx_f = to_fine(spec), to_fine(sym_d1 * spec), to_fine(-(kap * kap) * spec)
@@ -168,7 +167,7 @@ class TestRhs:
         g = mw.PeriodicGrid(2 * math.pi, 32)
         u = np.sin(3 * g.nodes) + 0.3 * np.cos(7 * g.nodes)
         spec = np.fft.rfft(u)
-        fine = np.fft.irfft(_pad_spectrum(spec, 32, 64), 64) * 2.0
+        fine = np.fft.irfft(pad_spectrum(spec, 32, 64), 64) * 2.0
         x_fine = np.arange(64) * (2 * math.pi / 64)
         assert np.max(np.abs(fine - (np.sin(3 * x_fine) + 0.3 * np.cos(7 * x_fine)))) < 1e-13
         back = np.fft.irfft(_truncate_spectrum(np.fft.rfft(fine), 64, 32) * 0.5, 32)
@@ -181,7 +180,7 @@ class TestRun:
         u0 = mw.PeriodicField(g, 0.4 + 0 * g.nodes)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0))
         assert rep.terminated == TERMINATED_COMPLETED
-        assert np.max(np.abs(rep.fields[-1].values - 0.4)) < 1e-14
+        assert np.max(np.abs(rep.values[-1] - 0.4)) < 1e-14
         assert np.max(np.abs(rep.drift_F)) < 1e-14
 
     def test_traveling_wave_propagation(self, wave05):
@@ -190,9 +189,9 @@ class TestRun:
         dt = mw.suggested_dt(phi, speed=wave05.c)
         rep = mw.run(phi, mw.EvolutionConfig(dt=dt, t_end=3.0, monitor_every=20))
         worst = 0.0
-        for t, fld in zip(rep.times, rep.fields):
+        for t, row in zip(rep.times, rep.values):
             exact = mw.fractional_shift(phi, -wave05.c * t)
-            worst = max(worst, float(np.max(np.abs(fld.values - exact.values))))
+            worst = max(worst, float(np.max(np.abs(row - exact.values))))
         assert worst < 1e-10
         assert np.max(np.abs(rep.drift_F)) < 1e-12
         assert np.max(np.abs(rep.drift_E)) < 1e-10
@@ -204,8 +203,8 @@ class TestRun:
         rng = np.random.default_rng(6)
         u0 = phi + 0.1 * random_smooth(grid, rng)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=2.0))
-        v0 = mw.functionals(rep.fields[0])[2]
-        v1 = mw.functionals(rep.fields[-1])[2]
+        v0 = mw.functionals(mw.PeriodicField(grid, rep.values[0]))[2]
+        v1 = mw.functionals(mw.PeriodicField(grid, rep.values[-1]))[2]
         assert abs(v1 - v0) < 1e-12
 
     def test_conservation_order_in_dt(self, wave05):
@@ -229,8 +228,8 @@ class TestRun:
         cfg = mw.EvolutionConfig(dt=0.03, t_end=1.5, monitor_every=10**9)
         t1 = mw.run(u0, cfg)
         t2 = mw.run(mw.fractional_shift(u0, s), cfg)
-        assert np.max(np.abs(t2.fields[-1].values
-                             - mw.fractional_shift(t1.fields[-1], s).values)) < 1e-8
+        shifted = mw.fractional_shift(mw.PeriodicField(grid, t1.values[-1]), s)
+        assert np.max(np.abs(t2.values[-1] - shifted.values)) < 1e-8
 
     def test_instability_of_too_large_dt_is_recorded(self, wave05):
         grid = mw.PeriodicGrid(wave05.L, 256)
@@ -283,7 +282,7 @@ class TestRun:
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0), reference=phi,
                      delta=1e-3)
         assert rep.terminated == TERMINATED_INSTABILITY
-        assert list(rep.times) == [0.0] and len(rep.fields) == 1
+        assert list(rep.times) == [0.0] and rep.values.shape == (1, grid.n)
         assert rep.rho[0] > 0.1 * 1e-3
 
 
@@ -369,7 +368,7 @@ class TestSpectralState:
 
     def test_one_transform_per_record(self, fft_calls, monkeypatch):
         # outside the steps a record takes one FFT call, C at the grid shifts
-        # of its held spectrum; after the loop the records' fields and their
+        # of its held spectrum; after the loop the records' values and their
         # u_x for E take one batched inverse transform each, in one block
         # here; u0's rfft and the first slope take three more
         advance, inside = evolve._advance, []
@@ -393,8 +392,9 @@ class TestSpectralState:
         # 2001 records of n = 1024 hold 31.3 MiB of values and spectra.  The
         # bound, 1.5 MiB above that (32.8 MiB), is the peak of records made
         # one at a time, each with its field, rfft and functionals; the pass
-        # after the loop holds each spectrum once, as its field's own, and
-        # its scratch arrays are a block's size
+        # after the loop holds each spectrum once, its scratch arrays are a
+        # block's size, and the report keeps the values alone, 15.6 MiB,
+        # with its other arrays in the 0.25 MiB of slack
         grid = mw.PeriodicGrid(wave05.L, 1024)
         phi = mw.sample_wave(wave05, grid)
         u0 = phi + 1e-3 * seeded_perturbation(grid, seed=2)
@@ -404,13 +404,14 @@ class TestSpectralState:
         tracemalloc.start()
         try:
             rep = mw.run(u0, cfg, reference=phi, delta=1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.terminated == TERMINATED_COMPLETED and len(rep.times) == 2001
+        assert rep.terminated == TERMINATED_COMPLETED and rep.values.shape == (2001, grid.n)
         held = len(rep.times) * (8 * grid.n + 16 * (grid.n // 2 + 1))
         assert held == pytest.approx(31.3 * 2**20, rel=1e-3)
         assert peak <= held + 1.5 * 2**20
+        assert kept <= 8 * len(rep.times) * grid.n + 0.25 * 2**20
 
     def test_four_right_sides_per_step(self, monkeypatch, wave05):
         # run evaluates a step's first stage before it calls _rk_step, so the
@@ -458,9 +459,7 @@ def _assert_same_run(rep, rep_ref):
     assert rep.rho is None or np.array_equal(rep.rho, rep_ref.rho)
     for name in ("drift_E", "drift_F", "drift_V"):
         assert np.array_equal(getattr(rep, name), getattr(rep_ref, name))
-    assert len(rep.fields) == len(rep_ref.fields)
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(rep.fields, rep_ref.fields))
+    assert np.array_equal(rep.values, rep_ref.values)
 
 
 class TestBitwiseOracle:
@@ -636,8 +635,8 @@ class TestStepControl:
         g = mw.PeriodicGrid(2 * math.pi, 64)
         u0 = mw.PeriodicField(g, 0.3 + 0 * g.nodes)
         rep = mw.run(u0, mw.EvolutionConfig(dt=0.05, t_end=1.0, monitor_every=2, adaptive=True))
-        assert rep.terminated == TERMINATED_COMPLETED and len(rep.fields) == 11
-        assert all(np.array_equal(fld.values, u0.values) for fld in rep.fields)
+        assert rep.terminated == TERMINATED_COMPLETED and rep.values.shape == (11, g.n)
+        assert np.array_equal(rep.values, np.tile(u0.values, (11, 1)))
 
     def test_mean_conserved_to_rounding(self):
         # E = 1 and N = 0 at the mean mode, so the mean moves only by the
@@ -1007,7 +1006,7 @@ class TestStepControl:
         threshold = float(np.max(np.abs(u0.values))) + 5e-6
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_COMPLETED
-        assert np.max(np.abs(rep.fields[-1].values)) < threshold
+        assert np.max(np.abs(rep.values[-1])) < threshold
         monkeypatch.setattr(evolve, "BLOWUP_THRESHOLD", threshold)
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]

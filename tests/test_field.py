@@ -213,12 +213,13 @@ class TestFunctionals:
         states = [mw.PeriodicField(g, mean + random_smooth(g, rng, modes).values)
                   for _ in range(rows)]
         phi = random_smooth(g, rng, modes)
-        fields, efv = evolve._recorded_fields(states[0], [u.spectrum for u in states])
-        assert fields[0] is states[0] and len(fields) == rows
-        for fld, row in zip(fields, efv):
-            oracle, scale = functionals_grid(mw.PeriodicField(g, fld.values))
-            assert np.all(np.abs(row - oracle) <= 1e-13 * scale)
-            rho, rho_grid = _orbit_distance(fld.spectrum, phi)[0], orbit_distance_grid(fld, phi)[0]
+        values, efv = evolve._recorded_values(states[0], [u.spectrum for u in states])
+        assert values.shape == (rows, n) and np.array_equal(values[0], states[0].values)
+        for u, row, efv_row in zip(states, values, efv):
+            fld = mw.PeriodicField(g, row)
+            oracle, scale = functionals_grid(fld)
+            assert np.all(np.abs(efv_row - oracle) <= 1e-13 * scale)
+            rho, rho_grid = _orbit_distance(u.spectrum, phi)[0], orbit_distance_grid(fld, phi)[0]
             assert abs(rho - rho_grid) <= 1e-13 * rho_grid
 
 

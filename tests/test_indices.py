@@ -163,7 +163,8 @@ class TestIndexScan:
         with pytest.raises(DomainError):
             mw.index_scan(0.5, 0.2, 3.0, 4.0, 2, 2)
         # a size that is not an integer used to raise a bare TypeError
-        for nk, nL in [(0, 2), (2, 0), (0, -3), (2.5, 2), (2, np.float64(2.0))]:
+        for nk, nL in [(0, 2), (2, 0), (0, -3), (2.5, 2), (2, np.float64(2.0)), (True, 2),
+                       (2, False)]:
             with pytest.raises(DomainError):
                 mw.index_scan(0.2, 0.5, 3.0 * math.pi, 4.0 * math.pi, nk, nL)
         # an infinite L_max used to give NaN and inf periods (and a warning)

@@ -417,10 +417,14 @@ class TestParamDerivatives:
         assert "wave_at" in mw.__all__ and "constant_wave" not in mw.__all__
 
     def test_one_run_report(self):
-        # a run's fields and times live in its StabilityRunReport alone, and
-        # the run artifacts have one writer
-        assert names_in_package({"Trajectory", "_run_report_rows"}) == []
+        # a run's recorded values and times live in its StabilityRunReport
+        # alone, as arrays with no fields built for them, and the run
+        # artifacts have one writer
+        assert names_in_package({"Trajectory", "_run_report_rows", "_with_spectrum",
+                                 "_recorded_fields", "_pad_spectrum"}) == []
         assert "Trajectory" not in mw.__all__
+        names = {f.name for f in dataclasses.fields(mw.StabilityRunReport)}
+        assert "values" in names and "fields" not in names
 
     def test_field_oracles_are_the_tests_own(self):
         # the trapezoid integral, the Helmholtz inverse and the physical-space
