@@ -4,7 +4,11 @@ Subcommands construct waves, reproduce the index scan, dump spectra and
 Krein reports, and run evolution experiments, writing reproducible CSV
 and JSON artifacts.  Every artifact starts with a provenance header
 (tool version, full parameter set, timestamp); identical arguments and
-seeds reproduce byte-identical bodies apart from the timestamp line.
+seeds reproduce byte-identical bodies apart from the timestamp line, for
+one numpy and BLAS build at one BLAS thread count.  Eigenvalues from
+LAPACK move in their last bits with the thread count (at n = 1024, well
+inside the zero tolerance, the counts unchanged); no value is rounded to
+hide that.  ``python -m mchwave`` runs :func:`main`.
 
 Exit codes: 0 success, 1 domain or validation error, 2 numerical
 failure, 64 usage error, 73 an artifact that cannot be written (an

@@ -40,6 +40,9 @@ from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
 
 Classification = Literal["stable", "unstable", "indeterminate"]
+# why a Krein verdict is indeterminate; "" when the wave is classified
+KreinReason = Literal["", "no_branch", "singular_dc_dk", "pairing_zero", "d_zero",
+                      "k_ham_out_of_reach"]
 
 # |pairing|, |D| or |dc/dk| below this fails "needs to be non-zero".
 SIGN_FLOOR = 1e-10
@@ -116,7 +119,9 @@ class KreinReport:
 
     All numeric fields are NaN (and counts -1) when the zero-mean branch
     does not exist at k or its parametrization by k is singular, in
-    which case the classification is ``indeterminate``.
+    which case the classification is ``indeterminate``.  ``reason`` says
+    why a classification is ``indeterminate`` (:data:`KreinReason`), and
+    is empty for a classified wave.
     """
 
     n_L: int
@@ -128,6 +133,7 @@ class KreinReport:
     K_Ham: int
     classification: Classification
     L_star: float = math.nan
+    reason: KreinReason = ""
 
 
 def _sign_count(x: float) -> tuple[int, int]:
@@ -137,17 +143,22 @@ def _sign_count(x: float) -> tuple[int, int]:
     return (1, 0) if x < 0.0 else (0, 0)
 
 
-def classify(n_y0: int, pairing: float, big_d: float) -> tuple[int, Classification]:
-    """K_Ham and the Krein classification from n(L|Y0), the pairing, and D = -d''(c).
+def classify(n_y0: int, pairing: float,
+             big_d: float) -> tuple[int, Classification, KreinReason]:
+    """K_Ham, the Krein classification and its reason from n(L|Y0), the
+    pairing, and D = -d''(c).
 
     K_Ham = n(L|Y0) - n(D); unstable at 1, stable at 0, indeterminate
-    when the pairing or D sits at zero or the counts fall outside {0, 1}.
+    when the pairing sits at zero (``pairing_zero``), D does
+    (``d_zero``) or K_Ham falls outside {0, 1} (``k_ham_out_of_reach``),
+    the first of these that holds.
     """
     n_d, z_d = _sign_count(big_d)
     k_ham = n_y0 - n_d
-    if abs(pairing) <= SIGN_FLOOR or z_d == 1 or k_ham not in (0, 1):
-        return k_ham, "indeterminate"
-    return k_ham, ("unstable" if k_ham == 1 else "stable")
+    reason = ("pairing_zero" if abs(pairing) <= SIGN_FLOOR else "d_zero" if z_d == 1
+              else "k_ham_out_of_reach" if k_ham not in (0, 1) else "")
+    cls = "indeterminate" if reason else "unstable" if k_ham == 1 else "stable"
+    return k_ham, cls, reason
 
 
 def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
@@ -324,26 +335,29 @@ def krein_index(k: float, n: int = 256) -> KreinReport:
     unstable when K_Ham = 1 and stable when K_Ham = 0.  L* is the closed
     form ``d_second(k).L_star`` (:func:`_zero_mean_l`).  The counts and the pairing
     come from :func:`morse_check` at (k, L*) on n nodes, the only use of n.
-    Classification is ``indeterminate`` when the branch is absent, dc/dk is
-    zero, the pairing or D is too close to zero, or the counts fall outside
-    the formula's reach.  Other errors propagate; a bad n is refused before
-    the branch is evaluated, and k outside (0, 1) raises DomainError.
+    Classification is ``indeterminate`` when the branch is absent
+    (``no_branch``), dc/dk is zero (``singular_dc_dk``), the pairing or D
+    is too close to zero, or the counts fall outside the formula's reach
+    (:func:`classify`), and ``reason`` names which.  Other errors
+    propagate; a bad n is refused before the branch is evaluated, and k
+    outside (0, 1) raises DomainError.
     """
     check_grid_size(n)
+    reason = "no_branch"
     try:
         report = d_second(k)
     except SingularError:  # dc/dk at zero
-        report = None
+        report, reason = None, "singular_dc_dk"
     if report is None:
         return KreinReport(n_L=-1, n_L_Y0=-1, z_L=-1, z_L_Y0=-1,
                            pairing=math.nan, D=math.nan, K_Ham=-1,
-                           classification="indeterminate")
+                           classification="indeterminate", reason=reason)
     morse = morse_check(k, report.L_star, n)
     if morse.z_L != 1:
         raise RankError(f"kernel dimension {morse.z_L} at (k={k}, L*={report.L_star}); "
                         "the Krein index needs a simple kernel")
     big_d = -report.d_second
-    k_ham, cls = classify(morse.n_Y0_direct, morse.pairing, big_d)
+    k_ham, cls, why = classify(morse.n_Y0_direct, morse.pairing, big_d)
     return KreinReport(n_L=morse.n_L, n_L_Y0=morse.n_Y0_direct, z_L=morse.z_L,
                        z_L_Y0=morse.z_Y0_direct, pairing=morse.pairing, D=big_d,
-                       K_Ham=k_ham, classification=cls, L_star=report.L_star)
+                       K_Ham=k_ham, classification=cls, L_star=report.L_star, reason=why)

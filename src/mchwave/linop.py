@@ -23,8 +23,14 @@ Nyquist entry 0 (kappa and i kappa~ are read from the grid's
     O_km = q^_|k-m| - q^_(k+m)* - kappa_k kappa_m (p^_|k-m| + p^_(k+m)*),
 
 by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
-Im q^.  For an even wave C is rounding; above the assembly gate the split
-raises :class:`AssemblyError` wherever the blocks are read.  Every solve
+Im q^.  One pass over blocks of rows k builds all three: each block forms
+kappa~_k kappa~_m once, in a row buffer that scales E's, O's and C's rows
+(kappa_k = kappa~_k for 0 < k < n/2), and C is kept only as the running
+max |C|, the reflection defect.  A block holds ``BLOCK_ENTRIES`` entries,
+and C's rows are formed in E's before E is, so besides E and O the pass
+allocates two row buffers, not temporaries the size of E.  For an even
+wave C is rounding; above the assembly gate the split raises
+:class:`AssemblyError` wherever the blocks are read.  Every solve
 is values-only and made once (:class:`ParityBlocks`): the eigenvalues of
 E, of its minor E[1:, 1:] and of O, by three ``eigvalsh`` calls.  No
 eigenvector is formed.
@@ -82,6 +88,7 @@ from .field import PeriodicField, PeriodicGrid
 from .wave import WaveParams, profile
 
 ASYMMETRY_GATE = 1e-8
+BLOCK_ENTRIES = 2**15  # entries of one block of rows in the assembly pass
 
 
 @dataclass(frozen=True)
@@ -117,48 +124,65 @@ class OperatorMatrix:
         return win[:, : half + 1, ::-1], win[:, half:]
 
     @cached_property
+    def _assembly(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """E, O and the reflection defect in one pass over blocks of rows k,
+        BLOCK_ENTRIES entries a block (module docstring).  Each block forms
+        kk = kappa~_k kappa~_m once, and every entry takes the operations, in
+        their order, of q_dif + q_sum - kk (p_dif - p_sum) (E), q_dif - q_sum
+        - kk (p_dif + p_sum) (O) on the real parts and q_sum + q_dif + kk
+        (p_sum - p_dif) (C) on the imaginary parts."""
+        half = self.grid.n // 2
+        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
+        (p_dif, q_dif), (p_sum, q_sum) = self._windows
+        even, odd = np.empty((half + 1, half + 1)), np.empty((half - 1, half - 1))
+        rows = min(half + 1, max(1, BLOCK_ENTRIES // (half + 1)))
+        kk, scratch = np.empty((rows, half + 1)), np.empty((rows, half + 1))
+        defect = 0.0
+        for top in range(0, half + 1, rows):
+            # rows top .. bottom - 1 of E, and lo .. hi - 1 of C and O (none
+            # in a block of row 0 or n/2 alone: those slices are empty)
+            bottom = min(top + rows, half + 1)
+            block, lo, hi = slice(top, bottom), max(top, 1), min(bottom, half)
+            kk_b = np.multiply.outer(d1.imag[block], d1.imag, out=kk[: bottom - top])
+            kk_i, s_b, s_i = kk_b[lo - top : hi - top], scratch[: bottom - top], scratch[: hi - lo]
+            # C's rows, formed in E's before E is
+            c_i = np.subtract(p_sum.imag[lo:hi], p_dif.imag[lo:hi], out=even[lo:hi])
+            c_i *= kk_i
+            np.add(q_sum.imag[lo:hi], q_dif.imag[lo:hi], out=s_i)
+            np.add(s_i, c_i, out=c_i)
+            c_i[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
+            defect = np.max(np.abs(c_i, out=c_i), initial=defect)
+            e_b = np.subtract(p_dif.real[block], p_sum.real[block], out=even[block])
+            e_b *= kk_b
+            np.add(q_dif.real[block], q_sum.real[block], out=s_b)
+            np.subtract(s_b, e_b, out=e_b)
+            o_i, s_i = odd[lo - 1 : hi - 1], s_i[:, inner]
+            np.add(p_dif.real[lo:hi, inner], p_sum.real[lo:hi, inner], out=o_i)
+            o_i *= kk_i[:, inner]
+            np.subtract(q_dif.real[lo:hi, inner], q_sum.real[lo:hi, inner], out=s_i)
+            np.subtract(s_i, o_i, out=o_i)
+        # E *= outer(s, s): s_k s_m is 1, and x * 1 = x, except in rows and
+        # columns 0 and n/2, so only those are scaled, by the same products
+        even[::half] *= math.sqrt(0.5) * _cosine_weights(half)
+        even[inner, ::half] *= math.sqrt(0.5)
+        even[half, half] -= kap[half] ** 2 * p_dif.real[0, 0]
+        return even, odd, float(defect)
+
+    @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The even and odd blocks E and O (module docstring); AssemblyError if
         the reflection defect exceeds the gate."""
         if self.reflection_defect > ASYMMETRY_GATE:
             raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
                                 f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
-        half = self.grid.n // 2
-        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
-        (p_dif, q_dif), (p_sum, q_sum) = (v.real for v in self._windows)
-        # Each entry takes the operations, in their order, of q_dif + q_sum -
-        # kk (p_dif - p_sum) and q_dif - q_sum - kk (p_dif + p_sum), with
-        # kk = kappa~_k kappa~_m (kappa~ = kappa inside the odd block), but
-        # in place: one scratch the size of E besides the two blocks.
-        scratch = np.outer(d1.imag, d1.imag)
-        odd = np.add(p_dif[inner, inner], p_sum[inner, inner])
-        odd *= scratch[inner, inner]
-        even = np.subtract(p_dif, p_sum)
-        even *= scratch
-        np.add(q_dif, q_sum, out=scratch)
-        np.subtract(scratch, even, out=even)
-        np.subtract(q_dif[inner, inner], q_sum[inner, inner], out=scratch[inner, inner])
-        np.subtract(scratch[inner, inner], odd, out=odd)
-        # E *= outer(s, s): s_k s_m is 1, and x * 1 = x, except in rows and
-        # columns 0 and n/2, so only those are scaled, by the same products
-        even[::half] *= math.sqrt(0.5) * _cosine_weights(half)
-        even[inner, ::half] *= math.sqrt(0.5)
-        even[half, half] -= kap[half] ** 2 * p_dif[0, 0]
-        return even, odd
+        return self._assembly[:2]
 
-    @cached_property
+    @property
     def reflection_defect(self) -> float:
         """max |C|, C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) +
         kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended
         odd: rounding for an even wave, and gated before the split."""
-        half = self.grid.n // 2
-        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
-        (p_dif, q_dif), (p_sum, q_sum) = (v.imag for v in self._windows)
-        coupling = np.subtract(p_sum[inner], p_dif[inner])
-        coupling *= np.outer(kap[inner], d1.imag)
-        np.add(np.add(q_sum[inner], q_dif[inner]), coupling, out=coupling)
-        coupling[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
-        return float(np.max(np.abs(coupling, out=coupling)))
+        return self._assembly[2]
 
     @cached_property
     def parity(self) -> ParityBlocks:

@@ -25,6 +25,15 @@ def strip_timestamps(text: str) -> list[str]:
     return [l for l in text.splitlines() if not l.startswith(("# timestamp: ", ' "timestamp": '))]
 
 
+def run_program(cwd: Path, *argv: str, module: str = "mchwave",
+                **env: str) -> subprocess.CompletedProcess:
+    """``python -m module *argv`` in a subprocess from ``cwd``, the package
+    imported from this checkout, with ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **env}
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def strict_json(path: Path):
     """The JSON body at ``path``, refusing NaN and +-Infinity, which RFC 8259
     does not allow and ``json.loads`` would accept."""
@@ -227,12 +236,33 @@ class TestEntryPoint:
     def test_module_as_a_program(self, tmp_path, argv, code, stream, text):
         # main() runs as `python -m mchwave.cli`, its exit status the code
         # dispatch returns
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-m", "mchwave.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = run_program(tmp_path, *argv, module="mchwave.cli")
         assert done.returncode == code
         assert text in getattr(done, stream)
         assert not any(tmp_path.iterdir())
+
+    def test_package_as_a_program(self, tmp_path):
+        # `python -m mchwave` is `python -m mchwave.cli`
+        done = run_program(tmp_path, "--version")
+        assert (done.returncode, done.stdout.strip()) == (EXIT_OK, mw.__version__)
+
+    def test_spectrum_across_blas_thread_counts(self, tmp_path):
+        # bodies are byte-identical for one BLAS build and thread count only:
+        # at n = 1024, 1 and 2 OpenBLAS threads move eigenvalues of L in
+        # their last bits.  The counts agree, and every eigenvalue within
+        # the zero tolerance of both runs.
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            done = run_program(tmp_path, "spectrum", "--k", "0.5", "--L", "6pi", "--n", "1024",
+                               "--out-dir", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == EXIT_OK, done.stderr
+            runs.append(strict_json(out / "spectrum.json"))
+        for key in ("spectrum", "restricted_spectrum"):
+            one, two = (run[key] for run in runs)
+            assert (one["n_neg"], one["z_dim"]) == (two["n_neg"], two["z_dim"])
+            gap = np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))
+            assert np.all(gap <= min(one["tol"], two["tol"]))
 
 
 class TestWaveCommand:
@@ -537,8 +567,23 @@ class TestKreinCommand:
         assert code == EXIT_OK
         payload = strict_json(tmp_path / "krein.json")
         assert payload["krein"]["classification"] == "indeterminate"
+        assert payload["krein"]["reason"] == "no_branch"
         # no branch has no pairing, D or L*: null, where a bare NaN used to be
         assert [payload["krein"][key] for key in ("pairing", "D", "L_star")] == [None] * 3
+
+    @pytest.mark.parametrize("k, n, classification, reason", [
+        ("0.9999999999999", "64", "indeterminate", "no_branch"),
+        ("0.985", "64", "indeterminate", "k_ham_out_of_reach"),
+        ("0.999", "64", "stable", ""),
+    ])
+    def test_reason_of_the_classification(self, tmp_path, k, n, classification, reason):
+        # every indeterminate verdict names its cause, a classified one none;
+        # above k = 1 - 1e-8 the branch has met the discriminant boundary, so
+        # every count reads -1 there for a stated reason
+        assert dispatch(["krein", "--k", k, "--n", n, "--out-dir", str(tmp_path)]) == EXIT_OK
+        krein = strict_json(tmp_path / "krein.json")["krein"]
+        assert (krein["classification"], krein["reason"]) == (classification, reason)
+        assert (krein["K_Ham"] == -1) is (reason == "no_branch")
 
     def test_bad_grid_size_exits_domain(self, tmp_path):
         # the branch exists, so n reaches the operator grid, which refuses 15

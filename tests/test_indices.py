@@ -12,7 +12,8 @@ from mpmath import mp
 import mchwave as mw
 from mchwave import DomainError
 from mchwave.cli import EXIT_OK, dispatch
-from mchwave.indices import _branch_state, _zero_mean_l, classify, zero_mean_period
+from mchwave.indices import (SIGN_FLOOR, _branch_state, _zero_mean_l, classify,
+                             zero_mean_period)
 
 from conftest import AccuracyError, fd_dk, fd_index, integrate
 
@@ -479,7 +480,8 @@ class TestKrein:
             raise mw.SingularError("dc/dk = 0")
 
         monkeypatch.setattr(mw.indices, "d_second", singular)
-        assert mw.krein_index(0.985).classification == "indeterminate"
+        rep = mw.krein_index(0.985)
+        assert (rep.classification, rep.reason) == ("indeterminate", "singular_dc_dk")
 
         def failure(*args, **kwargs):
             raise mw.NumericalError("any other failure")
@@ -501,7 +503,7 @@ class TestKrein:
         with pytest.raises(mw.SingularError, match="singular parametrization.*SIGN_FLOOR"):
             mw.d_second(0.985)
         rep = mw.krein_index(0.985, n=64)
-        assert rep.classification == "indeterminate"
+        assert (rep.classification, rep.reason) == ("indeterminate", "singular_dc_dk")
         assert (rep.n_L, rep.n_L_Y0, rep.z_L, rep.z_L_Y0, rep.K_Ham) == (-1, -1, -1, -1, -1)
 
     def test_refuses_a_kernel_that_is_not_simple(self, monkeypatch):
@@ -516,7 +518,7 @@ class TestKrein:
 
     def test_branch_absent_indeterminate(self):
         rep = mw.krein_index(0.5)
-        assert rep.classification == "indeterminate"
+        assert (rep.classification, rep.reason) == ("indeterminate", "no_branch")
         assert math.isnan(rep.pairing)
 
     def test_zero_mean_branch_report_consistent(self):
@@ -529,17 +531,23 @@ class TestKrein:
         d_count = 1 if rep.D < 0 else 0
         assert rep.K_Ham == rep.n_L_Y0 - d_count
         assert rep.classification == "indeterminate"
+        # the counts, not the pairing or D, are what refuse the verdict
+        assert abs(rep.pairing) > SIGN_FLOOR and abs(rep.D) > SIGN_FLOOR
+        assert rep.K_Ham not in (0, 1) and rep.reason == "k_ham_out_of_reach"
 
     def test_classification_rules(self):
         # the three sign cases discussed for the Krein count
-        assert classify(1, pairing=2.0, big_d=-3.0) == (0, "stable")   # d''(c) > 0
-        assert classify(1, pairing=2.0, big_d=3.0) == (1, "unstable")  # d''(c) < 0
-        assert classify(0, pairing=-2.0, big_d=3.0) == (0, "stable")   # cautionary case
-        assert classify(1, pairing=0.0, big_d=-3.0) == (0, "indeterminate")
-        assert classify(1, pairing=2.0, big_d=0.0) == (1, "indeterminate")
+        assert classify(1, pairing=2.0, big_d=-3.0) == (0, "stable", "")   # d''(c) > 0
+        assert classify(1, pairing=2.0, big_d=3.0) == (1, "unstable", "")  # d''(c) < 0
+        assert classify(0, pairing=-2.0, big_d=3.0) == (0, "stable", "")   # cautionary case
+        assert classify(1, pairing=0.0, big_d=-3.0) == (0, "indeterminate", "pairing_zero")
+        assert classify(1, pairing=2.0, big_d=0.0) == (1, "indeterminate", "d_zero")
         # the difference count is what decides, not n(L|Y0) alone
-        assert classify(2, pairing=2.0, big_d=-3.0) == (1, "unstable")
-        assert classify(3, pairing=2.0, big_d=3.0) == (3, "indeterminate")
+        assert classify(2, pairing=2.0, big_d=-3.0) == (1, "unstable", "")
+        assert classify(3, pairing=2.0, big_d=3.0) == (3, "indeterminate", "k_ham_out_of_reach")
+        # the first cause that holds is the one named
+        assert classify(3, pairing=0.0, big_d=0.0) == (3, "indeterminate", "pairing_zero")
+        assert classify(3, pairing=2.0, big_d=0.0) == (3, "indeterminate", "d_zero")
 
 
 def test_one_decomposition_per_operator(monkeypatch, tmp_path):

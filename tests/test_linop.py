@@ -546,6 +546,18 @@ def test_counts_are_a_recount_of_the_report(k, big_l, n):
 
 
 ORACLE_SIZES = (16, 64, 256, 1024)
+# (n, rows a block): the default budget, then blocks of 1, 2 and 7 rows, so
+# that block edges fall on row 0, on O's first and last rows and on the
+# Nyquist row alone (n = 1024 alone spans blocks at the default)
+BLOCK_CASES = [(n, None) for n in ORACLE_SIZES] + [(n, rows) for n in ORACLE_SIZES
+                                                   for rows in (1, 2, 7)]
+BLOCK_IDS = [str(n) if rows is None else f"{n}-rows{rows}" for n, rows in BLOCK_CASES]
+
+
+def set_block_rows(monkeypatch, n, rows):
+    """Blocks of ``rows`` rows in the assembly pass at n nodes (None: the default)."""
+    if rows is not None:
+        monkeypatch.setattr(linop, "BLOCK_ENTRIES", rows * (n // 2 + 1))
 
 
 def assert_blocks_match_reference(op):
@@ -558,18 +570,20 @@ def assert_blocks_match_reference(op):
 
 
 class TestInPlaceAssembly:
-    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("n, rows", BLOCK_CASES, ids=BLOCK_IDS)
     @pytest.mark.parametrize("k, big_l", [(0.0, 2 * math.pi), (0.5, 6 * math.pi),
                                           (0.9, 4 * math.pi), (0.999, None)])
-    def test_named_waves(self, k, big_l, n):
+    def test_named_waves(self, monkeypatch, k, big_l, n, rows):
+        set_block_rows(monkeypatch, n, rows)
         big_l = mw.zero_mean_period(k) if big_l is None else big_l
         assert_blocks_match_reference(mw.operator_for(mw.wave_at(k, big_l)[0], n))
 
-    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("n, rows", BLOCK_CASES, ids=BLOCK_IDS)
     @pytest.mark.parametrize("amplitude", [1e-14, 1.0])
-    def test_non_even_coefficients(self, amplitude, n):
+    def test_non_even_coefficients(self, monkeypatch, amplitude, n, rows):
         # an odd part of 1e-14 stays below the gate and is assembled; one of
         # order 1 is refused with the same message and defect
+        set_block_rows(monkeypatch, n, rows)
         grid = mw.PeriodicGrid(6 * math.pi, n)
         even = mw.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], n)
         odd_part = amplitude * np.stack([random_smooth(grid, np.random.default_rng(s)).values
