@@ -18,18 +18,20 @@ A run records the state every ``monitor_every`` steps of
 equal steps h whose error estimates meet their method's target fill each
 interval between records, in one of two frames and with one of two
 explicit Runge-Kutta pairs with FSAL, the last stage being the next
-step's first.  In the mean's frame, ubar the conserved mean, the steps
-are Lawson's (SIAM J. Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta
-Numerica 19, 2010): E_c = exp(c h lambda), formed once per (pair, h) of
-a run, steps the linearization at ubar, lambda = i kappa / (1 + kappa^2)
-(-ubar kappa^2 - 3 ubar^2), exactly, and stage i of a tableau (c, A, b,
+step's first.  Every step is Lawson's (SIAM J. Numer. Anal. 4, 1967;
+Hochbruck & Ostermann, Acta Numerica 19, 2010) in a frame of symbol
+lambda: E_c = exp(c h lambda), formed once per (pair, h) of a run, steps
+the linear part lambda exactly, and stage i of a tableau (c, A, b,
 b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u,
-conj(E_c) = 1 / E_c.  In the lab's frame E = 1.  One tableau loop takes
-every step, fixed ones too, RK4's weights being (1, 2, 2, 1) / 6, so its
-classical step keeps the textbook bits.  The estimate per unit time is
-the RMS grid norm of sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the step's
-distance to its companion over h, at no right side: the last N is the
-next step's first.  RK4 with its order-3 companion follows est ~ h^3 within
+conj(E_c) = 1 / E_c.  The mean's frame, ubar the conserved mean, takes
+the linearization at ubar, lambda = i kappa / (1 + kappa^2) (-ubar
+kappa^2 - 3 ubar^2); the lab's is the frame of lambda = 0, where E = 1
+and N = f.  One tableau loop takes every step, fixed ones too, RK4's
+weights being (1, 2, 2, 1) / 6, so its lab-frame step keeps the textbook
+bits.  The estimate per unit time is the RMS grid norm of
+sum_j (b_j - b_hat_j) conj(E_c_j) N_j, the step's distance to its
+companion over h, at no right side: the last N is the next step's
+first.  RK4 with its order-3 companion follows est ~ h^3 within
 ``STEP_TOL`` at 4 right sides a step; Dormand & Prince's 5(4) pair
 (J. Comput. Appl. Math. 6, 1980) carries the order-5 solution and
 follows est ~ h^4 within ``PAIR_TOL`` at 6.  Neither frame nor pair wins
@@ -278,78 +280,73 @@ _METHODS = (_RK4, _DP54)
 
 
 def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
-             es: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One step of h of ``pair`` from ``values``, whose first stage
-    ``k1 = f(values)`` the caller has evaluated: every step of both flows,
-    fixed ones too.  Returns the new state y1 = y + (h / div) (b @ z) and
-    E_1 sum_j w_j conj(E_c_j) N_j over the stages before the last, E_1 the
-    factor at c = 1: less the next first stage N(y1), it is ``err_div``
-    times the step's error per unit time.  Without ``es`` the step is
-    classical, and RK4's, weights (1, 2, 2, 1) over 6, is the textbook
-    step bit for bit if ``b @ z`` sums its exact products in the order
-    j = 0 .. 3, as OpenBLAS does.  With ``es``, which maps each node c to
-    E_c = exp(c h lambda) and its conjugate, it is Lawson's, ``f`` being
-    the right side N less the linear part lambda, and stage i is
-    Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j)."""
+             frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
+    """One Lawson step of h of ``pair`` in ``frame`` from ``values``, whose
+    first stage ``k1 = f(values)`` the caller has evaluated: every step of
+    both flows, fixed ones too, ``f`` being the right side N less the
+    frame's linear part lambda.  With E_c = exp(c h lambda) the frame's
+    factor at node c, stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j)
+    N_j).  Returns the new state y1 = E_1 (y + (h / div) (b @ z)) and E_1
+    sum_j w_j conj(E_c_j) N_j over the stages before the last: less the
+    next first stage N(y1), it is ``err_div`` times the step's error per
+    unit time.  In the lab's frame, lambda = 0, E = 1 and the step is
+    classical: RK4's, weights (1, 2, 2, 1) over 6, is the textbook step
+    bit for bit if ``b @ z`` sums its exact products in the order
+    j = 0 .. 3, as OpenBLAS does."""
+    es = frame.factors(pair, h)
     z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
     z[0] = k1
     for i in range(1, len(z)):
+        e, e_conj = es[pair.c[i]]
         stage = values + h * (pair.a[i, :i] @ z[:i])
-        if es is not None:
-            e, e_conj = es[pair.c[i]]
-            stage *= e
+        stage *= e
         z[i] = f(stage)
-        if es is not None:
-            z[i] *= e_conj
+        z[i] *= e_conj
     y1, err = values + (h / pair.div) * (pair.b @ z), pair.w @ z
-    if es is not None:
-        y1 *= es[1.0][0]
-        err *= es[1.0][0]
+    y1 *= es[1.0][0]
+    err *= es[1.0][0]
     return y1, err
 
 
 class _Frame:
-    """The mean's frame of Lawson's steps: the symbol ``lam`` of the linear
-    part its factors step exactly, and those factors, E_c = exp(c h lam)
-    and its conjugate at each node c of a pair, formed once per (pair, h)."""
+    """A frame of Lawson's steps: the mean's, or the lab's, of symbol 0.
+    It holds the symbol ``lam`` of the linear part its factors step
+    exactly, and those factors, E_c = exp(c h lam) and its conjugate at
+    each node c of a pair, formed once per (pair, h)."""
 
     def __init__(self, lam: np.ndarray):
         self.lam, self._factors = lam, {}
 
     def factors(self, pair: _Pair, h: float) -> dict:
-        es = self._factors.get((pair, h))
-        if es is None:
-            es = self._factors[pair, h] = {
+        if (pair, h) not in self._factors:
+            self._factors[pair, h] = {
                 c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * self.lam),)}
-        return es
+        return self._factors[pair, h]
 
 
-def _advance(st: _Stepping, frame: _Frame | None, pair: _Pair, spec: np.ndarray,
+def _advance(st: _Stepping, frame: _Frame, pair: _Pair, spec: np.ndarray,
              k1: np.ndarray, q: int, h: float,
              tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
     """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
-    st.f(spec) is given, in ``frame`` (Lawson's stages take N = f - lam y;
-    None is the lab's, classical): the end state and its f, the largest
-    estimate per unit time and the steps taken.  The first estimate not
-    within ``tol`` ends the steps and is returned, with a state of None if
-    it is not finite.  A state that passes the estimate and fails
-    ``st.bounded`` ends them too: None, with an estimate of +inf."""
+    st.f(spec) is given, in ``frame``, whose stages take N = f - lam y:
+    the end state and its f, the largest estimate per unit time and the
+    steps taken.  The first estimate not within ``tol`` ends the steps and
+    is returned, with a state of None if it is not finite.  A state that
+    passes the estimate and fails ``st.bounded`` ends them too: None, with
+    an estimate of +inf."""
     # the error vanishes at the mean and Nyquist modes: Parseval's weight is 2
     scale = math.sqrt(2.0) / (pair.err_div * st.n)
-    worst, nl, es, n1 = 0.0, st.f, None, k1
-    if frame is not None:
-        lam = frame.lam
+    worst, lam = 0.0, frame.lam
 
-        def nl(y: np.ndarray) -> np.ndarray:
-            out = st.f(y)
-            out -= lam * y
-            return out
-        es = frame.factors(pair, h)
-        n1 = k1 - lam * spec
+    def nl(y: np.ndarray) -> np.ndarray:
+        out = st.f(y)
+        out -= lam * y
+        return out
+    n1 = k1 - lam * spec
     for j in range(q):
-        spec, err = _rk_step(nl, pair, spec, n1, h, es)
+        spec, err = _rk_step(nl, pair, spec, n1, h, frame)
         k1 = st.f(spec)
-        n1 = k1 if frame is None else k1 - lam * spec  # the next step's first stage
+        n1 = k1 - lam * spec  # the next step's first stage
         err -= n1
         est = scale * float(np.linalg.norm(err))
         if not est <= tol:
@@ -370,7 +367,7 @@ class _Stepping:
     f: Callable[[np.ndarray], np.ndarray]
     n: int
     bounded: Callable[[np.ndarray], bool]
-    candidates: tuple[tuple[_Frame | None, _Pair], ...]
+    candidates: tuple[tuple[_Frame, _Pair], ...]
     targets: dict
 
     def h_next(self, pair: _Pair, h: float, est: float) -> float:
@@ -391,10 +388,11 @@ class _Stepping:
 def _stepping(grid: PeriodicGrid, mean: float, adaptive: bool) -> _Stepping:
     """The stepping state of a run on ``grid``: adaptive, RK4 and then the
     Dormand-Prince pair, in the frame of a nonzero ``mean`` and then in the
-    lab's; fixed, classical RK4 alone with no target."""
+    lab's, of symbol 0 (at a zero mean lam is 0 already: the one frame);
+    fixed, RK4 alone with no target, classical at the zero mean of ``run``."""
     f, kap = _RhsOperator(grid), grid.rfft_tables[0]
     lam = f.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean)
-    frames = (_Frame(lam), None) if mean else (None,)
+    frames = (_Frame(lam), _Frame(0.0 * lam)) if mean else (_Frame(lam),)
     methods = _METHODS if adaptive else (_RK4,)
     targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL} if adaptive else {_RK4: math.inf}
     # the bound: f(spec) left 2u at the coarse nodes, so against twice
@@ -585,7 +583,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
         records.append((t, w * float(np.linalg.norm(np.fft.irfft(spec, grid.n)))))
 
     st = _Stepping(_linear_rhs(lop), grid.n, lambda spec: np.isfinite(spec).all(),
-                   ((None, _RK4),), {_RK4: math.inf})
+                   ((_Frame(np.zeros(grid.n // 2 + 1)), _RK4),), {_RK4: math.inf})
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
         terminated, steps, _, _ = _integrate(st, np.fft.rfft(values), cfg, math.inf, record)
     if terminated == TERMINATED_BLOWUP:

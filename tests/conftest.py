@@ -63,13 +63,13 @@ def eig_calls(monkeypatch):
 
 
 class AdvanceCall(NamedTuple):
-    """One ``evolve._advance`` call: its frame (None for the lab's),
-    its method (``evolve._RK4`` or ``evolve._DP54``), whether it is a trial
-    (one step with no target), the state and slope it starts from, its
-    step, its count, its target and the estimate it returns (None until
-    then)."""
+    """One ``evolve._advance`` call: its frame (the lab's has the symbol
+    ``lam`` 0, so ``frame.lam.any()`` tells the mean's), its method
+    (``evolve._RK4`` or ``evolve._DP54``), whether it is a trial (one step
+    with no target), the state and slope it starts from, its step, its
+    count, its target and the estimate it returns (None until then)."""
 
-    frame: evolve._Frame | None
+    frame: evolve._Frame
     pair: object
     trial: bool
     spec: np.ndarray
@@ -196,6 +196,15 @@ def from_grid(u: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(u, axis=0) / math.sqrt(half)
     return np.concatenate((spec.real * linop._cosine_weights(half)[:, None],
                            -spec.imag[1:half]))
+
+
+def constraint_matrix(op, g: np.ndarray) -> np.ndarray:
+    """P_ij = <L^{-1} g_i, g_j> in L^2(0, L) for even grid columns ``g``, the
+    wave's [1, phi - phi''] (ROADMAP item 26's matrix, whose P_11 is the
+    pairing <L^{-1} 1, 1>): (L/n) G^T E^{-1} G, G the cosine rows 0 .. n/2
+    of ``from_grid(g)``, by one solve of the even block E of ``op``."""
+    g_hat = from_grid(g)[: op.grid.n // 2 + 1]
+    return (op.grid.L / op.grid.n) * g_hat.T @ np.linalg.solve(op._blocks[0], g_hat)
 
 
 def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndarray:

@@ -264,6 +264,21 @@ class TestEntryPoint:
             gap = np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))
             assert np.all(gap <= min(one["tol"], two["tol"]))
 
+    def test_run_across_blas_thread_counts(self, tmp_path):
+        # a run's bodies do not move with the thread count: u0 crosses zero
+        # here, so the run takes trials in both frames and the pair's steps,
+        # and every step's textbook bits rest on b @ z summing in order
+        bodies = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            done = run_program(cwd, "orbit", "--k", "0.693", "--L", "3.6pi", "--n", "256",
+                               "--t-end", "10", "--out-dir", ".", OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == EXIT_OK, done.stderr
+            bodies.append([strip_timestamps((cwd / name).read_text())
+                           for name in ("orbit.csv", "orbit_summary.json")])
+        assert bodies[0] == bodies[1]
+
 
 class TestWaveCommand:
     def test_valid_wave(self, tmp_path):

@@ -500,13 +500,13 @@ class TestBitwiseOracle:
         grid = mw.PeriodicGrid(wave05.L, n)
         u0 = mw.sample_wave(wave05, grid) + 1e-3 * seeded_perturbation(grid, seed=2)
         f, spec = _RhsOperator(grid), u0.spectrum
-        k1 = f(spec)
+        k1, lab = f(spec), evolve._Frame(np.zeros(n // 2 + 1, dtype=complex))
         for h in [r * mw.suggested_dt(u0) for r in (0.25, 1.0, 2.0)]:
             k2 = f(spec + 0.5 * h * k1)
             k3 = f(spec + 0.5 * h * k2)
             k4 = f(spec + h * k3)
             textbook = spec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y1, err = evolve._rk_step(f, evolve._RK4, spec, k1, h)
+            y1, err = evolve._rk_step(f, evolve._RK4, spec, k1, h, lab)
             assert np.array_equal(y1.view(np.uint64), textbook.view(np.uint64))
             assert np.array_equal(err, k4)
 
@@ -571,9 +571,9 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
 
 def _stepping_at_the_mean(u0, lawson):
     """The stepping state of an adaptive run from u0 and its frame: the mean's,
-    whose symbol ``conftest.fsal_companion`` rebuilds, or None, the lab's."""
+    whose symbol ``conftest.fsal_companion`` rebuilds, or the lab's, of symbol 0."""
     st = evolve._stepping(u0.grid, float(np.mean(u0.values)), adaptive=True)
-    return st, st.candidates[0][0] if lawson else None
+    return st, st.candidates[0 if lawson else -1][0]
 
 
 def predicted_right_sides(pair, target, span, h, est):
@@ -687,9 +687,9 @@ class TestStepControl:
         # the zero-mean branch, trials the lab frame's two candidates
         step, steps = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, es=None):
-            steps.append((es is not None, pair is evolve._DP54, advance_calls[-1].trial))
-            return step(f, pair, values, k1, h, es)
+        def spied_step(f, pair, values, k1, h, frame):
+            steps.append((bool(frame.lam.any()), pair is evolve._DP54, advance_calls[-1].trial))
+            return step(f, pair, values, k1, h, frame)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
 
@@ -729,9 +729,9 @@ class TestStepControl:
         # predicts the fewest right sides for the interval, the first on a tie
         step, kinds = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, es=None):
-            kinds.append((es is not None, pair))
-            return step(f, pair, values, k1, h, es)
+        def spied_step(f, pair, values, k1, h, frame):
+            kinds.append((bool(frame.lam.any()), pair))
+            return step(f, pair, values, k1, h, frame)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
         _, u0, cfg = _orbit_start(k, big_l)
@@ -748,7 +748,7 @@ class TestStepControl:
         targets = {evolve._RK4: evolve.STEP_TOL, evolve._DP54: evolve.PAIR_TOL}
         for i in trials[::4]:
             group, chosen = advance_calls[i:i + 4], advance_calls[i + 4]
-            assert [(c.frame is not None, c.pair, c.trial) for c in group] == [
+            assert [(c.frame.lam.any(), c.pair, c.trial) for c in group] == [
                 (True, evolve._RK4, True), (True, evolve._DP54, True),
                 (False, evolve._RK4, True), (False, evolve._DP54, True)]
             # the interval: as many accepted attempts come before its trial
@@ -758,7 +758,7 @@ class TestStepControl:
             costs = [predicted_right_sides(c.pair, targets[c.pair], span, c.h, c.est)
                      for c in group]
             best = group[costs.index(min(costs))]
-            assert (chosen.frame is not None, chosen.pair) == (best.frame is not None, best.pair)
+            assert (chosen.frame.lam.any(), chosen.pair) == (best.frame.lam.any(), best.pair)
             assert not chosen.trial
 
     def test_trials_match_the_oracles(self, advance_calls):
@@ -776,14 +776,14 @@ class TestStepControl:
         trials = [call for call in advance_calls if call.trial]
         kept = [call for call in advance_calls if not call.trial]
         switches = [b for a, b in zip(kept, kept[1:])
-                    if (a.frame is None, a.pair) != (b.frame is None, b.pair)]
+                    if (a.frame.lam.any(), a.pair) != (b.frame.lam.any(), b.pair)]
         assert len(switches) == 1 and len(trials) >= 8
         for call in trials + switches:
             assert np.array_equal(call.k1, _RhsOperator(grid)(call.spec))
         for call in trials:
             oracle = dp54_companion if call.pair is evolve._DP54 else fsal_companion
             y1, y_star = oracle(mw.PeriodicField(grid, np.fft.irfft(call.spec, grid.n)), call.h,
-                                lawson=call.frame is not None)
+                                lawson=bool(call.frame.lam.any()))
             distance = math.sqrt(np.mean((y1 - y_star) ** 2))
             rounding = eps * math.sqrt(np.mean(y1 ** 2))
             assert distance > (10.0 if call.pair is evolve._DP54 else 1e3) * rounding
@@ -870,11 +870,12 @@ class TestStepControl:
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.667, 3.27 * math.pi)])
     def test_lawson_factors_formed_once_per_h(self, monkeypatch, advance_calls, k, big_l):
-        # a run forms the factors E_c of its mean's frame once for each
-        # (pair, h) it steps with there: one complex exp per node of the
-        # pair, however often the intervals repeat h.  (0.5, 6 pi) steps RK4
-        # alone, (0.667, 3.27 pi) both pairs after its trials; with no
-        # reference, no other complex exp is taken
+        # a run forms the factors E_c of each frame once for each (pair, h)
+        # it steps with there: one complex exp per node of the pair, however
+        # often the intervals repeat h.  Adaptive, (0.5, 6 pi) steps RK4
+        # alone in the mean's frame, (0.667, 3.27 pi) both pairs in both
+        # frames after its trials; a fixed-dt run forms RK4's factors in the
+        # lab's frame once.  With no reference, no other complex exp is taken
         exp, complex_exps = np.exp, []
 
         def counted(x, *args, **kwargs):
@@ -884,12 +885,17 @@ class TestStepControl:
 
         monkeypatch.setattr(np, "exp", counted)
         _, u0, cfg = _orbit_start(k, big_l)
-        rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
-        assert rep.terminated == TERMINATED_COMPLETED
-        factored = [(c.pair, c.h) for c in advance_calls if c.frame is not None]
-        distinct = set(factored)
-        assert len(factored) > len(distinct)
-        assert len(complex_exps) == sum(len(pair.nodes) for pair, _ in distinct)
+        for adaptive in (True, False):
+            complex_exps.clear()
+            advance_calls.clear()
+            rep = mw.run(u0, dataclasses.replace(cfg, adaptive=adaptive))
+            assert rep.terminated == TERMINATED_COMPLETED
+            factored = [(c.frame, c.pair, c.h) for c in advance_calls]
+            distinct = set(factored)
+            assert len(factored) > len(distinct)
+            assert len(complex_exps) == sum(len(pair.nodes) for _, pair, _ in distinct)
+        assert distinct == {(advance_calls[0].frame, evolve._RK4, cfg.steps[1])}
+        assert len(complex_exps) == len(evolve._RK4.nodes)
 
     def test_branch_right_side_count(self):
         # on the zero-mean branch a run is in the lab's frame; at (0.999, L*)
@@ -954,7 +960,7 @@ class TestStepControl:
         def one_trial_nan(f, frame, pair, spec, k1, q, h, tol):
             out = advance(f, frame, pair, spec, k1, q, h, tol)
             trial = q == 1 and tol == math.inf
-            return (None, out[1], math.nan, out[3]) if (frame is None) == lab and trial else out
+            return (None, out[1], math.nan, out[3]) if frame.lam.any() != lab and trial else out
 
         monkeypatch.setattr(evolve, "_advance", one_trial_nan)
         _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
@@ -970,9 +976,9 @@ class TestStepControl:
         # the run would step in the lab's, 87
         step = evolve._rk_step
 
-        def blown_lab_trial(f, pair, values, k1, h, es=None):
-            out, err = step(f, pair, values, k1, h, es)
-            if advance_calls[-1].trial and es is None:
+        def blown_lab_trial(f, pair, values, k1, h, frame):
+            out, err = step(f, pair, values, k1, h, frame)
+            if advance_calls[-1].trial and not frame.lam.any():
                 out = 1e3 * out
                 err = f(out)  # the slope of the step's end: the estimate is 0
             return out, err
@@ -982,9 +988,9 @@ class TestStepControl:
         u0 = phi + 1e-3 * seeded_perturbation(phi.grid, seed=1)
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
         assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
-        lab_trials = [c.est for c in advance_calls if c.trial and c.frame is None]
+        lab_trials = [c.est for c in advance_calls if c.trial and not c.frame.lam.any()]
         assert lab_trials and all(est == math.inf for est in lab_trials)
-        assert all(c.frame is not None for c in advance_calls if not c.trial)
+        assert all(c.frame.lam.any() for c in advance_calls if not c.trial)
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined
@@ -1189,7 +1195,7 @@ class TestLinearizedRun:
                                 cfg)
         assert len(advance_calls) == len(rep.times) - 1 == 4
         for call in advance_calls:
-            assert call.frame is None and call.pair is evolve._RK4 and call.tol == math.inf
+            assert not call.frame.lam.any() and call.pair is evolve._RK4 and call.tol == math.inf
             assert (call.q, call.h) == (5, cfg.steps[1])
 
     @pytest.mark.parametrize("value", [1.0, 0.3])

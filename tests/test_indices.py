@@ -15,7 +15,7 @@ from mchwave.cli import EXIT_OK, dispatch
 from mchwave.indices import (SIGN_FLOOR, _branch_state, _zero_mean_l, classify,
                              zero_mean_period)
 
-from conftest import AccuracyError, fd_dk, fd_index, integrate
+from conftest import AccuracyError, constraint_matrix, fd_dk, fd_index, integrate
 
 
 class TestStabilityIndex:
@@ -294,6 +294,51 @@ class TestMorseCheck:
         # n(L|Y0) = n(L) - n(pairing) - z(pairing) = 1 - 1 - 0 = 0
         assert rep.n_Y0_predicted == 0 and rep.n_Y0_direct == 0
         assert rep.z_identity_holds
+
+
+def _index_identity(k: float, big_l: float, n: int, g_sign: float = 1.0):
+    """(s^T P s - I) / |I|, P = ``conftest.constraint_matrix`` of the wave
+    (k, L) on n nodes, its columns 1 and g_sign (phi - phi'') from
+    ``profile``, and s = (dA/dk, -dc/dk); with P and the operator."""
+    p = mw.wave_at(k, big_l)[0]
+    op = mw.operator_for(p, n)
+    phi, _, phi2 = mw.profile(p, op.grid.nodes)
+    pm = constraint_matrix(op, np.column_stack((np.ones(n), g_sign * (phi - phi2))))
+    sample = mw.stability_index(k, big_l)
+    s = np.array([sample.dA_dk, -sample.dc_dk])
+    return (s @ pm @ s - sample.I) / abs(sample.I), pm, op
+
+
+class TestConstraintMatrix:
+    """ROADMAP item 26's identity I = s^T P s, P_ij = <L^{-1} g_i, g_j> with
+    g = (1, phi - phi''): the closed-form index against the spectral solve.
+    det P < 0 is n(P) = 1, the two-constraint condition."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.3, 4 * math.pi),
+                                          (0.9, 4 * math.pi), (0.7, 9 * math.pi),
+                                          (0.693, 3.6 * math.pi), (0.1, 5 * math.pi)])
+    def test_index_is_the_quadratic_form(self, k, big_l, n):
+        # measured: the identity to 5.4e-12 relative at worst, at (0.1, 5 pi),
+        # and P_11 the pairing (about 680 at (0.5, 6 pi)) to 9.1e-13
+        rel, pm, op = _index_identity(k, big_l, n)
+        assert abs(rel) <= 1e-10
+        assert abs(pm[0, 0] - mw.inv_one_pairing(op).value) <= 1e-10
+        assert abs(pm[0, 1] - pm[1, 0]) <= 1e-14 * abs(pm[0, 1])
+        assert np.linalg.det(pm) < 0.0
+
+    @given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
+    def test_identity_on_the_criterion_6_window(self, k, big_l):
+        # measured over 300 random valid waves: 1.03e-11 at worst, and
+        # det P at most -139
+        assume(mw.validity(k, big_l).all_ok)
+        rel, pm, _ = _index_identity(k, big_l, 128)
+        assert abs(rel) <= 1e-10 and np.linalg.det(pm) < 0.0
+
+    def test_wrong_sign_of_g_fails(self):
+        # a test double flips g_2, so P_12 changes sign: the identity is then
+        # off by 0.98 relative
+        assert abs(_index_identity(0.5, 6 * math.pi, 256, g_sign=-1.0)[0]) > 0.5
 
 
 class TestZeroMeanPeriod:
