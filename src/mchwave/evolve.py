@@ -20,10 +20,10 @@ interval between records, in one of two frames and with one of two
 explicit Runge-Kutta pairs with FSAL, the last stage being the next
 step's first.  Every step is Lawson's (SIAM J. Numer. Anal. 4, 1967;
 Hochbruck & Ostermann, Acta Numerica 19, 2010) in a frame of symbol
-lambda: E_c = exp(c h lambda), formed once per (pair, h) of a run, steps
-the linear part lambda exactly, and stage i of a tableau (c, A, b,
-b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f - lambda u,
-conj(E_c) = 1 / E_c.  The mean's frame, ubar the conserved mean, takes
+lambda: E_c = exp(c h lambda), formed once per call of ``_advance`` for
+its steps of one h, steps the linear part lambda exactly, and stage i of
+a tableau (c, A, b, b_hat) is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j)
+N_j), N = f - lambda u, conj(E_c) = 1 / E_c.  The mean's frame, ubar the conserved mean, takes
 the linearization at ubar, lambda = i kappa / (1 + kappa^2) (-ubar
 kappa^2 - 3 ubar^2); the lab's is the frame of lambda = 0, where E = 1
 and N = f.  One tableau loop takes every step, fixed ones too, RK4's
@@ -44,17 +44,19 @@ the fewest predicted right sides, rhs-per-step ceil(span / (0.9 h
 its steps by that estimate.  A trial keeps only the estimates: every
 attempt at an interval steps it whole from its start.
 A zero mean (within rounding, ``linop._zero_tol``) leaves the lab's
-frame alone.  A run's stepping state is one value (``_stepping``): its
-right side, candidates, targets, step-size law and bound, max |u| at
-most ``BLOWUP_THRESHOLD`` here and, for J L, whose growing modes leave
-any fixed bound, finiteness.  The slope the run holds is f(u) in every
-frame, so a trial costs a step per candidate and no other right side.
+frame alone.  A run's stepping state is plain data (``_stepping``): its
+right side, its (symbol, pair) candidates, each pair carrying its target
+and step-size law, and its bound, max |u| at most ``BLOWUP_THRESHOLD``
+here and, for J L, whose growing modes leave any fixed bound,
+finiteness.  The slope the run holds is f(u) in every frame, so a trial
+costs a step per candidate and no other right side.
 The counts start from h = 0.25 (L/n) / max |u0 - ubar| and
 follow the chosen pair's law (safety 0.9, growth at most 2x); an
 interval over the target is redone.  A non-finite estimate or a kept
 state past the bound, in every trial too, or a count past
-``MAX_REFINE`` times the interval's count of ``dt`` steps, is blow-up;
-a trial past the bound estimates +inf.
+``MAX_REFINE`` times the interval's count of ``dt`` steps, or a first
+count that cannot be formed (a huge u0), is blow-up; a trial past the
+bound estimates +inf.
 
 Nonlinear products are formed in physical space on a grid refined by the
 fixed factor 2, enough to fully dealias cubic terms, and truncated back.
@@ -207,8 +209,9 @@ class _RhsOperator:
     grid.  The product is formed in place as 8w = a (b - a^2) + c^2 and
     ``sym_out`` carries the 1/8: the factors are powers of two, so every
     rounding is that of w itself while the values stay in the normal
-    range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (the
-    even fine ones), bounded in ``_stepping``, which takes ``sym_smooth`` too.
+    range.  After a call ``u2_coarse`` holds 2u at the coarse nodes (every
+    ``DEALIAS_PAD``-th fine one), bounded in ``_stepping``, which takes
+    ``sym_smooth`` too.
     """
 
     def __init__(self, grid: PeriodicGrid):
@@ -224,7 +227,7 @@ class _RhsOperator:
         self._fine_spec = np.zeros((3, self.m // 2 + 1), dtype=complex)
         self._fine = np.empty((3, self.m))
         self._w = np.empty(self.m)
-        self.u2_coarse = self._fine[0, ::2]
+        self.u2_coarse = self._fine[0, ::DEALIAS_PAD]
 
     def __call__(self, spec: np.ndarray) -> np.ndarray:
         half = self.n // 2 + 1
@@ -248,10 +251,11 @@ class _Pair:
     the next step's first stage (so c_s = 1 and b_s = 0), and e = b -
     b_hat, b_hat the weights of its companion.  ``w`` = e / -e_s are the
     error weights of the stages before the last, ``err_div`` is 1 / -e_s,
-    ``p`` the order in h of the estimate per unit time and
-    ``rhs_per_step`` the right sides a step costs, s - 1."""
+    ``p`` the order in h of the estimate per unit time, ``tol`` the target
+    of an adaptive run's steps and ``rhs_per_step`` the right sides a step
+    costs, s - 1."""
 
-    def __init__(self, c, a, e, p: int, div: float = 1.0):
+    def __init__(self, c, a, e, p: int, tol: float, div: float = 1.0):
         s = len(c)
         self.c = tuple(map(float, c))
         self.a = np.array([list(row) + [0.0] * (s - len(row)) for row in a])
@@ -259,13 +263,27 @@ class _Pair:
         self.w = np.array(e[:-1]) / -e[-1]
         self.err_div = 1.0 / -e[-1]
         self.nodes = tuple(sorted(set(self.c) - {0.0}))
-        self.p, self.rhs_per_step = p, s - 1
+        self.p, self.tol, self.rhs_per_step = p, tol, s - 1
+
+    def h_next(self, h: float, est: float) -> float:
+        """The step meeting ``tol`` after one of h with estimate est ~ h^p, times 0.9."""
+        return 0.9 * h * (self.tol / est) ** (1.0 / self.p) if est else math.inf
+
+    def resized(self, h: float, est: float) -> float:
+        """The next step: ``h_next``, growing at most 2x."""
+        return min(2.0 * h, self.h_next(h, est))
+
+    def cost(self, span: float, h: float, est: float) -> float:
+        """The right sides of ``span`` that a trial step of h predicts."""
+        if not math.isfinite(est):
+            return math.inf
+        return self.rhs_per_step * max(1, math.ceil(span / self.h_next(h, est)))
 
 
 # Classical RK4, weights (1, 2, 2, 1) / 6, and its order-3 FSAL companion: est ~ h^3.
 _RK4 = _Pair(c=(0, 1 / 2, 1 / 2, 1, 1),
              a=((), (1 / 2,), (0, 1 / 2), (0, 0, 1), (1, 2, 2, 1)),
-             e=(0, 0, 0, 1 / 6, -1 / 6), p=3, div=6)
+             e=(0, 0, 0, 1 / 6, -1 / 6), p=3, tol=STEP_TOL, div=6)
 # Dormand & Prince's 5(4) pair, which carries the order-5 solution: est ~ h^4
 # (Hairer, Norsett & Wanner, Solving ODEs I, table II.5.2).
 _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
@@ -274,33 +292,32 @@ _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
                  (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
                  (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
               e=(71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
-              p=4)
+              p=4, tol=PAIR_TOL)
 # The methods an adaptive interval's trial chooses from, in order of preference.
 _METHODS = (_RK4, _DP54)
 
 
 def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
-             frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
-    """One Lawson step of h of ``pair`` in ``frame`` from ``values``, whose
-    first stage ``k1 = f(values)`` the caller has evaluated: every step of
-    both flows, fixed ones too, ``f`` being the right side N less the
-    frame's linear part lambda.  With E_c = exp(c h lambda) the frame's
-    factor at node c, stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j)
-    N_j).  Returns the new state y1 = E_1 (y + (h / div) (b @ z)) and E_1
+             lam: np.ndarray, es: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One Lawson step of h of ``pair`` from ``values``, whose slope ``k1``
+    = f(values) the caller has evaluated, in the frame of symbol ``lam``:
+    every step of both flows, fixed ones too.  ``es`` maps each node c of
+    the pair to the frame's factors (E_c, conj(E_c)), E_c = exp(c h lam);
+    stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f -
+    lam y.  Returns the new state y1 = E_1 (y + (h / div) (b @ z)) and E_1
     sum_j w_j conj(E_c_j) N_j over the stages before the last: less the
     next first stage N(y1), it is ``err_div`` times the step's error per
-    unit time.  In the lab's frame, lambda = 0, E = 1 and the step is
+    unit time.  In the lab's frame, lam = 0, E = 1 and the step is
     classical: RK4's, weights (1, 2, 2, 1) over 6, is the textbook step
     bit for bit if ``b @ z`` sums its exact products in the order
     j = 0 .. 3, as OpenBLAS does."""
-    es = frame.factors(pair, h)
     z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
-    z[0] = k1
+    z[0] = k1 - lam * values
     for i in range(1, len(z)):
         e, e_conj = es[pair.c[i]]
         stage = values + h * (pair.a[i, :i] @ z[:i])
         stage *= e
-        z[i] = f(stage)
+        z[i] = f(stage) - lam * stage
         z[i] *= e_conj
     y1, err = values + (h / pair.div) * (pair.b @ z), pair.w @ z
     y1 *= es[1.0][0]
@@ -308,46 +325,25 @@ def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
     return y1, err
 
 
-class _Frame:
-    """A frame of Lawson's steps: the mean's, or the lab's, of symbol 0.
-    It holds the symbol ``lam`` of the linear part its factors step
-    exactly, and those factors, E_c = exp(c h lam) and its conjugate at
-    each node c of a pair, formed once per (pair, h)."""
-
-    def __init__(self, lam: np.ndarray):
-        self.lam, self._factors = lam, {}
-
-    def factors(self, pair: _Pair, h: float) -> dict:
-        if (pair, h) not in self._factors:
-            self._factors[pair, h] = {
-                c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * self.lam),)}
-        return self._factors[pair, h]
-
-
-def _advance(st: _Stepping, frame: _Frame, pair: _Pair, spec: np.ndarray,
+def _advance(st: _Stepping, lam: np.ndarray, pair: _Pair, spec: np.ndarray,
              k1: np.ndarray, q: int, h: float,
              tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
     """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
-    st.f(spec) is given, in ``frame``, whose stages take N = f - lam y:
-    the end state and its f, the largest estimate per unit time and the
-    steps taken.  The first estimate not within ``tol`` ends the steps and
-    is returned, with a state of None if it is not finite.  A state that
-    passes the estimate and fails ``st.bounded`` ends them too: None, with
-    an estimate of +inf."""
-    # the error vanishes at the mean and Nyquist modes: Parseval's weight is 2
-    scale = math.sqrt(2.0) / (pair.err_div * st.n)
-    worst, lam = 0.0, frame.lam
-
-    def nl(y: np.ndarray) -> np.ndarray:
-        out = st.f(y)
-        out -= lam * y
-        return out
-    n1 = k1 - lam * spec
+    st.f(spec) is given, in the frame of symbol ``lam``, whose factors at
+    the pair's nodes are formed once for the q steps: the end state and
+    its f, the largest estimate per unit time and the steps taken.  The
+    first estimate not within ``tol`` ends the steps and is returned, with
+    a state of None if it is not finite.  A state that passes the estimate
+    and fails ``st.bounded`` ends them too: None, with an estimate of +inf."""
+    # the error vanishes at the mean and Nyquist modes: Parseval's weight is
+    # 2, on n = 2 (spec.size - 1) nodes
+    scale = math.sqrt(2.0) / (pair.err_div * 2 * (spec.size - 1))
+    es = {c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * lam),)}
+    worst = 0.0
     for j in range(q):
-        spec, err = _rk_step(nl, pair, spec, n1, h, frame)
+        spec, err = _rk_step(st.f, pair, spec, k1, h, lam, es)
         k1 = st.f(spec)
-        n1 = k1 - lam * spec  # the next step's first stage
-        err -= n1
+        err -= k1 - lam * spec  # the next step's first stage
         est = scale * float(np.linalg.norm(err))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1
@@ -359,55 +355,40 @@ def _advance(st: _Stepping, frame: _Frame, pair: _Pair, spec: np.ndarray,
 
 @dataclass(frozen=True)
 class _Stepping:
-    """A run's stepping state on its ``n`` nodes (:func:`_stepping`): the
-    right side ``f`` on spectra, the test ``bounded(spec)`` of a kept state
-    after f(spec), the trial's (frame, pair) ``candidates`` by preference,
-    the first being the run's first choice, and each pair's ``targets``."""
+    """A run's stepping state (:func:`_stepping`): the right side ``f`` on
+    spectra, the test ``bounded(spec)`` of a kept state after f(spec), and
+    the trial's (symbol, pair) ``candidates`` by preference, the first
+    being the run's first choice."""
 
     f: Callable[[np.ndarray], np.ndarray]
-    n: int
     bounded: Callable[[np.ndarray], bool]
-    candidates: tuple[tuple[_Frame, _Pair], ...]
-    targets: dict
-
-    def h_next(self, pair: _Pair, h: float, est: float) -> float:
-        """The step meeting the target after one of h with estimate est ~ h^p, times 0.9."""
-        return 0.9 * h * (self.targets[pair] / est) ** (1.0 / pair.p) if est else math.inf
-
-    def resized(self, pair: _Pair, h: float, est: float) -> float:
-        """The next step: ``h_next``, growing at most 2x."""
-        return min(2.0 * h, self.h_next(pair, h, est))
-
-    def cost(self, pair: _Pair, span: float, h: float, est: float) -> float:
-        """The right sides of ``span`` that a trial step of h predicts."""
-        if not math.isfinite(est):
-            return math.inf
-        return pair.rhs_per_step * max(1, math.ceil(span / self.h_next(pair, h, est)))
+    candidates: tuple[tuple[np.ndarray, _Pair], ...]
 
 
-def _stepping(grid: PeriodicGrid, mean: float, adaptive: bool) -> _Stepping:
-    """The stepping state of a run on ``grid``: adaptive, RK4 and then the
+def _stepping(grid: PeriodicGrid, mean: float) -> _Stepping:
+    """The stepping state of a run on ``grid``: RK4 and then the
     Dormand-Prince pair, in the frame of a nonzero ``mean`` and then in the
-    lab's, of symbol 0 (at a zero mean lam is 0 already: the one frame);
-    fixed, RK4 alone with no target, classical at the zero mean of ``run``."""
+    lab's, of symbol 0 (at a zero mean lam is 0 already: the one frame)."""
     f, kap = _RhsOperator(grid), grid.rfft_tables[0]
     lam = f.sym_smooth * (-mean * kap * kap - 3.0 * mean * mean)
-    frames = (_Frame(lam), _Frame(0.0 * lam)) if mean else (_Frame(lam),)
-    methods = _METHODS if adaptive else (_RK4,)
-    targets = {_RK4: STEP_TOL, _DP54: PAIR_TOL} if adaptive else {_RK4: math.inf}
+    frames = (lam, 0.0 * lam) if mean else (lam,)
     # the bound: f(spec) left 2u at the coarse nodes, so against twice
     # BLOWUP_THRESHOLD the test is exact, and NaN fails too
-    return _Stepping(f, grid.n, lambda spec: np.max(np.abs(f.u2_coarse)) <= 2 * BLOWUP_THRESHOLD,
-                     tuple((fr, m) for fr in frames for m in methods), targets)
+    return _Stepping(f, lambda spec: np.max(np.abs(f.u2_coarse)) <= 2 * BLOWUP_THRESHOLD,
+                     tuple((fr, m) for fr in frames for m in _METHODS))
 
 
 def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: float,
                record) -> tuple[str, int, int, float]:
     """The one stepping loop, from the spectrum ``spec`` at t = 0 over
-    intervals of ``cfg.monitor_every`` steps of dt (module docstring), the
-    first count set by ``h_target``.  ``record(t, spec)`` is called at
-    t = 0, after each interval and at t_end; a true return ends the run as
-    ``instability_detected``.  Returns (verdict, steps, rhs_calls, worst).
+    intervals of ``cfg.monitor_every`` steps of dt (module docstring).  With
+    ``cfg.adaptive`` the first count is set by ``h_target``, and an
+    interval whose count cannot be formed (h_target not positive, or span /
+    h_target not finite) is blow-up; fixed, the interval takes its steps of
+    dt in the first candidate with no target.  ``record(t, spec)`` is
+    called at t = 0, after each interval and at t_end; a true return ends
+    the run as ``instability_detected``.  Returns (verdict, steps,
+    rhs_calls, worst).
 
     Raises:
         DomainError: if the plan takes more than ``MAX_RECORDS`` records.
@@ -417,8 +398,8 @@ def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: 
     if n_records > MAX_RECORDS:
         raise DomainError(f"{n_records:.3g} records planned, one every {cfg.monitor_every} of "
                           f"{n_steps:.3g} steps, above MAX_RECORDS = {MAX_RECORDS}")
-    # the run's frame and method, and the count set at the last choice
-    (frame, pair), chosen_q = st.candidates[0], 0
+    # the run's frame (its symbol) and method, and the count set at the last choice
+    (lam, pair), chosen_q = st.candidates[0], 0
     # the state at t = 0 is not checked
     s0, steps, rhs_calls, worst = 0, 0, 1, 0.0
     k1 = st.f(spec)
@@ -427,7 +408,9 @@ def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: 
             return TERMINATED_COMPLETED, steps, rhs_calls, worst
         s1 = min(s0 + cfg.monitor_every, n_steps)
         span = (s1 - s0) * dt
-        if len(st.candidates) > 1 and span / h_target > max(2, chosen_q):
+        if cfg.adaptive and not (h_target > 0.0 and math.isfinite(span / h_target)):
+            return TERMINATED_BLOWUP, steps, rhs_calls, worst  # a huge u0: no count
+        if cfg.adaptive and span / h_target > max(2, chosen_q):
             # a planned count of 3 or more, above that of the last choice:
             # one step of h for each candidate with no target; the run goes
             # on with the first of the fewest predicted right sides
@@ -436,26 +419,28 @@ def _integrate(st: _Stepping, spec: np.ndarray, cfg: EvolutionConfig, h_target: 
                     for fr, m in st.candidates]
             steps += len(ests)
             rhs_calls += sum(m.rhs_per_step for _, m in st.candidates)
-            costs = [st.cost(m, span, h, est) for (_, m), est in zip(st.candidates, ests)]
+            costs = [m.cost(span, h, est) for (_, m), est in zip(st.candidates, ests)]
             best = costs.index(min(costs))
             if costs[best] == math.inf:  # every estimate is non-finite
                 return TERMINATED_BLOWUP, steps, rhs_calls, worst
-            frame, pair = st.candidates[best]
-            h_target = st.resized(pair, h, ests[best])
+            lam, pair = st.candidates[best]
+            h_target = pair.resized(h, ests[best])
             chosen_q = math.ceil(span / h_target)
         while True:  # attempts at the interval [s0 dt, s1 dt]
-            q = max(1, math.ceil(span / h_target)) if cfg.adaptive else s1 - s0
+            if cfg.adaptive:
+                q = max(1, math.ceil(span / h_target))
+                h, tol = span / q, pair.tol
+            else:
+                q, h, tol = s1 - s0, dt, math.inf
             if q > MAX_REFINE * (s1 - s0):
                 return TERMINATED_BLOWUP, steps, rhs_calls, worst
-            h = span / q if cfg.adaptive else dt
-            end, k_end, est, taken = _advance(st, frame, pair, spec, k1, q, h,
-                                              st.targets[pair])
+            end, k_end, est, taken = _advance(st, lam, pair, spec, k1, q, h, tol)
             steps += taken
             rhs_calls += taken * pair.rhs_per_step
             if end is None:
                 return TERMINATED_BLOWUP, steps, rhs_calls, worst
-            h_target = st.resized(pair, h, est)
-            if est <= st.targets[pair]:
+            h_target = pair.resized(h, est)
+            if est <= tol:
                 break
         spec, k1, s0, worst = end, k_end, s1, max(worst, est)
     return TERMINATED_INSTABILITY, steps, rhs_calls, worst
@@ -496,10 +481,6 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
     if not cfg.adaptive and MAX_REFINE * cfg.dt < suggested_dt(u0):
         raise DomainError(f"a fixed dt = {cfg.dt!r} is below suggested_dt(u0) / MAX_REFINE = "
                           f"{suggested_dt(u0) / MAX_REFINE!r}")
-    mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
-    if not abs(mean) > _zero_tol(u0.values):
-        mean = 0.0  # the mean's frame is the lab's within rounding
-    spread = float(np.max(np.abs(u0.values - mean)))
     times, spectra, rho = [], [], []  # at each record: t, the held state, rho
 
     def record(t: float, spec: np.ndarray) -> bool:
@@ -511,8 +492,12 @@ def run(u0: PeriodicField, cfg: EvolutionConfig,
         return delta > 0.0 and rho[-1] > RHO_FACTOR * delta
 
     with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(u0.values)) if cfg.adaptive else 0.0
+        if not abs(mean) > _zero_tol(u0.values):
+            mean = 0.0  # the mean's frame is the lab's within rounding
+        spread = float(np.max(np.abs(u0.values - mean)))
         terminated, steps, rhs_calls, worst = _integrate(
-            _stepping(u0.grid, mean, cfg.adaptive), u0.spectrum, cfg,
+            _stepping(u0.grid, mean), u0.spectrum, cfg,
             0.25 * u0.grid.spacing / spread if spread > 0.0 else math.inf, record)
         values, efv = _recorded_values(u0, spectra)
         drifts = (efv - efv[0]) / np.maximum(np.abs(efv[0]), 1e-300)
@@ -582,8 +567,8 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     def record(t: float, spec: np.ndarray) -> None:
         records.append((t, w * float(np.linalg.norm(np.fft.irfft(spec, grid.n)))))
 
-    st = _Stepping(_linear_rhs(lop), grid.n, lambda spec: np.isfinite(spec).all(),
-                   ((_Frame(np.zeros(grid.n // 2 + 1)), _RK4),), {_RK4: math.inf})
+    st = _Stepping(_linear_rhs(lop), lambda spec: np.isfinite(spec).all(),
+                   ((np.zeros(grid.n // 2 + 1), _RK4),))
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
         terminated, steps, _, _ = _integrate(st, np.fft.rfft(values), cfg, math.inf, record)
     if terminated == TERMINATED_BLOWUP:

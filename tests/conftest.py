@@ -63,13 +63,13 @@ def eig_calls(monkeypatch):
 
 
 class AdvanceCall(NamedTuple):
-    """One ``evolve._advance`` call: its frame (the lab's has the symbol
-    ``lam`` 0, so ``frame.lam.any()`` tells the mean's), its method
-    (``evolve._RK4`` or ``evolve._DP54``), whether it is a trial (one step
-    with no target), the state and slope it starts from, its step, its
-    count, its target and the estimate it returns (None until then)."""
+    """One ``evolve._advance`` call: its frame's symbol ``lam`` (the lab's
+    is 0, so ``lam.any()`` tells the mean's), its method (``evolve._RK4``
+    or ``evolve._DP54``), whether it is a trial (one step with no target),
+    the state and slope it starts from, its step, its count, its target
+    and the estimate it returns (None until then)."""
 
-    frame: evolve._Frame
+    lam: np.ndarray
     pair: object
     trial: bool
     spec: np.ndarray
@@ -86,10 +86,10 @@ def advance_calls(monkeypatch):
     each appended on entry, so ``advance_calls[-1]`` is the current one."""
     calls, advance = [], evolve._advance
 
-    def spied(st, frame, pair, spec, k1, q, h, tol):
-        calls.append(AdvanceCall(frame, pair, q == 1 and tol == math.inf, spec, k1, h, q, tol,
+    def spied(st, lam, pair, spec, k1, q, h, tol):
+        calls.append(AdvanceCall(lam, pair, q == 1 and tol == math.inf, spec, k1, h, q, tol,
                                  None))
-        out = advance(st, frame, pair, spec, k1, q, h, tol)
+        out = advance(st, lam, pair, spec, k1, q, h, tol)
         calls[-1] = calls[-1]._replace(est=out[2])
         return out
 

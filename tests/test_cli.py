@@ -683,11 +683,14 @@ class TestEvolveAndOrbit:
     def test_overflowing_initial_state_is_blowup(self, tmp_path):
         # the cube of a perturbation of 1e120 overflows in the first slope,
         # which was taken outside the run's errstate block: a RuntimeWarning,
-        # an error under this suite's filter, before blow-up could be recorded
-        args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "64", "--t-end", "0.5",
-                "--delta", "1e120", "--out-dir", str(tmp_path)]
-        assert dispatch(args) == EXIT_NUMERICAL
-        assert strict_json(tmp_path / "orbit_summary.json")["terminated"] == "blowup"
+        # an error under this suite's filter, before blow-up could be recorded.
+        # At 1e308 the state is finite but its first count, from dt of phi,
+        # is inf: an OverflowError traceback, where it must be blow-up too
+        for delta, t_end in (("1e120", "0.5"), ("1e308", "1")):
+            args = ["orbit", "--k", "0.5", "--L", "6pi", "--n", "64", "--t-end", t_end,
+                    "--delta", delta, "--out-dir", str(tmp_path)]
+            assert dispatch(args) == EXIT_NUMERICAL
+            assert strict_json(tmp_path / "orbit_summary.json")["terminated"] == "blowup"
 
     @pytest.mark.parametrize("plan, bound", [
         (["--t-end", "0.5", "--dt", "1e-300"], "suggested_dt(u0) / MAX_REFINE = "),

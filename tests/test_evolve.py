@@ -128,6 +128,21 @@ class TestRhs:
         two_step = mw.derivative(helmholtz_inverse(w)).values
         assert np.max(np.abs(combined - two_step)) < 1e-13
 
+    def test_coarse_nodes_at_any_pad(self, monkeypatch, wave05):
+        # the blow-up bound reads 2u at the coarse nodes off the fine grid,
+        # every DEALIAS_PAD-th node: at a pad of 4 it used to read 2n values,
+        # half of them between the nodes; the right side is the pad-2 one
+        grid = mw.PeriodicGrid(wave05.L, 64)
+        u = mw.sample_wave(wave05, grid) + 1e-2 * seeded_perturbation(grid, seed=2)
+        f2 = _RhsOperator(grid)(u.spectrum)
+        monkeypatch.setattr(evolve, "DEALIAS_PAD", 4)
+        op = _RhsOperator(grid)
+        f4 = op(u.spectrum)
+        assert op.m == 4 * grid.n and op.u2_coarse.shape == (grid.n,)
+        rounding = np.finfo(float).eps * np.max(np.abs(u.values))
+        assert np.max(np.abs(op.u2_coarse - 2.0 * u.values)) <= 8.0 * rounding
+        assert np.max(np.abs(f4 - f2)) <= 1e-15 * np.max(np.abs(f2))
+
     def test_rhs_has_zero_mean(self):
         g = mw.PeriodicGrid(6 * math.pi, 128)
         rng = np.random.default_rng(4)
@@ -500,13 +515,14 @@ class TestBitwiseOracle:
         grid = mw.PeriodicGrid(wave05.L, n)
         u0 = mw.sample_wave(wave05, grid) + 1e-3 * seeded_perturbation(grid, seed=2)
         f, spec = _RhsOperator(grid), u0.spectrum
-        k1, lab = f(spec), evolve._Frame(np.zeros(n // 2 + 1, dtype=complex))
+        k1, lab = f(spec), np.zeros(n // 2 + 1, dtype=complex)
         for h in [r * mw.suggested_dt(u0) for r in (0.25, 1.0, 2.0)]:
             k2 = f(spec + 0.5 * h * k1)
             k3 = f(spec + 0.5 * h * k2)
             k4 = f(spec + h * k3)
             textbook = spec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y1, err = evolve._rk_step(f, evolve._RK4, spec, k1, h, lab)
+            es = {c: (e, e.conj()) for c in evolve._RK4.nodes for e in (np.exp(c * h * lab),)}
+            y1, err = evolve._rk_step(f, evolve._RK4, spec, k1, h, lab, es)
             assert np.array_equal(y1.view(np.uint64), textbook.view(np.uint64))
             assert np.array_equal(err, k4)
 
@@ -570,9 +586,9 @@ def _orbit_start(k, big_l, n=256, delta=1e-3):
 
 
 def _stepping_at_the_mean(u0, lawson):
-    """The stepping state of an adaptive run from u0 and its frame: the mean's,
-    whose symbol ``conftest.fsal_companion`` rebuilds, or the lab's, of symbol 0."""
-    st = evolve._stepping(u0.grid, float(np.mean(u0.values)), adaptive=True)
+    """The stepping state of an adaptive run from u0 and its frame's symbol:
+    the mean's, which ``conftest.fsal_companion`` rebuilds, or the lab's, 0."""
+    st = evolve._stepping(u0.grid, float(np.mean(u0.values)))
     return st, st.candidates[0 if lawson else -1][0]
 
 
@@ -612,7 +628,7 @@ class TestStepControl:
         # 0.25 (L/n) / max |u0 - ubar| ~ 0.56, takes one integrating-factor
         # step, and with no target it is not redone: its estimate is the
         # companion distance of the oracle's textbook Lawson step
-        monkeypatch.setattr(evolve, "STEP_TOL", math.inf)
+        monkeypatch.setattr(evolve._RK4, "tol", math.inf)
         _, u0, _ = _orbit_start(0.5, 6 * math.pi)
         rep = mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, adaptive=True))
         y1, y_star = fsal_companion(u0, h, lawson=True)
@@ -622,7 +638,7 @@ class TestStepControl:
         assert abs(rep.max_error_estimate * h - distance) <= 4.0 * rounding
 
     def test_lawson_estimate_is_fourth_order(self, monkeypatch):
-        monkeypatch.setattr(evolve, "STEP_TOL", math.inf)
+        monkeypatch.setattr(evolve._RK4, "tol", math.inf)
         _, u0, _ = _orbit_start(0.5, 6 * math.pi)
         reps = [mw.run(u0, mw.EvolutionConfig(dt=h, t_end=h, adaptive=True)) for h in (0.5, 0.25)]
         assert [rep.steps for rep in reps] == [1, 1]
@@ -687,9 +703,9 @@ class TestStepControl:
         # the zero-mean branch, trials the lab frame's two candidates
         step, steps = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, frame):
-            steps.append((bool(frame.lam.any()), pair is evolve._DP54, advance_calls[-1].trial))
-            return step(f, pair, values, k1, h, frame)
+        def spied_step(f, pair, values, k1, h, lam, es):
+            steps.append((bool(lam.any()), pair is evolve._DP54, advance_calls[-1].trial))
+            return step(f, pair, values, k1, h, lam, es)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
 
@@ -729,9 +745,9 @@ class TestStepControl:
         # predicts the fewest right sides for the interval, the first on a tie
         step, kinds = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, frame):
-            kinds.append((bool(frame.lam.any()), pair))
-            return step(f, pair, values, k1, h, frame)
+        def spied_step(f, pair, values, k1, h, lam, es):
+            kinds.append((bool(lam.any()), pair))
+            return step(f, pair, values, k1, h, lam, es)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
         _, u0, cfg = _orbit_start(k, big_l)
@@ -748,7 +764,7 @@ class TestStepControl:
         targets = {evolve._RK4: evolve.STEP_TOL, evolve._DP54: evolve.PAIR_TOL}
         for i in trials[::4]:
             group, chosen = advance_calls[i:i + 4], advance_calls[i + 4]
-            assert [(c.frame.lam.any(), c.pair, c.trial) for c in group] == [
+            assert [(c.lam.any(), c.pair, c.trial) for c in group] == [
                 (True, evolve._RK4, True), (True, evolve._DP54, True),
                 (False, evolve._RK4, True), (False, evolve._DP54, True)]
             # the interval: as many accepted attempts come before its trial
@@ -758,7 +774,7 @@ class TestStepControl:
             costs = [predicted_right_sides(c.pair, targets[c.pair], span, c.h, c.est)
                      for c in group]
             best = group[costs.index(min(costs))]
-            assert (chosen.frame.lam.any(), chosen.pair) == (best.frame.lam.any(), best.pair)
+            assert (chosen.lam.any(), chosen.pair) == (best.lam.any(), best.pair)
             assert not chosen.trial
 
     def test_trials_match_the_oracles(self, advance_calls):
@@ -776,14 +792,14 @@ class TestStepControl:
         trials = [call for call in advance_calls if call.trial]
         kept = [call for call in advance_calls if not call.trial]
         switches = [b for a, b in zip(kept, kept[1:])
-                    if (a.frame.lam.any(), a.pair) != (b.frame.lam.any(), b.pair)]
+                    if (a.lam.any(), a.pair) != (b.lam.any(), b.pair)]
         assert len(switches) == 1 and len(trials) >= 8
         for call in trials + switches:
             assert np.array_equal(call.k1, _RhsOperator(grid)(call.spec))
         for call in trials:
             oracle = dp54_companion if call.pair is evolve._DP54 else fsal_companion
             y1, y_star = oracle(mw.PeriodicField(grid, np.fft.irfft(call.spec, grid.n)), call.h,
-                                lawson=bool(call.frame.lam.any()))
+                                lawson=bool(call.lam.any()))
             distance = math.sqrt(np.mean((y1 - y_star) ** 2))
             rounding = eps * math.sqrt(np.mean(y1 ** 2))
             assert distance > (10.0 if call.pair is evolve._DP54 else 1e3) * rounding
@@ -805,7 +821,7 @@ class TestStepControl:
                 group.append(call)
                 continue
             if group:
-                winner = next(c for c in group if (c.frame, c.pair) == (call.frame, call.pair))
+                winner = next(c for c in group if c.lam is call.lam and c.pair is call.pair)
                 s0 = cfg.monitor_every * sum(
                     1 for c in advance_calls[:i] if not c.trial and c.est <= targets[c.pair])
                 span = (min(s0 + cfg.monitor_every, n_steps) - s0) * dt
@@ -829,9 +845,9 @@ class TestStepControl:
         pair = getattr(evolve, name)
         oracle = dp54_companion if name == "_DP54" else fsal_companion
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        st, frame = _stepping_at_the_mean(u0, lawson)
+        st, lam = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        end, _, est, taken = evolve._advance(st, frame, pair, spec, st.f(spec), 1, h, math.inf)
+        end, _, est, taken = evolve._advance(st, lam, pair, spec, st.f(spec), 1, h, math.inf)
         y1, y_hat = oracle(u0, h, lawson=lawson)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
         distance = math.sqrt(np.mean((y1 - y_hat) ** 2))
@@ -844,9 +860,9 @@ class TestStepControl:
         # the pair's estimate per unit time is of order 4 in h, so one step's
         # is of order 5: halving h divides it by 32
         _, u0, _ = _orbit_start(0.693, 3.6 * math.pi)
-        st, frame = _stepping_at_the_mean(u0, lawson)
+        st, lam = _stepping_at_the_mean(u0, lawson)
         spec = u0.spectrum
-        est = [evolve._advance(st, frame, evolve._DP54, spec, st.f(spec), 1, h, math.inf)[2] * h
+        est = [evolve._advance(st, lam, evolve._DP54, spec, st.f(spec), 1, h, math.inf)[2] * h
                for h in (0.4, 0.2)]
         assert 32.0 * 0.8 <= est[0] / est[1] <= 32.0 * 1.2
 
@@ -857,9 +873,9 @@ class TestStepControl:
         # step's to rounding, and its estimate times h that step's companion
         # distance
         _, u0, _ = _orbit_start(k, big_l)
-        st, frame = _stepping_at_the_mean(u0, lawson=True)
+        st, lam = _stepping_at_the_mean(u0, lawson=True)
         spec, h = u0.spectrum, 0.4
-        end, _, est, taken = evolve._advance(st, frame, evolve._RK4, spec, st.f(spec), 1, h,
+        end, _, est, taken = evolve._advance(st, lam, evolve._RK4, spec, st.f(spec), 1, h,
                                              math.inf)
         y1, y_star = fsal_companion(u0, h, lawson=True)
         rounding = np.finfo(float).eps * math.sqrt(np.mean(y1 ** 2))
@@ -870,17 +886,18 @@ class TestStepControl:
 
     @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.667, 3.27 * math.pi)])
     def test_lawson_factors_formed_once_per_h(self, monkeypatch, advance_calls, k, big_l):
-        # a run forms the factors E_c of each frame once for each (pair, h)
-        # it steps with there: one complex exp per node of the pair, however
-        # often the intervals repeat h.  Adaptive, (0.5, 6 pi) steps RK4
+        # each _advance call forms its frame's factors E_c for its one h:
+        # one complex exp per node of its pair, for all of its q steps, and
+        # none is kept for the next call.  Adaptive, (0.5, 6 pi) steps RK4
         # alone in the mean's frame, (0.667, 3.27 pi) both pairs in both
-        # frames after its trials; a fixed-dt run forms RK4's factors in the
-        # lab's frame once.  With no reference, no other complex exp is taken
+        # frames after its trials; a fixed-dt run steps RK4 in the lab's
+        # frame, one call an interval.  With no reference, no other complex
+        # exp is taken
         exp, complex_exps = np.exp, []
 
         def counted(x, *args, **kwargs):
             if np.iscomplexobj(x):
-                complex_exps.append(None)
+                complex_exps.append(len(advance_calls) - 1)  # the call it falls in
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counted)
@@ -889,13 +906,12 @@ class TestStepControl:
             complex_exps.clear()
             advance_calls.clear()
             rep = mw.run(u0, dataclasses.replace(cfg, adaptive=adaptive))
-            assert rep.terminated == TERMINATED_COMPLETED
-            factored = [(c.frame, c.pair, c.h) for c in advance_calls]
-            distinct = set(factored)
-            assert len(factored) > len(distinct)
-            assert len(complex_exps) == sum(len(pair.nodes) for _, pair, _ in distinct)
-        assert distinct == {(advance_calls[0].frame, evolve._RK4, cfg.steps[1])}
-        assert len(complex_exps) == len(evolve._RK4.nodes)
+            assert rep.terminated == TERMINATED_COMPLETED and len(advance_calls) > 1
+            assert complex_exps == [i for i, c in enumerate(advance_calls)
+                                    for _ in c.pair.nodes]
+        assert {(c.lam.any(), c.pair, c.h) for c in advance_calls} == {
+            (False, evolve._RK4, cfg.steps[1])}
+        assert len(complex_exps) == len(advance_calls) * len(evolve._RK4.nodes)
 
     def test_branch_right_side_count(self):
         # on the zero-mean branch a run is in the lab's frame; at (0.999, L*)
@@ -934,6 +950,15 @@ class TestStepControl:
         rep = mw.run(u0, cfg)
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
         assert rep.steps == 1
+        # a huge but finite u0 at a dt not derived from it: the first count,
+        # span / (0.25 (L/n) / max |u0 - ubar|), is inf at 1e308 and, where
+        # the mean overflows to inf, a division by zero at 1.7e308; neither
+        # can be formed, so the run is blow-up before its first step
+        cfg = mw.EvolutionConfig(dt=0.01, t_end=1.0, adaptive=True)
+        for amplitude in (1e308, 1.7e308):
+            rep = mw.run(mw.PeriodicField(g, amplitude * np.sin(g.nodes)), cfg)
+            assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
+            assert rep.steps == 0
 
     def test_overflow_in_both_trials_is_blowup(self):
         # u0 has a mean, and an interval of 4 steps starts with the trials;
@@ -957,10 +982,10 @@ class TestStepControl:
         # at t = 0
         advance = evolve._advance
 
-        def one_trial_nan(f, frame, pair, spec, k1, q, h, tol):
-            out = advance(f, frame, pair, spec, k1, q, h, tol)
+        def one_trial_nan(f, lam, pair, spec, k1, q, h, tol):
+            out = advance(f, lam, pair, spec, k1, q, h, tol)
             trial = q == 1 and tol == math.inf
-            return (None, out[1], math.nan, out[3]) if frame.lam.any() != lab and trial else out
+            return (None, out[1], math.nan, out[3]) if lam.any() != lab and trial else out
 
         monkeypatch.setattr(evolve, "_advance", one_trial_nan)
         _, u0, cfg = _orbit_start(0.693, 3.6 * math.pi)
@@ -976,11 +1001,11 @@ class TestStepControl:
         # the run would step in the lab's, 87
         step = evolve._rk_step
 
-        def blown_lab_trial(f, pair, values, k1, h, frame):
-            out, err = step(f, pair, values, k1, h, frame)
-            if advance_calls[-1].trial and not frame.lam.any():
+        def blown_lab_trial(f, pair, values, k1, h, lam, es):
+            out, err = step(f, pair, values, k1, h, lam, es)
+            if advance_calls[-1].trial and not lam.any():
                 out = 1e3 * out
-                err = f(out)  # the slope of the step's end: the estimate is 0
+                err = f(out) - lam * out  # N at the step's end: the estimate is 0
             return out, err
 
         monkeypatch.setattr(evolve, "_rk_step", blown_lab_trial)
@@ -988,14 +1013,14 @@ class TestStepControl:
         u0 = phi + 1e-3 * seeded_perturbation(phi.grid, seed=1)
         rep = mw.run(u0, dataclasses.replace(cfg, t_end=1.0, adaptive=True))
         assert rep.terminated == TERMINATED_COMPLETED and rep.times[-1] == 1.0
-        lab_trials = [c.est for c in advance_calls if c.trial and not c.frame.lam.any()]
+        lab_trials = [c.est for c in advance_calls if c.trial and not c.lam.any()]
         assert lab_trials and all(est == math.inf for est in lab_trials)
-        assert all(c.frame.lam.any() for c in advance_calls if not c.trial)
+        assert all(c.lam.any() for c in advance_calls if not c.trial)
 
     def test_refinement_past_the_cap_is_blowup(self, monkeypatch):
         # no step meets a target of 1e-300, so the first interval is refined
         # until its count passes MAX_REFINE times its count of dt steps
-        monkeypatch.setattr(evolve, "STEP_TOL", 1e-300)
+        monkeypatch.setattr(evolve._RK4, "tol", 1e-300)
         _, u0, cfg = _orbit_start(0.5, 6 * math.pi, n=64)
         rep = mw.run(u0, dataclasses.replace(cfg, adaptive=True))
         assert rep.terminated == TERMINATED_BLOWUP and list(rep.times) == [0.0]
@@ -1195,7 +1220,7 @@ class TestLinearizedRun:
                                 cfg)
         assert len(advance_calls) == len(rep.times) - 1 == 4
         for call in advance_calls:
-            assert not call.frame.lam.any() and call.pair is evolve._RK4 and call.tol == math.inf
+            assert not call.lam.any() and call.pair is evolve._RK4 and call.tol == math.inf
             assert (call.q, call.h) == (5, cfg.steps[1])
 
     @pytest.mark.parametrize("value", [1.0, 0.3])

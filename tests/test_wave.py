@@ -426,6 +426,16 @@ class TestParamDerivatives:
         names = {f.name for f in dataclasses.fields(mw.StabilityRunReport)}
         assert "values" in names and "fields" not in names
 
+    def test_stepping_state_is_plain_data(self):
+        # a run's stepping state holds its right side, its bound and its
+        # (symbol, pair) candidates, and no cache: each pair carries its own
+        # target and step-size law
+        assert names_in_package({"_Frame"}) == []
+        assert [f.name for f in dataclasses.fields(mw.evolve._Stepping)] == [
+            "f", "bounded", "candidates"]
+        assert (mw.evolve._RK4.tol, mw.evolve._DP54.tol) == (mw.evolve.STEP_TOL,
+                                                             mw.evolve.PAIR_TOL)
+
     def test_field_oracles_are_the_tests_own(self):
         # the trapezoid integral, the Helmholtz inverse and the physical-space
         # orbit distance are oracles in conftest, which no module of the
