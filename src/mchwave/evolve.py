@@ -297,14 +297,14 @@ _DP54 = _Pair(c=(0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1),
 _METHODS = (_RK4, _DP54)
 
 
-def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
+def _rk_step(f, pair: _Pair, values: np.ndarray, n1: np.ndarray, h: float,
              lam: np.ndarray, es: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One Lawson step of h of ``pair`` from ``values``, whose slope ``k1``
-    = f(values) the caller has evaluated, in the frame of symbol ``lam``:
-    every step of both flows, fixed ones too.  ``es`` maps each node c of
-    the pair to the frame's factors (E_c, conj(E_c)), E_c = exp(c h lam);
-    stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j) N_j), N = f -
-    lam y.  Returns the new state y1 = E_1 (y + (h / div) (b @ z)) and E_1
+    """One Lawson step of h of ``pair`` from ``values``, whose first stage
+    ``n1`` = f(values) - lam values the caller has formed, in the frame of
+    symbol ``lam``: every step of both flows, fixed ones too.  ``es`` maps
+    each node c of the pair to the frame's factors (E_c, conj(E_c)), E_c =
+    exp(c h lam); stage i is Y_i = E_c_i (y + h sum_j a_ij conj(E_c_j)
+    N_j), N = f - lam y.  Returns the new state y1 = E_1 (y + (h / div) (b @ z)) and E_1
     sum_j w_j conj(E_c_j) N_j over the stages before the last: less the
     next first stage N(y1), it is ``err_div`` times the step's error per
     unit time.  In the lab's frame, lam = 0, E = 1 and the step is
@@ -312,7 +312,7 @@ def _rk_step(f, pair: _Pair, values: np.ndarray, k1: np.ndarray, h: float,
     bit for bit if ``b @ z`` sums its exact products in the order
     j = 0 .. 3, as OpenBLAS does."""
     z = np.empty((len(pair.c) - 1, values.size), dtype=complex)  # conj(E_j) N_j
-    z[0] = k1 - lam * values
+    z[0] = n1
     for i in range(1, len(z)):
         e, e_conj = es[pair.c[i]]
         stage = values + h * (pair.a[i, :i] @ z[:i])
@@ -330,20 +330,22 @@ def _advance(st: _Stepping, lam: np.ndarray, pair: _Pair, spec: np.ndarray,
              tol: float) -> tuple[np.ndarray | None, np.ndarray, float, int]:
     """Up to q steps of h of ``pair`` from ``spec``, whose slope ``k1`` =
     st.f(spec) is given, in the frame of symbol ``lam``, whose factors at
-    the pair's nodes are formed once for the q steps: the end state and
-    its f, the largest estimate per unit time and the steps taken.  The
-    first estimate not within ``tol`` ends the steps and is returned, with
-    a state of None if it is not finite.  A state that passes the estimate
+    the pair's nodes are formed once for the q steps, as is the first
+    stage N = f - lam y of each step, which is the last one's end: the end
+    state and its f, the largest estimate per unit time and the steps
+    taken.  The first estimate not within ``tol`` ends the steps and is
+    returned, with a state of None if it is not finite.  A state that passes the estimate
     and fails ``st.bounded`` ends them too: None, with an estimate of +inf."""
     # the error vanishes at the mean and Nyquist modes: Parseval's weight is
     # 2, on n = 2 (spec.size - 1) nodes
     scale = math.sqrt(2.0) / (pair.err_div * 2 * (spec.size - 1))
     es = {c: (e, e.conj()) for c in pair.nodes for e in (np.exp((c * h) * lam),)}
-    worst = 0.0
+    worst, n1 = 0.0, k1 - lam * spec
     for j in range(q):
-        spec, err = _rk_step(st.f, pair, spec, k1, h, lam, es)
+        spec, err = _rk_step(st.f, pair, spec, n1, h, lam, es)
         k1 = st.f(spec)
-        err -= k1 - lam * spec  # the next step's first stage
+        n1 = k1 - lam * spec  # the next step's first stage
+        err -= n1
         est = scale * float(np.linalg.norm(err))
         if not est <= tol:
             return (spec if math.isfinite(est) else None), k1, est, j + 1

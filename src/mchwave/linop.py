@@ -23,31 +23,36 @@ Nyquist entry 0 (kappa and i kappa~ are read from the grid's
     O_km = q^_|k-m| - q^_(k+m)* - kappa_k kappa_m (p^_|k-m| + p^_(k+m)*),
 
 by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
-Im q^.  One pass over blocks of rows k builds all three: each block forms
-kappa~_k kappa~_m once, in a row buffer that scales E's, O's and C's rows
-(kappa_k = kappa~_k for 0 < k < n/2), and C is kept only as the running
-max |C|, the reflection defect.  A block holds ``BLOCK_ENTRIES`` entries,
-and C's rows are formed in E's before E is, so besides E and O the pass
-allocates two row buffers, not temporaries the size of E.  For an even
-wave C is rounding; above the assembly gate the split raises
-:class:`AssemblyError` wherever the blocks are read.  Every solve
-is values-only and made once (:class:`ParityBlocks`): the eigenvalues of
-E, of its minor E[1:, 1:] and of O, by three ``eigvalsh`` calls.  No
-eigenvector is formed.
+Im q^.  A pass over blocks of rows k builds one block: each block of rows
+forms kappa~_k kappa~_m once, in a row buffer that scales its rows
+(kappa_k = kappa~_k for 0 < k < n/2).  E's pass also forms C's rows, in
+E's before E is, and keeps C only as the running max |C|, the reflection
+defect.  A block of rows holds ``BLOCK_ENTRIES`` entries, so besides its
+block a pass allocates two row buffers, not temporaries the size of E.
+For an even wave C is rounding; above the assembly gate E's pass raises
+:class:`AssemblyError`, so every solver of E raises it.  Every solve is
+values-only and made once (:class:`ParityBlocks`), and no block outlives
+its turn: O is assembled, its eigenvalues taken by ``eigvalsh`` and O
+released; then E is assembled, its eigenvalues and those of its minor
+E[1:, 1:] taken by two ``eigvalsh`` calls, the pairing's system solved
+on it, and E released.  So at n = 1024 one block of 2.1 MB and LAPACK's
+working copy of it, 4.2 MB, are alive at a time, not E, O and a copy,
+6.3 MB.  No eigenvector is formed.
 
 As 1 = sqrt(n) (cosine mode 0), Y0 drops cosine mode 0: L on Y0 is
 E[1:, 1:] beside O, and :func:`restricted_spectrum` reads the minor's
-eigenvalues.  :func:`inv_one_pairing` solves E w = e_0 by one LU
-factorization (``solve``): the pairing is L w_0, and its residual applies
-L to the spectrum of w by FFT.  So the Morse identity of
-:func:`mchwave.indices.morse_check` compares three independent
-computations: the eigenvalues of E, those of E[1:, 1:] and the LU solve.
-E has a kernel only at the constant wave, where cos x is exactly an
-eigenvector and its diagonal entry rounds to 0 or eps, so LU may meet a
-zero pivot.  Where an eigenvalue of E is within the zero tolerance, the
-pairing takes the minimum-norm least-squares solution (``lstsq``) with
-that tolerance as the singular-value cutoff; the kernel cos x is
-orthogonal to the constant, so the right side has no kernel part.
+eigenvalues.  The pairing's system E w = e_0 is solved in E's turn by one
+LU factorization (``solve``), and :func:`inv_one_pairing` reads w: the
+pairing is L w_0, and its residual applies L to the spectrum of w by
+FFT.  So the Morse identity of :func:`mchwave.indices.morse_check`
+compares three independent computations: the eigenvalues of E, those
+of E[1:, 1:] and the LU solve.  E has a kernel only at the constant
+wave, where cos x is exactly an eigenvector and its diagonal entry
+rounds to 0 or eps, so LU may meet a zero pivot.  Where an eigenvalue
+of E is within the zero tolerance, the pairing takes the minimum-norm
+least-squares solution (``lstsq``) with that tolerance as the
+singular-value cutoff; the kernel cos x is orthogonal to the constant,
+so the right side has no kernel part.
 
 The evolution operator is J L, the linearization at the wave of the flow
 :mod:`mchwave.evolve` integrates, with J = dx (1 - dx^2)^{-1} (symbol
@@ -57,7 +62,8 @@ and annihilates cosine modes 0 and n/2.  So on Y0, J L is
 [[0, K O], [-K E', 0]] beside the zero row of cosine mode n/2, where E' is
 E without cosine modes 0 and n/2, and its eigenvalues are +-sqrt(mu) over
 the eigenvalues mu of the half-size M = -K E' K O, with one structural 0
-(:func:`evolution_spectrum`).  No n x n matrix is formed.
+(:func:`evolution_spectrum`, which assembles E and O anew).  No n x n
+matrix is formed.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
 zero, by one rule with no override: 1e3 eps max |.| of the eigenvalues
@@ -95,18 +101,23 @@ BLOCK_ENTRIES = 2**15  # entries of one block of rows in the assembly pass
 class ParityBlocks:
     """The ascending eigenvalues of the even block E of L in cosine
     coordinates (modes 0 .. n/2), of its minor E[1:, 1:] without the mean
-    mode, and of the odd block O, each from its own values-only solve."""
+    mode, and of the odd block O, each from its own values-only solve, and
+    the solution w of E w = e_0 that :func:`inv_one_pairing` reads, solved
+    in E's turn (:attr:`OperatorMatrix.parity`).  No block is kept."""
 
     even_vals: np.ndarray = dc_field(repr=False)
     minor_vals: np.ndarray = dc_field(repr=False)
     odd_vals: np.ndarray = dc_field(repr=False)
+    w: np.ndarray = dc_field(repr=False)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     """L on an n-node grid, held as the node values p, q of its
-    coefficients; its blocks and its reflection defect are built from their
-    spectra on first read (module docstring)."""
+    coefficients.  Its blocks are assembled when they are solved and
+    released after: :attr:`parity` holds one block at a time, O and then
+    E, and keeps their spectra and the pairing's solution; the reflection
+    defect is kept from E's first assembly (module docstring)."""
 
     grid: PeriodicGrid
     coefficients: np.ndarray = dc_field(repr=False)
@@ -123,31 +134,28 @@ class OperatorMatrix:
         win = np.lib.stride_tricks.sliding_window_view(ext, half + 1, axis=1)
         return win[:, : half + 1, ::-1], win[:, half:]
 
-    @cached_property
-    def _assembly(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """E, O and the reflection defect in one pass over blocks of rows k,
+    def _even_pass(self) -> tuple[np.ndarray, float]:
+        """E and the reflection defect in one pass over blocks of rows k,
         BLOCK_ENTRIES entries a block (module docstring).  Each block forms
         kk = kappa~_k kappa~_m once, and every entry takes the operations, in
-        their order, of q_dif + q_sum - kk (p_dif - p_sum) (E), q_dif - q_sum
-        - kk (p_dif + p_sum) (O) on the real parts and q_sum + q_dif + kk
-        (p_sum - p_dif) (C) on the imaginary parts."""
+        their order, of q_dif + q_sum - kk (p_dif - p_sum) (E) on the real
+        parts and q_sum + q_dif + kk (p_sum - p_dif) (C) on the imaginary
+        parts, C's rows formed in E's before E is."""
         half = self.grid.n // 2
         (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
         (p_dif, q_dif), (p_sum, q_sum) = self._windows
-        even, odd = np.empty((half + 1, half + 1)), np.empty((half - 1, half - 1))
-        rows = min(half + 1, max(1, BLOCK_ENTRIES // (half + 1)))
+        even, rows = np.empty((half + 1, half + 1)), _block_rows(half)
         kk, scratch = np.empty((rows, half + 1)), np.empty((rows, half + 1))
         defect = 0.0
         for top in range(0, half + 1, rows):
-            # rows top .. bottom - 1 of E, and lo .. hi - 1 of C and O (none
-            # in a block of row 0 or n/2 alone: those slices are empty)
+            # rows top .. bottom - 1 of E, and lo .. hi - 1 of C (none in a
+            # block of row 0 or n/2 alone: that slice is empty)
             bottom = min(top + rows, half + 1)
             block, lo, hi = slice(top, bottom), max(top, 1), min(bottom, half)
             kk_b = np.multiply.outer(d1.imag[block], d1.imag, out=kk[: bottom - top])
-            kk_i, s_b, s_i = kk_b[lo - top : hi - top], scratch[: bottom - top], scratch[: hi - lo]
-            # C's rows, formed in E's before E is
+            s_b, s_i = scratch[: bottom - top], scratch[: hi - lo]
             c_i = np.subtract(p_sum.imag[lo:hi], p_dif.imag[lo:hi], out=even[lo:hi])
-            c_i *= kk_i
+            c_i *= kk_b[lo - top : hi - top]
             np.add(q_sum.imag[lo:hi], q_dif.imag[lo:hi], out=s_i)
             np.add(s_i, c_i, out=c_i)
             c_i[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
@@ -156,42 +164,78 @@ class OperatorMatrix:
             e_b *= kk_b
             np.add(q_dif.real[block], q_sum.real[block], out=s_b)
             np.subtract(s_b, e_b, out=e_b)
-            o_i, s_i = odd[lo - 1 : hi - 1], s_i[:, inner]
-            np.add(p_dif.real[lo:hi, inner], p_sum.real[lo:hi, inner], out=o_i)
-            o_i *= kk_i[:, inner]
-            np.subtract(q_dif.real[lo:hi, inner], q_sum.real[lo:hi, inner], out=s_i)
-            np.subtract(s_i, o_i, out=o_i)
         # E *= outer(s, s): s_k s_m is 1, and x * 1 = x, except in rows and
         # columns 0 and n/2, so only those are scaled, by the same products
         even[::half] *= math.sqrt(0.5) * _cosine_weights(half)
         even[inner, ::half] *= math.sqrt(0.5)
         even[half, half] -= kap[half] ** 2 * p_dif.real[0, 0]
-        return even, odd, float(defect)
+        return even, float(defect)
 
-    @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks E and O (module docstring); AssemblyError if
-        the reflection defect exceeds the gate."""
-        if self.reflection_defect > ASYMMETRY_GATE:
-            raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
+    def _even_block(self) -> np.ndarray:
+        """E, a new array on each call; the pass's defect is kept as
+        :attr:`reflection_defect`, and above the gate AssemblyError is raised
+        in place of E."""
+        even, defect = self._even_pass()
+        vars(self)["reflection_defect"] = defect  # the cached property's slot
+        if defect > ASYMMETRY_GATE:
+            raise AssemblyError(f"reflection defect {defect:.3e} exceeds "
                                 f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
-        return self._assembly[:2]
+        return even
+
+    def _odd_block(self) -> np.ndarray:
+        """O, a new array on each call, by the same pass over its rows k =
+        1 .. n/2 - 1: every entry takes the operations, in their order, of
+        q_dif - q_sum - kk (p_dif + p_sum) on the real parts."""
+        half = self.grid.n // 2
+        kap, inner = self.grid.rfft_tables[1].imag[1:half], slice(1, half)  # Im i kappa~
+        (p_dif, q_dif), (p_sum, q_sum) = (win[:, inner, inner].real for win in self._windows)
+        odd, rows = np.empty((half - 1, half - 1)), _block_rows(half)
+        kk, scratch = np.empty((rows, half - 1)), np.empty((rows, half - 1))
+        for top in range(0, half - 1, rows):
+            block = slice(top, min(top + rows, half - 1))
+            kk_b = np.multiply.outer(kap[block], kap, out=kk[: block.stop - top])
+            o_b = np.add(p_dif[block], p_sum[block], out=odd[block])
+            o_b *= kk_b
+            s_b = np.subtract(q_dif[block], q_sum[block], out=scratch[: block.stop - top])
+            np.subtract(s_b, o_b, out=o_b)
+        return odd
 
     @property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks E and O (module docstring), assembled anew
+        on each read and not kept; AssemblyError if the reflection defect
+        exceeds the gate."""
+        return self._even_block(), self._odd_block()
+
+    @cached_property
     def reflection_defect(self) -> float:
         """max |C|, C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) +
         kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended
-        odd: rounding for an even wave, and gated before the split."""
-        return self._assembly[2]
+        odd: rounding for an even wave, and gated before the split.  Formed
+        in E's assembly pass and kept from the first; read before any, it
+        makes one and releases E."""
+        return self._even_pass()[1]
 
     @cached_property
     def parity(self) -> ParityBlocks:
-        """The blocks' spectra, computed once and shared read-only;
+        """The blocks' spectra and the pairing's solution, computed once and
+        shared read-only, one block alive at a time: O is assembled, solved
+        and released; then E is assembled, solved with its minor, and
+        factorized once for w (module docstring), and released.
         AssemblyError for coefficients that are not even, NumericalError if
         the solver fails."""
-        even, odd = self._blocks
-        blocks = ParityBlocks(*(_lapack(np.linalg.eigvalsh, block)
-                                for block in (even, even[1:, 1:], odd)))
+        odd_vals = _lapack(np.linalg.eigvalsh, self._odd_block())
+        even = self._even_block()
+        even_vals = _lapack(np.linalg.eigvalsh, even)
+        minor_vals = _lapack(np.linalg.eigvalsh, even[1:, 1:])
+        tol = max(_zero_tol(even_vals), _zero_tol(odd_vals))
+        e_0 = np.eye(1, len(even))[0]
+        if np.any(np.abs(even_vals) <= tol):
+            cutoff = tol / float(np.max(np.abs(even_vals)))
+            w = _lapack(np.linalg.lstsq, even, e_0, rcond=cutoff)[0]
+        else:
+            w = _lapack(np.linalg.solve, even, e_0)
+        blocks = ParityBlocks(even_vals, minor_vals, odd_vals, w)
         for arr in vars(blocks).values():
             arr.flags.writeable = False
         return blocks
@@ -258,6 +302,12 @@ def _lapack(solver, *args, **kwargs):
         raise NumericalError(f"{solver.__name__} failed: {exc}") from exc
 
 
+def _block_rows(half: int) -> int:
+    """Rows of a block of the assembly passes: BLOCK_ENTRIES entries of
+    rows of n/2 + 1, at least one row and at most n/2 + 1."""
+    return min(half + 1, max(1, BLOCK_ENTRIES // (half + 1)))
+
+
 def _cosine_weights(half: int) -> np.ndarray:
     """s_k, k = 0 .. half: 1/sqrt 2 at 0 and half, 1 between."""
     return np.concatenate(([math.sqrt(0.5)], np.ones(half - 1), [math.sqrt(0.5)]))
@@ -322,11 +372,20 @@ def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
     twice; the report's ``tol`` is that tolerance's square root, in lambda
     units.  Raises AssemblyError for coefficients that are not even.
     """
-    even, odd = m._blocks
     half = m.grid.n // 2
     kap = m.grid.rfft_tables[0][1:half]
     scale = kap / (1.0 + kap * kap)  # a real division: Im of J's complex symbol rounds apart
-    mu = _lapack(np.linalg.eigvals, -(np.outer(scale, scale) * even[1:half, 1:half]) @ odd)
+    # -K E' K in a copy of E' that E does not outlive, scaled in place by
+    # blocks of rows of the products K_k K_m (the operations of
+    # -(outer(K, K) * E')); E' and O then go before the eigensolve
+    prod = m._even_block()[1:half, 1:half].copy()
+    rows = _block_rows(half)
+    for top in range(0, half - 1, rows):
+        prod_b = prod[top : top + rows]
+        prod_b *= np.multiply.outer(scale[top : top + rows], scale)
+        np.negative(prod_b, out=prod_b)
+    prod = prod @ m._odd_block()
+    mu = _lapack(np.linalg.eigvals, prod)
     tol_mu = _zero_tol(mu)
     zero = np.abs(mu) <= tol_mu
     root = np.where(zero, 0.0, np.sqrt(mu + 0j))
@@ -348,19 +407,13 @@ def inv_one_pairing(m: OperatorMatrix) -> PairingReport:
     the constant wave, whose double kernel is deflated like a simple one),
     w is the minimum-norm least-squares solution with the tolerance as its
     cutoff (module docstring).  The tolerance is that of :func:`spectrum`,
-    read off the blocks' spectra; the residual max |L w - 1| applies L to
-    the rfft spectrum of w by FFT, with no block or dense matrix.  Raises
+    read off both blocks' spectra.  w is solved in E's turn of the
+    operator's parity, after O's and before E is released, and kept there;
+    this reads it, and the residual max |L w - 1| applies L to the rfft
+    spectrum of w by FFT, with no block or dense matrix.  Raises
     AssemblyError for coefficients that are not even.
     """
-    even, vals = m._blocks[0], m.parity.even_vals
-    tol = max(_zero_tol(vals), _zero_tol(m.parity.odd_vals))
-    n = m.grid.n
-    e_0 = np.eye(1, n // 2 + 1)[0]
-    if np.any(np.abs(vals) <= tol):
-        cutoff = tol / float(np.max(np.abs(vals)))
-        w = _lapack(np.linalg.lstsq, even, e_0, rcond=cutoff)[0]
-    else:
-        w = _lapack(np.linalg.solve, even, e_0)
+    n, w = m.grid.n, m.parity.w
     # the rfft of w's grid form sqrt(n) sum_k w_k sqrt(2/n) s_k cos(kappa_k x)
     w_hat = n * math.sqrt(0.5) * w / _cosine_weights(n // 2)
     residual = float(np.max(np.abs(np.fft.irfft(_apply_l(m, w_hat), n) - 1.0)))

@@ -506,7 +506,8 @@ class TestBitwiseOracle:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_rk4_step_is_the_textbook_step(self, wave05, n):
-        # one lab-frame RK4 step through the tableau loop is the textbook
+        # one lab-frame RK4 step through the tableau loop, its first stage N
+        # being f itself, is the textbook
         # y + (h/6) (k1 + 2 k2 + 2 k3 + k4) bit for bit, and its estimate row
         # (0, 0, 0, 1) returns k4, but for the sign of a zero entry: 0 k1 +
         # ... + k4 adds a -0.0 of k4 to +0.0.  The weights 1 and 2 give exact
@@ -703,9 +704,9 @@ class TestStepControl:
         # the zero-mean branch, trials the lab frame's two candidates
         step, steps = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, lam, es):
+        def spied_step(f, pair, values, n1, h, lam, es):
             steps.append((bool(lam.any()), pair is evolve._DP54, advance_calls[-1].trial))
-            return step(f, pair, values, k1, h, lam, es)
+            return step(f, pair, values, n1, h, lam, es)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
 
@@ -745,9 +746,9 @@ class TestStepControl:
         # predicts the fewest right sides for the interval, the first on a tie
         step, kinds = evolve._rk_step, []
 
-        def spied_step(f, pair, values, k1, h, lam, es):
+        def spied_step(f, pair, values, n1, h, lam, es):
             kinds.append((bool(lam.any()), pair))
-            return step(f, pair, values, k1, h, lam, es)
+            return step(f, pair, values, n1, h, lam, es)
 
         monkeypatch.setattr(evolve, "_rk_step", spied_step)
         _, u0, cfg = _orbit_start(k, big_l)
@@ -1001,8 +1002,8 @@ class TestStepControl:
         # the run would step in the lab's, 87
         step = evolve._rk_step
 
-        def blown_lab_trial(f, pair, values, k1, h, lam, es):
-            out, err = step(f, pair, values, k1, h, lam, es)
+        def blown_lab_trial(f, pair, values, n1, h, lam, es):
+            out, err = step(f, pair, values, n1, h, lam, es)
             if advance_calls[-1].trial and not lam.any():
                 out = 1e3 * out
                 err = f(out) - lam * out  # N at the step's end: the estimate is 0

@@ -1,6 +1,7 @@
 """Linearized-operator assembly, spectra, and the deflated pairing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,10 @@ class TestSpectrum:
         # every report carries the one rule's tolerance: 1e3 eps max |.| of
         # the eigenvalues counted, of mu = lambda^2 for J L (reported in
         # lambda units); the pairing deflates with the spectrum's, the
-        # least-squares cutoff at the constant wave's kernel
+        # least-squares cutoff at the constant wave's kernel, in the solve
+        # that the operator's parity makes once (so on fresh copies here)
+        op05_256, op_constant_128 = (linop.OperatorMatrix(op.grid, op.coefficients)
+                                     for op in (op05_256, op_constant_128))
         eps = np.finfo(float).eps
         full, restr = mw.spectrum(op05_256), mw.restricted_spectrum(op05_256)
         for rep in (full, restr):
@@ -318,6 +322,11 @@ class TestParityBlocks:
         assert np.array_equal(restr.eigenvalues,
                               np.sort(np.concatenate((blocks.minor_vals, blocks.odd_vals))))
         assert op.parity is blocks
+        # J L assembles its own blocks, the same before and after parity
+        before = mw.evolution_spectrum(linop.OperatorMatrix(op.grid, op.coefficients))
+        after = mw.evolution_spectrum(op)
+        assert np.array_equal(before.eigenvalues, after.eigenvalues)
+        assert op.parity is blocks
         make, reports = linop._make_report, []
         monkeypatch.setattr(linop, "_make_report",
                             lambda *a: reports.append(a) or make(*a))
@@ -340,11 +349,17 @@ class TestParityBlocks:
         ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
                                - 2.929 * np.cos(3 * x))
         lop = mw.assemble_l(phi, ph2, 0.2)
-        assert linop.ASYMMETRY_GATE < lop.reflection_defect
+        defect = lop.reflection_defect
+        assert linop.ASYMMETRY_GATE < defect
+        # on one operator whose defect was read first, and on a fresh one
+        # each, whose defect a raising solve leaves the same
         for solve in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing,
                       mw.evolution_spectrum):
-            with pytest.raises(AssemblyError):
-                solve(lop)
+            fresh = linop.OperatorMatrix(lop.grid, lop.coefficients)
+            for op in (lop, fresh):
+                with pytest.raises(AssemblyError):
+                    solve(op)
+            assert fresh.reflection_defect == defect
 
 
 @settings(max_examples=8)
@@ -562,11 +577,16 @@ def set_block_rows(monkeypatch, n, rows):
 
 def assert_blocks_match_reference(op):
     """The blocks and the defect equal conftest's whole-array expressions
-    bit for bit, read in the program's order (defect first)."""
+    bit for bit, read in either order: the defect first, from a pass of its
+    own, and the blocks first, the defect kept from E's pass."""
     assert op.reflection_defect == reference_defect(op)
     even, odd = op._blocks
     ref_even, ref_odd = reference_blocks(op)
     assert np.array_equal(even, ref_even) and np.array_equal(odd, ref_odd)
+    fresh = linop.OperatorMatrix(op.grid, op.coefficients)
+    even, odd = fresh._blocks
+    assert np.array_equal(even, ref_even) and np.array_equal(odd, ref_odd)
+    assert fresh.reflection_defect == reference_defect(op)
 
 
 class TestInPlaceAssembly:
@@ -607,6 +627,68 @@ def test_in_place_assembly_on_the_criterion_6_window(k, big_l):
     p = mw.wave_at(k, big_l)[0]
     for n in ORACLE_SIZES:
         assert_blocks_match_reference(mw.operator_for(p, n))
+
+
+def owned_bytes(arr) -> int:
+    """The bytes of the buffer that ``arr`` views: the root of its base chain."""
+    while getattr(arr, "base", None) is not None:
+        arr = arr.base
+    return arr.nbytes
+
+
+def traced_peak(solve, op) -> int:
+    """The tracemalloc peak of ``solve(op)``, in bytes above the start."""
+    tracemalloc.start()
+    try:
+        solve(op)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBlockAtATime:
+    # n = 1024 at (0.5, 6 pi) and at the constant wave, whose pairing takes
+    # the least-squares branch.  numpy allocates LAPACK's working copies
+    # outside tracemalloc, so the traced peak is the package's arrays alone,
+    # whatever the BLAS thread count; a block is (n/2 + 1)^2 doubles
+    N = 1024
+    BLOCK = (N // 2 + 1) ** 2 * 8
+    WAVES = [(0.5, 6 * math.pi), (0.0, 2 * math.pi)]
+
+    @pytest.mark.parametrize("k, big_l", WAVES)
+    @pytest.mark.parametrize("solve", [mw.spectrum, mw.restricted_spectrum,
+                                       mw.inv_one_pairing])
+    def test_solves_hold_one_block(self, solve, k, big_l):
+        # parity assembles, solves and releases O, then E: one block and the
+        # pass's row buffers at a time (measured 1.34 to 1.40 blocks; both
+        # blocks alive, with a row buffer, read 2.36)
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], self.N)
+        assert traced_peak(solve, op) <= 1.6 * self.BLOCK
+        blocks = op.parity
+        tol = max(linop._zero_tol(blocks.even_vals), linop._zero_tol(blocks.odd_vals))
+        assert bool(np.any(np.abs(blocks.even_vals) <= tol)) == (k == 0.0)
+
+    @pytest.mark.parametrize("k, big_l", WAVES)
+    def test_evolution_spectrum_holds_three_blocks(self, k, big_l):
+        # -K E' K O from E', O and their product alone: the scaled copy of
+        # E' is formed by blocks of rows (measured 3.01 blocks; the whole-array
+        # expression read 4.01)
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], self.N)
+        assert traced_peak(mw.evolution_spectrum, op) <= 3.2 * self.BLOCK
+
+    @pytest.mark.parametrize("k, big_l", WAVES)
+    def test_no_block_outlives_its_solve(self, k, big_l):
+        # after parity (and the reads that follow it) the operator and its
+        # parity hold no buffer of (n/2 - 1)^2 doubles or more: the coefficient
+        # windows are views of one (2, 3n/2 + 1) array
+        op = mw.operator_for(mw.wave_at(k, big_l)[0], self.N)
+        mw.inv_one_pairing(op)
+        mw.evolution_spectrum(op)
+        held = [*vars(op).values(), *vars(op.parity).values()]
+        arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7  # p and q, two windows, three spectra and w
+        assert max(owned_bytes(a) for a in arrays) < (self.N // 2 - 1) ** 2 * 8
 
 
 class TestEvolutionOperator:
