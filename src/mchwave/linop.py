@@ -23,14 +23,22 @@ Nyquist entry 0 (kappa and i kappa~ are read from the grid's
     O_km = q^_|k-m| - q^_(k+m)* - kappa_k kappa_m (p^_|k-m| + p^_(k+m)*),
 
 by O(n^2) index arithmetic on Re p^, Re q^, and the coupling C on Im p^,
-Im q^.  A pass over blocks of rows k builds one block: each block of rows
-forms kappa~_k kappa~_m once, in a row buffer that scales its rows
-(kappa_k = kappa~_k for 0 < k < n/2).  E's pass also forms C's rows, in
-E's before E is, and keeps C only as the running max |C|, the reflection
-defect.  A block of rows holds ``BLOCK_ENTRIES`` entries, so besides its
-block a pass allocates two row buffers, not temporaries the size of E.
-For an even wave C is rounding; above the assembly gate E's pass raises
-:class:`AssemblyError`, so every solver of E raises it.  Every solve is
+Im q^.  All of them are one expression, with dif = |k-m| and sum = (k+m)*,
+
+    W_km [q^_dif + sigma q^_sum - kappa~_k kappa~_m (p^_dif - sigma p^_sum)],
+
+formed by one pass over blocks of rows (``OperatorMatrix._hill_pass``):
+E is sigma = +1 on the real parts, every row and column, W = s_k s_m;
+O is sigma = -1 on the real parts, rows and columns 1 .. n/2 - 1, W = 1
+(kappa_k = kappa~_k there); C is E's expression on the imaginary parts,
+rows 1 .. n/2 - 1, W = s_m; and the -K E' K of J L below is E's on rows
+and columns 1 .. n/2 - 1, W = -K_k K_m.  A block of rows holds
+``BLOCK_ENTRIES`` entries and forms kappa~_k kappa~_m, then W_km, once in
+a row buffer, so besides its result a pass allocates two row buffers, not
+temporaries the size of E.  max |C| is the reflection defect, rounding
+for an even wave: C's own pass forms it, its abs taken in place, and it
+is kept as the gate that every solver checks before any block is
+assembled, raising :class:`AssemblyError` above it.  Every solve is
 values-only and made once (:class:`ParityBlocks`), and no block outlives
 its turn: O is assembled, its eigenvalues taken by ``eigvalsh`` and O
 released; then E is assembled, its eigenvalues and those of its minor
@@ -62,7 +70,7 @@ and annihilates cosine modes 0 and n/2.  So on Y0, J L is
 [[0, K O], [-K E', 0]] beside the zero row of cosine mode n/2, where E' is
 E without cosine modes 0 and n/2, and its eigenvalues are +-sqrt(mu) over
 the eigenvalues mu of the half-size M = -K E' K O, with one structural 0
-(:func:`evolution_spectrum`, which assembles E and O anew).  No n x n
+(:func:`evolution_spectrum`, which forms -K E' K and O anew).  No n x n
 matrix is formed.
 
 Zero-eigenvalue policy: :func:`_zero_tol` alone decides what counts as
@@ -117,7 +125,7 @@ class OperatorMatrix:
     coefficients.  Its blocks are assembled when they are solved and
     released after: :attr:`parity` holds one block at a time, O and then
     E, and keeps their spectra and the pairing's solution; the reflection
-    defect is kept from E's first assembly (module docstring)."""
+    defect is kept as the gate checked before either (module docstring)."""
 
     grid: PeriodicGrid
     coefficients: np.ndarray = dc_field(repr=False)
@@ -134,87 +142,69 @@ class OperatorMatrix:
         win = np.lib.stride_tricks.sliding_window_view(ext, half + 1, axis=1)
         return win[:, : half + 1, ::-1], win[:, half:]
 
-    def _even_pass(self) -> tuple[np.ndarray, float]:
-        """E and the reflection defect in one pass over blocks of rows k,
-        BLOCK_ENTRIES entries a block (module docstring).  Each block forms
-        kk = kappa~_k kappa~_m once, and every entry takes the operations, in
-        their order, of q_dif + q_sum - kk (p_dif - p_sum) (E) on the real
-        parts and q_sum + q_dif + kk (p_sum - p_dif) (C) on the imaginary
-        parts, C's rows formed in E's before E is."""
+    def _hill_pass(self, sigma: int, part, rows: slice, cols: slice,
+                   weights: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+        """The one assembly pass (module docstring), a new array: sigma, the
+        ``part`` of the windows (np.real or np.imag), ``rows`` x ``cols`` and
+        W = outer(*weights) (none: 1), by blocks of BLOCK_ENTRIES entries of
+        rows of n/2 + 1.  Every entry takes these operations in this order."""
         half = self.grid.n // 2
-        (kap, d1, _), inner = self.grid.rfft_tables, slice(1, half)
-        (p_dif, q_dif), (p_sum, q_sum) = self._windows
-        even, rows = np.empty((half + 1, half + 1)), _block_rows(half)
-        kk, scratch = np.empty((rows, half + 1)), np.empty((rows, half + 1))
-        defect = 0.0
-        for top in range(0, half + 1, rows):
-            # rows top .. bottom - 1 of E, and lo .. hi - 1 of C (none in a
-            # block of row 0 or n/2 alone: that slice is empty)
-            bottom = min(top + rows, half + 1)
-            block, lo, hi = slice(top, bottom), max(top, 1), min(bottom, half)
-            kk_b = np.multiply.outer(d1.imag[block], d1.imag, out=kk[: bottom - top])
-            s_b, s_i = scratch[: bottom - top], scratch[: hi - lo]
-            c_i = np.subtract(p_sum.imag[lo:hi], p_dif.imag[lo:hi], out=even[lo:hi])
-            c_i *= kk_b[lo - top : hi - top]
-            np.add(q_sum.imag[lo:hi], q_dif.imag[lo:hi], out=s_i)
-            np.add(s_i, c_i, out=c_i)
-            c_i[:, ::half] *= math.sqrt(0.5)  # times s_m, 1 but at m = 0, n/2
-            defect = np.max(np.abs(c_i, out=c_i), initial=defect)
-            e_b = np.subtract(p_dif.real[block], p_sum.real[block], out=even[block])
-            e_b *= kk_b
-            np.add(q_dif.real[block], q_sum.real[block], out=s_b)
-            np.subtract(s_b, e_b, out=e_b)
-        # E *= outer(s, s): s_k s_m is 1, and x * 1 = x, except in rows and
-        # columns 0 and n/2, so only those are scaled, by the same products
-        even[::half] *= math.sqrt(0.5) * _cosine_weights(half)
-        even[inner, ::half] *= math.sqrt(0.5)
-        even[half, half] -= kap[half] ** 2 * p_dif.real[0, 0]
-        return even, float(defect)
+        kap = self.grid.rfft_tables[1].imag  # Im i kappa~
+        k_r, k_c = kap[rows], kap[cols]
+        (p_dif, q_dif), (p_sum, q_sum) = (part(win[:, rows, cols]) for win in self._windows)
+        q_op, p_op = (np.add, np.subtract) if sigma > 0 else (np.subtract, np.add)
+        out = np.empty(p_dif.shape)
+        step = min(half + 1, max(1, BLOCK_ENTRIES // (half + 1)))
+        kk, scratch = np.empty((step, len(k_c))), np.empty((step, len(k_c)))
+        for top in range(0, len(out), step):
+            block = slice(top, min(top + step, len(out)))
+            kk_b = np.multiply.outer(k_r[block], k_c, out=kk[: block.stop - top])
+            out_b = p_op(p_dif[block], p_sum[block], out=out[block])
+            out_b *= kk_b
+            s_b = q_op(q_dif[block], q_sum[block], out=scratch[: block.stop - top])
+            np.subtract(s_b, out_b, out=out_b)
+            if weights is not None:
+                out_b *= np.multiply.outer(weights[0][block], weights[1], out=kk_b)
+        return out
+
+    def _gate(self) -> None:
+        """AssemblyError if the reflection defect exceeds the gate: checked
+        before any block is assembled or solved."""
+        if self.reflection_defect > ASYMMETRY_GATE:
+            raise AssemblyError(f"reflection defect {self.reflection_defect:.3e} exceeds "
+                                f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
 
     def _even_block(self) -> np.ndarray:
-        """E, a new array on each call; the pass's defect is kept as
-        :attr:`reflection_defect`, and above the gate AssemblyError is raised
-        in place of E."""
-        even, defect = self._even_pass()
-        vars(self)["reflection_defect"] = defect  # the cached property's slot
-        if defect > ASYMMETRY_GATE:
-            raise AssemblyError(f"reflection defect {defect:.3e} exceeds "
-                                f"gate {ASYMMETRY_GATE:.0e}: the coefficients are not even")
+        """E, a new array on each call, with no gate."""
+        half = self.grid.n // 2
+        s = _cosine_weights(half)
+        even = self._hill_pass(1, np.real, slice(None), slice(None), (s, s))
+        even[half, half] -= self.grid.rfft_tables[0][half] ** 2 * self._windows[0][0, 0, 0].real
         return even
 
     def _odd_block(self) -> np.ndarray:
-        """O, a new array on each call, by the same pass over its rows k =
-        1 .. n/2 - 1: every entry takes the operations, in their order, of
-        q_dif - q_sum - kk (p_dif + p_sum) on the real parts."""
-        half = self.grid.n // 2
-        kap, inner = self.grid.rfft_tables[1].imag[1:half], slice(1, half)  # Im i kappa~
-        (p_dif, q_dif), (p_sum, q_sum) = (win[:, inner, inner].real for win in self._windows)
-        odd, rows = np.empty((half - 1, half - 1)), _block_rows(half)
-        kk, scratch = np.empty((rows, half - 1)), np.empty((rows, half - 1))
-        for top in range(0, half - 1, rows):
-            block = slice(top, min(top + rows, half - 1))
-            kk_b = np.multiply.outer(kap[block], kap, out=kk[: block.stop - top])
-            o_b = np.add(p_dif[block], p_sum[block], out=odd[block])
-            o_b *= kk_b
-            s_b = np.subtract(q_dif[block], q_sum[block], out=scratch[: block.stop - top])
-            np.subtract(s_b, o_b, out=o_b)
-        return odd
+        """O, a new array on each call, with no gate."""
+        inner = slice(1, self.grid.n // 2)
+        return self._hill_pass(-1, np.real, inner, inner, None)
 
     @property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The even and odd blocks E and O (module docstring), assembled anew
         on each read and not kept; AssemblyError if the reflection defect
         exceeds the gate."""
+        self._gate()
         return self._even_block(), self._odd_block()
 
     @cached_property
     def reflection_defect(self) -> float:
         """max |C|, C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) +
         kappa_k kappa~_m (b^p_(k+m) - b^p_(k-m))], b = Im p^, Im q^ extended
-        odd: rounding for an even wave, and gated before the split.  Formed
-        in E's assembly pass and kept from the first; read before any, it
-        makes one and releases E."""
-        return self._even_pass()[1]
+        odd: rounding for an even wave, and the gate before any block.  C's
+        own pass, its abs taken in place (module docstring)."""
+        half = self.grid.n // 2
+        coupling = self._hill_pass(1, np.imag, slice(1, half), slice(None),
+                                   (np.ones(half - 1), _cosine_weights(half)))
+        return float(np.max(np.abs(coupling, out=coupling)))
 
     @cached_property
     def parity(self) -> ParityBlocks:
@@ -224,6 +214,7 @@ class OperatorMatrix:
         factorized once for w (module docstring), and released.
         AssemblyError for coefficients that are not even, NumericalError if
         the solver fails."""
+        self._gate()
         odd_vals = _lapack(np.linalg.eigvalsh, self._odd_block())
         even = self._even_block()
         even_vals = _lapack(np.linalg.eigvalsh, even)
@@ -302,12 +293,6 @@ def _lapack(solver, *args, **kwargs):
         raise NumericalError(f"{solver.__name__} failed: {exc}") from exc
 
 
-def _block_rows(half: int) -> int:
-    """Rows of a block of the assembly passes: BLOCK_ENTRIES entries of
-    rows of n/2 + 1, at least one row and at most n/2 + 1."""
-    return min(half + 1, max(1, BLOCK_ENTRIES // (half + 1)))
-
-
 def _cosine_weights(half: int) -> np.ndarray:
     """s_k, k = 0 .. half: 1/sqrt 2 at 0 and half, 1 between."""
     return np.concatenate(([math.sqrt(0.5)], np.ones(half - 1), [math.sqrt(0.5)]))
@@ -372,19 +357,13 @@ def evolution_spectrum(m: OperatorMatrix) -> SpectralReport:
     twice; the report's ``tol`` is that tolerance's square root, in lambda
     units.  Raises AssemblyError for coefficients that are not even.
     """
-    half = m.grid.n // 2
-    kap = m.grid.rfft_tables[0][1:half]
+    m._gate()
+    inner = slice(1, m.grid.n // 2)
+    kap = m.grid.rfft_tables[0][inner]
     scale = kap / (1.0 + kap * kap)  # a real division: Im of J's complex symbol rounds apart
-    # -K E' K in a copy of E' that E does not outlive, scaled in place by
-    # blocks of rows of the products K_k K_m (the operations of
-    # -(outer(K, K) * E')); E' and O then go before the eigensolve
-    prod = m._even_block()[1:half, 1:half].copy()
-    rows = _block_rows(half)
-    for top in range(0, half - 1, rows):
-        prod_b = prod[top : top + rows]
-        prod_b *= np.multiply.outer(scale[top : top + rows], scale)
-        np.negative(prod_b, out=prod_b)
-    prod = prod @ m._odd_block()
+    # -K E' K: E's expression on the inner rows and columns, where s x s
+    # is 1, weighted by (-K) x K: the bits of -(outer(K, K) * E')
+    prod = m._hill_pass(1, np.real, inner, inner, (-scale, scale)) @ m._odd_block()
     mu = _lapack(np.linalg.eigvals, prod)
     tol_mu = _zero_tol(mu)
     zero = np.abs(mu) <= tol_mu

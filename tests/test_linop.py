@@ -341,7 +341,7 @@ class TestParityBlocks:
         for op in (op05_256, op_constant_128):
             assert op.reflection_defect <= 1e-14 * np.max(np.abs(dense_matrix(op)))
 
-    def test_reflection_gate(self):
+    def test_reflection_gate(self, monkeypatch, eig_calls):
         # the non-even coefficients of the growth-rate check (sin 2x in phi'')
         grid = mw.PeriodicGrid(2 * math.pi, 64)
         x = grid.nodes
@@ -349,6 +349,7 @@ class TestParityBlocks:
         ph2 = mw.PeriodicField(grid, -0.019 * np.cos(x) - 1.515 * np.sin(2 * x)
                                - 2.929 * np.cos(3 * x))
         lop = mw.assemble_l(phi, ph2, 0.2)
+        passes = spy_passes(monkeypatch)
         defect = lop.reflection_defect
         assert linop.ASYMMETRY_GATE < defect
         # on one operator whose defect was read first, and on a fresh one
@@ -360,6 +361,10 @@ class TestParityBlocks:
                 with pytest.raises(AssemblyError):
                     solve(op)
             assert fresh.reflection_defect == defect
+        # the gate is checked before any block is assembled or solved: the
+        # coupling's pass, once per operator, is the only pass, and no
+        # eigensolver runs
+        assert passes == [np.imag] * 5 and eig_calls == []
 
 
 @settings(max_examples=8)
@@ -569,6 +574,19 @@ BLOCK_CASES = [(n, None) for n in ORACLE_SIZES] + [(n, rows) for n in ORACLE_SIZ
 BLOCK_IDS = [str(n) if rows is None else f"{n}-rows{rows}" for n, rows in BLOCK_CASES]
 
 
+def spy_passes(monkeypatch) -> list:
+    """Wrap ``OperatorMatrix._hill_pass``; returns the list of the parts
+    (np.real or np.imag) that its calls read."""
+    parts, hill_pass = [], linop.OperatorMatrix._hill_pass
+
+    def spy(self, sigma, part, *args, **kwargs):
+        parts.append(part)
+        return hill_pass(self, sigma, part, *args, **kwargs)
+
+    monkeypatch.setattr(linop.OperatorMatrix, "_hill_pass", spy)
+    return parts
+
+
 def set_block_rows(monkeypatch, n, rows):
     """Blocks of ``rows`` rows in the assembly pass at n nodes (None: the default)."""
     if rows is not None:
@@ -577,8 +595,8 @@ def set_block_rows(monkeypatch, n, rows):
 
 def assert_blocks_match_reference(op):
     """The blocks and the defect equal conftest's whole-array expressions
-    bit for bit, read in either order: the defect first, from a pass of its
-    own, and the blocks first, the defect kept from E's pass."""
+    bit for bit, read in either order: the defect first, and the blocks
+    first, which form the defect as their gate before either block."""
     assert op.reflection_defect == reference_defect(op)
     even, odd = op._blocks
     ref_even, ref_odd = reference_blocks(op)
@@ -620,6 +638,33 @@ class TestInPlaceAssembly:
         assert str(ours.value) == str(reference.value)
 
 
+class Captured(Exception):
+    """Raised by an eigensolver stand-in once it holds its matrix."""
+
+
+@pytest.mark.parametrize("n, rows", BLOCK_CASES, ids=BLOCK_IDS)
+@pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.0, 2 * math.pi)])
+def test_evolution_product_matches_reference(monkeypatch, k, big_l, n, rows):
+    # the M = -K E' K O that evolution_spectrum hands to eigvals, against
+    # conftest's whole-array blocks, bit for bit
+    set_block_rows(monkeypatch, n, rows)
+    op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
+    held = []
+
+    def capture(a):
+        held.append(a.copy())
+        raise Captured
+
+    monkeypatch.setattr(np.linalg, "eigvals", capture)
+    with pytest.raises(Captured):
+        mw.evolution_spectrum(op)
+    half = n // 2
+    kap = op.grid.wavenumbers()[1:half]
+    scale = kap / (1.0 + kap * kap)
+    ref_even, ref_odd = reference_blocks(op)
+    assert np.array_equal(held[0], -(np.outer(scale, scale) * ref_even[1:half, 1:half]) @ ref_odd)
+
+
 @settings(max_examples=20)
 @given(k=st.floats(0.1, 0.75), big_l=st.floats(3.2 * math.pi, 10 * math.pi))
 def test_in_place_assembly_on_the_criterion_6_window(k, big_l):
@@ -657,22 +702,36 @@ class TestOneBlockAtATime:
 
     @pytest.mark.parametrize("k, big_l", WAVES)
     @pytest.mark.parametrize("solve", [mw.spectrum, mw.restricted_spectrum,
-                                       mw.inv_one_pairing])
+                                       mw.inv_one_pairing,
+                                       pytest.param(lambda op: op.reflection_defect,
+                                                    id="reflection_defect")])
     def test_solves_hold_one_block(self, solve, k, big_l):
         # parity assembles, solves and releases O, then E: one block and the
         # pass's row buffers at a time (measured 1.34 to 1.40 blocks; both
-        # blocks alive, with a row buffer, read 2.36)
+        # blocks alive, with a row buffer, read 2.36).  The defect alone is
+        # the coupling, a block of n/2 - 1 rows, with its abs taken in place
+        # (1.34; np.abs into a new array read 2.03)
         op = mw.operator_for(mw.wave_at(k, big_l)[0], self.N)
         assert traced_peak(solve, op) <= 1.6 * self.BLOCK
         blocks = op.parity
         tol = max(linop._zero_tol(blocks.even_vals), linop._zero_tol(blocks.odd_vals))
         assert bool(np.any(np.abs(blocks.even_vals) <= tol)) == (k == 0.0)
 
+    def test_one_coupling_pass_per_operator(self, monkeypatch):
+        # the defect is formed once and kept: parity's O and E and J L's
+        # -K E' K and O are the only other passes
+        passes = spy_passes(monkeypatch)
+        op = mw.operator_for(mw.wave_at(0.5, 6 * math.pi)[0], 64)
+        for read in (mw.spectrum, mw.restricted_spectrum, mw.inv_one_pairing,
+                     mw.evolution_spectrum, lambda op: op.reflection_defect):
+            read(op)
+        assert passes == [np.imag] + [np.real] * 4
+
     @pytest.mark.parametrize("k, big_l", WAVES)
     def test_evolution_spectrum_holds_three_blocks(self, k, big_l):
-        # -K E' K O from E', O and their product alone: the scaled copy of
-        # E' is formed by blocks of rows (measured 3.01 blocks; the whole-array
-        # expression read 4.01)
+        # -K E' K O from -K E' K, O and their product alone: the assembly
+        # pass forms -K E' K with no copy of E' (measured 3.01 blocks; the
+        # whole-array expression read 4.01)
         op = mw.operator_for(mw.wave_at(k, big_l)[0], self.N)
         assert traced_peak(mw.evolution_spectrum, op) <= 3.2 * self.BLOCK
 
