@@ -9,9 +9,10 @@ The index
 uses dV/dk = L * da/dk (the profile mean is a, so V(phi) = a L).  Every
 k-derivative, at fixed L and along the zero-mean branch a(k, L*(k)) = 0
 (itself a closed form, :func:`_zero_mean_l`) alike, is
-:func:`mchwave.wave._dk`, one complex step over closed forms in
-(k, K, E, L).  Only the operator behind the spectral counts samples a
-profile.
+:func:`mchwave.wave._dk`, one complex step over the one evaluator
+:func:`mchwave.wave._closed_forms` of (a, b, c, A, F) from (k, L, K, E),
+with K and E from one :func:`mchwave.wave._k_e_or_nan` call.  Only the
+operator behind the spectral counts samples a profile.
 
 The sign condition I < 0 is checked as a reproducible assertion over
 sampled (k, L) grids; no claim is made beyond the sampled windows.  A scan
@@ -28,13 +29,11 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from . import wave as wave_mod
-from .elliptic import complete_k_e
 from .errors import DomainError, RankError, SingularError
 from .field import check_grid_size
 from .linop import inv_one_pairing, operator_for, restricted_spectrum, spectrum
@@ -168,9 +167,10 @@ def _index_cells(k: np.ndarray, L: np.ndarray) -> list[IndexSample]:
     smallest normal float is refused as ``underflow``."""
     _, _, reason = wave_mod._waves(k, L)
     live = reason == ""
+    l_live = L[live]
     da_dk, _, dc_dk, dA_dk, dF_dk = wave_mod._dk(
-        partial(wave_mod._closed_forms, L=L[live]), k[live])
-    dV_dk = L[live] * da_dk
+        lambda z: wave_mod._closed_forms(z, l_live, *wave_mod._k_e_or_nan(z)), k[live])
+    dV_dk = l_live * da_dk
     cols = np.full((5, k.size), math.nan)
     cols[:, live] = dA_dk * dV_dk - dc_dk * dF_dk, dA_dk, dc_dk, dV_dk, dF_dk
     underflow = np.abs(cols[0]) < np.finfo(float).tiny  # False at NaN
@@ -253,21 +253,18 @@ def morse_check(k: float, L: float, n: int = 256) -> MorseReport:
     )
 
 
-def _zero_mean_l(k, k_e=None):
-    """L*(k) with a(k, L*) = 0, elementwise, real or complex k; NaN where
-    there is no branch.  a = (R - h) / (3 L^2), R = 32 K ((2 - k^2) K - 3 E),
-    where h = 512 Q / (1.5 L^2 + sqrt(Delta) / 2), Q = K^4 (1 - k^2 + k^4),
+def _zero_mean_l(k, big_k, big_e):
+    """L*(k) with a(k, L*) = 0, elementwise, real or complex k with (K, E)
+    from :func:`mchwave.wave._k_e_or_nan` at k; NaN where there is no
+    branch (NaN K included).
+    a = (R - h) / (3 L^2), R = 32 K ((2 - k^2) K - 3 E), where
+    h = 512 Q / (1.5 L^2 + sqrt(Delta) / 2), Q = K^4 (1 - k^2 + k^4),
     falls strictly from sqrt(512 Q) at Delta = 0 to 0.  So the one root is
-    L*^2 = (R^2 + 512 Q) / (3 R), iff 0 < R < sqrt(512 Q) (real parts).
-    ``k_e`` is (K, E) at k, if the caller has evaluated them."""
-    out = wave_mod._outside(k, 1.0)
-    if out.any():  # 0.5 has no branch; it stands in for the moduli outside
-        k, k_e = np.where(out, 0.5, k), None
-    big_k, big_e = complete_k_e(k) if k_e is None else k_e
+    L*^2 = (R^2 + 512 Q) / (3 R), iff 0 < R < sqrt(512 Q) (real parts)."""
     k2 = k * k
     r = 32.0 * big_k * ((2.0 - k2) * big_k - 3.0 * big_e)
     q512 = 512.0 * big_k**4 * (1.0 - k2 + k2 * k2)
-    none = out | (np.real(r) <= 0.0) | (np.real(r) ** 2 >= np.real(q512))
+    none = (np.real(r) <= 0.0) | (np.real(r) ** 2 >= np.real(q512))
     r = np.where(none, 1.0, r)
     return np.where(none, math.nan, np.sqrt((r * r + q512) / (3.0 * r)))
 
@@ -284,7 +281,7 @@ def zero_mean_period(k: float) -> float | None:
     """
     if not 0.0 < k < 1.0:
         raise DomainError(f"zero_mean_period requires 0 < k < 1, got k={k}")
-    l_star = float(_zero_mean_l(k))
+    l_star = float(_zero_mean_l(k, *wave_mod._k_e_or_nan(k)))
     return None if math.isnan(l_star) else l_star
 
 
@@ -292,11 +289,10 @@ def _branch_state(k) -> tuple:
     """(L*, c, F, d = E + c F) on the zero-mean branch at modulus k, real or
     complex, NaN without a branch: the closed forms at L*(k), so at
     k + 1e-30 i one evaluation carries the branch's k-derivatives.  L* and
-    the closed forms share one K/E evaluation where k is in the domain."""
-    k_e = None if wave_mod._outside(k, 1.0).any() else complete_k_e(k)
-    l_star = _zero_mean_l(k, k_e)
-    a, b, c, big_k, big_e = wave_mod._params_from_k_l(k, l_star, k_e)
-    f = wave_mod._momentum(a, b, k, big_k, big_e, l_star)
+    the closed forms share one K/E evaluation."""
+    big_k, big_e = wave_mod._k_e_or_nan(k)
+    l_star = _zero_mean_l(k, big_k, big_e)
+    a, b, c, _, f = wave_mod._closed_forms(k, l_star, big_k, big_e)
     return l_star, c, f, wave_mod._energy(a, b, k, big_k, big_e, l_star) + c * f
 
 

@@ -187,14 +187,6 @@ class OperatorMatrix:
         inner = slice(1, self.grid.n // 2)
         return self._hill_pass(-1, np.real, inner, inner, None)
 
-    @property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks E and O (module docstring), assembled anew
-        on each read and not kept; AssemblyError if the reflection defect
-        exceeds the gate."""
-        self._gate()
-        return self._even_block(), self._odd_block()
-
     @cached_property
     def reflection_defect(self) -> float:
         """max |C|, C_km = -<sine k, L cosine m> = s_m [b^q_(k+m) + b^q_(k-m) +

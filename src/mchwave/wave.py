@@ -24,10 +24,12 @@ takes one path, :func:`_dk`: one complex-step evaluation at k + 1e-30 i
 (Squire and Trapp, SIAM Rev. 1998), exact to rounding with no profile
 sampling.
 
-The closed forms work elementwise on arrays of cells (k, L), so a scan
-evaluates its whole grid in one pass.  Where a cell has no wave they give
-NaN instead of raising, and each cell gets a reason code, "" when it has a
-valid wave:
+One evaluator, :func:`_closed_forms`, maps (k, L, K, E) to (a, b, c, A,
+F); every caller takes K and E from one :func:`_k_e_or_nan` call per
+pass, NaN for a modulus outside its domain.  It works elementwise on
+arrays of cells (k, L), so a scan evaluates its whole grid in one pass.
+Where a cell has no wave it gives NaN instead of raising, and each cell
+gets a reason code, "" when it has a valid wave:
 
 - ``domain``: k outside [0, MODULUS_CUTOFF], or L not finite and positive;
 - ``overflow``: L**7 overflows a float, L above DBL_MAX^(1/7) ~ 1.087e44
@@ -108,54 +110,16 @@ class ValidityReport:
     reason: str
 
 
-def _outside(k, L):
-    """Where (k, L) leaves the domain of the closed forms, 0 <= Re k <=
-    MODULUS_CUTOFF and 0 < Re L < inf (k = 0 is the constant wave)."""
-    k_re, l_re = np.asarray(k).real, np.asarray(L).real
-    return ~((k_re >= 0.0) & (k_re <= MODULUS_CUTOFF) & (l_re > 0.0) & np.isfinite(L))
-
-
-def _params_from_k_l(k, L, k_e=None) -> tuple:
-    """(a, b, c, K, E) by direct evaluation of the closed forms, elementwise.
-
-    k and L are scalars or arrays that broadcast, real or complex (the
-    complex-step derivatives), with Delta > 0 tested on the real part.
-    Where (k, L) is outside the domain, L**7 overflows or Delta <= 0, a, b
-    and c are NaN; :func:`_waves` names the reason.  ``k_e`` is (K, E) at
-    k, if the caller has evaluated them.
-    """
-    out = _outside(k, L)
-    if out.any():  # (0.5, 10) has a wave; it stands in for the cells outside
-        k, L, k_e = np.where(out, 0.5, k), np.where(out, 10.0, L), None
-    big_k, big_e = complete_k_e(k) if k_e is None else k_e
-    k2, big_k2 = k * k, big_k * big_k
-    with np.errstate(all="ignore"):  # from overflowing or vanishing powers of L: refused
-        k4_q = big_k**4 * (1.0 - k2 + k2 * k2)  # K^4 (1 - k^2 + k^4)
-        delta = 9.0 * L**4 - 2048.0 * k4_q
-        refused = out | ~np.isfinite(L**7) | (np.real(delta) <= 0.0)
-        root = np.sqrt(np.where(refused, 1.0, delta))
-        l2 = L * L
-        b = -32.0 * big_k2 / l2
-        # 1.5 L^2 - sqrt(Delta)/2 without the cancelling subtraction
-        head = 512.0 * k4_q / (1.5 * L * L + 0.5 * root)
-        c = head / l2
-        a = -(-32.0 * (2.0 - k2) * big_k2 + 96.0 * big_e * big_k + head) / (3.0 * L * L)
-    if refused.any():
-        a, b, c = (np.where(refused, np.nan, v) for v in (a, b, c))
-    return a, b, c, big_k, big_e
-
-
-def _a_from_ode(a, b, c, k, big_k, big_e, L):
-    """Integration constant from the wave ODE evaluated at x = 0.
-
-    At the origin sn = 0, cn = dn = 1, so phi' = 0 there and
-    A = (phi(0) - c) phi''(0) - phi(0)^3 + c phi(0).  Elementwise, real or
-    complex k.
-    """
-    omega = 2.0 * big_k / L
-    phi0 = a + b * (1.0 - big_e / big_k)
-    phi2_0 = -2.0 * k * k * b * omega * omega
-    return (phi0 - c) * phi2_0 - phi0**3 + c * phi0
+def _k_e_or_nan(k) -> tuple:
+    """(K, E) at moduli k, real or complex, from one :func:`complete_k_e`
+    call: NaN where Re k leaves [0, MODULUS_CUTOFF] (NaN k included), so
+    the closed forms refuse those cells."""
+    k_re = np.asarray(k).real
+    out = ~((k_re >= 0.0) & (k_re <= MODULUS_CUTOFF))
+    if not out.any():
+        return complete_k_e(k)
+    # 0.5 is a modulus; it stands in for the moduli outside
+    return tuple(np.where(out, np.nan, v) for v in complete_k_e(np.where(out, 0.5, k)))
 
 
 def _moments(k, big_k, big_e) -> list:
@@ -171,21 +135,6 @@ def _moments(k, big_k, big_e) -> list:
     for m in range(3):
         ys.append((2.0 * s * (m + 1) * ys[m + 1] - kp2 * (2 * m + 1) * ys[m]) / (2 * m + 3))
     return ys
-
-
-def _momentum(a, b, k, big_k, big_e, L):
-    """Momentum F = (1/2) int phi^2 + phi'^2 over one period, in closed form.
-
-    phi - a = b (y - Y_1) and phi' = b omega y' with omega = 2K/L.  Y_1 and
-    Y_2 come from :func:`_moments`, whose recurrence at m = 1 also turns
-    <(y')^2> into (4/5)(s Y_2 - 2 k'^2 Y_1).  Real or complex k and L.
-    """
-    kp2 = 1.0 - k * k
-    s = 1.0 + kp2
-    y1, y2 = _moments(k, big_k, big_e)[1:3]
-    omega = 2.0 * big_k / L
-    slope2 = 0.8 * (s * y2 - 2.0 * kp2 * y1)
-    return 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
 
 
 def _energy(a, b, k, big_k, big_e, L):
@@ -206,38 +155,71 @@ def _energy(a, b, k, big_k, big_e, L):
     return -L * (0.25 * quartic + 2.0 * b * b * omega * omega * (a0 * p0 + b * p1))
 
 
-def _closed_forms(k, L) -> tuple:
-    """(a, b, c, A, F) from the closed forms in (k, K, E, L), elementwise; k
-    real or complex, NaN where :func:`_params_from_k_l` refuses."""
-    a, b, c, big_k, big_e = _params_from_k_l(k, L)
-    return (a, b, c, _a_from_ode(a, b, c, k, big_k, big_e, L),
-            _momentum(a, b, k, big_k, big_e, L))
+def _closed_forms(k, L, big_k, big_e) -> tuple:
+    """(a, b, c, A, F) from the closed forms in (k, K, E, L), elementwise:
+    the one evaluator of the wave family.
+
+    k and L are scalars or arrays that broadcast, real or complex (the
+    complex-step derivatives), and (K, E) are :func:`_k_e_or_nan` at k.
+    All five are NaN where the cell is refused: K is NaN (k outside its
+    domain), L is not finite and positive, L**7 overflows or Delta <= 0
+    (real parts); :func:`_waves` names the reason.  A comes from the wave ODE at x = 0,
+    where sn = 0 and cn = dn = 1, so phi' = 0 and A = (phi(0) - c)
+    phi''(0) - phi(0)^3 + c phi(0).  The momentum F = (1/2) int phi^2 +
+    phi'^2 has phi - a = b (y - Y_1) and phi' = b omega y' with omega =
+    2K/L, and the recurrence of :func:`_moments` at m = 1 turns <(y')^2>
+    into (4/5)(s Y_2 - 2 k'^2 Y_1).
+    """
+    with np.errstate(all="ignore"):  # refused cells overflow, divide by 0 or meet NaN
+        k2, big_k2 = k * k, big_k * big_k
+        k4_q = big_k**4 * (1.0 - k2 + k2 * k2)  # K^4 (1 - k^2 + k^4)
+        delta = 9.0 * L**4 - 2048.0 * k4_q
+        refused = ~((np.real(L) > 0.0) & np.isfinite(L**7) & (np.real(delta) > 0.0))
+        root = np.sqrt(np.where(refused, 1.0, delta))
+        l2 = L * L
+        b = -32.0 * big_k2 / l2
+        # 1.5 L^2 - sqrt(Delta)/2 without the cancelling subtraction
+        head = 512.0 * k4_q / (1.5 * L * L + 0.5 * root)
+        c = head / l2
+        a = -(-32.0 * (2.0 - k2) * big_k2 + 96.0 * big_e * big_k + head) / (3.0 * L * L)
+        omega, y1 = 2.0 * big_k / L, big_e / big_k
+        phi0 = a + b * (1.0 - y1)
+        phi2_0 = -2.0 * k * k * b * omega * omega
+        big_a = (phi0 - c) * phi2_0 - phi0**3 + c * phi0
+        kp2 = 1.0 - k2
+        s = 1.0 + kp2
+        y2 = (2.0 * s * y1 - kp2) / 3  # Y_2, the first step of _moments
+        slope2 = 0.8 * (s * y2 - 2.0 * kp2 * y1)
+        f = 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
+    forms = a, b, c, big_a, f
+    if refused.any():
+        forms = tuple(np.where(refused, np.nan, v) for v in forms)
+    return forms
 
 
 def _waves(k: np.ndarray, L: np.ndarray) -> tuple:
     """The waves at 1-d arrays of cells (k, L), k real, and their validity:
-    (a, b, c, A, K, E), the margins (ineq_i, ineq_ii) of :func:`validity`,
-    and the reason per cell.
+    (a, b, c, A) of :func:`_closed_forms`, the margins (ineq_i, ineq_ii) of
+    :func:`validity`, and the reason per cell.
 
     The reason is "" for a valid wave; else the refusal of the closed forms
     (``domain``, ``overflow``, ``discriminant``), where a, b, c, A and the
     margins are NaN, or ``ineq_i`` / ``ineq_ii`` for the first margin that
-    is not negative.  A comes from the wave ODE.
+    is not negative.
     """
-    a, b, c, big_k, big_e = _params_from_k_l(k, L)
-    refused = np.isnan(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # L**7 is inf or NaN where it overflows
-        reason = np.where(_outside(k, L), "domain", np.where(
-            np.isfinite(L**7), "discriminant", "overflow"))
-    if refused.any():  # (0.5, 10) stands in, so nothing below overflows or divides by 0
-        k, L = np.where(refused, 0.5, k), np.where(refused, 10.0, L)
-    a_ode = _a_from_ode(a, b, c, k, big_k, big_e, L)
-    # 0 c: exactly 0 for the constant wave, NaN where there is no wave
-    ineq_i = np.where(k > 0.0, c * c - 3.0 * c + 32.0 * math.pi**4 / L**4, 0.0 * c)
-    ineq_ii = a + b * ((1.0 - k * k) - big_e / big_k) - c
-    reason = np.where(refused, reason, np.where(ineq_i < 0.0, np.where(
-        ineq_ii < 0.0, "", "ineq_ii"), "ineq_i"))
-    return (a, b, c, a_ode, big_k, big_e), (ineq_i, ineq_ii), reason
+    big_k, big_e = _k_e_or_nan(k)
+    a, b, c, a_ode, _ = _closed_forms(k, L, big_k, big_e)
+    with np.errstate(all="ignore"):  # refused cells: their margins are NaN
+        # 0 c: exactly 0 for the constant wave, NaN where there is no wave
+        ineq_i = np.where(k > 0.0, c * c - 3.0 * c + 32.0 * math.pi**4 / L**4, 0.0 * c)
+        ineq_ii = a + b * ((1.0 - k * k) - big_e / big_k) - c
+        reason = np.where(ineq_i < 0.0, np.where(ineq_ii < 0.0, "", "ineq_ii"), "ineq_i")
+        refused = np.isnan(a)
+        if refused.any():
+            outside = np.isnan(big_k) | ~((L > 0.0) & (L < math.inf))
+            reason = np.where(refused, np.where(outside, "domain", np.where(
+                np.isfinite(L**7), "discriminant", "overflow")), reason)
+    return (a, b, c, a_ode), (ineq_i, ineq_ii), reason
 
 
 # Messages of the typed errors :func:`wave_at` raises for a refused cell.
@@ -256,7 +238,7 @@ def _cell(k: float, L: float) -> tuple:
     reason = str(reason)
     report = ValidityReport(reason not in _REFUSED, float(ineq_i[0]), float(ineq_ii[0]),
                             reason == "", reason)
-    return [float(v[0]) for v in waves[:4]], report
+    return [float(v[0]) for v in waves], report
 
 
 def wave_at(k: float, L: float) -> tuple[WaveParams, ValidityReport]:

@@ -12,7 +12,7 @@ from mchwave import AssemblyError, BlowUpError, DomainError, NumericalError, evo
 from mchwave.evolve import _RhsOperator
 from mchwave.field import (_functionals, _orbit_distance, derivative, fractional_shift,
                            functionals, sample_wave)
-from mchwave.wave import _closed_forms, _dk
+from mchwave.wave import _closed_forms, _dk, _k_e_or_nan
 
 # Property tests draw the same examples on every run, and a slow machine
 # does not fail them on a per-example deadline.
@@ -204,7 +204,7 @@ def constraint_matrix(op, g: np.ndarray) -> np.ndarray:
     pairing <L^{-1} 1, 1>): (L/n) G^T E^{-1} G, G the cosine rows 0 .. n/2
     of ``from_grid(g)``, by one solve of the even block E of ``op``."""
     g_hat = from_grid(g)[: op.grid.n // 2 + 1]
-    return (op.grid.L / op.grid.n) * g_hat.T @ np.linalg.solve(op._blocks[0], g_hat)
+    return (op.grid.L / op.grid.n) * g_hat.T @ np.linalg.solve(op._even_block(), g_hat)
 
 
 def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndarray:
@@ -213,7 +213,7 @@ def lowest_eigenvectors(op, restricted: bool = False, modes: int = 8) -> np.ndar
     block of ``op`` (the even one without cosine mode 0 for Y0), mapped to
     the grid by one inverse real FFT.  The program solves only E with its
     vectors, so these are the test's own."""
-    even, odd = op._blocks
+    even, odd = op._even_block(), op._odd_block()
     even_vals, even_vecs = np.linalg.eigh(even[1:, 1:] if restricted else even)
     if restricted:
         even_vecs = np.pad(even_vecs, ((1, 0), (0, 0)))
@@ -239,9 +239,9 @@ def reference_defect(op) -> float:
 
 
 def reference_blocks(op) -> tuple[np.ndarray, np.ndarray]:
-    """``OperatorMatrix._blocks`` as first written, the even and odd blocks
-    from whole-array expressions, with the same AssemblyError above the
-    gate: the oracle the in-place assembly must match bit for bit."""
+    """The even and odd blocks E and O of ``op`` as first written, from
+    whole-array expressions, with the AssemblyError of ``op._gate`` above
+    the gate: the oracle the in-place assembly must match bit for bit."""
     defect = reference_defect(op)
     if defect > linop.ASYMMETRY_GATE:
         raise AssemblyError(f"reflection defect {defect:.3e} exceeds "
@@ -263,11 +263,17 @@ def grid_rhs(u: mw.PeriodicField) -> np.ndarray:
     return np.fft.irfft(_RhsOperator(u.grid)(u.spectrum), u.grid.n)
 
 
+def closed_forms(k, big_l) -> tuple:
+    """(a, b, c, A, F) of ``wave._closed_forms`` at cells (k, L), with the
+    package's K/E evaluation at k."""
+    return _closed_forms(k, big_l, *_k_e_or_nan(k))
+
+
 def closed_form_dk(k: float, big_l: float) -> tuple[float, float, float, float]:
     """(da, db, dc, dA)/dk at fixed L: the package's one complex-step pass
     over the closed forms, at the single cell (k, L)."""
     ks, ls = np.array([k], float), np.array([big_l], float)
-    return tuple(float(v[0]) for v in _dk(partial(_closed_forms, L=ls), ks)[:4])
+    return tuple(float(v[0]) for v in _dk(partial(closed_forms, big_l=ls), ks)[:4])
 
 
 class AccuracyError(NumericalError):
@@ -307,8 +313,7 @@ def fd_index(k, big_l, h: float) -> np.ndarray:
     the closed forms, rows (I, dA/dk, dc/dk, dV/dk, dF/dk).  A scalar k
     raises AccuracyError where the step-halving gate fails; over arrays of
     cells such a cell, or one with no wave at a stencil point, is NaN."""
-    da, _, dc, big_da, df = fd_dk(
-        lambda kk: np.array(mw.wave._closed_forms(kk, big_l)), k, h)
+    da, _, dc, big_da, df = fd_dk(lambda kk: np.array(closed_forms(kk, big_l)), k, h)
     dv = big_l * da
     return np.array([big_da * dv - dc * df, big_da, dc, dv, df])
 

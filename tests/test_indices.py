@@ -377,14 +377,19 @@ class TestZeroMeanPeriod:
 
     def test_elementwise_over_real_and_complex_moduli(self):
         ks = np.array([0.5, 0.985, 0.999, 1.0 - 1e-13])
-        l_star = _zero_mean_l(ks)
+        l_star = zero_mean_l(ks)
         assert np.isnan(l_star[[0, 3]]).all()
         assert l_star[1] == zero_mean_period(0.985)
         assert l_star[2] == zero_mean_period(0.999)
         # the complex step through the closed form against the FD oracle
-        dl_dk = np.imag(_zero_mean_l(ks[1:3] + 1e-30j)) / 1e-30
-        oracle = fd_dk(lambda kk: _zero_mean_l(kk)[None], ks[1:3], 1e-5)[0]
+        dl_dk = np.imag(zero_mean_l(ks[1:3] + 1e-30j)) / 1e-30
+        oracle = fd_dk(lambda kk: zero_mean_l(kk)[None], ks[1:3], 1e-5)[0]
         assert dl_dk == pytest.approx(oracle, rel=1e-6)
+
+
+def zero_mean_l(k):
+    """``indices._zero_mean_l`` at moduli k, with the package's K/E evaluation."""
+    return _zero_mean_l(k, *mw.wave._k_e_or_nan(k))
 
 
 class TestDSecond:

@@ -1,6 +1,7 @@
 """Linearized-operator assembly, spectra, and the deflated pairing."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,8 @@ class TestAssembly:
     def test_symmetry_after_gate(self, op05_256):
         # the n x n matrix rebuilt from the program's blocks in the cosine and
         # sine bases is symmetric and is the collocation matrix of the oracle
-        even, odd = op05_256._blocks
+        op05_256._gate()
+        even, odd = op05_256._even_block(), op05_256._odd_block()
         cos_b, sin_b = cosine_basis(256), sine_basis(256)
         m = cos_b @ even @ cos_b.T + sin_b @ odd @ sin_b.T
         scale = np.max(np.abs(m))
@@ -433,7 +435,7 @@ def block_pairing(op):
     deflates that kernel, which is orthogonal to the right side."""
     n = op.grid.n
     rhs = np.eye(1, n // 2 + 1)[0] * math.sqrt(n)
-    return (op.grid.L / n) * float(np.dot(rhs, np.linalg.lstsq(op._blocks[0], rhs)[0]))
+    return (op.grid.L / n) * float(np.dot(rhs, np.linalg.lstsq(op._even_block(), rhs)[0]))
 
 
 def cosine_basis(n):
@@ -481,7 +483,7 @@ class TestHillBlocks:
         cos_b, sin_b = cosine_basis(256), sine_basis(256)
         a = dense_matrix(op05_256)
         scale = np.max(np.abs(a))
-        even, odd = op05_256._blocks
+        even, odd = op05_256._even_block(), op05_256._odd_block()
         assert np.max(np.abs(cos_b.T @ a @ cos_b - even)) <= 1e-13 * scale
         assert np.max(np.abs(sin_b.T @ a @ sin_b - odd)) <= 1e-13 * scale
         assert np.max(np.abs(sin_b.T @ a @ cos_b)) <= 1e-13 * scale
@@ -509,7 +511,7 @@ class TestHillBlocks:
         n = 256
         op = mw.operator_for(mw.wave_at(k, big_l)[0], n)
         pair = mw.inv_one_pairing(op)
-        vals, vecs = np.linalg.eigh(op._blocks[0])
+        vals, vecs = np.linalg.eigh(op._even_block())
         head = vecs[0]
         w = math.sqrt(n) * cosine_basis(n) @ (vecs @ (head / vals))
         assert pair.value == pytest.approx(big_l * float(np.dot(head, head / vals)), rel=1e-14)
@@ -529,7 +531,7 @@ class TestHillBlocks:
         grid = mw.PeriodicGrid(2 * math.pi, 16)
         lop = mw.assemble_l(mw.PeriodicField(grid, np.full(16, -1.0)),
                             mw.PeriodicField(grid, np.zeros(16)), 1.0)
-        even, odd = lop._blocks
+        even, odd = lop._even_block(), lop._odd_block()
         kap = grid.wavenumbers()
         assert np.max(np.abs(even - np.diag(2.0 * kap**2 - 2.0))) <= 1e-13
         assert np.max(np.abs(odd - np.diag(2.0 * kap[1:-1] ** 2 - 2.0))) <= 1e-13
@@ -596,13 +598,13 @@ def set_block_rows(monkeypatch, n, rows):
 def assert_blocks_match_reference(op):
     """The blocks and the defect equal conftest's whole-array expressions
     bit for bit, read in either order: the defect first, and the blocks
-    first, which form the defect as their gate before either block."""
+    first, which share the coefficient windows with the defect's pass."""
     assert op.reflection_defect == reference_defect(op)
-    even, odd = op._blocks
+    even, odd = op._even_block(), op._odd_block()
     ref_even, ref_odd = reference_blocks(op)
     assert np.array_equal(even, ref_even) and np.array_equal(odd, ref_odd)
     fresh = linop.OperatorMatrix(op.grid, op.coefficients)
-    even, odd = fresh._blocks
+    even, odd = fresh._even_block(), fresh._odd_block()
     assert np.array_equal(even, ref_even) and np.array_equal(odd, ref_odd)
     assert fresh.reflection_defect == reference_defect(op)
 
@@ -632,7 +634,7 @@ class TestInPlaceAssembly:
             return
         assert op.reflection_defect == reference_defect(op) > linop.ASYMMETRY_GATE
         with pytest.raises(AssemblyError) as ours:
-            op._blocks
+            op._gate()
         with pytest.raises(AssemblyError) as reference:
             reference_blocks(op)
         assert str(ours.value) == str(reference.value)
@@ -761,7 +763,7 @@ class TestEvolutionOperator:
             q = np.hstack((cosine_basis(n), sine_basis(n)))
             a = helmholtz_diff_matrix(op.grid) @ dense_matrix(op)
             kap = op.grid.wavenumbers()[1:half, None]
-            even, odd = op._blocks
+            even, odd = op._even_block(), op._odd_block()
             jl = np.zeros((n, n))
             jl[1:half, half + 1:] = kap / (1.0 + kap**2) * odd
             jl[half + 1:, : half + 1] = -kap / (1.0 + kap**2) * even[1:half]
@@ -800,6 +802,18 @@ class TestEvolutionOperator:
         rep = mw.evolution_spectrum(op05_256)
         assert np.max(np.abs(rep.eigenvalues.real)) < 1e-6
         assert (rep.n_neg, rep.z_dim) == (0, 3)
+
+    @pytest.mark.parametrize("k, big_l", [(0.5, 6 * math.pi), (0.0, 2 * math.pi)])
+    def test_no_negative_zero(self, k, big_l, tmp_path):
+        # -root turns the +0.0 parts of +-sqrt(mu) into -0.0, and the + 0.0 of
+        # evolution_spectrum turns them back: no eigenvalue part is a zero
+        # with its sign bit set, and spectrum --evolution writes no -0.0
+        vals = mw.evolution_spectrum(mw.operator_for(mw.wave_at(k, big_l)[0], 64)).eigenvalues
+        for part in (vals.real, vals.imag):
+            assert not np.any((part == 0.0) & np.signbit(part))
+        assert cli.dispatch(["spectrum", "--k", repr(k), "--L", repr(big_l), "--n", "64",
+                             "--evolution", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert re.search(r"-0\.0(?!\d)", (tmp_path / "spectrum.json").read_text()) is None
 
 
 class TestInvOnePairing:

@@ -4,18 +4,22 @@ import ast
 import dataclasses
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mchwave as mw
 from mchwave import DomainError
 from mchwave.cli import dispatch
-from mchwave.wave import _closed_forms, _energy, _params_from_k_l, _waves
+from mchwave.elliptic import MODULUS_CUTOFF
+from mchwave.indices import _index_cells
+from mchwave.wave import _closed_forms, _energy, _waves
 
-from conftest import AccuracyError, a_closed_form, closed_form_dk, fd_dk, integrate
+from conftest import (AccuracyError, a_closed_form, closed_form_dk, closed_forms, fd_dk,
+                      integrate)
 
 # mchwave.__all__: the public classes and functions; no submodule
 PUBLIC_NAMES = [
@@ -142,7 +146,7 @@ class TestWaveParams:
         k0, k1, l0, l1 = window
         ks = np.repeat(np.linspace(k0, k1, 20), 20)
         ls = np.tile(np.linspace(l0, l1, 20), 20)
-        (a, _, _, ode, _, _), _, reason = _waves(ks, ls)
+        (a, _, _, ode), _, reason = _waves(ks, ls)
         has_wave = ~np.isnan(a)
         assert np.count_nonzero(reason == "") > 0 and np.all(has_wave[reason == ""])
         closed, floor = (v[has_wave] for v in a_closed_form(ks, ls))
@@ -243,6 +247,29 @@ class TestOdeResidual:
         assert mw.ode_residual(wave05, 17) < 1e-8
 
 
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+               1e-300, 1e300, -1e300, 1.0, MODULUS_CUTOFF, 1.0 - 1e-13, 1.087e44, 1.1e44]
+ANY_MODULUS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 1.0))
+ANY_PERIOD = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 60.0))
+
+
+def documented_reason(k: float, big_l: float, rep) -> str:
+    """The reason of (k, L) by the rules of the mchwave.wave docstring, in
+    their order: domain, overflow, discriminant (Delta from complete_k_e),
+    then the first margin of ``rep`` that is not negative."""
+    if not (0.0 <= k <= MODULUS_CUTOFF and 0.0 < big_l < math.inf):
+        return "domain"
+    try:
+        big_l**7
+    except OverflowError:
+        return "overflow"
+    big_k, k2 = mw.complete_k_e(k)[0], k * k
+    if not 9.0 * big_l**4 - 2048.0 * big_k**4 * (1.0 - k2 + k2 * k2) > 0.0:
+        return "discriminant"
+    return ("ineq_i" if not rep.ineq_i_value < 0.0
+            else "ineq_ii" if not rep.ineq_ii_margin < 0.0 else "")
+
+
 class TestValidity:
     def test_good_wave(self):
         rep = mw.validity(0.5, 6.0 * math.pi)
@@ -305,6 +332,30 @@ class TestValidity:
         assert rep.ineq_ii_margin > 0.0
         assert not rep.all_ok
 
+    @settings(max_examples=200)
+    @given(cells=st.lists(st.tuples(ANY_MODULUS, ANY_PERIOD), min_size=1, max_size=6))
+    def test_reason_follows_the_documented_rules(self, cells):
+        # any floats, non-finite, signed zeros, subnormals and huge ones among
+        # them: validity neither raises nor warns and names the first rule of
+        # the module docstring that fails; wave_at refuses exactly the cells
+        # without a wave, and the index pass gives every cell of one array
+        # the same reason
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = []
+            for k, big_l in cells:
+                rep = mw.validity(k, big_l)
+                expected.append(documented_reason(k, big_l, rep))
+                assert rep.reason == expected[-1]
+                if expected[-1] in ("domain", "overflow", "discriminant"):
+                    with pytest.raises(DomainError):
+                        mw.wave_at(k, big_l)
+                else:
+                    assert mw.wave_at(k, big_l)[1].reason == expected[-1]
+            samples = _index_cells(*(np.array(v, float) for v in zip(*cells)))
+        for sample, reason in zip(samples, expected):
+            assert sample.reason == reason or (reason, sample.reason) == ("", "underflow")
+
 
 class TestMomentumClosedForm:
     @pytest.mark.parametrize("k", [0.05, 0.3, 0.7])
@@ -314,11 +365,11 @@ class TestMomentumClosedForm:
         for big_l in (4.0 * math.pi, 7.0 * math.pi):
             p = mw.wave_at(k, big_l)[0]
             sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 256)))[1]
-            assert _closed_forms(k, big_l)[4] == pytest.approx(sampled, rel=1e-13)
+            assert closed_forms(k, big_l)[4] == pytest.approx(sampled, rel=1e-13)
 
     def test_real_k_reproduces_wave_at(self):
         p = mw.wave_at(0.4, 6.0 * math.pi)[0]
-        assert _closed_forms(p.k, p.L)[:4] == (p.a, p.b, p.c, p.A)
+        assert closed_forms(p.k, p.L)[:4] == (p.a, p.b, p.c, p.A)
 
 
 class TestEnergyClosedForm:
@@ -327,7 +378,8 @@ class TestEnergyClosedForm:
     def test_matches_sampled_functional(self, k, big_l):
         p = mw.wave_at(k, big_l)[0]
         sampled = mw.functionals(mw.sample_wave(p, mw.PeriodicGrid(big_l, 1024)))[0]
-        a, b, _, big_k, big_e = _params_from_k_l(k, big_l)
+        big_k, big_e = mw.complete_k_e(k)
+        a, b = _closed_forms(k, big_l, big_k, big_e)[:2]
         assert _energy(a, b, k, big_k, big_e, big_l) == pytest.approx(sampled, rel=1e-12)
 
 
@@ -363,7 +415,7 @@ class TestParamDerivatives:
         for _ in range(5):
             k = rng.uniform(0.1, 0.7)
             big_l = rng.uniform(4 * math.pi, 9 * math.pi)
-            d1, d2 = (fd_dk(lambda kk: np.array(_closed_forms(kk, big_l)), k, h)[:4]
+            d1, d2 = (fd_dk(lambda kk: np.array(closed_forms(kk, big_l)), k, h)[:4]
                       for h in (1e-3, 5e-4))
             for a, b in zip(d1, d2):  # da, db, dc, dA
                 assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-9)
