@@ -99,9 +99,9 @@ def _k_e(a_n: np.ndarray, c_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def jacobi(u, k: float):
     """Jacobi elliptic functions sn(u; k), cn(u; k), dn(u; k).
 
-    ``k`` is the real modulus.  ``u`` may be a scalar or an ndarray; the
-    three returned values match its shape.  sn and cn have period 4K(k), dn
-    has period 2K(k).
+    ``k`` is one real modulus (a complex or array k is refused).  ``u`` may
+    be a scalar or an ndarray; the three returned values match its shape.
+    sn and cn have period 4K(k), dn has period 2K(k).
 
     The amplitude phi is recovered from the AGM ladder of k by the ascending
     recursion, then ``sn = sin(phi)``, ``cn = cos(phi)`` and
@@ -110,7 +110,7 @@ def jacobi(u, k: float):
     needs a few periods.
 
     Raises:
-        DomainError: if ``k`` is outside [0, MODULUS_CUTOFF] or u is not finite.
+        DomainError: if ``k`` is not one real modulus in [0, MODULUS_CUTOFF] or u is not finite.
     """
     return _k_e_jacobi(k)[2](u)
 
@@ -119,10 +119,12 @@ def _k_e_jacobi(k: float) -> tuple:
     """K(k), E(k) and the map u -> (sn, cn, dn)(u; k) of :func:`jacobi`, for
     one real modulus, from one ladder: the wave profile needs K before it
     can form the argument u = 2 K x / L."""
-    k = float(k)
-    a_n, c_n = _agm(_moduli(k).reshape(1))
+    k_arr = _moduli(k)
+    if k_arr.ndim or k_arr.dtype.kind == "c":
+        raise DomainError(f"jacobi takes one real modulus, got {k!r}")
+    a_n, c_n = _agm(k_arr.reshape(1))
     big_k, big_e = _k_e(a_n, c_n)
-    return big_k.item(), big_e.item(), lambda u: _descend(k, a_n, c_n, u)
+    return big_k.item(), big_e.item(), lambda u: _descend(float(k_arr), a_n, c_n, u)
 
 
 def _descend(k: float, a_n: np.ndarray, c_n: np.ndarray, u):

@@ -579,8 +579,7 @@ def linearized_run(v0: PeriodicField, lop: OperatorMatrix,
     times_arr, norms_arr = np.array(records).T
     rate = math.log(norms_arr[-1] / norms_arr[0]) / cfg.t_end
     i_half = min(int(np.searchsorted(times_arr, 0.5 * cfg.t_end)), len(times_arr) - 2)
-    span = times_arr[-1] - times_arr[i_half]
-    rate_tail = math.log(norms_arr[-1] / norms_arr[i_half]) / span if span > 0 else rate
+    rate_tail = math.log(norms_arr[-1] / norms_arr[i_half]) / (times_arr[-1] - times_arr[i_half])
     return LinearGrowthReport(times=times_arr, norms=norms_arr, rate=rate, rate_tail=rate_tail)
 
 

@@ -221,7 +221,7 @@ def index_scan(k_min: float, k_max: float, L_min: float, L_max: float,
     summary = ScanSummary(
         min_I=float(np.min(vals)) if vals.size else math.nan,
         max_I=float(np.max(vals)) if vals.size else math.nan,
-        count_positive=int(np.sum(vals > 0.0)) if vals.size else 0,
+        count_positive=int(np.sum(vals > 0.0)),
         count_invalid=sum(reasons.values()),
         count_cells=len(samples),
         invalid_reasons=dict(sorted(reasons.items())),

@@ -303,13 +303,12 @@ def _apply_l(m: OperatorMatrix, u_hat: np.ndarray) -> np.ndarray:
 
 def _zero_tol(eigenvalues: np.ndarray) -> float:
     """The zero-eigenvalue tolerance (module docstring): 1e3 eps max |eigenvalue|."""
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0
-    return float(1e3 * np.finfo(float).eps * max(radius, 1e-300))
+    return float(1e3 * np.finfo(float).eps * max(float(np.max(np.abs(eigenvalues))), 1e-300))
 
 
 def _near_zero_gap(moduli: np.ndarray) -> float:
     by_mod = np.sort(moduli)
-    return float(by_mod[1] - by_mod[0]) if moduli.size > 1 else math.inf
+    return float(by_mod[1] - by_mod[0])
 
 
 def _make_report(even_vals: np.ndarray, odd_vals: np.ndarray,

@@ -122,18 +122,17 @@ def _k_e_or_nan(k) -> tuple:
     return tuple(np.where(out, np.nan, v) for v in complete_k_e(np.where(out, 0.5, k)))
 
 
-def _moments(k, big_k, big_e) -> list:
-    """Period means Y_0..Y_4 of y = dn^2(theta); real or complex k.
+def _moments(kp2, s, y1, top: int) -> list:
+    """Period means Y_0..Y_top of y = dn^2(theta), real or complex: the one
+    recurrence, to top = 2 for the momentum F and to top = 4 for the energy.
 
-    Y_0 = 1, Y_1 = E/K; with s = 2 - k^2 and (dy/dtheta)^2 =
-    4 (-y^3 + s y^2 - k'^2 y), the period mean of d/dtheta (y^(m+1) y') = 0
-    gives Y_{m+2} = [2 s (m+1) Y_{m+1} - k'^2 (2m+1) Y_m] / (2m+3).
+    The caller passes the k'^2 = 1 - k^2, s = 1 + k'^2 and Y_1 = E/K it holds;
+    Y_0 = 1.  As (dy/dtheta)^2 = 4 (-y^3 + s y^2 - k'^2 y), the period mean of
+    d/dtheta (y^(m+1) y') = 0 gives Y_{m+2} = [2 s (m+1) Y_{m+1} - k'^2 (2m+1) Y_m] / (2m+3).
     """
-    kp2 = 1.0 - k * k
-    s = 1.0 + kp2
-    ys = [1.0, big_e / big_k]
-    for m in range(3):
-        ys.append((2.0 * s * (m + 1) * ys[m + 1] - kp2 * (2 * m + 1) * ys[m]) / (2 * m + 3))
+    ys = [1.0, y1]
+    for m in range(top - 1):
+        ys.append((2.0 * (m + 1) * s * ys[m + 1] - (2 * m + 1) * kp2 * ys[m]) / (2 * m + 3))
     return ys
 
 
@@ -141,12 +140,12 @@ def _energy(a, b, k, big_k, big_e, L):
     """Energy E = -int phi^4/4 + phi phi'^2/2 over one period, in closed form.
 
     With phi = a0 + b y, a0 = a - b Y_1, and (y')^2 = 4 P(y), both
-    integrands are quartics in y, averaged with :func:`_moments`.  Real or
-    complex k and L.
+    integrands are quartics in y, averaged with Y_0..Y_4 of :func:`_moments`
+    from this k'^2, s and Y_1 = E/K.  Real or complex k and L.
     """
     kp2 = 1.0 - k * k
     s = 1.0 + kp2
-    ys = _moments(k, big_k, big_e)
+    ys = _moments(kp2, s, big_e / big_k, 4)
     a0 = a - b * ys[1]
     quartic = sum(math.comb(4, j) * a0 ** (4 - j) * b**j * ys[j] for j in range(5))
     # <y^m P(y)> for m = 0, 1
@@ -167,8 +166,8 @@ def _closed_forms(k, L, big_k, big_e) -> tuple:
     where sn = 0 and cn = dn = 1, so phi' = 0 and A = (phi(0) - c)
     phi''(0) - phi(0)^3 + c phi(0).  The momentum F = (1/2) int phi^2 +
     phi'^2 has phi - a = b (y - Y_1) and phi' = b omega y' with omega =
-    2K/L, and the recurrence of :func:`_moments` at m = 1 turns <(y')^2>
-    into (4/5)(s Y_2 - 2 k'^2 Y_1).
+    2K/L; its Y_2 is :func:`_moments` to top = 2 from this k'^2, s and Y_1,
+    and the recurrence at m = 1 turns <(y')^2> into (4/5)(s Y_2 - 2 k'^2 Y_1).
     """
     with np.errstate(all="ignore"):  # refused cells overflow, divide by 0 or meet NaN
         k2, big_k2 = k * k, big_k * big_k
@@ -188,7 +187,7 @@ def _closed_forms(k, L, big_k, big_e) -> tuple:
         big_a = (phi0 - c) * phi2_0 - phi0**3 + c * phi0
         kp2 = 1.0 - k2
         s = 1.0 + kp2
-        y2 = (2.0 * s * y1 - kp2) / 3  # Y_2, the first step of _moments
+        y2 = _moments(kp2, s, y1, 2)[2]
         slope2 = 0.8 * (s * y2 - 2.0 * kp2 * y1)
         f = 0.5 * L * (a * a + b * b * (y2 - y1 * y1 + omega * omega * slope2))
     forms = a, b, c, big_a, f

@@ -3,6 +3,7 @@ import sys
 from functools import partial
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -343,6 +344,71 @@ def a_closed_form(k, big_l) -> tuple:
         spread = 2048.0 * q4 + 9.0 * l4
         moduli = abs(term1) * (1.0 + 0.5 * spread / delta) + abs(term2) + abs(term3) + l6
         return a_closed, np.finfo(float).eps * moduli / l6
+
+
+class WaveOracle(NamedTuple):
+    """The closed forms of one cell at 50 digits (:func:`wave_oracle`)."""
+
+    a: object
+    b: object
+    c: object
+    A: object
+    F: object
+    E: object
+    ineq_i: object
+    ineq_ii: object
+    I: object
+
+
+def _oracle_forms(k, big_l) -> tuple:
+    """(a, b, c, A, F, E, ineq_i, ineq_ii) at a complex modulus k and period
+    L, in the working precision of mpmath.
+
+    K, E are mpmath's (``ellipk``, ``ellipe`` take m = k^2).  The period means
+    Y_j = <dn^(2j)>, Y_0 = 1 and Y_1 = E/K, come from the amplitude integral
+    (1/K) int_0^(pi/2) (1 - m sin^2 t)^(j - 1/2) dt = (pi/2) 2F1(1/2 - j,
+    1/2; 1; m) / K, not from a recurrence.  With y = dn^2, (dy/dtheta)^2 =
+    4 y (1 - y)(y - k'^2).  A is the wave ODE at x = L/2, where y = k'^2,
+    phi' = 0 and d^2y/dtheta^2 = 2 k^2 k'^2.
+    """
+    m = k * k
+    kp2 = 1 - m
+    big_k, big_e = mpmath.ellipk(m), mpmath.ellipe(m)
+    ys = [1, big_e / big_k] + [
+        mpmath.pi / 2 * mpmath.hyp2f1(mpmath.mpf(1) / 2 - j, mpmath.mpf(1) / 2, 1, m) / big_k
+        for j in (2, 3, 4)]
+    root = mpmath.sqrt(9 * big_l**4 - 2048 * big_k**4 * (1 - m + m * m))
+    b = -32 * big_k**2 / big_l**2
+    c = (3 * big_l**2 - root) / (2 * big_l**2)
+    a = -(-32 * (2 - m) * big_k**2 + 96 * big_e * big_k + (3 * big_l**2 - root) / 2) \
+        / (3 * big_l**2)
+    omega = 2 * big_k / big_l
+    # <y^j (dy/dtheta)^2> = 4 <-y^(j+3) + (1 + k'^2) y^(j+2) - k'^2 y^(j+1)>
+    slope = [4 * (-ys[j + 3] + (1 + kp2) * ys[j + 2] - kp2 * ys[j + 1]) for j in (0, 1)]
+    a0 = a - b * ys[1]  # phi = a0 + b y
+    mean_phi2 = a * a + b * b * (ys[2] - ys[1] ** 2)
+    momentum = big_l / 2 * (mean_phi2 + b * b * omega**2 * slope[0])
+    mean_phi4 = sum(mpmath.binomial(4, j) * a0 ** (4 - j) * b**j * ys[j] for j in range(5))
+    mean_phi_slope2 = b * b * omega**2 * (a0 * slope[0] + b * slope[1])
+    energy = -big_l * (mean_phi4 / 4 + mean_phi_slope2 / 2)
+    phi_mid = a0 + b * kp2
+    big_a = (phi_mid - c) * b * omega**2 * 2 * m * kp2 - phi_mid**3 + c * phi_mid
+    ineq_i = c * c - 3 * c + 32 * mpmath.pi**4 / big_l**4
+    return a, b, c, big_a, momentum, energy, ineq_i, phi_mid - c
+
+
+def wave_oracle(k: float, big_l: float, step: float = 1e-40) -> WaveOracle:
+    """The wave at (k, L) from a 50-digit mpmath transcription of the closed
+    forms, and the stability index I = dA/dk dV/dk - dc/dk dF/dk with V = a L:
+    the independent oracle of ``wave._closed_forms``, ``_energy`` and the
+    index.  One evaluation of :func:`_oracle_forms` at k + i ``step`` gives
+    the values as its real parts (off by O(step^2), below the 50 digits) and
+    the k-derivatives as its imaginary parts over ``step``."""
+    with mpmath.workdps(50):
+        big_l = mpmath.mpf(big_l)
+        forms = _oracle_forms(mpmath.mpc(k, step), big_l)
+        da, _, dc, big_da, df = (mpmath.im(v) / step for v in forms[:5])
+        return WaveOracle(*(mpmath.re(v) for v in forms), big_da * big_l * da - dc * df)
 
 
 def integrate(u: mw.PeriodicField) -> float:

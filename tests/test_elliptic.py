@@ -1,5 +1,6 @@
 """Elliptic kernel against quadrature oracles and classical identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -236,3 +237,12 @@ class TestJacobi:
             jacobi(math.inf, 0.5)
         with pytest.raises(DomainError):
             jacobi(math.nan, 0.5)
+
+    def test_one_real_modulus(self):
+        # complete_k_e takes complex and array moduli; jacobi takes one real modulus
+        for k in (0.3 + 0j, np.array([0.3, 0.4]), np.array([0.3]), np.complex128(0.3)):
+            with pytest.raises(DomainError, match="one real modulus"):
+                jacobi(0.5, k)
+        assert jacobi(0.5, np.array(0.3)) == jacobi(0.5, 0.3)
+        p, _ = wave_at(0.5, 6.0 * math.pi)
+        assert profile(p, 1.0) == profile(dataclasses.replace(p, k=np.array(0.5)), 1.0)

@@ -16,10 +16,10 @@ from mchwave import DomainError
 from mchwave.cli import dispatch
 from mchwave.elliptic import MODULUS_CUTOFF
 from mchwave.indices import _index_cells
-from mchwave.wave import _closed_forms, _energy, _waves
+from mchwave.wave import _closed_forms, _energy, _k_e_or_nan, _waves
 
 from conftest import (AccuracyError, a_closed_form, closed_form_dk, closed_forms, fd_dk,
-                      integrate)
+                      integrate, wave_oracle)
 
 # mchwave.__all__: the public classes and functions; no submodule
 PUBLIC_NAMES = [
@@ -381,6 +381,67 @@ class TestEnergyClosedForm:
         big_k, big_e = mw.complete_k_e(k)
         a, b = _closed_forms(k, big_l, big_k, big_e)[:2]
         assert _energy(a, b, k, big_k, big_e, big_l) == pytest.approx(sampled, rel=1e-12)
+
+
+# Cells (k, L / pi) of the 50-digit oracle over k in [0.01, 0.99]: valid
+# waves, then waves the second margin refuses (no cell there fails the first).
+ORACLE_VALID = [(k, big_l) for k in (0.01, 0.03, 0.1, 0.3, 0.5, 0.7) for big_l in (3, 8, 30)] + [
+    (0.8, 3), (0.8, 4), (0.9, 3), (0.9, 4), (0.95, 4), (0.99, 4.5), (0.99, 5)]
+ORACLE_INEQ_II = [(0.8, 6), (0.8, 30), (0.9, 8), (0.95, 10), (0.99, 6), (0.99, 30)]
+# Relative error bounds against the oracle over ORACLE_VALID, about 3x the
+# worst error measured: a 1.1e-15, b 3.1e-16, c 5.9e-16, A 3.8e-14 (at
+# (0.7, 30 pi)), F 1.0e-15, E 6.4e-14, I 3.0e-11, the margins 3.8e-16.  A
+# is held relative to the size of its ODE terms at x = L/2, |A| + |phi|^3 +
+# |c phi|, and each margin to the size of its terms: the terms cancel.  I's
+# bound is set by k = 0.01, where its terms cancel (ROADMAP item 9); from
+# k = 0.1 up its error is below 1e-13.
+ORACLE_BOUNDS = {"a": 4e-15, "b": 1e-15, "c": 2e-15, "A": 1e-13, "F": 4e-15, "E": 2e-13,
+                 "I": 1e-10, "margins": 1e-15}
+
+
+class TestClosedFormOracle:
+    """The floats of the closed forms against the 50-digit transcription of
+    ``conftest.wave_oracle``: its K, E and period means come from mpmath."""
+
+    @staticmethod
+    def cells(cells) -> tuple:
+        return np.array([k for k, _ in cells]), np.array([big_l for _, big_l in cells]) * math.pi
+
+    def test_valid_cells_match(self):
+        ks, ls = self.cells(ORACLE_VALID)
+        big_k, big_e = _k_e_or_nan(ks)
+        forms = _closed_forms(ks, ls, big_k, big_e)
+        energy = _energy(forms[0], forms[1], ks, big_k, big_e, ls)
+        waves, margins, reason = _waves(ks, ls)
+        assert reason.tolist() == [""] * len(ks)
+        index = [mw.stability_index(k, big_l).I for k, big_l in zip(ks.tolist(), ls.tolist())]
+        worst = dict.fromkeys(ORACLE_BOUNDS, 0.0)
+        for i, (k, big_l) in enumerate(zip(ks.tolist(), ls.tolist())):
+            o = wave_oracle(k, big_l)
+            phi_mid = o.ineq_ii + o.c
+            scale = {"A": abs(o.A) + abs(phi_mid) ** 3 + abs(o.c * phi_mid)}
+            ours = dict(zip("abcAF", (float(v[i]) for v in forms)), E=float(energy[i]),
+                        I=index[i])
+            assert [float(v[i]) for v in waves] == [ours[name] for name in "abcA"]
+            for name, value in ours.items():
+                ref = getattr(o, name)
+                worst[name] = max(worst[name],
+                                  float(abs(value - ref) / scale.get(name, abs(ref))))
+            # each margin against the size of its terms
+            for value, ref, size in zip(margins, (o.ineq_i, o.ineq_ii), (
+                    o.c * o.c + 3 * abs(o.c) + 32 * math.pi**4 / big_l**4,
+                    abs(o.a) + abs(o.b) + abs(o.c))):
+                assert value[i] < 0.0 and ref < 0
+                worst["margins"] = max(worst["margins"], float(abs(value[i] - ref) / size))
+        assert all(worst[name] <= bound for name, bound in ORACLE_BOUNDS.items()), worst
+
+    def test_refused_margin_has_the_oracle_sign(self):
+        ks, ls = self.cells(ORACLE_INEQ_II)
+        _, (ineq_i, ineq_ii), reason = _waves(ks, ls)
+        assert reason.tolist() == ["ineq_ii"] * len(ks)
+        for i, (k, big_l) in enumerate(zip(ks.tolist(), ls.tolist())):
+            o = wave_oracle(k, big_l)
+            assert (ineq_i[i] < 0.0, ineq_ii[i] < 0.0) == (o.ineq_i < 0, o.ineq_ii < 0)
 
 
 class TestParamDerivatives:
